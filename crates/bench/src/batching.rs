@@ -39,9 +39,11 @@ impl BatchingBenchConfig {
         Self { n_jobs_values: vec![6, 12], n_keys_values: vec![1, 2, 3], steps: 20 }
     }
 
-    /// Tiny smoke-test sweep for CI (seconds, not minutes).
+    /// Smoke-test sweep for CI (a second or two): the 12-job rows at two
+    /// segments per job, so a batch that rebuilt its world per segment
+    /// would show in `cmat_builds`.
     pub fn quick() -> Self {
-        Self { n_jobs_values: vec![6], n_keys_values: vec![1, 2], steps: 10 }
+        Self { n_jobs_values: vec![12], n_keys_values: vec![1, 2], steps: 20 }
     }
 }
 
@@ -67,6 +69,13 @@ pub struct BatchingBenchResult {
     pub cmat_saved_bytes: u64,
     /// Saved fraction of the unbatched cmat footprint.
     pub saved_ratio: f64,
+    /// Ensemble worlds the served campaign spawned (server metric, as a
+    /// difference over the campaign; == `batches` when every batch keeps
+    /// one session for its whole life).
+    pub world_spawns: u64,
+    /// Shared-`cmat` factorizations the served campaign paid (same; ==
+    /// `batches`, not `batches × segments`).
+    pub cmat_builds: u64,
     /// Cache hits when the identical decks are re-submitted to a fresh
     /// daemon over the same artifact store.
     pub repeat_hits: u64,
@@ -129,6 +138,9 @@ fn measure_point(n_jobs: usize, n_keys: usize, steps: usize) -> BatchingBenchRes
     let decks = sweep_decks(n_jobs, n_keys);
 
     let server = CampaignServer::start(scfg);
+    // The spawn/build counters are process-wide: difference them over the
+    // served campaign.
+    let idle = server.metrics_json();
     let t0 = Instant::now();
     let ids: Vec<_> = decks
         .iter()
@@ -146,6 +158,8 @@ fn measure_point(n_jobs: usize, n_keys: usize, steps: usize) -> BatchingBenchRes
     let json = server.metrics_json();
     let cmat_saved_bytes = metric_u64(&json, "cmat_saved_bytes");
     let cmat_unbatched_bytes = metric_u64(&json, "cmat_unbatched_bytes");
+    let world_spawns = metric_u64(&json, "world_spawns") - metric_u64(&idle, "world_spawns");
+    let cmat_builds = metric_u64(&json, "cmat_builds") - metric_u64(&idle, "cmat_builds");
     let batches = ids
         .iter()
         .map(|id| server.status(*id).expect("known job").batch)
@@ -197,6 +211,8 @@ fn measure_point(n_jobs: usize, n_keys: usize, steps: usize) -> BatchingBenchRes
         speedup: unbatched_ms / batched_ms,
         cmat_saved_bytes,
         saved_ratio: cmat_saved_bytes as f64 / cmat_unbatched_bytes as f64,
+        world_spawns,
+        cmat_builds,
         repeat_hits,
         repeat_hit_rate: repeat_hits as f64 / n_jobs as f64,
         repeat_ms,
@@ -235,6 +251,7 @@ pub fn batching_bench_json(results: &[BatchingBenchResult]) -> String {
             "    {{\"n_jobs\": {}, \"n_keys\": {}, \"k_max\": {}, \"batches\": {}, \
              \"mean_occupancy\": {:.2}, \"batched_ms\": {:.1}, \"unbatched_ms\": {:.1}, \
              \"speedup\": {:.3}, \"cmat_saved_bytes\": {}, \"saved_ratio\": {:.4}, \
+             \"world_spawns\": {}, \"cmat_builds\": {}, \
              \"repeat_hits\": {}, \"repeat_hit_rate\": {:.4}, \"repeat_ms\": {:.1}, \
              \"cache_bytes_saved\": {}}}",
             r.n_jobs,
@@ -247,6 +264,8 @@ pub fn batching_bench_json(results: &[BatchingBenchResult]) -> String {
             r.speedup,
             r.cmat_saved_bytes,
             r.saved_ratio,
+            r.world_spawns,
+            r.cmat_builds,
             r.repeat_hits,
             r.repeat_hit_rate,
             r.repeat_ms,
@@ -312,6 +331,8 @@ mod tests {
             r.cmat_saved_bytes,
             xg_costmodel::cmat_saved_bytes(3, CgyroInput::test_small().dims())
         );
+        // One session per batch: one spawn, one factorization.
+        assert_eq!((r.world_spawns, r.cmat_builds), (1, 1));
         assert!(r.batched_ms > 0.0 && r.unbatched_ms > 0.0);
         assert!(r.speedup.is_finite() && r.saved_ratio > 0.0);
         // The repeat pass over the warmed store must hit on every member.

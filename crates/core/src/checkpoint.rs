@@ -8,12 +8,9 @@
 //! identically** to an uninterrupted one.
 
 use crate::ensemble::EnsembleConfig;
-use crate::runner::RunOutcome;
-use crate::topology::build_xgyro_topology;
-use xg_comm::World;
+use crate::runner::{RunOutcome, NO_FAULTS};
+use crate::session::EnsembleSession;
 use xg_linalg::Complex64;
-use xg_sim::Simulation;
-use xg_tensor::{PhaseLayout, Tensor3};
 
 /// A coherent checkpoint of every ensemble member.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,6 +72,19 @@ impl EnsembleCheckpoint {
     /// Per-member global dims `(nc, nv, nt)` at capture time.
     pub fn dims(&self) -> (usize, usize, usize) {
         self.dims
+    }
+
+    /// Refuse a checkpoint written by a different ensemble: the cmat key,
+    /// member count and dims must all be `config`'s.
+    pub fn check_matches(&self, config: &EnsembleConfig) -> Result<(), CheckpointError> {
+        let d = config.members()[0].dims();
+        if self.cmat_key != config.cmat_key()
+            || self.k != config.k()
+            || self.dims != (d.nc, d.nv, d.nt)
+        {
+            return Err(CheckpointError::WrongEnsemble);
+        }
+        Ok(())
     }
 
     /// Degraded-mode eviction: drop member `index`'s restart image so the
@@ -167,102 +177,9 @@ pub fn run_xgyro_checkpointed(
     resume_from: Option<&EnsembleCheckpoint>,
 ) -> Result<(RunOutcome, EnsembleCheckpoint), CheckpointError> {
     if let Some(cp) = resume_from {
-        if cp.cmat_key != config.cmat_key() || cp.k != config.k() {
-            return Err(CheckpointError::WrongEnsemble);
-        }
-        let d = config.members()[0].dims();
-        if cp.dims != (d.nc, d.nv, d.nt) {
-            return Err(CheckpointError::WrongEnsemble);
-        }
+        cp.check_matches(config)?;
     }
-
-    let grid = config.grid();
-    let dims = config.members()[0].dims();
-    let world = World::new(config.total_ranks());
-    let results = world.run_with_logs(|comm| {
-        let (a, topo) = build_xgyro_topology(config, &comm);
-        let layout =
-            PhaseLayout::new(dims, grid, grid.rank(a.i1, a.i2));
-        let mut sim = Simulation::new(config.members()[a.sim].clone(), topo);
-        if let Some(cp) = resume_from {
-            // Carve this rank's local slice out of the member's global
-            // state.
-            let global = &cp.members[a.sim];
-            let (nc, nvl, ntl) = layout.str_shape();
-            let mut local = vec![Complex64::ZERO; nc * nvl * ntl];
-            for ic in 0..nc {
-                for (ivl, iv) in layout.nv_range().enumerate() {
-                    for (itl, it) in layout.nt_range().enumerate() {
-                        local[(ic * nvl + ivl) * ntl + itl] =
-                            global[(ic * dims.nv + iv) * dims.nt + it];
-                    }
-                }
-            }
-            sim.restore_state(&local, cp.time, cp.steps_taken);
-        }
-        sim.run_steps(steps);
-        let d = sim.diagnostics();
-        let bytes = 0u64;
-        (a, layout, sim.h().clone(), sim.time(), sim.steps_taken(), d, bytes)
-    });
-
-    // Reassemble.
-    let mut members: Vec<Vec<Complex64>> =
-        (0..config.k()).map(|_| vec![Complex64::ZERO; dims.state_len()]).collect();
-    let mut time = 0.0;
-    let mut steps_taken = 0;
-    let mut sims: Vec<crate::runner::SimResult> = (0..config.k())
-        .map(|i| crate::runner::SimResult {
-            sim: i,
-            h: Tensor3::new(1, 1, 1),
-            diagnostics: xg_sim::Diagnostics {
-                time: 0.0,
-                field_energy: 0.0,
-                heat_flux: 0.0,
-                h_norm2: 0.0,
-            },
-            cmat_bytes_per_rank: Vec::new(),
-        })
-        .collect();
-    let mut traces = Vec::new();
-    let mut shards: Vec<Vec<(PhaseLayout, Tensor3<Complex64>)>> =
-        (0..config.k()).map(|_| Vec::new()).collect();
-    for ((a, layout, h, t, s, d, _), trace) in results {
-        for ic in 0..dims.nc {
-            for (ivl, iv) in layout.nv_range().enumerate() {
-                for (itl, it) in layout.nt_range().enumerate() {
-                    members[a.sim][(ic * dims.nv + iv) * dims.nt + it] =
-                        h[(ic, ivl, itl)];
-                }
-            }
-        }
-        shards[a.sim].push((layout, h));
-        time = t;
-        steps_taken = s;
-        sims[a.sim].diagnostics = d;
-        traces.push(trace);
-    }
-    for (i, sh) in shards.into_iter().enumerate() {
-        let mut g = Tensor3::new(dims.nc, dims.nv, dims.nt);
-        for (layout, h) in sh {
-            for ic in 0..dims.nc {
-                for (ivl, iv) in layout.nv_range().enumerate() {
-                    for (itl, it) in layout.nt_range().enumerate() {
-                        g[(ic, iv, it)] = h[(ic, ivl, itl)];
-                    }
-                }
-            }
-        }
-        sims[i].h = g;
-    }
-
-    let checkpoint = EnsembleCheckpoint {
-        cmat_key: config.cmat_key(),
-        k: config.k(),
-        time,
-        steps_taken,
-        members,
-        dims: (dims.nc, dims.nv, dims.nt),
-    };
-    Ok((RunOutcome { sims, traces }, checkpoint))
+    let mut session = EnsembleSession::open(config, resume_from, None, None).expect(NO_FAULTS);
+    session.step(steps).expect(NO_FAULTS);
+    Ok(session.finish().expect(NO_FAULTS))
 }

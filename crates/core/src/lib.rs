@@ -10,13 +10,16 @@
 //! * [`topology`] — the Figure-3 communicator construction: per-simulation
 //!   `nv` (str AllReduce) and `nt` communicators, plus the **separated**,
 //!   ensemble-wide coll communicator over which `cmat` is distributed;
-//! * [`runner`] — functional execution of the ensemble (and of the
-//!   sequential CGYRO baseline) over the thread-backed comm substrate;
+//! * [`session`] — the one stepping engine: a persistent world whose ranks
+//!   build their topology (and the shared `cmat`) once and then step,
+//!   checkpoint and report on demand;
+//! * [`runner`] — the ensemble and sequential-CGYRO-baseline runners, thin
+//!   drivers over a session;
 //! * [`report`] — the memory-sharing law and communication-trace
 //!   summaries;
-//! * [`recovery`] — degraded-mode execution: checkpointed segments over
-//!   the fallible comm substrate, with failed members evicted and the
-//!   survivors resumed bitwise-identically from the last coherent
+//! * [`recovery`] — degraded-mode execution: a session checkpointed in
+//!   segments over the fallible comm substrate, with failed members evicted
+//!   and the survivors reopened bitwise-identically from the last coherent
 //!   checkpoint.
 
 #![warn(missing_docs)]
@@ -26,12 +29,13 @@ pub mod ensemble;
 pub mod recovery;
 pub mod report;
 pub mod runner;
+pub mod session;
 pub mod topology;
 
 pub use checkpoint::{run_xgyro_checkpointed, CheckpointError, EnsembleCheckpoint};
 pub use recovery::{
     run_xgyro_resilient, run_xgyro_resilient_from, run_xgyro_resilient_with_capacities,
-    RecoveryError, RecoveryEvent, RecoveryOutcome,
+    RecoveryError, RecoveryEvent, RecoveryOutcome, ResilientRun,
 };
 pub use ensemble::{gradient_sweep, EnsembleConfig, EnsembleError};
 pub use report::{cmat_memory_law, summarize_trace, CmatMemoryLaw, TraceSummary};
@@ -39,4 +43,5 @@ pub use runner::{
     run_cgyro_baseline, run_single_cgyro, run_xgyro, run_xgyro_with_history, RunOutcome,
     SimResult,
 };
+pub use session::{EnsembleSession, SegmentFault};
 pub use topology::{assignment, build_xgyro_topology, RankAssignment};

@@ -3,9 +3,10 @@
 //! A k-member XGYRO job occupies k× the nodes of one CGYRO run, so its
 //! job-level MTBF is k× worse — at production scale a member loss is a
 //! *when*, not an *if*. The classic MPI answer is to kill the whole job and
-//! resubmit; [`run_xgyro_resilient`] instead runs the ensemble in
-//! checkpointed segments over the fallible comm substrate
-//! ([`xg_comm::World::run_fallible`]) and, when a rank fails:
+//! resubmit; a [`ResilientRun`] instead keeps one [`EnsembleSession`] alive
+//! over the fallible comm substrate ([`xg_comm::World::run_fallible`]),
+//! checkpoints it in segments without leaving the world and, when a rank
+//! fails:
 //!
 //! 1. every survivor surfaces a typed [`xg_comm::CommError`] within the
 //!    configured deadline (no hangs — the whole point of the substrate);
@@ -13,20 +14,10 @@
 //!    [`crate::topology::assignment`] and that member is **evicted** from
 //!    both the [`EnsembleConfig`] and the latest coherent
 //!    [`EnsembleCheckpoint`];
-//! 3. the run resumes from that checkpoint as a (k−1)-member ensemble —
-//!    the Figure-3 topology is rebuilt and the shared `cmat` rows are
-//!    re-distributed over the survivors automatically by
-//!    [`crate::topology::build_xgyro_topology`].
-//!
-//! By default the shared coll rows shrink **uniformly** onto the survivors.
-//! [`run_xgyro_resilient_with_capacities`] instead rebalances them onto the
-//! survivors' *actual* capacities: given per-rank relative speeds (from the
-//! machinefile's `NODE_SPEEDS=`, or measured), the post-eviction rebuild
-//! apportions coll `nc` rows to each surviving coll position in proportion
-//! to its capacity ([`xg_tensor::RaggedDecomp::weighted`]), so a degraded
-//! run on a heterogeneous machine is not gated by its slowest survivor.
-//! Coll cuts are bitwise-neutral, so the rebalanced continuation keeps the
-//! bitwise-identity guarantee below.
+//! 3. a new session opens from that checkpoint as a (k−1)-member ensemble —
+//!    the only time the world, the Figure-3 topology and the shared `cmat`
+//!    are rebuilt — and the rows are re-distributed over the survivors
+//!    automatically by [`crate::topology::build_xgyro_topology`].
 //!
 //! Because every reduction combines contributions in communicator-rank
 //! order and member trajectories only couple through the *shared, constant*
@@ -36,13 +27,12 @@
 
 use crate::checkpoint::{CheckpointError, EnsembleCheckpoint};
 use crate::ensemble::{EnsembleConfig, EnsembleError};
-use crate::runner::{RunOutcome, SimResult};
-use crate::topology::{assignment, build_xgyro_topology};
-use std::time::{Duration, Instant};
-use xg_comm::{CommError, FaultPlan, OpKind, OpRecord, RankOutcome, World};
-use xg_linalg::Complex64;
-use xg_sim::Simulation;
-use xg_tensor::{PhaseLayout, RaggedDecomp, Tensor3};
+use crate::runner::RunOutcome;
+use crate::session::{EnsembleSession, SegmentFault};
+use crate::topology::assignment;
+use std::time::Duration;
+use xg_comm::{CommError, FaultPlan, OpKind, OpRecord};
+use xg_tensor::RaggedDecomp;
 
 /// Why a resilient run could not complete.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,8 +72,8 @@ pub struct RecoveryEvent {
     /// Step count of the checkpoint the survivors rolled back to (0 when
     /// the fault predates the first checkpoint).
     pub resumed_from_step: u64,
-    /// Steps of lost work re-executed because of this failure (the
-    /// abandoned segment's length).
+    /// Steps of lost work re-executed because of this failure (the length
+    /// of the segment that was in flight).
     pub steps_replayed: u64,
     /// Original member indices still running after the eviction.
     pub survivors: Vec<usize>,
@@ -96,21 +86,19 @@ pub struct RecoveryEvent {
 /// The outcome of a resilient run.
 #[derive(Debug)]
 pub struct RecoveryOutcome {
-    /// Final results of the surviving members. `SimResult::sim` holds each
-    /// member's **original** index, so results line up with the initial
-    /// sweep even after evictions. Traces concatenate every segment
-    /// (including aborted ones, whose logs carry the `Fault` records).
+    /// Final results of the surviving members, `SimResult::sim` holding each
+    /// member's **original** index. Traces concatenate every world the run
+    /// went through (aborted ones, with their `Fault` records, included),
+    /// one per-rank log per world.
     pub outcome: RunOutcome,
     /// Coherent checkpoint of the survivors at `total_steps`.
     pub checkpoint: EnsembleCheckpoint,
     /// Every failure/recovery, in order.
     pub events: Vec<RecoveryEvent>,
-    /// The per-rank traces of each *aborted* segment, one entry per
-    /// recovery event. Unlike `outcome.traces` (a flat concatenation for
-    /// accounting), each entry here is a coherent single-world trace set —
-    /// exportable via [`xg_comm::traces_to_csv`] and replayable by
-    /// `xg-cluster`'s discrete-event replay, `Fault`/`Recover` records and
-    /// all.
+    /// The per-rank traces of each *aborted* world, one entry per recovery
+    /// event: unlike the flat `outcome.traces`, a coherent single-world
+    /// trace set, exportable via [`xg_comm::traces_to_csv`] and replayable
+    /// by `xg-cluster`, `Fault`/`Recover` records and all.
     pub faulty_segments: Vec<Vec<Vec<OpRecord>>>,
     /// Original member indices that survived to the end.
     pub surviving_members: Vec<usize>,
@@ -118,26 +106,14 @@ pub struct RecoveryOutcome {
     pub steps_replayed: u64,
 }
 
-/// What one checkpointed segment attempt produced.
-enum Segment {
-    /// All ranks completed; ensemble state is coherent at the new step.
-    Done(Box<(RunOutcome, EnsembleCheckpoint)>),
-    /// A rank failed; survivors reported typed errors. Carries the culprit
-    /// world rank, the cause, the partial traces (with `Fault` records) and
-    /// the wall-clock cost of the abandoned attempt in microseconds.
-    Failed { rank: usize, cause: CommError, traces: Vec<Vec<OpRecord>>, wasted_us: u64 },
-    /// A rank died with an untyped panic.
-    Panicked(String),
-}
-
 /// Run the ensemble to `total_steps` over the fallible substrate,
 /// checkpointing every `ckpt_every` steps and recovering from failures in
 /// degraded (k−1) mode. `plan` seeds the faults to inject (empty plan:
-/// plain checkpointed execution); a spec's `at_op` counts operations over
-/// the *whole* run (the plan is rebased across segment boundaries), so a
-/// fault can land in any segment — including after checkpoints exist.
-/// `deadline` bounds every blocking wait — it is what converts a dead peer
-/// into a typed error instead of a hang.
+/// plain checkpointed execution); a spec's `at_op` counts the operations a
+/// rank issued since the run's world started — the world outlives the
+/// segments, so a fault can land in any of them, including after
+/// checkpoints exist. `deadline` bounds every blocking wait — it is what
+/// converts a dead peer into a typed error instead of a hang.
 pub fn run_xgyro_resilient(
     config: &EnsembleConfig,
     total_steps: usize,
@@ -148,17 +124,12 @@ pub fn run_xgyro_resilient(
     run_xgyro_resilient_from(config, None, total_steps, ckpt_every, plan, deadline)
 }
 
-/// [`run_xgyro_resilient`], seeded from a prior [`EnsembleCheckpoint`].
-///
-/// This is the serving-side entry point: a campaign service executing a
-/// batch in bounded segments (so it can apply cancellations or rebalance at
-/// segment boundaries) calls this repeatedly, feeding each call the
-/// checkpoint the previous one returned. `total_steps` counts steps *beyond*
-/// the checkpoint; the returned checkpoint's absolute step counter keeps
-/// advancing across calls. With `resume_from = None` this is exactly
-/// [`run_xgyro_resilient`]. The checkpoint must match the config's identity
-/// (cmat key, k, dims) or the run is rejected with
-/// [`RecoveryError::Checkpoint`].
+/// [`run_xgyro_resilient`], seeded from a prior [`EnsembleCheckpoint`]
+/// (rejected with [`RecoveryError::Checkpoint`] unless it matches the
+/// config's cmat key, k and dims). `total_steps` counts steps *beyond* the
+/// checkpoint, whose absolute step counter keeps advancing. Each call opens
+/// its own world: a caller that wants one world across many calls holds a
+/// [`ResilientRun`] instead.
 pub fn run_xgyro_resilient_from(
     config: &EnsembleConfig,
     resume_from: Option<EnsembleCheckpoint>,
@@ -167,21 +138,27 @@ pub fn run_xgyro_resilient_from(
     plan: FaultPlan,
     deadline: Duration,
 ) -> Result<RecoveryOutcome, RecoveryError> {
-    run_resilient(config, resume_from, total_steps, ckpt_every, plan, deadline, None)
+    run_xgyro_resilient_with_capacities(
+        config,
+        resume_from,
+        total_steps,
+        ckpt_every,
+        plan,
+        deadline,
+        None,
+    )
 }
 
 /// [`run_xgyro_resilient_from`] with **capacity-aware rebalancing**.
 ///
-/// `capacities[r]` is the relative speed of *original* world rank `r`
-/// (length = the initial config's `total_ranks()`; 1.0 = full speed). After
-/// each eviction the rebuild derives one capacity per surviving coll
-/// position `(s, i1)` — the minimum over its `i2` slice, since a position's
-/// cut is shared across all slices — and re-apportions the coll `nc` rows
-/// with [`RaggedDecomp::weighted`] instead of shrinking uniformly. Rows
-/// moved relative to the uniform shrink are counted on each
-/// [`RecoveryEvent::moved_rows`] and on the process-wide obs registry
-/// (`xgyro_rebalance_*` in the Prometheus export). With `None` or uniform
-/// capacities this is exactly [`run_xgyro_resilient_from`].
+/// `capacities[r]` is the relative speed of *original* world rank `r` (1.0 =
+/// full speed). After each eviction the rebuild derives one capacity per
+/// surviving coll position `(s, i1)` — the minimum over its `i2` slice,
+/// which shares the cut — and re-apportions the coll `nc` rows with
+/// [`RaggedDecomp::weighted`] instead of shrinking uniformly. Rows moved
+/// relative to the uniform shrink are counted on
+/// [`RecoveryEvent::moved_rows`] and the obs registry (`xgyro_rebalance_*`).
+/// With `None` or uniform capacities this is [`run_xgyro_resilient_from`].
 pub fn run_xgyro_resilient_with_capacities(
     config: &EnsembleConfig,
     resume_from: Option<EnsembleCheckpoint>,
@@ -191,181 +168,237 @@ pub fn run_xgyro_resilient_with_capacities(
     deadline: Duration,
     capacities: Option<&[f64]>,
 ) -> Result<RecoveryOutcome, RecoveryError> {
-    run_resilient(config, resume_from, total_steps, ckpt_every, plan, deadline, capacities)
-}
-
-fn run_resilient(
-    config: &EnsembleConfig,
-    resume_from: Option<EnsembleCheckpoint>,
-    total_steps: usize,
-    ckpt_every: usize,
-    plan: FaultPlan,
-    deadline: Duration,
-    capacities: Option<&[f64]>,
-) -> Result<RecoveryOutcome, RecoveryError> {
     assert!(ckpt_every > 0, "checkpoint cadence must be positive");
-    if let Some(caps) = capacities {
-        assert_eq!(
-            caps.len(),
-            config.total_ranks(),
-            "capacities must cover every original world rank"
-        );
-        assert!(
-            caps.iter().all(|c| c.is_finite() && *c > 0.0),
-            "capacities must be positive and finite"
-        );
-    }
-    if let Some(cp) = resume_from.as_ref() {
-        let d = config.members()[0].dims();
-        if cp.cmat_key != config.cmat_key()
-            || cp.k != config.k()
-            || cp.dims != (d.nc, d.nv, d.nt)
-        {
-            return Err(RecoveryError::Checkpoint(CheckpointError::WrongEnsemble));
-        }
-    }
-    let mut cfg = config.clone();
-    // Current config position -> original member index.
-    let mut original: Vec<usize> = (0..cfg.k()).collect();
-    let mut checkpoint: Option<EnsembleCheckpoint> = resume_from;
-    let mut armed = if plan.is_empty() { None } else { Some(plan) };
-    let mut events = Vec::new();
-    let mut faulty_segments = Vec::new();
-    let mut steps_replayed = 0u64;
-    let mut traces: Vec<Vec<OpRecord>> = Vec::new();
-    let mut last: Option<RunOutcome> = None;
-    let mut done = 0usize;
-
+    let mut run = ResilientRun::new(config, resume_from, plan, deadline, capacities)?;
+    let mut done = 0;
     while done < total_steps {
         let seg = ckpt_every.min(total_steps - done);
-        match run_segment(&cfg, seg, checkpoint.as_ref(), armed.clone(), deadline) {
-            Segment::Done(boxed) => {
-                let (outcome, cp) = *boxed;
-                done += seg;
-                // Rebase the armed plan: each segment runs in a fresh
-                // world whose per-rank op counters start at zero, so
-                // subtract the ops each rank already issued. This makes a
-                // spec's `at_op` a *global* op index over the whole
-                // resilient run — a plan can target any segment.
-                armed = armed.map(|p| {
-                    let mut rebased = FaultPlan::new();
-                    for s in p.specs() {
-                        let issued = outcome.traces[s.rank]
-                            .iter()
-                            .filter(|r| !matches!(r.op, OpKind::Fault | OpKind::Recover))
-                            .count() as u64;
-                        if s.at_op < issued {
-                            // Already fired inside this segment (a Delay,
-                            // or a Stall the segment survived) — one-shot.
-                            continue;
-                        }
-                        let mut s = s.clone();
-                        s.at_op -= issued;
-                        rebased = rebased.with(s);
-                    }
-                    rebased
-                });
-                traces.extend(outcome.traces.iter().cloned());
-                checkpoint = Some(cp);
-                last = Some(outcome);
-            }
-            Segment::Failed { rank, cause, traces: mut partial, wasted_us } => {
-                armed = None; // the injected fault fired; don't re-fire on retry
-                // Unified recovery accounting: the same wasted_us that lands
-                // in the Recover trace records also feeds the process-wide
-                // obs registry (xgyro_recovery_* in the Prometheus export).
-                xg_obs::record_recovery_waste(wasted_us);
-                let a = assignment(&cfg, rank);
-                let failed_member = original[a.sim];
-                cfg = cfg.evict_member(a.sim).map_err(RecoveryError::Ensemble)?;
-                original.remove(a.sim);
-                // Capacity-aware rebalance: apportion the coll rows to the
-                // survivors' actual speeds instead of shrinking uniformly.
-                // (`evict_member` already dropped any previous cuts.)
-                let mut moved_rows = 0u64;
-                if let Some(caps) = capacities {
-                    let (cuts, moved) = capacity_cuts(&cfg, &original, caps);
-                    if let Some(cuts) = cuts {
-                        moved_rows = moved;
-                        cfg = cfg
-                            .with_coll_cuts(Some(cuts))
-                            .map_err(RecoveryError::Ensemble)?;
-                        xg_obs::record_rebalance(moved_rows);
-                    }
-                }
-                if let Some(cp) = checkpoint.take() {
-                    checkpoint = Some(cp.evict_member(a.sim).map_err(RecoveryError::Checkpoint)?);
-                }
-                let resumed_from_step =
-                    checkpoint.as_ref().map(|c| c.steps_taken()).unwrap_or(0);
-                // Stamp every survivor's partial trace with a Recover
-                // record: members = the degraded world's ranks, bytes = the
-                // wall-clock cost of the abandoned attempt in microseconds.
-                let survivors_ranks: Vec<usize> = (0..cfg.total_ranks()).collect();
-                for (r, t) in partial.iter_mut().enumerate() {
-                    if r != rank {
-                        t.push(OpRecord {
-                            op: OpKind::Recover,
-                            comm_label: "world".to_string(),
-                            participants: survivors_ranks.len(),
-                            members: survivors_ranks.clone(),
-                            bytes: wasted_us,
-                            phase: "recover".to_string(),
-                            elapsed_us: wasted_us,
-                        });
-                    }
-                }
-                faulty_segments.push(partial.clone());
-                traces.extend(partial);
-                steps_replayed += seg as u64;
-                events.push(RecoveryEvent {
-                    failed_rank: rank,
-                    failed_member,
-                    cause,
-                    resumed_from_step,
-                    steps_replayed: seg as u64,
-                    survivors: original.clone(),
-                    moved_rows,
-                });
-                // `done` is unchanged: the abandoned segment re-runs from
-                // the rolled-back checkpoint with the degraded ensemble.
-            }
-            Segment::Panicked(msg) => return Err(RecoveryError::Unrecoverable(msg)),
+        run.advance(seg)?;
+        done += seg;
+    }
+    run.finish()
+}
+
+/// A resilient run in progress: one [`EnsembleSession`] kept alive across
+/// checkpointed segments, rebuilt (at k−1, from the last checkpoint) only
+/// when a member leaves — by fault or by [`Self::evict`].
+pub struct ResilientRun {
+    cfg: EnsembleConfig,
+    /// Current config position -> original member index.
+    original: Vec<usize>,
+    /// `None` until the first command and after a member left.
+    session: Option<EnsembleSession>,
+    checkpoint: Option<EnsembleCheckpoint>,
+    /// Taken by the first world: an injected fault fires once.
+    plan: FaultPlan,
+    deadline: Duration,
+    capacities: Option<Vec<f64>>,
+    events: Vec<RecoveryEvent>,
+    faulty_segments: Vec<Vec<Vec<OpRecord>>>,
+    /// Traffic logs of every world this run has already left.
+    traces: Vec<Vec<OpRecord>>,
+}
+
+impl ResilientRun {
+    /// Prepare a run; arguments as for
+    /// [`run_xgyro_resilient_with_capacities`]. The world is spawned by the
+    /// first command.
+    pub fn new(
+        config: &EnsembleConfig,
+        resume_from: Option<EnsembleCheckpoint>,
+        plan: FaultPlan,
+        deadline: Duration,
+        capacities: Option<&[f64]>,
+    ) -> Result<Self, RecoveryError> {
+        if let Some(caps) = capacities {
+            assert_eq!(
+                caps.len(),
+                config.total_ranks(),
+                "capacities must cover every original world rank"
+            );
+            assert!(
+                caps.iter().all(|c| c.is_finite() && *c > 0.0),
+                "capacities must be positive and finite"
+            );
+        }
+        if let Some(cp) = &resume_from {
+            cp.check_matches(config).map_err(RecoveryError::Checkpoint)?;
+        }
+        Ok(Self {
+            cfg: config.clone(),
+            original: (0..config.k()).collect(),
+            session: None,
+            checkpoint: resume_from,
+            plan,
+            deadline,
+            capacities: capacities.map(<[f64]>::to_vec),
+            events: Vec::new(),
+            faulty_segments: Vec::new(),
+            traces: Vec::new(),
+        })
+    }
+
+    /// Step the survivors `steps` further and checkpoint them without
+    /// leaving the world. A rank fault evicts its member, reopens from the
+    /// last checkpoint at k−1 and runs the segment again.
+    pub fn advance(&mut self, steps: usize) -> Result<&EnsembleCheckpoint, RecoveryError> {
+        let (session, checkpoint) = self.retry(steps as u64, |mut session| {
+            let checkpoint = session.advance(steps)?;
+            Ok((session, checkpoint))
+        })?;
+        self.session = Some(session);
+        Ok(self.checkpoint.insert(checkpoint))
+    }
+
+    /// Drop the member at current position `pos` (a cancellation): the
+    /// next command reopens at k−1 from the last checkpoint.
+    pub fn evict(&mut self, pos: usize) -> Result<(), RecoveryError> {
+        self.leave();
+        self.shrink(pos).map(|_| ())
+    }
+
+    /// Original member indices still running, by current position.
+    pub fn survivors(&self) -> &[usize] {
+        &self.original
+    }
+
+    /// Every failure/recovery so far, in order.
+    pub fn events(&self) -> &[RecoveryEvent] {
+        &self.events
+    }
+
+    /// The last coherent checkpoint — what a preempted run resumes from.
+    pub fn checkpoint(&self) -> Option<&EnsembleCheckpoint> {
+        self.checkpoint.as_ref()
+    }
+
+    /// End without finishing (a preemption); the traffic logs so far.
+    pub fn close(mut self) -> Vec<Vec<OpRecord>> {
+        self.leave();
+        self.traces
+    }
+
+    fn leave(&mut self) {
+        if let Some(session) = self.session.take() {
+            self.traces.extend(session.close());
         }
     }
 
-    let mut outcome = match last {
-        Some(o) => o,
-        None => {
-            // total_steps == 0: produce an empty-but-coherent outcome by
-            // running a zero-step segment.
-            match run_segment(&cfg, 0, checkpoint.as_ref(), None, deadline) {
-                Segment::Done(boxed) => {
-                    let (o, cp) = *boxed;
-                    checkpoint = Some(cp);
-                    o
-                }
-                Segment::Failed { cause, .. } => {
-                    return Err(RecoveryError::Unrecoverable(cause.to_string()))
-                }
-                Segment::Panicked(msg) => return Err(RecoveryError::Unrecoverable(msg)),
+    /// Gather the survivors' results and end the run.
+    pub fn finish(mut self) -> Result<RecoveryOutcome, RecoveryError> {
+        let (mut outcome, checkpoint) = self.retry(0, EnsembleSession::finish)?;
+        // Report survivors under their original sweep indices, and carry
+        // the trace set of every world the run went through.
+        for (s, &orig) in outcome.sims.iter_mut().zip(&self.original) {
+            s.sim = orig;
+        }
+        self.traces.append(&mut outcome.traces);
+        outcome.traces = self.traces;
+        Ok(RecoveryOutcome {
+            outcome,
+            checkpoint,
+            steps_replayed: self.events.iter().map(|e| e.steps_replayed).sum(),
+            events: self.events,
+            faulty_segments: self.faulty_segments,
+            surviving_members: self.original,
+        })
+    }
+
+    /// Run `op` on the session until it succeeds, recovering in degraded
+    /// mode from every fault on the way (`lost_steps` were in flight).
+    fn retry<T>(
+        &mut self,
+        lost_steps: u64,
+        op: impl Fn(EnsembleSession) -> Result<T, SegmentFault>,
+    ) -> Result<T, RecoveryError> {
+        loop {
+            match self.take_session().and_then(&op) {
+                Ok(done) => return Ok(done),
+                Err(fault) => self.recover(fault, lost_steps)?,
             }
         }
-    };
-    // Report survivors under their original sweep indices, and carry the
-    // full multi-segment trace set.
-    for (i, s) in outcome.sims.iter_mut().enumerate() {
-        s.sim = original[i];
     }
-    outcome.traces = traces;
-    Ok(RecoveryOutcome {
-        outcome,
-        checkpoint: checkpoint.expect("loop ran at least one segment"),
-        events,
-        faulty_segments,
-        surviving_members: original,
-        steps_replayed,
-    })
+
+    /// The live session, or a new world opened from the last checkpoint.
+    fn take_session(&mut self) -> Result<EnsembleSession, SegmentFault> {
+        if let Some(session) = self.session.take() {
+            return Ok(session);
+        }
+        EnsembleSession::open(
+            &self.cfg,
+            self.checkpoint.as_ref(),
+            Some(self.deadline),
+            Some(std::mem::take(&mut self.plan)),
+        )
+    }
+
+    /// A world was lost to `fault` while `lost_steps` were in flight: evict
+    /// the culprit's member and roll back to the last checkpoint.
+    fn recover(&mut self, fault: SegmentFault, lost_steps: u64) -> Result<(), RecoveryError> {
+        let (rank, cause, mut partial, wasted_us) = match fault {
+            SegmentFault::Rank { rank, cause, traces, wasted_us } => {
+                (rank, cause, traces, wasted_us)
+            }
+            SegmentFault::Panicked(msg) => return Err(RecoveryError::Unrecoverable(msg)),
+        };
+        // The same wasted_us lands in the Recover trace records and in the
+        // obs registry (xgyro_recovery_*).
+        xg_obs::record_recovery_waste(wasted_us);
+        let a = assignment(&self.cfg, rank);
+        let failed_member = self.original[a.sim];
+        let moved_rows = self.shrink(a.sim)?;
+        // Stamp every survivor's partial trace with a Recover record:
+        // members = the degraded world's ranks, bytes = wasted microseconds.
+        let survivors_ranks: Vec<usize> = (0..self.cfg.total_ranks()).collect();
+        for (r, t) in partial.iter_mut().enumerate() {
+            if r != rank {
+                t.push(OpRecord {
+                    op: OpKind::Recover,
+                    comm_label: "world".to_string(),
+                    participants: survivors_ranks.len(),
+                    members: survivors_ranks.clone(),
+                    bytes: wasted_us,
+                    phase: "recover".to_string(),
+                    elapsed_us: wasted_us,
+                });
+            }
+        }
+        self.faulty_segments.push(partial.clone());
+        self.traces.extend(partial);
+        self.events.push(RecoveryEvent {
+            failed_rank: rank,
+            failed_member,
+            cause,
+            resumed_from_step: self.checkpoint.as_ref().map_or(0, |c| c.steps_taken()),
+            steps_replayed: lost_steps,
+            survivors: self.original.clone(),
+            moved_rows,
+        });
+        Ok(())
+    }
+
+    /// Remove the member at `pos` from the config, the index map and the
+    /// checkpoint; returns the coll rows a capacity-aware rebalance moved.
+    fn shrink(&mut self, pos: usize) -> Result<u64, RecoveryError> {
+        let mut cfg = self.cfg.evict_member(pos).map_err(RecoveryError::Ensemble)?;
+        self.original.remove(pos);
+        // Capacity-aware rebalance: apportion the coll rows to the
+        // survivors' actual speeds instead of shrinking uniformly.
+        // (`evict_member` already dropped any previous cuts.)
+        let mut moved_rows = 0;
+        if let Some(caps) = &self.capacities {
+            if let (Some(cuts), moved) = capacity_cuts(&cfg, &self.original, caps) {
+                moved_rows = moved;
+                cfg = cfg.with_coll_cuts(Some(cuts)).map_err(RecoveryError::Ensemble)?;
+                xg_obs::record_rebalance(moved_rows);
+            }
+        }
+        self.cfg = cfg;
+        if let Some(cp) = self.checkpoint.take() {
+            self.checkpoint = Some(cp.evict_member(pos).map_err(RecoveryError::Checkpoint)?);
+        }
+        Ok(moved_rows)
+    }
 }
 
 /// Capacity-weighted coll cuts for the surviving ensemble, plus the rows
@@ -405,139 +438,4 @@ fn capacity_cuts(
         overlap += r.end.min(s.end).saturating_sub(r.start.max(s.start));
     }
     (Some(cuts), (nc - overlap) as u64)
-}
-
-/// Run one segment of `steps` over the fallible substrate, resuming from
-/// `resume_from` when given, and classify the result.
-fn run_segment(
-    cfg: &EnsembleConfig,
-    steps: usize,
-    resume_from: Option<&EnsembleCheckpoint>,
-    plan: Option<FaultPlan>,
-    deadline: Duration,
-) -> Segment {
-    let grid = cfg.grid();
-    let dims = cfg.members()[0].dims();
-    let mut world = World::new(cfg.total_ranks()).with_deadline(deadline);
-    if let Some(p) = plan {
-        world = world.with_fault_plan(p);
-    }
-    let start = Instant::now();
-    let results = world.run_fallible(|comm| {
-        let (a, topo) = build_xgyro_topology(cfg, &comm);
-        let layout = PhaseLayout::new(dims, grid, grid.rank(a.i1, a.i2));
-        let mut sim = Simulation::new(cfg.members()[a.sim].clone(), topo);
-        if let Some(cp) = resume_from {
-            // Carve this rank's local slice out of the member's global
-            // state (same layout walk as `run_xgyro_checkpointed`).
-            let global = &cp.members[a.sim];
-            let (nc, nvl, ntl) = layout.str_shape();
-            let mut local = vec![Complex64::ZERO; nc * nvl * ntl];
-            for ic in 0..nc {
-                for (ivl, iv) in layout.nv_range().enumerate() {
-                    for (itl, it) in layout.nt_range().enumerate() {
-                        local[(ic * nvl + ivl) * ntl + itl] =
-                            global[(ic * dims.nv + iv) * dims.nt + it];
-                    }
-                }
-            }
-            sim.restore_state(&local, cp.time, cp.steps_taken);
-        }
-        sim.run_steps(steps);
-        let d = sim.diagnostics();
-        Ok((a, layout, sim.h().clone(), sim.time(), sim.steps_taken(), d))
-    });
-    let wasted_us = start.elapsed().as_micros() as u64;
-
-    let mut traces = Vec::with_capacity(results.len());
-    let mut oks = Vec::with_capacity(results.len());
-    let mut cause: Option<(usize, CommError)> = None;
-    let mut panicked: Option<String> = None;
-    for (rank, (out, trace)) in results.into_iter().enumerate() {
-        match out {
-            RankOutcome::Ok(v) => oks.push(v),
-            RankOutcome::Failed(e) => {
-                let better = match (&cause, &e) {
-                    // Prefer a PeerFailed cause (it names the culprit) over
-                    // a bare Timeout; keep the first of each kind.
-                    (None, _) => true,
-                    (Some((_, CommError::Timeout { .. })), CommError::PeerFailed { .. }) => true,
-                    _ => false,
-                };
-                if better {
-                    let culprit = match &e {
-                        CommError::PeerFailed { rank, .. } => *rank,
-                        CommError::Timeout { missing, .. } => {
-                            *missing.first().unwrap_or(&rank)
-                        }
-                    };
-                    cause = Some((culprit, e));
-                }
-            }
-            RankOutcome::Panicked(m) => panicked = Some(m),
-        }
-        traces.push(trace);
-    }
-    if let Some(m) = panicked {
-        return Segment::Panicked(m);
-    }
-    if let Some((rank, cause)) = cause {
-        return Segment::Failed { rank, cause, traces, wasted_us };
-    }
-
-    // All ranks completed: reassemble members, final tensors, diagnostics.
-    let mut members: Vec<Vec<Complex64>> =
-        (0..cfg.k()).map(|_| vec![Complex64::ZERO; dims.state_len()]).collect();
-    let mut shards: Vec<Vec<(PhaseLayout, Tensor3<Complex64>)>> =
-        (0..cfg.k()).map(|_| Vec::new()).collect();
-    let mut sims: Vec<SimResult> = (0..cfg.k())
-        .map(|i| SimResult {
-            sim: i,
-            h: Tensor3::new(1, 1, 1),
-            diagnostics: xg_sim::Diagnostics {
-                time: 0.0,
-                field_energy: 0.0,
-                heat_flux: 0.0,
-                h_norm2: 0.0,
-            },
-            cmat_bytes_per_rank: Vec::new(),
-        })
-        .collect();
-    let mut time = 0.0;
-    let mut steps_taken = 0;
-    for (a, layout, h, t, s, d) in oks {
-        for ic in 0..dims.nc {
-            for (ivl, iv) in layout.nv_range().enumerate() {
-                for (itl, it) in layout.nt_range().enumerate() {
-                    members[a.sim][(ic * dims.nv + iv) * dims.nt + it] = h[(ic, ivl, itl)];
-                }
-            }
-        }
-        shards[a.sim].push((layout, h));
-        time = t;
-        steps_taken = s;
-        sims[a.sim].diagnostics = d;
-    }
-    for (i, sh) in shards.into_iter().enumerate() {
-        let mut g = Tensor3::new(dims.nc, dims.nv, dims.nt);
-        for (layout, h) in sh {
-            for ic in 0..dims.nc {
-                for (ivl, iv) in layout.nv_range().enumerate() {
-                    for (itl, it) in layout.nt_range().enumerate() {
-                        g[(ic, iv, it)] = h[(ic, ivl, itl)];
-                    }
-                }
-            }
-        }
-        sims[i].h = g;
-    }
-    let checkpoint = EnsembleCheckpoint {
-        cmat_key: cfg.cmat_key(),
-        k: cfg.k(),
-        time,
-        steps_taken,
-        members,
-        dims: (dims.nc, dims.nv, dims.nt),
-    };
-    Segment::Done(Box::new((RunOutcome { sims, traces }, checkpoint)))
 }

@@ -8,11 +8,11 @@
 //! tensor redistributes *where* `cmat` rows live, never *what* is computed.
 
 use crate::ensemble::EnsembleConfig;
-use crate::topology::build_xgyro_topology;
-use xg_comm::{OpRecord, World};
+use crate::session::EnsembleSession;
+use xg_comm::OpRecord;
 use xg_linalg::Complex64;
-use xg_sim::{CgyroInput, Diagnostics, DistTopology, Simulation};
-use xg_tensor::{PhaseLayout, ProcGrid, Tensor3};
+use xg_sim::{CgyroInput, Diagnostics};
+use xg_tensor::{ProcGrid, Tensor3};
 
 /// The outcome of one member simulation.
 #[derive(Debug, Clone)]
@@ -37,65 +37,15 @@ pub struct RunOutcome {
     pub traces: Vec<Vec<OpRecord>>,
 }
 
-/// Reassemble per-rank `h` shards of one simulation into the global tensor.
-fn assemble(
-    dims: xg_tensor::SimDims,
-    shards: Vec<(PhaseLayout, Tensor3<Complex64>)>,
-) -> Tensor3<Complex64> {
-    let mut global = Tensor3::new(dims.nc, dims.nv, dims.nt);
-    for (layout, h) in shards {
-        for ic in 0..dims.nc {
-            for (ivl, iv) in layout.nv_range().enumerate() {
-                for (itl, it) in layout.nt_range().enumerate() {
-                    global[(ic, iv, it)] = h[(ic, ivl, itl)];
-                }
-            }
-        }
-    }
-    global
-}
+/// These runners inject no faults and set no deadline, so a session fault
+/// is a rank panic — a bug.
+pub(crate) const NO_FAULTS: &str = "a rank panicked in a run without faults or deadline";
 
 /// Run the ensemble as a single XGYRO job for `steps` time steps.
 pub fn run_xgyro(config: &EnsembleConfig, steps: usize) -> RunOutcome {
-    let world = World::new(config.total_ranks());
-    let grid = config.grid();
-    let results = world.run_with_logs(|comm| {
-        let (a, topo) = build_xgyro_topology(config, &comm);
-        let cmat_bytes = topo.cmat().bytes();
-        let layout = PhaseLayout::new(
-            config.members()[a.sim].dims(),
-            grid,
-            grid.rank(a.i1, a.i2),
-        );
-        let mut sim = Simulation::new(config.members()[a.sim].clone(), topo);
-        sim.run_steps(steps);
-        let d = sim.diagnostics();
-        (a.sim, layout, sim.h().clone(), d, cmat_bytes)
-    });
-
-    let dims = config.members()[0].dims();
-    let mut per_sim: Vec<Vec<(PhaseLayout, Tensor3<Complex64>)>> =
-        (0..config.k()).map(|_| Vec::new()).collect();
-    let mut per_sim_diag: Vec<Option<Diagnostics>> = vec![None; config.k()];
-    let mut per_sim_bytes: Vec<Vec<u64>> = (0..config.k()).map(|_| Vec::new()).collect();
-    let mut traces = Vec::with_capacity(results.len());
-    for ((sim, layout, h, d, bytes), trace) in results {
-        per_sim[sim].push((layout, h));
-        per_sim_diag[sim] = Some(d);
-        per_sim_bytes[sim].push(bytes);
-        traces.push(trace);
-    }
-    let sims = per_sim
-        .into_iter()
-        .enumerate()
-        .map(|(i, shards)| SimResult {
-            sim: i,
-            h: assemble(dims, shards),
-            diagnostics: per_sim_diag[i].expect("every sim produced diagnostics"),
-            cmat_bytes_per_rank: std::mem::take(&mut per_sim_bytes[i]),
-        })
-        .collect();
-    RunOutcome { sims, traces }
+    let mut session = EnsembleSession::open(config, None, None, None).expect(NO_FAULTS);
+    session.step(steps).expect(NO_FAULTS);
+    session.finish().expect(NO_FAULTS).0
 }
 
 /// Run the ensemble for `reports` reporting intervals, recording each
@@ -105,54 +55,15 @@ pub fn run_xgyro_with_history(
     config: &EnsembleConfig,
     reports: usize,
 ) -> (RunOutcome, Vec<xg_sim::History>) {
-    let world = World::new(config.total_ranks());
-    let grid = config.grid();
-    let results = world.run_with_logs(|comm| {
-        let (a, topo) = build_xgyro_topology(config, &comm);
-        let cmat_bytes = topo.cmat().bytes();
-        let layout = PhaseLayout::new(
-            config.members()[a.sim].dims(),
-            grid,
-            grid.rank(a.i1, a.i2),
-        );
-        let mut sim = Simulation::new(config.members()[a.sim].clone(), topo);
-        let mut hist = xg_sim::History::new();
-        for _ in 0..reports {
-            hist.push(sim.run_report_step());
+    let mut session = EnsembleSession::open(config, None, None, None).expect(NO_FAULTS);
+    let mut histories: Vec<_> = (0..config.k()).map(|_| xg_sim::History::new()).collect();
+    for _ in 0..reports {
+        session.step(config.members()[0].steps_per_report).expect(NO_FAULTS);
+        for (hist, d) in histories.iter_mut().zip(session.diagnostics().expect(NO_FAULTS)) {
+            hist.push(d);
         }
-        let d = sim.diagnostics();
-        (a, layout, sim.h().clone(), d, cmat_bytes, hist)
-    });
-
-    let dims = config.members()[0].dims();
-    let mut per_sim: Vec<Vec<(PhaseLayout, Tensor3<Complex64>)>> =
-        (0..config.k()).map(|_| Vec::new()).collect();
-    let mut per_sim_diag: Vec<Option<Diagnostics>> = vec![None; config.k()];
-    let mut per_sim_bytes: Vec<Vec<u64>> = (0..config.k()).map(|_| Vec::new()).collect();
-    let mut per_sim_hist: Vec<Option<xg_sim::History>> = vec![None; config.k()];
-    let mut traces = Vec::with_capacity(results.len());
-    for ((a, layout, h, d, bytes, hist), trace) in results {
-        per_sim[a.sim].push((layout, h));
-        per_sim_diag[a.sim] = Some(d);
-        per_sim_bytes[a.sim].push(bytes);
-        if a.i1 == 0 && a.i2 == 0 {
-            per_sim_hist[a.sim] = Some(hist);
-        }
-        traces.push(trace);
     }
-    let sims = per_sim
-        .into_iter()
-        .enumerate()
-        .map(|(i, shards)| SimResult {
-            sim: i,
-            h: assemble(dims, shards),
-            diagnostics: per_sim_diag[i].expect("every sim produced diagnostics"),
-            cmat_bytes_per_rank: std::mem::take(&mut per_sim_bytes[i]),
-        })
-        .collect();
-    let histories =
-        per_sim_hist.into_iter().map(|h| h.expect("lead rank recorded history")).collect();
-    (RunOutcome { sims, traces }, histories)
+    (session.finish().expect(NO_FAULTS).0, histories)
 }
 
 /// Run the members **sequentially** as independent CGYRO jobs on the same
@@ -170,42 +81,20 @@ pub fn run_cgyro_baseline(config: &EnsembleConfig, steps: usize) -> RunOutcome {
     RunOutcome { sims, traces }
 }
 
-/// Run one CGYRO simulation distributed over `grid`.
+/// Run one CGYRO simulation distributed over `grid` (Figure-1 wiring: the
+/// `nv` communicator doubles as the coll communicator).
 pub fn run_single_cgyro(
     input: &CgyroInput,
     grid: ProcGrid,
     steps: usize,
     sim_index: usize,
 ) -> (SimResult, Vec<Vec<OpRecord>>) {
-    let world = World::new(grid.size());
-    let dims = input.dims();
-    let results = world.run_with_logs(|comm| {
-        let rank = comm.rank();
-        let topo = DistTopology::cgyro(input, grid, comm);
-        let cmat_bytes = topo.cmat().bytes();
-        let layout = PhaseLayout::new(dims, grid, rank);
-        let mut sim = Simulation::new(input.clone(), topo);
-        sim.run_steps(steps);
-        let d = sim.diagnostics();
-        (layout, sim.h().clone(), d, cmat_bytes)
-    });
-    let mut shards = Vec::new();
-    let mut diag = None;
-    let mut bytes = Vec::new();
-    let mut traces = Vec::new();
-    for ((layout, h, d, b), t) in results {
-        shards.push((layout, h));
-        diag = Some(d);
-        bytes.push(b);
-        traces.push(t);
-    }
-    (
-        SimResult {
-            sim: sim_index,
-            h: assemble(dims, shards),
-            diagnostics: diag.expect("at least one rank"),
-            cmat_bytes_per_rank: bytes,
-        },
-        traces,
-    )
+    let alone = EnsembleConfig::new(vec![input.clone()], grid).expect("a runnable deck and grid");
+    let mut session =
+        EnsembleSession::open_wired(&alone, false, None, None, None).expect(NO_FAULTS);
+    session.step(steps).expect(NO_FAULTS);
+    let (mut outcome, _) = session.finish().expect(NO_FAULTS);
+    let mut result = outcome.sims.pop().expect("one member");
+    result.sim = sim_index;
+    (result, outcome.traces)
 }

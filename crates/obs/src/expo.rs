@@ -52,6 +52,10 @@ pub fn to_json(reg: &Registry) -> String {
     s.push_str(&format!(
         "  \"rebalance\": {{\"events\": {rb_events}, \"moved_rows\": {rb_rows}}},\n"
     ));
+    let (spawns, builds) = reg.session_stats();
+    s.push_str(&format!(
+        "  \"session\": {{\"world_spawns\": {spawns}, \"cmat_builds\": {builds}}},\n"
+    ));
     let (appends, fsyncs, fsync_us) = reg.journal_stats();
     s.push_str(&format!(
         "  \"journal\": {{\"appends\": {appends}, \"fsyncs\": {fsyncs}, \"fsync_us\": {fsync_us}}},\n"
@@ -94,8 +98,8 @@ fn push_opt(s: &mut String, key: &str, v: Option<u64>) {
 /// * `xgyro_phase_busy_seconds` — histogram, label `phase`;
 /// * `xgyro_phase_comm_wait_seconds` — histogram, label `phase`;
 /// * `xgyro_recovery_events_total`, `xgyro_recovery_wasted_seconds_total`,
-///   `xgyro_rebalance_events_total`, `xgyro_rebalance_moved_rows_total`
-///   — counters.
+///   `xgyro_rebalance_events_total`, `xgyro_rebalance_moved_rows_total`,
+///   `xgyro_world_spawns_total`, `xgyro_cmat_builds_total` — counters.
 ///
 /// Every phase family is emitted even when empty (Prometheus prefers
 /// stable series over appearing/disappearing ones).
@@ -136,6 +140,13 @@ pub fn to_prometheus(reg: &Registry) -> String {
     );
     s.push_str("# TYPE xgyro_rebalance_moved_rows_total counter\n");
     s.push_str(&format!("xgyro_rebalance_moved_rows_total {rb_rows}\n"));
+    let (spawns, builds) = reg.session_stats();
+    s.push_str("# HELP xgyro_world_spawns_total Ensemble worlds spawned (session opens).\n");
+    s.push_str("# TYPE xgyro_world_spawns_total counter\n");
+    s.push_str(&format!("xgyro_world_spawns_total {spawns}\n"));
+    s.push_str("# HELP xgyro_cmat_builds_total Factorizations of the shared cmat.\n");
+    s.push_str("# TYPE xgyro_cmat_builds_total counter\n");
+    s.push_str(&format!("xgyro_cmat_builds_total {builds}\n"));
     let (appends, fsyncs, fsync_us) = reg.journal_stats();
     s.push_str("# HELP xgyro_journal_appends_total Committed write-ahead journal appends.\n");
     s.push_str("# TYPE xgyro_journal_appends_total counter\n");
@@ -437,6 +448,9 @@ mod tests {
         reg.record_busy_us(Phase::Coll, 1000);
         reg.record_recovery_waste_us(1500);
         reg.record_rebalance_moved_rows(6);
+        reg.record_world_spawn_count();
+        reg.record_world_spawn_count();
+        reg.record_cmat_build_count();
         reg.record_journal_append_us();
         reg.record_journal_append_us();
         reg.record_journal_fsync_us(2500);
@@ -459,6 +473,7 @@ mod tests {
         assert!(json.contains("\"comm_wait_us\": {\"count\": 0, \"sum\": 0, \"min\": null"));
         assert!(json.contains("\"recovery\": {\"events\": 1, \"wasted_us\": 1500}"));
         assert!(json.contains("\"rebalance\": {\"events\": 1, \"moved_rows\": 6}"));
+        assert!(json.contains("\"session\": {\"world_spawns\": 2, \"cmat_builds\": 1}"));
         assert!(json.contains("\"journal\": {\"appends\": 2, \"fsyncs\": 1, \"fsync_us\": 2500}"));
         assert!(json.contains("\"replay\": {\"count\": 1, \"wall_us\": 12000}"));
         assert!(json.contains("\"cache\": {\"hits\": 1, \"misses\": 1, \"bytes_saved\": 4096}"));
@@ -487,6 +502,8 @@ mod tests {
         assert!(text.contains("le=\"+Inf\""));
         assert!(text.contains("xgyro_recovery_wasted_seconds_total 0.0015"));
         assert!(text.contains("xgyro_rebalance_events_total 1"));
+        assert!(text.contains("xgyro_world_spawns_total 2"));
+        assert!(text.contains("xgyro_cmat_builds_total 1"));
         assert!(text.contains("xgyro_rebalance_moved_rows_total 6"));
         assert!(text.contains("xgyro_journal_appends_total 2"));
         assert!(text.contains("xgyro_journal_fsyncs_total 1"));

@@ -193,6 +193,12 @@ pub struct Registry {
     /// uniform shrink would have given them (the measurable payoff of
     /// rebalancing onto the survivors' actual capacities).
     rebalance_moved_rows: AtomicU64,
+    /// Ensemble worlds spawned (one per session open: rank threads plus the
+    /// four communicator splits).
+    world_spawns: AtomicU64,
+    /// Times the shared `cmat` was factorized — once per world whose
+    /// topology came up, however many segments the world then runs.
+    cmat_builds: AtomicU64,
     /// Journal appends committed by the serving layer's write-ahead log.
     journal_appends: AtomicU64,
     /// fsync(2) calls the journal issued.
@@ -232,6 +238,8 @@ static GLOBAL: Registry = Registry {
     recoveries: AtomicU64::new(0),
     rebalances: AtomicU64::new(0),
     rebalance_moved_rows: AtomicU64::new(0),
+    world_spawns: AtomicU64::new(0),
+    cmat_builds: AtomicU64::new(0),
     journal_appends: AtomicU64::new(0),
     journal_fsyncs: AtomicU64::new(0),
     journal_fsync_us: AtomicU64::new(0),
@@ -296,6 +304,24 @@ impl Registry {
         (
             self.rebalances.load(Ordering::Relaxed),
             self.rebalance_moved_rows.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Account one spawned ensemble world.
+    pub fn record_world_spawn_count(&self) {
+        self.world_spawns.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Account one factorization of the shared `cmat`.
+    pub fn record_cmat_build_count(&self) {
+        self.cmat_builds.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(world_spawns, cmat_builds)` of session accounting so far.
+    pub fn session_stats(&self) -> (u64, u64) {
+        (
+            self.world_spawns.load(Ordering::Relaxed),
+            self.cmat_builds.load(Ordering::Relaxed),
         )
     }
 
@@ -374,6 +400,8 @@ impl Registry {
         self.recovery_wasted_us.store(0, Ordering::Relaxed);
         self.rebalances.store(0, Ordering::Relaxed);
         self.rebalance_moved_rows.store(0, Ordering::Relaxed);
+        self.world_spawns.store(0, Ordering::Relaxed);
+        self.cmat_builds.store(0, Ordering::Relaxed);
         self.journal_appends.store(0, Ordering::Relaxed);
         self.journal_fsyncs.store(0, Ordering::Relaxed);
         self.journal_fsync_us.store(0, Ordering::Relaxed);
@@ -448,6 +476,22 @@ pub fn record_rebalance(moved_rows: u64) {
     if enabled() {
         Registry::global().record_rebalance_moved_rows(moved_rows);
     }
+}
+
+/// Account one spawned ensemble world (see
+/// [`Registry::record_world_spawn_count`]). Like the kernel label this is a
+/// once-per-world lifecycle count, not a timing probe, so it bypasses the
+/// [`enabled`] gate: a daemon run with `XGYRO_OBS=0` still answers how many
+/// worlds it spawned.
+pub fn record_world_spawn() {
+    Registry::global().record_world_spawn_count();
+}
+
+/// Account one factorization of the shared `cmat` (see
+/// [`Registry::record_cmat_build_count`]); ungated like
+/// [`record_world_spawn`].
+pub fn record_cmat_build() {
+    Registry::global().record_cmat_build_count();
 }
 
 /// Account one committed journal append (the serving layer's WAL).

@@ -17,8 +17,8 @@
 //!   budget ([`xg_cluster::max_feasible_k`]), flushed when full, when the
 //!   linger deadline expires, or on drain;
 //! * **execution** ([`CampaignServer`]) — a bounded worker pool runs each
-//!   batch as one XGYRO ensemble via the resilient checkpointed runner
-//!   ([`xgyro_core::run_xgyro_resilient_from`]): a faulted member is
+//!   batch as one XGYRO ensemble in one persistent, checkpointed session
+//!   ([`xgyro_core::ResilientRun`]): a faulted member is
 //!   evicted and marked `Failed` without killing its batch-mates, and
 //!   cancellations preempt at checkpoint boundaries. Execution is
 //!   **elastic**: each batch asks for the smallest feasible world

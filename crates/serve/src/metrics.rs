@@ -126,6 +126,14 @@ pub struct Metrics {
     /// High-water mark of concurrently executing worlds — ≥ 2 is the
     /// observable signature of elastic (non-serial) execution.
     pub worlds_peak: u64,
+    /// Ensemble worlds this process spawned: one per batch run, plus one
+    /// each time a member left a running batch (fault or cancel) or a
+    /// preempted batch came back (refreshed at export from the obs
+    /// registry).
+    pub world_spawns: u64,
+    /// Times the shared `cmat` was factorized: once per world that came up
+    /// — never once per checkpoint segment (refreshed at export).
+    pub cmat_builds: u64,
     /// Modeled nodes occupied by executing worlds (refreshed at export).
     pub nodes_in_use: u64,
     /// Checkpoint-boundary preemptions across all tenants.
@@ -235,8 +243,7 @@ impl Metrics {
         }
     }
 
-    /// Fold one executed segment's per-rank traces into the phase
-    /// breakdown.
+    /// Fold a batch run's drained per-rank traces into the phase breakdown.
     pub fn on_batch_traces(&mut self, traces: &[Vec<OpRecord>]) {
         for trace in traces {
             for r in trace {
@@ -348,9 +355,12 @@ impl Metrics {
         ));
         s.push_str(&format!(
             "  \"scheduler\": {{\"worlds_active\": {}, \"worlds_peak\": {}, \
+             \"world_spawns\": {}, \"cmat_builds\": {}, \
              \"nodes_in_use\": {}, \"preemptions\": {}, \"terminal_evicted\": {}}},\n",
             self.worlds_active,
             self.worlds_peak,
+            self.world_spawns,
+            self.cmat_builds,
             self.nodes_in_use,
             self.preemptions,
             self.terminal_evicted,
@@ -569,6 +579,16 @@ impl Metrics {
             s.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"));
         }
         for (name, help, v) in [
+            (
+                "xgserve_world_spawns_total",
+                "Ensemble worlds spawned by batch runs.",
+                self.world_spawns,
+            ),
+            (
+                "xgserve_cmat_builds_total",
+                "Shared cmat factorizations by batch runs (one per world, not per segment).",
+                self.cmat_builds,
+            ),
             (
                 "xgserve_preemptions_total",
                 "Checkpoint-boundary world preemptions.",
@@ -839,6 +859,7 @@ mod tests {
         m.on_world_start();
         m.on_world_start();
         m.on_world_end();
+        (m.world_spawns, m.cmat_builds) = (2, 1);
         m.on_terminal_evicted(3);
         let mut usage = BTreeMap::new();
         usage.insert("acme".to_string(), TenantUsage { live_jobs: 1, live_bytes: 512 });
@@ -855,6 +876,7 @@ mod tests {
         assert!(
             json.contains(
                 "\"scheduler\": {\"worlds_active\": 1, \"worlds_peak\": 2, \
+                 \"world_spawns\": 2, \"cmat_builds\": 1, \
                  \"nodes_in_use\": 0, \"preemptions\": 1, \"terminal_evicted\": 3}"
             ),
             "{json}"

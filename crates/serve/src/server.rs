@@ -8,10 +8,11 @@
 //! * one **batcher** thread sleeps until the earliest linger deadline and
 //!   flushes expired underfull batches to the ready queue;
 //! * `workers` **worker** threads pop ready batches and execute each as one
-//!   XGYRO ensemble through [`xgyro_core::run_xgyro_resilient_from`] in
-//!   bounded segments (`ckpt_every` steps), so cancellations are applied at
-//!   checkpoint boundaries and a faulted member is evicted without killing
-//!   its batch-mates.
+//!   XGYRO ensemble through one [`xgyro_core::ResilientRun`] — one world
+//!   and one `cmat` factorization for the life of the batch — checkpointed
+//!   every `ckpt_every` steps, so cancellations are applied at checkpoint
+//!   boundaries and a faulted member is evicted without killing its
+//!   batch-mates.
 //!
 //! All state lives behind one mutex; nothing blocks while holding it except
 //! condition-variable waits. Simulation segments run outside the lock.
@@ -35,7 +36,7 @@ use xg_comm::FaultPlan;
 use xg_costmodel::MachineModel;
 use xg_sim::CgyroInput;
 use xg_tensor::ProcGrid;
-use xgyro_core::{run_xgyro_resilient_from, EnsembleCheckpoint, EnsembleConfig, EnsembleError};
+use xgyro_core::{EnsembleCheckpoint, EnsembleConfig, EnsembleError, ResilientRun};
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -830,6 +831,7 @@ fn metrics_snapshot(st: &State) -> (Metrics, Vec<(JobState, usize)>) {
     }
     m.set_tenant_usage(&st.tenant_usage);
     m.nodes_in_use = st.nodes_in_use as u64;
+    (m.world_spawns, m.cmat_builds) = xg_obs::Registry::global().session_stats();
     (m, jobs_by_state(st))
 }
 
@@ -1425,23 +1427,25 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Run one batch as an XGYRO ensemble in `ckpt_every`-step segments,
-/// applying cancellations (and shutdown) at checkpoint boundaries and
-/// evicting faulted members without killing their batch-mates. Each
+/// Run one batch as an XGYRO ensemble: **one** [`ResilientRun`] — one
+/// world, one topology, one `cmat` factorization — held for the life of the
+/// batch and checkpointed every `ckpt_every` steps without leaving the
+/// world. Cancellations (and shutdown) apply at those boundaries by evicting
+/// the member; a faulted member is evicted without killing its batch-mates;
+/// only then is the world rebuilt, at k−1, from the last checkpoint. Each
 /// completed segment (except the last) journals its checkpoint, so a crash
 /// mid-batch resumes from the last boundary instead of step 0; the final
 /// segment is deliberately *not* journaled — a crash between it and the
 /// `Done` records re-runs that segment deterministically, which is cheaper
 /// than reasoning about a "finished but unrecorded" limbo state.
 fn execute_batch(shared: &Shared, rb: ReadyBatch) {
-    let grid = shared.cfg.grid;
     let ReadyBatch { id: batch_id, jobs, reason, resume, tenant, priority, nodes } = rb;
     // Dispatch bookkeeping: transition members to Running, record queue
     // latency and occupancy, arm the chaos fault plan (first batch only).
     // Members of a preempted batch are *already* Running — they re-enter
     // here without a second transition, dispatch count, or Running record,
     // so a preempt/resume cycle is invisible to occupancy accounting.
-    let (mut member_ids, mut inputs, steps_total, mut plan) = {
+    let (inputs, steps_total, plan) = {
         let mut guard = shared.state.lock();
         let st = &mut *guard;
         let now = Instant::now();
@@ -1471,20 +1475,49 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
             st.metrics.on_dispatch(jobs.len(), inputs[0].dims(), reason);
             journal_append(st, &JournalRecord::Running { batch: batch_id, jobs: jobs.clone() });
         }
-        (jobs.clone(), inputs, steps_total, st.fault_plan.take())
+        (inputs, steps_total, st.fault_plan.take())
     };
-    let batch_k = member_ids.len() as u64;
+    let batch_k = jobs.len() as u64;
     let exec_start = Instant::now();
-    // The batch's communication trace across every segment — stored as one
-    // artifact object and referenced by each member's manifest.
-    let mut all_traces: Vec<Vec<xg_comm::OpRecord>> = Vec::new();
 
-    let (mut checkpoint, mut done, mut next_seq) = match resume {
+    let (checkpoint, mut done, mut next_seq) = match resume {
         Some(r) => (r.checkpoint, r.done, r.next_seq),
         None => (None, 0usize, 0u64),
     };
-    let mut results: BTreeMap<JobId, JobOutcome> = BTreeMap::new();
-    while done < steps_total && !member_ids.is_empty() {
+    // The same call serves a fresh batch, a preempted one coming back and a
+    // batch journal replay rebuilt after kill -9: open from the checkpoint.
+    let plan = plan.unwrap_or_default();
+    let run = EnsembleConfig::new(inputs, shared.cfg.grid)
+        .map_err(|e| e.to_string())
+        .and_then(|cfg| {
+            ResilientRun::new(&cfg, checkpoint, plan, shared.cfg.deadline, None)
+                .map_err(|e| e.to_string())
+        });
+    let mut run = match run {
+        Ok(run) => run,
+        Err(e) => {
+            fail_all(shared, &jobs, &format!("ensemble rebuild failed: {e}"));
+            return;
+        }
+    };
+    // `jobs[i]` is original member i; `member_ids[pos]` is the member the
+    // run currently holds at position `pos`.
+    let mut member_ids = jobs.clone();
+    let mut events_seen = 0;
+    // A run's drained traffic logs are folded into the metrics once, when
+    // the batch lets go of it.
+    let account = |traces: &[Vec<xg_comm::OpRecord>]| {
+        shared.state.lock().metrics.on_batch_traces(traces);
+    };
+    // Members evicted by faults terminalize as Failed; the survivors carried
+    // on from the last checkpoint inside the run.
+    let fail_evicted = |events: &[xgyro_core::RecoveryEvent]| {
+        for ev in events {
+            let detail = format!("member evicted after fault: {}", ev.cause);
+            finish(shared, jobs[ev.failed_member], JobState::Failed, detail, None);
+        }
+    };
+    while done < steps_total {
         // Checkpoint boundary: apply cancellations (shutdown cancels all).
         let cancelled: Vec<usize> = {
             let guard = shared.state.lock();
@@ -1497,15 +1530,21 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
         };
         for &pos in cancelled.iter().rev() {
             let id = member_ids.remove(pos);
-            inputs.remove(pos);
-            if let Some(cp) = checkpoint.take() {
-                // Emptying the batch drops the checkpoint with it —
-                // evict_member only refuses to evict the last member.
-                checkpoint = cp.evict_member(pos).ok();
-            }
             finish(shared, id, JobState::Cancelled, "preempted at checkpoint".into(), None);
         }
-        if member_ids.is_empty() {
+        // An emptied batch drops its run (evicting the last member is
+        // refused); otherwise the run sheds the cancelled members and
+        // reopens at the smaller k on its next command.
+        let shed = if member_ids.is_empty() {
+            Ok(())
+        } else {
+            cancelled.iter().rev().try_for_each(|&pos| run.evict(pos))
+        };
+        if let Err(e) = &shed {
+            fail_all(shared, &member_ids, &format!("batch failed: {e}"));
+        }
+        if member_ids.is_empty() || shed.is_err() {
+            account(&run.close());
             return;
         }
         // Elastic preemption: yield this world's nodes when a
@@ -1515,103 +1554,102 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
         // would spin through pop/requeue without making progress. Members
         // stay Running; the batch re-enters the queue with its checkpoint,
         // and the worker that released the nodes pops the higher lane
-        // first.
-        {
+        // first. The world goes with the nodes: the resumed batch opens a
+        // new one from the checkpoint.
+        let preempted = {
             let mut guard = shared.state.lock();
             let st = &mut *guard;
-            if let Some(need) = st.ready.min_over_higher_lanes(priority, |c| c.nodes as u64) {
-                let avail_now = shared.cfg.nodes.saturating_sub(st.nodes_in_use) as u64;
-                let blocked = st.idle_workers == 0 || need > avail_now;
-                if blocked && need <= avail_now + nodes as u64 {
-                    st.metrics.on_preempt(&tenant);
-                    let resume = ResumeState { checkpoint: checkpoint.take(), done, next_seq };
-                    enqueue_ready(
-                        &shared.cfg,
-                        st,
-                        batch_id,
-                        member_ids,
-                        FlushReason::Preempt,
-                        Some(resume),
-                    );
-                    shared.work.notify_all();
-                    return;
-                }
+            let need = st.ready.min_over_higher_lanes(priority, |c| c.nodes as u64);
+            let avail_now = shared.cfg.nodes.saturating_sub(st.nodes_in_use) as u64;
+            let yields = need.is_some_and(|need| {
+                (st.idle_workers == 0 || need > avail_now) && need <= avail_now + nodes as u64
+            });
+            if yields {
+                st.metrics.on_preempt(&tenant);
+                let resume =
+                    ResumeState { checkpoint: run.checkpoint().cloned(), done, next_seq };
+                enqueue_ready(
+                    &shared.cfg,
+                    st,
+                    batch_id,
+                    member_ids.clone(),
+                    FlushReason::Preempt,
+                    Some(resume),
+                );
+                shared.work.notify_all();
             }
+            yields
+        };
+        if preempted {
+            account(&run.close());
+            return;
         }
-        let cfg = match EnsembleConfig::new(inputs.clone(), grid) {
-            Ok(c) => c,
+        let seg = shared.cfg.ckpt_every.min(steps_total - done);
+        // Journal this boundary so a crash resumes here. The final segment
+        // is intentionally skipped (see above).
+        let journaled = match run.advance(seg) {
+            Ok(checkpoint) => (done + seg < steps_total).then(|| checkpoint.to_bytes()),
             Err(e) => {
-                fail_all(shared, &member_ids, &format!("ensemble rebuild failed: {e}"));
+                fail_all(shared, &member_ids, &format!("batch failed: {e}"));
+                account(&run.close());
                 return;
             }
         };
-        let seg = shared.cfg.ckpt_every.min(steps_total - done);
-        let out = run_xgyro_resilient_from(
-            &cfg,
-            checkpoint.take(),
-            seg,
-            seg,
-            plan.take().unwrap_or_else(FaultPlan::new),
-            shared.cfg.deadline,
-        );
-        match out {
-            Ok(rec) => {
-                // Fold the segment's communication traces into the
-                // execution-phase breakdown before touching job states.
-                shared.state.lock().metrics.on_batch_traces(&rec.outcome.traces);
-                if shared.store.is_some() {
-                    all_traces.extend(rec.outcome.traces.iter().cloned());
-                }
-                // Members evicted by faults terminalize as Failed; the
-                // survivors carry on from the segment's checkpoint.
-                for ev in &rec.events {
-                    finish(
-                        shared,
-                        member_ids[ev.failed_member],
-                        JobState::Failed,
-                        format!("member evicted after fault: {}", ev.cause),
-                        None,
-                    );
-                }
-                let old_ids = member_ids.clone();
-                member_ids = rec.surviving_members.iter().map(|&i| old_ids[i]).collect();
-                inputs = rec.surviving_members.iter().map(|&i| inputs[i].clone()).collect();
-                for s in &rec.outcome.sims {
-                    results.insert(
-                        old_ids[s.sim],
-                        JobOutcome {
-                            h: s.h.clone(),
-                            diagnostics: s.diagnostics,
-                            steps: done + seg,
-                        },
-                    );
-                }
-                done += seg;
-                if done < steps_total && !member_ids.is_empty() {
-                    // Journal this boundary so a crash resumes here. The
-                    // final segment is intentionally skipped (see above).
-                    let crec = JournalRecord::Checkpoint {
-                        batch: batch_id,
-                        jobs: member_ids.clone(),
-                        seq: next_seq,
-                        done_steps: done as u64,
-                        state: rec.checkpoint.to_bytes(),
-                    };
-                    next_seq += 1;
-                    journal_append(&mut shared.state.lock(), &crec);
-                }
-                checkpoint = Some(rec.checkpoint);
-            }
+        fail_evicted(&run.events()[events_seen..]);
+        events_seen = run.events().len();
+        member_ids = run.survivors().iter().map(|&i| jobs[i]).collect();
+        done += seg;
+        if let Some(state) = journaled {
+            let crec = JournalRecord::Checkpoint {
+                batch: batch_id,
+                jobs: member_ids.clone(),
+                seq: next_seq,
+                done_steps: done as u64,
+                state,
+            };
+            next_seq += 1;
+            journal_append(&mut shared.state.lock(), &crec);
+        }
+    }
+    // Outcomes are built once, from the one final gather. The gather, the
+    // traffic logs and the checkpoint are all dropped before the Done
+    // transitions below: `drain` returns the moment the last job is
+    // terminal, and this worker should be back at the node ledger by then.
+    let (member_ids, mut results) = {
+        let rec = match run.finish() {
+            Ok(rec) => rec,
             Err(e) => {
                 fail_all(shared, &member_ids, &format!("batch failed: {e}"));
                 return;
             }
-        }
-    }
-    // Publish artifacts BEFORE the Done transitions: when the journal
-    // records Done, the artifact is already visible to admission — no
-    // window where a terminal job has no cache entry.
-    publish_batch(shared, batch_id, batch_k, &member_ids, &results, &all_traces, exec_start);
+        };
+        fail_evicted(&rec.events[events_seen..]);
+        account(&rec.outcome.traces);
+        let member_ids: Vec<JobId> = rec.surviving_members.iter().map(|&i| jobs[i]).collect();
+        let results: BTreeMap<JobId, JobOutcome> = rec
+            .outcome
+            .sims
+            .into_iter()
+            .map(|s| {
+                let outcome =
+                    JobOutcome { h: s.h, diagnostics: s.diagnostics, steps: steps_total };
+                (jobs[s.sim], outcome)
+            })
+            .collect();
+        // Publish artifacts BEFORE the Done transitions: when the journal
+        // records Done, the artifact is already visible to admission — no
+        // window where a terminal job has no cache entry.
+        publish_batch(
+            shared,
+            batch_id,
+            batch_k,
+            &member_ids,
+            &results,
+            &rec.outcome.traces,
+            exec_start,
+        );
+        (member_ids, results)
+    };
     for id in member_ids {
         let outcome = results.remove(&id);
         finish(shared, id, JobState::Done, "completed".into(), outcome);

@@ -10,8 +10,6 @@
 //! Exclusions mirror (and extend) the `cmat_key` discipline: a knob that
 //! provably cannot change the result bits must not fragment the cache.
 //!
-//! * `REDUCE_ALGO` — a communication-schedule choice, bitwise-neutral by
-//!   construction (the str-reduce equivalence tests pin this).
 //! * Species display names — labels for reports, never used in physics.
 //! * Decomposition / coll cuts — *runtime placement*, not submission
 //!   identity: the decomp-matrix CI proves ragged coll splits are
@@ -124,7 +122,7 @@ pub fn deck_hash(input: &CgyroInput, steps: usize) -> DeckHash {
     t.f64("upwind_diss", input.upwind_diss);
     t.u64("seed", input.seed);
     t.u64("steps_per_report", input.steps_per_report as u64);
-    // The request itself. REDUCE_ALGO is deliberately absent.
+    // The request itself.
     t.u64("steps", steps as u64);
     DeckHash(t.h)
 }
@@ -144,11 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn reduce_algo_and_species_names_are_excluded() {
+    fn species_names_are_excluded() {
         let base = CgyroInput::test_small();
-        let mut alt = base.clone();
-        alt.reduce_algo = "reduce-scatter".parse().unwrap();
-        assert_eq!(deck_hash(&base, 10), deck_hash(&alt, 10));
         let mut renamed = base.clone();
         renamed.species[0].name = "tritium".into();
         assert_eq!(deck_hash(&base, 10), deck_hash(&renamed, 10));

@@ -14,7 +14,7 @@
 //!   FNV-1a over the *parsed* deck (so formatting, key order and comments
 //!   cannot split the cache) plus the requested step count, deliberately
 //!   excluding execution knobs that cannot change the result bits
-//!   (`REDUCE_ALGO`, species display names) — the same exclusion discipline
+//!   (species display names) — the same exclusion discipline
 //!   as [`xg_sim::CgyroInput::cmat_key`], extended to *every* field the
 //!   result depends on (gradients, seed, cadence, dissipation, …).
 //! * [`Manifest`] — one completed run's reproducibility record: deck hash,

@@ -40,8 +40,6 @@ pub struct Manifest {
     pub coll_cuts: String,
     /// Collision kernel variant the run selected (empty if unrecorded).
     pub kernel: String,
-    /// Reduce algorithm label. Provenance only — excluded from the hash.
-    pub reduce_algo: String,
     /// Machine model the server was configured with.
     pub machine: String,
     /// Per-phase elapsed time, microseconds, in execution order.
@@ -104,11 +102,7 @@ impl Manifest {
             escape(&self.coll_cuts),
             escape(&self.machine)
         ));
-        s.push_str(&format!(
-            "  \"algo\": {{\"kernel\": \"{}\", \"reduce_algo\": \"{}\"}},\n",
-            escape(&self.kernel),
-            escape(&self.reduce_algo)
-        ));
+        s.push_str(&format!("  \"algo\": {{\"kernel\": \"{}\"}},\n", escape(&self.kernel)));
         s.push_str("  \"phase_us\": {");
         for (i, (name, us)) in self.phase_us.iter().enumerate() {
             if i > 0 {
@@ -199,7 +193,6 @@ impl Manifest {
             batch_k: parse_u64(topo.get("batch_k"), "topology.batch_k")?,
             coll_cuts: parse_str_field(topo.get("coll_cuts"), "topology.coll_cuts")?,
             kernel: parse_str_field(algo.get("kernel"), "algo.kernel")?,
-            reduce_algo: parse_str_field(algo.get("reduce_algo"), "algo.reduce_algo")?,
             machine: parse_str_field(topo.get("machine"), "topology.machine")?,
             phase_us,
             steps_done: parse_u64(summary.get("steps_done"), "summary.steps_done")?,
@@ -236,7 +229,6 @@ impl Manifest {
         chk("batch_k", self.batch_k != other.batch_k);
         chk("coll_cuts", self.coll_cuts != other.coll_cuts);
         chk("kernel", self.kernel != other.kernel);
-        chk("reduce_algo", self.reduce_algo != other.reduce_algo);
         chk("machine", self.machine != other.machine);
         chk("steps_done", self.steps_done != other.steps_done);
         chk("h_hash", self.h_hash != other.h_hash);
@@ -262,7 +254,6 @@ pub(crate) fn test_manifest() -> Manifest {
         batch_k: 3,
         coll_cuts: "even".into(),
         kernel: "simd-tiled".into(),
-        reduce_algo: "fused".into(),
         machine: "small_cluster".into(),
         phase_us: vec![("collide".into(), 1200), ("reduce".into(), 340)],
         steps_done: 40,
@@ -288,6 +279,19 @@ mod tests {
         let mut no_trace = m.clone();
         no_trace.trace_object = None;
         assert_eq!(Manifest::from_json(&no_trace.to_json()).unwrap(), no_trace);
+    }
+
+    #[test]
+    fn manifest_with_legacy_reduce_algo_field_loads() {
+        // Stores written before the reduction fork was removed carry a
+        // second key in the `algo` block; it is ignored, not an error.
+        let m = test_manifest();
+        let legacy = m.to_json().replace(
+            "\"algo\": {\"kernel\": \"simd-tiled\"}",
+            "\"algo\": {\"kernel\": \"simd-tiled\", \"reduce_algo\": \"auto\"}",
+        );
+        assert!(legacy.contains("reduce_algo"));
+        assert_eq!(Manifest::from_json(&legacy).unwrap(), m);
     }
 
     #[test]

@@ -189,3 +189,20 @@ fn golden_hashes_are_stable() {
     // And they parse back to themselves.
     assert_eq!(small.to_string().parse::<xg_artifact::DeckHash>().unwrap(), small);
 }
+
+/// Decks written before the str-reduction knob was removed carry a
+/// `REDUCE_ALGO=` line. It must parse to the same input (and so the same
+/// hash) as the deck without it, or every stored journal and cache entry
+/// keyed by such a deck would be orphaned.
+#[test]
+fn legacy_reduce_algo_line_is_ignored() {
+    let input = CgyroInput::test_small();
+    let text = write_deck(&input);
+    for value in ["auto", "fused", "reduce-scatter", "unfused"] {
+        let legacy = text.replace("N_SPECIES=", &format!("REDUCE_ALGO={value}\nN_SPECIES="));
+        assert_ne!(legacy, text);
+        let parsed = parse_deck(&legacy).expect("legacy key is accepted");
+        assert_eq!(parsed, input);
+        assert_eq!(deck_hash(&parsed, 40), deck_hash(&input, 40));
+    }
+}

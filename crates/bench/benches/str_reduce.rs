@@ -1,13 +1,11 @@
 //! Str-phase reduction strategies (ISSUE P2): unfused per-moment
-//! AllReduces vs one fused packed AllReduce vs fused reduce-scatter +
-//! allgather, on the thread substrate. The absolute numbers are
+//! AllReduces vs one fused packed AllReduce, on the thread substrate. The absolute numbers are
 //! shared-memory speeds; the artifact is the *relative* cost of paying
 //! per-collective overhead once vs `moments` times per RK stage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xg_comm::World;
 use xg_linalg::Complex64;
-use xg_tensor::Decomp1D;
 
 const MOMENTS: usize = 2;
 const ELEMS: usize = 4096;
@@ -48,26 +46,5 @@ fn bench_fused(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_reduce_scatter(c: &mut Criterion) {
-    let mut g = c.benchmark_group("str_reduce_scatter_gather");
-    g.throughput(Throughput::Bytes((MOMENTS * ELEMS * 16) as u64));
-    for p in [2usize, 4, 8] {
-        g.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
-            b.iter(|| {
-                World::new(p).run(|comm| {
-                    let buf = vec![Complex64::new(1.0, -1.0); MOMENTS * ELEMS];
-                    let d = Decomp1D::new(buf.len(), comm.size());
-                    let counts: Vec<usize> =
-                        (0..comm.size()).map(|r| d.count(r)).collect();
-                    let mine = comm.reduce_scatter_sum_complex(&buf, &counts);
-                    let full = comm.all_gather_into_flat(&mine);
-                    full[0]
-                })
-            });
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_unfused, bench_fused, bench_reduce_scatter);
+criterion_group!(benches, bench_unfused, bench_fused);
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //! sweep to comma-separated shape lists (CI asserts specific points).
 //!
 //! `paper_figures bench-str-reduce [--quick] [--out PATH]` runs the measured
-//! unfused/fused/reduce-scatter str-phase reduction sweep and writes the
+//! unfused/fused str-phase reduction sweep and writes the
 //! JSON artifact (default `BENCH_str_reduce.json`).
 //!
 //! `paper_figures bench-batching [--quick] [--out PATH]` serves sweep

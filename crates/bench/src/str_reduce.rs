@@ -1,28 +1,24 @@
 //! Measured str-phase reduction benchmark: unfused per-moment AllReduces
-//! vs one fused packed AllReduce vs fused reduce-scatter + allgather,
-//! swept over rank count and moment size.
+//! vs one fused packed AllReduce, swept over rank count and moment size.
 //!
 //! This is the measurement behind `BENCH_str_reduce.json` (the repo-root
-//! perf trajectory artifact) and EXPERIMENTS.md §P2. Three reduction
+//! perf trajectory artifact) and EXPERIMENTS.md §P2. Two reduction
 //! strategies over identical inputs on the thread-backed [`xg_comm::World`]:
 //!
 //! * **unfused** — the pre-fusion hot path: one `AllReduce` per moment
 //!   (field solve, then upwind), paying per-collective latency `moments`
 //!   times per RK stage.
 //! * **fused** — all moments packed into one contiguous staging buffer and
-//!   reduced in a single `AllReduce` per stage.
-//! * **reduce-scatter** — the fused buffer reduced via
-//!   `reduce_scatter_sum_complex` + `all_gather_into_flat`, the
-//!   bandwidth-optimal decomposition for large messages.
+//!   reduced in a single `AllReduce` per stage (the one path
+//!   `DistTopology` runs).
 //!
-//! All three produce bitwise-identical sums (asserted once per shape
+//! Both produce bitwise-identical sums (asserted once per shape
 //! before timing), so the comparison is pure communication cost.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 use xg_comm::World;
 use xg_linalg::Complex64;
-use xg_tensor::Decomp1D;
 
 /// Sweep configuration for the str-phase reduction benchmark.
 pub struct StrReduceBenchConfig {
@@ -70,12 +66,8 @@ pub struct StrReduceBenchResult {
     pub unfused_ns: f64,
     /// ns per stage-equivalent reduction, fused (one packed call).
     pub fused_ns: f64,
-    /// ns per stage-equivalent reduction, reduce-scatter + allgather.
-    pub rs_ns: f64,
     /// unfused / fused.
     pub speedup_fused: f64,
-    /// unfused / reduce-scatter.
-    pub speedup_rs: f64,
 }
 
 /// Deterministic non-trivial fill values (no `rand` dependency).
@@ -86,8 +78,8 @@ fn state_val(rank: usize, i: usize) -> Complex64 {
     )
 }
 
-/// Run the sweep. Every strategy's output is checked bitwise-identical to
-/// the fused reference before timing.
+/// Run the sweep. The unfused output is checked bitwise-identical to the
+/// fused reference before timing.
 pub fn run_str_reduce_bench(cfg: &StrReduceBenchConfig) -> Vec<StrReduceBenchResult> {
     let mut out = Vec::new();
     for &ranks in &cfg.ranks_values {
@@ -102,13 +94,10 @@ fn measure_point(ranks: usize, elems: usize, moments: usize, iters: usize) -> St
     let world = World::new(ranks);
     let timings = world.run(|comm| {
         let rank = comm.rank();
-        let p = comm.size();
         // One packed stage buffer: `moments` sections of `elems` each.
         let local: Vec<Complex64> = (0..moments * elems).map(|i| state_val(rank, i)).collect();
-        let d = Decomp1D::new(local.len(), p);
-        let counts: Vec<usize> = (0..p).map(|r| d.count(r)).collect();
 
-        // --- Correctness pin: all three strategies agree bitwise. ---
+        // --- Correctness pin: both strategies agree bitwise. ---
         let mut fused_ref = local.clone();
         comm.all_reduce_sum_complex(&mut fused_ref);
         let mut unfused_ref = local.clone();
@@ -116,9 +105,6 @@ fn measure_point(ranks: usize, elems: usize, moments: usize, iters: usize) -> St
             comm.all_reduce_sum_complex(&mut unfused_ref[m * elems..(m + 1) * elems]);
         }
         assert_eq!(fused_ref, unfused_ref, "fused vs unfused diverged");
-        let mine = comm.reduce_scatter_sum_complex(&local, &counts);
-        let rs_ref = comm.all_gather_into_flat(&mine);
-        assert_eq!(fused_ref, rs_ref, "fused vs reduce-scatter diverged");
 
         // --- Timings (collectives synchronize, so every rank measures
         //     the same loop; rank 0's clock is reported). ---
@@ -141,30 +127,19 @@ fn measure_point(ranks: usize, elems: usize, moments: usize, iters: usize) -> St
         }
         let fused = t0.elapsed();
 
-        comm.barrier();
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            let mine = comm.reduce_scatter_sum_complex(&local, &counts);
-            let full = comm.all_gather_into_flat(&mine);
-            buf.copy_from_slice(&full);
-        }
-        let rs = t0.elapsed();
-
-        (unfused, fused, rs)
+        (unfused, fused)
     });
 
-    let (unfused, fused, rs) = timings[0];
+    let (unfused, fused) = timings[0];
     let per = |d: std::time::Duration| d.as_nanos() as f64 / iters as f64;
-    let (unfused_ns, fused_ns, rs_ns) = (per(unfused), per(fused), per(rs));
+    let (unfused_ns, fused_ns) = (per(unfused), per(fused));
     StrReduceBenchResult {
         ranks,
         elems,
         moments,
         unfused_ns,
         fused_ns,
-        rs_ns,
         speedup_fused: unfused_ns / fused_ns,
-        speedup_rs: unfused_ns / rs_ns,
     }
 }
 
@@ -176,24 +151,20 @@ pub fn str_reduce_bench_json(results: &[StrReduceBenchResult]) -> String {
     s.push_str("  \"bench\": \"str_reduce\",\n");
     s.push_str(
         "  \"description\": \"str-phase reduction per RK stage: unfused per-moment \
-         AllReduces vs one fused packed AllReduce vs fused reduce-scatter + allgather, \
-         on the thread-backed World\",\n",
+         AllReduces vs one fused packed AllReduce, on the thread-backed World\",\n",
     );
     s.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             s,
             "    {{\"ranks\": {}, \"elems\": {}, \"moments\": {}, \"unfused_ns\": {:.0}, \
-             \"fused_ns\": {:.0}, \"rs_ns\": {:.0}, \
-             \"speedup_fused\": {:.3}, \"speedup_rs\": {:.3}}}",
+             \"fused_ns\": {:.0}, \"speedup_fused\": {:.3}}}",
             r.ranks,
             r.elems,
             r.moments,
             r.unfused_ns,
             r.fused_ns,
-            r.rs_ns,
-            r.speedup_fused,
-            r.speedup_rs
+            r.speedup_fused
         );
         s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
@@ -207,15 +178,14 @@ pub fn str_reduce_bench_report(results: &[StrReduceBenchResult]) -> String {
     let _ = writeln!(out, "P2: fused str-phase reduction (per RK-stage equivalent)");
     let _ = writeln!(
         out,
-        "{:>6} {:>8} {:>8} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "ranks", "elems", "moments", "unfused_ns", "fused_ns", "rs_ns", "x_fus", "x_rs"
+        "{:>6} {:>8} {:>8} {:>12} {:>12} {:>9}",
+        "ranks", "elems", "moments", "unfused_ns", "fused_ns", "x_fus"
     );
     for r in results {
         let _ = writeln!(
             out,
-            "{:>6} {:>8} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>9.2} {:>9.2}",
-            r.ranks, r.elems, r.moments, r.unfused_ns, r.fused_ns, r.rs_ns,
-            r.speedup_fused, r.speedup_rs
+            "{:>6} {:>8} {:>8} {:>12.0} {:>12.0} {:>9.2}",
+            r.ranks, r.elems, r.moments, r.unfused_ns, r.fused_ns, r.speedup_fused
         );
     }
     out
@@ -236,8 +206,8 @@ mod tests {
         let results = run_str_reduce_bench(&cfg);
         assert_eq!(results.len(), 4);
         for r in &results {
-            assert!(r.unfused_ns > 0.0 && r.fused_ns > 0.0 && r.rs_ns > 0.0);
-            assert!(r.speedup_fused.is_finite() && r.speedup_rs.is_finite());
+            assert!(r.unfused_ns > 0.0 && r.fused_ns > 0.0);
+            assert!(r.speedup_fused.is_finite());
         }
         let json = str_reduce_bench_json(&results);
         // Minimal well-formedness: balanced braces/brackets, expected keys.

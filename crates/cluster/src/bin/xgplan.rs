@@ -34,35 +34,8 @@
 
 use std::process::exit;
 use xg_cluster::FailureModel;
-use xg_costmodel::{
-    best_allreduce_algo, parse_machine, preset, CollectiveShape, MachineModel, Placement,
-    PRESET_NAMES,
-};
+use xg_costmodel::{parse_machine, preset, MachineModel, PRESET_NAMES};
 use xg_sim::load_deck;
-
-/// Predicted-best str-phase AllReduce algorithm for one member on `grid`:
-/// the same cost-model call `DistTopology` makes at topology build time,
-/// fed the nv-communicator membership (ranks stride by `n2`) and the fused
-/// message size (all moments packed into one buffer).
-fn predicted_str_algo(
-    input: &xg_sim::CgyroInput,
-    grid: xg_tensor::ProcGrid,
-    machine: &MachineModel,
-) -> String {
-    if grid.n1 <= 1 {
-        // The nv communicator is a singleton: no str collective at all.
-        return "-".into();
-    }
-    let d = input.dims();
-    let sections = if input.beta_e > 0.0 { 3 } else { 2 };
-    let nt_loc = d.nt.div_ceil(grid.n2);
-    let bytes = (sections * d.nc * nt_loc * 16) as u64;
-    let shape = CollectiveShape::from_members(
-        &grid.row_members(0),
-        Placement { ranks_per_node: machine.ranks_per_node },
-    );
-    best_allreduce_algo(machine, shape, bytes).to_string()
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -253,7 +226,7 @@ fn main() {
     );
     println!("\nensemble forecast on {nodes} nodes ({reports} reporting steps):");
     println!(
-        "  k     feasible   s/report   speedup    ETTS(h)   ETTS-speedup   unbal-ETTS   cmat-saved(TB)   str-reduce"
+        "  k     feasible   s/report   speedup    ETTS(h)   ETTS-speedup   unbal-ETTS   cmat-saved(TB)"
     );
     let mut sweep_k = None;
     let mut last_etts: Option<(usize, f64)> = None;
@@ -309,7 +282,7 @@ fn main() {
                     _ => "=".to_string(),
                 };
                 println!(
-                    "  {:<5} {:>8}   {:>8.1}   {:>7.2}x   {:>8.2}   {:>11.2}x   {:>10}   {:>14.3}   {}",
+                    "  {:<5} {:>8}   {:>8.1}   {:>7.2}x   {:>8.2}   {:>11.2}x   {:>10}   {:>14.3}",
                     k,
                     "yes",
                     xg.total(),
@@ -317,8 +290,7 @@ fn main() {
                     xg_etts.etts_s / 3600.0,
                     cg_etts_s / xg_etts.etts_s,
                     unbal,
-                    xg_costmodel::memory::cmat_saved_bytes(k, d) as f64 / 1e12,
-                    predicted_str_algo(&input, p.grid, &machine)
+                    xg_costmodel::memory::cmat_saved_bytes(k, d) as f64 / 1e12
                 );
                 sweep_k = Some((k, reports as f64 * xg.total()));
                 last_etts = Some((k, xg_etts.etts_s));

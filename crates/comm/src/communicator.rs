@@ -544,104 +544,6 @@ impl Communicator {
         Ok(res[self.rank].clone())
     }
 
-    /// Reduce-scatter (sum): element-wise sum of every rank's `buf`, then
-    /// each rank keeps only its `counts[rank]`-sized block of the result.
-    /// `Σ counts` must equal `buf.len()` on every rank.
-    pub fn reduce_scatter_sum_f64(&self, buf: &[f64], counts: &[usize]) -> Vec<f64> {
-        self.try_reduce_scatter_sum_f64(buf, counts)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::reduce_scatter_sum_f64`].
-    pub fn try_reduce_scatter_sum_f64(
-        &self,
-        buf: &[f64],
-        counts: &[usize],
-    ) -> Result<Vec<f64>, CommError> {
-        assert_eq!(counts.len(), self.size(), "one count per rank");
-        let total: usize = counts.iter().sum();
-        assert_eq!(total, buf.len(), "counts must tile the buffer");
-        let bytes = std::mem::size_of_val(buf) as u64;
-        let n = buf.len();
-        let res = self.run_collective(OpKind::AllReduce, bytes, buf.to_vec(), move |items| {
-            let mut acc = vec![0.0f64; n];
-            for item in items {
-                assert_eq!(item.len(), n, "reduce_scatter length mismatch across ranks");
-                for (a, v) in acc.iter_mut().zip(&item) {
-                    *a += v;
-                }
-            }
-            acc
-        })?;
-        let start: usize = counts[..self.rank].iter().sum();
-        Ok(res[start..start + counts[self.rank]].to_vec())
-    }
-
-    /// Complex reduce-scatter (sum): element-wise sum of every rank's
-    /// `buf`, then each rank keeps only its `counts[rank]`-sized block.
-    /// Summation is in rank order, so the kept block is bitwise identical
-    /// to the corresponding slice of an `all_reduce_sum_complex` result.
-    pub fn reduce_scatter_sum_complex(
-        &self,
-        buf: &[Complex64],
-        counts: &[usize],
-    ) -> Vec<Complex64> {
-        self.try_reduce_scatter_sum_complex(buf, counts)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::reduce_scatter_sum_complex`].
-    pub fn try_reduce_scatter_sum_complex(
-        &self,
-        buf: &[Complex64],
-        counts: &[usize],
-    ) -> Result<Vec<Complex64>, CommError> {
-        assert_eq!(counts.len(), self.size(), "one count per rank");
-        let total: usize = counts.iter().sum();
-        assert_eq!(total, buf.len(), "counts must tile the buffer");
-        let bytes = std::mem::size_of_val(buf) as u64;
-        let n = buf.len();
-        let res = self.run_collective(OpKind::AllReduce, bytes, buf.to_vec(), move |items| {
-            let mut acc = vec![Complex64::ZERO; n];
-            for item in items {
-                assert_eq!(item.len(), n, "reduce_scatter length mismatch across ranks");
-                for (a, v) in acc.iter_mut().zip(&item) {
-                    *a += *v;
-                }
-            }
-            acc
-        })?;
-        let start: usize = counts[..self.rank].iter().sum();
-        Ok(res[start..start + counts[self.rank]].to_vec())
-    }
-
-    /// Allgather of ragged per-rank slices into one flat rank-ordered
-    /// vector (the inverse of a reduce-scatter's partitioning): the result
-    /// is `concat(block_0, block_1, …, block_{p−1})` on every rank.
-    pub fn all_gather_into_flat<T: Clone + Send + Sync + 'static>(
-        &self,
-        local: &[T],
-    ) -> Vec<T> {
-        self.try_all_gather_into_flat(local).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::all_gather_into_flat`].
-    pub fn try_all_gather_into_flat<T: Clone + Send + Sync + 'static>(
-        &self,
-        local: &[T],
-    ) -> Result<Vec<T>, CommError> {
-        let bytes = std::mem::size_of_val(local) as u64;
-        let res = self.run_collective(OpKind::AllGather, bytes, local.to_vec(), |items| {
-            let total: usize = items.iter().map(Vec::len).sum();
-            let mut flat = Vec::with_capacity(total);
-            for block in items {
-                flat.extend(block);
-            }
-            flat
-        })?;
-        Ok((*res).clone())
-    }
-
     /// Combined send+recv with the same peer (deadlock-free pairwise
     /// exchange).
     pub fn sendrecv<T: Send + 'static>(&self, peer: usize, tag: u64, data: T) -> T {

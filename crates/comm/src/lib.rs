@@ -28,7 +28,6 @@
 pub mod communicator;
 pub mod exchange;
 pub mod fault;
-pub mod nonblocking;
 pub mod p2p;
 pub mod stats;
 pub mod tracefile;
@@ -36,7 +35,6 @@ pub mod world;
 
 pub use communicator::Communicator;
 pub use fault::{CommError, FaultKind, FaultPlan, FaultSpec};
-pub use nonblocking::PendingOp;
 pub use stats::{OpKind, OpRecord, TrafficLog};
 pub use tracefile::{
     trace_meta, traces_from_csv, traces_to_csv, traces_to_csv_with_meta, TraceFileError,

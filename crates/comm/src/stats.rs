@@ -132,9 +132,7 @@ impl TrafficLog {
 
     /// Record an operation over the communicator whose global members are
     /// `members`. Returns the record's index so the caller can patch in
-    /// the measured wait time afterwards ([`TrafficLog::set_elapsed`]) —
-    /// index-based because nonblocking collectives share this log from
-    /// helper threads, so "the last record" is racy.
+    /// the measured wait time afterwards ([`TrafficLog::set_elapsed`]).
     pub fn record(&self, op: OpKind, comm_label: &str, members: &[usize], bytes: u64) -> usize {
         let mut g = self.inner.lock();
         let phase = g.phase.clone();

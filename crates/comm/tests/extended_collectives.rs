@@ -1,7 +1,6 @@
-//! Tests for gather / scatter / reduce-scatter / sendrecv.
+//! Tests for gather / scatter / sendrecv.
 
 use xg_comm::World;
-use xg_linalg::Complex64;
 
 #[test]
 fn gather_collects_only_at_root() {
@@ -37,88 +36,6 @@ fn scatter_delivers_per_rank_blocks() {
 }
 
 #[test]
-fn reduce_scatter_sums_then_splits() {
-    let counts = [2usize, 1, 3];
-    let out = World::new(3).run(|c| {
-        // Every rank contributes [r, r, r, r, r, r] scaled by position.
-        let buf: Vec<f64> = (0..6).map(|i| (c.rank() * 6 + i) as f64).collect();
-        c.reduce_scatter_sum_f64(&buf, &counts)
-    });
-    // Summed buffer is [0+6+12, 1+7+13, ...] = [18, 21, 24, 27, 30, 33].
-    assert_eq!(out[0], vec![18.0, 21.0]);
-    assert_eq!(out[1], vec![24.0]);
-    assert_eq!(out[2], vec![27.0, 30.0, 33.0]);
-}
-
-#[test]
-fn reduce_scatter_complex_is_bitwise_allreduce_slice() {
-    // The property the reduce-scatter field solve rests on: each rank's
-    // kept block must be bitwise identical to the same slice of the
-    // fused-AllReduce result, including under ragged counts.
-    let counts = [3usize, 1, 4];
-    let out = World::new(3).run(|c| {
-        let buf: Vec<Complex64> = (0..8)
-            .map(|i| {
-                let x = ((i * 13 + c.rank() * 7 + 1) as f64).sin();
-                Complex64::new(x, x * 0.5 - c.rank() as f64)
-            })
-            .collect();
-        let rs = c.reduce_scatter_sum_complex(&buf, &counts);
-        let mut ar = buf.clone();
-        c.all_reduce_sum_complex(&mut ar);
-        (rs, ar)
-    });
-    let full = &out[0].1;
-    let mut start = 0;
-    for (rank, (rs, ar)) in out.iter().enumerate() {
-        assert_eq!(ar, full, "AllReduce result must agree on every rank");
-        assert_eq!(rs.as_slice(), &full[start..start + counts[rank]]);
-        start += counts[rank];
-    }
-}
-
-#[test]
-#[should_panic(expected = "counts must tile")]
-fn reduce_scatter_complex_validates_counts() {
-    World::new(2).run(|c| {
-        let buf = vec![Complex64::ZERO; 5];
-        c.reduce_scatter_sum_complex(&buf, &[2, 2]);
-    });
-}
-
-#[test]
-fn all_gather_into_flat_concatenates_ragged_blocks() {
-    let out = World::new(3).run(|c| {
-        let local: Vec<u32> = (0..c.rank() + 1).map(|i| (c.rank() * 10 + i) as u32).collect();
-        c.all_gather_into_flat(&local)
-    });
-    for flat in out {
-        assert_eq!(flat, vec![0, 10, 11, 20, 21, 22]);
-    }
-}
-
-#[test]
-fn reduce_scatter_then_allgather_rebuilds_allreduce() {
-    // The two-call algorithm the topology can select in place of one fused
-    // AllReduce: RS + flat allgather must rebuild the full reduced buffer
-    // bitwise on every rank.
-    let counts = [2usize, 5, 1, 4];
-    let out = World::new(4).run(|c| {
-        let buf: Vec<Complex64> = (0..12)
-            .map(|i| Complex64::new((i + c.rank()) as f64, (i * c.rank()) as f64))
-            .collect();
-        let mine = c.reduce_scatter_sum_complex(&buf, &counts);
-        let rebuilt = c.all_gather_into_flat(&mine);
-        let mut ar = buf.clone();
-        c.all_reduce_sum_complex(&mut ar);
-        (rebuilt, ar)
-    });
-    for (rebuilt, ar) in out {
-        assert_eq!(rebuilt, ar);
-    }
-}
-
-#[test]
 fn sendrecv_swaps_pairwise() {
     let out = World::new(4).run(|c| {
         let peer = c.rank() ^ 1; // 0<->1, 2<->3
@@ -127,27 +44,3 @@ fn sendrecv_swaps_pairwise() {
     assert_eq!(out, vec![100, 0, 300, 200]);
 }
 
-#[test]
-#[should_panic(expected = "counts must tile")]
-fn reduce_scatter_validates_counts() {
-    World::new(2).run(|c| {
-        let buf = vec![0.0f64; 5];
-        c.reduce_scatter_sum_f64(&buf, &[2, 2]);
-    });
-}
-
-#[test]
-fn reduce_scatter_matches_allreduce_then_slice() {
-    let counts = [3usize, 3];
-    let out = World::new(2).run(|c| {
-        let buf: Vec<f64> = (0..6).map(|i| (i as f64 + 1.0) * (c.rank() as f64 + 1.0)).collect();
-        let rs = c.reduce_scatter_sum_f64(&buf, &counts);
-        let mut ar = buf.clone();
-        c.all_reduce_sum_f64(&mut ar);
-        let start = c.rank() * 3;
-        (rs, ar[start..start + 3].to_vec())
-    });
-    for (rs, slice) in out {
-        assert_eq!(rs, slice);
-    }
-}

@@ -73,18 +73,6 @@ fn crash_surfaces_in_broadcast() {
 }
 
 #[test]
-fn crash_surfaces_in_reduce_scatter() {
-    let out = crash_world(1, |c| {
-        c.try_barrier()?;
-        let buf = vec![1.0f64; 4];
-        let counts = vec![1usize; 4];
-        let mine = c.try_reduce_scatter_sum_f64(&buf, &counts)?;
-        Ok(mine.len())
-    });
-    assert_all_see_rank2_failed(&out);
-}
-
-#[test]
 fn crash_surfaces_in_sendrecv() {
     let out = crash_world(1, |c| {
         c.try_barrier()?;

@@ -51,7 +51,6 @@ fn deck_strategy() -> impl Strategy<Value = CgyroInput> {
             nonlinear_coupling: cnl,
             beta_e: beta,
             upwind_diss: 0.1,
-            reduce_algo: Default::default(),
             seed,
         })
 }

@@ -25,16 +25,6 @@ pub enum AllReduceAlgo {
     HierarchicalCongested,
 }
 
-impl std::fmt::Display for AllReduceAlgo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            AllReduceAlgo::Ring => "ring",
-            AllReduceAlgo::RecursiveDoubling => "recursive-doubling",
-            AllReduceAlgo::HierarchicalCongested => "hierarchical",
-        })
-    }
-}
-
 /// AllReduce time under a chosen algorithm (seconds).
 pub fn allreduce_time_with(
     m: &MachineModel,
@@ -71,23 +61,6 @@ pub const ALL_ALGOS: [AllReduceAlgo; 3] = [
     AllReduceAlgo::RecursiveDoubling,
     AllReduceAlgo::HierarchicalCongested,
 ];
-
-/// The algorithm predicted fastest for this shape and message size — the
-/// call both the runtime (str-phase reduction algorithm selection at
-/// topology build time) and `xgplan`'s forecast column share, so the plan
-/// output names exactly what the topology would pick.
-pub fn best_allreduce_algo(m: &MachineModel, shape: CollectiveShape, bytes: u64) -> AllReduceAlgo {
-    let mut best = AllReduceAlgo::HierarchicalCongested;
-    let mut best_t = f64::INFINITY;
-    for algo in ALL_ALGOS {
-        let t = allreduce_time_with(m, shape, bytes, algo);
-        if t < best_t {
-            best_t = t;
-            best = algo;
-        }
-    }
-    best
-}
 
 #[cfg(test)]
 mod tests {
@@ -136,22 +109,6 @@ mod tests {
             allreduce_time_with(&mm, s, n, AllReduceAlgo::HierarchicalCongested),
             crate::collective::allreduce_time(&mm, s, n)
         );
-    }
-
-    #[test]
-    fn best_algo_tracks_message_size_regimes() {
-        let mm = m();
-        let s = CollectiveShape::spread(64);
-        // Tiny messages: latency-optimal recursive doubling wins.
-        assert_eq!(best_allreduce_algo(&mm, s, 64), AllReduceAlgo::RecursiveDoubling);
-        // The returned algorithm is always the argmin over ALL_ALGOS.
-        for bytes in [64u64, 1 << 12, 1 << 20, 64 << 20] {
-            let best = best_allreduce_algo(&mm, s, bytes);
-            let t_best = allreduce_time_with(&mm, s, bytes, best);
-            for algo in ALL_ALGOS {
-                assert!(t_best <= allreduce_time_with(&mm, s, bytes, algo));
-            }
-        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod tuner;
 
 pub use account::{critical_path, op_time, trace_breakdown, PhaseBreakdown};
 pub use cache::cache_adjusted_etts;
-pub use algorithms::{allreduce_time_with, best_allreduce_algo, AllReduceAlgo, ALL_ALGOS};
+pub use algorithms::{allreduce_time_with, AllReduceAlgo, ALL_ALGOS};
 pub use collective::{
     allgather_time, allreduce_time, alltoall_time, barrier_time, broadcast_time, CollectiveShape,
 };

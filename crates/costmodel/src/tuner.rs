@@ -1,7 +1,6 @@
 //! Runtime autotuner for the collision panel kernel.
 //!
-//! Analogous to [`crate::best_allreduce_algo`] picking the reduction
-//! schedule: at topology build time the tuner one-shot-benchmarks every
+//! At topology build time the tuner one-shot-benchmarks every
 //! candidate `(SIMD level, row-tile height)` pair on a synthetic panel of
 //! the actual `(nv, nrhs)` shape and keeps the fastest. The choice is
 //! cached per process keyed by shape + CPU capability + L2 budget, so an
@@ -145,7 +144,7 @@ fn tune_cache() -> &'static Mutex<HashMap<TuneKey, KernelChoice>> {
 /// Measured one-shot tuning for the collision apply of shape
 /// `(nv, nrhs)`: benchmark every available `(level, tile)` candidate once
 /// and cache the winner keyed by shape + CPU capability (+ L2 budget).
-/// Called at topology build, like `best_allreduce_algo` for reductions.
+/// Called at topology build.
 pub fn tune_collision_kernel(nv: usize, nrhs: usize) -> KernelChoice {
     let level_cap = xg_linalg::selected_level();
     let l2_kb = xg_linalg::l2_cache_kb();

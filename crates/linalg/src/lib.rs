@@ -34,5 +34,5 @@ pub use lu::{solve_into, LuFactors, SingularMatrix};
 pub use matrix::RealMatrix;
 pub use simd::{
     apply_panel_multi_with, apply_panel_rows_ptr, available_levels, default_tile_rows,
-    detected_level, l2_cache_kb, selected_level, SimdLevel, L2_ENV, SIMD_ENV,
+    detected_level, l2_cache_kb, selected_level, SimdLevel, SIMD_ENV,
 };

@@ -6,8 +6,7 @@
 //! portable scalar, AVX2/FMA (f64x4) and AVX-512F (f64x8) — selected once
 //! per process by a runtime CPUID probe (overridable via
 //! [`SIMD_ENV`] = `XGYRO_SIMD={auto,avx512,avx2,scalar}`), plus the
-//! L2-cache budget detection that sizes panel row tiles
-//! ([`L2_ENV`] = `XGYRO_L2_KB` override).
+//! L2-cache budget detection that sizes panel row tiles.
 //!
 //! # Bitwise determinism contract
 //!
@@ -38,10 +37,6 @@ use std::sync::OnceLock;
 /// (`auto`/`avx512`/`avx2`/`scalar`; default `auto`). Requests above the
 /// hardware's capability are clamped down to the detected maximum.
 pub const SIMD_ENV: &str = "XGYRO_SIMD";
-
-/// Environment variable overriding the detected per-core L2 cache size
-/// (in KiB) used to size collision panel row tiles.
-pub const L2_ENV: &str = "XGYRO_L2_KB";
 
 /// A SIMD capability level for the panel micro-kernels. Ordered by lane
 /// width so levels can be clamped against the hardware probe with `min`.
@@ -204,17 +199,11 @@ pub fn detect_l2_kb() -> usize {
     DEFAULT_L2_KB
 }
 
-/// The L2 budget (KiB) that sizes panel row tiles: [`L2_ENV`] override if
-/// set, else the sysfs probe. Computed once per process.
+/// The L2 budget (KiB) that sizes panel row tiles: the sysfs probe,
+/// computed once per process.
 pub fn l2_cache_kb() -> usize {
     static KB: OnceLock<usize> = OnceLock::new();
-    *KB.get_or_init(|| {
-        std::env::var(L2_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&kb| kb > 0)
-            .unwrap_or_else(detect_l2_kb)
-    })
+    *KB.get_or_init(detect_l2_kb)
 }
 
 /// Default row-tile height for an `n×n` panel under an `l2_kb` KiB budget:

@@ -153,7 +153,6 @@ pub fn publish_member(
         batch_k: ctx.batch_k,
         coll_cuts: ctx.coll_cuts.clone(),
         kernel: ctx.kernel.clone(),
-        reduce_algo: input.reduce_algo.to_string(),
         machine: ctx.machine.clone(),
         phase_us: ctx.phase_us.clone(),
         steps_done,

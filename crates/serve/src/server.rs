@@ -688,8 +688,9 @@ impl CampaignServer {
     }
 
     /// Stop admitting, flush every pending batch, and block until all
-    /// admitted jobs reach a terminal state (or `timeout` elapses). Returns
-    /// true when the server went quiet in time.
+    /// admitted jobs reach a terminal state and every worker has returned
+    /// its nodes to the ledger (or `timeout` elapses). Returns true when
+    /// the server went quiet in time.
     pub fn drain(&self, timeout: Duration) -> bool {
         let shared = &self.shared;
         let deadline = Instant::now() + timeout;
@@ -703,9 +704,12 @@ impl CampaignServer {
             }
         }
         shared.work.notify_all();
-        while guard.live > 0 {
+        // The last job turns terminal inside `execute_batch`, a moment
+        // before its worker releases the batch's nodes; quiet means both.
+        let quiet = |st: &State| st.live == 0 && st.nodes_in_use == 0;
+        while !quiet(&guard) {
             if shared.quiet.wait_until(&mut guard, deadline).timed_out() {
-                return guard.live == 0;
+                return quiet(&guard);
             }
         }
         true
@@ -1421,8 +1425,10 @@ fn worker_loop(shared: &Shared) {
             let mut guard = shared.state.lock();
             guard.nodes_in_use = guard.nodes_in_use.saturating_sub(nodes);
             guard.metrics.on_world_end();
-            // Freed nodes may unblock a queued world on another worker.
+            // Freed nodes may unblock a queued world on another worker,
+            // and an empty ledger is the second half of drain's condition.
             shared.work.notify_all();
+            shared.quiet.notify_all();
         }
     }
 }

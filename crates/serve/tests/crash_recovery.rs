@@ -156,6 +156,44 @@ fn waiting_jobs_are_readmitted_and_age_from_the_original_submit() {
 }
 
 #[test]
+fn journal_written_before_the_reduction_knob_was_removed_still_replays() {
+    let dir = tmpdir("legacy-deck");
+    let input = sweep().remove(0);
+
+    // The deck text an older daemon journaled: its `write_deck` emitted a
+    // `REDUCE_ALGO=auto` line between SEED and N_SPECIES. Replay drops a
+    // job whose deck no longer parses, so the key must stay accepted.
+    let deck = write_deck(&input).replace("N_SPECIES=", "REDUCE_ALGO=auto\nN_SPECIES=");
+    assert!(deck.contains("\nSEED=1\nREDUCE_ALGO=auto\nN_SPECIES=2\n"), "{deck}");
+    let (mut j, _) = Journal::open(JournalConfig::durable(&dir)).expect("open");
+    j.append(&JournalRecord::Submitted {
+        job: JobId(0),
+        token: String::new(),
+        deck_hash: fnv1a(deck.as_bytes()),
+        deck,
+        steps: STEPS as u64,
+        tag: "legacy".into(),
+        tenant: "default".into(),
+        submitted_unix_us: unix_us(),
+    })
+    .expect("append");
+    drop(j);
+
+    let server = CampaignServer::start(config(&dir));
+    let rec = server.recovery_report();
+    assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
+    assert_eq!(rec.readmitted_jobs, 1, "{rec:?}");
+    assert!(server.drain(Duration::from_secs(120)), "drain timed out");
+    let st = server.status(JobId(0)).expect("readmitted");
+    assert_eq!(st.state, JobState::Done, "{}", st.detail);
+    // The ignored line changed nothing about what ran.
+    let grid = ServerConfig::local_test().grid;
+    let reference = run_xgyro(&EnsembleConfig::new(vec![input], grid).expect("k=1"), STEPS);
+    assert_eq!(server.result(JobId(0)).expect("outcome").h, reference.sims[0].h);
+    server.shutdown();
+}
+
+#[test]
 fn running_batch_resumes_from_its_checkpoint_bitwise_identically() {
     let dir = tmpdir("resume");
     let decks: Vec<CgyroInput> = sweep().into_iter().take(2).collect();

@@ -32,7 +32,7 @@
 //! SPECIES_1_DLNTDR=2.5
 //! ```
 
-use crate::input::{CgyroInput, ReduceAlgo, Species};
+use crate::input::{CgyroInput, Species};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -142,7 +142,6 @@ pub fn parse_deck(text: &str) -> Result<CgyroInput, DeckError> {
         beta_e: get_num_or(&kv, "BETAE", 0.0)?,
         upwind_diss: get_num_or(&kv, "UPWIND_DISS", 0.1)?,
         seed: get_num_or(&kv, "SEED", 1)?,
-        reduce_algo: get_num_or(&kv, "REDUCE_ALGO", ReduceAlgo::default())?,
     };
     input.validate().map_err(|m| err(0, m))?;
 
@@ -153,7 +152,10 @@ pub fn parse_deck(text: &str) -> Result<CgyroInput, DeckError> {
             key.as_str(),
             "N_RADIAL" | "N_THETA" | "N_XI" | "N_ENERGY" | "N_TOROIDAL" | "NU_EE" | "Q" | "S"
                 | "KAPPA" | "DELTA" | "KY" | "KX" | "DELTA_T" | "STEPS_PER_REPORT" | "NL_COUPLING" | "BETAE"
-                | "UPWIND_DISS" | "SEED" | "REDUCE_ALGO" | "N_SPECIES"
+                | "UPWIND_DISS" | "SEED" | "N_SPECIES"
+                // Legacy key, accepted and ignored: older `write_deck`s
+                // emitted it, so journaled deck text still carries it.
+                | "REDUCE_ALGO"
         ) || key.starts_with("SPECIES_");
         if !known {
             return Err(err(*line, format!("unknown key '{key}'")));
@@ -184,7 +186,6 @@ pub fn write_deck(input: &CgyroInput) -> String {
     let _ = writeln!(out, "BETAE={}", input.beta_e);
     let _ = writeln!(out, "UPWIND_DISS={}", input.upwind_diss);
     let _ = writeln!(out, "SEED={}", input.seed);
-    let _ = writeln!(out, "REDUCE_ALGO={}", input.reduce_algo);
     let _ = writeln!(out, "N_SPECIES={}", input.species.len());
     for (i, s) in input.species.iter().enumerate() {
         let n = i + 1;
@@ -294,23 +295,6 @@ N_SPECIES=1\nSPECIES_1_MASS=1.0\nSPECIES_1_Z=1.0\nSPECIES_1_TEMP=1.0\nSPECIES_1_
         assert_eq!(input.steps_per_report, 100);
         assert_eq!(input.species[0].name, "s1");
         assert_eq!(input.species[0].rln, 1.0);
-    }
-
-    #[test]
-    fn reduce_algo_key_roundtrips_and_validates() {
-        let mut input = CgyroInput::test_small();
-        input.reduce_algo = ReduceAlgo::ReduceScatter;
-        let text = write_deck(&input);
-        assert!(text.contains("REDUCE_ALGO=reduce-scatter"));
-        assert_eq!(parse_deck(&text).unwrap(), input);
-        // Omitting the key defaults to auto selection.
-        let text = write_deck(&CgyroInput::test_small()).replace("REDUCE_ALGO=auto\n", "");
-        assert_eq!(parse_deck(&text).unwrap().reduce_algo, ReduceAlgo::Auto);
-        // Bad values are a deck error, not a silent default.
-        let text = write_deck(&CgyroInput::test_small())
-            .replace("REDUCE_ALGO=auto", "REDUCE_ALGO=ringy");
-        let e = parse_deck(&text).unwrap_err();
-        assert!(e.message.contains("REDUCE_ALGO"), "{e}");
     }
 
     #[test]

@@ -57,54 +57,6 @@ impl Species {
     }
 }
 
-/// Str-phase reduction algorithm requested by the deck.
-///
-/// The fused field solve can run as one AllReduce over the packed moments
-/// or as a reduce-scatter + allgather pair; both are bitwise identical to
-/// the legacy per-moment reductions. `Auto` (the default) lets the topology
-/// pick at build time from the analytic cost model
-/// (`xg_costmodel::best_allreduce_algo`) using the actual communicator
-/// shape. A pure communication-schedule knob: it never enters the cmat key
-/// and never changes results.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReduceAlgo {
-    /// Pick from the cost model at topology build time.
-    #[default]
-    Auto,
-    /// One fused AllReduce over the packed moments per RK stage.
-    Fused,
-    /// Reduce-scatter the packed moments, then allgather the owned blocks.
-    ReduceScatter,
-    /// Legacy path: one AllReduce per moment (three calls electromagnetic).
-    Unfused,
-}
-
-impl std::str::FromStr for ReduceAlgo {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(ReduceAlgo::Auto),
-            "fused" => Ok(ReduceAlgo::Fused),
-            "reduce-scatter" | "reduce_scatter" | "rs" => Ok(ReduceAlgo::ReduceScatter),
-            "unfused" => Ok(ReduceAlgo::Unfused),
-            other => Err(format!(
-                "unknown reduce algorithm '{other}' (expected auto, fused, reduce-scatter, or unfused)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ReduceAlgo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ReduceAlgo::Auto => "auto",
-            ReduceAlgo::Fused => "fused",
-            ReduceAlgo::ReduceScatter => "reduce-scatter",
-            ReduceAlgo::Unfused => "unfused",
-        })
-    }
-}
-
 /// Full input deck for one simulation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CgyroInput {
@@ -152,10 +104,6 @@ pub struct CgyroInput {
     pub upwind_diss: f64,
     /// Seed for the deterministic initial perturbation.
     pub seed: u64,
-    /// Str-phase reduction algorithm. A communication-schedule knob only:
-    /// excluded from the cmat key and bitwise-neutral on results.
-    #[serde(default)]
-    pub reduce_algo: ReduceAlgo,
 }
 
 impl CgyroInput {
@@ -330,7 +278,6 @@ impl CgyroInput {
             beta_e: 0.0,
             upwind_diss: 0.1,
             seed: 1,
-            reduce_algo: ReduceAlgo::Auto,
         }
     }
 
@@ -357,7 +304,6 @@ impl CgyroInput {
             beta_e: 0.0,
             upwind_diss: 0.1,
             seed: 7,
-            reduce_algo: ReduceAlgo::Auto,
         }
     }
 
@@ -392,7 +338,6 @@ impl CgyroInput {
             beta_e: 0.003,
             upwind_diss: 0.1,
             seed: 3,
-            reduce_algo: ReduceAlgo::Auto,
         }
     }
 
@@ -495,26 +440,6 @@ mod tests {
         let mut v = base.clone();
         v.beta_e = 0.01;
         assert_eq!(v.cmat_key(), k0, "beta scans share cmat");
-        // The reduction schedule is communication-only and bitwise-neutral.
-        let mut v = base.clone();
-        v.reduce_algo = ReduceAlgo::ReduceScatter;
-        assert_eq!(v.cmat_key(), k0, "reduce algo must not enter the cmat key");
-    }
-
-    #[test]
-    fn reduce_algo_parses_and_displays() {
-        for (s, want) in [
-            ("auto", ReduceAlgo::Auto),
-            ("Fused", ReduceAlgo::Fused),
-            ("reduce-scatter", ReduceAlgo::ReduceScatter),
-            ("rs", ReduceAlgo::ReduceScatter),
-            ("UNFUSED", ReduceAlgo::Unfused),
-        ] {
-            assert_eq!(s.parse::<ReduceAlgo>().unwrap(), want);
-        }
-        assert!("ringy".parse::<ReduceAlgo>().is_err());
-        assert_eq!(ReduceAlgo::ReduceScatter.to_string(), "reduce-scatter");
-        assert_eq!(ReduceAlgo::default(), ReduceAlgo::Auto);
     }
 
     #[test]

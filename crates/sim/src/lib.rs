@@ -12,7 +12,7 @@
 //! ([`serial::SerialTopology`]), distributed CGYRO-style
 //! ([`dist::DistTopology::cgyro`], reusing the `nv` communicator for coll
 //! as in the paper's Figure 1), or as an XGYRO ensemble member
-//! ([`dist::DistTopology::with_shared_coll`], Figure 3).
+//! ([`dist::DistTopology::with_shared_coll_cuts`], Figure 3).
 
 #![warn(missing_docs)]
 
@@ -38,8 +38,8 @@ pub use deck::{load_deck, parse_deck, save_deck, write_deck, DeckError};
 pub use diagnostics::{ComplexTrace, History};
 pub use restart::{RestartError, RestartImage};
 pub use collision::CollisionOperator;
-pub use dist::{DistTopology, ResolvedReduceAlgo, COLL_PIPELINE_ENV, REDUCE_ALGO_ENV};
-pub use input::{CgyroInput, ReduceAlgo, Species};
+pub use dist::DistTopology;
+pub use input::{CgyroInput, Species};
 pub use moments::{moments_table, species_moments, SpeciesMoments};
 pub use pool::{SendPtr, StepPool, THREADS_ENV};
 pub use serial::{serial_simulation, SerialTopology};

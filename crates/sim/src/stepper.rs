@@ -28,8 +28,7 @@ pub trait Topology {
     /// reduces each section separately — bitwise identical to the fused
     /// form because the rank-order elementwise sum of a concatenation is the
     /// concatenation of the per-section sums. Distributed topologies
-    /// override this to issue one collective (or a reduce-scatter +
-    /// allgather pair) for the whole packed buffer.
+    /// override this to issue one collective for the whole packed buffer.
     fn reduce_moment_block(&self, buf: &mut [Complex64], moments: usize) {
         let n = buf.len() / moments.max(1);
         for chunk in buf.chunks_mut(n.max(1)).take(moments) {

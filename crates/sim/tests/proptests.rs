@@ -52,7 +52,6 @@ fn deck_strategy() -> impl Strategy<Value = CgyroInput> {
                     nonlinear_coupling: 0.0,
                     beta_e: 0.0,
                     upwind_diss: 0.1,
-                    reduce_algo: Default::default(),
                     seed,
                 }
             },

@@ -1,29 +1,59 @@
-//! Acceptance tests for the fused / reduce-scatter / unfused str-phase
-//! reduction layer: exactly one collective per RK stage when fused, bitwise
-//! identity across all three algorithms (including ragged decompositions),
-//! and bitwise identity of the pipelined collision exchange against the
-//! blocked one.
+//! Acceptance tests for the fused str-phase reduction: exactly one
+//! collective per RK stage, and bitwise identity with the per-moment
+//! schedule (the `Topology::reduce_moment_block` default body, reached
+//! through the [`PerMoment`] wrapper) including ragged decompositions.
 
 use proptest::prelude::*;
 use xg_comm::World;
 use xg_linalg::Complex64;
-use xg_sim::{CgyroInput, DistTopology, ResolvedReduceAlgo, Simulation};
+use xg_sim::{CgyroInput, DistTopology, Simulation, Topology};
 use xg_tensor::{PhaseLayout, ProcGrid, Tensor3};
 
-/// Run a distributed simulation with the str reduction algorithm pinned,
-/// returning the reassembled global distribution.
-fn run_with_algo(
+/// Forwards everything to the wrapped topology except
+/// `reduce_moment_block`, which is left on the trait's default body: one
+/// `reduce_moment` per packed section — the per-moment reference schedule.
+struct PerMoment(DistTopology);
+
+impl Topology for PerMoment {
+    fn reduce_moment(&self, buf: &mut [Complex64]) {
+        self.0.reduce_moment(buf)
+    }
+    fn collision_step(&mut self, h: &mut Tensor3<Complex64>) {
+        self.0.collision_step(h)
+    }
+    fn nl_term(&mut self, h: &Tensor3<Complex64>, phi: &[Complex64], out: &mut Tensor3<Complex64>) {
+        self.0.nl_term(h, phi, out)
+    }
+    fn reduce_sim_scalars(&self, vals: &mut [f64]) {
+        self.0.reduce_sim_scalars(vals)
+    }
+    fn reduce_sim_max(&self, vals: &mut [f64]) {
+        self.0.reduce_sim_max(vals)
+    }
+    fn nv_root(&self) -> bool {
+        self.0.nv_root()
+    }
+    fn set_phase(&self, phase: &str) {
+        self.0.set_phase(phase)
+    }
+    fn layout(&self) -> PhaseLayout {
+        self.0.layout()
+    }
+}
+
+/// Run a distributed simulation under `wrap(topology)`, returning the
+/// reassembled global distribution.
+fn run_with<T: Topology>(
     input: &CgyroInput,
     grid: ProcGrid,
     steps: usize,
-    algo: ResolvedReduceAlgo,
+    wrap: fn(DistTopology) -> T,
 ) -> Tensor3<Complex64> {
     let dims = input.dims();
     let world = World::new(grid.size());
     let results = world.run(move |comm| {
-        let mut topo = DistTopology::cgyro(input, grid, comm);
-        topo.set_reduce_algo(algo);
-        let layout = PhaseLayout::new(dims, grid, topo.sim_comm().rank());
+        let topo = wrap(DistTopology::cgyro(input, grid, comm));
+        let layout = topo.layout();
         let mut sim = Simulation::new(input.clone(), topo);
         sim.run_steps(steps);
         (layout.nv_range(), layout.nt_range(), sim.h().clone())
@@ -31,25 +61,12 @@ fn run_with_algo(
     reassemble(dims, results)
 }
 
-/// Run with the collision pipeline forced on or off (algorithm left on the
-/// default resolution), returning the reassembled global distribution.
-fn run_with_pipeline(
-    input: &CgyroInput,
-    grid: ProcGrid,
-    steps: usize,
-    pipeline: bool,
-) -> Tensor3<Complex64> {
-    let dims = input.dims();
-    let world = World::new(grid.size());
-    let results = world.run(move |comm| {
-        let mut topo = DistTopology::cgyro(input, grid, comm);
-        topo.set_coll_pipeline(pipeline);
-        let layout = PhaseLayout::new(dims, grid, topo.sim_comm().rank());
-        let mut sim = Simulation::new(input.clone(), topo);
-        sim.run_steps(steps);
-        (layout.nv_range(), layout.nt_range(), sim.h().clone())
-    });
-    reassemble(dims, results)
+fn run_fused(input: &CgyroInput, grid: ProcGrid, steps: usize) -> Tensor3<Complex64> {
+    run_with(input, grid, steps, |t| t)
+}
+
+fn run_per_moment(input: &CgyroInput, grid: ProcGrid, steps: usize) -> Tensor3<Complex64> {
+    run_with(input, grid, steps, PerMoment)
 }
 
 fn reassemble(
@@ -75,17 +92,16 @@ fn reassemble(
 
 #[test]
 fn fused_electrostatic_runs_one_collective_per_rk_stage() {
-    // Acceptance criterion: with the fused algorithm pinned, an
-    // electrostatic step issues exactly ONE str-phase collective per RK
-    // stage (4 stages), each carrying 2 packed moments (phi + upwind).
+    // Acceptance criterion: an electrostatic step issues exactly ONE
+    // str-phase collective per RK stage (4 stages), each carrying 2 packed
+    // moments (phi + upwind).
     let input = CgyroInput::test_small();
     assert_eq!(input.beta_e, 0.0, "test_small must be electrostatic");
     let grid = ProcGrid::new(2, 1);
     let world = World::new(grid.size());
     let out = world.run_with_logs(|comm| {
         let log = comm.log().clone();
-        let mut topo = DistTopology::cgyro(&input, grid, comm);
-        topo.set_reduce_algo(ResolvedReduceAlgo::Fused);
+        let topo = DistTopology::cgyro(&input, grid, comm);
         let mut sim = Simulation::new(input.clone(), topo);
         sim.step();
         (
@@ -124,8 +140,7 @@ fn fused_electromagnetic_packs_three_moments_per_stage() {
     let world = World::new(grid.size());
     let out = world.run_with_logs(|comm| {
         let log = comm.log().clone();
-        let mut topo = DistTopology::cgyro(&input, grid, comm);
-        topo.set_reduce_algo(ResolvedReduceAlgo::Fused);
+        let topo = DistTopology::cgyro(&input, grid, comm);
         let mut sim = Simulation::new(input.clone(), topo);
         sim.step();
         log.fused_reduction_stats()
@@ -139,14 +154,13 @@ fn fused_electromagnetic_packs_three_moments_per_stage() {
 }
 
 #[test]
-fn unfused_algo_issues_separate_collectives_and_counts_them() {
+fn per_moment_schedule_issues_separate_collectives_and_counts_them() {
     let input = CgyroInput::test_small();
     let grid = ProcGrid::new(2, 1);
     let world = World::new(grid.size());
     let out = world.run_with_logs(|comm| {
         let log = comm.log().clone();
-        let mut topo = DistTopology::cgyro(&input, grid, comm);
-        topo.set_reduce_algo(ResolvedReduceAlgo::Unfused);
+        let topo = PerMoment(DistTopology::cgyro(&input, grid, comm));
         let mut sim = Simulation::new(input.clone(), topo);
         sim.step();
         (log.fused_reduction_stats(), log.unfused_reduction_stats())
@@ -161,52 +175,17 @@ fn unfused_algo_issues_separate_collectives_and_counts_them() {
 }
 
 #[test]
-fn reduce_scatter_runs_scatter_then_gather_per_stage() {
-    let input = CgyroInput::test_small();
-    let grid = ProcGrid::new(3, 1);
-    let world = World::new(grid.size());
-    let out = world.run_with_logs(|comm| {
-        let mut topo = DistTopology::cgyro(&input, grid, comm);
-        topo.set_reduce_algo(ResolvedReduceAlgo::ReduceScatter);
-        let mut sim = Simulation::new(input.clone(), topo);
-        sim.step();
-    });
-    for (_, records) in out {
-        // reduce_scatter is logged as an AllReduce-family op; the gather
-        // half shows up as an AllGather — one of each per RK stage.
-        let rs = records
-            .iter()
-            .filter(|r| r.phase == "str" && r.op == xg_comm::OpKind::AllReduce)
-            .count();
-        let ag = records
-            .iter()
-            .filter(|r| r.phase == "str" && r.op == xg_comm::OpKind::AllGather)
-            .count();
-        assert_eq!(rs, 4, "one reduce-scatter per RK stage");
-        assert_eq!(ag, 4, "one allgather per RK stage");
-    }
-}
-
-#[test]
-fn all_three_algorithms_are_bitwise_identical_on_ragged_grids() {
+fn fused_and_per_moment_are_bitwise_identical_on_ragged_grids() {
     // nv = 24 in test_small; n1 = 5 gives parts [5,5,5,5,4] — ragged.
     let mut input = CgyroInput::test_small();
     input.nonlinear_coupling = 0.2;
     for grid in [ProcGrid::new(2, 1), ProcGrid::new(5, 1), ProcGrid::new(3, 2)] {
-        let fused = run_with_algo(&input, grid, 3, ResolvedReduceAlgo::Fused);
-        let rs = run_with_algo(&input, grid, 3, ResolvedReduceAlgo::ReduceScatter);
-        let unfused = run_with_algo(&input, grid, 3, ResolvedReduceAlgo::Unfused);
-        assert_eq!(
-            fused.as_slice(),
-            rs.as_slice(),
-            "fused vs reduce-scatter differ on grid {}x{}",
-            grid.n1,
-            grid.n2
-        );
+        let fused = run_fused(&input, grid, 3);
+        let unfused = run_per_moment(&input, grid, 3);
         assert_eq!(
             fused.as_slice(),
             unfused.as_slice(),
-            "fused vs unfused differ on grid {}x{}",
+            "fused vs per-moment differ on grid {}x{}",
             grid.n1,
             grid.n2
         );
@@ -214,39 +193,22 @@ fn all_three_algorithms_are_bitwise_identical_on_ragged_grids() {
 }
 
 #[test]
-fn electromagnetic_algorithms_are_bitwise_identical() {
+fn electromagnetic_fused_and_per_moment_are_bitwise_identical() {
     let mut input = CgyroInput::test_small();
     input.beta_e = 0.004;
     let grid = ProcGrid::new(5, 1);
-    let fused = run_with_algo(&input, grid, 3, ResolvedReduceAlgo::Fused);
-    let rs = run_with_algo(&input, grid, 3, ResolvedReduceAlgo::ReduceScatter);
-    let unfused = run_with_algo(&input, grid, 3, ResolvedReduceAlgo::Unfused);
-    assert_eq!(fused.as_slice(), rs.as_slice());
+    let fused = run_fused(&input, grid, 3);
+    let unfused = run_per_moment(&input, grid, 3);
     assert_eq!(fused.as_slice(), unfused.as_slice());
-}
-
-#[test]
-fn pipelined_collision_exchange_is_bitwise_identical_to_blocked() {
-    // nt = 8 on a (2, 1) grid gives nt_loc = 8 slices to pipeline; the
-    // FFT nonlinear bracket makes the state rich enough to catch any
-    // mis-sliced pack/unpack.
-    let mut input = CgyroInput::test_small();
-    input.n_toroidal = 8;
-    input.nonlinear_coupling = 0.15;
-    let grid = ProcGrid::new(2, 1);
-    let piped = run_with_pipeline(&input, grid, 3, true);
-    let blocked = run_with_pipeline(&input, grid, 3, false);
-    assert_eq!(piped.as_slice(), blocked.as_slice());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Acceptance criterion: fused, reduce-scatter, and unfused reductions
-    /// are bitwise identical for arbitrary small decks across ragged
-    /// decompositions.
+    /// Acceptance criterion: fused and per-moment reductions are bitwise
+    /// identical for arbitrary small decks across ragged decompositions.
     #[test]
-    fn reduce_algos_bitwise_identical_for_any_deck(
+    fn fused_and_per_moment_bitwise_identical_for_any_deck(
         n_xi in 3usize..6,
         n_energy in 2usize..4,
         n_radial in 2usize..4,
@@ -264,10 +226,8 @@ proptest! {
             input.beta_e = 0.003;
         }
         let grid = ProcGrid::new(n1, 1);
-        let fused = run_with_algo(&input, grid, 2, ResolvedReduceAlgo::Fused);
-        let rs = run_with_algo(&input, grid, 2, ResolvedReduceAlgo::ReduceScatter);
-        let unfused = run_with_algo(&input, grid, 2, ResolvedReduceAlgo::Unfused);
-        prop_assert_eq!(fused.as_slice(), rs.as_slice());
+        let fused = run_fused(&input, grid, 2);
+        let unfused = run_per_moment(&input, grid, 2);
         prop_assert_eq!(fused.as_slice(), unfused.as_slice());
     }
 }

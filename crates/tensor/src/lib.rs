@@ -16,9 +16,8 @@ pub mod tensor;
 pub use decomp::{Decomp1D, Decomposition, RaggedDecomp};
 pub use layout::{PhaseLayout, ProcGrid, SimDims};
 pub use pack::{
-    pack_coll_block, pack_coll_profiles_block, pack_coll_profiles_slice, pack_moments,
-    pack_nl_block, pack_str_block, pack_str_slice, unpack_into_coll, unpack_into_coll_profiles,
-    unpack_into_coll_profiles_slice, unpack_into_nl, unpack_into_str, unpack_into_str_from_nl,
-    unpack_into_str_slice, unpack_moments,
+    pack_coll_block, pack_coll_profiles_block, pack_moments, pack_nl_block, pack_str_block,
+    unpack_into_coll, unpack_into_coll_profiles, unpack_into_nl, unpack_into_str,
+    unpack_into_str_from_nl, unpack_moments,
 };
 pub use tensor::{Tensor2, Tensor3, Tensor4};

@@ -261,120 +261,6 @@ pub fn unpack_moments<T: Copy>(buf: &[T], sections: &mut [&mut [T]]) {
     }
 }
 
-/// Single-toroidal-slice restriction of [`pack_str_block`]: pack only the
-/// `itl` plane, ordered `[ic ∈ nc_range][iv_loc]`.
-///
-/// The per-slice wire format is the `it_loc = itl` restriction of the full
-/// block format, which lets the collision exchange pipeline one toroidal
-/// slice at a time (overlapping the transpose of slice `i+1` with the panel
-/// application of slice `i`) while staying bitwise identical to the
-/// all-at-once exchange.
-pub fn pack_str_slice<T: Copy>(
-    h_str: &Tensor3<T>,
-    nc_range: Range<usize>,
-    itl: usize,
-    buf: &mut Vec<T>,
-) {
-    let (nc, nv_loc, nt_loc) = h_str.shape();
-    assert!(nc_range.end <= nc, "nc_range {nc_range:?} outside nc={nc}");
-    assert!(itl < nt_loc, "slice {itl} outside nt_loc={nt_loc}");
-    let src = h_str.as_slice();
-    buf.reserve(nc_range.len() * nv_loc);
-    for ic in nc_range {
-        let base = ic * nv_loc * nt_loc + itl;
-        for ivl in 0..nv_loc {
-            buf.push(src[base + ivl * nt_loc]);
-        }
-    }
-}
-
-/// Single-slice restriction of [`unpack_into_coll_profiles`]: scatter a
-/// block ordered `[ic_loc][iv ∈ nv_range]` into the `it` plane of the
-/// profile-contiguous tensor `h_cp` of shape `(nc_loc, nt_loc, lanes)`.
-pub fn unpack_into_coll_profiles_slice<T: Copy>(
-    block: &[T],
-    nv_range: Range<usize>,
-    lane: usize,
-    it: usize,
-    h_cp: &mut Tensor3<T>,
-) {
-    let (nc_loc, nt_loc, lanes) = h_cp.shape();
-    assert!(
-        lane + nv_range.end <= lanes,
-        "lane {lane} + nv_range {nv_range:?} outside lanes={lanes}"
-    );
-    assert!(it < nt_loc, "slice {it} outside nt_loc={nt_loc}");
-    assert_eq!(
-        block.len(),
-        nv_range.len() * nc_loc,
-        "block size mismatch: got {}, expected {}",
-        block.len(),
-        nv_range.len() * nc_loc
-    );
-    let dst = h_cp.as_mut_slice();
-    let mut src = 0;
-    for ic in 0..nc_loc {
-        let base = (ic * nt_loc + it) * lanes + lane;
-        for iv in nv_range.clone() {
-            dst[base + iv] = block[src];
-            src += 1;
-        }
-    }
-}
-
-/// Single-slice restriction of [`pack_coll_profiles_block`]: pack the `it`
-/// plane for the str peer owning `nv_range`, ordered `[iv ∈ nv_range]
-/// [ic_loc]`, so receivers use [`unpack_into_str_slice`].
-pub fn pack_coll_profiles_slice<T: Copy>(
-    h_cp: &Tensor3<T>,
-    nv_range: Range<usize>,
-    lane: usize,
-    it: usize,
-    buf: &mut Vec<T>,
-) {
-    let (nc_loc, nt_loc, lanes) = h_cp.shape();
-    assert!(
-        lane + nv_range.end <= lanes,
-        "lane {lane} + nv_range {nv_range:?} outside lanes={lanes}"
-    );
-    assert!(it < nt_loc, "slice {it} outside nt_loc={nt_loc}");
-    let src = h_cp.as_slice();
-    buf.reserve(nv_range.len() * nc_loc);
-    for iv in nv_range {
-        for ic in 0..nc_loc {
-            buf.push(src[(ic * nt_loc + it) * lanes + lane + iv]);
-        }
-    }
-}
-
-/// Single-slice restriction of [`unpack_into_str`]: scatter a block ordered
-/// `[iv_loc][ic ∈ nc_range]` into the `itl` plane of the str-layout tensor.
-pub fn unpack_into_str_slice<T: Copy>(
-    block: &[T],
-    nc_range: Range<usize>,
-    itl: usize,
-    h_str: &mut Tensor3<T>,
-) {
-    let (nc, nv_loc, nt_loc) = h_str.shape();
-    assert!(nc_range.end <= nc, "nc_range {nc_range:?} outside nc={nc}");
-    assert!(itl < nt_loc, "slice {itl} outside nt_loc={nt_loc}");
-    assert_eq!(
-        block.len(),
-        nv_loc * nc_range.len(),
-        "block size mismatch: got {}, expected {}",
-        block.len(),
-        nv_loc * nc_range.len()
-    );
-    let dst = h_str.as_mut_slice();
-    let mut src = 0;
-    for ivl in 0..nv_loc {
-        for ic in nc_range.clone() {
-            dst[(ic * nv_loc + ivl) * nt_loc + itl] = block[src];
-            src += 1;
-        }
-    }
-}
-
 /// Pack the nl-layout block destined for the str-side peer owning
 /// `nt_range`: shape `(nc_blk, nv_loc, nt)` restricted to those toroidal
 /// modes, ordered `[ic_loc][iv_loc][it ∈ nt_range]`.
@@ -593,66 +479,6 @@ mod tests {
     fn unpack_moments_rejects_wrong_length() {
         let (mut a, mut b) = (vec![0u64; 3], vec![0u64; 3]);
         unpack_moments(&[1u64; 5], &mut [&mut a, &mut b]);
-    }
-
-    #[test]
-    fn slice_kernels_match_full_kernels_slice_by_slice() {
-        // Running the per-slice fwd kernels for every itl must reproduce the
-        // all-at-once pack/unpack bit-for-bit — the pipelined collision
-        // exchange's correctness invariant.
-        let (nc, nv, nt, lanes_extra) = (5usize, 4usize, 3usize, 2usize);
-        let lanes = nv + lanes_extra;
-        let hstr = Tensor3::from_fn(nc, nv, nt, |a, b, c| (a * 1000 + b * 10 + c) as u64);
-        let nc_range = 1..4;
-        let nv_range = 0..nv;
-        let lane = 1;
-
-        // Forward: full-block path.
-        let mut full_block = Vec::new();
-        pack_str_block(&hstr, nc_range.clone(), &mut full_block);
-        let mut cp_full: Tensor3<u64> = Tensor3::new(nc_range.len(), nt, lanes);
-        unpack_into_coll_profiles(&full_block, nv_range.clone(), lane, &mut cp_full);
-
-        // Forward: per-slice path.
-        let mut cp_sliced: Tensor3<u64> = Tensor3::new(nc_range.len(), nt, lanes);
-        for itl in 0..nt {
-            let mut blk = Vec::new();
-            pack_str_slice(&hstr, nc_range.clone(), itl, &mut blk);
-            assert_eq!(blk.len(), nc_range.len() * nv);
-            unpack_into_coll_profiles_slice(&blk, nv_range.clone(), lane, itl, &mut cp_sliced);
-        }
-        assert_eq!(cp_full, cp_sliced);
-
-        // Reverse: full-block path.
-        let mut rev_full = Vec::new();
-        pack_coll_profiles_block(&cp_full, nv_range.clone(), lane, &mut rev_full);
-        let mut back_full: Tensor3<u64> = Tensor3::new(nc, nv, nt);
-        unpack_into_str(&rev_full, nc_range.clone(), &mut back_full);
-
-        // Reverse: per-slice path.
-        let mut back_sliced: Tensor3<u64> = Tensor3::new(nc, nv, nt);
-        for it in 0..nt {
-            let mut blk = Vec::new();
-            pack_coll_profiles_slice(&cp_full, nv_range.clone(), lane, it, &mut blk);
-            unpack_into_str_slice(&blk, nc_range.clone(), it, &mut back_sliced);
-        }
-        assert_eq!(back_full, back_sliced);
-        // And both reproduce the original rows in nc_range.
-        for ic in nc_range {
-            for ivl in 0..nv {
-                for it in 0..nt {
-                    assert_eq!(back_sliced[(ic, ivl, it)], hstr[(ic, ivl, it)]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside nt_loc")]
-    fn slice_out_of_range_panics() {
-        let h: Tensor3<u64> = Tensor3::new(3, 2, 2);
-        let mut buf = Vec::new();
-        pack_str_slice(&h, 0..3, 2, &mut buf);
     }
 
     #[test]

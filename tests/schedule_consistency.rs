@@ -11,9 +11,16 @@ use xgyro_repro::xgyro::{gradient_sweep, run_xgyro};
 
 #[test]
 fn functional_trace_matches_mini_schedule_counts() {
+    // nt = 2 in test_small: 2×2 is nt_loc = 1, 2×1 is nt_loc = 2. The
+    // schedule is per step, not per toroidal slice, so both must match.
+    for grid in [ProcGrid::new(2, 2), ProcGrid::new(2, 1)] {
+        assert_trace_matches_mini_schedule(grid);
+    }
+}
+
+fn assert_trace_matches_mini_schedule(grid: ProcGrid) {
     let mut base = CgyroInput::test_small();
     base.nonlinear_coupling = 0.1; // nl path active
-    let grid = ProcGrid::new(2, 2);
     let k = 2;
     let steps = 3;
     let cfg = gradient_sweep(&base, k, grid);

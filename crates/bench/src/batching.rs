@@ -140,7 +140,7 @@ fn measure_point(n_jobs: usize, n_keys: usize, steps: usize) -> BatchingBenchRes
     let server = CampaignServer::start(scfg);
     // The spawn/build counters are process-wide: difference them over the
     // served campaign.
-    let idle = server.metrics_json();
+    let idle = server.metrics();
     let t0 = Instant::now();
     let ids: Vec<_> = decks
         .iter()
@@ -155,11 +155,11 @@ fn measure_point(n_jobs: usize, n_keys: usize, steps: usize) -> BatchingBenchRes
     for id in &ids {
         assert_eq!(server.status(*id).expect("known job").state, JobState::Done);
     }
-    let json = server.metrics_json();
-    let cmat_saved_bytes = metric_u64(&json, "cmat_saved_bytes");
-    let cmat_unbatched_bytes = metric_u64(&json, "cmat_unbatched_bytes");
-    let world_spawns = metric_u64(&json, "world_spawns") - metric_u64(&idle, "world_spawns");
-    let cmat_builds = metric_u64(&json, "cmat_builds") - metric_u64(&idle, "cmat_builds");
+    let served = server.metrics();
+    let (cmat_saved_bytes, cmat_unbatched_bytes) =
+        (served.cmat_saved_bytes, served.cmat_unbatched_bytes);
+    let world_spawns = served.world_spawns - idle.world_spawns;
+    let cmat_builds = served.cmat_builds - idle.cmat_builds;
     let batches = ids
         .iter()
         .map(|id| server.status(*id).expect("known job").batch)
@@ -192,9 +192,8 @@ fn measure_point(n_jobs: usize, n_keys: usize, steps: usize) -> BatchingBenchRes
         assert_eq!(repeat.status(*id).expect("known job").state, JobState::Done);
     }
     let repeat_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let rjson = repeat.metrics_json();
-    let repeat_hits = metric_u64(&rjson, "hits");
-    let cache_bytes_saved = metric_u64(&rjson, "bytes_saved");
+    let repeated = repeat.metrics();
+    let (repeat_hits, cache_bytes_saved) = (repeated.cache_hits, repeated.cache_bytes_saved);
     repeat.shutdown();
     let _ = std::fs::remove_dir_all(&store_dir);
 
@@ -218,19 +217,6 @@ fn measure_point(n_jobs: usize, n_keys: usize, steps: usize) -> BatchingBenchRes
         repeat_ms,
         cache_bytes_saved,
     }
-}
-
-/// Pull `"key": N` out of the server's metrics JSON (hand-rolled on both
-/// sides: the workspace deliberately has no JSON dependency).
-fn metric_u64(json: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\": ");
-    let at = json.find(&pat).unwrap_or_else(|| panic!("metric {key} missing: {json}"));
-    json[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("integer metric")
 }
 
 /// Render the results as the `BENCH_batching.json` document.

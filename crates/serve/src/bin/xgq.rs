@@ -278,7 +278,7 @@ fn submit(retry: &mut RetryingClient, rest: &[String]) -> ! {
     };
     let deck = write_deck(&input);
     let resp = retry
-        .with_retries(|c| c.submit_deck_as(&deck, steps, &tag, &token, &tenant, &auth, dry_run))
+        .with_retries(|c| c.submit_deck(&deck, steps, &tag, &token, &tenant, &auth, dry_run))
         .unwrap_or_else(|e| fail(&e.to_string()));
     finish(&resp)
 }

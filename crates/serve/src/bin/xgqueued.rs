@@ -40,8 +40,9 @@
 //! the deficit-round-robin quantum (work units credited per scheduling
 //! visit per unit weight). `--retain-jobs N` / `--retain-age-ms MS` bound
 //! the terminal-job retention window: finished jobs older than the age
-//! cap, or beyond the count cap, are evicted from the in-memory status
-//! table (journal and artifact history are unaffected).
+//! cap, or beyond the count cap, are evicted from the status table, and
+//! journal compaction lets their records go only then (artifact history
+//! is unaffected).
 
 use std::net::TcpListener;
 use std::process::exit;

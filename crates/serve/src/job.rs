@@ -10,9 +10,8 @@
 //! ```
 //!
 //! Transitions outside this graph are bugs, not data — [`JobState::can_transition`]
-//! is enforced by the server on every state change.
+//! is enforced by the job table (`crate::table`) on every state change.
 
-use std::time::Instant;
 use xg_sim::CgyroInput;
 
 /// Opaque job identity, unique per server instance. Renders as `job-N`.
@@ -203,55 +202,13 @@ pub struct JobOutcome {
     pub steps: usize,
 }
 
-/// Internal per-job record (server-side bookkeeping).
-#[derive(Debug)]
-pub(crate) struct Job {
-    pub id: JobId,
-    pub spec: JobSpec,
-    pub state: JobState,
-    pub cmat_key: u64,
-    pub batch: Option<BatchId>,
-    pub detail: String,
-    pub cancel_requested: bool,
-    /// Admission time as a monotonic instant. For jobs restored from the
-    /// journal this is back-dated by the journaled wall-clock age, so
-    /// queue-latency accounting spans the crash instead of restarting at
-    /// replay time. (The wall-clock submit time and the idempotency token
-    /// live in the journal's `Submitted` record and the server's token map,
-    /// not here.)
-    pub submitted_at: Instant,
-    pub dispatched_at: Option<Instant>,
-    pub outcome: Option<JobOutcome>,
-    /// The idempotency token this job was submitted under, if any —
-    /// retained so terminal-job eviction can drop the matching dedup
-    /// entry instead of leaking it.
-    pub token: Option<String>,
-    /// Canonical deck-text size, counted against the tenant's live-byte
-    /// quota while the job is non-terminal.
-    pub deck_bytes: u64,
-    /// For jobs already `Done` before a restart: the journaled result
-    /// summary `(steps, h_hash, diag_bits)`. The full tensor is gone with
-    /// the old process, but `RESULT` stays answerable — and
-    /// bitwise-checkable — from this.
-    pub restored_summary: Option<(u64, u64, [u64; 4])>,
-    pub subscribers: Vec<std::sync::mpsc::Sender<JobEvent>>,
-}
-
-impl Job {
-    pub(crate) fn status(&self) -> JobStatus {
-        JobStatus {
-            id: self.id,
-            tag: self.spec.tag.clone(),
-            tenant: self.spec.tenant.clone(),
-            state: self.state,
-            cmat_key: self.cmat_key,
-            batch: self.batch,
-            detail: self.detail.clone(),
-            queue_latency_ms: self
-                .dispatched_at
-                .map(|d| d.duration_since(self.submitted_at).as_millis() as u64),
-        }
-    }
+/// Wall-clock µs since the Unix epoch (0 if the clock predates it) — the
+/// timestamp a journaled admission carries.
+pub(crate) fn unix_us() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_micros() as u64)
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

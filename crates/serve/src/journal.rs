@@ -6,10 +6,10 @@
 //! checkpoint, and terminal transition appends one [`JournalRecord`] to an
 //! append-only segment file, CRC-framed and fsynced per the configured
 //! [`JournalConfig::fsync_every`] policy. On startup the daemon replays the
-//! log ([`Journal::open`] returns every decodable record) and rebuilds its
-//! job table: terminal jobs are restored with their result summaries,
-//! waiting jobs are re-admitted through the normal grouping path, and
-//! running batches resume from their last journaled ensemble checkpoint.
+//! log ([`Journal::open`] returns every decodable record) through the same
+//! transition function the live path uses, then applies recovery policy:
+//! terminal jobs keep their result summaries, waiting jobs are regrouped,
+//! and running batches resume from their last journaled checkpoint.
 //!
 //! ## Record framing
 //!
@@ -29,11 +29,14 @@
 //! ## Segments and compaction
 //!
 //! The log rotates to a fresh `seg-NNNNNN.xgj` file once the current
-//! segment exceeds [`JournalConfig::segment_max_bytes`]. On rotation the
-//! closed segments are compacted: records belonging to *fully-terminal*
-//! jobs (Done/Failed/Cancelled — nothing left to recover) are dropped and
-//! the survivors merged into one segment, so the journal's size tracks the
-//! live job set, not campaign history.
+//! segment exceeds [`JournalConfig::segment_max_bytes`]. A rotation leaves
+//! the closed segments due for compaction; the owner's next
+//! [`Journal::compact`] merges them, with a predicate saying which records
+//! it still needs. The journal itself never decides what a record
+//! means: the server passes its job table's answer, so a finished job's
+//! records go exactly when the retention window (`retain_jobs` /
+//! `retain_age`) evicts the job — never before — while superseded
+//! checkpoints, the bulk of the bytes, go at once.
 //!
 //! ## Fault injection
 //!
@@ -42,8 +45,7 @@
 //! crash points, so recovery is tested the same seeded way the collectives
 //! already are.
 
-use crate::job::{BatchId, JobId, JobState};
-use std::collections::BTreeMap;
+use crate::job::{BatchId, JobId};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -222,19 +224,6 @@ pub enum JournalRecord {
 }
 
 impl JournalRecord {
-    /// The job this record is keyed on, when it is job-scoped.
-    fn job(&self) -> Option<JobId> {
-        match self {
-            JournalRecord::Submitted { job, .. }
-            | JournalRecord::Batched { job, .. }
-            | JournalRecord::Done { job, .. }
-            | JournalRecord::Failed { job, .. }
-            | JournalRecord::Cancelled { job, .. }
-            | JournalRecord::CacheHit { job, .. } => Some(*job),
-            JournalRecord::Running { .. } | JournalRecord::Checkpoint { .. } => None,
-        }
-    }
-
     /// Encode to the journal payload (without framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
@@ -626,9 +615,9 @@ pub struct JournalStats {
     pub bytes_written: u64,
     /// Segment rotations.
     pub rotations: u64,
-    /// Compaction passes run (on rotation).
+    /// Compaction passes that merged segments.
     pub compactions: u64,
-    /// Records dropped by compaction (fully-terminal jobs).
+    /// Records dropped by compaction.
     pub compacted_records: u64,
     /// Appends that failed (injected or real I/O).
     pub dropped: u64,
@@ -660,6 +649,7 @@ pub struct Journal {
     appends_total: u64,
     since_sync: u32,
     poisoned: bool,
+    compaction_due: bool,
     stats: JournalStats,
 }
 
@@ -773,6 +763,7 @@ impl Journal {
             appends_total: 0,
             since_sync: 0,
             poisoned: false,
+            compaction_due: false,
             stats: JournalStats::default(),
         };
         Ok((journal, replay))
@@ -858,8 +849,8 @@ impl Journal {
         Ok(())
     }
 
-    /// Close the current segment, open the next, and compact the closed
-    /// ones (drop records of fully-terminal jobs, merge into one file).
+    /// Close the current segment and open the next; the closed ones are
+    /// now due for compaction.
     fn rotate(&mut self) -> std::io::Result<()> {
         self.sync()?;
         self.seg_index += 1;
@@ -867,14 +858,28 @@ impl Journal {
         self.file = OpenOptions::new().create(true).append(true).open(&path)?;
         self.seg_bytes = 0;
         self.stats.rotations += 1;
-        self.compact_closed()?;
+        self.compaction_due = true;
         Ok(())
     }
 
-    /// Merge every closed segment into one, dropping records that belong
-    /// only to fully-terminal jobs (nothing left to recover for them).
-    /// Batch-scoped records survive while any referenced member is live.
-    fn compact_closed(&mut self) -> std::io::Result<()> {
+    /// If a rotation has closed a segment since the last call, merge every
+    /// closed segment into one, keeping the records `keep` accepts and
+    /// writing `head` first (otherwise do nothing — it is cheap to call
+    /// after every append). `head` is how the owner carries
+    /// state across the records it lets go (the server's id watermark); a
+    /// log opens with an admission, so a leading `Batched` in the input is
+    /// the head an earlier pass wrote and is superseded by this one.
+    ///
+    /// Call it only once the owner's state reflects every appended record:
+    /// the record that triggered the rotation sits in a closed segment.
+    pub fn compact(
+        &mut self,
+        mut keep: impl FnMut(&JournalRecord) -> bool,
+        head: Option<JournalRecord>,
+    ) -> std::io::Result<()> {
+        if !std::mem::take(&mut self.compaction_due) {
+            return Ok(());
+        }
         let closed: Vec<(u64, PathBuf)> = list_segments(&self.cfg.dir)?
             .into_iter()
             .filter(|(i, _)| *i < self.seg_index)
@@ -893,41 +898,20 @@ impl Journal {
                 return Ok(());
             }
         }
-        // A job is droppable once terminal. NOTE: terminal-state records
-        // (and the Submitted records carrying their tokens) go with it —
-        // compaction trades post-restart RESULT/dedup answers for old jobs
-        // against unbounded log growth.
-        let mut terminal: std::collections::BTreeSet<JobId> = Default::default();
-        for r in &records {
-            if let JournalRecord::Done { job, .. }
-            | JournalRecord::Failed { job, .. }
-            | JournalRecord::Cancelled { job, .. }
-            | JournalRecord::CacheHit { job, .. } = r
-            {
-                terminal.insert(*job);
-            }
-        }
-        let before = records.len();
-        records.retain(|r| match r.job() {
-            Some(j) => !terminal.contains(&j),
-            None => match r {
-                JournalRecord::Running { jobs, .. }
-                | JournalRecord::Checkpoint { jobs, .. } => {
-                    jobs.iter().any(|j| !terminal.contains(j))
-                }
-                _ => true,
-            },
-        });
-        self.stats.compacted_records += (before - records.len()) as u64;
+        let stale_head = matches!(records.first(), Some(JournalRecord::Batched { .. }));
+        let kept: Vec<&JournalRecord> =
+            records.iter().skip(usize::from(stale_head)).filter(|r| keep(r)).collect();
         // Write the merged segment under the first closed index via a temp
-        // file + rename, so a crash mid-compaction leaves either the old
-        // segments or the complete merged one.
+        // file + rename, and only then delete the segments it replaces: a
+        // crash mid-compaction leaves the old segments, or the merged one
+        // plus stale copies whose records replay as duplicates — never a
+        // gap.
         let merged_index = closed[0].0;
         let merged_path = seg_path(&self.cfg.dir, merged_index);
         let tmp_path = self.cfg.dir.join(format!("seg-{merged_index:06}.xgj.tmp"));
         {
             let mut tmp = File::create(&tmp_path)?;
-            for r in &records {
+            for r in head.iter().chain(kept.iter().copied()) {
                 let payload = r.encode();
                 tmp.write_all(&(payload.len() as u32).to_le_bytes())?;
                 tmp.write_all(&crc32(&payload).to_le_bytes())?;
@@ -935,218 +919,46 @@ impl Journal {
             }
             tmp.sync_data()?;
         }
+        std::fs::rename(&tmp_path, &merged_path)?;
         for (_, path) in closed.iter().skip(1) {
             std::fs::remove_file(path)?;
         }
-        std::fs::rename(&tmp_path, &merged_path)?;
+        self.stats.compacted_records += (records.len() - kept.len()) as u64;
         self.stats.compactions += 1;
         Ok(())
     }
 }
 
-/// One job's state as reconstructed from the log.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplayedJob {
-    /// The job.
-    pub id: JobId,
-    /// Idempotency token ("" when none was supplied).
-    pub token: String,
-    /// Deck text as submitted.
-    pub deck: String,
-    /// [`fnv1a`] of the deck at submit time.
-    pub deck_hash: u64,
-    /// Requested steps.
-    pub steps: u64,
-    /// Client label.
-    pub tag: String,
-    /// Tenant attribution (pre-tenant records replay as
-    /// [`crate::tenant::DEFAULT_TENANT`]).
-    pub tenant: String,
-    /// Original wall-clock submit time (µs since the Unix epoch).
-    pub submitted_unix_us: u64,
-    /// Last journaled lifecycle state.
-    pub state: JobState,
-    /// Last journaled batch placement.
-    pub batch: Option<BatchId>,
-    /// Terminal detail (failure cause / cancellation context).
-    pub detail: String,
-    /// For `Done` jobs: `(steps, h_hash, diag_bits)` — the summary `RESULT`
-    /// serves after a restart.
-    pub done_summary: Option<(u64, u64, [u64; 4])>,
-}
-
-/// A dispatched batch reconstructed from the log.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ReplayedBatch {
-    /// Members at dispatch.
-    pub jobs: Vec<JobId>,
-    /// Latest checkpoint: `(seq, done_steps, member jobs, state bytes)`.
-    pub checkpoint: Option<(u64, u64, Vec<JobId>, Vec<u8>)>,
-}
-
-/// The folded view of a replayed log: the consistent job table recovery
-/// rebuilds the server from.
-#[derive(Debug, Default)]
-pub struct ReplayTable {
-    /// Every job with a `Submitted` record, by id.
-    pub jobs: BTreeMap<JobId, ReplayedJob>,
-    /// Batches with a `Running` record whose members are not all terminal.
-    pub running: BTreeMap<BatchId, ReplayedBatch>,
-    /// Highest batch id seen (the grouper's id counter must start past it).
-    pub max_batch: Option<u64>,
-    /// Records that referenced unknown jobs or implied illegal transitions
-    /// (possible after compaction dropped their history) — counted, never
-    /// fatal.
-    pub ignored: u64,
-}
-
-/// Fold records (append order) into a consistent job table. Tolerant by
-/// construction: a record for an unknown job or an illegal transition is
-/// counted in [`ReplayTable::ignored`] and skipped, so *any prefix* of a
-/// valid log folds cleanly — the property the truncation proptest pins.
-pub fn fold(records: &[JournalRecord]) -> ReplayTable {
-    let mut t = ReplayTable::default();
-    let note_batch = |t: &mut ReplayTable, b: BatchId| {
-        t.max_batch = Some(t.max_batch.map_or(b.0, |m| m.max(b.0)));
-    };
-    for rec in records {
-        match rec {
-            JournalRecord::Submitted {
-                job,
-                token,
-                deck_hash,
-                deck,
-                steps,
-                tag,
-                submitted_unix_us,
-                tenant,
-            } => {
-                t.jobs.insert(
-                    *job,
-                    ReplayedJob {
-                        id: *job,
-                        token: token.clone(),
-                        deck: deck.clone(),
-                        deck_hash: *deck_hash,
-                        steps: *steps,
-                        tag: tag.clone(),
-                        tenant: tenant.clone(),
-                        submitted_unix_us: *submitted_unix_us,
-                        state: JobState::Queued,
-                        batch: None,
-                        detail: String::new(),
-                        done_summary: None,
-                    },
-                );
-            }
-            JournalRecord::Batched { job, batch } => {
-                note_batch(&mut t, *batch);
-                match t.jobs.get_mut(job) {
-                    Some(j) if j.state.can_transition(JobState::Batched) => {
-                        j.state = JobState::Batched;
-                        j.batch = Some(*batch);
-                    }
-                    _ => t.ignored += 1,
-                }
-            }
-            JournalRecord::Running { batch, jobs } => {
-                note_batch(&mut t, *batch);
-                let mut any = false;
-                for job in jobs {
-                    match t.jobs.get_mut(job) {
-                        Some(j) if j.state.can_transition(JobState::Running) => {
-                            j.state = JobState::Running;
-                            j.batch = Some(*batch);
-                            any = true;
-                        }
-                        _ => t.ignored += 1,
-                    }
-                }
-                if any {
-                    t.running
-                        .insert(*batch, ReplayedBatch { jobs: jobs.clone(), checkpoint: None });
-                }
-            }
-            JournalRecord::Checkpoint { batch, jobs, seq, done_steps, state } => {
-                note_batch(&mut t, *batch);
-                match t.running.get_mut(batch) {
-                    Some(rb) => {
-                        rb.checkpoint = Some((*seq, *done_steps, jobs.clone(), state.clone()));
-                    }
-                    None => t.ignored += 1,
-                }
-            }
-            JournalRecord::Done { job, steps, h_hash, diag_bits } => {
-                match t.jobs.get_mut(job) {
-                    Some(j) if j.state.can_transition(JobState::Done) => {
-                        j.state = JobState::Done;
-                        j.done_summary = Some((*steps, *h_hash, *diag_bits));
-                        j.detail = "completed".into();
-                    }
-                    _ => t.ignored += 1,
-                }
-            }
-            JournalRecord::Failed { job, detail } => match t.jobs.get_mut(job) {
-                Some(j) if j.state.can_transition(JobState::Failed) => {
-                    j.state = JobState::Failed;
-                    j.detail = detail.clone();
-                }
-                _ => t.ignored += 1,
-            },
-            JournalRecord::Cancelled { job, detail } => match t.jobs.get_mut(job) {
-                Some(j) if j.state.can_transition(JobState::Cancelled) => {
-                    j.state = JobState::Cancelled;
-                    j.detail = detail.clone();
-                }
-                _ => t.ignored += 1,
-            },
-            JournalRecord::CacheHit {
-                job,
-                token,
-                deck_hash,
-                deck,
-                steps,
-                tag,
-                submitted_unix_us,
-                steps_done,
-                h_hash,
-                diag_bits,
-                tenant,
-            } => {
-                // Born-Done: one record is both admission and completion.
-                t.jobs.insert(
-                    *job,
-                    ReplayedJob {
-                        id: *job,
-                        token: token.clone(),
-                        deck: deck.clone(),
-                        deck_hash: *deck_hash,
-                        steps: *steps,
-                        tag: tag.clone(),
-                        tenant: tenant.clone(),
-                        submitted_unix_us: *submitted_unix_us,
-                        state: JobState::Done,
-                        batch: None,
-                        detail: "served from artifact cache".into(),
-                        done_summary: Some((*steps_done, *h_hash, *diag_bits)),
-                    },
-                );
-            }
-        }
-    }
-    // A batch whose members all terminalized is not running anymore.
-    t.running.retain(|_, rb| {
-        rb.jobs
-            .iter()
-            .any(|j| t.jobs.get(j).is_some_and(|job| !job.state.is_terminal()))
-    });
-    t
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::table::JobTable;
     use proptest::prelude::*;
+    use std::time::Duration;
+    use xg_sim::CgyroInput;
+
+    /// A fresh table with `records` applied the way a restart applies them
+    /// (with a stand-in deck: the sample records carry toy deck text). Every
+    /// ledger must agree with the job map after every record — so each use
+    /// checks every prefix of its log.
+    pub(crate) fn replayed(records: Vec<JournalRecord>) -> JobTable {
+        let mut table = JobTable::default();
+        for rec in records {
+            let _ = table.apply(rec, Some(CgyroInput::test_small()));
+            assert_eq!(table.check(), Ok(()));
+        }
+        table
+    }
+
+    /// What the server does with every record — append, apply, sweep the
+    /// retention window (`retain_jobs`), compact once a rotation leaves
+    /// segments to merge.
+    fn commit(j: &mut Journal, table: &mut JobTable, rec: JournalRecord, retain_jobs: usize) {
+        j.append(&rec).unwrap();
+        let _ = table.apply(rec, Some(CgyroInput::test_small()));
+        table.evict(retain_jobs, Duration::MAX, Instant::now());
+        j.compact(|r| table.retains(r), table.watermark()).unwrap();
+    }
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1158,7 +970,7 @@ mod tests {
         dir
     }
 
-    fn sample_records() -> Vec<JournalRecord> {
+    pub(crate) fn sample_records() -> Vec<JournalRecord> {
         vec![
             JournalRecord::Submitted {
                 job: JobId(0),
@@ -1200,7 +1012,7 @@ mod tests {
         ]
     }
 
-    fn sample_cache_hit() -> JournalRecord {
+    pub(crate) fn sample_cache_hit() -> JournalRecord {
         JournalRecord::CacheHit {
             job: JobId(7),
             token: "tok-hit".into(),
@@ -1214,48 +1026,6 @@ mod tests {
             diag_bits: [5, 6, 7, 8],
             tenant: "alice".into(),
         }
-    }
-
-    #[test]
-    fn cache_hit_roundtrips_and_folds_born_done() {
-        let rec = sample_cache_hit();
-        assert_eq!(JournalRecord::decode(&rec.encode()).unwrap(), rec);
-        let table = fold(&[rec]);
-        let j = &table.jobs[&JobId(7)];
-        assert_eq!(j.state, JobState::Done);
-        assert_eq!(j.done_summary, Some((20, 0xfeed_beef, [5, 6, 7, 8])));
-        assert_eq!(j.batch, None, "a cache hit never occupied a batch");
-        assert_eq!(j.detail, "served from artifact cache");
-        assert_eq!(table.ignored, 0);
-    }
-
-    #[test]
-    fn cache_hit_is_compacted_like_other_terminal_jobs() {
-        let dir = tmpdir("compact-hit");
-        let mut cfg = JournalConfig::durable(&dir);
-        cfg.segment_max_bytes = 128;
-        let (mut j, _) = Journal::open(cfg.clone()).unwrap();
-        j.append(&sample_cache_hit()).unwrap();
-        // Enough live-job churn to force rotation + compaction.
-        for i in 0..8u64 {
-            j.append(&JournalRecord::Submitted {
-                job: JobId(100 + i),
-                token: String::new(),
-                deck_hash: 0,
-                deck: "X=1\n".repeat(8),
-                steps: 1,
-                tag: String::new(),
-                submitted_unix_us: 1,
-                tenant: crate::tenant::DEFAULT_TENANT.into(),
-            })
-            .unwrap();
-        }
-        assert!(j.stats().compactions > 0);
-        drop(j);
-        let (_, replay) = Journal::open(cfg).unwrap();
-        let table = fold(&replay.records);
-        assert!(!table.jobs.contains_key(&JobId(7)), "terminal hit compacted away");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1355,42 +1125,59 @@ mod tests {
 
     #[test]
     fn rotation_compacts_terminal_jobs_away() {
-        let dir = tmpdir("compact");
-        let mut cfg = JournalConfig::durable(&dir);
-        cfg.segment_max_bytes = 256; // rotate every few records
-        let (mut j, _) = Journal::open(cfg.clone()).unwrap();
-        // Job 0 terminalizes; job 100 stays live. Pad decks so segments
-        // fill and several rotations (hence compactions) happen.
-        let pad = "X_PAD=1\n".repeat(8);
-        for r in &sample_records() {
-            j.append(r).unwrap();
+        for retain_jobs in [0, usize::MAX] {
+            let dir = tmpdir("compact");
+            let mut cfg = JournalConfig::durable(&dir);
+            cfg.segment_max_bytes = 256; // rotate every few records
+            let (mut j, _) = Journal::open(cfg.clone()).unwrap();
+            let mut live = JobTable::default();
+            // Jobs 0 and 1 terminalize, job 7 is a cache hit (born
+            // terminal); job 100 stays live. Pad decks so segments fill and
+            // several rotations (hence compactions) happen.
+            let pad = "X_PAD=1\n".repeat(8);
+            for r in sample_records().into_iter().chain([sample_cache_hit()]) {
+                commit(&mut j, &mut live, r, retain_jobs);
+            }
+            let rec = JournalRecord::Submitted {
+                job: JobId(100),
+                token: "live".into(),
+                deck_hash: fnv1a(pad.as_bytes()),
+                deck: pad.clone(),
+                steps: 20,
+                tag: "live".into(),
+                tenant: crate::tenant::DEFAULT_TENANT.into(),
+                submitted_unix_us: 1,
+            };
+            commit(&mut j, &mut live, rec, retain_jobs);
+            for i in 0..6u64 {
+                let rec = JournalRecord::Batched { job: JobId(100), batch: BatchId(i + 1) };
+                commit(&mut j, &mut live, rec, retain_jobs);
+            }
+            assert!(j.stats().rotations > 0, "segments must have rotated");
+            assert!(j.stats().compactions > 0, "closed segments must have compacted");
+            assert!(j.stats().compacted_records > 0);
+            drop(j);
+            let (_, replay) = Journal::open(cfg).unwrap();
+            let table = replayed(replay.records);
+            assert!(table.job(JobId(100)).is_some());
+            if retain_jobs == 0 {
+                // Evicted jobs 0 and 1 were compacted away; the live job
+                // remains.
+                assert!(table.job(JobId(0)).is_none(), "Done job compacted");
+                assert!(table.job(JobId(1)).is_none(), "Failed job compacted");
+                assert!(table.job(JobId(7)).is_none(), "terminal hit compacted away");
+            } else {
+                // Inside the window they replay as they ended — only their
+                // batch's checkpoint is gone.
+                assert_eq!(table.job(JobId(0)).unwrap().summary, Some((20, 0xdead_beef, [1, 2, 3, 4])));
+                assert_eq!(table.job(JobId(1)).unwrap().detail, "evicted");
+                assert_eq!(table.job(JobId(7)).unwrap().summary, Some((20, 0xfeed_beef, [5, 6, 7, 8])));
+            }
+            // Either way no id is ever handed out twice.
+            assert_eq!(table.next_job_id(), JobId(101));
+            assert_eq!(table.next_batch(), 7);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        j.append(&JournalRecord::Submitted {
-            job: JobId(100),
-            token: "live".into(),
-            deck_hash: fnv1a(pad.as_bytes()),
-            deck: pad.clone(),
-            steps: 20,
-            tag: "live".into(),
-            tenant: crate::tenant::DEFAULT_TENANT.into(),
-            submitted_unix_us: 1,
-        })
-        .unwrap();
-        for i in 0..6u64 {
-            j.append(&JournalRecord::Batched { job: JobId(100), batch: BatchId(i + 1) })
-                .unwrap();
-        }
-        assert!(j.stats().rotations > 0, "segments must have rotated");
-        assert!(j.stats().compactions > 0, "closed segments must have compacted");
-        assert!(j.stats().compacted_records > 0);
-        drop(j);
-        let (_, replay) = Journal::open(cfg).unwrap();
-        let table = fold(&replay.records);
-        // Terminal jobs 0 and 1 were compacted away; the live job remains.
-        assert!(table.jobs.contains_key(&JobId(100)));
-        assert!(!table.jobs.contains_key(&JobId(0)), "Done job compacted");
-        assert!(!table.jobs.contains_key(&JobId(1)), "Failed job compacted");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1433,36 +1220,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_builds_the_expected_table() {
-        let table = fold(&sample_records());
-        assert_eq!(table.jobs.len(), 2);
-        let j0 = &table.jobs[&JobId(0)];
-        assert_eq!(j0.state, JobState::Done);
-        assert_eq!(j0.done_summary, Some((20, 0xdead_beef, [1, 2, 3, 4])));
-        assert_eq!(j0.token, "tok-a");
-        let j1 = &table.jobs[&JobId(1)];
-        assert_eq!(j1.state, JobState::Failed);
-        assert_eq!(j1.detail, "evicted");
-        // Both members terminal: the batch is not running anymore.
-        assert!(table.running.is_empty());
-        assert_eq!(table.max_batch, Some(0));
-        assert_eq!(table.ignored, 0);
-    }
-
-    #[test]
-    fn fold_keeps_running_batches_with_live_members() {
-        let recs = &sample_records()[..6]; // through the Checkpoint record
-        let table = fold(recs);
-        assert_eq!(table.jobs[&JobId(0)].state, JobState::Running);
-        let rb = &table.running[&BatchId(0)];
-        assert_eq!(rb.jobs, vec![JobId(0), JobId(1)]);
-        let (seq, done, members, state) = rb.checkpoint.clone().unwrap();
-        assert_eq!((seq, done), (0, 10));
-        assert_eq!(members, vec![JobId(0), JobId(1)]);
-        assert_eq!(state, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn fnv_and_splitmix_are_stable() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
@@ -1481,8 +1238,16 @@ mod tests {
 
     /// Strategy: an arbitrary (valid) record.
     fn arb_record() -> impl Strategy<Value = JournalRecord> {
+        arb_record_in(u64::MAX, u64::MAX)
+    }
+
+    /// Strategy: an arbitrary record naming job ids below `jobs` and batch
+    /// ids below `batches` — small bounds make records collide on the same
+    /// jobs, which is what exercises the lifecycle.
+    pub(crate) fn arb_record_in(jobs: u64, batches: u64) -> impl Strategy<Value = JournalRecord> {
+        let members = move || prop::collection::vec(0..jobs, 0..5);
         prop_oneof![
-            (0u64.., arb_text(), 0u64.., arb_text(), 0u64.., (arb_text(), arb_text()), 0u64..)
+            (0..jobs, arb_text(), 0u64.., arb_text(), 0u64.., (arb_text(), arb_text()), 0u64..)
                 .prop_map(|(job, token, deck_hash, deck, steps, (tag, tenant), t)| {
                     JournalRecord::Submitted {
                         job: JobId(job),
@@ -1495,31 +1260,24 @@ mod tests {
                         submitted_unix_us: t,
                     }
                 }),
-            (0u64.., 0u64..).prop_map(|(j, b)| JournalRecord::Batched {
+            (0..jobs, 0..batches).prop_map(|(j, b)| JournalRecord::Batched {
                 job: JobId(j),
                 batch: BatchId(b),
             }),
-            (0u64.., prop::collection::vec(0u64.., 0..5)).prop_map(|(b, js)| {
-                JournalRecord::Running {
-                    batch: BatchId(b),
-                    jobs: js.into_iter().map(JobId).collect(),
-                }
+            (0..batches, members()).prop_map(|(b, js)| JournalRecord::Running {
+                batch: BatchId(b),
+                jobs: js.into_iter().map(JobId).collect(),
             }),
-            (
-                0u64..,
-                prop::collection::vec(0u64.., 0..5),
-                0u64..,
-                0u64..,
-                prop::collection::vec(0u8.., 0..64),
-            )
-                .prop_map(|(b, js, seq, done, state)| JournalRecord::Checkpoint {
+            (0..batches, members(), 0u64.., 0u64.., prop::collection::vec(0u8.., 0..64)).prop_map(
+                |(b, js, seq, done, state)| JournalRecord::Checkpoint {
                     batch: BatchId(b),
                     jobs: js.into_iter().map(JobId).collect(),
                     seq,
                     done_steps: done,
                     state,
-                }),
-            (0u64.., 0u64.., 0u64.., (0u64.., 0u64.., 0u64.., 0u64..)).prop_map(
+                }
+            ),
+            (0..jobs, 0u64.., 0u64.., (0u64.., 0u64.., 0u64.., 0u64..)).prop_map(
                 |(j, steps, h, (d0, d1, d2, d3))| JournalRecord::Done {
                     job: JobId(j),
                     steps,
@@ -1527,11 +1285,11 @@ mod tests {
                     diag_bits: [d0, d1, d2, d3],
                 }
             ),
-            (0u64.., arb_text()).prop_map(|(j, d)| JournalRecord::Failed {
+            (0..jobs, arb_text()).prop_map(|(j, d)| JournalRecord::Failed {
                 job: JobId(j),
                 detail: d,
             }),
-            (0u64.., arb_text()).prop_map(|(j, d)| JournalRecord::Cancelled {
+            (0..jobs, arb_text()).prop_map(|(j, d)| JournalRecord::Cancelled {
                 job: JobId(j),
                 detail: d,
             }),
@@ -1549,10 +1307,10 @@ mod tests {
         /// Any byte-prefix of a valid journal replays to a consistent job
         /// table: the decodable frames are exactly the whole frames inside
         /// the prefix, the torn tail is dropped (never a crash), and the
-        /// fold never produces an illegal state.
+        /// job table never reaches an illegal state.
         #[test]
         fn any_truncation_replays_consistently(
-            recs in prop::collection::vec(arb_record(), 1..12),
+            recs in prop::collection::vec(arb_record_in(6, 3), 1..24),
             cut_frac in 0.0f64..1.0,
         ) {
             let dir = tmpdir(&format!("prop-{}", fnv1a(format!("{recs:?}{cut_frac}").as_bytes())));
@@ -1570,24 +1328,11 @@ mod tests {
             // The replayed records are a prefix of what was written.
             prop_assert!(replay.records.len() <= recs.len());
             prop_assert_eq!(&replay.records[..], &recs[..replay.records.len()]);
-            // And the fold is consistent: every job's state is reachable,
-            // running batches only reference known live members.
-            let table = fold(&replay.records);
-            for (id, job) in &table.jobs {
-                prop_assert_eq!(*id, job.id);
-                if job.state == JobState::Done {
-                    prop_assert!(job.done_summary.is_some());
-                }
-            }
-            for rb in table.running.values() {
-                prop_assert!(
-                    rb.jobs.iter().any(|j| table
-                        .jobs
-                        .get(j)
-                        .is_some_and(|job| !job.state.is_terminal())),
-                    "running batch with no live member survived the fold"
-                );
-            }
+            // And every prefix of them leaves a consistent table: each
+            // job's state reachable, running batches only naming live
+            // members, every ledger agreeing with the job map (`replayed`
+            // checks after each record).
+            replayed(replay.records);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

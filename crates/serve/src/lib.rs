@@ -56,6 +56,7 @@ pub mod journal;
 pub mod metrics;
 pub mod sched;
 pub mod server;
+pub(crate) mod table;
 pub mod tenant;
 pub mod wire;
 
@@ -64,11 +65,12 @@ pub use artifacts::{decode_outcome, encode_outcome, ArtifactConfig, PublishConte
 pub use batcher::{BatchKey, FlushReason, Grouper, GrouperConfig, Placement};
 pub use job::{BatchId, JobEvent, JobId, JobOutcome, JobSpec, JobState, JobStatus};
 pub use journal::{
-    Journal, JournalConfig, JournalError, JournalRecord, JournalStats, Replay, ReplayTable,
-    ServeFaultKind, ServeFaultPlan, ServeFaultSpec,
+    Journal, JournalConfig, JournalError, JournalRecord, JournalStats, Replay, ServeFaultKind,
+    ServeFaultPlan, ServeFaultSpec,
 };
 pub use metrics::{Metrics, TenantCounters};
 pub use sched::{DispatchQueue, DEFAULT_QUANTUM};
 pub use server::{CacheStatus, CampaignServer, DryRun, RecoveryReport, ServerConfig};
+pub use table::replay_check;
 pub use tenant::{TenantDirectory, TenantSpec, TenantUsage, DEFAULT_TENANT};
 pub use wire::{Client, RetryPolicy, RetryingClient};

@@ -58,6 +58,20 @@ pub struct TenantCounters {
     pub live_bytes: u64,
 }
 
+impl TenantCounters {
+    /// Record a terminal transition. `work` is the completed step count for
+    /// `Done` jobs and 0 otherwise.
+    pub fn on_terminal(&mut self, state: JobState, work: u64) {
+        match state {
+            JobState::Done => self.done += 1,
+            JobState::Failed => self.failed += 1,
+            JobState::Cancelled => self.cancelled += 1,
+            _ => {}
+        }
+        self.work_done = self.work_done.saturating_add(work);
+    }
+}
+
 /// Counter registry. The server updates it under its state lock; `to_json`
 /// takes a snapshot of the live job states at export time.
 #[derive(Clone, Debug, Default)]
@@ -119,7 +133,8 @@ pub struct Metrics {
     /// Outcome-blob bytes served from the store instead of recomputed —
     /// the cache's analogue of `cmat_saved_bytes`.
     pub cache_bytes_saved: u64,
-    /// Per-tenant counter families, keyed by resolved tenant name.
+    /// Per-tenant counter families, keyed by resolved tenant name
+    /// (refreshed at export from the job table, which owns them).
     pub tenants: BTreeMap<String, TenantCounters>,
     /// Ensemble worlds executing right now.
     pub worlds_active: u64,
@@ -181,34 +196,10 @@ impl Metrics {
         self.cache_misses += 1;
     }
 
-    /// Record an accepted submission against its tenant.
-    pub fn on_tenant_submit(&mut self, tenant: &str) {
-        self.tenants.entry(tenant.to_string()).or_default().submitted += 1;
-    }
-
-    /// Record a terminal transition against its tenant. `work` is the
-    /// completed step count for `Done` jobs and 0 otherwise.
-    pub fn on_tenant_terminal(&mut self, tenant: &str, state: JobState, work: u64) {
-        let t = self.tenants.entry(tenant.to_string()).or_default();
-        match state {
-            JobState::Done => t.done += 1,
-            JobState::Failed => t.failed += 1,
-            JobState::Cancelled => t.cancelled += 1,
-            _ => {}
-        }
-        t.work_done += work;
-    }
-
-    /// Record a cache-served submission against its tenant.
-    pub fn on_tenant_cache_hit(&mut self, tenant: &str) {
-        self.tenants.entry(tenant.to_string()).or_default().cache_hits += 1;
-    }
-
-    /// Record a checkpoint-boundary preemption of one of `tenant`'s
-    /// running worlds.
-    pub fn on_preempt(&mut self, tenant: &str) {
+    /// Record a checkpoint-boundary preemption (the per-tenant count lives
+    /// with the tenant's other counters, in the job table).
+    pub fn on_preempt(&mut self) {
         self.preemptions += 1;
-        self.tenants.entry(tenant.to_string()).or_default().preemptions += 1;
     }
 
     /// A world started executing (worker reserved its nodes).
@@ -849,13 +840,13 @@ mod tests {
     #[test]
     fn tenant_families_export_in_json_and_prometheus() {
         let mut m = Metrics::default();
-        m.on_tenant_submit("acme");
-        m.on_tenant_submit("acme");
-        m.on_tenant_submit("beta");
-        m.on_tenant_terminal("acme", JobState::Done, 200);
-        m.on_tenant_terminal("beta", JobState::Failed, 0);
-        m.on_tenant_cache_hit("acme");
-        m.on_preempt("acme");
+        let acme = m.tenants.entry("acme".into()).or_default();
+        (acme.submitted, acme.cache_hits, acme.preemptions) = (2, 1, 1);
+        acme.on_terminal(JobState::Done, 200);
+        let beta = m.tenants.entry("beta".into()).or_default();
+        beta.submitted = 1;
+        beta.on_terminal(JobState::Failed, 0);
+        m.on_preempt();
         m.on_world_start();
         m.on_world_start();
         m.on_world_end();

@@ -16,18 +16,26 @@
 //!
 //! All state lives behind one mutex; nothing blocks while holding it except
 //! condition-variable waits. Simulation segments run outside the lock.
+//!
+//! Every job lifecycle change is a [`JournalRecord`]: this file decides
+//! *whether* one happens (admission, placement, dispatch, cancellation),
+//! appends it to the journal and hands it to the job table
+//! (`crate::table`), whose `apply` is the only code that constructs a job
+//! or moves it between states. A restart replays the journal through the
+//! same `apply` and then only applies recovery policy ([`recover`]).
 
 use crate::admission::{check_spec, AdmitError};
 use crate::artifacts::{self, ArtifactConfig, PublishContext};
 use crate::batcher::{FlushReason, Grouper, GrouperConfig, Placement};
-use crate::job::{BatchId, Job, JobEvent, JobId, JobOutcome, JobSpec, JobState, JobStatus};
+use crate::job::{unix_us, BatchId, JobEvent, JobId, JobOutcome, JobSpec, JobState, JobStatus};
 use crate::journal::{self, Journal, JournalConfig, JournalRecord};
 use crate::metrics::Metrics;
 use crate::sched::DispatchQueue;
-use crate::tenant::{TenantDirectory, TenantUsage};
+use crate::table::{BatchCheckpoint, Ignored, Job, JobTable};
+use crate::tenant::TenantDirectory;
 use xg_artifact::{deck_hash, ArtifactStore, DeckHash, GcReport, Manifest, StoreStats};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -81,10 +89,12 @@ pub struct ServerConfig {
     /// DRR quantum for the fair-share dispatch queue: work units credited
     /// per round-robin visit per unit of tenant weight.
     pub quantum: u64,
-    /// Terminal jobs retained in memory (count window): once more than
-    /// this many jobs are terminal, the oldest are evicted together with
-    /// their idempotency-token dedup entries — aligned with journal
-    /// compaction, which forgets terminal jobs on the same principle.
+    /// Terminal jobs retained (count window): once more than this many
+    /// jobs are terminal, the oldest are evicted together with their
+    /// idempotency-token dedup entries. This window (with `retain_age`) is
+    /// the one retention policy: journal compaction drops a finished job's
+    /// records only once it has left the window, so a restart answers for
+    /// exactly the jobs the previous life answered for.
     pub retain_jobs: usize,
     /// Terminal jobs older than this are evicted (age window).
     pub retain_age: Duration,
@@ -207,29 +217,21 @@ struct ReadyBatch {
 
 #[derive(Debug)]
 struct State {
-    jobs: BTreeMap<JobId, Job>,
-    next_job: u64,
+    /// Every job, its live/quota/retention ledgers and the running-batch
+    /// map — changed only by applying journal records (see [`commit`]).
+    table: JobTable,
     grouper: Grouper,
     ready: DispatchQueue<ReadyBatch>,
     metrics: Metrics,
-    live: usize,
     draining: bool,
     shutdown: bool,
     fault_plan: Option<FaultPlan>,
     journal: Option<Journal>,
-    /// Idempotency token → job id (rebuilt from the journal on restart).
-    tokens: BTreeMap<String, JobId>,
     recovery: RecoveryReport,
     /// Modeled nodes occupied by currently executing worlds.
     nodes_in_use: usize,
     /// Workers parked waiting for a dispatchable batch.
     idle_workers: usize,
-    /// Live (non-terminal) resource usage per tenant, checked against the
-    /// roster's quotas at admission.
-    tenant_usage: BTreeMap<String, TenantUsage>,
-    /// Terminal jobs in the order they terminalized, for the bounded
-    /// retention window.
-    terminal_order: VecDeque<(JobId, Instant)>,
 }
 
 struct Shared {
@@ -259,10 +261,10 @@ impl CampaignServer {
     /// Start the service: one batcher thread plus `cfg.workers` workers.
     ///
     /// When a journal is configured, whatever a previous life left in the
-    /// journal directory is replayed first: terminal jobs are restored with
-    /// their result summaries, waiting jobs re-admitted through the normal
-    /// grouping path, and running batches queued to resume from their last
-    /// journaled checkpoint.
+    /// journal directory is replayed first (see [`recover`]): terminal jobs
+    /// come back with their result summaries, waiting jobs are regrouped,
+    /// and running batches are queued to resume from their last journaled
+    /// checkpoint.
     ///
     /// # Panics
     /// When the journal directory cannot be opened — a daemon that cannot
@@ -277,32 +279,27 @@ impl CampaignServer {
             machine: cfg.machine.clone(),
         });
         let fault_plan = cfg.fault_plan.clone();
-        let mut st = State {
-            jobs: BTreeMap::new(),
-            next_job: 0,
+        let (journal, replay) = cfg
+            .journal
+            .clone()
+            .map(|jcfg| {
+                Journal::open(jcfg)
+                    .unwrap_or_else(|e| panic!("cannot open journal in {:?}: {e}", cfg.journal))
+            })
+            .unzip();
+        let st = State {
+            table: JobTable::default(),
             grouper,
             ready: DispatchQueue::new(cfg.quantum),
             metrics: Metrics::default(),
-            live: 0,
             draining: false,
             shutdown: false,
             fault_plan,
-            journal: None,
-            tokens: BTreeMap::new(),
+            journal,
             recovery: RecoveryReport::default(),
             nodes_in_use: 0,
             idle_workers: 0,
-            tenant_usage: BTreeMap::new(),
-            terminal_order: VecDeque::new(),
         };
-        if let Some(jcfg) = cfg.journal.clone() {
-            let (j, replay) = Journal::open(jcfg)
-                .unwrap_or_else(|e| panic!("cannot open journal in {:?}: {e}", cfg.journal));
-            st.journal = Some(j);
-            replay_into(&cfg, &mut st, replay);
-            let rec = st.recovery.clone();
-            st.metrics.set_recovery(&rec);
-        }
         // Same contract as the journal: a daemon configured to cache results
         // must not come up unable to keep that promise.
         let store = cfg.artifacts.as_ref().map(|a| {
@@ -317,6 +314,12 @@ impl CampaignServer {
             timer: Condvar::new(),
             quiet: Condvar::new(),
         });
+        if let Some(replay) = replay {
+            let mut guard = shared.state.lock();
+            let st = &mut *guard;
+            recover(&shared, st, replay);
+            st.metrics.set_recovery(&st.recovery);
+        }
         let mut threads = Vec::new();
         {
             let s = shared.clone();
@@ -332,183 +335,45 @@ impl CampaignServer {
     /// Submit a job. On success the job is already placed in a batch
     /// (state [`JobState::Batched`]); on rejection nothing was admitted.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, AdmitError> {
-        self.submit_with_token(spec, None).map(|(id, _)| id)
+        self.submit_authed(spec, None, None).map(|(id, _)| id)
     }
 
-    /// Submit with an optional client-supplied idempotency token. A token
-    /// already bound to a job (in this life or a journaled previous one)
-    /// returns that job's id with `true` ("duplicate") instead of
+    /// Submit with an optional client-supplied idempotency token and tenant
+    /// auth secret.
+    ///
+    /// A token already bound to a job (in this life or a journaled previous
+    /// one) returns that job's id with `true` ("duplicate") instead of
     /// enqueueing again — so a client retrying a SUBMIT whose response was
     /// lost can never double-run work.
     ///
-    /// When a journal is configured, the `Submitted` record is committed
-    /// (and fsynced, per policy) *before* any server state changes; if the
-    /// journal refuses, the submission is shed with
-    /// [`AdmitError::JournalBackpressure`] and nothing was admitted.
-    pub fn submit_with_token(
-        &self,
-        spec: JobSpec,
-        token: Option<&str>,
-    ) -> Result<(JobId, bool), AdmitError> {
-        self.submit_authed(spec, token, None)
-    }
-
-    /// Submit with an idempotency token and a tenant auth secret. The
-    /// spec's `tenant` field is the *claim*; it is resolved against the
+    /// The spec's `tenant` field is the *claim*; it is resolved against the
     /// daemon's [`TenantDirectory`] (name validity, roster membership, the
     /// `auth` secret when the roster demands one) and the job is admitted
     /// under the resolved identity — which also gates the tenant's
     /// live-job and live-byte quotas.
+    ///
+    /// When a journal is configured, the admission record is committed (and
+    /// fsynced, per policy) *before* any server state changes; if the
+    /// journal refuses, the submission is shed with
+    /// [`AdmitError::JournalBackpressure`] and nothing was admitted.
     pub fn submit_authed(
         &self,
-        mut spec: JobSpec,
+        spec: JobSpec,
         token: Option<&str>,
         auth: Option<&str>,
     ) -> Result<(JobId, bool), AdmitError> {
         let shared = &self.shared;
         let mut guard = shared.state.lock();
         let st = &mut *guard;
-        let token: &str = token.unwrap_or("");
-        if !token.is_empty() {
-            if let Some(id) = st.tokens.get(token) {
-                return Ok((*id, true));
-            }
+        let token = token.unwrap_or("");
+        if let Some(id) = st.table.token(token) {
+            return Ok((id, true));
         }
-        // Identity first: quotas, fair share, and attribution all hang off
-        // the resolved tenant, not the raw claim.
-        let tenant = match shared.cfg.tenants.resolve(&spec.tenant, auth.unwrap_or("")) {
-            Ok(t) => t,
-            Err(e) => {
-                let e = AdmitError::TenantDenied { reason: e.to_string() };
-                st.metrics.on_reject(&e);
-                return Err(e);
-            }
-        };
-        spec.tenant = tenant.name.clone();
-        if let Err(e) = admit(shared, st, &spec) {
-            st.metrics.on_reject(&e);
-            return Err(e);
+        let admitted = admit_job(shared, st, spec, token, auth.unwrap_or(""));
+        if let Err(e) = &admitted {
+            st.metrics.on_reject(e);
         }
-        if st.live >= shared.cfg.queue_capacity {
-            let e = AdmitError::QueueFull { capacity: shared.cfg.queue_capacity };
-            st.metrics.on_reject(&e);
-            return Err(e);
-        }
-        // Artifact-store consult: a deck already published (by this life or
-        // any previous one) is served straight to Done — no batch, no
-        // worker, not one simulation step.
-        if let Some(store) = shared.store.as_ref() {
-            let dh = deck_hash(&spec.input, spec.steps);
-            match store.lookup(dh) {
-                Ok(Some(manifest)) => {
-                    return serve_cache_hit(shared, st, spec, token, dh, &manifest);
-                }
-                Ok(None) => {
-                    st.metrics.on_cache_miss();
-                    xg_obs::record_cache_miss();
-                }
-                Err(e) => {
-                    // A corrupt store entry must not block admission: count
-                    // a miss and run the job for real.
-                    st.metrics.on_cache_miss();
-                    xg_obs::record_cache_miss();
-                    eprintln!("xg-serve: artifact lookup for {dh} failed: {e}");
-                }
-            }
-        }
-        // Per-tenant quotas, checked after the cache consult — a hit is
-        // born terminal and never holds live resources, so it is served
-        // even to a tenant at its ceiling.
-        let deck = xg_sim::write_deck(&spec.input);
-        let deck_bytes = deck.len() as u64;
-        {
-            let usage = st.tenant_usage.get(&tenant.name).copied().unwrap_or_default();
-            let quota = match (tenant.max_live_jobs, tenant.max_live_bytes) {
-                (Some(maxj), _) if usage.live_jobs + 1 > maxj => {
-                    Some(("jobs", usage.live_jobs as u64 + 1, maxj as u64))
-                }
-                (_, Some(maxb)) if usage.live_bytes + deck_bytes > maxb => {
-                    Some(("bytes", usage.live_bytes + deck_bytes, maxb))
-                }
-                _ => None,
-            };
-            if let Some((resource, would_use, limit)) = quota {
-                let e = AdmitError::QuotaExceeded {
-                    tenant: tenant.name.clone(),
-                    resource,
-                    would_use,
-                    limit,
-                };
-                st.metrics.on_reject(&e);
-                return Err(e);
-            }
-        }
-        let id = JobId(st.next_job);
-        let submitted_unix_us = unix_us();
-        // Journal the admission BEFORE mutating any state: the client must
-        // never hold an id for a job the next life cannot replay. On
-        // journal failure nothing was admitted — typed backpressure, not
-        // unbounded unjournaled growth.
-        if let Some(j) = st.journal.as_mut() {
-            let rec = JournalRecord::Submitted {
-                job: id,
-                token: token.to_string(),
-                deck_hash: journal::fnv1a(deck.as_bytes()),
-                deck,
-                steps: spec.steps as u64,
-                tag: spec.tag.clone(),
-                tenant: spec.tenant.clone(),
-                submitted_unix_us,
-            };
-            if let Err(e) = j.append(&rec) {
-                let e = AdmitError::JournalBackpressure { reason: e.to_string() };
-                st.metrics.on_reject(&e);
-                return Err(e);
-            }
-            xg_obs::record_journal_append();
-        }
-        st.next_job += 1;
-        let (batch, flushed) = st.grouper.place(id, &spec, Instant::now());
-        let cmat_key = spec.input.cmat_key();
-        // Queued → Batched happens atomically inside submit (placement is
-        // synchronous), so the job is born already batched; a subscriber's
-        // initial snapshot covers the transition.
-        st.jobs.insert(
-            id,
-            Job {
-                id,
-                spec,
-                state: JobState::Batched,
-                cmat_key,
-                batch: Some(batch),
-                detail: batch.to_string(),
-                cancel_requested: false,
-                submitted_at: Instant::now(),
-                dispatched_at: None,
-                outcome: None,
-                token: (!token.is_empty()).then(|| token.to_string()),
-                deck_bytes,
-                restored_summary: None,
-                subscribers: Vec::new(),
-            },
-        );
-        if !token.is_empty() {
-            st.tokens.insert(token.to_string(), id);
-        }
-        st.live += 1;
-        let usage = st.tenant_usage.entry(tenant.name.clone()).or_default();
-        usage.live_jobs += 1;
-        usage.live_bytes += deck_bytes;
-        st.metrics.on_submit();
-        st.metrics.on_tenant_submit(&tenant.name);
-        journal_append(st, &JournalRecord::Batched { job: id, batch });
-        if let Some(f) = flushed {
-            enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, f.reason, None);
-            shared.work.notify_all();
-        }
-        // A new batch may have created the earliest linger deadline.
-        shared.timer.notify_one();
-        Ok((id, false))
+        admitted.map(|id| (id, false))
     }
 
     /// Dry-run placement: the deck's cmat key, canonical deck hash, cache
@@ -594,12 +459,12 @@ impl CampaignServer {
 
     /// Current status of one job.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        self.shared.state.lock().jobs.get(&id).map(Job::status)
+        self.shared.state.lock().table.job(id).map(Job::status)
     }
 
     /// Status of every job, in submission order.
     pub fn list(&self) -> Vec<JobStatus> {
-        self.shared.state.lock().jobs.values().map(Job::status).collect()
+        self.shared.state.lock().table.jobs().map(Job::status).collect()
     }
 
     /// Subscribe to a job's state changes. The current state is delivered
@@ -608,7 +473,7 @@ impl CampaignServer {
     /// state, after which the channel hangs up.
     pub fn subscribe(&self, id: JobId) -> Option<mpsc::Receiver<JobEvent>> {
         let mut guard = self.shared.state.lock();
-        let job = guard.jobs.get_mut(&id)?;
+        let job = guard.table.job_mut(id)?;
         let (tx, rx) = mpsc::channel();
         let _ = tx.send(JobEvent { job: id, state: job.state, detail: job.detail.clone() });
         if !job.state.is_terminal() {
@@ -621,23 +486,17 @@ impl CampaignServer {
     /// restart have only their journaled summary (the tensor died with the
     /// old process) — see [`CampaignServer::result_summary`].
     pub fn result(&self, id: JobId) -> Option<JobOutcome> {
-        self.shared.state.lock().jobs.get(&id).and_then(|j| j.outcome.clone())
+        self.shared.state.lock().table.job(id).and_then(|j| j.outcome.clone())
     }
 
     /// Result summary `(steps, h_hash, diag_bits)` of a `Done` job: the
     /// FNV-1a hash of the final distribution's little-endian bytes plus the
-    /// exact `f64::to_bits` of the four diagnostics. Computed from the live
-    /// outcome when present, from the journaled summary for jobs restored
-    /// after a restart — identical either way, which is what lets the
-    /// crash-recovery CI job assert bitwise-identical results across a
-    /// `kill -9`.
+    /// exact `f64::to_bits` of the four diagnostics. It is what the job's
+    /// `Done` (or `CacheHit`) record carries, so it reads the same before
+    /// and after a restart — which is what lets the crash-recovery CI job
+    /// assert bitwise-identical results across a `kill -9`.
     pub fn result_summary(&self, id: JobId) -> Option<(u64, u64, [u64; 4])> {
-        let guard = self.shared.state.lock();
-        let j = guard.jobs.get(&id)?;
-        if j.state != JobState::Done {
-            return None;
-        }
-        j.outcome.as_ref().map(outcome_summary).or(j.restored_summary)
+        self.shared.state.lock().table.job(id).and_then(|j| j.summary)
     }
 
     /// What startup journal replay reconstructed (all-zero when running
@@ -654,19 +513,17 @@ impl CampaignServer {
         let shared = &self.shared;
         let mut guard = shared.state.lock();
         let st = &mut *guard;
-        let job = st.jobs.get(&id).ok_or_else(|| format!("no such job: {id}"))?;
-        let (state, batch) = (job.state, job.batch);
-        match state {
+        let job = st.table.job_mut(id).ok_or_else(|| format!("no such job: {id}"))?;
+        match job.state {
             s if s.is_terminal() => Ok(s),
             JobState::Running => {
-                let job = st.jobs.get_mut(&id).expect("present");
                 job.cancel_requested = true;
                 job.detail = "cancel requested; evicts at next checkpoint".to_string();
                 Ok(JobState::Running)
             }
             _ => {
                 // Batched: preempt before dispatch.
-                if let Some(b) = batch {
+                if let Some(b) = job.batch {
                     if !st.grouper.remove_job(b, id) {
                         // Already flushed: pull it out of the ready queue
                         // (an emptied batch is dropped outright).
@@ -678,10 +535,8 @@ impl CampaignServer {
                         });
                     }
                 }
-                transition(st, id, JobState::Cancelled, "cancelled before dispatch".into());
-                if st.live == 0 {
-                    shared.quiet.notify_all();
-                }
+                let detail = "cancelled before dispatch".into();
+                commit(shared, st, JournalRecord::Cancelled { job: id, detail });
                 Ok(JobState::Cancelled)
             }
         }
@@ -706,13 +561,19 @@ impl CampaignServer {
         shared.work.notify_all();
         // The last job turns terminal inside `execute_batch`, a moment
         // before its worker releases the batch's nodes; quiet means both.
-        let quiet = |st: &State| st.live == 0 && st.nodes_in_use == 0;
+        let quiet = |st: &State| st.table.live() == 0 && st.nodes_in_use == 0;
         while !quiet(&guard) {
             if shared.quiet.wait_until(&mut guard, deadline).timed_out() {
                 return quiet(&guard);
             }
         }
         true
+    }
+
+    /// Metrics snapshot: the counters, with the journal, scheduler and
+    /// per-tenant figures refreshed under the state lock.
+    pub fn metrics(&self) -> Metrics {
+        metrics_snapshot(&self.shared.state.lock()).0
     }
 
     /// Metrics snapshot as JSON.
@@ -802,11 +663,8 @@ impl CampaignServer {
                 .flat_map(|f| f.batch.jobs)
                 .chain(st.ready.drain_all().into_iter().flat_map(|rb| rb.jobs))
                 .collect();
-            for id in pending {
-                transition(st, id, JobState::Cancelled, "server shutdown".into());
-            }
-            if st.live == 0 {
-                shared.quiet.notify_all();
+            for job in pending {
+                commit(&shared, st, JournalRecord::Cancelled { job, detail: "server shutdown".into() });
             }
             shared.work.notify_all();
             shared.timer.notify_all();
@@ -821,7 +679,7 @@ impl CampaignServer {
 fn jobs_by_state(st: &State) -> Vec<(JobState, usize)> {
     JobState::ALL
         .iter()
-        .map(|s| (*s, st.jobs.values().filter(|j| j.state == *s).count()))
+        .map(|s| (*s, st.table.jobs().filter(|j| j.state == *s).count()))
         .collect()
 }
 
@@ -833,7 +691,8 @@ fn metrics_snapshot(st: &State) -> (Metrics, Vec<(JobState, usize)>) {
     if let Some(j) = &st.journal {
         m.set_journal_stats(j.stats());
     }
-    m.set_tenant_usage(&st.tenant_usage);
+    m.tenants = st.table.tenants().clone();
+    m.set_tenant_usage(st.table.tenant_usage());
     m.nodes_in_use = st.nodes_in_use as u64;
     (m.world_spawns, m.cmat_builds) = xg_obs::Registry::global().session_stats();
     (m, jobs_by_state(st))
@@ -855,7 +714,7 @@ fn enqueue_ready(
         return;
     }
     let (tenant, steps, nodes) = {
-        let head = &st.jobs[&jobs[0]];
+        let head = st.table.job(jobs[0]).expect("a flushed batch names held jobs");
         let nodes = batch_nodes(cfg, &head.spec.input, jobs.len());
         (head.spec.tenant.clone(), head.spec.steps, nodes)
     };
@@ -887,140 +746,170 @@ fn tenant_sched_params(cfg: &ServerConfig, tenant: &str) -> (u32, u8) {
         .map_or((crate::tenant::DEFAULT_WEIGHT, 0), |t| (t.weight, t.priority))
 }
 
-/// Enforce the terminal-retention window: evict the oldest terminal jobs
-/// beyond the count bound or past the age bound, dropping each one's
-/// idempotency-token dedup entry with it. This mirrors journal compaction
-/// (closed segments forget terminal jobs too), so what a restart would not
-/// replay, the live table forgets on the same schedule — a retained id
-/// keeps `RESULT` and token dedup working; an evicted one answers
-/// not-found exactly as it would after a restart.
-fn evict_terminals(st: &mut State, retain_jobs: usize, retain_age: Duration, now: Instant) {
-    let mut evicted = 0u64;
-    while let Some(&(id, at)) = st.terminal_order.front() {
-        let over_count = st.terminal_order.len() > retain_jobs;
-        let over_age = now.saturating_duration_since(at) >= retain_age;
-        if !over_count && !over_age {
-            break;
-        }
-        st.terminal_order.pop_front();
-        let evictable = st.jobs.get(&id).is_some_and(|j| j.state.is_terminal());
-        if evictable {
-            if let Some(job) = st.jobs.remove(&id) {
-                if let Some(tok) = &job.token {
-                    if st.tokens.get(tok) == Some(&id) {
-                        st.tokens.remove(tok);
-                    }
-                }
-                evicted += 1;
-            }
-        }
-    }
-    if evicted > 0 {
-        st.metrics.on_terminal_evicted(evicted);
-    }
-}
-
-/// Wall-clock µs since the Unix epoch (0 if the clock predates it).
-fn unix_us() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0)
-}
-
-/// Best-effort journal append for post-admission lifecycle records. Only
-/// the `Submitted` record is a hard durability contract (its failure fails
-/// the submit with typed backpressure); the rest degrade gracefully — a
-/// refused append is counted in the journal's `dropped` stat, and replay's
-/// tolerant fold reconstructs what it can from whatever did land.
-fn journal_append(st: &mut State, rec: &JournalRecord) {
+/// The live path's only way to change a job: journal the record, then
+/// apply it to the table. Only admission records are a hard durability
+/// contract (see [`admit_job`]); the rest degrade gracefully — a refused
+/// append is counted in the journal's `dropped` stat, the in-memory state
+/// still moves, and replay reconstructs what it can from whatever did land.
+fn commit(shared: &Shared, st: &mut State, rec: JournalRecord) {
     if let Some(j) = st.journal.as_mut() {
-        if j.append(rec).is_ok() {
+        if j.append(&rec).is_ok() {
             xg_obs::record_journal_append();
         }
     }
+    apply_live(shared, st, rec, None);
 }
 
-/// Serve a submission from a published artifact: journal the `CacheHit`
-/// record first (intent before effect — on journal refusal nothing is
-/// admitted), then insert the job born `Done` with no batch. The full
-/// outcome tensor is rehydrated from the stored blob when it is still
-/// present, so `RESULT` works exactly as for a freshly executed job; a
-/// GC-evicted blob degrades to summary-only, like a job restored from the
-/// journal after a restart.
-fn serve_cache_hit(
+/// Apply a record this process built (and has journaled) to the table, then
+/// let what follows from the new state follow: the retention window, the
+/// journal's compaction — which asks the table what to keep, so it must run
+/// *after* the record that closed the segment is applied — and drain
+/// waiters. A refusal is a bug: the checks that built the record hold the
+/// same lock.
+fn apply_live(shared: &Shared, st: &mut State, rec: JournalRecord, input: Option<CgyroInput>) {
+    if let Err(why) = st.table.apply(rec, input) {
+        panic!("the live path built a record the job table refuses: {why:?}");
+    }
+    let evicted = st.table.evict(shared.cfg.retain_jobs, shared.cfg.retain_age, Instant::now());
+    if evicted > 0 {
+        st.metrics.on_terminal_evicted(evicted);
+    }
+    if let Some(j) = st.journal.as_mut() {
+        if let Err(e) = j.compact(|r| st.table.retains(r), st.table.watermark()) {
+            eprintln!("xg-serve: journal compaction failed: {e}");
+        }
+    }
+    if st.table.live() == 0 {
+        shared.quiet.notify_all();
+    }
+}
+
+/// Admit one submission: identity, admission checks, cache consult, quotas,
+/// then the admission record — `CacheHit` when the artifact store already
+/// holds the deck's result (the job is born `Done`: no batch, no worker,
+/// not one simulation step), `Submitted` otherwise (the job is placed into
+/// a batch before the lock is released). The record is journaled BEFORE any
+/// state changes: the client must never hold an id the next life cannot
+/// replay, so on journal failure nothing was admitted — typed backpressure,
+/// not unbounded unjournaled growth.
+fn admit_job(
     shared: &Shared,
     st: &mut State,
-    spec: JobSpec,
+    mut spec: JobSpec,
     token: &str,
-    dh: DeckHash,
-    manifest: &Manifest,
-) -> Result<(JobId, bool), AdmitError> {
-    let id = JobId(st.next_job);
-    let (steps_done, h_hash, diag_bits) = manifest.summary();
-    if let Some(j) = &mut st.journal {
-        let deck = xg_sim::write_deck(&spec.input);
-        let rec = JournalRecord::CacheHit {
-            job: id,
-            token: token.to_string(),
-            deck_hash: journal::fnv1a(deck.as_bytes()),
-            deck,
-            steps: spec.steps as u64,
-            tag: spec.tag.clone(),
-            tenant: spec.tenant.clone(),
-            submitted_unix_us: unix_us(),
-            steps_done,
-            h_hash,
-            diag_bits,
-        };
-        if let Err(e) = j.append(&rec) {
-            let e = AdmitError::JournalBackpressure { reason: e.to_string() };
-            st.metrics.on_reject(&e);
-            return Err(e);
+    auth: &str,
+) -> Result<JobId, AdmitError> {
+    // Identity first: quotas, fair share, and attribution all hang off the
+    // resolved tenant, not the raw claim.
+    let tenant = shared
+        .cfg
+        .tenants
+        .resolve(&spec.tenant, auth)
+        .map_err(|e| AdmitError::TenantDenied { reason: e.to_string() })?;
+    spec.tenant = tenant.name.clone();
+    admit(shared, st, &spec)?;
+    if st.table.live() >= shared.cfg.queue_capacity {
+        return Err(AdmitError::QueueFull { capacity: shared.cfg.queue_capacity });
+    }
+    let mut hit = None;
+    if let Some(store) = shared.store.as_ref() {
+        let dh = deck_hash(&spec.input, spec.steps);
+        match store.lookup(dh) {
+            Ok(Some(manifest)) => hit = Some(manifest),
+            Ok(None) => {}
+            // A corrupt store entry must not block admission: count a miss
+            // and run the job for real.
+            Err(e) => eprintln!("xg-serve: artifact lookup for {dh} failed: {e}"),
         }
+        if hit.is_none() {
+            st.metrics.on_cache_miss();
+            xg_obs::record_cache_miss();
+        }
+    }
+    let deck = xg_sim::write_deck(&spec.input);
+    // Per-tenant quotas bind only a job that will hold live resources — a
+    // hit is born terminal, so it is served even to a tenant at its ceiling.
+    if hit.is_none() {
+        let usage = st.table.tenant_usage().get(&tenant.name).copied().unwrap_or_default();
+        let deck_bytes = deck.len() as u64;
+        let over = match (tenant.max_live_jobs, tenant.max_live_bytes) {
+            (Some(maxj), _) if usage.live_jobs + 1 > maxj => {
+                Some(("jobs", usage.live_jobs as u64 + 1, maxj as u64))
+            }
+            (_, Some(maxb)) if usage.live_bytes + deck_bytes > maxb => {
+                Some(("bytes", usage.live_bytes + deck_bytes, maxb))
+            }
+            _ => None,
+        };
+        if let Some((resource, would_use, limit)) = over {
+            return Err(AdmitError::QuotaExceeded { tenant: tenant.name, resource, would_use, limit });
+        }
+    }
+    let job = st.table.next_job_id();
+    let JobSpec { input, steps, tag, tenant } = spec;
+    let (token, deck_hash, steps) = (token.to_string(), journal::fnv1a(deck.as_bytes()), steps as u64);
+    let submitted_unix_us = unix_us();
+    let rec = match &hit {
+        Some(manifest) => {
+            let (steps_done, h_hash, diag_bits) = manifest.summary();
+            JournalRecord::CacheHit {
+                job,
+                token,
+                deck_hash,
+                deck,
+                steps,
+                tag,
+                tenant,
+                submitted_unix_us,
+                steps_done,
+                h_hash,
+                diag_bits,
+            }
+        }
+        None => JournalRecord::Submitted {
+            job,
+            token,
+            deck_hash,
+            deck,
+            steps,
+            tag,
+            tenant,
+            submitted_unix_us,
+        },
+    };
+    if let Some(j) = st.journal.as_mut() {
+        j.append(&rec).map_err(|e| AdmitError::JournalBackpressure { reason: e.to_string() })?;
         xg_obs::record_journal_append();
     }
-    st.next_job += 1;
-    let store = shared.store.as_ref().expect("a hit implies a store");
-    let outcome = store
-        .get_object(manifest.outcome_object)
-        .ok()
-        .and_then(|b| artifacts::decode_outcome(&b).ok());
-    let cmat_key = spec.input.cmat_key();
-    let tenant = spec.tenant.clone();
-    // Born Done: never counts against `live` (or the tenant's live
-    // quotas), never occupies a batch, no lifecycle transition to journal
-    // beyond the single CacheHit record.
-    st.jobs.insert(
-        id,
-        Job {
-            id,
-            spec,
-            state: JobState::Done,
-            cmat_key,
-            batch: None,
-            detail: format!("served from artifact cache ({dh})"),
-            cancel_requested: false,
-            submitted_at: Instant::now(),
-            dispatched_at: None,
-            outcome,
-            token: (!token.is_empty()).then(|| token.to_string()),
-            deck_bytes: 0,
-            restored_summary: Some((steps_done, h_hash, diag_bits)),
-            subscribers: Vec::new(),
-        },
-    );
-    if !token.is_empty() {
-        st.tokens.insert(token.to_string(), id);
-    }
-    st.terminal_order.push_back((id, Instant::now()));
+    apply_live(shared, st, rec, Some(input));
     st.metrics.on_submit();
-    st.metrics.on_tenant_submit(&tenant);
-    st.metrics.on_tenant_cache_hit(&tenant);
-    st.metrics.on_cache_hit(manifest.outcome_bytes);
-    xg_obs::record_cache_hit(manifest.outcome_bytes);
-    evict_terminals(st, shared.cfg.retain_jobs, shared.cfg.retain_age, Instant::now());
-    Ok((id, false))
+    if let Some(manifest) = hit {
+        // The full outcome tensor is rehydrated from the stored blob when
+        // it is still present, so `RESULT` works exactly as for a freshly
+        // executed job; a GC-evicted blob degrades to summary-only, like a
+        // job restored from the journal after a restart.
+        let store = shared.store.as_ref().expect("a hit implies a store");
+        let blob = store.get_object(manifest.outcome_object).ok();
+        let outcome = blob.and_then(|b| artifacts::decode_outcome(&b).ok());
+        if let Some(hit_job) = st.table.job_mut(job) {
+            hit_job.outcome = outcome;
+        }
+        st.metrics.on_cache_hit(manifest.outcome_bytes);
+        xg_obs::record_cache_hit(manifest.outcome_bytes);
+        return Ok(job);
+    }
+    // Queued → Batched happens inside submit (placement is synchronous), so
+    // the client's first look at the job already sees it batched.
+    let placed = st.table.job(job).expect("just admitted");
+    let (batch, flushed) = st.grouper.place(job, &placed.spec, Instant::now());
+    commit(shared, st, JournalRecord::Batched { job, batch });
+    if let Some(f) = flushed {
+        enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, f.reason, None);
+        shared.work.notify_all();
+    }
+    // A new batch may have created the earliest linger deadline.
+    shared.timer.notify_one();
+    Ok(job)
 }
 
 /// `(steps, h_hash, diag_bits)` for a completed outcome: FNV-1a over the
@@ -1046,16 +935,15 @@ fn outcome_summary(o: &JobOutcome) -> (u64, u64, [u64; 4]) {
     )
 }
 
-/// Rebuild server state from a journal replay: terminal jobs are restored
-/// with their result summaries, members of still-running batches are queued
-/// to resume from the last journaled checkpoint, and every other live job
-/// is re-admitted through the normal grouping path. Tenant attribution
-/// survives the crash: every restored job keeps its journaled tenant (v1
-/// records replay as the default tenant) and live restored jobs re-count
-/// against their tenant's quotas. Runs before any worker thread exists, so
-/// it owns the state outright.
-fn replay_into(cfg: &ServerConfig, st: &mut State, replay: journal::Replay) {
-    let table = journal::fold(&replay.records);
+/// Rebuild server state from a journal replay: every record goes through
+/// the same [`JobTable::apply`] the live path uses, so terminal jobs come
+/// back with their summaries, tokens, tenant attribution and counters, and
+/// the id watermarks sit past everything any life issued. What remains is
+/// recovery *policy*: sweep the retention window the previous life kept,
+/// regroup jobs that were still waiting, and queue each interrupted batch to
+/// resume — its members stay `Running`, exactly like a batch preempted at a
+/// checkpoint boundary. Runs before any worker thread exists.
+fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
     st.recovery = RecoveryReport {
         replayed_records: replay.records.len() as u64,
         torn_bytes: replay.torn_bytes,
@@ -1063,195 +951,103 @@ fn replay_into(cfg: &ServerConfig, st: &mut State, replay: journal::Replay) {
         warnings: replay.warnings,
         ..RecoveryReport::default()
     };
-    if table.ignored > 0 {
-        st.recovery
-            .warnings
-            .push(format!("{} record(s) ignored by the replay fold", table.ignored));
+    let mut ignored = 0u64;
+    for rec in replay.records {
+        match st.table.apply(rec, None) {
+            Ok(()) => {}
+            Err(Ignored::Illegal) => ignored += 1,
+            Err(Ignored::BadDeck(why)) => st.recovery.warnings.push(why),
+        }
+    }
+    if ignored > 0 {
+        st.recovery.warnings.push(format!("{ignored} record(s) ignored by replay"));
     }
     xg_obs::record_journal_replay(replay.replay_us);
-    // Members that resume as their original batch (instead of regrouping):
-    // non-terminal jobs of batches with a journaled `Running` record.
-    let mut resumed_members: BTreeMap<JobId, BatchId> = BTreeMap::new();
-    for (bid, rb) in &table.running {
-        for j in &rb.jobs {
-            if table.jobs.get(j).is_some_and(|rj| !rj.state.is_terminal()) {
-                resumed_members.insert(*j, *bid);
-            }
-        }
-    }
-    // Seed batch numbering past everything the journal ever allocated so
-    // re-placement cannot collide with a resumed batch id.
-    st.grouper.seed_next_batch(table.max_batch.map_or(0, |m| m + 1));
     let now = Instant::now();
-    let now_us = unix_us();
-    for (id, rj) in &table.jobs {
-        st.next_job = st.next_job.max(id.0 + 1);
-        let input = match xg_sim::parse_deck(&rj.deck) {
-            Ok(i) if journal::fnv1a(rj.deck.as_bytes()) == rj.deck_hash => i,
-            Ok(_) => {
-                st.recovery
-                    .warnings
-                    .push(format!("{id}: journaled deck hash mismatch — job dropped"));
-                continue;
-            }
-            Err(e) => {
-                st.recovery
-                    .warnings
-                    .push(format!("{id}: journaled deck unparseable ({e}) — job dropped"));
-                continue;
-            }
-        };
-        // Attribution survives the crash in the counters, not just the job
-        // table: every replayed job re-credits its tenant's submitted
-        // count, and a job that reached a terminal state in the previous
-        // life credits done/failed/cancelled here — it will never run
-        // again, so replay is its only chance to be accounted.
-        st.metrics.on_tenant_submit(&rj.tenant);
-        if rj.state.is_terminal() {
-            let work = if rj.state == JobState::Done { rj.steps } else { 0 };
-            st.metrics.on_tenant_terminal(&rj.tenant, rj.state, work);
-        }
-        // Back-date admission by the journaled wall-clock age so queue
-        // latency spans the crash: the clock started at the original
-        // submit, not at replay.
-        let submitted_at = now
-            .checked_sub(Duration::from_micros(now_us.saturating_sub(rj.submitted_unix_us)))
-            .unwrap_or(now);
-        let spec = JobSpec {
-            input,
-            steps: rj.steps as usize,
-            tag: rj.tag.clone(),
-            tenant: rj.tenant.clone(),
-        };
-        let cmat_key = spec.input.cmat_key();
-        let deck_bytes = rj.deck.len() as u64;
-        let mut job = Job {
-            id: *id,
-            spec,
-            state: rj.state,
-            cmat_key,
-            batch: rj.batch,
-            detail: rj.detail.clone(),
-            cancel_requested: false,
-            submitted_at,
-            dispatched_at: None,
-            outcome: None,
-            token: (!rj.token.is_empty()).then(|| rj.token.clone()),
-            deck_bytes,
-            restored_summary: None,
-            subscribers: Vec::new(),
-        };
-        if !rj.token.is_empty() {
-            st.tokens.insert(rj.token.clone(), *id);
-        }
-        let count_live = |st: &mut State, tenant: &str, bytes: u64| {
-            let u = st.tenant_usage.entry(tenant.to_string()).or_default();
-            u.live_jobs += 1;
-            u.live_bytes += bytes;
-        };
-        if rj.state.is_terminal() {
-            job.restored_summary = rj.done_summary;
-            st.jobs.insert(*id, job);
-            st.terminal_order.push_back((*id, now));
-            st.recovery.restored_jobs += 1;
-        } else if let Some(b) = resumed_members.get(id) {
-            // Re-runs Batched → Running when the resumed batch dispatches.
-            job.state = JobState::Batched;
-            job.batch = Some(*b);
-            job.detail = format!("restored; resuming {b}");
-            count_live(st, &rj.tenant, deck_bytes);
-            st.jobs.insert(*id, job);
-            st.live += 1;
-            st.recovery.restored_jobs += 1;
-        } else {
-            // Waiting (or running in a batch whose journal trail was lost):
-            // re-admit through the normal grouping path.
-            let spec = job.spec.clone();
-            let (batch, flushed) = st.grouper.place(*id, &spec, now);
-            job.state = JobState::Batched;
-            job.batch = Some(batch);
-            job.detail = format!("restored; regrouped into {batch}");
-            count_live(st, &rj.tenant, deck_bytes);
-            st.jobs.insert(*id, job);
-            st.live += 1;
-            st.recovery.readmitted_jobs += 1;
-            journal_append(st, &JournalRecord::Batched { job: *id, batch });
-            if let Some(f) = flushed {
-                enqueue_ready(cfg, st, f.batch.id, f.batch.jobs, f.reason, None);
-            }
+    st.table.evict(shared.cfg.retain_jobs, shared.cfg.retain_age, now);
+    // Batches formed from here on never reuse an id a previous life issued.
+    st.grouper.seed_next_batch(st.table.next_batch());
+
+    // Waiting jobs (never dispatched) regroup through the normal placement
+    // path, in submission order.
+    let waiting: Vec<JobId> = st
+        .table
+        .jobs()
+        .filter(|j| matches!(j.state, JobState::Queued | JobState::Batched))
+        .map(|j| j.id)
+        .collect();
+    for job in waiting {
+        let spec = &st.table.job(job).expect("listed above").spec;
+        let (batch, flushed) = st.grouper.place(job, spec, now);
+        commit(shared, st, JournalRecord::Batched { job, batch });
+        st.recovery.readmitted_jobs += 1;
+        if let Some(f) = flushed {
+            enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, f.reason, None);
         }
     }
-    // Queue each interrupted batch for resumption from its last journaled
-    // checkpoint (step 0 when no checkpoint landed, or when the restored
-    // one fails validation — correctness over speed, with a warning).
-    for (bid, rb) in &table.running {
-        let members: Vec<JobId> = match &rb.checkpoint {
-            // The checkpoint's member list is authoritative: it reflects
-            // evictions that happened after dispatch.
-            Some((_, _, cp_jobs, _)) => cp_jobs.clone(),
-            None => rb.jobs.clone(),
+
+    // Each interrupted batch resumes from its last journaled checkpoint —
+    // or from step 0 when none landed or the restored one fails validation
+    // (correctness over speed, with a warning).
+    let mut resumes = Vec::new();
+    for (bid, rb) in st.table.running() {
+        let running = |j: &JobId| {
+            st.table.job(*j).is_some_and(|job| job.state == JobState::Running && job.batch == Some(*bid))
         };
-        let live: Vec<JobId> = members
-            .iter()
-            .copied()
-            .filter(|j| resumed_members.get(j) == Some(bid) && st.jobs.contains_key(j))
-            .collect();
-        if live.is_empty() {
-            continue;
-        }
+        // The checkpoint's member list is authoritative: it reflects
+        // evictions that happened after dispatch.
+        let order = rb.checkpoint.as_ref().map_or(&rb.jobs, |cp| &cp.jobs);
+        let members: Vec<JobId> = order.iter().copied().filter(running).collect();
+        let Some(head) = members.first().and_then(|j| st.table.job(*j)) else { continue };
         let mut resume = ResumeState { checkpoint: None, done: 0, next_seq: 0 };
-        if let Some((seq, done_steps, cp_jobs, state)) = &rb.checkpoint {
-            resume.next_seq = seq + 1;
-            match EnsembleCheckpoint::from_bytes(state) {
-                Ok(cp) => {
-                    // Members that terminalized after the checkpoint are
-                    // evicted from the restored state, highest position
-                    // first (eviction shifts later positions down).
-                    let mut cp = Some(cp);
-                    for (pos, j) in cp_jobs.iter().enumerate().rev() {
-                        if live.contains(j) {
-                            continue;
-                        }
-                        cp = match cp.take().map(|c| c.evict_member(pos)) {
-                            Some(Ok(next)) => Some(next),
-                            _ => None,
-                        };
-                        if cp.is_none() {
-                            st.recovery.warnings.push(format!(
-                                "{bid}: cannot evict member {pos} from restored \
-                                 checkpoint; restarting batch from step 0"
-                            ));
-                            break;
-                        }
-                    }
-                    if let Some(cp) = cp {
-                        let member = &st.jobs[&live[0]];
-                        let d = member.spec.input.dims();
-                        if cp.k() == live.len()
-                            && cp.cmat_key() == member.cmat_key
-                            && cp.dims() == (d.nc, d.nv, d.nt)
-                        {
-                            resume.checkpoint = Some(cp);
-                            resume.done = *done_steps as usize;
-                        } else {
-                            st.recovery.warnings.push(format!(
-                                "{bid}: restored checkpoint does not match its \
-                                 members; restarting batch from step 0"
-                            ));
-                        }
-                    }
+        if let Some(cp) = &rb.checkpoint {
+            resume.next_seq = cp.seq.saturating_add(1);
+            match restored_checkpoint(cp, &members, head) {
+                Ok(image) => {
+                    resume.checkpoint = Some(image);
+                    resume.done = cp.done_steps as usize;
                 }
-                Err(e) => {
-                    st.recovery.warnings.push(format!(
-                        "{bid}: undecodable checkpoint ({e:?}); restarting batch \
-                         from step 0"
-                    ));
+                Err(why) => {
+                    let w = format!("{bid}: {why}; restarting batch from step 0");
+                    st.recovery.warnings.push(w);
                 }
             }
         }
-        st.recovery.resumed_batches += 1;
-        enqueue_ready(cfg, st, *bid, live, FlushReason::Resume, Some(resume));
+        resumes.push((*bid, members, resume));
     }
+    let terminal = st.table.jobs().filter(|j| j.state.is_terminal()).count();
+    st.recovery.restored_jobs = terminal as u64;
+    for (bid, members, resume) in resumes {
+        st.recovery.resumed_batches += 1;
+        st.recovery.restored_jobs += members.len() as u64;
+        enqueue_ready(&shared.cfg, st, bid, members, FlushReason::Resume, Some(resume));
+    }
+}
+
+/// Decode a journaled checkpoint and fit it to the members that resume
+/// from it: members that terminalized after it was taken are evicted from
+/// the image (highest position first — eviction shifts later positions
+/// down), and what is left must be exactly `members`' ensemble.
+fn restored_checkpoint(
+    cp: &BatchCheckpoint,
+    members: &[JobId],
+    head: &Job,
+) -> Result<EnsembleCheckpoint, String> {
+    let mut image = EnsembleCheckpoint::from_bytes(&cp.state)
+        .map_err(|e| format!("undecodable checkpoint ({e:?})"))?;
+    for (pos, j) in cp.jobs.iter().enumerate().rev() {
+        if !members.contains(j) {
+            image = image
+                .evict_member(pos)
+                .map_err(|_| format!("cannot evict member {pos} from restored checkpoint"))?;
+        }
+    }
+    let d = head.spec.input.dims();
+    let fits = image.k() == members.len()
+        && image.cmat_key() == head.cmat_key
+        && image.dims() == (d.nc, d.nv, d.nt);
+    fits.then_some(image)
+        .ok_or_else(|| "restored checkpoint does not match its members".to_string())
 }
 
 /// Admission checks that need no mutation: drain gate, deck validity,
@@ -1292,74 +1088,6 @@ fn admit(shared: &Shared, st: &State, spec: &JobSpec) -> Result<(), AdmitError> 
     Ok(())
 }
 
-/// Transition a job, enforcing the lifecycle graph, maintaining the
-/// live-job count, notifying subscribers, and journaling terminal
-/// transitions (so a restart never re-runs finished work).
-fn transition(st: &mut State, id: JobId, to: JobState, detail: String) {
-    let (rec, released) = {
-        let job = st.jobs.get_mut(&id).expect("job exists");
-        assert!(
-            job.state.can_transition(to),
-            "illegal transition {} -> {to} for {id}",
-            job.state
-        );
-        job.state = to;
-        job.detail = detail.clone();
-        emit(job, to, detail);
-        let rec = match to {
-            JobState::Done => {
-                let (steps, h_hash, diag_bits) = job
-                    .outcome
-                    .as_ref()
-                    .map(outcome_summary)
-                    .or(job.restored_summary)
-                    .unwrap_or((0, 0, [0; 4]));
-                Some(JournalRecord::Done { job: id, steps, h_hash, diag_bits })
-            }
-            JobState::Failed => {
-                Some(JournalRecord::Failed { job: id, detail: job.detail.clone() })
-            }
-            JobState::Cancelled => {
-                Some(JournalRecord::Cancelled { job: id, detail: job.detail.clone() })
-            }
-            _ => None,
-        };
-        let released = to.is_terminal().then(|| {
-            let work = if to == JobState::Done { job.spec.steps as u64 } else { 0 };
-            (job.spec.tenant.clone(), job.deck_bytes, work)
-        });
-        (rec, released)
-    };
-    if let Some(rec) = rec {
-        journal_append(st, &rec);
-    }
-    if let Some((tenant, deck_bytes, work)) = released {
-        st.live = st.live.checked_sub(1).expect("live-job count underflow");
-        // Return the job's live budget to its tenant; an emptied entry is
-        // dropped so the usage map tracks only tenants with live work.
-        if let Some(u) = st.tenant_usage.get_mut(&tenant) {
-            u.live_jobs = u.live_jobs.saturating_sub(1);
-            u.live_bytes = u.live_bytes.saturating_sub(deck_bytes);
-            if *u == TenantUsage::default() {
-                st.tenant_usage.remove(&tenant);
-            }
-        }
-        st.metrics.on_tenant_terminal(&tenant, to, work);
-        st.terminal_order.push_back((id, Instant::now()));
-    }
-}
-
-/// Deliver an event to the job's subscribers, dropping hung-up channels.
-/// Terminal events also drop the subscriber list (hang-up signals "no more
-/// events").
-fn emit(job: &mut Job, state: JobState, detail: String) {
-    let ev = JobEvent { job: job.id, state, detail };
-    job.subscribers.retain(|tx| tx.send(ev.clone()).is_ok());
-    if state.is_terminal() {
-        job.subscribers.clear();
-    }
-}
-
 /// The batcher thread: flush linger-expired batches to the ready queue.
 fn batcher_loop(shared: &Shared) {
     let mut guard = shared.state.lock();
@@ -1379,7 +1107,8 @@ fn batcher_loop(shared: &Shared) {
         }
         // The batcher doubles as the retention sweeper: the age bound must
         // fire even when no submission or flush has run in a while.
-        evict_terminals(&mut guard, shared.cfg.retain_jobs, shared.cfg.retain_age, now);
+        let evicted = guard.table.evict(shared.cfg.retain_jobs, shared.cfg.retain_age, now);
+        guard.metrics.on_terminal_evicted(evicted);
         match guard.grouper.next_deadline() {
             Some(d) => {
                 shared.timer.wait_until(&mut guard, d);
@@ -1448,38 +1177,40 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
     let ReadyBatch { id: batch_id, jobs, reason, resume, tenant, priority, nodes } = rb;
     // Dispatch bookkeeping: transition members to Running, record queue
     // latency and occupancy, arm the chaos fault plan (first batch only).
-    // Members of a preempted batch are *already* Running — they re-enter
-    // here without a second transition, dispatch count, or Running record,
-    // so a preempt/resume cycle is invisible to occupancy accounting.
+    // Members of a preempted batch — or of one a restart resumed — are
+    // *already* Running: they re-enter here without a second transition,
+    // dispatch count, or Running record, so a preempt/resume cycle is
+    // invisible to occupancy accounting.
     let (inputs, steps_total, plan) = {
         let mut guard = shared.state.lock();
         let st = &mut *guard;
         let now = Instant::now();
         let mut inputs: Vec<CgyroInput> = Vec::new();
         let mut steps_total = 0;
-        let mut fresh = 0usize;
+        let mut fresh = false;
         for id in &jobs {
-            let job = st.jobs.get_mut(id).expect("batched job exists");
+            let job = st.table.job_mut(*id).expect("batched job exists");
             steps_total = job.spec.steps;
             inputs.push(job.spec.input.clone());
+            // A batch resumed after a restart was dispatched by a previous
+            // life: its latency spans the crash.
+            job.dispatched_at.get_or_insert(now);
             if job.state != JobState::Batched {
                 continue;
             }
-            fresh += 1;
-            job.dispatched_at = Some(now);
+            fresh = true;
             // Microsecond resolution: under test configs dispatch latency
             // is routinely sub-millisecond, and ms-granular recording
             // rounded it all to zero (count > 0 with sum = 0).
             let lat_us = now.duration_since(job.submitted_at).as_micros() as u64;
             st.metrics.on_queue_latency_us(lat_us);
-            transition(st, *id, JobState::Running, format!("{batch_id} (k={})", jobs.len()));
         }
         if jobs.is_empty() {
             return;
         }
-        if fresh > 0 {
+        if fresh {
             st.metrics.on_dispatch(jobs.len(), inputs[0].dims(), reason);
-            journal_append(st, &JournalRecord::Running { batch: batch_id, jobs: jobs.clone() });
+            commit(shared, st, JournalRecord::Running { batch: batch_id, jobs: jobs.clone() });
         }
         (inputs, steps_total, st.fault_plan.take())
     };
@@ -1520,7 +1251,8 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
     let fail_evicted = |events: &[xgyro_core::RecoveryEvent]| {
         for ev in events {
             let detail = format!("member evicted after fault: {}", ev.cause);
-            finish(shared, jobs[ev.failed_member], JobState::Failed, detail, None);
+            let rec = JournalRecord::Failed { job: jobs[ev.failed_member], detail };
+            commit(shared, &mut shared.state.lock(), rec);
         }
     };
     while done < steps_total {
@@ -1530,13 +1262,16 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
             member_ids
                 .iter()
                 .enumerate()
-                .filter(|(_, id)| guard.shutdown || guard.jobs[*id].cancel_requested)
+                .filter(|(_, id)| {
+                    guard.shutdown || guard.table.job(**id).is_some_and(|j| j.cancel_requested)
+                })
                 .map(|(pos, _)| pos)
                 .collect()
         };
         for &pos in cancelled.iter().rev() {
-            let id = member_ids.remove(pos);
-            finish(shared, id, JobState::Cancelled, "preempted at checkpoint".into(), None);
+            let job = member_ids.remove(pos);
+            let rec = JournalRecord::Cancelled { job, detail: "preempted at checkpoint".into() };
+            commit(shared, &mut shared.state.lock(), rec);
         }
         // An emptied batch drops its run (evicting the last member is
         // refused); otherwise the run sheds the cancelled members and
@@ -1571,7 +1306,8 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
                 (st.idle_workers == 0 || need > avail_now) && need <= avail_now + nodes as u64
             });
             if yields {
-                st.metrics.on_preempt(&tenant);
+                st.metrics.on_preempt();
+                st.table.on_preempt(&tenant);
                 let resume =
                     ResumeState { checkpoint: run.checkpoint().cloned(), done, next_seq };
                 enqueue_ready(
@@ -1614,7 +1350,7 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
                 state,
             };
             next_seq += 1;
-            journal_append(&mut shared.state.lock(), &crec);
+            commit(shared, &mut shared.state.lock(), crec);
         }
     }
     // Outcomes are built once, from the one final gather. The gather, the
@@ -1656,9 +1392,12 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
         );
         (member_ids, results)
     };
-    for id in member_ids {
-        let outcome = results.remove(&id);
-        finish(shared, id, JobState::Done, "completed".into(), outcome);
+    for job in member_ids {
+        let outcome = results.remove(&job).expect("every survivor has a result");
+        let (steps, h_hash, diag_bits) = outcome_summary(&outcome);
+        let mut guard = shared.state.lock();
+        guard.table.job_mut(job).expect("running job exists").outcome = Some(outcome);
+        commit(shared, &mut guard, JournalRecord::Done { job, steps, h_hash, diag_bits });
     }
 }
 
@@ -1695,7 +1434,7 @@ fn publish_batch(
         member_ids
             .iter()
             .filter(|id| results.contains_key(id))
-            .map(|id| (*id, guard.jobs[id].spec.clone()))
+            .map(|id| (*id, guard.table.job(*id).expect("running job exists").spec.clone()))
             .collect()
     };
     let ctx = PublishContext {
@@ -1728,22 +1467,11 @@ fn publish_batch(
     }
 }
 
-/// Terminalize one job (from `Running`) and wake drain waiters when the
-/// server goes quiet.
-fn finish(shared: &Shared, id: JobId, state: JobState, detail: String, outcome: Option<JobOutcome>) {
-    let mut guard = shared.state.lock();
-    let st = &mut *guard;
-    st.jobs.get_mut(&id).expect("running job exists").outcome = outcome;
-    transition(st, id, state, detail);
-    if st.live == 0 {
-        shared.quiet.notify_all();
-    }
-}
-
 /// Fail every remaining member of a batch with the same cause.
 fn fail_all(shared: &Shared, ids: &[JobId], detail: &str) {
-    for id in ids {
-        finish(shared, *id, JobState::Failed, detail.to_string(), None);
+    let mut guard = shared.state.lock();
+    for job in ids {
+        commit(shared, &mut guard, JournalRecord::Failed { job: *job, detail: detail.to_string() });
     }
 }
 

@@ -521,37 +521,14 @@ impl Client {
         self.recv_line()
     }
 
-    /// Submit (or dry-run) a deck; returns the response line.
-    pub fn submit_deck(
-        &mut self,
-        deck_text: &str,
-        steps: usize,
-        tag: &str,
-        dry_run: bool,
-    ) -> std::io::Result<String> {
-        self.submit_deck_tokened(deck_text, steps, tag, "", dry_run)
-    }
-
-    /// Submit (or dry-run) a deck carrying an idempotency token (`""` for
-    /// none). With a token the request is safe to retry: a re-send the
-    /// server already acknowledged answers `dup=1` with the original job id
-    /// instead of double-enqueueing.
-    pub fn submit_deck_tokened(
-        &mut self,
-        deck_text: &str,
-        steps: usize,
-        tag: &str,
-        token: &str,
-        dry_run: bool,
-    ) -> std::io::Result<String> {
-        self.submit_deck_as(deck_text, steps, tag, token, "", "", dry_run)
-    }
-
-    /// Submit (or dry-run) a deck as a named tenant, optionally carrying
-    /// the tenant's `auth=` secret and an idempotency token (`""` for
-    /// "absent" on any of the three).
+    /// Submit (or dry-run) a deck; returns the response line. `tag`,
+    /// `token`, `tenant` and `auth` are each `""` for "absent". With a
+    /// token the request is safe to retry: a re-send the server already
+    /// acknowledged answers `dup=1` with the original job id instead of
+    /// double-enqueueing. `tenant` names who the job is attributed to,
+    /// `auth` is that tenant's secret when the roster demands one.
     #[allow(clippy::too_many_arguments)]
-    pub fn submit_deck_as(
+    pub fn submit_deck(
         &mut self,
         deck_text: &str,
         steps: usize,
@@ -811,14 +788,14 @@ mod tests {
 
         let base = CgyroInput::test_small();
         // Dry-run first: reports the key and that a new batch would open.
-        let probe = c.submit_deck(&write_deck(&base), 20, "probe", true).unwrap();
+        let probe = c.submit_deck(&write_deck(&base), 20, "probe", "", "", "", true).unwrap();
         assert!(probe.starts_with("OK cmat_key=0x"), "{probe}");
         assert!(probe.contains("placement=opens k_cap=3"), "{probe}");
 
         // Three compatible submissions fill one k=3 batch.
         for i in 0..3 {
             let deck = write_deck(&base.with_gradients(1.0 + i as f64, 2.0));
-            let resp = c.submit_deck(&deck, 20, &format!("s{i}"), false).unwrap();
+            let resp = c.submit_deck(&deck, 20, &format!("s{i}"), "", "", "", false).unwrap();
             assert!(resp.starts_with(&format!("OK job-{i} batch=batch-")), "{resp}");
         }
         assert_eq!(c.roundtrip("DRAIN ms=60000").unwrap(), "OK drained");
@@ -869,7 +846,7 @@ mod tests {
         let base = CgyroInput::test_small();
         let deck = write_deck(&base);
         // Cold cache: dry run reports the deck hash and a miss.
-        let probe = c.submit_deck(&deck, 20, "", true).unwrap();
+        let probe = c.submit_deck(&deck, 20, "", "", "", "", true).unwrap();
         assert!(probe.contains("deck_hash=xgd1-"), "{probe}");
         assert!(probe.contains("cache=miss"), "{probe}");
         let hash = probe
@@ -880,13 +857,13 @@ mod tests {
         assert!(c.fetch(&hash).is_err(), "nothing published yet");
 
         // Run it, then everything about the artifact is reachable by hash.
-        let resp = c.submit_deck(&deck, 20, "t", false).unwrap();
+        let resp = c.submit_deck(&deck, 20, "t", "", "", "", false).unwrap();
         assert!(resp.starts_with("OK job-0"), "{resp}");
         // Wait for completion WITHOUT draining (a drained server admits no
         // resubmissions — the thing the rest of this test exercises).
         let last = c.subscribe("job-0", |_| {}).unwrap();
         assert!(last.contains("Done"), "{last}");
-        let probe = c.submit_deck(&deck, 20, "", true).unwrap();
+        let probe = c.submit_deck(&deck, 20, "", "", "", "", true).unwrap();
         assert!(probe.contains("cache=hit"), "{probe}");
         let manifest = c.fetch(&hash).unwrap();
         assert!(manifest.contains("\"schema\": \"xg-artifact-manifest-v1\""), "{manifest}");
@@ -929,21 +906,21 @@ mod tests {
         let deck = write_deck(&base);
         // Configured roster: an unlisted tenant (and the implicit default)
         // is refused with a typed error.
-        let resp = c.submit_deck_as(&deck, 20, "", "", "mallory", "", false).unwrap();
+        let resp = c.submit_deck(&deck, 20, "", "", "mallory", "", false).unwrap();
         assert!(resp.starts_with("ERR tenant-denied"), "{resp}");
-        let resp = c.submit_deck(&deck, 20, "", false).unwrap();
+        let resp = c.submit_deck(&deck, 20, "", "", "", "", false).unwrap();
         assert!(resp.starts_with("ERR tenant-denied"), "{resp}");
         // A secret-bearing tenant must echo auth=.
-        let resp = c.submit_deck_as(&deck, 20, "", "", "beta", "", false).unwrap();
+        let resp = c.submit_deck(&deck, 20, "", "", "beta", "", false).unwrap();
         assert!(resp.starts_with("ERR tenant-denied"), "{resp}");
-        let resp = c.submit_deck_as(&deck, 20, "", "", "beta", "s3cr3t", false).unwrap();
+        let resp = c.submit_deck(&deck, 20, "", "", "beta", "s3cr3t", false).unwrap();
         assert!(resp.starts_with("OK job-0"), "{resp}");
         // acme's jobs=1 quota: the first live job admits, the second is
         // shed with the typed quota error naming the resource.
-        let resp = c.submit_deck_as(&deck, 20, "a1", "", "acme", "", false).unwrap();
+        let resp = c.submit_deck(&deck, 20, "a1", "", "acme", "", false).unwrap();
         assert!(resp.starts_with("OK job-1"), "{resp}");
         let deck2 = write_deck(&base.with_gradients(1.5, 2.0));
-        let resp = c.submit_deck_as(&deck2, 20, "a2", "", "acme", "", false).unwrap();
+        let resp = c.submit_deck(&deck2, 20, "a2", "", "acme", "", false).unwrap();
         assert!(resp.starts_with("ERR quota-exceeded"), "{resp}");
         assert!(resp.contains("live jobs"), "{resp}");
         // STATUS and LIST carry the tenant column.
@@ -952,7 +929,7 @@ mod tests {
         // A terminal job releases its quota: cancel the queued one and the
         // rejected submission now admits.
         assert_eq!(c.roundtrip("CANCEL job-1").unwrap(), "OK Cancelled");
-        let resp = c.submit_deck_as(&deck2, 20, "a2", "", "acme", "", false).unwrap();
+        let resp = c.submit_deck(&deck2, 20, "a2", "", "acme", "", false).unwrap();
         assert!(resp.starts_with("OK"), "{resp}");
         // Per-tenant metric families are exported.
         let json = c.metrics().unwrap();
@@ -970,11 +947,11 @@ mod tests {
         let mut c = Client::connect(&addr.to_string()).expect("connect");
         let resp = c.roundtrip("FROB").unwrap();
         assert!(resp.starts_with("ERR bad-request"), "{resp}");
-        let resp = c.submit_deck("NOT_A_KEY=1\n", 10, "", false).unwrap();
+        let resp = c.submit_deck("NOT_A_KEY=1\n", 10, "", "", "", "", false).unwrap();
         assert!(resp.starts_with("ERR bad-request"), "{resp}");
         // Steps misaligned with the deck cadence: typed admission error.
         let deck = write_deck(&CgyroInput::test_small());
-        let resp = c.submit_deck(&deck, 7, "", false).unwrap();
+        let resp = c.submit_deck(&deck, 7, "", "", "", "", false).unwrap();
         assert!(resp.starts_with("ERR bad-steps"), "{resp}");
         assert_eq!(c.roundtrip("SHUTDOWN").unwrap(), "OK bye");
         h.join().unwrap();
@@ -1005,7 +982,7 @@ mod tests {
         let (addr, h) = start();
         let mut c = Client::connect(&addr.to_string()).expect("connect");
         let deck = format!("GRAD={}\n", "9".repeat(2 * MAX_LINE));
-        let resp = c.submit_deck(&deck, 20, "", false).unwrap();
+        let resp = c.submit_deck(&deck, 20, "", "", "", "", false).unwrap();
         assert!(resp.starts_with("ERR protocol: line-too-long"), "{resp}");
         let mut c2 = Client::connect(&addr.to_string()).expect("reconnect");
         assert_eq!(c2.roundtrip("SHUTDOWN").unwrap(), "OK bye");

@@ -68,7 +68,7 @@ fn restart_restores_done_jobs_and_keeps_tokens_deduplicating() {
         .enumerate()
         .map(|(i, d)| {
             let spec = JobSpec { input: d.clone(), steps: STEPS, tag: format!("life1-{i}"), tenant: "default".into() };
-            server.submit_with_token(spec, Some(&format!("tok-{i}"))).expect("admitted").0
+            server.submit_authed(spec, Some(&format!("tok-{i}")), None).expect("admitted").0
         })
         .collect();
     assert!(server.drain(Duration::from_secs(120)), "drain timed out");
@@ -94,9 +94,10 @@ fn restart_restores_done_jobs_and_keeps_tokens_deduplicating() {
     // A retried submit from before the crash still deduplicates: same
     // token, same id, dup=true — the double-enqueue a lost OK would cause.
     let (dup_id, dup) = server
-        .submit_with_token(
+        .submit_authed(
             JobSpec { input: decks[1].clone(), steps: STEPS, tag: "retry".into(), tenant: "default".into() },
             Some("tok-1"),
+            None,
         )
         .expect("token lookup is not admission");
     assert!(dup, "journaled token forgotten across restart");
@@ -336,4 +337,205 @@ fn journal_write_error_sheds_the_submit_with_typed_backpressure() {
     assert!(server.drain(Duration::from_secs(120)), "drain timed out");
     assert_eq!(server.status(id).unwrap().state, JobState::Done);
     server.shutdown();
+}
+
+/// Four rounds of one full k=3 batch each: twelve distinct same-key decks,
+/// every one submitted under its own idempotency token and awaited before
+/// the next round (a drained server admits nothing). Returns the ids in
+/// submission order.
+fn four_rounds(server: &CampaignServer) -> Vec<JobId> {
+    let base = CgyroInput::test_small();
+    let mut ids = Vec::new();
+    for round in 0..4 {
+        let batch: Vec<JobId> = (0..3)
+            .map(|i| {
+                let n = round * 3 + i;
+                let input = base.with_gradients(1.0 + 0.125 * n as f64, 2.0 + 0.25 * n as f64);
+                let spec = JobSpec::new(input, STEPS);
+                server.submit_authed(spec, Some(&format!("tok-{n}")), None).expect("admitted").0
+            })
+            .collect();
+        for id in &batch {
+            let events = server.subscribe(*id).expect("known job");
+            let last = events.iter().last().expect("a terminal event");
+            assert_eq!(last.state, JobState::Done, "{id}: {}", last.detail);
+        }
+        ids.extend(batch);
+    }
+    ids
+}
+
+#[test]
+fn compaction_never_forgets_an_acknowledged_result() {
+    let base = CgyroInput::test_small();
+    // The default window keeps every job; a window of 3 keeps the newest 3.
+    for retain in [ServerConfig::local_test().retain_jobs, 3] {
+        let dir = tmpdir(&format!("retention-{retain}"));
+        let mk = || {
+            let mut cfg = config(&dir);
+            cfg.journal.as_mut().unwrap().segment_max_bytes = 4096;
+            cfg.retain_jobs = retain;
+            cfg
+        };
+        let server = CampaignServer::start(mk());
+        let ids = four_rounds(&server);
+        assert!(server.drain(Duration::from_secs(120)), "drain timed out");
+        let kept = &ids[ids.len() - retain.min(ids.len())..];
+        let first_life: Vec<JobId> = server.list().iter().map(|s| s.id).collect();
+        assert_eq!(first_life, kept, "retain_jobs={retain}: first life keeps the window");
+        let summaries: Vec<_> =
+            kept.iter().map(|id| server.result_summary(*id).expect("done")).collect();
+        server.shutdown();
+
+        // Second life: exactly what the first life answered for, it answers
+        // for — however many segments were rotated and compacted since.
+        let server = CampaignServer::start(mk());
+        let missing: Vec<JobId> =
+            kept.iter().copied().filter(|id| server.status(*id).is_none()).collect();
+        assert!(missing.is_empty(), "{}/{} not-found: {missing:?}", missing.len(), kept.len());
+        let second_life: Vec<JobId> = server.list().iter().map(|s| s.id).collect();
+        assert_eq!(second_life, kept, "retain_jobs={retain}: restart keeps the same window");
+        for (id, want) in kept.iter().zip(&summaries) {
+            assert_eq!(server.status(*id).expect("restored").state, JobState::Done);
+            assert_eq!(server.result_summary(*id).as_ref(), Some(want), "{id} summary drifted");
+            let (dup_id, dup) = server
+                .submit_authed(JobSpec::new(base.clone(), STEPS), Some(&format!("tok-{}", id.0)), None)
+                .expect("token lookup is not admission");
+            assert!(dup && dup_id == *id, "{id}: token forgotten across restart");
+        }
+        server.shutdown();
+    }
+}
+
+#[test]
+fn restart_never_reissues_a_job_or_batch_id() {
+    let dir = tmpdir("watermarks");
+    let mk = || {
+        let mut cfg = config(&dir);
+        // Every append closes its segment, so every append compacts.
+        cfg.journal.as_mut().unwrap().segment_max_bytes = 1;
+        cfg
+    };
+    let server = CampaignServer::start(mk());
+    let ids = four_rounds(&server);
+    assert!(server.drain(Duration::from_secs(120)), "drain timed out");
+    let last_batch = ids.iter().filter_map(|id| server.status(*id).unwrap().batch).max().unwrap();
+    server.shutdown();
+
+    let server = CampaignServer::start(mk());
+    let rec = server.recovery_report();
+    assert!(
+        !rec.warnings.iter().any(|w| w.contains("ignored")),
+        "compaction left records replay cannot place: {:?}",
+        rec.warnings
+    );
+    let fresh = server
+        .submit(JobSpec::new(CgyroInput::test_small().with_gradients(9.0, 9.0), STEPS))
+        .expect("admitted");
+    assert_eq!(fresh, JobId(12), "job-0 … job-11 were acknowledged in the previous life");
+    let batch = server.status(fresh).unwrap().batch.expect("placed");
+    assert!(batch > last_batch, "{batch} reissued (previous life reached {last_batch})");
+    assert!(server.drain(Duration::from_secs(120)), "drain timed out");
+    assert_eq!(server.status(fresh).unwrap().state, JobState::Done);
+    server.shutdown();
+}
+
+/// What one life of the crash sweep's campaign acknowledged: the ids its
+/// submits returned (`None` where the journal refused), in deck order.
+type Acked = Vec<Option<JobId>>;
+
+/// The sweep's campaign: tenant `a` fills a k=3 batch (dispatched at once);
+/// tenant `b` submits two jobs, cancels the second while its batch is still
+/// forming, and submits a third. Every step tolerates a journal that has
+/// already "crashed": a refused submit is simply not acknowledged.
+fn sweep_campaign(server: &CampaignServer) -> Acked {
+    let base = CgyroInput::test_small();
+    let submit = |n: usize, tenant: &str| {
+        let input = base.with_gradients(1.0 + 0.5 * n as f64, 2.0 + 0.25 * n as f64);
+        server.submit(JobSpec::new(input, STEPS).with_tenant(tenant)).ok()
+    };
+    let mut acked: Acked = (0..3).map(|n| submit(n, "a")).collect();
+    acked.extend([submit(3, "b"), submit(4, "b")]);
+    if let Some(doomed) = acked[4] {
+        server.cancel(doomed).expect("known job");
+    }
+    acked.push(submit(5, "b"));
+    acked
+}
+
+#[test]
+fn a_crash_at_any_append_loses_and_duplicates_nothing() {
+    let dir = tmpdir("sweep");
+    let mk = |crash_at: Option<u64>| {
+        let mut cfg = config(&dir);
+        cfg.linger = Duration::from_secs(600); // batches flush when full or on drain
+        cfg.journal.as_mut().unwrap().fault_plan = crash_at.map(ServeFaultPlan::crash);
+        cfg
+    };
+    // The uncrashed run: ground truth for the summaries, and the number of
+    // appends a whole campaign makes.
+    let server = CampaignServer::start(mk(None));
+    let ids = sweep_campaign(&server);
+    assert!(server.drain(Duration::from_secs(120)), "drain timed out");
+    let truth: Vec<_> = ids.iter().map(|id| server.result_summary(id.unwrap())).collect();
+    assert_eq!(truth.iter().filter(|s| s.is_some()).count(), 5, "one of six was cancelled");
+    let appends = server.metrics().journal_appends;
+    assert!(appends >= 20, "a whole campaign journals every transition, got {appends}");
+    server.shutdown();
+
+    for crash_at in 0..appends {
+        // First life: the journal dies at append `crash_at` — that record
+        // and every later one never reach the disk, whatever the process
+        // went on to do in memory.
+        std::fs::remove_dir_all(&dir).expect("previous round's journal");
+        let server = CampaignServer::start(mk(Some(crash_at)));
+        let acked = sweep_campaign(&server);
+        server.drain(Duration::from_secs(120));
+        server.shutdown();
+
+        // Second life, same directory, healthy journal.
+        let server = CampaignServer::start(mk(None));
+        assert!(server.drain(Duration::from_secs(120)), "crash@{crash_at}: drain timed out");
+        let listed = server.list();
+        for (n, id) in acked.iter().enumerate() {
+            let Some(id) = id else { continue };
+            // No acknowledged job lost …
+            let st = server.status(*id).unwrap_or_else(|| panic!("crash@{crash_at}: {id} lost"));
+            assert!(st.state.is_terminal(), "crash@{crash_at}: {id} stuck {}", st.state);
+            // … and a Done one answers what the uncrashed run answered. (Job
+            // 4's cancel may have died with the journal: then it ran.)
+            if st.state == JobState::Done && n != 4 {
+                assert_eq!(server.result_summary(*id), truth[n], "crash@{crash_at}: {id} drifted");
+            }
+        }
+        // … none duplicated: the table holds acknowledged jobs, plus at most
+        // the one whose `Submitted` landed but whose ack the crash ate.
+        let known = acked.iter().flatten().count();
+        assert!(
+            listed.len() == known || listed.len() == known + 1,
+            "crash@{crash_at}: {} jobs for {known} acknowledged",
+            listed.len()
+        );
+        // Every ledger is back at zero.
+        let m = server.metrics();
+        assert_eq!(m.nodes_in_use, 0, "crash@{crash_at}");
+        assert!(m.tenants.values().all(|t| t.live_jobs == 0 && t.live_bytes == 0), "crash@{crash_at}");
+        assert!(listed.iter().all(|s| s.state.is_terminal()), "crash@{crash_at}: live jobs remain");
+        server.shutdown();
+
+        // Ground truth on disk: every job's story ends exactly once.
+        let (_j, replay) = Journal::open(JournalConfig::durable(&dir)).expect("reopen");
+        for s in &listed {
+            let ends = replay
+                .records
+                .iter()
+                .filter(|r| {
+                    matches!(r, JournalRecord::Done { job, .. }
+                        | JournalRecord::Failed { job, .. }
+                        | JournalRecord::Cancelled { job, .. } if *job == s.id)
+                })
+                .count();
+            assert_eq!(ends, 1, "crash@{crash_at}: {} journaled terminal {ends} times", s.id);
+        }
+    }
 }

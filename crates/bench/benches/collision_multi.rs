@@ -1,13 +1,11 @@
 //! Batched multi-RHS collision apply: naive per-RHS (strided gather +
 //! single-RHS matvec + copy round-trip, shared panel streamed k times) vs
 //! batched-blocked (profile-contiguous layout, panel streamed once per k
-//! RHS) vs blocked fanned over the persistent step pool. Sweeps `nv` and
-//! ensemble size `k`; the quantitative record lives in
-//! `BENCH_collision.json` (see `paper_figures bench-collision`).
+//! RHS). Sweeps `nv` and ensemble size `k`; the quantitative record lives
+//! in `BENCH_collision.json` (see `paper_figures bench-collision`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xg_linalg::{apply_panel_multi, matvec_complex_flat, Complex64};
-use xg_sim::StepPool;
 use xg_tensor::Tensor3;
 
 const PAIRS: usize = 8;
@@ -17,7 +15,6 @@ fn panels(nv: usize) -> Vec<f64> {
 }
 
 fn bench_apply_paths(c: &mut Criterion) {
-    let pool = StepPool::new(4);
     for nv in [64usize, 128] {
         for k in [1usize, 4, 8] {
             let panels = panels(nv);
@@ -67,14 +64,6 @@ fn bench_apply_paths(c: &mut Criterion) {
                         let a = &panels[ic * nv * nv..(ic + 1) * nv * nv];
                         apply_panel_multi(a, nv, cp_in.line(ic, 0), cp_out.line_mut(ic, 0), k);
                     }
-                });
-            });
-            g.bench_with_input(BenchmarkId::new("blocked_threads4", k), &k, |b, &k| {
-                b.iter(|| {
-                    pool.for_each_chunk(cp_out.as_mut_slice(), k * nv, |ic, out| {
-                        let a = &panels[ic * nv * nv..(ic + 1) * nv * nv];
-                        apply_panel_multi(a, nv, cp_in.line(ic, 0), out, k);
-                    });
                 });
             });
             g.finish();

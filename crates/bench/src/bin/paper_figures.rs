@@ -68,8 +68,8 @@ fn bench_collision(args: &[String]) {
         cfg.k_values = k;
     }
     let results = xg_bench::run_collision_bench(&cfg);
-    print!("{}", xg_bench::collision_bench_report(&results, cfg.threads));
-    std::fs::write(&out_path, xg_bench::collision_bench_json(&results, cfg.threads))
+    print!("{}", xg_bench::collision_bench_report(&results));
+    std::fs::write(&out_path, xg_bench::collision_bench_json(&results))
         .expect("write bench json");
     println!("wrote {out_path}");
 }

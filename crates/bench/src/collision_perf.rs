@@ -1,9 +1,8 @@
 //! Measured collision-apply benchmark: naive per-RHS vs batched-blocked vs
-//! SIMD-tiled vs SIMD-tiled + threads, swept over `nv` and ensemble size
-//! `k`.
+//! SIMD-tiled, swept over `nv` and ensemble size `k`.
 //!
 //! This is the measurement behind `BENCH_collision.json` (the repo-root
-//! perf trajectory artifact) and EXPERIMENTS.md §P. Four pipelines over
+//! perf trajectory artifact) and EXPERIMENTS.md §P. Three pipelines over
 //! identical inputs:
 //!
 //! * **naive** — the pre-batching hot path: per member, gather each
@@ -18,20 +17,16 @@
 //!   meaning across the SIMD work.
 //! * **simd** — blocked, through the autotuned kernel: the runtime-probed
 //!   SIMD micro-kernel (`avx512`/`avx2`/`scalar`) with the L2-sized row
-//!   tile the tuner picked for this `(nv, k)`. Single thread.
-//! * **threaded** — simd, with the `(pair, row-tile)` task loop fanned
-//!   over a persistent [`StepPool`] (the production tile-granular split).
+//!   tile the tuner picked for this `(nv, k)` — the call the production
+//!   collision step makes.
 //!
-//! All four produce bitwise-identical outputs (asserted once per shape
+//! All three produce bitwise-identical outputs (asserted once per shape
 //! before timing), so the comparison is pure pipeline cost.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use xg_costmodel::KernelChoice;
-use xg_linalg::{
-    apply_panel_multi_with, apply_panel_rows_ptr, matvec_complex_flat, Complex64, SimdLevel,
-};
-use xg_sim::{SendPtr, StepPool};
+use xg_linalg::{apply_panel_multi_with, matvec_complex_flat, Complex64, SimdLevel};
 use xg_tensor::Tensor3;
 
 /// Sweep configuration for the collision-apply benchmark.
@@ -42,8 +37,6 @@ pub struct CollisionBenchConfig {
     pub k_values: Vec<usize>,
     /// Number of `(ic, it)` pairs, i.e. distinct panels per measurement.
     pub pairs: usize,
-    /// Worker-pool width for the threaded pipeline.
-    pub threads: usize,
     /// Minimum wall time per timing loop.
     pub target: Duration,
 }
@@ -58,16 +51,6 @@ impl CollisionBenchConfig {
             // (32 × 128 KiB = 4 MiB), approaching the production regime
             // where cmat dwarfs every cache level.
             pairs: 32,
-            // Same env override the StepPool honours, so the artifact can be
-            // regenerated at a pinned pool width regardless of host core
-            // count.
-            threads: std::env::var(xg_sim::THREADS_ENV)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(8)
-                }),
             target: Duration::from_millis(120),
         }
     }
@@ -78,7 +61,6 @@ impl CollisionBenchConfig {
             nv_values: vec![16, 64],
             k_values: vec![1, 4],
             pairs: 4,
-            threads: 2,
             target: Duration::from_millis(8),
         }
     }
@@ -94,20 +76,15 @@ pub struct CollisionBenchResult {
     pub pairs: usize,
     /// ns per full sweep over all pairs × members, naive pipeline.
     pub naive_ns: f64,
-    /// ns per sweep, batched-blocked pipeline (scalar kernel, one thread).
+    /// ns per sweep, batched-blocked pipeline (scalar kernel).
     pub blocked_ns: f64,
-    /// ns per sweep, autotuned SIMD + L2-tiled kernel (one thread).
+    /// ns per sweep, autotuned SIMD + L2-tiled kernel.
     pub simd_ns: f64,
-    /// ns per sweep, SIMD-tiled + worker pool (tile-granular tasks).
-    pub threaded_ns: f64,
     /// naive / blocked.
     pub speedup_blocked: f64,
     /// naive / simd.
     pub speedup_simd: f64,
-    /// naive / threaded.
-    pub speedup_threaded: f64,
-    /// The autotuned kernel the simd and threaded pipelines ran
-    /// (e.g. `avx512/t128`).
+    /// The autotuned kernel the simd pipeline ran (e.g. `avx512/t128`).
     pub kernel: KernelChoice,
 }
 
@@ -141,23 +118,16 @@ fn state_val(i: usize) -> Complex64 {
 /// Run the sweep. Every pipeline's output is checked bitwise-identical to
 /// the naive reference before timing.
 pub fn run_collision_bench(cfg: &CollisionBenchConfig) -> Vec<CollisionBenchResult> {
-    let pool = StepPool::new(cfg.threads);
     let mut out = Vec::new();
     for &nv in &cfg.nv_values {
         for &k in &cfg.k_values {
-            out.push(measure_point(nv, k, cfg.pairs, &pool, cfg.target));
+            out.push(measure_point(nv, k, cfg.pairs, cfg.target));
         }
     }
     out
 }
 
-fn measure_point(
-    nv: usize,
-    k: usize,
-    pairs: usize,
-    pool: &StepPool,
-    target: Duration,
-) -> CollisionBenchResult {
+fn measure_point(nv: usize, k: usize, pairs: usize, target: Duration) -> CollisionBenchResult {
     // Shared panels: one nv×nv matrix per (ic, it) pair.
     let panels: Vec<f64> = (0..pairs * nv * nv).map(panel_val).collect();
     let panel = |ic: usize| &panels[ic * nv * nv..(ic + 1) * nv * nv];
@@ -184,9 +154,8 @@ fn measure_point(
 
     // The kernel the production collision path would run for this shape.
     let kernel = xg_costmodel::tune_collision_kernel(nv, k);
-    let tiles = nv.div_ceil(kernel.tile_rows.max(1));
 
-    // --- Correctness pin: all four pipelines agree bitwise. ---
+    // --- Correctness pin: all three pipelines agree bitwise. ---
     for s in 0..k {
         for ic in 0..pairs {
             for iv in 0..nv {
@@ -223,9 +192,6 @@ fn measure_point(
         apply_panel_multi_with(kernel.level, panel(ic), nv, x, y, k, kernel.tile_rows);
     }
     check(&cp_out, "simd");
-    cp_out.fill(Complex64::ZERO);
-    run_threaded(pool, &cp_in, &mut cp_out, &panels, nv, k, kernel, tiles);
-    check(&cp_out, "threaded");
 
     // --- Timings. ---
     let naive_ns = time_ns(target, || {
@@ -254,9 +220,6 @@ fn measure_point(
             apply_panel_multi_with(kernel.level, panel(ic), nv, x, y, k, kernel.tile_rows);
         }
     });
-    let threaded_ns = time_ns(target, || {
-        run_threaded(pool, &cp_in, &mut cp_out, &panels, nv, k, kernel, tiles);
-    });
 
     CollisionBenchResult {
         nv,
@@ -265,53 +228,15 @@ fn measure_point(
         naive_ns,
         blocked_ns,
         simd_ns,
-        threaded_ns,
         speedup_blocked: naive_ns / blocked_ns,
         speedup_simd: naive_ns / simd_ns,
-        speedup_threaded: naive_ns / threaded_ns,
         kernel,
     }
 }
 
-/// The production tile-granular split: one pool task per `(pair,
-/// row-tile)`, writing disjoint row ranges of disjoint per-pair lane
-/// blocks through the `Send + Sync` pointer wrapper.
-#[allow(clippy::too_many_arguments)]
-fn run_threaded(
-    pool: &StepPool,
-    cp_in: &Tensor3<Complex64>,
-    cp_out: &mut Tensor3<Complex64>,
-    panels: &[f64],
-    nv: usize,
-    k: usize,
-    kernel: KernelChoice,
-    tiles: usize,
-) {
-    let pairs = cp_in.shape().0;
-    let out = SendPtr(cp_out.as_mut_slice().as_mut_ptr());
-    pool.for_each_task(pairs * tiles, |t| {
-        let (ic, tile) = (t / tiles, t % tiles);
-        let r0 = tile * kernel.tile_rows;
-        let r1 = (r0 + kernel.tile_rows).min(nv);
-        // SAFETY: tasks write disjoint rows of disjoint per-pair lane
-        // blocks; cp_out outlives the blocking round.
-        unsafe {
-            apply_panel_rows_ptr(
-                kernel.level,
-                &panels[ic * nv * nv..(ic + 1) * nv * nv],
-                nv,
-                cp_in.line(ic, 0),
-                out.add(ic * k * nv),
-                k,
-                r0..r1,
-            );
-        }
-    });
-}
-
 /// Render the results as the `BENCH_collision.json` document (hand-built:
 /// the workspace deliberately has no JSON dependency).
-pub fn collision_bench_json(results: &[CollisionBenchResult], threads: usize) -> String {
+pub fn collision_bench_json(results: &[CollisionBenchResult]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"collision_apply\",\n");
@@ -319,27 +244,23 @@ pub fn collision_bench_json(results: &[CollisionBenchResult], threads: usize) ->
         "  \"description\": \"per-(ic,it) cmat panel apply: naive per-RHS (strided \
          gather + single-RHS matvec + copy, panel streamed k times) vs batched-blocked \
          (profile-contiguous multi-RHS, scalar kernel, panel streamed once) vs autotuned \
-         SIMD + L2-tiled kernel vs SIMD-tiled + worker pool (tile-granular tasks)\",\n",
+         SIMD + L2-tiled kernel\",\n",
     );
-    let _ = writeln!(s, "  \"threads\": {threads},");
     s.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             s,
             "    {{\"nv\": {}, \"k\": {}, \"pairs\": {}, \"naive_ns\": {:.0}, \
-             \"blocked_ns\": {:.0}, \"simd_ns\": {:.0}, \"threaded_ns\": {:.0}, \
-             \"speedup_blocked\": {:.3}, \"speedup_simd\": {:.3}, \
-             \"speedup_threaded\": {:.3}, \"kernel\": \"{}\"}}",
+             \"blocked_ns\": {:.0}, \"simd_ns\": {:.0}, \"speedup_blocked\": {:.3}, \
+             \"speedup_simd\": {:.3}, \"kernel\": \"{}\"}}",
             r.nv,
             r.k,
             r.pairs,
             r.naive_ns,
             r.blocked_ns,
             r.simd_ns,
-            r.threaded_ns,
             r.speedup_blocked,
             r.speedup_simd,
-            r.speedup_threaded,
             r.kernel
         );
         s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
@@ -349,21 +270,20 @@ pub fn collision_bench_json(results: &[CollisionBenchResult], threads: usize) ->
 }
 
 /// Human-readable table of the same results.
-pub fn collision_bench_report(results: &[CollisionBenchResult], threads: usize) -> String {
+pub fn collision_bench_report(results: &[CollisionBenchResult]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "P: batched multi-RHS collision apply ({threads} threads in pool)");
+    let _ = writeln!(out, "P: batched multi-RHS collision apply");
     let _ = writeln!(
         out,
-        "{:>5} {:>3} {:>6} {:>12} {:>12} {:>12} {:>12} {:>7} {:>7} {:>7}  kernel",
-        "nv", "k", "pairs", "naive_ns", "blocked_ns", "simd_ns", "threaded_ns", "x_blk",
-        "x_simd", "x_thr"
+        "{:>5} {:>3} {:>6} {:>12} {:>12} {:>12} {:>7} {:>7}  kernel",
+        "nv", "k", "pairs", "naive_ns", "blocked_ns", "simd_ns", "x_blk", "x_simd"
     );
     for r in results {
         let _ = writeln!(
             out,
-            "{:>5} {:>3} {:>6} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>7.2} {:>7.2} {:>7.2}  {}",
-            r.nv, r.k, r.pairs, r.naive_ns, r.blocked_ns, r.simd_ns, r.threaded_ns,
-            r.speedup_blocked, r.speedup_simd, r.speedup_threaded, r.kernel
+            "{:>5} {:>3} {:>6} {:>12.0} {:>12.0} {:>12.0} {:>7.2} {:>7.2}  {}",
+            r.nv, r.k, r.pairs, r.naive_ns, r.blocked_ns, r.simd_ns, r.speedup_blocked,
+            r.speedup_simd, r.kernel
         );
     }
     out
@@ -379,20 +299,17 @@ mod tests {
             nv_values: vec![8, 16],
             k_values: vec![1, 4],
             pairs: 3,
-            threads: 2,
             target: Duration::from_micros(200),
         };
         let results = run_collision_bench(&cfg);
         assert_eq!(results.len(), 4);
         for r in &results {
-            assert!(
-                r.naive_ns > 0.0 && r.blocked_ns > 0.0 && r.simd_ns > 0.0 && r.threaded_ns > 0.0
-            );
+            assert!(r.naive_ns > 0.0 && r.blocked_ns > 0.0 && r.simd_ns > 0.0);
             assert!(r.speedup_blocked.is_finite());
             assert!(r.speedup_simd.is_finite());
             assert!(r.kernel.tile_rows >= 1 && r.kernel.tile_rows <= r.nv);
         }
-        let json = collision_bench_json(&results, cfg.threads);
+        let json = collision_bench_json(&results);
         // Minimal well-formedness: balanced braces/brackets, expected keys.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -401,7 +318,7 @@ mod tests {
         assert!(json.contains("\"simd_ns\""));
         assert!(json.contains("\"speedup_simd\""));
         assert!(json.contains("\"kernel\""));
-        let report = collision_bench_report(&results, cfg.threads);
+        let report = collision_bench_report(&results);
         assert!(report.contains("x_blk"));
         assert!(report.contains("x_simd"));
     }

@@ -141,25 +141,32 @@ fn tune_cache() -> &'static Mutex<HashMap<TuneKey, KernelChoice>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// Shapes swept so far, in order (tests count how often a key was tuned).
+#[cfg(test)]
+static SWEPT: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+
 /// Measured one-shot tuning for the collision apply of shape
 /// `(nv, nrhs)`: benchmark every available `(level, tile)` candidate once
 /// and cache the winner keyed by shape + CPU capability (+ L2 budget).
-/// Called at topology build.
+/// Called at topology build by every rank thread of a world at once, so
+/// the cache guard is held across lookup → sweep → insert: one rank
+/// measures on an otherwise idle host and the rest (which have nothing
+/// else to do) read its answer.
 pub fn tune_collision_kernel(nv: usize, nrhs: usize) -> KernelChoice {
     let level_cap = xg_linalg::selected_level();
     let l2_kb = xg_linalg::l2_cache_kb();
-    let key = (nv, nrhs, level_cap, l2_kb);
-    if let Some(hit) = tune_cache().lock().unwrap().get(&key) {
-        return *hit;
-    }
-    let candidates = candidate_kernels(nv, l2_kb, &xg_linalg::available_levels());
-    // Repetitions sized so tiny test shapes get stable timings while big
-    // production panels stay a one-shot (~flops-bounded) measurement.
-    let work = 4u64 * (nv as u64) * (nv as u64) * (nrhs.max(1) as u64);
-    let reps = (2_000_000 / work.max(1)).clamp(1, 16) as usize;
-    let choice = tune_kernel_with(&candidates, |c| measure_kernel_ns(*c, nv, nrhs, reps));
-    tune_cache().lock().unwrap().insert(key, choice);
-    choice
+    let mut cache = tune_cache().lock().expect("a kernel sweep panicked holding the tuner cache");
+    *cache.entry((nv, nrhs, level_cap, l2_kb)).or_insert_with(|| {
+        #[cfg(test)]
+        SWEPT.lock().unwrap().push((nv, nrhs));
+        let candidates = candidate_kernels(nv, l2_kb, &xg_linalg::available_levels());
+        // Repetitions sized so tiny test shapes get stable timings while
+        // big production panels stay a one-shot (~flops-bounded)
+        // measurement.
+        let work = 4u64 * (nv as u64) * (nv as u64) * (nrhs.max(1) as u64);
+        let reps = (2_000_000 / work.max(1)).clamp(1, 16) as usize;
+        tune_kernel_with(&candidates, |c| measure_kernel_ns(*c, nv, nrhs, reps))
+    })
 }
 
 /// Modeled relative double-precision throughput of each micro-kernel
@@ -268,6 +275,27 @@ mod tests {
         assert_eq!(a, b, "cache must return the stored choice");
         assert!(xg_linalg::available_levels().contains(&a.level));
         assert!(a.tile_rows >= 1 && a.tile_rows <= 24);
+    }
+
+    #[test]
+    fn concurrent_ranks_tune_a_shape_once_and_agree() {
+        // The 8 rank threads of a world reach the tuner together; (160, 6)
+        // is a key no other test uses.
+        let gate = std::sync::Barrier::new(8);
+        let choices: Vec<KernelChoice> = std::thread::scope(|s| {
+            let ranks: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        tune_collision_kernel(160, 6)
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let sweeps = SWEPT.lock().unwrap().iter().filter(|&&key| key == (160, 6)).count();
+        assert_eq!(sweeps, 1, "one rank measures, the rest read its answer");
+        assert!(choices.iter().all(|c| *c == choices[0]), "ranks disagree: {choices:?}");
     }
 
     #[test]

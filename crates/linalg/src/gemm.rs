@@ -115,30 +115,6 @@ pub fn matvec_complex_flat(
     matvec_flat_body(a, rows, cols, x, y);
 }
 
-/// In-place variant of [`matvec_complex`] using a caller-provided scratch
-/// buffer, so steady-state stepping performs zero allocations.
-pub fn matvec_complex_inplace(a: &RealMatrix, x: &mut [Complex64], scratch: &mut [Complex64]) {
-    assert!(a.is_square(), "in-place matvec needs a square matrix");
-    assert_eq!(scratch.len(), x.len(), "scratch length mismatch");
-    matvec_complex(a, x, scratch);
-    x.copy_from_slice(scratch);
-}
-
-/// Out-of-place flat-panel matvec: `y = A·x` with `A` a raw row-major
-/// `n×n` panel. Same arithmetic as [`matvec_complex_flat`]; exists so call
-/// sites that already own a destination buffer avoid the
-/// `matvec → copy_from_slice` round-trip of the in-place form.
-///
-/// Slice-length preconditions are debug-asserted up front (with messages
-/// naming this function) so a mis-sized panel fails loudly at the call
-/// boundary instead of as an index panic deep in the contraction.
-#[inline]
-pub fn matvec_complex_flat_into(a: &[f64], n: usize, x: &[Complex64], y: &mut [Complex64]) {
-    debug_assert_eq!(a.len(), n * n, "matvec_complex_flat_into: a.len() must be n*n");
-    debug_assert_eq!(y.len(), n, "matvec_complex_flat_into: y.len() must be n");
-    matvec_complex_flat(a, n, n, x, y);
-}
-
 /// Batched multi-RHS panel apply: `Y = A·X` with `A` a real row-major
 /// `n×n` panel and `X`, `Y` blocks of `nrhs` complex vectors stored
 /// RHS-major (`x[r*n..(r+1)*n]` is right-hand side `r`).
@@ -265,35 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn inplace_matvec_matches_out_of_place() {
-        let a = RealMatrix::from_fn(5, 5, |i, j| 1.0 / (1.0 + i as f64 + j as f64));
-        let x: Vec<Complex64> =
-            (0..5).map(|i| Complex64::new((i as f64).sin(), (i as f64).cos())).collect();
-        let mut y = vec![Complex64::ZERO; 5];
-        matvec_complex(&a, &x, &mut y);
-        let mut x2 = x.clone();
-        let mut scratch = vec![Complex64::ZERO; 5];
-        matvec_complex_inplace(&a, &mut x2, &mut scratch);
-        assert_eq!(x2, y);
-    }
-
-    #[test]
     fn flop_count_formula() {
         assert_eq!(matvec_complex_flops(10, 20), 800);
         assert_eq!(apply_panel_multi_flops(8, 3), 4 * 8 * 8 * 3);
-    }
-
-    #[test]
-    fn flat_into_matches_inplace_path() {
-        let n = 7;
-        let a: Vec<f64> = (0..n * n).map(|i| ((i * i) as f64).cos()).collect();
-        let x: Vec<Complex64> =
-            (0..n).map(|i| Complex64::new(i as f64 * 0.3, 1.0 - i as f64)).collect();
-        let mut y1 = vec![Complex64::ZERO; n];
-        let mut y2 = vec![Complex64::ZERO; n];
-        matvec_complex_flat(&a, n, n, &x, &mut y1);
-        matvec_complex_flat_into(&a, n, &x, &mut y2);
-        assert_eq!(y1, y2);
     }
 
     #[test]
@@ -328,26 +278,6 @@ mod tests {
         let x: Vec<Complex64> = vec![];
         let mut y: Vec<Complex64> = vec![];
         apply_panel_multi(&a, 3, &x, &mut y, 0);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "matvec_complex_flat_into: a.len() must be n*n")]
-    fn flat_into_short_panel_panics_with_named_precondition() {
-        let a = vec![0.0; 8]; // one element short of 3*3
-        let x = vec![Complex64::ZERO; 3];
-        let mut y = vec![Complex64::ZERO; 3];
-        matvec_complex_flat_into(&a, 3, &x, &mut y);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "matvec_complex_flat_into: y.len() must be n")]
-    fn flat_into_short_output_panics_with_named_precondition() {
-        let a = vec![0.0; 9];
-        let x = vec![Complex64::ZERO; 3];
-        let mut y = vec![Complex64::ZERO; 2];
-        matvec_complex_flat_into(&a, 3, &x, &mut y);
     }
 
     #[test]

@@ -28,11 +28,11 @@ pub use eigen::spectral_radius;
 pub use fft::{next_pow2, Fft};
 pub use gemm::{
     apply_panel_multi, apply_panel_multi_flops, matmul, matvec, matvec_complex,
-    matvec_complex_flat, matvec_complex_flat_into, matvec_complex_flops, matvec_complex_inplace,
+    matvec_complex_flat, matvec_complex_flops,
 };
 pub use lu::{solve_into, LuFactors, SingularMatrix};
 pub use matrix::RealMatrix;
 pub use simd::{
-    apply_panel_multi_with, apply_panel_rows_ptr, available_levels, default_tile_rows,
-    detected_level, l2_cache_kb, selected_level, SimdLevel, SIMD_ENV,
+    apply_panel_multi_with, available_levels, default_tile_rows, detected_level, l2_cache_kb,
+    selected_level, SimdLevel, SIMD_ENV,
 };

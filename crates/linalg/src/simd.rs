@@ -587,7 +587,7 @@ mod x86 {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch entry points.
+// Dispatch entry point.
 // ---------------------------------------------------------------------------
 
 /// Clamp a requested level to what this CPU can actually execute (passing
@@ -595,51 +595,6 @@ mod x86 {
 #[inline]
 fn effective(level: SimdLevel) -> SimdLevel {
     level.min(detected_level())
-}
-
-/// Apply rows `rows` of the `n×n` panel `a` to all `nrhs` right-hand sides
-/// with the given kernel level, writing `y[r·n + i]` for `i ∈ rows`.
-///
-/// This is the tile-granular entry point the sim-layer worker-pool tasks
-/// call: each task owns a disjoint `(panel, row-tile)` and the writes never
-/// overlap. Bitwise identical to the scalar path for every level and row
-/// range (see the module docs).
-///
-/// # Safety
-/// `y` must be valid for `n·nrhs` writes. Concurrent calls on the same `y`
-/// must target disjoint `rows` (same panel) or disjoint `y` regions.
-pub unsafe fn apply_panel_rows_ptr(
-    level: SimdLevel,
-    a: &[f64],
-    n: usize,
-    x: &[Complex64],
-    y: *mut Complex64,
-    nrhs: usize,
-    rows: Range<usize>,
-) {
-    debug_assert_eq!(a.len(), n * n, "apply_panel_rows_ptr: a.len() must be n*n");
-    debug_assert_eq!(x.len(), n * nrhs, "apply_panel_rows_ptr: x.len() must be n*nrhs");
-    debug_assert!(rows.end <= n, "apply_panel_rows_ptr: row range out of bounds");
-    if nrhs == 0 || rows.is_empty() {
-        return;
-    }
-    match effective(level) {
-        SimdLevel::Scalar => rows_scalar(a, n, x, y, nrhs, rows),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => PACK_SCRATCH.with(|s| {
-            let xp = &mut *s.borrow_mut();
-            pack_rhs(x, n, nrhs, xp);
-            x86::rows_avx2(a, n, xp, y, nrhs, rows)
-        }),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => PACK_SCRATCH.with(|s| {
-            let xp = &mut *s.borrow_mut();
-            pack_rhs(x, n, nrhs, xp);
-            x86::rows_avx512(a, n, xp, y, nrhs, rows)
-        }),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => rows_scalar(a, n, x, y, nrhs, rows),
-    }
 }
 
 /// Full panel apply with an explicit kernel level and row-tile height:
@@ -786,25 +741,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn row_range_entry_matches_full_apply() {
-        let (n, nrhs) = (19, 6);
-        let a = panel(n);
-        let x = rhs(n, nrhs);
-        let mut want = vec![Complex64::ZERO; n * nrhs];
-        apply_panel_multi_with(SimdLevel::Scalar, &a, n, &x, &mut want, nrhs, n);
-        for level in available_levels() {
-            let mut y = vec![Complex64::ZERO; n * nrhs];
-            // Uneven hand-picked tile boundaries, applied out of order.
-            for rows in [7..n, 0..3, 3..7] {
-                unsafe {
-                    apply_panel_rows_ptr(level, &a, n, &x, y.as_mut_ptr(), nrhs, rows);
-                }
-            }
-            assert_eq!(y, want, "level {level}");
         }
     }
 

@@ -108,34 +108,14 @@ impl CollisionConstants {
         x.copy_from_slice(scratch);
     }
 
-    /// Out-of-place propagator apply: `y = A·x`. Same arithmetic as
-    /// [`Self::apply`] without the scratch round-trip, for call sites that
-    /// own separate input/output profiles.
-    pub fn apply_into(&self, ic_loc: usize, it_loc: usize, x: &[Complex64], y: &mut [Complex64]) {
-        xg_linalg::matvec_complex_flat_into(self.panel(ic_loc, it_loc), self.nv, x, y);
-    }
-
     /// Batched multi-RHS propagator apply at one `(ic, itor)` pair:
     /// `Y = A·X` with `nrhs` stacked velocity profiles (`x[r·nv..(r+1)·nv]`
-    /// is profile `r`). The shared panel is streamed once per call instead
+    /// is profile `r`), run with the autotuned `kernel`
+    /// ([`xg_costmodel::tuner::tune_collision_kernel`]) — this is the call
+    /// the tuner times. The shared panel is streamed once per call instead
     /// of once per profile; results are bitwise identical to `nrhs`
-    /// single-RHS applies (see [`xg_linalg::apply_panel_multi`]).
+    /// [`Self::apply`] calls for every kernel choice.
     pub fn apply_multi(
-        &self,
-        ic_loc: usize,
-        it_loc: usize,
-        x: &[Complex64],
-        y: &mut [Complex64],
-        nrhs: usize,
-    ) {
-        xg_linalg::apply_panel_multi(self.panel(ic_loc, it_loc), self.nv, x, y, nrhs);
-    }
-
-    /// Like [`Self::apply_multi`] with an explicit kernel choice: SIMD
-    /// level and L2 row-tile height from the autotuner
-    /// ([`xg_costmodel::tuner::tune_collision_kernel`]) instead of the
-    /// process defaults. Bitwise identical to every other apply variant.
-    pub fn apply_multi_tiled(
         &self,
         ic_loc: usize,
         it_loc: usize,
@@ -152,37 +132,6 @@ impl CollisionConstants {
             y,
             nrhs,
             kernel.tile_rows,
-        );
-    }
-
-    /// Row-tile-granular apply for worker-pool tasks: compute rows `rows`
-    /// of `Y = A·X` at one `(ic, itor)` pair, writing `y[r·nv + i]` for
-    /// `i ∈ rows` through a raw output pointer (the written elements are
-    /// strided across the `nrhs` profiles, so no contiguous `&mut` split
-    /// exists). Bitwise identical to the full apply for any tiling.
-    ///
-    /// # Safety
-    /// `y` must be valid for `nv·nrhs` elements and outlive the call;
-    /// concurrent calls on the same `y` must cover disjoint `rows`.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn apply_multi_rows(
-        &self,
-        ic_loc: usize,
-        it_loc: usize,
-        x: &[Complex64],
-        y: *mut Complex64,
-        nrhs: usize,
-        rows: Range<usize>,
-        level: xg_linalg::SimdLevel,
-    ) {
-        xg_linalg::apply_panel_rows_ptr(
-            level,
-            self.panel(ic_loc, it_loc),
-            self.nv,
-            x,
-            y,
-            nrhs,
-            rows,
         );
     }
 
@@ -221,18 +170,20 @@ pub fn cmat_total_bytes(input: &CgyroInput) -> u64 {
     xg_costmodel::memory::cmat_total_bytes(input.dims())
 }
 
+/// The grids and operator a propagator build needs (test scaffolding).
+#[cfg(test)]
+pub(crate) fn setup(input: &CgyroInput) -> (VelocityGrid, ConfigGrid, Geometry, CollisionOperator) {
+    let v = VelocityGrid::new(input);
+    let cfg = ConfigGrid::new(input);
+    let geo = Geometry::new(input, &cfg);
+    let op = CollisionOperator::build(input, &v);
+    (v, cfg, geo, op)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xg_linalg::norms::max_abs_complex;
-
-    fn setup(input: &CgyroInput) -> (VelocityGrid, ConfigGrid, Geometry, CollisionOperator) {
-        let v = VelocityGrid::new(input);
-        let cfg = ConfigGrid::new(input);
-        let geo = Geometry::new(input, &cfg);
-        let op = CollisionOperator::build(input, &v);
-        (v, cfg, geo, op)
-    }
 
     #[test]
     fn propagator_equals_direct_crank_nicolson_solve() {
@@ -373,40 +324,10 @@ mod tests {
                 for r in 0..nrhs {
                     cm.apply(ic, it, &mut want[r * nv..(r + 1) * nv], &mut scratch);
                 }
-                // Out-of-place single-RHS.
-                for r in 0..nrhs {
-                    let mut y = vec![Complex64::ZERO; nv];
-                    cm.apply_into(ic, it, &block[r * nv..(r + 1) * nv], &mut y);
-                    assert_eq!(&y, &want[r * nv..(r + 1) * nv]);
-                }
-                // Batched multi-RHS.
-                let mut y = vec![Complex64::ZERO; nrhs * nv];
-                cm.apply_multi(ic, it, &block, &mut y, nrhs);
-                assert_eq!(y, want);
-                // Explicitly-tuned kernels: every available level × odd
-                // tile heights stay bitwise equal.
-                for level in xg_linalg::simd::available_levels() {
-                    for tile_rows in [1usize, 3, nv] {
-                        let mut y = vec![Complex64::ZERO; nrhs * nv];
-                        cm.apply_multi_tiled(
-                            ic,
-                            it,
-                            &block,
-                            &mut y,
-                            nrhs,
-                            xg_costmodel::KernelChoice { level, tile_rows },
-                        );
-                        assert_eq!(y, want, "level {level} tile {tile_rows}");
-                    }
-                    // Row-tile-granular entry, applied in uneven pieces.
+                for kernel in crate::collision_tests::kernels_under_test(nv) {
                     let mut y = vec![Complex64::ZERO; nrhs * nv];
-                    let mid = nv / 3;
-                    for rows in [mid..nv, 0..mid] {
-                        unsafe {
-                            cm.apply_multi_rows(ic, it, &block, y.as_mut_ptr(), nrhs, rows, level);
-                        }
-                    }
-                    assert_eq!(y, want, "row-granular level {level}");
+                    cm.apply_multi(ic, it, &block, &mut y, nrhs, kernel);
+                    assert_eq!(y, want, "kernel {kernel}");
                 }
             }
         }

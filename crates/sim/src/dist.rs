@@ -25,7 +25,6 @@ use crate::geometry::Geometry;
 use crate::grid::{ConfigGrid, VelocityGrid};
 use crate::input::CgyroInput;
 use crate::nonlinear::NlKernel;
-use crate::pool::{SendPtr, StepPool};
 use crate::stepper::Topology;
 use xg_comm::Communicator;
 use xg_costmodel::KernelChoice;
@@ -38,7 +37,7 @@ use xg_tensor::{
 
 /// Distributed topology for one rank of one simulation.
 pub struct DistTopology {
-    layout: PhaseLayout,
+    pub(crate) layout: PhaseLayout,
     sim_comm: Communicator,
     nv_comm: Communicator,
     nt_comm: Communicator,
@@ -61,11 +60,9 @@ pub struct DistTopology {
     /// previous step's reverse-transpose receive blocks (per-peer sizes
     /// match exactly between the two directions).
     fwd_send: Vec<Vec<Complex64>>,
-    /// Worker pool for the panel loop over `(ic, it)`.
-    pool: StepPool,
     /// Collision kernel (SIMD level + L2 row-tile height) autotuned at
     /// build time for this rank's (nv, k) shape; bitwise-neutral.
-    kernel: KernelChoice,
+    pub(crate) kernel: KernelChoice,
 }
 
 impl DistTopology {
@@ -136,6 +133,14 @@ impl DistTopology {
                 d
             }
         };
+        // One-shot collision-kernel autotune for this rank's (nv, k)
+        // shape. Cached per process: one rank of the world measures, the
+        // others wait for and read its answer — so tune here, where the
+        // communicator splits have just lined the ranks up, and not after
+        // the cmat build, which they leave at different times.
+        let kernel = xg_costmodel::tune_collision_kernel(dims.nv, sims_in_coll);
+        xg_obs::set_collision_kernel(&kernel.to_string());
+
         // This rank's cmat slice: ensemble nc block × local nt range.
         let v = VelocityGrid::new(input);
         let cfg = ConfigGrid::new(input);
@@ -156,12 +161,6 @@ impl DistTopology {
         let lanes = sims_in_coll * dims.nv;
         let p = coll_comm.size();
 
-        // One-shot collision-kernel autotune for this rank's (nv, k)
-        // shape. Cached per process, so k topologies of one ensemble tune
-        // once.
-        let kernel = xg_costmodel::tune_collision_kernel(dims.nv, sims_in_coll);
-        xg_obs::set_collision_kernel(&kernel.to_string());
-
         Self {
             layout,
             sim_comm,
@@ -175,7 +174,6 @@ impl DistTopology {
             coll_in: Tensor3::new(my_nc, ntl, lanes),
             coll_out: Tensor3::new(my_nc, ntl, lanes),
             fwd_send: (0..p).map(|_| Vec::new()).collect(),
-            pool: StepPool::from_env(),
             kernel,
         }
     }
@@ -208,17 +206,6 @@ impl DistTopology {
     /// This rank's slice of the constant tensor.
     pub fn cmat(&self) -> &CollisionConstants {
         &self.cmat
-    }
-
-    /// Resize the collision worker pool (output is bitwise independent of
-    /// the width; used by determinism tests).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = StepPool::new(threads);
-    }
-
-    /// Collision worker-pool width (including the calling thread).
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// The autotuned collision kernel this topology runs.
@@ -278,38 +265,16 @@ impl Topology for DistTopology {
             );
         }
 
-        // Apply this rank's cmat slice to every simulation's profile in
-        // batched multi-RHS row tiles per (ic, it): each L2-sized panel
-        // tile is streamed once through all k members' profiles (the
-        // arithmetic-intensity bonus of sharing), and the (pair × tile)
-        // tasks fan out over the worker pool so uneven pair counts no
-        // longer strand threads.
-        let cmat = &self.cmat;
-        let coll_in = &self.coll_in;
-        let kernel = self.kernel;
-        let lanes = k * dims.nv;
-        let my_nc = self.coll_nc_decomp.count(self.coll_comm.rank());
-        let tiles = dims.nv.div_ceil(kernel.tile_rows.max(1));
-        let out = SendPtr(self.coll_out.as_mut_slice().as_mut_ptr());
-        self.pool.for_each_task(my_nc * ntl * tiles, |t| {
-            let (pair, tile) = (t / tiles, t % tiles);
-            let (ic, it) = (pair / ntl, pair % ntl);
-            let r0 = tile * kernel.tile_rows;
-            let r1 = (r0 + kernel.tile_rows).min(dims.nv);
-            // SAFETY: tasks write disjoint rows of disjoint per-pair lane
-            // blocks; coll_out outlives the blocking round.
-            unsafe {
-                cmat.apply_multi_rows(
-                    ic,
-                    it,
-                    coll_in.line(ic, it),
-                    out.add(pair * lanes),
-                    k,
-                    r0..r1,
-                    kernel.level,
-                );
+        // Apply this rank's cmat slice to every simulation's profile: one
+        // batched multi-RHS panel apply per (ic, it), so each L2-sized
+        // panel tile is streamed once through all k members' profiles (the
+        // arithmetic-intensity bonus of sharing).
+        for ic in 0..self.coll_nc_decomp.count(self.coll_comm.rank()) {
+            for it in 0..ntl {
+                let x = self.coll_in.line(ic, it);
+                self.cmat.apply_multi(ic, it, x, self.coll_out.line_mut(ic, it), k, self.kernel);
             }
-        });
+        }
 
         // Reverse transpose: return each simulation's blocks to its owners,
         // recycling the forward receive blocks as send buffers.

@@ -15,9 +15,12 @@
 //! ([`dist::DistTopology::with_shared_coll_cuts`], Figure 3).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cmat;
 pub mod collision;
+#[cfg(test)]
+mod collision_tests;
 pub mod deck;
 pub mod diagnostics;
 pub mod dist;
@@ -27,7 +30,6 @@ pub mod grid;
 pub mod input;
 pub mod moments;
 pub mod nonlinear;
-pub mod pool;
 pub mod restart;
 pub mod serial;
 pub mod stepper;
@@ -41,6 +43,5 @@ pub use collision::CollisionOperator;
 pub use dist::DistTopology;
 pub use input::{CgyroInput, Species};
 pub use moments::{moments_table, species_moments, SpeciesMoments};
-pub use pool::{SendPtr, StepPool, THREADS_ENV};
 pub use serial::{serial_simulation, SerialTopology};
 pub use stepper::{initial_value, Diagnostics, Simulation, Topology};

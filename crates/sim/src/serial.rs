@@ -10,7 +10,6 @@ use crate::geometry::Geometry;
 use crate::grid::{ConfigGrid, VelocityGrid};
 use crate::input::CgyroInput;
 use crate::nonlinear::NlKernel;
-use crate::pool::{SendPtr, StepPool};
 use crate::stepper::{Simulation, Topology};
 use xg_costmodel::KernelChoice;
 use xg_linalg::Complex64;
@@ -25,33 +24,19 @@ pub struct SerialTopology {
     cmat: CollisionConstants,
     nl: NlKernel,
     // Collision pipeline: profile-contiguous staging buffers (`(nc, nt,
-    // nv)` so each velocity profile is one contiguous slice) and the
-    // persistent worker pool that fans the panel loop out over (ic, it).
+    // nv)` so each velocity profile is one contiguous slice).
     cp_in: Tensor3<Complex64>,
     cp_out: Tensor3<Complex64>,
     rev_buf: Vec<Complex64>,
-    pool: StepPool,
     /// Collision kernel (SIMD level + L2 row-tile height) picked by the
     /// autotuner at build time; bitwise-neutral, wall-time only.
-    kernel: KernelChoice,
+    pub(crate) kernel: KernelChoice,
     nl_out: Tensor3<Complex64>,
 }
 
 impl SerialTopology {
     /// Build the serial topology (including the full constant tensor).
-    /// Collision threading follows `XGYRO_THREADS` (default 1).
     pub fn new(input: &CgyroInput) -> Self {
-        Self::with_pool(input, StepPool::from_env())
-    }
-
-    /// Like [`SerialTopology::new`] with an explicit collision thread
-    /// count (used by determinism tests; output is bitwise independent of
-    /// the count).
-    pub fn with_threads(input: &CgyroInput, threads: usize) -> Self {
-        Self::with_pool(input, StepPool::new(threads))
-    }
-
-    fn with_pool(input: &CgyroInput, pool: StepPool) -> Self {
         let dims = input.dims();
         let layout = PhaseLayout::new(dims, ProcGrid::new(1, 1), 0);
         let v = VelocityGrid::new(input);
@@ -61,8 +46,7 @@ impl SerialTopology {
         let cmat =
             CollisionConstants::build(input, &v, &cfg, &geo, &op, 0..dims.nc, 0..dims.nt);
         let nl = NlKernel::new(input);
-        // One-shot kernel autotune for this (nv, nrhs=1) shape, like the
-        // reduce-algorithm resolution in the distributed topology.
+        // One-shot kernel autotune for this (nv, nrhs=1) shape.
         let kernel = xg_costmodel::tune_collision_kernel(dims.nv, 1);
         xg_obs::set_collision_kernel(&kernel.to_string());
         Self {
@@ -72,7 +56,6 @@ impl SerialTopology {
             cp_in: Tensor3::new(dims.nc, dims.nt, dims.nv),
             cp_out: Tensor3::new(dims.nc, dims.nt, dims.nv),
             rev_buf: Vec::with_capacity(dims.nc * dims.nt * dims.nv),
-            pool,
             kernel,
             nl_out: Tensor3::new(dims.nc, dims.nv, dims.nt),
         }
@@ -86,11 +69,6 @@ impl SerialTopology {
     /// Fingerprint of the full constant tensor.
     pub fn cmat_fingerprint(&self) -> u64 {
         self.cmat.fingerprint()
-    }
-
-    /// Collision worker-pool width (including the calling thread).
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// The autotuned collision kernel this topology runs.
@@ -110,34 +88,14 @@ impl Topology for SerialTopology {
         // `[ic][iv][it]` is exactly the full-range wire block, so one
         // unpack replaces the per-element strided gather.
         unpack_into_coll_profiles(h.as_slice(), 0..nv, 0, &mut self.cp_in);
-        // Tile-granular panel loop: one task per (pair, row-tile), so the
-        // pool stays busy even when pairs are few, and each panel tile is
-        // streamed through its RHS while L2-resident. Bitwise independent
-        // of the pool width and the tuned (level, tile) choice.
-        let cmat = &self.cmat;
-        let cp_in = &self.cp_in;
-        let kernel = self.kernel;
-        let tiles = nv.div_ceil(kernel.tile_rows.max(1));
-        let out = SendPtr(self.cp_out.as_mut_slice().as_mut_ptr());
-        self.pool.for_each_task(nc * nt * tiles, |t| {
-            let (pair, tile) = (t / tiles, t % tiles);
-            let (ic, it) = (pair / nt, pair % nt);
-            let r0 = tile * kernel.tile_rows;
-            let r1 = (r0 + kernel.tile_rows).min(nv);
-            // SAFETY: each task writes rows r0..r1 of pair's disjoint
-            // nv-sized output block; cp_out outlives the blocking round.
-            unsafe {
-                cmat.apply_multi_rows(
-                    ic,
-                    it,
-                    cp_in.line(ic, it),
-                    out.add(pair * nv),
-                    1,
-                    r0..r1,
-                    kernel.level,
-                );
+        // One batched panel apply per (ic, it) with the tuned kernel;
+        // bitwise independent of the (level, tile) choice.
+        for ic in 0..nc {
+            for it in 0..nt {
+                let x = self.cp_in.line(ic, it);
+                self.cmat.apply_multi(ic, it, x, self.cp_out.line_mut(ic, it), 1, self.kernel);
             }
-        });
+        }
         // Scatter back through the same wire format.
         self.rev_buf.clear();
         pack_coll_profiles_block(&self.cp_out, 0..nv, 0, &mut self.rev_buf);

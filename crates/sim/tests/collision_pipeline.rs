@@ -1,117 +1,11 @@
-//! Properties of the batched collision pipeline: thread-count determinism
-//! (multi-thread output bit-identical to single-thread, serial and
-//! distributed) and persistent-buffer recycling in the dist transposes.
+//! Persistent-buffer recycling in the dist collision transposes. (That one
+//! `collision_step` equals the naive per-profile reference for every kernel
+//! the tuner may pick is checked inside the crate, where the `kernel` field
+//! can be set: `src/collision_tests.rs`.)
 
 use xg_comm::World;
-use xg_linalg::Complex64;
-use xg_sim::{CgyroInput, DistTopology, SerialTopology, Simulation};
-use xg_tensor::{ProcGrid, Tensor3};
-
-fn run_serial_threads(input: &CgyroInput, steps: usize, threads: usize) -> Tensor3<Complex64> {
-    let mut sim = Simulation::new(input.clone(), SerialTopology::with_threads(input, threads));
-    sim.run_steps(steps);
-    sim.h().clone()
-}
-
-/// Distributed CGYRO run with an explicit collision pool width; returns the
-/// reassembled global str-layout state.
-fn run_dist_threads(
-    input: &CgyroInput,
-    grid: ProcGrid,
-    steps: usize,
-    threads: usize,
-) -> Tensor3<Complex64> {
-    let dims = input.dims();
-    let world = World::new(grid.size());
-    let results = world.run(|comm| {
-        let mut topo = DistTopology::cgyro(input, grid, comm);
-        topo.set_threads(threads);
-        let layout = xg_tensor::PhaseLayout::new(dims, grid, topo.sim_comm().rank());
-        let mut sim = Simulation::new(input.clone(), topo);
-        sim.run_steps(steps);
-        (layout.nv_range(), layout.nt_range(), sim.h().clone())
-    });
-    let mut global = Tensor3::new(dims.nc, dims.nv, dims.nt);
-    for (nv_r, nt_r, h) in results {
-        for ic in 0..dims.nc {
-            for (ivl, iv) in nv_r.clone().enumerate() {
-                for (itl, it) in nt_r.clone().enumerate() {
-                    global[(ic, iv, it)] = h[(ic, ivl, itl)];
-                }
-            }
-        }
-    }
-    global
-}
-
-#[test]
-fn serial_output_is_bitwise_identical_across_thread_counts() {
-    let input = CgyroInput::test_small();
-    let reference = run_serial_threads(&input, 6, 1);
-    for threads in [2usize, 3, 8] {
-        let got = run_serial_threads(&input, 6, threads);
-        assert_eq!(got.as_slice(), reference.as_slice(), "threads={threads}");
-    }
-}
-
-#[test]
-fn dist_output_is_bitwise_identical_across_thread_counts() {
-    let input = CgyroInput::test_small();
-    for grid in [ProcGrid::new(2, 1), ProcGrid::new(2, 2)] {
-        let reference = run_dist_threads(&input, grid, 4, 1);
-        for threads in [2usize, 4] {
-            let got = run_dist_threads(&input, grid, 4, threads);
-            assert_eq!(
-                got.as_slice(),
-                reference.as_slice(),
-                "grid=({},{}) threads={threads}",
-                grid.n1,
-                grid.n2
-            );
-        }
-    }
-}
-
-#[test]
-fn threaded_serial_still_matches_untouched_physics() {
-    // Not just self-consistency: the threaded profile-contiguous path must
-    // equal the env-default constructor's output (the golden-regression
-    // path) bit for bit.
-    let input = CgyroInput::test_small();
-    let mut default_sim = Simulation::new(input.clone(), SerialTopology::new(&input));
-    default_sim.run_steps(5);
-    let threaded = run_serial_threads(&input, 5, 4);
-    assert_eq!(default_sim.h().as_slice(), threaded.as_slice());
-}
-
-#[test]
-fn tile_granular_split_fills_every_pool_thread() {
-    // The collision loop spawns one task per (pair, row-tile) — pairs ×
-    // tiles, never fewer than the old pair-count split — and Decomp1D
-    // hands every pool thread at least one task whenever tasks ≥ threads.
-    // Together with the bitwise thread-count tests above this pins the S6
-    // contract: full utilization without output drift.
-    let input = CgyroInput::test_small();
-    let dims = input.dims();
-    for threads in [2usize, 8, 32] {
-        let topo = SerialTopology::with_threads(&input, threads);
-        assert_eq!(topo.threads(), threads);
-        let kernel = topo.kernel_choice();
-        assert!(kernel.tile_rows >= 1 && kernel.tile_rows <= dims.nv);
-        let tiles = dims.nv.div_ceil(kernel.tile_rows);
-        let n_tasks = dims.nc * dims.nt * tiles;
-        assert!(n_tasks >= dims.nc * dims.nt, "tiling must not lose tasks");
-        if n_tasks >= threads {
-            let decomp = xg_tensor::Decomp1D::new(n_tasks, threads);
-            for tid in 0..threads {
-                assert!(
-                    !decomp.range(tid).is_empty(),
-                    "thread {tid}/{threads} would idle with {n_tasks} tasks"
-                );
-            }
-        }
-    }
-}
+use xg_sim::{CgyroInput, DistTopology, Simulation};
+use xg_tensor::ProcGrid;
 
 #[test]
 fn dist_collision_recycles_transpose_buffers() {

@@ -78,19 +78,6 @@ impl ProcGrid {
         assert!(i1 < self.n1 && i2 < self.n2, "grid coords out of range");
         i1 * self.n2 + i2
     }
-
-    /// Ranks sharing toroidal slice `i2` — the membership of the `n1`
-    /// communicator (AllReduce + transpose in CGYRO; Figure 1). With
-    /// i2-fastest ordering these stride by `n2`.
-    pub fn row_members(&self, i2: usize) -> Vec<usize> {
-        (0..self.n1).map(|i1| self.rank(i1, i2)).collect()
-    }
-
-    /// Ranks sharing `i1` — the membership of the `n2` (toroidal)
-    /// communicator used by the nl phase (contiguous ranks).
-    pub fn col_members(&self, i1: usize) -> Vec<usize> {
-        (0..self.n2).map(|i2| self.rank(i1, i2)).collect()
-    }
 }
 
 /// Per-rank view of one simulation's decompositions in every phase.
@@ -197,15 +184,6 @@ mod tests {
             assert_eq!(g.rank(i1, i2), r);
         }
         assert_eq!(g.coords(5), (1, 2)); // i2-fastest: 5 = 1*3 + 2
-    }
-
-    #[test]
-    fn row_and_col_members() {
-        let g = ProcGrid::new(3, 2);
-        // n1=3, n2=2, rank = i1*2 + i2: nv rows stride n2.
-        assert_eq!(g.row_members(0), vec![0, 2, 4]);
-        assert_eq!(g.row_members(1), vec![1, 3, 5]);
-        assert_eq!(g.col_members(1), vec![2, 3]);
     }
 
     #[test]

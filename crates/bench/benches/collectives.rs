@@ -58,7 +58,7 @@ fn bench_alltoall(c: &mut Criterion) {
                 World::new(p).run(|comm| {
                     let send: Vec<Vec<Complex64>> =
                         (0..p).map(|_| vec![Complex64::ONE; block]).collect();
-                    let recv = comm.all_to_all_v(send);
+                    let recv = comm.all_to_all_v_take(send);
                     recv.len()
                 })
             });

@@ -1,40 +1,39 @@
 //! Communicators and collective operations.
 //!
 //! A [`Communicator`] is a handle held by one rank onto a group of ranks
-//! sharing a rendezvous [`crate::exchange::Slot`] — collectives are
-//! blocking and totally ordered per communicator; disjoint communicators
-//! proceed independently (so the k per-simulation str communicators of an
-//! XGYRO ensemble never serialize against each other).
+//! sharing a rendezvous slot — collectives are blocking and totally ordered
+//! per communicator; disjoint communicators proceed independently (so the k
+//! per-simulation str communicators of an XGYRO ensemble never serialize
+//! against each other).
+//!
+//! The surface is what the paper's mechanism needs and nothing else:
+//! [`Communicator::split`] plus five collectives — barrier, AllGather,
+//! AllReduce (f64 sum, complex sum, f64 max) and the move-out AllToAllv —
+//! each in exactly one form.
 //!
 //! Reductions are **deterministic**: contributions are combined in
 //! communicator-rank order, so repeated runs and re-partitioned ensembles
 //! with identical sub-grids produce bitwise-identical results — the
 //! property the equivalence experiment (T-correct) relies on.
 //!
-//! Every blocking operation exists in two forms: the plain form (panics on
-//! peer failure — the legacy abort path) and a `try_` form returning
-//! `Result<_, CommError>`. When the world was built with a deadline
+//! Failure handling: when the world was built with a deadline
 //! ([`crate::World::with_deadline`]), a dead or stalled peer surfaces as a
-//! typed [`CommError`] within the deadline instead of hanging forever; the
-//! plain forms re-throw that error as a panic payload, which
-//! [`crate::World::run_fallible`] catches and converts back — so an
-//! unmodified simulation stack still yields typed failures at the world
-//! boundary.
+//! typed [`CommError`] within the deadline instead of hanging forever. The
+//! collective panics with that `CommError` as the payload;
+//! [`crate::World::run_fallible`] catches it at the rank boundary and
+//! reports [`crate::RankOutcome::Failed`] — so the simulation stack calls
+//! plain methods and still yields typed failures at the world boundary.
 
 use crate::exchange::{Slot, SlotError};
 use crate::fault::{CommError, FaultKind, FaultPlan, FaultState};
-use crate::p2p::Mailbox;
 use crate::stats::{OpKind, TrafficLog};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xg_linalg::Complex64;
 
 /// Shared world-level infrastructure every communicator hangs off.
 pub(crate) struct WorldShared {
-    pub(crate) mailboxes: Vec<Mailbox>,
-    pub(crate) next_comm_id: AtomicU64,
     pub(crate) slot_registry: parking_lot::Mutex<Vec<std::sync::Weak<Slot>>>,
     /// Deadline for blocking waits; `None` means wait forever (legacy).
     pub(crate) deadline: Option<Duration>,
@@ -49,8 +48,6 @@ impl WorldShared {
         plan: Option<FaultPlan>,
     ) -> Arc<Self> {
         Arc::new(Self {
-            mailboxes: (0..size).map(|_| Mailbox::new()).collect(),
-            next_comm_id: AtomicU64::new(1),
             slot_registry: parking_lot::Mutex::new(Vec::new()),
             deadline,
             fault: plan.map(|p| FaultState::new(p, size)),
@@ -61,29 +58,23 @@ impl WorldShared {
         self.slot_registry.lock().push(Arc::downgrade(slot));
     }
 
-    /// Poison every live slot and mailbox so ranks blocked in collectives
-    /// fail fast instead of deadlocking when a peer panics.
+    /// Poison every live slot so ranks blocked in collectives fail fast
+    /// instead of deadlocking when a peer panics.
     pub(crate) fn poison_all(&self) {
         for w in self.slot_registry.lock().iter() {
             if let Some(s) = w.upgrade() {
                 s.poison();
             }
         }
-        for mb in &self.mailboxes {
-            mb.poison();
-        }
     }
 
-    /// Mark every live slot and mailbox failed: global rank `rank` is known
-    /// dead, so blocked peers surface typed [`CommError`]s promptly.
+    /// Mark every live slot failed: global rank `rank` is known dead, so
+    /// blocked peers surface typed [`CommError`]s promptly.
     pub(crate) fn fail_all(&self, rank: usize, detail: &str) {
         for w in self.slot_registry.lock().iter() {
             if let Some(s) = w.upgrade() {
                 s.fail(rank, detail);
             }
-        }
-        for mb in &self.mailboxes {
-            mb.fail(rank, detail);
         }
     }
 }
@@ -93,7 +84,7 @@ impl WorldShared {
 pub struct Communicator {
     /// Rank within this communicator.
     rank: usize,
-    /// Global rank (within the world), used for mailboxes and logging.
+    /// Global rank (within the world), used for fault plans and logging.
     global_rank: usize,
     /// Global ranks of the members, indexed by communicator rank.
     members: Arc<Vec<usize>>,
@@ -101,7 +92,6 @@ pub struct Communicator {
     world: Arc<WorldShared>,
     log: Arc<TrafficLog>,
     label: Arc<str>,
-    comm_id: u64,
 }
 
 impl Communicator {
@@ -120,7 +110,6 @@ impl Communicator {
             world,
             log,
             label: Arc::from("world"),
-            comm_id: 0,
         }
     }
 
@@ -215,20 +204,23 @@ impl Communicator {
     }
 
     /// Preflight + log + deadline-aware exchange: the shared body of every
-    /// fallible collective.
+    /// collective. A typed failure leaves as a [`CommError`] panic payload
+    /// (see the module docs).
     fn run_collective<T, R, F>(
         &self,
         op: OpKind,
         bytes: u64,
         contribution: T,
         assemble: F,
-    ) -> Result<Arc<R>, CommError>
+    ) -> Arc<R>
     where
         T: Send + 'static,
         R: Send + Sync + 'static,
         F: FnOnce(Vec<T>) -> R,
     {
-        self.preflight()?;
+        if let Err(e) = self.preflight() {
+            std::panic::panic_any(e);
+        }
         // Record *before* the exchange (fault-plan rebase counts records,
         // including those of operations that then fail), then patch the
         // measured wait in by index once the exchange returns. No clock is
@@ -242,109 +234,69 @@ impl Communicator {
         if let Some(start) = start {
             self.log.set_elapsed(idx, start.elapsed().as_micros() as u64);
         }
-        res
+        res.unwrap_or_else(|e| std::panic::panic_any(e))
     }
 
     /// Synchronize all ranks.
     pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::barrier`].
-    pub fn try_barrier(&self) -> Result<(), CommError> {
-        self.run_collective(OpKind::Barrier, 0, (), |_| ()).map(|_| ())
+        self.run_collective(OpKind::Barrier, 0, (), |_| ());
     }
 
     /// Gather every rank's slice; returns the per-rank vectors in rank
     /// order.
     pub fn all_gather<T: Clone + Send + Sync + 'static>(&self, local: &[T]) -> Vec<Vec<T>> {
-        self.try_all_gather(local).unwrap_or_else(|e| std::panic::panic_any(e))
+        let bytes = std::mem::size_of_val(local) as u64;
+        let res = self.run_collective(OpKind::AllGather, bytes, local.to_vec(), |items| items);
+        (*res).clone()
     }
 
-    /// Fallible [`Communicator::all_gather`].
-    pub fn try_all_gather<T: Clone + Send + Sync + 'static>(
-        &self,
-        local: &[T],
-    ) -> Result<Vec<Vec<T>>, CommError> {
-        let bytes = std::mem::size_of_val(local) as u64;
-        let res = self.run_collective(OpKind::AllGather, bytes, local.to_vec(), |items| items)?;
-        Ok((*res).clone())
+    /// Element-wise reduction of `buf` across all ranks, folding the
+    /// contributions into `identity` in communicator-rank order.
+    fn all_reduce<T, C>(&self, buf: &mut [T], identity: T, combine: C)
+    where
+        T: Copy + Send + Sync + 'static,
+        C: Fn(T, T) -> T,
+    {
+        let bytes = std::mem::size_of_val(buf) as u64;
+        let n = buf.len();
+        let res = self.run_collective(OpKind::AllReduce, bytes, buf.to_vec(), move |items| {
+            let mut acc = vec![identity; n];
+            for item in items {
+                assert_eq!(item.len(), n, "AllReduce length mismatch across ranks");
+                for (a, v) in acc.iter_mut().zip(&item) {
+                    *a = combine(*a, *v);
+                }
+            }
+            acc
+        });
+        buf.copy_from_slice(&res);
     }
 
     /// Element-wise sum-reduction of `buf` across all ranks, result
     /// replacing `buf` on every rank. Deterministic (rank-order) summation.
     pub fn all_reduce_sum_f64(&self, buf: &mut [f64]) {
-        self.try_all_reduce_sum_f64(buf).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::all_reduce_sum_f64`].
-    pub fn try_all_reduce_sum_f64(&self, buf: &mut [f64]) -> Result<(), CommError> {
-        let bytes = std::mem::size_of_val(buf) as u64;
-        let n = buf.len();
-        let res = self.run_collective(OpKind::AllReduce, bytes, buf.to_vec(), move |items| {
-            let mut acc = vec![0.0f64; n];
-            for item in items {
-                assert_eq!(item.len(), n, "AllReduce length mismatch across ranks");
-                for (a, v) in acc.iter_mut().zip(&item) {
-                    *a += v;
-                }
-            }
-            acc
-        })?;
-        buf.copy_from_slice(&res);
-        Ok(())
+        self.all_reduce(buf, 0.0, |a, v| a + v);
     }
 
     /// Element-wise complex sum-reduction (deterministic rank order).
     pub fn all_reduce_sum_complex(&self, buf: &mut [Complex64]) {
-        self.try_all_reduce_sum_complex(buf).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::all_reduce_sum_complex`].
-    pub fn try_all_reduce_sum_complex(&self, buf: &mut [Complex64]) -> Result<(), CommError> {
-        let bytes = std::mem::size_of_val(buf) as u64;
-        let n = buf.len();
-        let res = self.run_collective(OpKind::AllReduce, bytes, buf.to_vec(), move |items| {
-            let mut acc = vec![Complex64::ZERO; n];
-            for item in items {
-                assert_eq!(item.len(), n, "AllReduce length mismatch across ranks");
-                for (a, v) in acc.iter_mut().zip(&item) {
-                    *a += *v;
-                }
-            }
-            acc
-        })?;
-        buf.copy_from_slice(&res);
-        Ok(())
+        self.all_reduce(buf, Complex64::ZERO, |a, v| a + v);
     }
 
     /// Element-wise max-reduction (used for CFL/diagnostic scalars).
     pub fn all_reduce_max_f64(&self, buf: &mut [f64]) {
-        self.try_all_reduce_max_f64(buf).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::all_reduce_max_f64`].
-    pub fn try_all_reduce_max_f64(&self, buf: &mut [f64]) -> Result<(), CommError> {
-        let bytes = std::mem::size_of_val(buf) as u64;
-        let n = buf.len();
-        let res = self.run_collective(OpKind::AllReduce, bytes, buf.to_vec(), move |items| {
-            let mut acc = vec![f64::NEG_INFINITY; n];
-            for item in items {
-                assert_eq!(item.len(), n, "AllReduce length mismatch across ranks");
-                for (a, v) in acc.iter_mut().zip(&item) {
-                    *a = a.max(*v);
-                }
-            }
-            acc
-        })?;
-        buf.copy_from_slice(&res);
-        Ok(())
+        self.all_reduce(buf, f64::NEG_INFINITY, f64::max);
     }
 
     /// Personalized all-to-all: `send[j]` goes to communicator rank `j`;
     /// returns `recv` with `recv[j]` the block sent by rank `j` to this
     /// rank. Blocks may have arbitrary (including zero) per-pair sizes —
     /// this is MPI_Alltoallv.
+    ///
+    /// Each rank *takes ownership* of its received blocks out of the shared
+    /// assembled result, so blocks move exactly once end-to-end, `T` only
+    /// needs `Send` (not `Clone` or `Sync`), and the returned `Vec<Vec<T>>`
+    /// allocations can be recycled as the next transpose's send buffers.
     ///
     /// ```
     /// use xg_comm::World;
@@ -353,27 +305,19 @@ impl Communicator {
     ///     // Rank r sends the value 10*r + j to rank j.
     ///     let send: Vec<Vec<u32>> =
     ///         (0..3).map(|j| vec![10 * c.rank() as u32 + j as u32]).collect();
-    ///     c.all_to_all_v(send)
+    ///     c.all_to_all_v_take(send)
     /// });
     /// // Rank 1 received [01, 11, 21] from ranks 0, 1, 2.
     /// assert_eq!(out[1], vec![vec![1], vec![11], vec![21]]);
     /// ```
-    pub fn all_to_all_v<T: Clone + Send + Sync + 'static>(
-        &self,
-        send: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
-        self.try_all_to_all_v(send).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::all_to_all_v`].
-    pub fn try_all_to_all_v<T: Clone + Send + Sync + 'static>(
-        &self,
-        send: Vec<Vec<T>>,
-    ) -> Result<Vec<Vec<T>>, CommError> {
+    pub fn all_to_all_v_take<T: Send + 'static>(&self, send: Vec<Vec<T>>) -> Vec<Vec<T>> {
         let p = self.size();
         assert_eq!(send.len(), p, "all_to_all_v needs one block per peer");
         let bytes: u64 =
             send.iter().map(|b| (b.len() * std::mem::size_of::<T>()) as u64).sum();
+        // The assembled result is shared behind an Arc, so per-rank rows sit
+        // behind mutexes holding Options: each rank locks its own row once
+        // and moves it out, leaving None behind.
         let res = self.run_collective(OpKind::AllToAll, bytes, send, move |items| {
             // items[src][dst] -> matrix[dst][src]. Pop from the back of each
             // source's block list so every block moves exactly once: source
@@ -387,178 +331,12 @@ impl Communicator {
                 }
             }
             matrix
-        })?;
-        Ok(res[self.rank].clone())
-    }
-
-    /// Move-semantics [`Communicator::all_to_all_v`]: identical exchange,
-    /// but each rank *takes ownership* of its received blocks instead of
-    /// cloning them out of the shared assembled result. Blocks therefore
-    /// move exactly once end-to-end, `T` only needs `Send` (not `Clone` or
-    /// `Sync`), and the returned `Vec<Vec<T>>` allocations can be recycled
-    /// as the next transpose's send buffers.
-    pub fn all_to_all_v_take<T: Send + 'static>(&self, send: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        self.try_all_to_all_v_take(send).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::all_to_all_v_take`].
-    pub fn try_all_to_all_v_take<T: Send + 'static>(
-        &self,
-        send: Vec<Vec<T>>,
-    ) -> Result<Vec<Vec<T>>, CommError> {
-        let p = self.size();
-        assert_eq!(send.len(), p, "all_to_all_v needs one block per peer");
-        let bytes: u64 =
-            send.iter().map(|b| (b.len() * std::mem::size_of::<T>()) as u64).sum();
-        let rank = self.rank;
-        // The assembled result is shared behind an Arc, so per-rank rows sit
-        // behind mutexes holding Options: each rank locks its own row once
-        // and moves it out, leaving None behind.
-        let res = self.run_collective(OpKind::AllToAll, bytes, send, move |items| {
-            let mut matrix: Vec<Vec<Vec<T>>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-            for (src, mut blocks) in items.into_iter().enumerate() {
-                assert_eq!(blocks.len(), p, "rank {src} sent wrong number of blocks");
-                for row in matrix.iter_mut().rev() {
-                    row.push(blocks.pop().expect("block count checked"));
-                }
-            }
-            matrix
                 .into_iter()
                 .map(|row| parking_lot::Mutex::new(Some(row)))
                 .collect::<Vec<_>>()
-        })?;
-        let row = res[rank]
-            .lock()
-            .take()
-            .expect("each rank takes its own row exactly once per exchange");
-        Ok(row)
-    }
-
-    /// Broadcast from `root`: the root passes `Some(value)`, everyone else
-    /// `None`; all ranks return the root's value.
-    pub fn broadcast<T: Clone + Send + Sync + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-    ) -> T {
-        self.try_broadcast(root, value).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::broadcast`].
-    pub fn try_broadcast<T: Clone + Send + Sync + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-    ) -> Result<T, CommError> {
-        assert!(root < self.size(), "broadcast root out of range");
-        assert_eq!(
-            value.is_some(),
-            self.rank == root,
-            "exactly the root must provide the broadcast value"
-        );
-        let bytes = std::mem::size_of::<T>() as u64;
-        let res = self.run_collective(OpKind::Broadcast, bytes, value, move |mut items| {
-            items.swap_remove(root).expect("root deposited None")
-        })?;
-        Ok((*res).clone())
-    }
-
-    /// Sum-reduce to `root` only: the root returns the element-wise sum,
-    /// everyone else an empty vector (MPI_Reduce).
-    pub fn reduce_sum_f64(&self, root: usize, buf: &[f64]) -> Vec<f64> {
-        self.try_reduce_sum_f64(root, buf).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::reduce_sum_f64`].
-    pub fn try_reduce_sum_f64(&self, root: usize, buf: &[f64]) -> Result<Vec<f64>, CommError> {
-        assert!(root < self.size(), "reduce root out of range");
-        let bytes = std::mem::size_of_val(buf) as u64;
-        let n = buf.len();
-        let res = self.run_collective(OpKind::AllReduce, bytes, buf.to_vec(), move |items| {
-            let mut acc = vec![0.0f64; n];
-            for item in items {
-                assert_eq!(item.len(), n, "reduce length mismatch across ranks");
-                for (a, v) in acc.iter_mut().zip(&item) {
-                    *a += v;
-                }
-            }
-            acc
-        })?;
-        Ok(if self.rank == root { (*res).clone() } else { Vec::new() })
-    }
-
-    /// Gather every rank's slice to `root` only; non-root ranks receive an
-    /// empty vector.
-    pub fn gather<T: Clone + Send + Sync + 'static>(
-        &self,
-        root: usize,
-        local: &[T],
-    ) -> Vec<Vec<T>> {
-        self.try_gather(root, local).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::gather`].
-    pub fn try_gather<T: Clone + Send + Sync + 'static>(
-        &self,
-        root: usize,
-        local: &[T],
-    ) -> Result<Vec<Vec<T>>, CommError> {
-        assert!(root < self.size(), "gather root out of range");
-        let bytes = std::mem::size_of_val(local) as u64;
-        let res = self.run_collective(OpKind::AllGather, bytes, local.to_vec(), |items| items)?;
-        Ok(if self.rank == root { (*res).clone() } else { Vec::new() })
-    }
-
-    /// Scatter: `root` provides one block per rank; every rank returns its
-    /// own block. Non-root ranks pass `None`.
-    pub fn scatter<T: Clone + Send + Sync + 'static>(
-        &self,
-        root: usize,
-        blocks: Option<Vec<Vec<T>>>,
-    ) -> Vec<T> {
-        self.try_scatter(root, blocks).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::scatter`].
-    pub fn try_scatter<T: Clone + Send + Sync + 'static>(
-        &self,
-        root: usize,
-        blocks: Option<Vec<Vec<T>>>,
-    ) -> Result<Vec<T>, CommError> {
-        assert!(root < self.size(), "scatter root out of range");
-        assert_eq!(
-            blocks.is_some(),
-            self.rank == root,
-            "exactly the root must provide the scatter blocks"
-        );
-        if let Some(b) = &blocks {
-            assert_eq!(b.len(), self.size(), "scatter needs one block per rank");
-        }
-        let bytes = blocks
-            .as_ref()
-            .map(|b| b.iter().map(|x| (x.len() * std::mem::size_of::<T>()) as u64).sum())
-            .unwrap_or(0);
-        let res = self.run_collective(OpKind::Broadcast, bytes, blocks, move |mut items| {
-            items.swap_remove(root).expect("root deposited None")
-        })?;
-        Ok(res[self.rank].clone())
-    }
-
-    /// Combined send+recv with the same peer (deadlock-free pairwise
-    /// exchange).
-    pub fn sendrecv<T: Send + 'static>(&self, peer: usize, tag: u64, data: T) -> T {
-        self.try_sendrecv(peer, tag, data).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::sendrecv`].
-    pub fn try_sendrecv<T: Send + 'static>(
-        &self,
-        peer: usize,
-        tag: u64,
-        data: T,
-    ) -> Result<T, CommError> {
-        self.try_send(peer, tag, data)?;
-        self.try_recv(peer, tag)
+        });
+        let row = res[self.rank].lock().take();
+        row.expect("each rank takes its own row exactly once per exchange")
     }
 
     /// Split into disjoint sub-communicators by `color`; ranks within a
@@ -578,28 +356,25 @@ impl Communicator {
     /// assert_eq!(out, vec![2.0, 4.0, 2.0, 4.0]); // 0+2, 1+3
     /// ```
     pub fn split(&self, color: u64, key: u64, label: &str) -> Communicator {
-        let world = self.world.clone();
-        let world2 = self.world.clone();
         let grank = self.global_rank;
         let res = self
             .slot
             .try_exchange(
                 self.rank,
                 (color, key, grank),
-                move |items| {
+                |items| {
                     // Group by color; order members by (key, global_rank).
                     let mut groups: HashMap<u64, Vec<(u64, usize)>> = HashMap::new();
                     for (c, k, g) in items {
                         groups.entry(c).or_default().push((k, g));
                     }
-                    let mut out: HashMap<u64, (Arc<Slot>, Vec<usize>, u64)> = HashMap::new();
+                    let mut out: HashMap<u64, (Arc<Slot>, Vec<usize>)> = HashMap::new();
                     for (c, mut v) in groups {
                         v.sort_unstable();
                         let members: Vec<usize> = v.into_iter().map(|(_, g)| g).collect();
                         let slot = Arc::new(Slot::new(members.len()));
-                        world2.register_slot(&slot);
-                        let id = world2.next_comm_id.fetch_add(1, Ordering::Relaxed);
-                        out.insert(c, (slot, members, id));
+                        self.world.register_slot(&slot);
+                        out.insert(c, (slot, members));
                     }
                     out
                 },
@@ -608,7 +383,7 @@ impl Communicator {
             .unwrap_or_else(|e| {
                 std::panic::panic_any(self.slot_error(OpKind::Barrier, e))
             });
-        let (slot, members, comm_id) = res.get(&color).expect("own color must exist").clone();
+        let (slot, members) = res.get(&color).expect("own color must exist").clone();
         let rank = members
             .iter()
             .position(|&g| g == grank)
@@ -618,60 +393,9 @@ impl Communicator {
             global_rank: grank,
             members: Arc::new(members),
             slot,
-            world,
+            world: self.world.clone(),
             log: self.log.clone(),
             label: Arc::from(label),
-            comm_id,
         }
-    }
-
-    /// Blocking typed send to communicator rank `dest`.
-    pub fn send<T: Send + 'static>(&self, dest: usize, tag: u64, data: T) {
-        self.try_send(dest, tag, data).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::send`]. Delivery itself cannot block; the
-    /// error case is this rank's own injected fault firing here.
-    pub fn try_send<T: Send + 'static>(
-        &self,
-        dest: usize,
-        tag: u64,
-        data: T,
-    ) -> Result<(), CommError> {
-        assert!(dest < self.size(), "send dest out of range");
-        self.preflight()?;
-        let bytes = std::mem::size_of::<T>() as u64;
-        self.log.record(OpKind::Send, &self.label, &self.members, bytes);
-        let gdest = self.members[dest];
-        let full_tag = (self.comm_id << 24) | (tag & 0xFF_FFFF);
-        self.world.mailboxes[gdest].deliver(self.global_rank, full_tag, Box::new(data));
-        Ok(())
-    }
-
-    /// Blocking typed receive from communicator rank `src`.
-    pub fn recv<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
-        self.try_recv(src, tag).unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Communicator::recv`]: a dead peer or an expired deadline
-    /// yields a typed [`CommError`] instead of blocking forever.
-    pub fn try_recv<T: Send + 'static>(&self, src: usize, tag: u64) -> Result<T, CommError> {
-        assert!(src < self.size(), "recv src out of range");
-        self.preflight()?;
-        let idx = self.log.record(OpKind::Recv, &self.label, &self.members, 0);
-        let start = xg_obs::enabled().then(std::time::Instant::now);
-        let gsrc = self.members[src];
-        let full_tag = (self.comm_id << 24) | (tag & 0xFF_FFFF);
-        let out = self.world.mailboxes[self.global_rank]
-            .try_recv(gsrc, full_tag, self.world.deadline);
-        if let Some(start) = start {
-            self.log.set_elapsed(idx, start.elapsed().as_micros() as u64);
-        }
-        if let Err(CommError::Timeout { .. }) = &out {
-            // The sender never showed up within the deadline; presume it
-            // dead so the rest of the world fails fast too.
-            self.world.fail_all(gsrc, "recv timed out");
-        }
-        out
     }
 }

@@ -97,40 +97,17 @@ impl Slot {
         self.cv.notify_all();
     }
 
-    /// Number of participants.
-    pub fn size(&self) -> usize {
-        self.state.lock().deposits.len()
-    }
-
     /// Execute one collective round: deposit `contribution` as `rank`, wait
     /// for all ranks, and return the assembled result produced by
     /// `assemble` (run exactly once, by the last depositor, over the
     /// contributions in rank order).
     ///
     /// All ranks must call with the same types `T`/`R` in the same round.
-    pub fn exchange<T, R, F>(&self, rank: usize, contribution: T, assemble: F) -> Arc<R>
-    where
-        T: Send + 'static,
-        R: Send + Sync + 'static,
-        F: FnOnce(Vec<T>) -> R,
-    {
-        match self.try_exchange(rank, contribution, assemble, None) {
-            Ok(r) => r,
-            Err(SlotError::Failed { rank, detail }) => {
-                panic!("collective aborted: participant {rank} failed: {detail}")
-            }
-            Err(SlotError::Timeout { .. }) => {
-                unreachable!("no deadline was set, so the wait cannot time out")
-            }
-        }
-    }
-
-    /// Like [`Slot::exchange`], but with an optional deadline: instead of
-    /// blocking indefinitely on a dead or stalled peer, the wait gives up
-    /// after `deadline`, marks the slot failed (so every other participant
-    /// fails fast too) and returns [`SlotError::Timeout`]. A slot another
-    /// participant already marked failed yields [`SlotError::Failed`]
-    /// immediately.
+    ///
+    /// With a `deadline`, instead of blocking indefinitely on a dead or
+    /// stalled peer the wait gives up after it and returns
+    /// [`SlotError::Timeout`]. A slot another participant already marked
+    /// failed yields [`SlotError::Failed`] immediately.
     ///
     /// A panicked (poisoned) peer still panics — that is the legacy
     /// untyped abort path and is deliberately left intact.
@@ -269,7 +246,7 @@ mod tests {
     #[test]
     fn single_rank_exchange() {
         let slot = Slot::new(1);
-        let r = slot.exchange(0, 41, |v| v[0] + 1);
+        let r = slot.try_exchange(0, 41, |v| v[0] + 1, None).unwrap();
         assert_eq!(*r, 42);
     }
 
@@ -280,7 +257,7 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|r| {
                     let slot = slot.clone();
-                    s.spawn(move || (*slot.exchange(r, r * 10, |v| v)).clone())
+                    s.spawn(move || (*slot.try_exchange(r, r * 10, |v| v, None).unwrap()).clone())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -299,7 +276,9 @@ mod tests {
                 let slot = slot.clone();
                 s.spawn(move || {
                     for round in 0..ROUNDS {
-                        let sum = slot.exchange(r, round + r, |v| v.iter().sum::<usize>());
+                        let sum = slot
+                            .try_exchange(r, round + r, |v| v.iter().sum::<usize>(), None)
+                            .unwrap();
                         assert_eq!(*sum, 3 * round + 3);
                     }
                 });
@@ -318,9 +297,15 @@ mod tests {
                 let count = count.clone();
                 s.spawn(move || {
                     for _ in 0..50 {
-                        slot.exchange(r, (), |_| {
-                            count.fetch_add(1, Ordering::SeqCst);
-                        });
+                        slot.try_exchange(
+                            r,
+                            (),
+                            |_| {
+                                count.fetch_add(1, Ordering::SeqCst);
+                            },
+                            None,
+                        )
+                        .unwrap();
                     }
                 });
             }
@@ -337,9 +322,10 @@ mod tests {
             for r in 0..2 {
                 let slot = slot.clone();
                 s.spawn(move || {
-                    let a = slot.exchange(r, r as f64, |v| v.iter().sum::<f64>());
+                    let a =
+                        slot.try_exchange(r, r as f64, |v| v.iter().sum::<f64>(), None).unwrap();
                     assert_eq!(*a, 1.0);
-                    let b = slot.exchange(r, format!("r{r}"), |v| v.join(","));
+                    let b = slot.try_exchange(r, format!("r{r}"), |v| v.join(","), None).unwrap();
                     assert_eq!(*b, "r0,r1");
                 });
             }

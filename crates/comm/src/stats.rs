@@ -1,7 +1,7 @@
 //! Per-rank communication traffic accounting.
 //!
-//! Every collective and point-to-point operation appends an [`OpRecord`] to
-//! the issuing rank's [`TrafficLog`]. The log serves two purposes:
+//! Every collective appends an [`OpRecord`] to the issuing rank's
+//! [`TrafficLog`]. The log serves two purposes:
 //!
 //! 1. **Comm-pattern traces** (paper Figures 1 and 3): which logical
 //!    communicator executed which operation with how many participants —
@@ -25,13 +25,14 @@ pub enum OpKind {
     AllToAll,
     /// Gather to all ranks.
     AllGather,
-    /// One-to-all broadcast.
+    /// One-to-all broadcast. `xg-comm` emits none; kept because a stored
+    /// trace may contain it.
     Broadcast,
     /// Synchronization only.
     Barrier,
-    /// Point-to-point send.
+    /// Point-to-point send. `xg-comm` emits none; kept for stored traces.
     Send,
-    /// Point-to-point receive.
+    /// Point-to-point receive. `xg-comm` emits none; kept for stored traces.
     Recv,
     /// An injected or observed fault event (crash, stall, delay). `bytes`
     /// carries the downtime in microseconds; `members` holds the affected
@@ -180,11 +181,6 @@ impl TrafficLog {
         self.inner.lock().records.clear();
     }
 
-    /// Total bytes over records matching a filter.
-    pub fn total_bytes_where(&self, pred: impl Fn(&OpRecord) -> bool) -> u64 {
-        self.inner.lock().records.iter().filter(|r| pred(r)).map(|r| r.bytes).sum()
-    }
-
     /// Account `bytes` of buffer capacity as drained-and-reused rather
     /// than freed: called by steady-state paths that recycle persistent
     /// send/recv blocks between transposes or steps.
@@ -231,16 +227,6 @@ impl TrafficLog {
             self.unfused_reduce_bytes.load(Ordering::Relaxed),
         )
     }
-
-    /// Count of operations of `op` in phase `phase` (any phase if empty).
-    pub fn count_ops(&self, op: OpKind, phase: &str) -> usize {
-        self.inner
-            .lock()
-            .records
-            .iter()
-            .filter(|r| r.op == op && (phase.is_empty() || r.phase == phase))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -261,20 +247,6 @@ mod tests {
         assert_eq!(recs[0].participants, 8);
         assert_eq!(recs[1].op, OpKind::AllToAll);
         assert_eq!(recs[1].phase, "coll");
-    }
-
-    #[test]
-    fn filters_and_counts() {
-        let log = TrafficLog::new();
-        log.set_phase("str");
-        log.record(OpKind::AllReduce, "nv", &[0,1,2,3], 100);
-        log.record(OpKind::AllReduce, "nv", &[0,1,2,3], 100);
-        log.set_phase("coll");
-        log.record(OpKind::AllToAll, "nv", &[0,1,2,3], 999);
-        assert_eq!(log.count_ops(OpKind::AllReduce, "str"), 2);
-        assert_eq!(log.count_ops(OpKind::AllReduce, "coll"), 0);
-        assert_eq!(log.count_ops(OpKind::AllToAll, ""), 1);
-        assert_eq!(log.total_bytes_where(|r| r.phase == "str"), 200);
     }
 
     #[test]

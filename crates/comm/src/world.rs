@@ -16,7 +16,7 @@
 use crate::communicator::{Communicator, WorldShared};
 use crate::exchange::Slot;
 use crate::fault::{CommError, FaultPlan};
-use crate::stats::TrafficLog;
+use crate::stats::{OpRecord, TrafficLog};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,22 +57,6 @@ impl<R> RankOutcome<R> {
     }
 }
 
-/// Re-thrown panic payload for a rank whose panic value was neither a
-/// string nor a [`CommError`]: the original payload is preserved intact so
-/// callers that panic with structured values can downcast them back.
-pub struct RankPanic {
-    /// The rank that panicked.
-    pub rank: usize,
-    /// The rank's original panic payload.
-    pub payload: Box<dyn std::any::Any + Send>,
-}
-
-impl std::fmt::Debug for RankPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RankPanic {{ rank: {}, payload: <opaque> }}", self.rank)
-    }
-}
-
 /// A fixed-size group of simulated MPI ranks.
 ///
 /// ```
@@ -99,7 +83,7 @@ impl World {
         Self { size, deadline: None, fault_plan: None }
     }
 
-    /// Bound every blocking wait (collectives and receives) by `deadline`:
+    /// Bound every blocking wait by `deadline`:
     /// instead of hanging on a dead or stalled peer, operations give up
     /// and surface [`CommError::Timeout`] / [`CommError::PeerFailed`].
     /// Without a deadline, waits block forever (the legacy behavior).
@@ -119,66 +103,78 @@ impl World {
         self.size
     }
 
-    /// Run `f` on every rank concurrently. Each invocation receives the
-    /// world [`Communicator`] for its rank; results are returned in rank
-    /// order. Also returns each rank's traffic log alongside its result.
-    pub fn run_with_logs<F, R>(&self, f: F) -> Vec<(R, Vec<crate::stats::OpRecord>)>
+    /// Spawn one thread per rank, run `f` on each under `catch_unwind`, and
+    /// join in rank order. `settle` turns a rank's ending into its outcome
+    /// *on the rank's own thread*, so it can fail or poison the world while
+    /// peers are still blocked in a collective. Each outcome comes back
+    /// beside that rank's traffic log.
+    fn spawn_and_join<X, T>(
+        &self,
+        f: impl Fn(Communicator) -> X + Sync,
+        settle: impl Fn(usize, &WorldShared, std::thread::Result<X>) -> T + Sync,
+    ) -> Vec<(T, Vec<OpRecord>)>
     where
-        F: Fn(Communicator) -> R + Send + Sync,
-        R: Send,
+        T: Send,
     {
         let shared = WorldShared::new(self.size, self.deadline, self.fault_plan.clone());
         let world_slot = Arc::new(Slot::new(self.size));
         shared.register_slot(&world_slot);
         let logs: Vec<Arc<TrafficLog>> = (0..self.size).map(|_| TrafficLog::new()).collect();
-        let f = &f;
+        let (f, settle, shared) = (&f, &settle, &shared);
 
-        let results: Vec<Result<R, Box<dyn std::any::Any + Send>>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.size)
-                    .map(|rank| {
-                        let comm = Communicator::new_world(
-                            rank,
-                            self.size,
-                            world_slot.clone(),
-                            shared.clone(),
-                            logs[rank].clone(),
-                        );
-                        let shared = shared.clone();
-                        scope.spawn(move || {
-                            let out =
-                                std::panic::catch_unwind(AssertUnwindSafe(|| f(comm)));
-                            if out.is_err() {
-                                shared.poison_all();
-                            }
-                            out
-                        })
+        let ended: Vec<T> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.size)
+                .map(|rank| {
+                    let comm = Communicator::new_world(
+                        rank,
+                        self.size,
+                        world_slot.clone(),
+                        shared.clone(),
+                        logs[rank].clone(),
+                    );
+                    scope.spawn(move || {
+                        settle(rank, shared, std::panic::catch_unwind(AssertUnwindSafe(|| f(comm))))
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(rank, h)| {
-                        h.join().unwrap_or_else(|e| {
-                            // The worker thread itself died (panic escaped
-                            // the catch_unwind, e.g. inside poison_all).
-                            // Report which rank's thread it was instead of
-                            // tearing down the harness.
-                            shared.poison_all();
-                            Err(Box::new(format!(
-                                "worker thread for rank {rank} died: {}",
-                                panic_message(&e)
-                            )) as Box<dyn std::any::Any + Send>)
-                        })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(rank, h)| {
+                    h.join().unwrap_or_else(|e| {
+                        // The worker thread itself died (a panic escaped the
+                        // catch_unwind, e.g. inside `settle`). Report which
+                        // rank's thread it was instead of tearing down the
+                        // harness.
+                        let msg =
+                            format!("worker thread for rank {rank} died: {}", panic_message(&e));
+                        settle(rank, shared, Err(Box::new(msg)))
                     })
-                    .collect()
-            });
+                })
+                .collect()
+        });
+        ended.into_iter().zip(&logs).map(|(t, log)| (t, log.records())).collect()
+    }
 
+    /// Run `f` on every rank concurrently. Each invocation receives the
+    /// world [`Communicator`] for its rank; results are returned in rank
+    /// order. Also returns each rank's traffic log alongside its result.
+    pub fn run_with_logs<F, R>(&self, f: F) -> Vec<(R, Vec<OpRecord>)>
+    where
+        F: Fn(Communicator) -> R + Send + Sync,
+        R: Send,
+    {
+        let ended = self.spawn_and_join(f, |_, shared, out| {
+            if out.is_err() {
+                shared.poison_all();
+            }
+            out
+        });
         let mut out = Vec::with_capacity(self.size);
         let mut failures: Vec<(usize, Box<dyn std::any::Any + Send>)> = Vec::new();
-        for (rank, res) in results.into_iter().enumerate() {
+        for (rank, (res, log)) in ended.into_iter().enumerate() {
             match res {
-                Ok(r) => out.push((r, logs[rank].records())),
+                Ok(r) => out.push((r, log)),
                 Err(e) => failures.push((rank, e)),
             }
         }
@@ -191,8 +187,8 @@ impl World {
                 .iter()
                 .position(|(rank, e)| is_root_cause(*rank, e))
                 .unwrap_or(0);
-            let (rank, e) = failures.swap_remove(root);
-            rethrow(rank, e);
+            let (rank, e) = &failures[root];
+            panic!("rank {rank} panicked: {}", panic_message(e));
         }
         out
     }
@@ -211,75 +207,33 @@ impl World {
     /// [`RankOutcome`] next to its traffic log.
     ///
     /// Typed communication failures — whether returned as `Err` by `f` or
-    /// thrown as a [`CommError`] panic payload from the plain (panicking)
-    /// collectives deep inside an unmodified call stack — come back as
-    /// [`RankOutcome::Failed`]. Only non-`CommError` panics poison the
-    /// world and report as [`RankOutcome::Panicked`].
-    pub fn run_fallible<F, R>(&self, f: F) -> Vec<(RankOutcome<R>, Vec<crate::stats::OpRecord>)>
+    /// thrown as a [`CommError`] panic payload by a collective deep inside
+    /// the call stack — come back as [`RankOutcome::Failed`]. Only
+    /// non-`CommError` panics poison the world and report as
+    /// [`RankOutcome::Panicked`].
+    pub fn run_fallible<F, R>(&self, f: F) -> Vec<(RankOutcome<R>, Vec<OpRecord>)>
     where
         F: Fn(Communicator) -> Result<R, CommError> + Send + Sync,
         R: Send,
     {
-        let shared = WorldShared::new(self.size, self.deadline, self.fault_plan.clone());
-        let world_slot = Arc::new(Slot::new(self.size));
-        shared.register_slot(&world_slot);
-        let logs: Vec<Arc<TrafficLog>> = (0..self.size).map(|_| TrafficLog::new()).collect();
-        let f = &f;
-
-        let outcomes: Vec<RankOutcome<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.size)
-                .map(|rank| {
-                    let comm = Communicator::new_world(
-                        rank,
-                        self.size,
-                        world_slot.clone(),
-                        shared.clone(),
-                        logs[rank].clone(),
-                    );
-                    let shared = shared.clone();
-                    scope.spawn(move || {
-                        match std::panic::catch_unwind(AssertUnwindSafe(|| f(comm))) {
-                            Ok(Ok(r)) => RankOutcome::Ok(r),
-                            Ok(Err(e)) => {
-                                // A rank bowing out early is indistinguishable
-                                // from death for its peers; make sure they
-                                // fail fast rather than time out one by one.
-                                // (No-op if the world is already failed —
-                                // the first cause wins.)
-                                shared.fail_all(rank, &format!("rank {rank} aborted: {e}"));
-                                RankOutcome::Failed(e)
-                            }
-                            Err(payload) => match payload.downcast::<CommError>() {
-                                Ok(e) => RankOutcome::Failed(*e),
-                                Err(payload) => {
-                                    shared.poison_all();
-                                    RankOutcome::Panicked(panic_message(&payload))
-                                }
-                            },
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(rank, h)| {
-                    h.join().unwrap_or_else(|e| {
-                        shared.poison_all();
-                        RankOutcome::Panicked(format!(
-                            "worker thread for rank {rank} died: {}",
-                            panic_message(&e)
-                        ))
-                    })
-                })
-                .collect()
-        });
-
-        outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(rank, o)| (o, logs[rank].records()))
-            .collect()
+        self.spawn_and_join(f, |rank, shared, out| match out {
+            Ok(Ok(r)) => RankOutcome::Ok(r),
+            Ok(Err(e)) => {
+                // A rank bowing out early is indistinguishable from death
+                // for its peers; make sure they fail fast rather than time
+                // out one by one. (No-op if the world is already failed —
+                // the first cause wins.)
+                shared.fail_all(rank, &format!("rank {rank} aborted: {e}"));
+                RankOutcome::Failed(e)
+            }
+            Err(payload) => match payload.downcast::<CommError>() {
+                Ok(e) => RankOutcome::Failed(*e),
+                Err(payload) => {
+                    shared.poison_all();
+                    RankOutcome::Panicked(panic_message(&payload))
+                }
+            },
+        })
     }
 }
 
@@ -290,8 +244,6 @@ fn panic_message(e: &Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else if let Some(c) = e.downcast_ref::<CommError>() {
         c.to_string()
-    } else if let Some(p) = e.downcast_ref::<RankPanic>() {
-        format!("rank {} panicked: {}", p.rank, panic_message(&p.payload))
     } else {
         "<non-string panic payload>".to_string()
     }
@@ -307,17 +259,6 @@ fn is_root_cause(rank: usize, e: &Box<dyn std::any::Any + Send>) -> bool {
         };
     }
     !panic_message(e).contains("another rank panicked")
-}
-
-/// Re-throw a rank failure: string-like payloads (including [`CommError`])
-/// keep the legacy `"rank N panicked: <msg>"` format; any other payload is
-/// preserved intact inside a [`RankPanic`] so callers can downcast it.
-fn rethrow(rank: usize, e: Box<dyn std::any::Any + Send>) -> ! {
-    let stringy = e.is::<&str>() || e.is::<String>() || e.is::<CommError>();
-    if stringy {
-        std::panic::panic_any(format!("rank {rank} panicked: {}", panic_message(&e)));
-    }
-    std::panic::panic_any(RankPanic { rank, payload: e })
 }
 
 #[cfg(test)]
@@ -371,24 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn non_string_payloads_are_preserved() {
-        #[derive(Debug, PartialEq)]
-        struct Custom(u32);
-        let err = std::panic::catch_unwind(|| {
-            World::new(3).run(|c| {
-                if c.rank() == 1 {
-                    std::panic::panic_any(Custom(7));
-                }
-                c.barrier();
-            });
-        })
-        .unwrap_err();
-        let rp = err.downcast::<RankPanic>().expect("payload must be a RankPanic");
-        assert_eq!(rp.rank, 1);
-        assert_eq!(*rp.payload.downcast::<Custom>().unwrap(), Custom(7));
-    }
-
-    #[test]
     fn logs_are_returned_per_rank() {
         let out = World::new(3).run_with_logs(|c| {
             c.set_phase("str");
@@ -407,7 +330,7 @@ mod tests {
     fn run_fallible_without_faults_returns_ok_everywhere() {
         let out = World::new(4).run_fallible(|c| {
             let mut v = vec![c.rank() as f64];
-            c.try_all_reduce_sum_f64(&mut v)?;
+            c.all_reduce_sum_f64(&mut v);
             Ok(v[0])
         });
         assert_eq!(out.len(), 4);
@@ -429,7 +352,7 @@ mod tests {
             .with_fault_plan(plan)
             .run_fallible(|c| {
                 for _ in 0..5 {
-                    c.try_barrier()?;
+                    c.barrier();
                 }
                 Ok(c.rank())
             });
@@ -444,8 +367,8 @@ mod tests {
 
     #[test]
     fn deep_panicking_collectives_surface_typed_errors() {
-        // The sim stack uses the plain (panicking) collectives; a crash
-        // must still come back typed through run_fallible.
+        // A collective's CommError panics out of an arbitrarily deep call
+        // stack; it must still come back typed through run_fallible.
         let plan = FaultPlan::crash(0, 1);
         let out = World::new(2)
             .with_deadline(Duration::from_secs(5))

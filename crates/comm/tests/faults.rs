@@ -1,23 +1,31 @@
 //! Fault-injection coverage across the collective surface.
 //!
-//! Every blocking operation must surface a typed [`CommError`] on every
-//! surviving rank when a peer crashes or stalls — never hang, never
-//! poison-panic (poisoning is reserved for real bugs, i.e. untyped
-//! panics). The proptest at the bottom drives the whole stack with a
-//! seeded random failure point and asserts the no-deadlock guarantee the
-//! degraded-mode runner builds on.
+//! Every collective must surface a typed [`CommError`] on every surviving
+//! rank when a peer crashes or stalls — never hang, never poison-panic
+//! (poisoning is reserved for real bugs, i.e. untyped panics) — and it must
+//! do so the way the product sees it: through the plain methods, as a
+//! panic payload `run_fallible` turns into [`RankOutcome::Failed`]. The
+//! proptest at the bottom drives the whole stack with a seeded random
+//! failure point and asserts the no-deadlock guarantee the degraded-mode
+//! runner builds on.
 
 use proptest::prelude::*;
 use std::time::Duration;
-use xg_comm::{CommError, FaultKind, FaultPlan, FaultSpec, OpKind, RankOutcome, World};
+use xg_comm::{
+    CommError, Communicator, FaultKind, FaultPlan, FaultSpec, OpKind, RankOutcome, World,
+};
+use xg_linalg::Complex64;
 
-const DEADLINE: Duration = Duration::from_secs(5);
+/// Hang guard only: every fault in this suite is a crash or a short delay,
+/// which `fail_all` surfaces at once. Tests that expect a timeout set their
+/// own short deadline.
+const DEADLINE: Duration = Duration::from_secs(60);
 
 /// Run `f` in a 4-rank world where rank 2 crashes at its `at_op`-th
 /// operation, and return each rank's outcome.
 fn crash_world<R: Send>(
     at_op: u64,
-    f: impl Fn(xg_comm::Communicator) -> Result<R, CommError> + Send + Sync,
+    f: impl Fn(Communicator) -> Result<R, CommError> + Send + Sync,
 ) -> Vec<RankOutcome<R>> {
     World::new(4)
         .with_deadline(DEADLINE)
@@ -41,86 +49,45 @@ fn assert_all_see_rank2_failed<R>(outcomes: &[RankOutcome<R>]) {
     }
 }
 
-#[test]
-fn crash_surfaces_in_all_gather() {
+/// Barrier at op 0 everywhere, then `op` at op 1 — where rank 2 dies. The
+/// closure calls the plain methods and ends in `Ok`, exactly as the sim
+/// stack does: the typed error has to arrive as the panic payload.
+fn assert_crash_surfaces_in(op: impl Fn(&Communicator) + Send + Sync) {
     let out = crash_world(1, |c| {
-        c.try_barrier()?; // op 0 everywhere; rank 2 dies at op 1
-        let g = c.try_all_gather(&[c.rank()])?;
-        Ok(g.len())
+        c.barrier();
+        op(&c);
+        Ok(())
     });
     assert_all_see_rank2_failed(&out);
+}
+
+#[test]
+fn crash_surfaces_in_barrier() {
+    assert_crash_surfaces_in(|c| c.barrier());
+}
+
+#[test]
+fn crash_surfaces_in_all_gather() {
+    assert_crash_surfaces_in(|c| {
+        c.all_gather(&[c.rank()]);
+    });
 }
 
 #[test]
 fn crash_surfaces_in_all_to_all_v() {
-    let out = crash_world(1, |c| {
-        c.try_barrier()?;
+    assert_crash_surfaces_in(|c| {
         let parts: Vec<Vec<u64>> = (0..c.size()).map(|d| vec![(c.rank() * d) as u64]).collect();
-        let got = c.try_all_to_all_v(parts)?;
-        Ok(got.len())
+        c.all_to_all_v_take(parts);
     });
-    assert_all_see_rank2_failed(&out);
-}
-
-#[test]
-fn crash_surfaces_in_broadcast() {
-    let out = crash_world(1, |c| {
-        c.try_barrier()?;
-        let v = c.try_broadcast(0, if c.rank() == 0 { Some(41u64) } else { None })?;
-        Ok(v)
-    });
-    assert_all_see_rank2_failed(&out);
-}
-
-#[test]
-fn crash_surfaces_in_sendrecv() {
-    let out = crash_world(1, |c| {
-        c.try_barrier()?;
-        // Pairwise exchange 0<->1, 2<->3: ranks 0 and 1 complete their
-        // exchange; rank 3's partner is dead.
-        let peer = c.rank() ^ 1;
-        let got = c.try_sendrecv(peer, 7, c.rank() as u64)?;
-        Ok(got)
-    });
-    // Rank 3 must fail with the dead peer; 0 and 1 exchanged before any
-    // dependence on rank 2 and may succeed or fail depending on timing of
-    // the fail-all broadcast — but must never hang (run_fallible returned).
-    match out[3].err() {
-        Some(CommError::PeerFailed { rank, .. }) => assert_eq!(*rank, 2),
-        Some(CommError::Timeout { .. }) => {}
-        None => panic!("rank 3 cannot complete a sendrecv with a dead peer"),
-    }
-    match out[2].err() {
-        Some(CommError::PeerFailed { rank, .. }) => assert_eq!(*rank, 2),
-        other => panic!("crashed rank must self-report: {other:?}"),
-    }
 }
 
 #[test]
 fn crash_surfaces_in_all_reduce_variants() {
-    let out = crash_world(1, |c| {
-        c.try_barrier()?;
-        let mut f = [c.rank() as f64];
-        c.try_all_reduce_sum_f64(&mut f)?;
-        let mut m = [c.rank() as f64];
-        c.try_all_reduce_max_f64(&mut m)?;
-        Ok(f[0] + m[0])
+    assert_crash_surfaces_in(|c| c.all_reduce_sum_f64(&mut [c.rank() as f64]));
+    assert_crash_surfaces_in(|c| c.all_reduce_max_f64(&mut [c.rank() as f64]));
+    assert_crash_surfaces_in(|c| {
+        c.all_reduce_sum_complex(&mut [Complex64::new(c.rank() as f64, 1.0)])
     });
-    assert_all_see_rank2_failed(&out);
-}
-
-#[test]
-fn crash_surfaces_in_gather_and_scatter() {
-    let out = crash_world(1, |c| {
-        c.try_barrier()?;
-        let g = c.try_gather(0, &[c.rank() as u64])?;
-        let s = c.try_scatter(
-            0,
-            if c.rank() == 0 { Some((0..c.size() as u64).map(|i| vec![i]).collect()) } else { None },
-        )?;
-        Ok((g.len(), s.len()))
-    });
-    assert_all_see_rank2_failed(&out);
 }
 
 #[test]
@@ -134,8 +101,8 @@ fn stall_past_deadline_times_out_survivors() {
             FaultPlan::new().with(FaultSpec { rank: 1, at_op: 1, kind: FaultKind::Stall(1500) }),
         )
         .run_fallible(|c| {
-            c.try_barrier()?;
-            c.try_barrier()?;
+            c.barrier();
+            c.barrier();
             Ok(c.rank())
         })
         .into_iter()
@@ -161,9 +128,8 @@ fn delay_under_deadline_is_harmless_and_traced() {
             FaultPlan::new().with(FaultSpec { rank: 0, at_op: 1, kind: FaultKind::Delay(30) }),
         )
         .run_fallible(|c| {
-            c.try_barrier()?;
-            let g = c.try_all_gather(&[c.rank()])?;
-            Ok(g.concat())
+            c.barrier();
+            Ok(c.all_gather(&[c.rank()]).concat())
         });
     for (r, (o, trace)) in results.into_iter().enumerate() {
         assert_eq!(o.ok().expect("delay must not fail the run"), vec![0, 1]);
@@ -173,34 +139,10 @@ fn delay_under_deadline_is_harmless_and_traced() {
 }
 
 #[test]
-fn recv_from_crashed_peer_fails_typed() {
-    let outcomes: Vec<_> = World::new(2)
-        .with_deadline(Duration::from_millis(200))
-        .with_fault_plan(FaultPlan::crash(0, 0))
-        .run_fallible(|c| {
-            if c.rank() == 1 {
-                let v: u64 = c.try_recv(0, 9)?;
-                Ok(v)
-            } else {
-                c.try_send(1, 9, 7u64)?;
-                Ok(0)
-            }
-        })
-        .into_iter()
-        .map(|(o, _)| o)
-        .collect();
-    match outcomes[1].err() {
-        Some(CommError::PeerFailed { rank, .. }) => assert_eq!(*rank, 0),
-        Some(CommError::Timeout { .. }) => {}
-        None => panic!("recv from a dead rank must not succeed"),
-    }
-}
-
-#[test]
 fn crashed_rank_self_reports_with_op_index() {
     let out = crash_world(3, |c| {
         for _ in 0..8 {
-            c.try_barrier()?;
+            c.barrier();
         }
         Ok(())
     });
@@ -229,17 +171,20 @@ proptest! {
             .with_deadline(Duration::from_secs(2))
             .with_fault_plan(plan)
             .run_fallible(|c| {
-                // A workload touching every collective family.
-                c.try_barrier()?;
+                // A workload touching every collective.
+                c.barrier();
                 let mut acc = [c.rank() as f64];
-                c.try_all_reduce_sum_f64(&mut acc)?;
-                let g = c.try_all_gather(&[c.rank() as u64])?;
+                c.all_reduce_sum_f64(&mut acc);
+                let g = c.all_gather(&[c.rank() as u64]);
                 let parts: Vec<Vec<u64>> =
                     (0..c.size()).map(|d| vec![(c.rank() + d) as u64]).collect();
-                let a2a = c.try_all_to_all_v(parts)?;
-                let b = c.try_broadcast(0, if c.rank() == 0 { Some(1u8) } else { None })?;
-                c.try_barrier()?;
-                Ok(acc[0] + g.len() as f64 + a2a.len() as f64 + b as f64)
+                let a2a = c.all_to_all_v_take(parts);
+                let mut m = [c.rank() as f64];
+                c.all_reduce_max_f64(&mut m);
+                let mut z = [Complex64::new(1.0, c.rank() as f64)];
+                c.all_reduce_sum_complex(&mut z);
+                c.barrier();
+                Ok(acc[0] + g.len() as f64 + a2a.len() as f64 + m[0] + z[0].re)
             })
             .into_iter()
             .map(|(o, _)| o)

@@ -2,7 +2,7 @@
 //! interleaved op mixes — the regimes where epoch or staging bugs would
 //! surface as deadlocks or crosstalk.
 
-use xg_comm::World;
+use xg_comm::{Communicator, World};
 use xg_linalg::Complex64;
 
 #[test]
@@ -52,10 +52,10 @@ fn many_simultaneous_communicators() {
 
 #[test]
 fn mixed_op_kinds_interleaved() {
-    // Alternate AllReduce / AllToAll / Broadcast / AllGather on one
-    // communicator: heterogeneous rounds must not confuse the slot.
+    // Alternate AllReduce / AllToAll / AllGather (f64, then u8 payloads) on
+    // one communicator: heterogeneous rounds must not confuse the slot.
     let p = 3;
-    let out = World::new(p).run(|c| {
+    let mixed = |c: Communicator| {
         let mut checksum = 0.0f64;
         for round in 0..40u64 {
             match round % 4 {
@@ -67,16 +67,12 @@ fn mixed_op_kinds_interleaved() {
                 1 => {
                     let send: Vec<Vec<u32>> =
                         (0..p).map(|j| vec![(c.rank() * p + j) as u32]).collect();
-                    let recv = c.all_to_all_v(send);
+                    let recv = c.all_to_all_v_take(send);
                     checksum += recv.iter().map(|b| b[0] as f64).sum::<f64>();
                 }
                 2 => {
-                    let v = if c.rank() == (round as usize) % p {
-                        Some(round as f64)
-                    } else {
-                        None
-                    };
-                    checksum += c.broadcast((round as usize) % p, v);
+                    let g = c.all_gather(&[round as f64 + c.rank() as f64]);
+                    checksum += g[(round as usize) % p][0];
                 }
                 _ => {
                     let g = c.all_gather(&[c.rank() as u8]);
@@ -85,42 +81,10 @@ fn mixed_op_kinds_interleaved() {
             }
         }
         checksum
-    });
-    // All ranks compute identical checksums for the symmetric ops... the
-    // AllToAll term differs per rank; just require determinism by running
-    // twice.
-    let out2 = World::new(p).run(|c| {
-        let mut checksum = 0.0f64;
-        for round in 0..40u64 {
-            match round % 4 {
-                0 => {
-                    let mut v = vec![1.0f64; 16];
-                    c.all_reduce_sum_f64(&mut v);
-                    checksum += v[0];
-                }
-                1 => {
-                    let send: Vec<Vec<u32>> =
-                        (0..p).map(|j| vec![(c.rank() * p + j) as u32]).collect();
-                    let recv = c.all_to_all_v(send);
-                    checksum += recv.iter().map(|b| b[0] as f64).sum::<f64>();
-                }
-                2 => {
-                    let v = if c.rank() == (round as usize) % p {
-                        Some(round as f64)
-                    } else {
-                        None
-                    };
-                    checksum += c.broadcast((round as usize) % p, v);
-                }
-                _ => {
-                    let g = c.all_gather(&[c.rank() as u8]);
-                    checksum += g.len() as f64;
-                }
-            }
-        }
-        checksum
-    });
-    assert_eq!(out, out2);
+    };
+    // The AllToAll term differs per rank, so there is no single expected
+    // checksum; require determinism by running twice.
+    assert_eq!(World::new(p).run(mixed), World::new(p).run(mixed));
 }
 
 #[test]
@@ -132,7 +96,7 @@ fn large_payload_alltoall() {
         let send: Vec<Vec<Complex64>> = (0..p)
             .map(|j| vec![Complex64::new(c.rank() as f64, j as f64); n])
             .collect();
-        let recv = c.all_to_all_v(send);
+        let recv = c.all_to_all_v_take(send);
         recv.iter()
             .enumerate()
             .all(|(src, b)| {

@@ -20,7 +20,7 @@ use xgyro_core::{
     gradient_sweep, run_xgyro_resilient, run_xgyro_resilient_with_capacities,
 };
 
-const DEADLINE: Duration = Duration::from_secs(5);
+const DEADLINE: Duration = Duration::from_secs(60);
 
 /// k=3 sweep on a 2x2 grid: 12 world ranks, 4 per member.
 fn config() -> xgyro_core::EnsembleConfig {

@@ -16,7 +16,7 @@ use xgyro_core::{
     gradient_sweep, run_xgyro, run_xgyro_resilient, EnsembleConfig, EnsembleError,
 };
 
-const DEADLINE: Duration = Duration::from_secs(5);
+const DEADLINE: Duration = Duration::from_secs(60);
 
 /// The unfaulted comparison ensemble: the sweep members of `cfg` minus the
 /// evicted one, as their own (k−1)-member config.

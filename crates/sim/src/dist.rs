@@ -324,7 +324,7 @@ impl Topology for DistTopology {
                 buf
             })
             .collect();
-        let recv = self.nt_comm.all_to_all_v(send);
+        let recv = self.nt_comm.all_to_all_v_take(send);
         let mut h_nl = Tensor3::new(nc2_decomp.count(my_i2), nvl, dims.nt);
         for (j, block) in recv.iter().enumerate() {
             unpack_into_nl(block, nt_decomp.range(j), &mut h_nl);
@@ -353,7 +353,7 @@ impl Topology for DistTopology {
                 buf
             })
             .collect();
-        let recv_back = self.nt_comm.all_to_all_v(send_back);
+        let recv_back = self.nt_comm.all_to_all_v_take(send_back);
         for (j, block) in recv_back.iter().enumerate() {
             unpack_into_str_from_nl(block, nc2_decomp.range(j), out);
         }

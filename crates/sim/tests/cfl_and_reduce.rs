@@ -1,4 +1,4 @@
-//! CFL monitoring and the root-reduce collective.
+//! CFL monitoring and the sum-reduce collective.
 
 use xg_comm::World;
 use xg_sim::{serial_simulation, CgyroInput, DistTopology, Simulation};
@@ -36,15 +36,11 @@ fn cfl_scales_with_timestep_and_resolution() {
 }
 
 #[test]
-fn reduce_sum_delivers_only_at_root() {
+fn reduce_sum_delivers_on_every_rank() {
     let out = World::new(4).run(|c| {
-        let buf = vec![c.rank() as f64 + 1.0, 10.0];
-        c.reduce_sum_f64(2, &buf)
+        let mut buf = vec![c.rank() as f64 + 1.0, 10.0];
+        c.all_reduce_sum_f64(&mut buf);
+        buf
     });
-    assert_eq!(out[2], vec![10.0, 40.0]);
-    for (r, v) in out.iter().enumerate() {
-        if r != 2 {
-            assert!(v.is_empty());
-        }
-    }
+    assert_eq!(out, vec![vec![10.0, 40.0]; 4]);
 }

@@ -79,6 +79,20 @@ fn assert_trace_matches_mini_schedule(grid: ProcGrid) {
         assert_eq!(r.bytes, state_bytes, "coll transpose volume");
         assert_eq!(r.participants, k * grid.n1);
     }
+
+    // The step's whole traffic is three kinds of collective; a new one on
+    // the step path has to show up here.
+    for (rank, trace) in outcome.traces.iter().enumerate() {
+        for r in trace {
+            assert!(
+                matches!(r.op, OpKind::AllReduce | OpKind::AllToAll | OpKind::AllGather),
+                "rank {rank} logged {} on {}/{}",
+                r.op,
+                r.comm_label,
+                r.phase
+            );
+        }
+    }
 }
 
 #[test]

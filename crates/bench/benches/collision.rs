@@ -27,7 +27,7 @@ fn bench_cmat_build(c: &mut Criterion) {
     let op = CollisionOperator::build(&input, &v);
     c.bench_function("cmat_build_8_pairs_nv72", |b| {
         b.iter(|| {
-            xg_sim::CollisionConstants::build(&input, &v, &cfg, &geo, &op, 0..2, 0..4)
+            xg_sim::CollisionConstants::build(&input, &v, &geo, &op, 0..2, 0..4)
         });
     });
 }
@@ -37,7 +37,7 @@ fn bench_cmat_apply(c: &mut Criterion) {
     let cfg = xg_sim::grid::ConfigGrid::new(&input);
     let geo = xg_sim::geometry::Geometry::new(&input, &cfg);
     let op = CollisionOperator::build(&input, &v);
-    let cm = xg_sim::CollisionConstants::build(&input, &v, &cfg, &geo, &op, 0..4, 0..4);
+    let cm = xg_sim::CollisionConstants::build(&input, &v, &geo, &op, 0..4, 0..4);
     let nv = v.nv();
     let mut g = c.benchmark_group("cmat_apply");
     g.throughput(Throughput::Bytes((nv * nv * 8 * 16) as u64));
@@ -57,7 +57,9 @@ fn bench_cmat_apply(c: &mut Criterion) {
 }
 
 fn bench_lu(c: &mut Criterion) {
-    let mut g = c.benchmark_group("lu_factorize");
+    // One `cmat` panel's linear algebra: factorize `n × n`, then solve
+    // against `n` right-hand sides (the solve is ~3/4 of the flops).
+    let mut g = c.benchmark_group("lu_factorize_solve");
     for n in [24usize, 72, 144] {
         let a = RealMatrix::from_fn(n, n, |i, j| {
             if i == j {
@@ -66,8 +68,13 @@ fn bench_lu(c: &mut Criterion) {
                 ((i * 31 + j * 17) as f64).sin() * 0.3
             }
         });
+        let rhs = RealMatrix::from_fn(n, n, |i, j| ((i * 13 + j * 29) as f64).cos());
+        let mut x = vec![0.0; n * n];
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| LuFactors::factorize(a.clone()).unwrap());
+            b.iter(|| {
+                LuFactors::factorize(a.clone()).unwrap().solve_matrix_into(&rhs, &mut x);
+                x[0]
+            });
         });
     }
     g.finish();

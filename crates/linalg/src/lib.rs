@@ -30,7 +30,7 @@ pub use gemm::{
     apply_panel_multi, apply_panel_multi_flops, matmul, matvec, matvec_complex,
     matvec_complex_flat, matvec_complex_flops,
 };
-pub use lu::{solve_into, LuFactors, SingularMatrix};
+pub use lu::{LuFactors, SingularMatrix};
 pub use matrix::RealMatrix;
 pub use simd::{
     apply_panel_multi_with, available_levels, default_tile_rows, detected_level, l2_cache_kb,

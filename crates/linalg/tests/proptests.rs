@@ -18,6 +18,36 @@ fn dominant_matrix(n: usize) -> impl Strategy<Value = RealMatrix> {
     })
 }
 
+/// Deterministic noise in `(-1, 1)` (splitmix64 of `seed` and `i`). Not the
+/// `sin(α·i)` filler of the kernel tests: a matrix of those has rank 2.
+fn noise(seed: u64, i: usize) -> f64 {
+    let mut z = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+/// Dense, no dominant diagonal, and column 0's largest entry in the last
+/// row: partial pivoting swaps rows from the first column on.
+fn swapping_matrix(n: usize, seed: u64) -> RealMatrix {
+    let mut a = RealMatrix::from_fn(n, n, |i, j| noise(seed, i * n + j));
+    a[(n - 1, 0)] = 2.0;
+    a
+}
+
+/// A diagonally dominant tridiagonal matrix with its rows rotated by one:
+/// every pivot needs a swap and almost every multiplier is an exact zero.
+fn shifted_tridiagonal(n: usize, seed: u64) -> RealMatrix {
+    RealMatrix::from_fn(n, n, |i, j| {
+        let r = (i + 1) % n;
+        match r.abs_diff(j) {
+            0 => 3.0 + noise(seed ^ 0x7, r),
+            1 => noise(seed ^ 0x3, r * n + j),
+            _ => 0.0,
+        }
+    })
+}
+
 fn vector(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-10.0f64..10.0, n)
 }
@@ -141,6 +171,34 @@ proptest! {
             for i in 0..n {
                 prop_assert_eq!(y[r * n + i].re.to_bits(), yr[i].re.to_bits());
                 prop_assert_eq!(y[r * n + i].im.to_bits(), yr[i].im.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn multi_rhs_solve_equals_columnwise_solve_bitwise(seed in 0u64..) {
+        // `solve_matrix` is row-oriented and blocked over 16 columns of B;
+        // `solve` is the scalar column loop. Every column must come out
+        // `to_bits`-equal: full panels (16, 33 → 2×16 + 1), the remainder
+        // alone (1, 7, 15) and both (17, n), on factorizations that swap
+        // rows and on ones whose multipliers are mostly exact zeros.
+        for n in (1..=40).chain([48, 144]) {
+            for a in [swapping_matrix(n, seed), shifted_tridiagonal(n, seed)] {
+                let f = LuFactors::factorize(a).unwrap();
+                for ncols in [1, 7, 15, 16, 17, 33, n] {
+                    let b = RealMatrix::from_fn(n, ncols, |i, j| noise(seed ^ 0xb, i * ncols + j));
+                    let x = f.solve_matrix(&b);
+                    for j in 0..ncols {
+                        let want = f.solve(&b.col(j));
+                        for i in 0..n {
+                            prop_assert_eq!(
+                                x[(i, j)].to_bits(),
+                                want[i].to_bits(),
+                                "n={} ncols={} at ({}, {})", n, ncols, i, j
+                            );
+                        }
+                    }
+                }
             }
         }
     }

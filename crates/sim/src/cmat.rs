@@ -17,7 +17,7 @@
 
 use crate::collision::CollisionOperator;
 use crate::geometry::Geometry;
-use crate::grid::{ConfigGrid, VelocityGrid};
+use crate::grid::VelocityGrid;
 use crate::input::CgyroInput;
 use std::ops::Range;
 use xg_linalg::{Complex64, LuFactors, RealMatrix};
@@ -41,12 +41,13 @@ pub struct CollisionConstants {
 impl CollisionConstants {
     /// Build the slice for `nc_range × nt_range`.
     ///
-    /// For each local pair, assemble `C(k⊥²(ic, itor))`, factorize
-    /// `(I − Δt/2·C)` and solve against `(I + Δt/2·C)`.
+    /// For each local pair, assemble `I ∓ Δt/2·C(k⊥²(ic, itor))`, factorize
+    /// the `−` side and solve against the `+` side, straight into the
+    /// pair's tensor panel. The two `nv × nv` operands are scratch reused
+    /// across pairs, so a panel costs no allocation beyond its pivot list.
     pub fn build(
         input: &CgyroInput,
         v: &VelocityGrid,
-        cfg: &ConfigGrid,
         geo: &Geometry,
         op: &CollisionOperator,
         nc_range: Range<usize>,
@@ -55,23 +56,28 @@ impl CollisionConstants {
         let nv = v.nv();
         let half_dt = 0.5 * input.delta_t;
         let mut tensor = Tensor4::new(nc_range.len(), nt_range.len(), nv, nv);
+        let mut lhs = RealMatrix::zeros(nv, nv);
+        let mut rhs = RealMatrix::zeros(nv, nv);
         for (icl, ic) in nc_range.clone().enumerate() {
             for (itl, itor) in nt_range.clone().enumerate() {
-                let c = op.matrix_at(geo.kperp2(ic, itor));
                 // lhs = I − Δt/2·C ; rhs = I + Δt/2·C.
-                let mut lhs = c.clone();
-                lhs.scale_inplace(-half_dt);
-                lhs.add_scaled_identity(1.0);
-                let mut rhs = c;
-                rhs.scale_inplace(half_dt);
-                rhs.add_scaled_identity(1.0);
+                let kperp2 = geo.kperp2(ic, itor);
+                for iv in 0..nv {
+                    let (l, r) = (lhs.row_mut(iv), rhs.row_mut(iv));
+                    for ((l, r), &c) in l.iter_mut().zip(r.iter_mut()).zip(op.base().row(iv)) {
+                        *l = c * -half_dt;
+                        *r = c * half_dt;
+                    }
+                    let c = op.base()[(iv, iv)] - kperp2 * op.flr()[iv];
+                    l[iv] = c * -half_dt + 1.0;
+                    r[iv] = c * half_dt + 1.0;
+                }
                 let lu = LuFactors::factorize(lhs)
                     .expect("I - dt/2 C must be invertible for a dissipative C");
-                let a = lu.solve_matrix(&rhs);
-                tensor.panel_mut(icl, itl).copy_from_slice(a.as_slice());
+                lu.solve_matrix_into(&rhs, tensor.panel_mut(icl, itl));
+                lhs = lu.into_matrix();
             }
         }
-        let _ = cfg;
         Self { nv, nc_range, nt_range, tensor }
     }
 
@@ -172,12 +178,11 @@ pub fn cmat_total_bytes(input: &CgyroInput) -> u64 {
 
 /// The grids and operator a propagator build needs (test scaffolding).
 #[cfg(test)]
-pub(crate) fn setup(input: &CgyroInput) -> (VelocityGrid, ConfigGrid, Geometry, CollisionOperator) {
+pub(crate) fn setup(input: &CgyroInput) -> (VelocityGrid, Geometry, CollisionOperator) {
     let v = VelocityGrid::new(input);
-    let cfg = ConfigGrid::new(input);
-    let geo = Geometry::new(input, &cfg);
+    let geo = Geometry::new(input, &crate::grid::ConfigGrid::new(input));
     let op = CollisionOperator::build(input, &v);
-    (v, cfg, geo, op)
+    (v, geo, op)
 }
 
 #[cfg(test)]
@@ -188,9 +193,9 @@ mod tests {
     #[test]
     fn propagator_equals_direct_crank_nicolson_solve() {
         let input = CgyroInput::test_small();
-        let (v, cfg, geo, op) = setup(&input);
+        let (v, geo, op) = setup(&input);
         let cm =
-            CollisionConstants::build(&input, &v, &cfg, &geo, &op, 3..5, 0..input.n_toroidal);
+            CollisionConstants::build(&input, &v, &geo, &op, 3..5, 0..input.n_toroidal);
         // Pick local pair (ic=4, itor=1): A·x must equal the direct solve
         // (I − dt/2 C) y = (I + dt/2 C) x.
         let nv = v.nv();
@@ -217,8 +222,8 @@ mod tests {
     fn propagator_is_identity_without_collisions() {
         let mut input = CgyroInput::test_small();
         input.nu_ee = 0.0;
-        let (v, cfg, geo, op) = setup(&input);
-        let cm = CollisionConstants::build(&input, &v, &cfg, &geo, &op, 0..2, 0..1);
+        let (v, geo, op) = setup(&input);
+        let cm = CollisionConstants::build(&input, &v, &geo, &op, 0..2, 0..1);
         let id = RealMatrix::identity(v.nv());
         let diff = &cm.matrix(0, 0) - &id;
         assert!(diff.max_abs() < 1e-12);
@@ -231,8 +236,8 @@ mod tests {
         // corresponding weighted L2 norm: ‖A x‖_w ≤ ‖x‖_w, with the
         // invariant subspace (density/momentum/energy) exactly preserved.
         let input = CgyroInput::test_medium();
-        let (v, cfg, geo, op) = setup(&input);
-        let cm = CollisionConstants::build(&input, &v, &cfg, &geo, &op, 7..8, 1..2);
+        let (v, geo, op) = setup(&input);
+        let cm = CollisionConstants::build(&input, &v, &geo, &op, 7..8, 1..2);
         let nv = v.nv();
         let wnorm = |x: &[Complex64]| -> f64 {
             (0..nv).map(|iv| v.weight(iv) * x[iv].norm_sqr()).sum::<f64>().sqrt()
@@ -262,8 +267,8 @@ mod tests {
         let mut input = CgyroInput::test_small();
         input.ky_min = 1e-8;
         input.shear = 0.0;
-        let (v, cfg, geo, op) = setup(&input);
-        let cm = CollisionConstants::build(&input, &v, &cfg, &geo, &op, 0..1, 0..1);
+        let (v, geo, op) = setup(&input);
+        let cm = CollisionConstants::build(&input, &v, &geo, &op, 0..1, 0..1);
         let nv = v.nv();
         let mut x: Vec<Complex64> =
             (0..nv).map(|i| Complex64::new((i as f64 * 0.31).sin(), (i as f64 * 0.17).cos())).collect();
@@ -289,8 +294,8 @@ mod tests {
         // propagator of the (dissipative) collision operator must have
         // spectral radius <= 1 at every sampled (ic, itor).
         let input = CgyroInput::test_medium();
-        let (v, cfg, geo, op) = setup(&input);
-        let cm = CollisionConstants::build(&input, &v, &cfg, &geo, &op, 10..12, 0..2);
+        let (v, geo, op) = setup(&input);
+        let cm = CollisionConstants::build(&input, &v, &geo, &op, 10..12, 0..2);
         let nv = v.nv();
         let sw: Vec<f64> = (0..nv).map(|iv| v.weight(iv).sqrt()).collect();
         for ic in 0..2 {
@@ -309,8 +314,8 @@ mod tests {
     #[test]
     fn apply_variants_are_bitwise_equivalent() {
         let input = CgyroInput::test_small();
-        let (v, cfg, geo, op) = setup(&input);
-        let cm = CollisionConstants::build(&input, &v, &cfg, &geo, &op, 0..3, 0..2);
+        let (v, geo, op) = setup(&input);
+        let cm = CollisionConstants::build(&input, &v, &geo, &op, 0..3, 0..2);
         let nv = v.nv();
         let nrhs = 5;
         let block: Vec<Complex64> = (0..nrhs * nv)
@@ -339,11 +344,11 @@ mod tests {
         // slice restricted to them — the property XGYRO's redistribution
         // relies on.
         let input = CgyroInput::test_small();
-        let (v, cfg, geo, op) = setup(&input);
+        let (v, geo, op) = setup(&input);
         let full =
-            CollisionConstants::build(&input, &v, &cfg, &geo, &op, 0..6, 0..input.n_toroidal);
-        let lo = CollisionConstants::build(&input, &v, &cfg, &geo, &op, 0..3, 0..input.n_toroidal);
-        let hi = CollisionConstants::build(&input, &v, &cfg, &geo, &op, 3..6, 0..input.n_toroidal);
+            CollisionConstants::build(&input, &v, &geo, &op, 0..6, 0..input.n_toroidal);
+        let lo = CollisionConstants::build(&input, &v, &geo, &op, 0..3, 0..input.n_toroidal);
+        let hi = CollisionConstants::build(&input, &v, &geo, &op, 3..6, 0..input.n_toroidal);
         for ic in 0..3 {
             for it in 0..input.n_toroidal {
                 assert_eq!(full.matrix(ic, it), lo.matrix(ic, it));
@@ -359,16 +364,16 @@ mod tests {
         // differing only in gradient drives build bitwise-identical slices.
         let a = CgyroInput::test_small();
         let b = a.with_gradients(0.3, 5.0);
-        let (va, cfga, geoa, opa) = setup(&a);
-        let (vb, cfgb, geob, opb) = setup(&b);
-        let ca = CollisionConstants::build(&a, &va, &cfga, &geoa, &opa, 0..4, 0..2);
-        let cb = CollisionConstants::build(&b, &vb, &cfgb, &geob, &opb, 0..4, 0..2);
+        let (va, geoa, opa) = setup(&a);
+        let (vb, geob, opb) = setup(&b);
+        let ca = CollisionConstants::build(&a, &va, &geoa, &opa, 0..4, 0..2);
+        let cb = CollisionConstants::build(&b, &vb, &geob, &opb, 0..4, 0..2);
         assert_eq!(ca.fingerprint(), cb.fingerprint());
         // And a nu_ee change must not.
         let mut c = a.clone();
         c.nu_ee *= 1.5;
-        let (vc, cfgc, geoc, opc) = setup(&c);
-        let cc = CollisionConstants::build(&c, &vc, &cfgc, &geoc, &opc, 0..4, 0..2);
+        let (vc, geoc, opc) = setup(&c);
+        let cc = CollisionConstants::build(&c, &vc, &geoc, &opc, 0..4, 0..2);
         assert_ne!(ca.fingerprint(), cc.fingerprint());
     }
 
@@ -381,8 +386,8 @@ mod tests {
             (d.nv * d.nv * d.nc * d.nt * 8) as u64
         );
         // Per-slice bytes sum to the total when tiling nc × nt fully.
-        let (v, cfg, geo, op) = setup(&input);
-        let full = CollisionConstants::build(&input, &v, &cfg, &geo, &op, 0..d.nc, 0..d.nt);
+        let (v, geo, op) = setup(&input);
+        let full = CollisionConstants::build(&input, &v, &geo, &op, 0..d.nc, 0..d.nt);
         assert_eq!(full.bytes(), cmat_total_bytes(&input));
     }
 }

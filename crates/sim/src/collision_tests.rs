@@ -21,8 +21,8 @@ fn naive_collision_step(
     h: impl Fn(usize, usize, usize) -> Complex64,
 ) -> Tensor3<Complex64> {
     let dims = input.dims();
-    let (v, cfg, geo, op) = setup(input);
-    let cm = CollisionConstants::build(input, &v, &cfg, &geo, &op, 0..dims.nc, nt_range.clone());
+    let (v, geo, op) = setup(input);
+    let cm = CollisionConstants::build(input, &v, &geo, &op, 0..dims.nc, nt_range.clone());
     let mut out = Tensor3::new(dims.nc, dims.nv, nt_range.len());
     let mut scratch = vec![Complex64::ZERO; dims.nv];
     for ic in 0..dims.nc {

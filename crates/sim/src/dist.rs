@@ -149,7 +149,6 @@ impl DistTopology {
         let cmat = CollisionConstants::build(
             input,
             &v,
-            &cfg,
             &geo,
             &op,
             coll_nc_decomp.range(coll_comm.rank()),

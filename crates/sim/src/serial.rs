@@ -44,7 +44,7 @@ impl SerialTopology {
         let geo = Geometry::new(input, &cfg);
         let op = CollisionOperator::build(input, &v);
         let cmat =
-            CollisionConstants::build(input, &v, &cfg, &geo, &op, 0..dims.nc, 0..dims.nt);
+            CollisionConstants::build(input, &v, &geo, &op, 0..dims.nc, 0..dims.nt);
         let nl = NlKernel::new(input);
         // One-shot kernel autotune for this (nv, nrhs=1) shape.
         let kernel = xg_costmodel::tune_collision_kernel(dims.nv, 1);

@@ -8,7 +8,7 @@
 //! `cargo test -p xgyro-repro --test golden_regression -- --nocapture`
 //! (the failing assertion prints the measured values).
 
-use xg_sim::{serial_simulation, CgyroInput};
+use xg_sim::{serial_simulation, CgyroInput, SerialTopology};
 
 /// Relative tolerance: golden values are recorded to ~10 digits; platform
 /// libm differences stay far below this.
@@ -79,3 +79,47 @@ const GOLDEN_MEDIUM: (f64, f64, f64) =
     (8.280195299827e-5, 3.469928111349e-5, 1.777685022687e-2);
 const GOLDEN_EM_SHAPED: (f64, f64, f64) =
     (3.243005566617e-5, -3.357274549809e-7, 9.145370594168e-4);
+
+/// A 3-species deck with `nv = 45`: two full 16-column solve panels and a
+/// 13-wide remainder.
+fn ragged_nv_deck() -> CgyroInput {
+    let mut input = CgyroInput::test_medium();
+    input.n_radial = 4;
+    input.n_theta = 6;
+    input.n_xi = 5;
+    input.n_energy = 3;
+    input.n_toroidal = 2;
+    input
+}
+
+/// An `nv = 8` deck (one species): the remainder path alone, as on the
+/// benchmark's streaming deck.
+fn narrow_nv_deck() -> CgyroInput {
+    let mut input = CgyroInput::test_small();
+    input.n_energy = 2;
+    input.species.truncate(1);
+    input
+}
+
+#[test]
+fn cmat_bits_are_pinned() {
+    // `cmat` to the bit, not to `RTOL`: fingerprints of the full tensor
+    // recorded with the column-at-a-time LU solve this repo had before the
+    // row-panel one (PR 23). Cached artifacts and every bitwise suite lean
+    // on the build reproducing these exactly.
+    let cases: [(&str, CgyroInput, u64); 4] = [
+        ("test_small", CgyroInput::test_small(), CMAT_BITS_SMALL),
+        ("test_medium", CgyroInput::test_medium(), CMAT_BITS_MEDIUM),
+        ("ragged nv=45", ragged_nv_deck(), CMAT_BITS_RAGGED),
+        ("narrow nv=8", narrow_nv_deck(), CMAT_BITS_NARROW),
+    ];
+    for (name, input, want) in cases {
+        let got = SerialTopology::new(&input).cmat_fingerprint();
+        assert_eq!(got, want, "{name} (nv = {}): got {got:#018x}", input.dims().nv);
+    }
+}
+
+const CMAT_BITS_SMALL: u64 = 0x265a_a3ec_b69a_92ae;
+const CMAT_BITS_MEDIUM: u64 = 0x3da2_a002_52b5_f865;
+const CMAT_BITS_RAGGED: u64 = 0xbf0e_d073_14e4_a088;
+const CMAT_BITS_NARROW: u64 = 0xf0fa_00d5_6245_d47f;

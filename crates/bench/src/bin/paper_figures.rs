@@ -3,20 +3,6 @@
 //! Usage: `paper_figures [<experiment-id>|all]` or `paper_figures --write-dir DIR`
 //! (defaults to `all`). See DESIGN.md §5 for the experiment index.
 //!
-//! `paper_figures bench-collision [--quick] [--out PATH] [--nv LIST]
-//! [--k LIST]` runs the measured naive/blocked/simd/threaded
-//! collision-apply sweep and writes the JSON artifact (default
-//! `BENCH_collision.json` in the working directory). `--nv`/`--k` pin the
-//! sweep to comma-separated shape lists (CI asserts specific points).
-//!
-//! `paper_figures bench-str-reduce [--quick] [--out PATH]` runs the measured
-//! unfused/fused str-phase reduction sweep and writes the
-//! JSON artifact (default `BENCH_str_reduce.json`).
-//!
-//! `paper_figures bench-batching [--quick] [--out PATH]` serves sweep
-//! campaigns through `xg-serve` against an unbatched k=1 baseline and
-//! writes the JSON artifact (default `BENCH_batching.json`).
-//!
 //! `paper_figures bench-decomp [--quick] [--out PATH]` prices the searched
 //! unbalanced coll decomposition against the balanced split across machine
 //! models and writes the JSON artifact (default `BENCH_decomp.json`).
@@ -32,76 +18,6 @@ fn out_path_arg(args: &[String], default: &str) -> String {
         },
         None => default.to_string(),
     }
-}
-
-/// `--flag v1,v2,...` → `Some(vec![v1, v2, ...])`.
-fn list_arg(args: &[String], flag: &str) -> Option<Vec<usize>> {
-    let pos = args.iter().position(|a| a == flag)?;
-    let Some(v) = args.get(pos + 1) else {
-        eprintln!("{flag} needs a comma-separated list");
-        std::process::exit(2);
-    };
-    Some(
-        v.split(',')
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("{flag}: bad value '{s}'");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-    )
-}
-
-fn bench_collision(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = out_path_arg(args, "BENCH_collision.json");
-    let mut cfg = if quick {
-        xg_bench::CollisionBenchConfig::quick()
-    } else {
-        xg_bench::CollisionBenchConfig::full()
-    };
-    if let Some(nv) = list_arg(args, "--nv") {
-        cfg.nv_values = nv;
-    }
-    if let Some(k) = list_arg(args, "--k") {
-        cfg.k_values = k;
-    }
-    let results = xg_bench::run_collision_bench(&cfg);
-    print!("{}", xg_bench::collision_bench_report(&results));
-    std::fs::write(&out_path, xg_bench::collision_bench_json(&results))
-        .expect("write bench json");
-    println!("wrote {out_path}");
-}
-
-fn bench_str_reduce(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = out_path_arg(args, "BENCH_str_reduce.json");
-    let cfg = if quick {
-        xg_bench::StrReduceBenchConfig::quick()
-    } else {
-        xg_bench::StrReduceBenchConfig::full()
-    };
-    let results = xg_bench::run_str_reduce_bench(&cfg);
-    print!("{}", xg_bench::str_reduce_bench_report(&results));
-    std::fs::write(&out_path, xg_bench::str_reduce_bench_json(&results))
-        .expect("write bench json");
-    println!("wrote {out_path}");
-}
-
-fn bench_batching(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = out_path_arg(args, "BENCH_batching.json");
-    let cfg = if quick {
-        xg_bench::BatchingBenchConfig::quick()
-    } else {
-        xg_bench::BatchingBenchConfig::full()
-    };
-    let results = xg_bench::run_batching_bench(&cfg);
-    print!("{}", xg_bench::batching_bench_report(&results));
-    std::fs::write(&out_path, xg_bench::batching_bench_json(&results))
-        .expect("write bench json");
-    println!("wrote {out_path}");
 }
 
 fn bench_decomp(args: &[String]) {
@@ -121,18 +37,6 @@ fn bench_decomp(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench-collision") {
-        bench_collision(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("bench-str-reduce") {
-        bench_str_reduce(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("bench-batching") {
-        bench_batching(&args[1..]);
-        return;
-    }
     if args.first().map(String::as_str) == Some("bench-decomp") {
         bench_decomp(&args[1..]);
         return;

@@ -199,8 +199,7 @@ pub fn node_claims() -> String {
 
 /// **T-allreduce** — AllReduce cost vs participant count (paper §2.1: "the
 /// overall cost of AllReduce is proportional with the number of
-/// participating processes"). Model sweep + functional wall-clock
-/// microbenchmark on the thread substrate.
+/// participating processes"), as the cost model prices it.
 pub fn allreduce_claims() -> String {
     let machine = MachineModel::frontier_like();
     let bytes = (131072 * 16) as u64; // the nl03c moment buffer
@@ -225,22 +224,6 @@ pub fn allreduce_claims() -> String {
             t * 1e6,
             t / base
         );
-    }
-    // Functional microbenchmark: actual wall time on the thread substrate
-    // (absolute values are shared-memory speeds; the point is the trend).
-    let _ = writeln!(out, "\n  functional wall-clock (thread substrate, 1 MB, 50 reps):");
-    let n = 131072; // f64 elements = 1 MiB
-    for p in [2usize, 4, 8] {
-        let world = xg_comm::World::new(p);
-        let start = std::time::Instant::now();
-        world.run(|c| {
-            let mut buf = vec![1.0f64; n];
-            for _ in 0..50 {
-                c.all_reduce_sum_f64(&mut buf);
-            }
-        });
-        let dt = start.elapsed().as_secs_f64() / 50.0;
-        let _ = writeln!(out, "  p={p}: {:.2} ms/op", dt * 1e3);
     }
     out
 }

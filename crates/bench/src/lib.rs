@@ -1,33 +1,21 @@
 //! # xg-bench
 //!
-//! The experiment harness: one function per paper artifact (figures 1–3 and
-//! the quantitative claims of §1–§3), each returning a rendered report.
-//! The `paper_figures` binary dispatches on experiment id; the Criterion
-//! benches exercise the hot kernels. See DESIGN.md §5 for the experiment
-//! index and EXPERIMENTS.md for recorded paper-vs-measured numbers.
+//! The experiment registry: one function per paper artifact (figures 1–3 and
+//! the quantitative claims of §1–§3), each returning a rendered report of
+//! modeled tables and functional comm traces, plus the modeled decomposition
+//! sweep. The `paper_figures` binary dispatches on experiment id. Nothing
+//! here reads a clock: every wall-clock number in this repository is taken
+//! by the repo benchmark (`benchmark/`, `BENCHMARK.json`). See DESIGN.md §5
+//! for the experiment index and EXPERIMENTS.md for recorded paper-vs-measured
+//! numbers.
 
 #![warn(missing_docs)]
 
-pub mod batching;
-pub mod collision_perf;
 pub mod decomp_bench;
 pub mod experiments;
-pub mod str_reduce;
 
-pub use batching::{
-    batching_bench_json, batching_bench_report, run_batching_bench, BatchingBenchConfig,
-    BatchingBenchResult,
-};
 pub use decomp_bench::{
     decomp_bench_json, decomp_bench_report, run_decomp_bench, DecompBenchConfig,
     DecompBenchResult,
 };
-pub use collision_perf::{
-    collision_bench_json, collision_bench_report, run_collision_bench, CollisionBenchConfig,
-    CollisionBenchResult,
-};
 pub use experiments::*;
-pub use str_reduce::{
-    run_str_reduce_bench, str_reduce_bench_json, str_reduce_bench_report, StrReduceBenchConfig,
-    StrReduceBenchResult,
-};

@@ -527,23 +527,6 @@ impl ServeFaultPlan {
         Self::new().with(ServeFaultSpec { at_append, kind: ServeFaultKind::Crash })
     }
 
-    /// Seeded torn-write plan: the append index lands in `[0, max_append)`
-    /// and the kept byte count in `[0, 64)`, both derived from `seed` via
-    /// SplitMix64 — so property tests sweep random crash points
-    /// reproducibly, the same idiom `FaultPlan::seeded_crash` set.
-    pub fn seeded_torn(seed: u64, max_append: u64) -> Self {
-        assert!(max_append > 0, "seeded_torn needs a non-empty domain");
-        let mut s = seed;
-        let at_append = splitmix64(&mut s) % max_append;
-        let keep_bytes = (splitmix64(&mut s) % 64) as usize;
-        Self::torn_write(at_append, keep_bytes)
-    }
-
-    /// Whether any fault is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
     fn fire(&self, append: u64) -> Option<&ServeFaultKind> {
         self.specs.iter().find(|s| s.at_append == append).map(|s| &s.kind)
     }

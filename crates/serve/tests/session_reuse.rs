@@ -1,6 +1,7 @@
 //! A served batch holds one ensemble session for its whole life: one world
 //! spawn and one `cmat` factorization however many checkpoint segments it
-//! runs, with the journal's durability unchanged.
+//! runs, with the journal's durability unchanged — for one batch and over a
+//! multi-batch campaign (`cmat_builds == world_spawns == batches`).
 //!
 //! One test only: the obs registry is process-global, and this file's
 //! process must not run anything else that spawns a world.
@@ -60,4 +61,43 @@ fn a_batch_spawns_its_world_and_builds_cmat_once() {
         .collect();
     assert_eq!(boundaries, [10, 20, 30]);
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The same count over a multi-batch campaign: 12 variants over 2 cmat
+    // keys, 20 steps = 2 segments each. A drained server admits nothing, so
+    // this is a second one; the long linger makes every batch flush because
+    // it filled.
+    let mut cfg = ServerConfig::local_test();
+    cfg.linger = Duration::from_secs(600);
+    let server = CampaignServer::start(cfg);
+    let (obs_idle, idle) = (xg_obs::Registry::global().session_stats(), server.metrics());
+    let ids: Vec<_> = (0..12)
+        .map(|i| {
+            let mut deck = base.with_gradients(1.0 + 0.2 * i as f64, 2.0 + 0.1 * i as f64);
+            deck.nu_ee = 0.1 * (1 + i % 2) as f64;
+            server.submit(JobSpec::new(deck, 20)).expect("admitted")
+        })
+        .collect();
+    assert!(server.drain(Duration::from_secs(120)), "drain timed out");
+    let batches: std::collections::BTreeSet<_> = ids
+        .iter()
+        .map(|id| {
+            let status = server.status(*id).expect("known");
+            assert_eq!(status.state, JobState::Done);
+            status.batch
+        })
+        .collect();
+    let n = batches.len() as u64;
+    assert_eq!(n, 4, "two full k=3 batches per key");
+    let (obs_served, served) = (xg_obs::Registry::global().session_stats(), server.metrics());
+    assert_eq!(
+        (obs_served.0 - obs_idle.0, obs_served.1 - obs_idle.1),
+        (n, n),
+        "obs: one spawn and one build per batch"
+    );
+    assert_eq!(
+        (served.world_spawns - idle.world_spawns, served.cmat_builds - idle.cmat_builds),
+        (n, n),
+        "metrics(): one spawn and one build per batch"
+    );
+    server.shutdown();
 }

@@ -1,9 +1,12 @@
 //! Iterative radix-2 complex FFT.
 //!
 //! CGYRO's nonlinear phase is FFT-based (pseudo-spectral Poisson
-//! brackets); this module supplies the transform for the equivalent path
-//! in `xg-sim::nonlinear`. Plan-style API: twiddles are precomputed once
-//! per length, transforms are in-place and allocation-free.
+//! brackets). `xg-sim` no longer calls this module: at every toroidal size
+//! a deck here has, its nl bracket is cheaper as a direct convolution
+//! (docs/performance.md §8). It stays only for the repo benchmark's
+//! `linalg.fft_us` probe, and goes once that probe is replaced.
+//! Plan-style API: twiddles are precomputed once per length, transforms
+//! are in-place and allocation-free.
 
 use crate::complex::Complex64;
 

@@ -60,6 +60,15 @@ pub struct DistTopology {
     /// previous step's reverse-transpose receive blocks (per-peer sizes
     /// match exactly between the two directions).
     fwd_send: Vec<Vec<Complex64>>,
+    /// nl-layout staging: `(nc_blk, nv_loc, nt)`, this rank's `nc` block
+    /// over the toroidal communicator with the complete toroidal dimension.
+    h_nl: Tensor3<Complex64>,
+    nl_out: Tensor3<Complex64>,
+    /// The potential completed in the toroidal dimension (`nc × nt`).
+    phi_full: Vec<Complex64>,
+    /// The nl transposes' forward send buffers, recycled from the previous
+    /// stage's reverse receive blocks, as `fwd_send` is for coll.
+    nl_fwd_send: Vec<Vec<Complex64>>,
     /// Collision kernel (SIMD level + L2 row-tile height) autotuned at
     /// build time for this rank's (nv, k) shape; bitwise-neutral.
     pub(crate) kernel: KernelChoice,
@@ -159,6 +168,8 @@ impl DistTopology {
         let ntl = layout.nt_range().len();
         let lanes = sims_in_coll * dims.nv;
         let p = coll_comm.size();
+        let nc_blk = Decomp1D::new(dims.nc, grid.n2).count(i2);
+        let nvl = layout.nv_range().len();
 
         Self {
             layout,
@@ -173,6 +184,10 @@ impl DistTopology {
             coll_in: Tensor3::new(my_nc, ntl, lanes),
             coll_out: Tensor3::new(my_nc, ntl, lanes),
             fwd_send: (0..p).map(|_| Vec::new()).collect(),
+            h_nl: Tensor3::new(nc_blk, nvl, dims.nt),
+            nl_out: Tensor3::new(nc_blk, nvl, dims.nt),
+            phi_full: vec![Complex64::ZERO; dims.nc * dims.nt],
+            nl_fwd_send: (0..grid.n2).map(|_| Vec::new()).collect(),
             kernel,
         }
     }
@@ -313,49 +328,54 @@ impl Topology for DistTopology {
         let nc2_decomp = Decomp1D::new(dims.nc, n2);
         let nt_decomp = self.layout.nt_decomp();
         let my_i2 = self.nt_comm.rank();
-        let nvl = h.shape().1;
+        let elem = std::mem::size_of::<Complex64>() as u64;
 
-        // Transpose str -> nl over the toroidal communicator.
-        let send: Vec<Vec<Complex64>> = (0..n2)
-            .map(|j| {
-                let mut buf = Vec::new();
-                pack_str_block(h, nc2_decomp.range(j), &mut buf);
-                buf
-            })
-            .collect();
+        // Transpose str -> nl over the toroidal communicator. The send
+        // buffers are the previous stage's reverse-receive blocks (per-peer
+        // sizes match exactly between directions, as in `collision_step`).
+        let mut send = std::mem::take(&mut self.nl_fwd_send);
+        let mut drained: u64 = 0;
+        for (j, buf) in send.iter_mut().enumerate() {
+            drained += buf.capacity() as u64 * elem;
+            buf.clear();
+            pack_str_block(h, nc2_decomp.range(j), buf);
+        }
         let recv = self.nt_comm.all_to_all_v_take(send);
-        let mut h_nl = Tensor3::new(nc2_decomp.count(my_i2), nvl, dims.nt);
         for (j, block) in recv.iter().enumerate() {
-            unpack_into_nl(block, nt_decomp.range(j), &mut h_nl);
+            unpack_into_nl(block, nt_decomp.range(j), &mut self.h_nl);
         }
 
         // Complete phi in the toroidal dimension (small gather).
         let phi_blocks = self.nt_comm.all_gather(phi);
-        let mut phi_full = vec![Complex64::ZERO; dims.nc * dims.nt];
         for (j, block) in phi_blocks.iter().enumerate() {
             let r = nt_decomp.range(j);
             let ntl_j = r.len();
             for ic in 0..dims.nc {
                 for (itl, itor) in r.clone().enumerate() {
-                    phi_full[ic * dims.nt + itor] = block[ic * ntl_j + itl];
+                    self.phi_full[ic * dims.nt + itor] = block[ic * ntl_j + itl];
                 }
             }
         }
 
-        // Evaluate and transpose back.
-        let mut nl_out = Tensor3::new(nc2_decomp.count(my_i2), nvl, dims.nt);
-        self.nl.eval(&h_nl, &phi_full, nc2_decomp.start(my_i2), &mut nl_out);
-        let send_back: Vec<Vec<Complex64>> = (0..n2)
-            .map(|j| {
-                let mut buf = Vec::new();
-                pack_nl_block(&nl_out, nt_decomp.range(j), &mut buf);
-                buf
-            })
-            .collect();
+        // Evaluate and transpose back, recycling the forward receive blocks.
+        self.nl.eval(
+            &self.h_nl,
+            &self.phi_full,
+            nc2_decomp.start(my_i2),
+            &mut self.nl_out,
+        );
+        let mut send_back = recv;
+        for (j, buf) in send_back.iter_mut().enumerate() {
+            drained += buf.capacity() as u64 * elem;
+            buf.clear();
+            pack_nl_block(&self.nl_out, nt_decomp.range(j), buf);
+        }
         let recv_back = self.nt_comm.all_to_all_v_take(send_back);
         for (j, block) in recv_back.iter().enumerate() {
             unpack_into_str_from_nl(block, nc2_decomp.range(j), out);
         }
+        self.nl_fwd_send = recv_back;
+        self.nt_comm.log().note_drained_capacity(drained);
     }
 
     fn reduce_sim_scalars(&self, vals: &mut [f64]) {

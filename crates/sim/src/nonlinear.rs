@@ -10,17 +10,47 @@
 //! `NL_p = (i·c/2) Σ_{p1+p2=p} (ky_{p1} − ky_{p2}) φ_{p1} h_{p2}`
 //!
 //! over signed mode numbers `p ∈ ±{1..nt}` with reality `X_{−p} = X_p*`.
+//!
+//! The sum is evaluated directly, O(nt²) per `(ic, iv)` line, for `LANES`
+//! lines side by side (docs/performance.md §8): every line reads the one
+//! `φ` row of its `ic`, the structure `cmat` has across right-hand sides.
 
 use crate::input::CgyroInput;
-use xg_linalg::{fft::Fft, Complex64};
+use xg_linalg::Complex64;
 use xg_tensor::Tensor3;
 
-/// Mode count at and above which the FFT (pseudo-spectral) evaluation is
-/// used instead of the direct O(nt²) convolution. Both paths compute the
-/// same truncated bracket (cross-validated in tests); the threshold is a
-/// deterministic function of the deck, so serial and distributed runs of
-/// one simulation always take the same path.
-pub const FFT_THRESHOLD: usize = 8;
+/// Lines evaluated side by side. Each lane holds one line's own
+/// accumulator, so a term is `LANES` independent multiply–add chains the
+/// compiler keeps in vector registers.
+const LANES: usize = 8;
+
+type Plane = [f64; LANES];
+
+/// One toroidal mode of `LANES` lines, split by component. The negated
+/// imaginary parts are the conjugates' (negation is exact), so all three
+/// families of the bracket run one complex multiply.
+#[derive(Clone, Copy, Default)]
+struct ModeLanes {
+    h_re: Plane,
+    h_im: Plane,
+    h_im_neg: Plane,
+    phi_re: Plane,
+    phi_im: Plane,
+    phi_im_neg: Plane,
+}
+
+/// `acc += (x·y).scale(k)` on every lane, in `Complex64`'s own operation
+/// order (multiply, scale, add; never fused), so each lane is bit for bit
+/// the one-line-at-a-time loop.
+#[inline(always)]
+fn mac(acc: &mut (Plane, Plane), x: (&Plane, &Plane), y: (&Plane, &Plane), k: f64) {
+    for l in 0..LANES {
+        let re = x.0[l] * y.0[l] - x.1[l] * y.1[l];
+        let im = x.0[l] * y.1[l] + x.1[l] * y.0[l];
+        acc.0[l] += re * k;
+        acc.1[l] += im * k;
+    }
+}
 
 /// Nonlinear convolution kernel (toroidal-only truncated bracket).
 #[derive(Clone, Debug)]
@@ -30,31 +60,16 @@ pub struct NlKernel {
     /// Coupling amplitude.
     coupling: f64,
     nt: usize,
-    /// Pseudo-spectral plan (dealiased length ≥ 3·nt+1, power of two);
-    /// `None` below [`FFT_THRESHOLD`].
-    plan: Option<Fft>,
 }
 
 impl NlKernel {
     /// Build from the input deck.
     pub fn new(input: &CgyroInput) -> Self {
-        let nt = input.n_toroidal;
-        let plan = if nt >= FFT_THRESHOLD {
-            Some(Fft::new(xg_linalg::next_pow2(3 * nt + 1)))
-        } else {
-            None
-        };
         Self {
             ky: crate::grid::ky_modes(input),
             coupling: input.nonlinear_coupling,
-            nt,
-            plan,
+            nt: input.n_toroidal,
         }
-    }
-
-    /// True when the pseudo-spectral (FFT) path is active.
-    pub fn uses_fft(&self) -> bool {
-        self.plan.is_some()
     }
 
     /// True when the coupling is exactly zero (linear run) — callers may
@@ -77,23 +92,72 @@ impl NlKernel {
         nc_offset: usize,
         out: &mut Tensor3<Complex64>,
     ) {
-        let (_, _, nt) = h_nl.shape();
+        let (nc_blk, nvl, nt) = h_nl.shape();
         assert_eq!(out.shape(), h_nl.shape());
         assert_eq!(nt, self.nt);
         if self.is_disabled() {
             out.fill(Complex64::ZERO);
             return;
         }
-        if let Some(plan) = &self.plan {
-            self.eval_fft(plan, h_nl, phi_full, nc_offset, out);
-            return;
+        let ky = &self.ky;
+        let half_c = 0.5 * self.coupling;
+        let lines = nc_blk * nvl;
+        let mut modes = vec![ModeLanes::default(); nt];
+        for first in (0..lines).step_by(LANES) {
+            let live = LANES.min(lines - first);
+            // Gather: lanes past the last line repeat it, and their
+            // outputs are dropped.
+            for l in 0..LANES {
+                let line = first + l.min(live - 1);
+                let ic = nc_offset + line / nvl;
+                let h = &h_nl.as_slice()[line * nt..(line + 1) * nt];
+                let phi = &phi_full[ic * nt..(ic + 1) * nt];
+                for (m, (hz, pz)) in modes.iter_mut().zip(h.iter().zip(phi)) {
+                    m.h_re[l] = hz.re;
+                    m.h_im[l] = hz.im;
+                    m.h_im_neg[l] = -hz.im;
+                    m.phi_re[l] = pz.re;
+                    m.phi_im[l] = pz.im;
+                    m.phi_im_neg[l] = -pz.im;
+                }
+            }
+            // Target mode p = n + 1; zero-based indices a = p1 − 1 and
+            // b = |p2| − 1 (or |p1| − 1), ascending as the sum is defined.
+            for n in 0..nt {
+                let mut acc = ([0.0; LANES], [0.0; LANES]);
+                // Family 1: p1 + p2 = p, both positive.
+                for a in 0..n {
+                    let (x, y) = (&modes[a], &modes[n - 1 - a]);
+                    let k = ky[a] - ky[n - 1 - a];
+                    mac(&mut acc, (&x.phi_re, &x.phi_im), (&y.h_re, &y.h_im), k);
+                }
+                // Family 2: p1 − |p2| = p: φ_{p1}·conj(h_{|p2|}),
+                // K = ky_{p1} + ky_{|p2|}.
+                for b in 0..nt - 1 - n {
+                    let (x, y) = (&modes[n + 1 + b], &modes[b]);
+                    let k = ky[n + 1 + b] + ky[b];
+                    mac(&mut acc, (&x.phi_re, &x.phi_im), (&y.h_re, &y.h_im_neg), k);
+                }
+                // Family 3: −|p1| + p2 = p: conj(φ_{|p1|})·h_{p2},
+                // K = −ky_{|p1|} − ky_{p2}.
+                for b in 0..nt - 1 - n {
+                    let (x, y) = (&modes[b], &modes[n + 1 + b]);
+                    let k = -(ky[b] + ky[n + 1 + b]);
+                    mac(&mut acc, (&x.phi_re, &x.phi_im_neg), (&y.h_re, &y.h_im), k);
+                }
+                let o = out.as_mut_slice();
+                for l in 0..live {
+                    o[(first + l) * nt + n] =
+                        Complex64::new(0.0, half_c) * Complex64::new(acc.0[l], acc.1[l]);
+                }
+            }
         }
-        self.eval_direct(h_nl, phi_full, nc_offset, out);
     }
 
-    /// Direct O(nt²) evaluation of the truncated bracket (reference path;
-    /// used below [`FFT_THRESHOLD`] and by the cross-validation tests).
-    pub fn eval_direct(
+    /// The direct sum one line at a time: the oracle [`NlKernel::eval`]'s
+    /// lanes must reproduce bit for bit.
+    #[cfg(test)]
+    fn eval_direct(
         &self,
         h_nl: &Tensor3<Complex64>,
         phi_full: &[Complex64],
@@ -144,85 +208,12 @@ impl NlKernel {
             }
         }
     }
-
-    /// Pseudo-spectral evaluation: with `ky_p = p·ky_min` the bracket is
-    /// `NL_p = (i·c/2)·ky_min·[conv(∂φ, h) − conv(φ, ∂h)]_p` with
-    /// `(∂X)_p = p·X_p`, i.e. two pointwise products in a dealiased
-    /// real-space grid (the 3/2-rule, `M ≥ 3·nt+1`) — exactly how
-    /// production codes evaluate Poisson brackets.
-    fn eval_fft(
-        &self,
-        plan: &Fft,
-        h_nl: &Tensor3<Complex64>,
-        phi_full: &[Complex64],
-        nc_offset: usize,
-        out: &mut Tensor3<Complex64>,
-    ) {
-        let (nc_blk, nvl, nt) = h_nl.shape();
-        let m = plan.len();
-        let ky_min = self.ky[0];
-        debug_assert!(
-            self.ky.iter().enumerate().all(|(i, k)| (k - (i + 1) as f64 * ky_min).abs()
-                < 1e-12 * ky_min.abs().max(1e-300)),
-            "FFT path requires linear ky spectrum"
-        );
-        // Prefactor: i·(c/2)·ky_min·M (M undoes the 1/M² from the two
-        // inverse transforms against the 1/1 forward).
-        let pref = Complex64::new(0.0, 0.5 * self.coupling * ky_min * m as f64);
-
-        let mut u_phi = vec![Complex64::ZERO; m];
-        let mut v_phi = vec![Complex64::ZERO; m];
-        let mut u_h = vec![Complex64::ZERO; m];
-        let mut v_h = vec![Complex64::ZERO; m];
-        let mut w = vec![Complex64::ZERO; m];
-
-        for icl in 0..nc_blk {
-            let ic = nc_offset + icl;
-            let phi = &phi_full[ic * nt..(ic + 1) * nt];
-            // Signed spectra of φ and ∂φ (reality: X_{-p} = conj(X_p)).
-            u_phi.iter_mut().for_each(|z| *z = Complex64::ZERO);
-            v_phi.iter_mut().for_each(|z| *z = Complex64::ZERO);
-            for p in 1..=nt {
-                let x = phi[p - 1];
-                u_phi[p] = x;
-                u_phi[m - p] = x.conj();
-                v_phi[p] = x.scale(p as f64);
-                v_phi[m - p] = x.conj().scale(-(p as f64));
-            }
-            plan.inverse(&mut u_phi);
-            plan.inverse(&mut v_phi);
-
-            for ivl in 0..nvl {
-                let hline = h_nl.line(icl, ivl);
-                u_h.iter_mut().for_each(|z| *z = Complex64::ZERO);
-                v_h.iter_mut().for_each(|z| *z = Complex64::ZERO);
-                for p in 1..=nt {
-                    let x = hline[p - 1];
-                    u_h[p] = x;
-                    u_h[m - p] = x.conj();
-                    v_h[p] = x.scale(p as f64);
-                    v_h[m - p] = x.conj().scale(-(p as f64));
-                }
-                plan.inverse(&mut u_h);
-                plan.inverse(&mut v_h);
-
-                for j in 0..m {
-                    w[j] = v_phi[j] * u_h[j] - u_phi[j] * v_h[j];
-                }
-                plan.forward(&mut w);
-
-                let oline = out.line_mut(icl, ivl);
-                for (n, o) in oline.iter_mut().enumerate() {
-                    *o = pref * w[n + 1];
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn kernel(nt: usize, coupling: f64) -> NlKernel {
         let mut input = CgyroInput::test_small();
@@ -306,47 +297,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fft_path_matches_direct_convolution() {
-        // The pseudo-spectral path must agree with the direct O(nt²)
-        // reference for arbitrary spectra (to roundoff).
-        for nt in [8usize, 12, 16] {
-            let k = kernel(nt, 0.37);
-            assert!(k.uses_fft());
-            let nc = 3;
-            let nvl = 2;
-            let h = tensor(nc, nvl, nt, |a, b, n| {
-                Complex64::new(
-                    ((a * 7 + b * 3 + n) as f64 * 0.61).sin(),
-                    ((a + b * 5 + n * 2) as f64 * 0.37).cos(),
-                )
-            });
-            let phi: Vec<Complex64> = (0..nc * nt)
-                .map(|i| Complex64::new((i as f64 * 0.21).cos(), (i as f64 * 0.13).sin()))
-                .collect();
-            let mut via_fft = tensor(nc, nvl, nt, |_, _, _| Complex64::ZERO);
-            k.eval(&h, &phi, 0, &mut via_fft);
-            let mut direct = tensor(nc, nvl, nt, |_, _, _| Complex64::ZERO);
-            k.eval_direct(&h, &phi, 0, &mut direct);
-            let scale = direct
-                .as_slice()
-                .iter()
-                .map(|z| z.abs())
-                .fold(0.0f64, f64::max)
-                .max(1e-30);
-            for (a, b) in via_fft.as_slice().iter().zip(direct.as_slice()) {
-                assert!(
-                    (*a - *b).abs() < 1e-11 * scale,
-                    "nt={nt}: {a} vs {b} (scale {scale})"
+    /// Uniform in [−1, 1) from a 64-bit LCG state.
+    fn uniform(s: &mut u64) -> f64 {
+        *s = s
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (*s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn lanes_equal_the_one_line_loop_bitwise(
+            nt in 1usize..21,
+            (nc_blk, nvl) in prop_oneof![Just((1usize, 1usize)), (1usize..4, 1usize..12)],
+            nc_offset in 0usize..3,
+            coupling in prop_oneof![Just(0.0), -1.0f64..1.0],
+            seed in 0u64..u64::MAX,
+        ) {
+            // Line counts 1..=33 (mostly not a multiple of the lane count),
+            // a nonzero `nc` offset, and the linear run's zero coupling,
+            // where `eval` writes zeros without evaluating.
+            let k = kernel(nt, coupling);
+            let mut s = seed;
+            let mut z = || Complex64::new(uniform(&mut s), uniform(&mut s));
+            let h = Tensor3::from_fn(nc_blk, nvl, nt, |_, _, _| z());
+            let phi: Vec<Complex64> = (0..(nc_offset + nc_blk) * nt).map(|_| z()).collect();
+            let mut got = tensor(nc_blk, nvl, nt, |_, _, _| Complex64::new(9.0, 9.0));
+            k.eval(&h, &phi, nc_offset, &mut got);
+            let mut want = tensor(nc_blk, nvl, nt, |_, _, _| Complex64::ZERO);
+            if !k.is_disabled() {
+                k.eval_direct(&h, &phi, nc_offset, &mut want);
+            }
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                prop_assert_eq!(
+                    (g.re.to_bits(), g.im.to_bits()),
+                    (w.re.to_bits(), w.im.to_bits()),
+                    "nt {} lines {}×{} offset {} element {}", nt, nc_blk, nvl, nc_offset, i
                 );
             }
         }
-    }
-
-    #[test]
-    fn small_mode_counts_use_direct_path() {
-        assert!(!kernel(4, 0.1).uses_fft());
-        assert!(kernel(8, 0.1).uses_fft());
     }
 
     #[test]

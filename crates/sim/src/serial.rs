@@ -31,7 +31,6 @@ pub struct SerialTopology {
     /// Collision kernel (SIMD level + L2 row-tile height) picked by the
     /// autotuner at build time; bitwise-neutral, wall-time only.
     pub(crate) kernel: KernelChoice,
-    nl_out: Tensor3<Complex64>,
 }
 
 impl SerialTopology {
@@ -57,7 +56,6 @@ impl SerialTopology {
             cp_out: Tensor3::new(dims.nc, dims.nt, dims.nv),
             rev_buf: Vec::with_capacity(dims.nc * dims.nt * dims.nv),
             kernel,
-            nl_out: Tensor3::new(dims.nc, dims.nv, dims.nt),
         }
     }
 
@@ -113,8 +111,7 @@ impl Topology for SerialTopology {
             return;
         }
         // Full nt is local: evaluate directly; phi already spans nc × nt.
-        self.nl.eval(h, phi, 0, &mut self.nl_out);
-        out.as_mut_slice().copy_from_slice(self.nl_out.as_slice());
+        self.nl.eval(h, phi, 0, out);
     }
 
     fn reduce_sim_scalars(&self, _vals: &mut [f64]) {

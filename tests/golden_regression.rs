@@ -8,7 +8,10 @@
 //! `cargo test -p xgyro-repro --test golden_regression -- --nocapture`
 //! (the failing assertion prints the measured values).
 
+use xg_linalg::Complex64;
+use xg_sim::nonlinear::NlKernel;
 use xg_sim::{serial_simulation, CgyroInput, SerialTopology};
+use xg_tensor::Tensor3;
 
 /// Relative tolerance: golden values are recorded to ~10 digits; platform
 /// libm differences stay far below this.
@@ -71,6 +74,27 @@ fn golden_em_shaped_deck_5_steps() {
     close(d.h_norm2, GOLDEN_EM_SHAPED.2, "h_norm2");
 }
 
+#[test]
+fn golden_nt8_nonlinear_deck_5_steps() {
+    // nt = 8 with a strong bracket: the shape of the benchmark's streaming
+    // deck. Recorded with the pseudo-spectral (FFT) nl evaluation this repo
+    // had before the direct one, so passing at `RTOL` shows the switch
+    // moved the trajectory by roundoff only.
+    let mut input = CgyroInput::test_small();
+    input.n_toroidal = 8;
+    input.nonlinear_coupling = 0.5;
+    let mut sim = serial_simulation(&input);
+    sim.run_steps(5);
+    let d = sim.diagnostics();
+    println!(
+        "measured: field_energy={:.12e} heat_flux={:.12e} h_norm2={:.12e}",
+        d.field_energy, d.heat_flux, d.h_norm2
+    );
+    close(d.field_energy, GOLDEN_NT8.0, "field_energy");
+    close(d.heat_flux, GOLDEN_NT8.1, "heat_flux");
+    close(d.h_norm2, GOLDEN_NT8.2, "h_norm2");
+}
+
 // Golden values recorded from the reference implementation (see module
 // docs for the regeneration procedure).
 const GOLDEN_SMALL: (f64, f64, f64) =
@@ -79,6 +103,8 @@ const GOLDEN_MEDIUM: (f64, f64, f64) =
     (8.280195299827e-5, 3.469928111349e-5, 1.777685022687e-2);
 const GOLDEN_EM_SHAPED: (f64, f64, f64) =
     (3.243005566617e-5, -3.357274549809e-7, 9.145370594168e-4);
+const GOLDEN_NT8: (f64, f64, f64) =
+    (5.487856870031e-5, -1.241830037366e-6, 3.545849196804e-3);
 
 /// A 3-species deck with `nv = 45`: two full 16-column solve panels and a
 /// 13-wide remainder.
@@ -123,3 +149,49 @@ const CMAT_BITS_SMALL: u64 = 0x265a_a3ec_b69a_92ae;
 const CMAT_BITS_MEDIUM: u64 = 0x3da2_a002_52b5_f865;
 const CMAT_BITS_RAGGED: u64 = 0xbf0e_d073_14e4_a088;
 const CMAT_BITS_NARROW: u64 = 0xf0fa_00d5_6245_d47f;
+
+#[test]
+fn nl_bits_are_pinned() {
+    // The nl bracket to the bit: FNV fingerprints of the output recorded
+    // with the scalar one-line-at-a-time direct convolution this repo had
+    // before the lane-parallel one. 3 × 5 = 15 lines (not a multiple of
+    // the lane count) at a nonzero `nc` offset.
+    let (nc, nvl, offset) = (3, 5, 1);
+    for (nt, want) in [
+        (2, NL_BITS_NT2),
+        (4, NL_BITS_NT4),
+        (8, NL_BITS_NT8),
+        (16, NL_BITS_NT16),
+    ] {
+        let mut input = CgyroInput::test_small();
+        input.n_toroidal = nt;
+        input.nonlinear_coupling = 0.37;
+        let k = NlKernel::new(&input);
+        let h = Tensor3::from_fn(nc, nvl, nt, |a, b, n| {
+            Complex64::new(
+                ((a * 7 + b * 3 + n) as f64 * 0.61).sin(),
+                ((a + b * 5 + n * 2) as f64 * 0.37).cos(),
+            )
+        });
+        let phi: Vec<Complex64> = (0..(offset + nc) * nt)
+            .map(|i| Complex64::new((i as f64 * 0.21).cos(), (i as f64 * 0.13).sin()))
+            .collect();
+        let mut out = Tensor3::new(nc, nvl, nt);
+        k.eval(&h, &phi, offset, &mut out);
+        let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
+        for z in out.as_slice() {
+            for v in [z.re.to_bits(), z.im.to_bits()] {
+                for b in v.to_le_bytes() {
+                    fp ^= b as u64;
+                    fp = fp.wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(fp, want, "nt = {nt}: got {fp:#018x}");
+    }
+}
+
+const NL_BITS_NT2: u64 = 0xbc5e_fe87_ef06_2efa;
+const NL_BITS_NT4: u64 = 0x7977_5ea0_3575_5616;
+const NL_BITS_NT8: u64 = 0xc7a9_b744_74ba_d079;
+const NL_BITS_NT16: u64 = 0xe9f6_4040_d0cd_34ac;

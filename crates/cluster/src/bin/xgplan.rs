@@ -5,18 +5,13 @@
 //! xgplan --deck input.cgyro [--machine FILE|PRESET] [--variants N]
 //!        [--nodes N] [--reports R] [--mtbf-hours H] [--restart-s S]
 //!        [--journal-fsync-ms MS] [--submit-rate-hz HZ] [--profile FILE]
-//!        [--kernel-tune] [--hit-rate P]
+//!        [--hit-rate P]
 //! ```
 //!
 //! `--hit-rate P` prices a warmed result cache (`xgqueued --artifacts`)
 //! into the forecast: a fraction P of the campaign's members are expected
 //! to be served from the artifact store at admission, so only the missing
 //! `(1 - P)` fraction pays compute.
-//!
-//! `--kernel-tune` sweeps the collision-kernel autotuner for the deck's
-//! `nv` over ensemble sizes: the roofline-predicted kernel on the modeled
-//! machine next to the kernel actually tuned (one-shot measured) on this
-//! host, with both times.
 //!
 //! `--profile` closes the loop between forecast and reality: FILE is a
 //! Prometheus scrape from a run with `XGYRO_OBS=1` (`xgyro`'s exporter or
@@ -42,13 +37,11 @@ fn usage() -> ! {
         "usage: xgplan --deck input.cgyro [--machine FILE|PRESET] [--variants N]\n\
          \u{20}                [--nodes N] [--reports R] [--mtbf-hours H] [--restart-s S]\n\
          \u{20}                [--journal-fsync-ms MS] [--submit-rate-hz HZ] [--profile FILE]\n\
-         \u{20}                [--kernel-tune] [--decomp FILE]\n\
+         \u{20}                [--decomp FILE]\n\
          \u{20}  --decomp:     write the searched decomposition (grid + coll cuts)\n\
          \u{20}                to FILE, loadable by `xgyro --decomp`\n\
          \u{20}  --profile:    Prometheus scrape of a measured run (XGYRO_OBS=1);\n\
          \u{20}                printed as measured-vs-predicted phase time\n\
-         \u{20}  --kernel-tune: sweep the collision-kernel autotuner (predicted on\n\
-         \u{20}                the modeled machine vs measured on this host)\n\
          \u{20}  --mtbf-hours: single-node MTBF in hours (default ~52000, a\n\
          \u{20}                9000-node system failing every ~6 hours)\n\
          \u{20}  --restart-s:  restart/requeue cost in seconds (default 600)\n\
@@ -74,7 +67,6 @@ fn main() {
     let mut journal_fsync_ms = 5.0f64;
     let mut submit_rate_hz = 10.0f64;
     let mut profile: Option<String> = None;
-    let mut kernel_tune = false;
     let mut decomp_out: Option<String> = None;
     let mut hit_rate = 0.0f64;
     let mut it = std::env::args().skip(1);
@@ -125,7 +117,6 @@ fn main() {
             "--hit-rate" => {
                 hit_rate = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
             }
-            "--kernel-tune" => kernel_tune = true,
             "--decomp" => decomp_out = Some(it.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
@@ -153,10 +144,6 @@ fn main() {
         machine.ranks_per_node,
         machine.usable_mem_per_rank() as f64 / 1e9
     );
-
-    if kernel_tune {
-        print_kernel_tune_sweep(d.nv, &machine);
-    }
 
     let Some(single) = xg_cluster::min_nodes(&input, 1, &machine, 4096) else {
         println!("this deck does not fit on the machine at any allocation up to 4096 nodes");
@@ -397,36 +384,6 @@ fn main() {
 
     if let Some(path) = profile {
         print_measured_profile(&path);
-    }
-}
-
-/// `--kernel-tune`: for the deck's `nv`, sweep ensemble sizes and print the
-/// roofline-predicted kernel on the modeled machine next to the kernel the
-/// measured autotuner picks on this host — the same choice the topologies
-/// resolve (and `xgyro --trace` stamps into trace metadata) at build time.
-fn print_kernel_tune_sweep(nv: usize, machine: &MachineModel) {
-    let l2_kb = xg_linalg::l2_cache_kb();
-    println!(
-        "\ncollision-kernel tuning sweep (nv={nv}, host probe {}, host L2 {l2_kb} KB):",
-        xg_linalg::selected_level()
-    );
-    println!(
-        "  k     predicted[{}]   pred-us/apply   tuned[this host]   meas-us/apply",
-        machine.name
-    );
-    for k in [1usize, 2, 4, 8, 16] {
-        let predicted =
-            xg_costmodel::predicted_kernel(machine, nv, k, l2_kb, &xg_linalg::SimdLevel::ALL);
-        let pred_s = xg_costmodel::predicted_kernel_time(machine, nv, k, predicted, l2_kb);
-        let tuned = xg_costmodel::tune_collision_kernel(nv, k);
-        let meas_ns = xg_costmodel::measure_kernel_ns(tuned, nv, k, 3);
-        println!(
-            "  {k:<5} {:>15}   {:>13.2} {:>18}   {:>13.2}",
-            predicted.to_string(),
-            pred_s * 1e6,
-            tuned.to_string(),
-            meas_ns as f64 / 1e3
-        );
     }
 }
 

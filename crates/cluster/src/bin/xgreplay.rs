@@ -109,7 +109,9 @@ fn main() {
     });
     let machine = machine.unwrap_or_else(MachineModel::frontier_like);
     let placement = Placement { ranks_per_node: machine.ranks_per_node };
-    report_kernel_meta(&text, &machine);
+    if let Some(line) = kernel_report(&text) {
+        println!("{line}");
+    }
     report_decomp_meta(&text, &machine);
 
     // Deterministic per-(rank, op) jitter in [0, jitter_us].
@@ -202,38 +204,19 @@ fn main() {
     }
 }
 
-/// Report predicted-vs-chosen collision kernel from the trace's `#kernel=`
-/// metadata (written by `xgyro --trace`): the chosen kernel was measured on
-/// the capturing host, the prediction is this machine model's roofline over
-/// the same candidates.
-fn report_kernel_meta(text: &str, machine: &MachineModel) {
+/// The collision kernel recorded in the trace's `#kernel=` metadata
+/// (written by `xgyro --trace`), with the capturing process's level cap
+/// when recorded. Traces written before the tuner chose only a level carry
+/// a `<level>/t<rows>` label and `#kernel_nv=`/`#kernel_k=` lines: the
+/// label is printed as recorded and the shape lines are ignored.
+fn kernel_report(text: &str) -> Option<String> {
     let meta = xg_comm::trace_meta(text);
     let get = |key: &str| meta.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
-    let Some(chosen) = get("kernel") else { return };
-    let shape = get("kernel_nv")
-        .zip(get("kernel_k"))
-        .and_then(|(nv, k)| Some((nv.parse::<usize>().ok()?, k.parse::<usize>().ok()?)));
-    match shape {
-        Some((nv, k)) => {
-            let l2_kb = xg_linalg::l2_cache_kb();
-            let predicted = xg_costmodel::predicted_kernel(
-                machine,
-                nv,
-                k,
-                l2_kb,
-                &xg_linalg::SimdLevel::ALL,
-            );
-            let agree = chosen.parse::<xg_costmodel::KernelChoice>() == Ok(predicted);
-            println!(
-                "collision kernel (nv={nv}, k={k}): chosen {chosen} (measured on capture \
-                 host{}), predicted {predicted} on {} (L2 {l2_kb} KB){}",
-                get("simd_level").map(|l| format!(", probe {l}")).unwrap_or_default(),
-                machine.name,
-                if agree { " — agree" } else { "" }
-            );
-        }
-        None => println!("collision kernel: chosen {chosen} (trace has no shape metadata)"),
-    }
+    let kernel = get("kernel")?;
+    Some(format!(
+        "collision kernel: {kernel} (measured on the capture host{})",
+        get("simd_level").map(|l| format!(", probe {l}")).unwrap_or_default()
+    ))
 }
 
 /// Report the decomposition the run actually used, from the trace's
@@ -294,5 +277,50 @@ fn report_decomp_meta(text: &str, machine: &MachineModel) {
                 machine.name
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_trace_with_the_old_kernel_header_still_replays() {
+        // Header lines as `xgyro --trace` wrote them while the tuner also
+        // picked a row-tile height.
+        let rec = xg_comm::OpRecord {
+            op: xg_comm::OpKind::AllReduce,
+            comm_label: "nv".into(),
+            phase: "str".into(),
+            participants: 2,
+            members: vec![0, 1],
+            bytes: 128,
+            elapsed_us: 3,
+        };
+        let text = xg_comm::traces_to_csv_with_meta(
+            &[vec![rec.clone()], vec![rec]],
+            &[("kernel", "avx512/t128"), ("kernel_nv", "144"), ("kernel_k", "4")],
+        );
+        assert_eq!(
+            kernel_report(&text).as_deref(),
+            Some("collision kernel: avx512/t128 (measured on the capture host)")
+        );
+        let traces = xg_comm::traces_from_csv(&text).unwrap();
+        let machine = MachineModel::frontier_like();
+        let placement = Placement { ranks_per_node: machine.ranks_per_node };
+        assert!(xg_cluster::replay(&traces, &machine, placement, |_, _| 0.0).is_ok());
+    }
+
+    #[test]
+    fn the_level_label_and_probe_are_reported() {
+        let text = xg_comm::traces_to_csv_with_meta(
+            &[],
+            &[("kernel", "avx2"), ("simd_level", "avx512")],
+        );
+        assert_eq!(
+            kernel_report(&text).as_deref(),
+            Some("collision kernel: avx2 (measured on the capture host, probe avx512)")
+        );
+        assert_eq!(kernel_report(&xg_comm::traces_to_csv_with_meta(&[], &[])), None);
     }
 }

@@ -164,15 +164,13 @@ fn main() {
         cfg.k() * cfg.grid().n1 * cfg.grid().n2
     );
     if let Some(path) = &args.trace {
-        // Stamp the trace with the autotuned collision kernel (the cached
-        // choice the topologies resolved at build time) and its shape, so
-        // xgreplay/xgplan can report predicted-vs-chosen offline.
+        // Stamp the trace with the tuned collision-kernel level (the cached
+        // choice the topologies resolved at build time) and the process's
+        // level cap, so xgreplay can report them offline.
         let dims = cfg.members()[0].dims();
-        let kernel = xg_costmodel::tune_collision_kernel(dims.nv, cfg.k());
+        let kernel = xg_linalg::tuned_level(dims.nv, cfg.k());
         let meta_owned = [
             ("kernel", kernel.to_string()),
-            ("kernel_nv", dims.nv.to_string()),
-            ("kernel_k", cfg.k().to_string()),
             ("simd_level", xg_linalg::selected_level().to_string()),
             ("decomp", decomp.label(dims.nc)),
             ("decomp_nc", dims.nc.to_string()),

@@ -21,7 +21,6 @@ pub mod compute;
 pub mod machine;
 pub mod machinefile;
 pub mod memory;
-pub mod tuner;
 
 pub use account::{critical_path, op_time, trace_breakdown, PhaseBreakdown};
 pub use cache::cache_adjusted_etts;
@@ -33,7 +32,3 @@ pub use compute::{matvec_stack, real_complex_matvec, streaming_update, KernelCos
 pub use machine::{MachineModel, Placement};
 pub use machinefile::{parse_machine, preset, MachineFileError, PRESET_NAMES};
 pub use memory::{cmat_saved_bytes, cmat_total_bytes};
-pub use tuner::{
-    candidate_kernels, candidate_tile_rows, measure_kernel_ns, predicted_kernel,
-    predicted_kernel_time, tune_collision_kernel, tune_kernel_with, KernelChoice,
-};

@@ -120,14 +120,13 @@ pub fn matvec_complex_flat(
 /// RHS-major (`x[r*n..(r+1)*n]` is right-hand side `r`).
 ///
 /// This is the ensemble collision kernel: k members share one `cmat`
-/// panel, so each panel row tile is loaded once and reused across all
-/// right-hand sides. Dispatches to the process-selected SIMD micro-kernel
-/// ([`crate::simd::selected_level`], overridable via `XGYRO_SIMD`) with
-/// the default L2-derived row-tile height. Per (row, rhs) the accumulation
-/// is one FMA accumulator pair over ascending `j` — exactly the sequence
-/// [`matvec_complex_flat`] performs — so results are bitwise identical to
-/// applying the naive kernel per column, independent of `nrhs`, the
-/// kernel level and the tiling.
+/// panel, so each panel row is loaded once and reused across all
+/// right-hand sides. Dispatches to the level the collision step runs at
+/// this shape ([`crate::simd::tuned_level`], capped by `XGYRO_SIMD`). Per
+/// (row, rhs) the accumulation is one FMA accumulator pair over ascending
+/// `j` — exactly the sequence [`matvec_complex_flat`] performs — so
+/// results are bitwise identical to applying the naive kernel per column,
+/// independent of `nrhs` and the kernel level.
 ///
 /// Slice-length preconditions are debug-asserted with messages naming this
 /// function, so mis-sized blocks fail loudly at the call boundary.
@@ -135,15 +134,7 @@ pub fn apply_panel_multi(a: &[f64], n: usize, x: &[Complex64], y: &mut [Complex6
     debug_assert_eq!(a.len(), n * n, "apply_panel_multi: a.len() must be n*n");
     debug_assert_eq!(x.len(), n * nrhs, "apply_panel_multi: x.len() must be n*nrhs");
     debug_assert_eq!(y.len(), n * nrhs, "apply_panel_multi: y.len() must be n*nrhs");
-    crate::simd::apply_panel_multi_with(
-        crate::simd::selected_level(),
-        a,
-        n,
-        x,
-        y,
-        nrhs,
-        crate::simd::default_tile_rows(n, crate::simd::l2_cache_kb()),
-    );
+    crate::simd::apply_panel_multi_with(crate::simd::tuned_level(n, nrhs), a, n, x, y, nrhs);
 }
 
 /// Number of floating-point operations for one real×complex matvec of size

@@ -33,6 +33,6 @@ pub use gemm::{
 pub use lu::{LuFactors, SingularMatrix};
 pub use matrix::RealMatrix;
 pub use simd::{
-    apply_panel_multi_with, available_levels, default_tile_rows, detected_level, l2_cache_kb,
-    selected_level, SimdLevel, SIMD_ENV,
+    apply_panel_multi_with, available_levels, detected_level, select_level_with, selected_level,
+    tuned_level, SimdLevel, SIMD_ENV, WIDER_LEVEL_MARGIN,
 };

@@ -1,12 +1,13 @@
-//! SIMD micro-kernels and the runtime capability probe for the collision
-//! panel apply.
+//! SIMD micro-kernels, the runtime capability probe and the per-shape
+//! level tuner for the collision panel apply.
 //!
 //! The collision step is a stream of real-panel × complex-multi-RHS
 //! products. This module provides three interchangeable micro-kernels —
-//! portable scalar, AVX2/FMA (f64x4) and AVX-512F (f64x8) — selected once
-//! per process by a runtime CPUID probe (overridable via
-//! [`SIMD_ENV`] = `XGYRO_SIMD={auto,avx512,avx2,scalar}`), plus the
-//! L2-cache budget detection that sizes panel row tiles.
+//! portable scalar, AVX2/FMA (f64x4) and AVX-512F (f64x8). A runtime CPUID
+//! probe caps the usable levels once per process (overridable via
+//! [`SIMD_ENV`] = `XGYRO_SIMD={auto,avx512,avx2,scalar}`), and
+//! [`tuned_level`] times the usable levels at each `(n, nrhs)` shape and
+//! keeps the narrowest one that no wider level clearly beats.
 //!
 //! # Bitwise determinism contract
 //!
@@ -22,16 +23,17 @@
 //! independent `(rhs, component)` accumulator), never across `j`, so the
 //! per-lane operation sequence is exactly the scalar one. Since
 //! [`f64::mul_add`] and the x86 `vfmadd` instructions are both
-//! correctly-rounded IEEE 754 fused multiply-adds, all kernels — and any
-//! row tiling of them — produce bitwise-identical results. The test suite
-//! and the CI `kernel-matrix` job enforce this.
+//! correctly-rounded IEEE 754 fused multiply-adds, all kernels produce
+//! bitwise-identical results, so the tuner changes wall time only. The
+//! test suite and the CI `kernel-matrix` job enforce this.
 
 use crate::complex::Complex64;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 use std::str::FromStr;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// Environment variable selecting the SIMD micro-kernel
 /// (`auto`/`avx512`/`avx2`/`scalar`; default `auto`). Requests above the
@@ -153,70 +155,12 @@ pub fn selected_level() -> SimdLevel {
     })
 }
 
-/// Levels usable in this process, narrowest first — the autotuner's
+/// Levels usable in this process, narrowest first — [`tuned_level`]'s
 /// candidate set. Respects both the hardware probe and a [`SIMD_ENV`] cap
 /// (under `XGYRO_SIMD=scalar` only the scalar kernel is a candidate).
 pub fn available_levels() -> Vec<SimdLevel> {
     let top = selected_level();
     SimdLevel::ALL.iter().copied().filter(|l| *l <= top).collect()
-}
-
-/// Parse a sysfs cache-size string (`"2048K"`, `"1M"`, plain bytes) to KiB.
-fn parse_cache_size_kb(s: &str) -> Option<usize> {
-    let t = s.trim();
-    if let Some(v) = t.strip_suffix(['K', 'k']) {
-        v.parse::<usize>().ok()
-    } else if let Some(v) = t.strip_suffix(['M', 'm']) {
-        v.parse::<usize>().ok().map(|m| m * 1024)
-    } else {
-        t.parse::<usize>().ok().map(|b| b / 1024)
-    }
-}
-
-/// Fallback L2 size when the platform exposes nothing.
-const DEFAULT_L2_KB: usize = 512;
-
-/// Detect the per-core L2 cache size in KiB from sysfs (`index2` is the
-/// unified L2 on every Linux x86 layout); falls back to
-/// [`DEFAULT_L2_KB`] KiB.
-pub fn detect_l2_kb() -> usize {
-    for idx in ["index2", "index1"] {
-        let path = format!("/sys/devices/system/cpu/cpu0/cache/{idx}/size");
-        let level_path = format!("/sys/devices/system/cpu/cpu0/cache/{idx}/level");
-        let is_l2 = std::fs::read_to_string(&level_path)
-            .map(|l| l.trim() == "2")
-            .unwrap_or(false);
-        if !is_l2 {
-            continue;
-        }
-        if let Some(kb) = std::fs::read_to_string(&path).ok().and_then(|s| parse_cache_size_kb(&s))
-        {
-            if kb > 0 {
-                return kb;
-            }
-        }
-    }
-    DEFAULT_L2_KB
-}
-
-/// The L2 budget (KiB) that sizes panel row tiles: the sysfs probe,
-/// computed once per process.
-pub fn l2_cache_kb() -> usize {
-    static KB: OnceLock<usize> = OnceLock::new();
-    *KB.get_or_init(detect_l2_kb)
-}
-
-/// Default row-tile height for an `n×n` panel under an `l2_kb` KiB budget:
-/// half the L2 holds the resident panel tile (`tile_rows · n · 8` bytes),
-/// leaving the rest for the streamed RHS block and outputs. Tiling changes
-/// only which rows a kernel invocation covers, never the per-(row, rhs)
-/// accumulation order, so any tile height is bitwise-neutral.
-pub fn default_tile_rows(n: usize, l2_kb: usize) -> usize {
-    if n == 0 {
-        return 1;
-    }
-    let budget_bytes = l2_kb * 1024 / 2;
-    (budget_bytes / (n * 8)).clamp(8.min(n), n)
 }
 
 thread_local! {
@@ -252,17 +196,10 @@ fn pack_rhs(x: &[Complex64], n: usize, nrhs: usize, xp: &mut Vec<f64>) {
 /// bit-identical to the software fallback.
 ///
 /// # Safety
-/// `y` must be valid for `n·nrhs` elements; `rows` must lie in `0..=n`.
+/// `y` must be valid for `n·nrhs` elements.
 #[allow(clippy::missing_safety_doc)]
 #[inline(always)]
-unsafe fn rows_scalar_body(
-    a: &[f64],
-    n: usize,
-    x: &[Complex64],
-    y: *mut Complex64,
-    nrhs: usize,
-    rows: Range<usize>,
-) {
+unsafe fn scalar_body(a: &[f64], n: usize, x: &[Complex64], y: *mut Complex64, nrhs: usize) {
     let mut r = 0usize;
     while r + 4 <= nrhs {
         let (x0, x1, x2, x3) = (
@@ -271,7 +208,7 @@ unsafe fn rows_scalar_body(
             &x[(r + 2) * n..(r + 3) * n],
             &x[(r + 3) * n..(r + 4) * n],
         );
-        for i in rows.clone() {
+        for i in 0..n {
             let row = &a[i * n..(i + 1) * n];
             let (mut re0, mut im0) = (0.0f64, 0.0f64);
             let (mut re1, mut im1) = (0.0f64, 0.0f64);
@@ -297,7 +234,7 @@ unsafe fn rows_scalar_body(
     }
     if r + 2 <= nrhs {
         let (x0, x1) = (&x[r * n..(r + 1) * n], &x[(r + 1) * n..(r + 2) * n]);
-        for i in rows.clone() {
+        for i in 0..n {
             let row = &a[i * n..(i + 1) * n];
             let (mut re0, mut im0) = (0.0f64, 0.0f64);
             let (mut re1, mut im1) = (0.0f64, 0.0f64);
@@ -315,7 +252,7 @@ unsafe fn rows_scalar_body(
     }
     if r < nrhs {
         let x0 = &x[r * n..(r + 1) * n];
-        for i in rows.clone() {
+        for i in 0..n {
             let row = &a[i * n..(i + 1) * n];
             let (mut re, mut im) = (0.0f64, 0.0f64);
             for j in 0..n {
@@ -328,34 +265,22 @@ unsafe fn rows_scalar_body(
     }
 }
 
+/// # Safety
+/// The CPU must support FMA; `y` must be valid for `n·nrhs` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-unsafe fn rows_scalar_fma(
-    a: &[f64],
-    n: usize,
-    x: &[Complex64],
-    y: *mut Complex64,
-    nrhs: usize,
-    rows: Range<usize>,
-) {
-    rows_scalar_body(a, n, x, y, nrhs, rows)
+unsafe fn scalar_fma(a: &[f64], n: usize, x: &[Complex64], y: *mut Complex64, nrhs: usize) {
+    scalar_body(a, n, x, y, nrhs)
 }
 
 /// # Safety
-/// `y` must be valid for `n·nrhs` elements; `rows` must lie in `0..=n`.
-unsafe fn rows_scalar(
-    a: &[f64],
-    n: usize,
-    x: &[Complex64],
-    y: *mut Complex64,
-    nrhs: usize,
-    rows: Range<usize>,
-) {
+/// `y` must be valid for `n·nrhs` elements.
+unsafe fn panel_scalar(a: &[f64], n: usize, x: &[Complex64], y: *mut Complex64, nrhs: usize) {
     #[cfg(target_arch = "x86_64")]
     if hw_fma() {
-        return rows_scalar_fma(a, n, x, y, nrhs, rows);
+        return scalar_fma(a, n, x, y, nrhs);
     }
-    rows_scalar_body(a, n, x, y, nrhs, rows)
+    scalar_body(a, n, x, y, nrhs)
 }
 
 // ---------------------------------------------------------------------------
@@ -366,7 +291,6 @@ unsafe fn rows_scalar(
 mod x86 {
     use super::Complex64;
     use std::arch::x86_64::*;
-    use std::ops::Range;
 
     /// Store one ymm of 2 complex accumulators to `y[(r..r+2)·n + i]`.
     #[inline(always)]
@@ -378,18 +302,14 @@ mod x86 {
     }
 
     /// 2-RHS remainder (one ymm accumulator per row) at lane column `c = 2r`.
+    ///
+    /// # Safety
+    /// Called from a `target_feature` kernel with AVX2+FMA; `xp` has width
+    /// `w ≥ 2r + 4`; `y` valid for `n·nrhs`.
     #[inline(always)]
-    unsafe fn tail2(
-        a: &[f64],
-        n: usize,
-        xp: &[f64],
-        w: usize,
-        y: *mut Complex64,
-        r: usize,
-        rows: Range<usize>,
-    ) {
+    unsafe fn tail2(a: &[f64], n: usize, xp: &[f64], w: usize, y: *mut Complex64, r: usize) {
         let c = 2 * r;
-        for i in rows {
+        for i in 0..n {
             let row = a.as_ptr().add(i * n);
             let mut acc = _mm256_setzero_pd();
             for j in 0..n {
@@ -401,18 +321,14 @@ mod x86 {
     }
 
     /// 1-RHS remainder (one xmm accumulator per row) at lane column `c = 2r`.
+    ///
+    /// # Safety
+    /// Called from a `target_feature` kernel with FMA; `xp` has width
+    /// `w ≥ 2r + 2`; `y` valid for `n·nrhs`.
     #[inline(always)]
-    unsafe fn tail1(
-        a: &[f64],
-        n: usize,
-        xp: &[f64],
-        w: usize,
-        y: *mut Complex64,
-        r: usize,
-        rows: Range<usize>,
-    ) {
+    unsafe fn tail1(a: &[f64], n: usize, xp: &[f64], w: usize, y: *mut Complex64, r: usize) {
         let c = 2 * r;
-        for i in rows {
+        for i in 0..n {
             let row = a.as_ptr().add(i * n);
             let mut acc = _mm_setzero_pd();
             for j in 0..n {
@@ -430,22 +346,21 @@ mod x86 {
     ///
     /// # Safety
     /// Caller must ensure AVX2+FMA; `xp` is the packed block of width
-    /// `w = 2·nrhs`; `y` valid for `n·nrhs`; `rows ⊆ 0..n`.
+    /// `w = 2·nrhs`; `y` valid for `n·nrhs`.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn rows_avx2(
+    pub(super) unsafe fn panel_avx2(
         a: &[f64],
         n: usize,
         xp: &[f64],
         y: *mut Complex64,
         nrhs: usize,
-        rows: Range<usize>,
     ) {
         let w = 2 * nrhs;
         let mut r = 0usize;
         while r + 4 <= nrhs {
             let c = 2 * r;
-            let mut i = rows.start;
-            while i + 2 <= rows.end {
+            let mut i = 0usize;
+            while i + 2 <= n {
                 let row0 = a.as_ptr().add(i * n);
                 let row1 = a.as_ptr().add((i + 1) * n);
                 let mut acc00 = _mm256_setzero_pd();
@@ -468,7 +383,7 @@ mod x86 {
                 store2(y, n, r + 2, i + 1, acc11);
                 i += 2;
             }
-            if i < rows.end {
+            if i < n {
                 let row0 = a.as_ptr().add(i * n);
                 let mut acc0 = _mm256_setzero_pd();
                 let mut acc1 = _mm256_setzero_pd();
@@ -484,11 +399,11 @@ mod x86 {
             r += 4;
         }
         if r + 2 <= nrhs {
-            tail2(a, n, xp, w, y, r, rows.clone());
+            tail2(a, n, xp, w, y, r);
             r += 2;
         }
         if r < nrhs {
-            tail1(a, n, xp, w, y, r, rows);
+            tail1(a, n, xp, w, y, r);
         }
     }
 
@@ -497,22 +412,21 @@ mod x86 {
     ///
     /// # Safety
     /// Caller must ensure AVX-512F (+AVX2/FMA for the tails); same
-    /// contracts as [`rows_avx2`].
+    /// contracts as [`panel_avx2`].
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) unsafe fn rows_avx512(
+    pub(super) unsafe fn panel_avx512(
         a: &[f64],
         n: usize,
         xp: &[f64],
         y: *mut Complex64,
         nrhs: usize,
-        rows: Range<usize>,
     ) {
         let w = 2 * nrhs;
         let mut r = 0usize;
         while r + 8 <= nrhs {
             let c = 2 * r;
-            let mut i = rows.start;
-            while i + 2 <= rows.end {
+            let mut i = 0usize;
+            while i + 2 <= n {
                 let row0 = a.as_ptr().add(i * n);
                 let row1 = a.as_ptr().add((i + 1) * n);
                 let mut acc00 = _mm512_setzero_pd();
@@ -533,7 +447,7 @@ mod x86 {
                 store8(y, n, r, i + 1, acc10, acc11);
                 i += 2;
             }
-            if i < rows.end {
+            if i < n {
                 let row0 = a.as_ptr().add(i * n);
                 let mut acc0 = _mm512_setzero_pd();
                 let mut acc1 = _mm512_setzero_pd();
@@ -549,7 +463,7 @@ mod x86 {
         }
         if r + 4 <= nrhs {
             let c = 2 * r;
-            for i in rows.clone() {
+            for i in 0..n {
                 let row = a.as_ptr().add(i * n);
                 let mut acc = _mm512_setzero_pd();
                 for j in 0..n {
@@ -565,11 +479,11 @@ mod x86 {
             r += 4;
         }
         if r + 2 <= nrhs {
-            tail2(a, n, xp, w, y, r, rows.clone());
+            tail2(a, n, xp, w, y, r);
             r += 2;
         }
         if r < nrhs {
-            tail1(a, n, xp, w, y, r, rows);
+            tail1(a, n, xp, w, y, r);
         }
     }
 
@@ -597,14 +511,12 @@ fn effective(level: SimdLevel) -> SimdLevel {
     level.min(detected_level())
 }
 
-/// Full panel apply with an explicit kernel level and row-tile height:
-/// `Y = A·X` over row tiles of height `tile_rows`, each tile streamed
-/// through all `nrhs` right-hand sides while L2-resident. The RHS block is
-/// packed once per call (not once per tile).
+/// Full panel apply with an explicit kernel level: `Y = A·X` over the
+/// whole panel in one call, the RHS block packed once.
 ///
 /// Bitwise identical to [`crate::gemm::apply_panel_multi`] (and to the
-/// per-column naive kernel) for every `(level, tile_rows)` — the autotuner
-/// may pick any candidate without perturbing trajectories.
+/// per-column naive kernel) at every level — the tuner may pick any level
+/// without perturbing trajectories.
 pub fn apply_panel_multi_with(
     level: SimdLevel,
     a: &[f64],
@@ -612,7 +524,6 @@ pub fn apply_panel_multi_with(
     x: &[Complex64],
     y: &mut [Complex64],
     nrhs: usize,
-    tile_rows: usize,
 ) {
     debug_assert_eq!(a.len(), n * n, "apply_panel_multi: a.len() must be n*n");
     debug_assert_eq!(x.len(), n * nrhs, "apply_panel_multi: x.len() must be n*nrhs");
@@ -620,41 +531,118 @@ pub fn apply_panel_multi_with(
     if nrhs == 0 || n == 0 {
         return;
     }
-    let tile = tile_rows.max(1);
     let yp = y.as_mut_ptr();
     let level = effective(level);
     match level {
-        SimdLevel::Scalar => {
-            let mut i0 = 0usize;
-            while i0 < n {
-                let i1 = (i0 + tile).min(n);
-                // SAFETY: y is a live &mut of n·nrhs elements; tiles are
-                // sequential and disjoint.
-                unsafe { rows_scalar(a, n, x, yp, nrhs, i0..i1) };
-                i0 = i1;
-            }
-        }
+        // SAFETY: y is a live &mut of n·nrhs elements.
+        SimdLevel::Scalar => unsafe { panel_scalar(a, n, x, yp, nrhs) },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 | SimdLevel::Avx512 => PACK_SCRATCH.with(|s| {
             let xp = &mut *s.borrow_mut();
             pack_rhs(x, n, nrhs, xp);
-            let mut i0 = 0usize;
-            while i0 < n {
-                let i1 = (i0 + tile).min(n);
-                // SAFETY: level ≤ detected_level() guarantees the ISA; y is
-                // a live &mut; tiles are sequential and disjoint.
-                unsafe {
-                    match level {
-                        SimdLevel::Avx2 => x86::rows_avx2(a, n, xp, yp, nrhs, i0..i1),
-                        _ => x86::rows_avx512(a, n, xp, yp, nrhs, i0..i1),
-                    }
+            // SAFETY: level ≤ detected_level() guarantees the ISA; y is a
+            // live &mut of n·nrhs elements.
+            unsafe {
+                match level {
+                    SimdLevel::Avx2 => x86::panel_avx2(a, n, xp, yp, nrhs),
+                    _ => x86::panel_avx512(a, n, xp, yp, nrhs),
                 }
-                i0 = i1;
             }
         }),
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("effective() clamps to Scalar off x86_64"),
     }
+}
+
+// ---------------------------------------------------------------------------
+// Per-shape level tuner.
+// ---------------------------------------------------------------------------
+
+/// How much faster (as a fraction of the incumbent's time) a wider level
+/// must measure to replace a narrower one. Below it the two are tied
+/// within timing noise, and a tie keeps the narrower level, so repeated
+/// tunes of one shape agree.
+pub const WIDER_LEVEL_MARGIN: f64 = 0.05;
+
+/// Pick a level from `levels` (narrowest first) under a cost oracle: the
+/// first level is the incumbent, and each wider one replaces it only if it
+/// costs less than `1 − WIDER_LEVEL_MARGIN` of the incumbent's cost. Pure
+/// and deterministic for a fixed oracle. Panics on an empty list.
+pub fn select_level_with<F>(levels: &[SimdLevel], mut cost: F) -> SimdLevel
+where
+    F: FnMut(SimdLevel) -> f64,
+{
+    let (&first, wider) = levels.split_first().expect("select_level_with: no levels");
+    let mut best = (first, cost(first));
+    for &level in wider {
+        let t = cost(level);
+        if t < (1.0 - WIDER_LEVEL_MARGIN) * best.1 {
+            best = (level, t);
+        }
+    }
+    best.0
+}
+
+/// Deterministically-filled synthetic panel and RHS block of the tuned
+/// shape (the values are irrelevant to timing; they only have to be
+/// finite and dense).
+fn synthetic_problem(n: usize, nrhs: usize) -> (Vec<f64>, Vec<Complex64>) {
+    let a: Vec<f64> = (0..n * n).map(|i| ((i % 251) as f64) * 0.004 - 0.5).collect();
+    let x: Vec<Complex64> = (0..n * nrhs)
+        .map(|i| Complex64::new(((i % 127) as f64) * 0.01, ((i % 63) as f64) * -0.02))
+        .collect();
+    (a, x)
+}
+
+type TuneKey = (usize, usize, SimdLevel);
+
+fn tune_cache() -> &'static Mutex<HashMap<TuneKey, SimdLevel>> {
+    static CACHE: OnceLock<Mutex<HashMap<TuneKey, SimdLevel>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// Shapes swept so far, in order (tests count how often a key was tuned).
+#[cfg(test)]
+static SWEPT: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+
+/// The measured kernel level for the collision apply of shape
+/// `(n, nrhs)`: every [`available_levels`] candidate gets one warm-up,
+/// then the best of a few timed [`apply_panel_multi_with`] calls on a
+/// synthetic panel, and [`select_level_with`] picks among them. The timed
+/// calls go round-robin over the candidates, so a slow stretch of the host
+/// lands on every level instead of on whichever was being timed. Cached
+/// per process by shape and [`selected_level`]. Called at topology build
+/// by every rank thread of a world at once, so the cache guard is held
+/// across lookup → sweep → insert: one rank measures on an otherwise idle
+/// host and the rest (which have nothing else to do) read its answer.
+pub fn tuned_level(n: usize, nrhs: usize) -> SimdLevel {
+    let mut cache = tune_cache().lock().expect("a kernel sweep panicked holding the tuner cache");
+    *cache.entry((n, nrhs, selected_level())).or_insert_with(|| {
+        #[cfg(test)]
+        SWEPT.lock().unwrap().push((n, nrhs));
+        // Repetitions sized so tiny shapes get stable timings while big
+        // production panels stay a one-shot (~flops-bounded) measurement.
+        let work = 4u64 * (n as u64) * (n as u64) * (nrhs.max(1) as u64);
+        let reps = (2_000_000 / work.max(1)).clamp(1, 16);
+        let (a, x) = synthetic_problem(n, nrhs);
+        let mut y = vec![Complex64::ZERO; n * nrhs];
+        let levels = available_levels();
+        for &level in &levels {
+            apply_panel_multi_with(level, &a, n, &x, &mut y, nrhs);
+        }
+        let mut best_ns = vec![f64::INFINITY; levels.len()];
+        for _ in 0..reps {
+            for (&level, best) in levels.iter().zip(&mut best_ns) {
+                let t0 = Instant::now();
+                apply_panel_multi_with(level, &a, n, &x, &mut y, nrhs);
+                *best = best.min(t0.elapsed().as_nanos() as f64);
+            }
+        }
+        std::hint::black_box(&y);
+        select_level_with(&levels, |level| {
+            best_ns[levels.iter().position(|&l| l == level).expect("a candidate level")]
+        })
+    })
 }
 
 #[cfg(test)]
@@ -691,29 +679,65 @@ mod tests {
     }
 
     #[test]
-    fn cache_size_parser_handles_sysfs_forms() {
-        assert_eq!(parse_cache_size_kb("2048K"), Some(2048));
-        assert_eq!(parse_cache_size_kb("1M\n"), Some(1024));
-        assert_eq!(parse_cache_size_kb("524288"), Some(512));
-        assert_eq!(parse_cache_size_kb("bogus"), None);
+    fn ties_keep_the_narrowest_level() {
+        assert_eq!(select_level_with(&SimdLevel::ALL, |_| 1.0), SimdLevel::Scalar);
+        assert_eq!(select_level_with(&[SimdLevel::Avx2, SimdLevel::Avx512], |_| 7.0), SimdLevel::Avx2);
     }
 
     #[test]
-    fn tile_rows_respect_budget_and_bounds() {
-        // 512 KiB budget / 2 → 256 KiB panel tile; n=256 rows of 2 KiB → 128.
-        assert_eq!(default_tile_rows(256, 512), 128);
-        // Tiny panels: never below min(8, n), never above n.
-        assert_eq!(default_tile_rows(4, 512), 4);
-        assert!(default_tile_rows(4096, 512) >= 8);
-        assert_eq!(default_tile_rows(0, 512), 1);
+    fn a_wider_level_must_win_by_more_than_the_margin() {
+        let costs = |avx2: f64, avx512: f64| {
+            move |l: SimdLevel| match l {
+                SimdLevel::Scalar => 1.0,
+                SimdLevel::Avx2 => avx2,
+                SimdLevel::Avx512 => avx512,
+            }
+        };
+        // 4 % faster is inside the margin, 6 % faster is not.
+        assert_eq!(select_level_with(&SimdLevel::ALL, costs(0.96, 1.0)), SimdLevel::Scalar);
+        assert_eq!(select_level_with(&SimdLevel::ALL, costs(0.94, 1.0)), SimdLevel::Avx2);
+        // The widest level is judged against the incumbent, not the first.
+        assert_eq!(select_level_with(&SimdLevel::ALL, costs(0.60, 0.58)), SimdLevel::Avx2);
+        assert_eq!(select_level_with(&SimdLevel::ALL, costs(0.60, 0.50)), SimdLevel::Avx512);
+        assert_eq!(select_level_with(&SimdLevel::ALL, costs(0.99, 0.94)), SimdLevel::Avx512);
+    }
+
+    #[test]
+    fn measured_tuning_is_cached_and_valid() {
+        let a = tuned_level(24, 3);
+        let b = tuned_level(24, 3);
+        assert_eq!(a, b, "cache must return the stored choice");
+        assert!(available_levels().contains(&a));
+    }
+
+    #[test]
+    fn concurrent_ranks_tune_a_shape_once_and_agree() {
+        // The 8 rank threads of a world reach the tuner together; (160, 6)
+        // is a key no other test uses.
+        let gate = std::sync::Barrier::new(8);
+        let choices: Vec<SimdLevel> = std::thread::scope(|s| {
+            let ranks: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        tuned_level(160, 6)
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let sweeps = SWEPT.lock().unwrap().iter().filter(|&&key| key == (160, 6)).count();
+        assert_eq!(sweeps, 1, "one rank measures, the rest read its answer");
+        assert!(choices.iter().all(|c| *c == choices[0]), "ranks disagree: {choices:?}");
     }
 
     #[test]
     fn every_available_level_is_bitwise_equal_to_naive() {
         // Shapes straddling every lane-width remainder (1..9 RHS covers the
-        // 8/4/2/1 AVX-512 tails and the 4/2/1 AVX2 tails) and odd n.
+        // 8/4/2/1 AVX-512 tails and the 4/2/1 AVX2 tails), odd n, and the
+        // benchmark decks' nv (8, 48, 144).
         for &nrhs in &[1usize, 2, 3, 4, 5, 6, 7, 8, 9, 11] {
-            for &n in &[1usize, 2, 5, 16, 33] {
+            for &n in &[1usize, 2, 5, 8, 16, 33, 48, 144] {
                 let a = panel(n);
                 let x = rhs(n, nrhs);
                 let mut want = vec![Complex64::ZERO; n * nrhs];
@@ -727,17 +751,15 @@ mod tests {
                     );
                 }
                 for level in available_levels() {
-                    for tile in [1usize, 3, 8, n.max(1)] {
-                        let mut y = vec![Complex64::ZERO; n * nrhs];
-                        apply_panel_multi_with(level, &a, n, &x, &mut y, nrhs, tile);
-                        for (got, exp) in y.iter().zip(&want) {
-                            assert_eq!(
-                                got.re.to_bits(),
-                                exp.re.to_bits(),
-                                "level {level} tile {tile} n {n} nrhs {nrhs}"
-                            );
-                            assert_eq!(got.im.to_bits(), exp.im.to_bits());
-                        }
+                    let mut y = vec![Complex64::ZERO; n * nrhs];
+                    apply_panel_multi_with(level, &a, n, &x, &mut y, nrhs);
+                    for (got, exp) in y.iter().zip(&want) {
+                        assert_eq!(
+                            got.re.to_bits(),
+                            exp.re.to_bits(),
+                            "level {level} n {n} nrhs {nrhs}"
+                        );
+                        assert_eq!(got.im.to_bits(), exp.im.to_bits());
                     }
                 }
             }
@@ -747,9 +769,9 @@ mod tests {
     #[test]
     fn zero_shapes_are_noops() {
         for level in available_levels() {
-            apply_panel_multi_with(level, &[], 0, &[], &mut [], 0, 8);
+            apply_panel_multi_with(level, &[], 0, &[], &mut [], 0);
             let a = panel(3);
-            apply_panel_multi_with(level, &a, 3, &[], &mut [], 0, 8);
+            apply_panel_multi_with(level, &a, 3, &[], &mut [], 0);
         }
     }
 }

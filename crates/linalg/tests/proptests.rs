@@ -2,9 +2,22 @@
 
 use proptest::prelude::*;
 use xg_linalg::{
-    apply_panel_multi, matmul, matvec, matvec_complex, matvec_complex_flat, Complex64, LuFactors,
-    RealMatrix,
+    apply_panel_multi, apply_panel_multi_with, available_levels, matmul, matvec, matvec_complex,
+    matvec_complex_flat, select_level_with, Complex64, LuFactors, RealMatrix, SimdLevel,
+    WIDER_LEVEL_MARGIN,
 };
+
+/// A deterministic synthetic cost oracle derived from a seed: stands in
+/// for wall-clock measurement so determinism is a property of the level
+/// selection, not of timer noise.
+fn oracle(seed: u64) -> impl Fn(SimdLevel) -> f64 {
+    move |level: SimdLevel| {
+        let mut h = seed ^ 0x9e3779b97f4a7c15;
+        h ^= (level.lanes() as u64).wrapping_mul(0xff51afd7ed558ccd);
+        h = h.rotate_left(31).wrapping_mul(0xc4ceb9fe1a85ec53);
+        (h % 10_000) as f64
+    }
+}
 
 /// Strategy: a well-conditioned (diagonally dominant) n×n matrix.
 fn dominant_matrix(n: usize) -> impl Strategy<Value = RealMatrix> {
@@ -171,6 +184,50 @@ proptest! {
             for i in 0..n {
                 prop_assert_eq!(y[r * n + i].re.to_bits(), yr[i].re.to_bits());
                 prop_assert_eq!(y[r * n + i].im.to_bits(), yr[i].im.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn level_choice_is_deterministic_for_a_fixed_oracle(
+        seed in 0u64..u64::MAX,
+        top in 0usize..3,
+    ) {
+        let levels = &SimdLevel::ALL[..=top];
+        let f = oracle(seed);
+        let a = select_level_with(levels, &f);
+        prop_assert_eq!(a, select_level_with(levels, &f));
+        prop_assert!(levels.contains(&a));
+        // No wider level beats the winner by more than the margin.
+        for &wider in levels.iter().filter(|&&l| l > a) {
+            prop_assert!(f(wider) >= (1.0 - WIDER_LEVEL_MARGIN) * f(a));
+        }
+    }
+
+    #[test]
+    fn every_candidate_kernel_is_bitwise_equal_on_random_shapes(
+        // Deliberately *not* lane-width multiples: nv and nrhs sweep odd
+        // sizes so the 8/4/2/1-wide remainder paths all run.
+        nv in 1usize..40,
+        nrhs in 1usize..11,
+        seed_panel in prop::collection::vec(-2.0f64..2.0, 1600),
+        x_raw in cvector(440),
+    ) {
+        let a: Vec<f64> = seed_panel.iter().copied().cycle().take(nv * nv).collect();
+        let x: Vec<Complex64> = x_raw.iter().copied().cycle().take(nv * nrhs).collect();
+
+        let mut want = vec![Complex64::ZERO; nv * nrhs];
+        apply_panel_multi_with(SimdLevel::Scalar, &a, nv, &x, &mut want, nrhs);
+
+        for level in available_levels() {
+            let mut y = vec![Complex64::ZERO; nv * nrhs];
+            apply_panel_multi_with(level, &a, nv, &x, &mut y, nrhs);
+            for (i, (got, exp)) in y.iter().zip(&want).enumerate() {
+                prop_assert_eq!(
+                    got.re.to_bits(), exp.re.to_bits(),
+                    "re mismatch at {} for {} (nv={}, nrhs={})", i, level, nv, nrhs
+                );
+                prop_assert_eq!(got.im.to_bits(), exp.im.to_bits());
             }
         }
     }

@@ -188,13 +188,13 @@ pub fn to_prometheus(reg: &Registry) -> String {
     );
     s.push_str("# TYPE xgyro_cache_bytes_saved_total counter\n");
     s.push_str(&format!("xgyro_cache_bytes_saved_total {saved}\n"));
-    // Info-style metric: constant 1 with the autotuned collision kernel as
+    // Info-style metric: constant 1 with the tuned collision kernel as
     // a label. Its own family (not a label on the phase histograms) so
     // every sample of one name keeps the same label keys — the linter's
     // consistency rule. Omitted until a topology has been built.
     if let Some(kernel) = reg.collision_kernel() {
         s.push_str(
-            "# HELP xgyro_collision_kernel_info Autotuned collision kernel (SIMD level / row-tile height).\n",
+            "# HELP xgyro_collision_kernel_info Tuned collision kernel (SIMD level).\n",
         );
         s.push_str("# TYPE xgyro_collision_kernel_info gauge\n");
         s.push_str(&format!(

@@ -216,7 +216,7 @@ pub struct Registry {
     /// Outcome-blob bytes served from the artifact store instead of
     /// recomputed (the cache's analogue of cmat bytes saved).
     cache_bytes_saved: AtomicU64,
-    /// Autotuned collision-kernel label (e.g. `avx512/t128`), set once at
+    /// Tuned collision-kernel label (the SIMD level, e.g. `avx2`), set once at
     /// topology build. Config metadata rather than a timing probe, so it is
     /// recorded regardless of the [`enabled`] switch; exposed as an
     /// info-style metric next to the coll-phase histograms.
@@ -379,7 +379,7 @@ impl Registry {
         )
     }
 
-    /// Record the autotuned collision-kernel label (idempotent; last write
+    /// Record the tuned collision-kernel label (idempotent; last write
     /// wins when topologies with different shapes coexist in-process).
     pub fn set_collision_kernel(&self, label: &str) {
         *self.collision_kernel.lock().unwrap() = Some(label.to_string());
@@ -534,7 +534,7 @@ pub fn record_cache_miss() {
     }
 }
 
-/// Record the autotuned collision-kernel label into the global registry.
+/// Record the tuned collision-kernel label into the global registry.
 /// Unlike the timers this is configuration metadata (set once at topology
 /// build), so it bypasses the [`enabled`] gate — disabling observability
 /// must not erase which kernel the run used.

@@ -116,11 +116,11 @@ impl CollisionConstants {
 
     /// Batched multi-RHS propagator apply at one `(ic, itor)` pair:
     /// `Y = A·X` with `nrhs` stacked velocity profiles (`x[r·nv..(r+1)·nv]`
-    /// is profile `r`), run with the autotuned `kernel`
-    /// ([`xg_costmodel::tuner::tune_collision_kernel`]) — this is the call
-    /// the tuner times. The shared panel is streamed once per call instead
-    /// of once per profile; results are bitwise identical to `nrhs`
-    /// [`Self::apply`] calls for every kernel choice.
+    /// is profile `r`), run at the tuned `kernel` level
+    /// ([`xg_linalg::tuned_level`]) — this is the call the tuner times.
+    /// The shared panel is streamed once per call instead of once per
+    /// profile; results are bitwise identical to `nrhs` [`Self::apply`]
+    /// calls at every level.
     pub fn apply_multi(
         &self,
         ic_loc: usize,
@@ -128,17 +128,9 @@ impl CollisionConstants {
         x: &[Complex64],
         y: &mut [Complex64],
         nrhs: usize,
-        kernel: xg_costmodel::KernelChoice,
+        kernel: xg_linalg::SimdLevel,
     ) {
-        xg_linalg::apply_panel_multi_with(
-            kernel.level,
-            self.panel(ic_loc, it_loc),
-            self.nv,
-            x,
-            y,
-            nrhs,
-            kernel.tile_rows,
-        );
+        xg_linalg::apply_panel_multi_with(kernel, self.panel(ic_loc, it_loc), self.nv, x, y, nrhs);
     }
 
     /// Bytes of constant-tensor storage held by this slice.
@@ -329,7 +321,7 @@ mod tests {
                 for r in 0..nrhs {
                     cm.apply(ic, it, &mut want[r * nv..(r + 1) * nv], &mut scratch);
                 }
-                for kernel in crate::collision_tests::kernels_under_test(nv) {
+                for kernel in crate::collision_tests::kernels_under_test() {
                     let mut y = vec![Complex64::ZERO; nrhs * nv];
                     cm.apply_multi(ic, it, &block, &mut y, nrhs, kernel);
                     assert_eq!(y, want, "kernel {kernel}");

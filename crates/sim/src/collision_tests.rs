@@ -1,14 +1,14 @@
 //! One `collision_step` equals the naive per-profile reference for every
-//! kernel the tuner may pick, serial and distributed. These live inside the
-//! crate because they set the topologies' crate-private `kernel` field:
-//! there is deliberately no public way to choose a kernel.
+//! kernel level the tuner may pick, serial and distributed. These live
+//! inside the crate because they read and set the topologies'
+//! crate-private `kernel` field: there is deliberately no public way to
+//! choose a kernel.
 
 use crate::cmat::{setup, CollisionConstants};
 use crate::{CgyroInput, DistTopology, SerialTopology, Topology};
 use std::ops::Range;
-use xg_comm::World;
-use xg_costmodel::KernelChoice;
-use xg_linalg::Complex64;
+use xg_comm::{Communicator, World};
+use xg_linalg::{Complex64, SimdLevel};
 use xg_tensor::{ProcGrid, Tensor3};
 
 /// One collision step done the naive way: build the propagators for all
@@ -37,17 +37,9 @@ fn naive_collision_step(
     out
 }
 
-/// Every kernel the tuner may pick for an `nv`-row panel in this process,
-/// plus tile heights that do not divide `nv`.
-pub(crate) fn kernels_under_test(nv: usize) -> Vec<KernelChoice> {
-    let levels = xg_linalg::available_levels();
-    let mut kernels = xg_costmodel::candidate_kernels(nv, xg_linalg::l2_cache_kb(), &levels);
-    for &level in &levels {
-        for tile_rows in [5, 7] {
-            kernels.push(KernelChoice { level, tile_rows });
-        }
-    }
-    kernels
+/// Every kernel level the tuner may pick in this process.
+pub(crate) fn kernels_under_test() -> Vec<SimdLevel> {
+    xg_linalg::available_levels()
 }
 
 /// Deterministic dense state of member `sim` at global `(ic, iv, it)`.
@@ -59,13 +51,49 @@ fn state(input: &CgyroInput, sim: usize) -> impl Fn(usize, usize, usize) -> Comp
     }
 }
 
+/// The Figure-3 wiring of xgyro-core: k simulations of `grid` ranks each,
+/// one coll communicator per toroidal slice. Returns this rank's member
+/// index and topology.
+fn shared_coll_topology(
+    input: &CgyroInput,
+    grid: ProcGrid,
+    k: usize,
+    comm: Communicator,
+) -> (usize, DistTopology) {
+    let sim = comm.rank() / grid.size();
+    let (i1, i2) = grid.coords(comm.rank() % grid.size());
+    let sim_comm = comm.split(sim as u64, grid.rank(i1, i2) as u64, "sim");
+    let nv_comm = sim_comm.split(i2 as u64, i1 as u64, "nv");
+    let nt_comm = sim_comm.split(i1 as u64, i2 as u64, "nt");
+    let coll_comm = comm.split(i2 as u64, (sim * grid.n1 + i1) as u64, "coll-ens");
+    let topo = DistTopology::with_shared_coll_cuts(
+        input, grid, sim_comm, nv_comm, nt_comm, coll_comm, k, None,
+    );
+    (sim, topo)
+}
+
+#[test]
+fn built_topologies_run_the_tuned_level() {
+    // The level a topology builds with is the one `apply_panel_multi` (and
+    // so the benchmark's kernel probe) runs at the same shape.
+    let input = CgyroInput::test_small();
+    let nv = input.dims().nv;
+    assert_eq!(SerialTopology::new(&input).kernel, xg_linalg::tuned_level(nv, 1));
+    let (grid, k) = (ProcGrid::new(2, 1), 3);
+    let levels = World::new(k * grid.size())
+        .run(|comm| shared_coll_topology(&input, grid, k, comm).1.kernel);
+    for level in levels {
+        assert_eq!(level, xg_linalg::tuned_level(nv, k));
+    }
+}
+
 #[test]
 fn serial_step_is_the_reference_for_every_kernel() {
     let input = CgyroInput::test_small();
     let dims = input.dims();
     let want = naive_collision_step(&input, 0..dims.nt, state(&input, 0));
     let mut topo = SerialTopology::new(&input);
-    for kernel in kernels_under_test(dims.nv) {
+    for kernel in kernels_under_test() {
         topo.kernel = kernel;
         let mut h = Tensor3::from_fn(dims.nc, dims.nv, dims.nt, state(&input, 0));
         topo.collision_step(&mut h);
@@ -77,21 +105,11 @@ fn serial_step_is_the_reference_for_every_kernel() {
 fn dist_step_is_the_reference_for_every_kernel() {
     let input = CgyroInput::test_small();
     let dims = input.dims();
-    let kernels = kernels_under_test(dims.nv);
+    let kernels = kernels_under_test();
     for (n1, n2, k) in [(2, 1, 1), (2, 1, 3), (2, 2, 1), (2, 2, 3)] {
         let grid = ProcGrid::new(n1, n2);
-        // The Figure-3 wiring of xgyro-core: k simulations of `grid` ranks
-        // each, one coll communicator per toroidal slice.
         let diverged = World::new(k * grid.size()).run(|comm| {
-            let sim = comm.rank() / grid.size();
-            let (i1, i2) = grid.coords(comm.rank() % grid.size());
-            let sim_comm = comm.split(sim as u64, grid.rank(i1, i2) as u64, "sim");
-            let nv_comm = sim_comm.split(i2 as u64, i1 as u64, "nv");
-            let nt_comm = sim_comm.split(i1 as u64, i2 as u64, "nt");
-            let coll_comm = comm.split(i2 as u64, (sim * grid.n1 + i1) as u64, "coll-ens");
-            let mut topo = DistTopology::with_shared_coll_cuts(
-                &input, grid, sim_comm, nv_comm, nt_comm, coll_comm, k, None,
-            );
+            let (sim, mut topo) = shared_coll_topology(&input, grid, k, comm);
             let (nv_r, nt_r) = (topo.layout.nv_range(), topo.layout.nt_range());
             let state = state(&input, sim);
             let full = naive_collision_step(&input, nt_r.clone(), &state);

@@ -27,8 +27,7 @@ use crate::input::CgyroInput;
 use crate::nonlinear::NlKernel;
 use crate::stepper::Topology;
 use xg_comm::Communicator;
-use xg_costmodel::KernelChoice;
-use xg_linalg::Complex64;
+use xg_linalg::{Complex64, SimdLevel};
 use xg_tensor::{
     pack_coll_profiles_block, pack_nl_block, pack_str_block, unpack_into_coll_profiles,
     unpack_into_nl, unpack_into_str, unpack_into_str_from_nl, Decomp1D, PhaseLayout, ProcGrid,
@@ -69,9 +68,9 @@ pub struct DistTopology {
     /// The nl transposes' forward send buffers, recycled from the previous
     /// stage's reverse receive blocks, as `fwd_send` is for coll.
     nl_fwd_send: Vec<Vec<Complex64>>,
-    /// Collision kernel (SIMD level + L2 row-tile height) autotuned at
-    /// build time for this rank's (nv, k) shape; bitwise-neutral.
-    pub(crate) kernel: KernelChoice,
+    /// Collision kernel SIMD level, tuned at build time for this rank's
+    /// (nv, k) shape; bitwise-neutral.
+    pub(crate) kernel: SimdLevel,
 }
 
 impl DistTopology {
@@ -142,13 +141,12 @@ impl DistTopology {
                 d
             }
         };
-        // One-shot collision-kernel autotune for this rank's (nv, k)
-        // shape. Cached per process: one rank of the world measures, the
+        // Collision-kernel level tune for this rank's (nv, k) shape. Cached per process: one rank of the world measures, the
         // others wait for and read its answer — so tune here, where the
         // communicator splits have just lined the ranks up, and not after
         // the cmat build, which they leave at different times.
-        let kernel = xg_costmodel::tune_collision_kernel(dims.nv, sims_in_coll);
-        xg_obs::set_collision_kernel(&kernel.to_string());
+        let kernel = xg_linalg::tuned_level(dims.nv, sims_in_coll);
+        xg_obs::set_collision_kernel(kernel.name());
 
         // This rank's cmat slice: ensemble nc block × local nt range.
         let v = VelocityGrid::new(input);
@@ -221,11 +219,6 @@ impl DistTopology {
     pub fn cmat(&self) -> &CollisionConstants {
         &self.cmat
     }
-
-    /// The autotuned collision kernel this topology runs.
-    pub fn kernel_choice(&self) -> KernelChoice {
-        self.kernel
-    }
 }
 
 impl Topology for DistTopology {
@@ -280,8 +273,8 @@ impl Topology for DistTopology {
         }
 
         // Apply this rank's cmat slice to every simulation's profile: one
-        // batched multi-RHS panel apply per (ic, it), so each L2-sized
-        // panel tile is streamed once through all k members' profiles (the
+        // batched multi-RHS panel apply per (ic, it), so each panel is
+        // streamed once through all k members' profiles (the
         // arithmetic-intensity bonus of sharing).
         for ic in 0..self.coll_nc_decomp.count(self.coll_comm.rank()) {
             for it in 0..ntl {

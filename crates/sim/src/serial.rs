@@ -11,8 +11,7 @@ use crate::grid::{ConfigGrid, VelocityGrid};
 use crate::input::CgyroInput;
 use crate::nonlinear::NlKernel;
 use crate::stepper::{Simulation, Topology};
-use xg_costmodel::KernelChoice;
-use xg_linalg::Complex64;
+use xg_linalg::{Complex64, SimdLevel};
 use xg_tensor::{
     pack_coll_profiles_block, unpack_into_coll_profiles, unpack_into_str, PhaseLayout, ProcGrid,
     Tensor3,
@@ -28,9 +27,9 @@ pub struct SerialTopology {
     cp_in: Tensor3<Complex64>,
     cp_out: Tensor3<Complex64>,
     rev_buf: Vec<Complex64>,
-    /// Collision kernel (SIMD level + L2 row-tile height) picked by the
-    /// autotuner at build time; bitwise-neutral, wall-time only.
-    pub(crate) kernel: KernelChoice,
+    /// Collision kernel SIMD level, tuned at build time; bitwise-neutral,
+    /// wall-time only.
+    pub(crate) kernel: SimdLevel,
 }
 
 impl SerialTopology {
@@ -45,9 +44,9 @@ impl SerialTopology {
         let cmat =
             CollisionConstants::build(input, &v, &geo, &op, 0..dims.nc, 0..dims.nt);
         let nl = NlKernel::new(input);
-        // One-shot kernel autotune for this (nv, nrhs=1) shape.
-        let kernel = xg_costmodel::tune_collision_kernel(dims.nv, 1);
-        xg_obs::set_collision_kernel(&kernel.to_string());
+        // Kernel level tune for this (nv, nrhs=1) shape.
+        let kernel = xg_linalg::tuned_level(dims.nv, 1);
+        xg_obs::set_collision_kernel(kernel.name());
         Self {
             layout,
             cmat,
@@ -68,11 +67,6 @@ impl SerialTopology {
     pub fn cmat_fingerprint(&self) -> u64 {
         self.cmat.fingerprint()
     }
-
-    /// The autotuned collision kernel this topology runs.
-    pub fn kernel_choice(&self) -> KernelChoice {
-        self.kernel
-    }
 }
 
 impl Topology for SerialTopology {
@@ -87,7 +81,7 @@ impl Topology for SerialTopology {
         // unpack replaces the per-element strided gather.
         unpack_into_coll_profiles(h.as_slice(), 0..nv, 0, &mut self.cp_in);
         // One batched panel apply per (ic, it) with the tuned kernel;
-        // bitwise independent of the (level, tile) choice.
+        // bitwise independent of the level.
         for ic in 0..nc {
             for it in 0..nt {
                 let x = self.cp_in.line(ic, it);

@@ -113,9 +113,10 @@ pub fn rebalanced_cuts(nc: usize, capacities: &[f64]) -> Vec<usize> {
 }
 
 /// Rows that `cuts` place differently from the balanced split of the same
-/// shape: `nc − Σ_p |range_cuts(p) ∩ range_balanced(p)|`. The obs counter
-/// `xgyro_rebalance_moved_rows` records this — the data-movement cost of
-/// rebalancing, against which the wall-time payoff is judged.
+/// shape: `nc − Σ_p |range_cuts(p) ∩ range_balanced(p)|`. Each
+/// post-eviction rebalance reports this on `RecoveryEvent::moved_rows` —
+/// the data-movement cost of rebalancing, against which the wall-time
+/// payoff is judged.
 pub fn moved_rows_vs_balanced(cuts: &[usize]) -> usize {
     let d = RaggedDecomp::from_counts(cuts);
     let b = RaggedDecomp::balanced(d.total(), d.parts());

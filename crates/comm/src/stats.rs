@@ -95,18 +95,6 @@ pub struct TrafficLog {
     /// back for reuse) instead of freed and reallocated — the steady-state
     /// allocation savings of persistent send/recv buffers.
     drained_capacity: AtomicU64,
-    /// Fused str-phase reductions issued: collective calls that carried
-    /// several moments in one buffer.
-    fused_reduce_calls: AtomicU64,
-    /// Total moments carried by those fused calls (calls saved =
-    /// `fused_reduce_moments − fused_reduce_calls`).
-    fused_reduce_moments: AtomicU64,
-    /// Payload bytes moved by fused reductions.
-    fused_reduce_bytes: AtomicU64,
-    /// Unfused (one-moment) reduction calls issued.
-    unfused_reduce_calls: AtomicU64,
-    /// Payload bytes moved by unfused reductions.
-    unfused_reduce_bytes: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -193,40 +181,6 @@ impl TrafficLog {
     pub fn drained_capacity_bytes(&self) -> u64 {
         self.drained_capacity.load(Ordering::Relaxed)
     }
-
-    /// Account one fused reduction: a single collective call carrying
-    /// `moments` logical moments in `bytes` of payload. The op itself is
-    /// recorded normally via [`TrafficLog::record`]; this counter makes the
-    /// fusion saving (`moments − 1` elided latency terms per call)
-    /// observable in traces and `xgreplay`.
-    pub fn note_fused_reduction(&self, moments: u64, bytes: u64) {
-        self.fused_reduce_calls.fetch_add(1, Ordering::Relaxed);
-        self.fused_reduce_moments.fetch_add(moments, Ordering::Relaxed);
-        self.fused_reduce_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Account one unfused (single-moment) reduction of `bytes` payload.
-    pub fn note_unfused_reduction(&self, bytes: u64) {
-        self.unfused_reduce_calls.fetch_add(1, Ordering::Relaxed);
-        self.unfused_reduce_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// `(calls, moments, bytes)` of fused reductions so far.
-    pub fn fused_reduction_stats(&self) -> (u64, u64, u64) {
-        (
-            self.fused_reduce_calls.load(Ordering::Relaxed),
-            self.fused_reduce_moments.load(Ordering::Relaxed),
-            self.fused_reduce_bytes.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(calls, bytes)` of unfused reductions so far.
-    pub fn unfused_reduction_stats(&self) -> (u64, u64) {
-        (
-            self.unfused_reduce_calls.load(Ordering::Relaxed),
-            self.unfused_reduce_bytes.load(Ordering::Relaxed),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -269,20 +223,6 @@ mod tests {
         // Clearing op records does not reset the recycling counter.
         log.clear();
         assert_eq!(log.drained_capacity_bytes(), 1536);
-    }
-
-    #[test]
-    fn fused_counters_accumulate_independently() {
-        let log = TrafficLog::new();
-        assert_eq!(log.fused_reduction_stats(), (0, 0, 0));
-        log.note_fused_reduction(3, 3000);
-        log.note_fused_reduction(2, 2000);
-        log.note_unfused_reduction(500);
-        assert_eq!(log.fused_reduction_stats(), (2, 5, 5000));
-        assert_eq!(log.unfused_reduction_stats(), (1, 500));
-        // Clearing op records leaves the fusion accounting intact.
-        log.clear();
-        assert_eq!(log.fused_reduction_stats(), (2, 5, 5000));
     }
 
     #[test]

@@ -157,7 +157,7 @@ pub fn run_xgyro_resilient_from(
 /// which shares the cut — and re-apportions the coll `nc` rows with
 /// [`RaggedDecomp::weighted`] instead of shrinking uniformly. Rows moved
 /// relative to the uniform shrink are counted on
-/// [`RecoveryEvent::moved_rows`] and the obs registry (`xgyro_rebalance_*`).
+/// [`RecoveryEvent::moved_rows`].
 /// With `None` or uniform capacities this is [`run_xgyro_resilient_from`].
 pub fn run_xgyro_resilient_with_capacities(
     config: &EnsembleConfig,
@@ -341,14 +341,13 @@ impl ResilientRun {
             }
             SegmentFault::Panicked(msg) => return Err(RecoveryError::Unrecoverable(msg)),
         };
-        // The same wasted_us lands in the Recover trace records and in the
-        // obs registry (xgyro_recovery_*).
-        xg_obs::record_recovery_waste(wasted_us);
         let a = assignment(&self.cfg, rank);
         let failed_member = self.original[a.sim];
         let moved_rows = self.shrink(a.sim)?;
         // Stamp every survivor's partial trace with a Recover record:
         // members = the degraded world's ranks, bytes = wasted microseconds.
+        // These records are the one account of wasted time: the daemon
+        // reads them as its `recover` execution phase.
         let survivors_ranks: Vec<usize> = (0..self.cfg.total_ranks()).collect();
         for (r, t) in partial.iter_mut().enumerate() {
             if r != rank {
@@ -390,7 +389,6 @@ impl ResilientRun {
             if let (Some(cuts), moved) = capacity_cuts(&cfg, &self.original, caps) {
                 moved_rows = moved;
                 cfg = cfg.with_coll_cuts(Some(cuts)).map_err(RecoveryError::Ensemble)?;
-                xg_obs::record_rebalance(moved_rows);
             }
         }
         self.cfg = cfg;

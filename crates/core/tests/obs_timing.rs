@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 use std::time::Duration;
-use xg_comm::FaultPlan;
+use xg_comm::{FaultPlan, OpKind};
 use xg_obs::{Phase, Registry};
 use xg_sim::{serial_simulation, CgyroInput};
 use xg_tensor::ProcGrid;
@@ -73,7 +73,6 @@ fn timing_on_and_off_are_bitwise_identical() {
 fn timers_survive_member_eviction() {
     let _guard = OBS_FLAG.lock().unwrap();
     let cfg = gradient_sweep(&CgyroInput::test_small(), 3, ProcGrid::new(2, 1));
-    let (events_before, _) = Registry::global().recovery_stats();
 
     let rec = with_obs(true, || {
         // Crash a rank of member 1 early: the run recovers in degraded
@@ -83,12 +82,21 @@ fn timers_survive_member_eviction() {
     });
     assert_eq!(rec.surviving_members.len(), 2, "one member evicted");
 
-    // The eviction itself is accounted: the unified recovery counters
-    // advanced by exactly the events this run produced...
-    let (events_after, wasted_us) = Registry::global().recovery_stats();
-    assert_eq!(events_after - events_before, rec.events.len() as u64);
-    assert!(!rec.events.is_empty(), "the injected crash produced a recovery event");
-    assert!(wasted_us > 0, "an abandoned segment has nonzero wasted time");
+    // The eviction itself is accounted: one event, and one abandoned
+    // segment whose survivors' traces end in a Recover record carrying
+    // the wasted microseconds...
+    assert_eq!(rec.events.len(), 1, "the injected crash produced one recovery event");
+    assert_eq!(rec.faulty_segments.len(), rec.events.len());
+    let recovers: Vec<_> = rec.faulty_segments[0]
+        .iter()
+        .flatten()
+        .filter(|r| r.op == OpKind::Recover)
+        .collect();
+    assert!(!recovers.is_empty(), "survivors' partial traces carry a Recover record");
+    assert!(
+        recovers.iter().all(|r| r.bytes > 0 && r.bytes == r.elapsed_us),
+        "an abandoned segment has nonzero wasted time: {recovers:?}"
+    );
 
     // ...and the post-eviction segments still measure communication waits:
     // the final traces (degraded world, rebuilt communicators) carry

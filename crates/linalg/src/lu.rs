@@ -110,12 +110,6 @@ impl LuFactors {
         self.lu
     }
 
-    /// Solve `A·x = b` in place: `b` enters as the right-hand side and leaves
-    /// as the solution.
-    pub fn solve_inplace(&self, b: &mut [f64]) {
-        b.copy_from_slice(&self.solve(b));
-    }
-
     /// Solve `A·x = b` returning a fresh vector: the scalar, one-column form
     /// of [`Self::solve_matrix_into`] and the reference it is tested against.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {

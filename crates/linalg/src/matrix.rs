@@ -95,11 +95,6 @@ impl RealMatrix {
         &mut self.data
     }
 
-    /// Consume into the row-major backing buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `i` as a contiguous slice.
     #[inline(always)]
     pub fn row(&self, i: usize) -> &[f64] {

@@ -1,9 +1,8 @@
-//! Exposition: JSON, Prometheus text format, and a human phase table.
+//! Exposition: Prometheus text format and a human phase table.
 //!
-//! All JSON is hand-rolled in the workspace style (the vendored serde is a
-//! marker-only stub); keys come out in a fixed order so snapshots diff
-//! cleanly. The Prometheus renderer follows the text exposition format:
-//! `# HELP` / `# TYPE` per family, histograms as cumulative `_bucket`
+//! The Prometheus renderer follows the text exposition format (hand-rolled:
+//! the vendored serde is a marker-only stub; families come out in a fixed
+//! order so snapshots diff cleanly): `# HELP` / `# TYPE` per family, histograms as cumulative `_bucket`
 //! series with `le` labels ending in `+Inf`, plus `_sum` and `_count`.
 //! [`parse_prometheus`] reads that format back (enough of it for `xgplan
 //! --profile` and the CI linter — full-line comments, labels, numeric
@@ -12,94 +11,13 @@
 use crate::hist::{bucket_bound, Snapshot};
 use crate::{Phase, Registry, PHASES};
 
-/// Render a registry snapshot as JSON.
-///
-/// Shape: `{"schema": "xg-obs-v1", "phases": {"str": {"busy_us": {...},
-/// "comm_wait_us": {...}}, ...}, "recovery": {"events": N, "wasted_us": N}}`
-/// where each histogram object carries `count/sum/min/max/p50/p99` with
-/// `null` for aggregates that are undefined on an empty histogram. Phases
-/// with no observations at all are omitted.
-pub fn to_json(reg: &Registry) -> String {
-    let mut s = String::with_capacity(1024);
-    s.push_str("{\n  \"schema\": \"xg-obs-v1\",\n  \"phases\": {");
-    let mut first = true;
-    for phase in PHASES {
-        let m = reg.phase(phase);
-        let busy = m.busy.snapshot();
-        let wait = m.comm_wait.snapshot();
-        if busy.is_empty() && wait.is_empty() {
-            continue;
-        }
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(&format!("\n    \"{phase}\": {{\"busy_us\": "));
-        push_hist_json(&mut s, &busy);
-        s.push_str(", \"comm_wait_us\": ");
-        push_hist_json(&mut s, &wait);
-        s.push('}');
-    }
-    if !first {
-        s.push_str("\n  ");
-    }
-    let (events, wasted) = reg.recovery_stats();
-    s.push_str("},\n");
-    s.push_str(&format!(
-        "  \"recovery\": {{\"events\": {events}, \"wasted_us\": {wasted}}},\n"
-    ));
-    let (rb_events, rb_rows) = reg.rebalance_stats();
-    s.push_str(&format!(
-        "  \"rebalance\": {{\"events\": {rb_events}, \"moved_rows\": {rb_rows}}},\n"
-    ));
-    let (spawns, builds) = reg.session_stats();
-    s.push_str(&format!(
-        "  \"session\": {{\"world_spawns\": {spawns}, \"cmat_builds\": {builds}}},\n"
-    ));
-    let (appends, fsyncs, fsync_us) = reg.journal_stats();
-    s.push_str(&format!(
-        "  \"journal\": {{\"appends\": {appends}, \"fsyncs\": {fsyncs}, \"fsync_us\": {fsync_us}}},\n"
-    ));
-    let (replays, replay_us) = reg.replay_stats();
-    s.push_str(&format!(
-        "  \"replay\": {{\"count\": {replays}, \"wall_us\": {replay_us}}},\n"
-    ));
-    let (hits, misses, saved) = reg.cache_stats();
-    s.push_str(&format!(
-        "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"bytes_saved\": {saved}}},\n"
-    ));
-    match reg.collision_kernel() {
-        Some(k) => s.push_str(&format!("  \"collision_kernel\": \"{k}\"\n")),
-        None => s.push_str("  \"collision_kernel\": null\n"),
-    }
-    s.push_str("}\n");
-    s
-}
-
-fn push_hist_json(s: &mut String, h: &Snapshot) {
-    s.push_str(&format!("{{\"count\": {}, \"sum\": {}", h.count, h.sum));
-    push_opt(s, "min", h.min_us());
-    push_opt(s, "max", h.max_us());
-    push_opt(s, "p50", h.p50_us());
-    push_opt(s, "p99", h.p99_us());
-    s.push('}');
-}
-
-fn push_opt(s: &mut String, key: &str, v: Option<u64>) {
-    match v {
-        Some(v) => s.push_str(&format!(", \"{key}\": {v}")),
-        None => s.push_str(&format!(", \"{key}\": null")),
-    }
-}
-
 /// Render a registry snapshot in the Prometheus text exposition format.
 ///
 /// Families (all in seconds, per Prometheus convention):
 /// * `xgyro_phase_busy_seconds` — histogram, label `phase`;
 /// * `xgyro_phase_comm_wait_seconds` — histogram, label `phase`;
-/// * `xgyro_recovery_events_total`, `xgyro_recovery_wasted_seconds_total`,
-///   `xgyro_rebalance_events_total`, `xgyro_rebalance_moved_rows_total`,
-///   `xgyro_world_spawns_total`, `xgyro_cmat_builds_total` — counters.
+/// * `xgyro_world_spawns_total`, `xgyro_cmat_builds_total` — counters;
+/// * `xgyro_collision_kernel_info` — info gauge, label `kernel`.
 ///
 /// Every phase family is emitted even when empty (Prometheus prefers
 /// stable series over appearing/disappearing ones).
@@ -117,29 +35,6 @@ pub fn to_prometheus(reg: &Registry) -> String {
         "Wall time blocked in collectives, attributed to the issuing phase.",
         |p| reg.phase(p).comm_wait.snapshot(),
     );
-    let (events, wasted) = reg.recovery_stats();
-    s.push_str("# HELP xgyro_recovery_events_total Fault-recovery events observed.\n");
-    s.push_str("# TYPE xgyro_recovery_events_total counter\n");
-    s.push_str(&format!("xgyro_recovery_events_total {events}\n"));
-    s.push_str(
-        "# HELP xgyro_recovery_wasted_seconds_total Re-executed work discarded by rollbacks.\n",
-    );
-    s.push_str("# TYPE xgyro_recovery_wasted_seconds_total counter\n");
-    s.push_str(&format!(
-        "xgyro_recovery_wasted_seconds_total {}\n",
-        fmt_seconds(wasted)
-    ));
-    let (rb_events, rb_rows) = reg.rebalance_stats();
-    s.push_str(
-        "# HELP xgyro_rebalance_events_total Capacity-aware post-eviction rebalances.\n",
-    );
-    s.push_str("# TYPE xgyro_rebalance_events_total counter\n");
-    s.push_str(&format!("xgyro_rebalance_events_total {rb_events}\n"));
-    s.push_str(
-        "# HELP xgyro_rebalance_moved_rows_total Coll nc rows moved vs a uniform shrink.\n",
-    );
-    s.push_str("# TYPE xgyro_rebalance_moved_rows_total counter\n");
-    s.push_str(&format!("xgyro_rebalance_moved_rows_total {rb_rows}\n"));
     let (spawns, builds) = reg.session_stats();
     s.push_str("# HELP xgyro_world_spawns_total Ensemble worlds spawned (session opens).\n");
     s.push_str("# TYPE xgyro_world_spawns_total counter\n");
@@ -147,47 +42,6 @@ pub fn to_prometheus(reg: &Registry) -> String {
     s.push_str("# HELP xgyro_cmat_builds_total Factorizations of the shared cmat.\n");
     s.push_str("# TYPE xgyro_cmat_builds_total counter\n");
     s.push_str(&format!("xgyro_cmat_builds_total {builds}\n"));
-    let (appends, fsyncs, fsync_us) = reg.journal_stats();
-    s.push_str("# HELP xgyro_journal_appends_total Committed write-ahead journal appends.\n");
-    s.push_str("# TYPE xgyro_journal_appends_total counter\n");
-    s.push_str(&format!("xgyro_journal_appends_total {appends}\n"));
-    s.push_str("# HELP xgyro_journal_fsyncs_total fsync calls issued by the journal.\n");
-    s.push_str("# TYPE xgyro_journal_fsyncs_total counter\n");
-    s.push_str(&format!("xgyro_journal_fsyncs_total {fsyncs}\n"));
-    s.push_str(
-        "# HELP xgyro_journal_fsync_seconds_total Wall time spent inside journal fsyncs.\n",
-    );
-    s.push_str("# TYPE xgyro_journal_fsync_seconds_total counter\n");
-    s.push_str(&format!(
-        "xgyro_journal_fsync_seconds_total {}\n",
-        fmt_seconds(fsync_us)
-    ));
-    let (replays, replay_us) = reg.replay_stats();
-    s.push_str("# HELP xgyro_journal_replays_total Startup journal replays performed.\n");
-    s.push_str("# TYPE xgyro_journal_replays_total counter\n");
-    s.push_str(&format!("xgyro_journal_replays_total {replays}\n"));
-    s.push_str(
-        "# HELP xgyro_journal_replay_seconds_total Wall time spent replaying journals at startup.\n",
-    );
-    s.push_str("# TYPE xgyro_journal_replay_seconds_total counter\n");
-    s.push_str(&format!(
-        "xgyro_journal_replay_seconds_total {}\n",
-        fmt_seconds(replay_us)
-    ));
-    let (hits, misses, saved) = reg.cache_stats();
-    s.push_str("# HELP xgyro_cache_hits_total Submissions served from the artifact store.\n");
-    s.push_str("# TYPE xgyro_cache_hits_total counter\n");
-    s.push_str(&format!("xgyro_cache_hits_total {hits}\n"));
-    s.push_str(
-        "# HELP xgyro_cache_misses_total Artifact-store consults that found no manifest.\n",
-    );
-    s.push_str("# TYPE xgyro_cache_misses_total counter\n");
-    s.push_str(&format!("xgyro_cache_misses_total {misses}\n"));
-    s.push_str(
-        "# HELP xgyro_cache_bytes_saved_total Outcome bytes served from the artifact store instead of recomputed.\n",
-    );
-    s.push_str("# TYPE xgyro_cache_bytes_saved_total counter\n");
-    s.push_str(&format!("xgyro_cache_bytes_saved_total {saved}\n"));
     // Info-style metric: constant 1 with the tuned collision kernel as
     // a label. Its own family (not a label on the phase histograms) so
     // every sample of one name keeps the same label keys — the linter's
@@ -446,50 +300,11 @@ mod tests {
         reg.record_busy_us(Phase::Str, 200);
         reg.record_comm_wait_us(Phase::Str, 40);
         reg.record_busy_us(Phase::Coll, 1000);
-        reg.record_recovery_waste_us(1500);
-        reg.record_rebalance_moved_rows(6);
         reg.record_world_spawn_count();
         reg.record_world_spawn_count();
         reg.record_cmat_build_count();
-        reg.record_journal_append_us();
-        reg.record_journal_append_us();
-        reg.record_journal_fsync_us(2500);
-        reg.record_journal_replay_us(12_000);
-        reg.record_cache_hit_bytes(4096);
-        reg.record_cache_miss_count();
         reg.set_collision_kernel("avx2/t64");
         reg
-    }
-
-    #[test]
-    fn json_emits_active_phases_and_null_for_empty_aggregates() {
-        let reg = test_registry();
-        let json = to_json(&reg);
-        assert!(json.contains("\"schema\": \"xg-obs-v1\""));
-        assert!(json.contains("\"str\""));
-        assert!(json.contains("\"coll\""));
-        assert!(!json.contains("\"diag\""), "empty phase leaked: {json}");
-        // coll has busy but no comm-wait: its wait aggregates are null.
-        assert!(json.contains("\"comm_wait_us\": {\"count\": 0, \"sum\": 0, \"min\": null"));
-        assert!(json.contains("\"recovery\": {\"events\": 1, \"wasted_us\": 1500}"));
-        assert!(json.contains("\"rebalance\": {\"events\": 1, \"moved_rows\": 6}"));
-        assert!(json.contains("\"session\": {\"world_spawns\": 2, \"cmat_builds\": 1}"));
-        assert!(json.contains("\"journal\": {\"appends\": 2, \"fsyncs\": 1, \"fsync_us\": 2500}"));
-        assert!(json.contains("\"replay\": {\"count\": 1, \"wall_us\": 12000}"));
-        assert!(json.contains("\"cache\": {\"hits\": 1, \"misses\": 1, \"bytes_saved\": 4096}"));
-        assert!(json.contains("\"collision_kernel\": \"avx2/t64\""));
-    }
-
-    #[test]
-    fn empty_registry_json_is_well_formed() {
-        let json = to_json(&Registry::default());
-        assert!(json.contains("\"phases\": {}"));
-        assert!(json.contains("\"recovery\": {\"events\": 0, \"wasted_us\": 0}"));
-        assert!(json.contains("\"rebalance\": {\"events\": 0, \"moved_rows\": 0}"));
-        assert!(json.contains("\"journal\": {\"appends\": 0, \"fsyncs\": 0, \"fsync_us\": 0}"));
-        assert!(json.contains("\"replay\": {\"count\": 0, \"wall_us\": 0}"));
-        assert!(json.contains("\"cache\": {\"hits\": 0, \"misses\": 0, \"bytes_saved\": 0}"));
-        assert!(json.contains("\"collision_kernel\": null"));
     }
 
     #[test]
@@ -500,19 +315,8 @@ mod tests {
         assert!(text.contains("xgyro_phase_busy_seconds_count{phase=\"str\"} 2"));
         assert!(text.contains("xgyro_phase_busy_seconds_sum{phase=\"str\"} 0.0003"));
         assert!(text.contains("le=\"+Inf\""));
-        assert!(text.contains("xgyro_recovery_wasted_seconds_total 0.0015"));
-        assert!(text.contains("xgyro_rebalance_events_total 1"));
         assert!(text.contains("xgyro_world_spawns_total 2"));
         assert!(text.contains("xgyro_cmat_builds_total 1"));
-        assert!(text.contains("xgyro_rebalance_moved_rows_total 6"));
-        assert!(text.contains("xgyro_journal_appends_total 2"));
-        assert!(text.contains("xgyro_journal_fsyncs_total 1"));
-        assert!(text.contains("xgyro_journal_fsync_seconds_total 0.0025"));
-        assert!(text.contains("xgyro_journal_replays_total 1"));
-        assert!(text.contains("xgyro_journal_replay_seconds_total 0.012"));
-        assert!(text.contains("xgyro_cache_hits_total 1"));
-        assert!(text.contains("xgyro_cache_misses_total 1"));
-        assert!(text.contains("xgyro_cache_bytes_saved_total 4096"));
         assert!(text.contains("xgyro_collision_kernel_info{kernel=\"avx2/t64\"} 1"));
         assert!(
             !to_prometheus(&Registry::default()).contains("xgyro_collision_kernel_info"),

@@ -13,9 +13,19 @@
 //! * **[`Histogram`]** — fixed-bucket log2 microsecond histograms
 //!   (count / sum / min / max, p50 / p99 estimated from the buckets), all
 //!   relaxed atomics — recording never takes a lock;
-//! * **exposition** ([`expo`]) — the workspace's hand-rolled JSON style and
-//!   Prometheus text format (`# HELP` / `# TYPE`, cumulative `le` buckets),
-//!   since the vendored serde is a marker-only stub.
+//! * **exposition** ([`expo`]) — Prometheus text format (`# HELP` /
+//!   `# TYPE`, cumulative `le` buckets), its parser and linter, and a human
+//!   phase table.
+//!
+//! ## What the registry holds
+//!
+//! Only what the simulation alone can measure: the per-phase `busy` and
+//! `comm_wait` histograms, the `world_spawns` / `cmat_builds` session
+//! counts and the collision-kernel label. Every other counted event has
+//! one counter, owned by the layer where it happens — journal, replay and
+//! cache counters by `xg-serve`'s `Metrics` and `JournalStats`, recovery
+//! and rebalance by `xgyro-core`'s `RecoveryEvent` and its `Recover` trace
+//! records, reductions by the `OpRecord` log.
 //!
 //! ## Cost model
 //!
@@ -67,21 +77,18 @@ pub enum Phase {
     Field,
     /// Topology construction, cmat factorization, initial condition.
     Setup,
-    /// Checkpoint rollback + degraded-mode restart accounting.
-    Recover,
     /// Anything else (unlabelled traffic, test phases).
     Other,
 }
 
 /// Every phase, in exposition order.
-pub const PHASES: [Phase; 8] = [
+pub const PHASES: [Phase; 7] = [
     Phase::Str,
     Phase::Coll,
     Phase::Nl,
     Phase::Diag,
     Phase::Field,
     Phase::Setup,
-    Phase::Recover,
     Phase::Other,
 ];
 
@@ -95,7 +102,6 @@ impl Phase {
             Phase::Diag => "diag",
             Phase::Field => "field",
             Phase::Setup => "setup",
-            Phase::Recover => "recover",
             Phase::Other => "other",
         }
     }
@@ -110,7 +116,6 @@ impl Phase {
             "diag" => Phase::Diag,
             "field" => Phase::Field,
             "setup" => Phase::Setup,
-            "recover" => Phase::Recover,
             _ => Phase::Other,
         }
     }
@@ -123,8 +128,7 @@ impl Phase {
             Phase::Diag => 3,
             Phase::Field => 4,
             Phase::Setup => 5,
-            Phase::Recover => 6,
-            Phase::Other => 7,
+            Phase::Other => 6,
         }
     }
 }
@@ -182,40 +186,12 @@ pub struct PhaseMetrics {
 #[derive(Debug, Default)]
 pub struct Registry {
     phases: [PhaseMetrics; PHASES.len()],
-    /// Microseconds of abandoned-segment work re-executed after faults
-    /// (the resilient runner's `wasted_us`, unified here).
-    recovery_wasted_us: AtomicU64,
-    /// Number of fault-recovery events observed.
-    recoveries: AtomicU64,
-    /// Capacity-aware post-eviction rebalances performed.
-    rebalances: AtomicU64,
-    /// Coll-phase `nc` rows the rebalancer moved away from the positions a
-    /// uniform shrink would have given them (the measurable payoff of
-    /// rebalancing onto the survivors' actual capacities).
-    rebalance_moved_rows: AtomicU64,
     /// Ensemble worlds spawned (one per session open: rank threads plus the
     /// four communicator splits).
     world_spawns: AtomicU64,
     /// Times the shared `cmat` was factorized — once per world whose
     /// topology came up, however many segments the world then runs.
     cmat_builds: AtomicU64,
-    /// Journal appends committed by the serving layer's write-ahead log.
-    journal_appends: AtomicU64,
-    /// fsync(2) calls the journal issued.
-    journal_fsyncs: AtomicU64,
-    /// Microseconds spent inside journal fsyncs (the durability tax).
-    journal_fsync_us: AtomicU64,
-    /// Journal replays performed (daemon restarts that found a log).
-    replays: AtomicU64,
-    /// Microseconds spent replaying journals at startup.
-    replay_us: AtomicU64,
-    /// Submissions served from the artifact store instead of executed.
-    cache_hits: AtomicU64,
-    /// Artifact-store consults that found no published manifest.
-    cache_misses: AtomicU64,
-    /// Outcome-blob bytes served from the artifact store instead of
-    /// recomputed (the cache's analogue of cmat bytes saved).
-    cache_bytes_saved: AtomicU64,
     /// Tuned collision-kernel label (the SIMD level, e.g. `avx2`), set once at
     /// topology build. Config metadata rather than a timing probe, so it is
     /// recorded regardless of the [`enabled`] switch; exposed as an
@@ -232,22 +208,9 @@ static GLOBAL: Registry = Registry {
         PhaseMetrics::new(),
         PhaseMetrics::new(),
         PhaseMetrics::new(),
-        PhaseMetrics::new(),
     ],
-    recovery_wasted_us: AtomicU64::new(0),
-    recoveries: AtomicU64::new(0),
-    rebalances: AtomicU64::new(0),
-    rebalance_moved_rows: AtomicU64::new(0),
     world_spawns: AtomicU64::new(0),
     cmat_builds: AtomicU64::new(0),
-    journal_appends: AtomicU64::new(0),
-    journal_fsyncs: AtomicU64::new(0),
-    journal_fsync_us: AtomicU64::new(0),
-    replays: AtomicU64::new(0),
-    replay_us: AtomicU64::new(0),
-    cache_hits: AtomicU64::new(0),
-    cache_misses: AtomicU64::new(0),
-    cache_bytes_saved: AtomicU64::new(0),
     collision_kernel: Mutex::new(None),
 };
 
@@ -278,35 +241,6 @@ impl Registry {
         self.phases[phase.index()].comm_wait.record(us);
     }
 
-    /// Account one recovery event that wasted `us` of re-executed work.
-    pub fn record_recovery_waste_us(&self, us: u64) {
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
-        self.recovery_wasted_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// `(events, wasted_us)` of recovery accounting so far.
-    pub fn recovery_stats(&self) -> (u64, u64) {
-        (
-            self.recoveries.load(Ordering::Relaxed),
-            self.recovery_wasted_us.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Account one capacity-aware rebalance that moved `rows` coll-phase
-    /// `nc` rows relative to the uniform shrink.
-    pub fn record_rebalance_moved_rows(&self, rows: u64) {
-        self.rebalances.fetch_add(1, Ordering::Relaxed);
-        self.rebalance_moved_rows.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// `(events, moved_rows)` of rebalance accounting so far.
-    pub fn rebalance_stats(&self) -> (u64, u64) {
-        (
-            self.rebalances.load(Ordering::Relaxed),
-            self.rebalance_moved_rows.load(Ordering::Relaxed),
-        )
-    }
-
     /// Account one spawned ensemble world.
     pub fn record_world_spawn_count(&self) {
         self.world_spawns.fetch_add(1, Ordering::Relaxed);
@@ -322,60 +256,6 @@ impl Registry {
         (
             self.world_spawns.load(Ordering::Relaxed),
             self.cmat_builds.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Account one committed journal append.
-    pub fn record_journal_append_us(&self) {
-        self.journal_appends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Account one journal fsync that took `us`.
-    pub fn record_journal_fsync_us(&self, us: u64) {
-        self.journal_fsyncs.fetch_add(1, Ordering::Relaxed);
-        self.journal_fsync_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Account one startup journal replay that took `us`.
-    pub fn record_journal_replay_us(&self, us: u64) {
-        self.replays.fetch_add(1, Ordering::Relaxed);
-        self.replay_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// `(appends, fsyncs, fsync_us)` of journal accounting so far.
-    pub fn journal_stats(&self) -> (u64, u64, u64) {
-        (
-            self.journal_appends.load(Ordering::Relaxed),
-            self.journal_fsyncs.load(Ordering::Relaxed),
-            self.journal_fsync_us.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(replays, replay_us)` of startup-replay accounting so far.
-    pub fn replay_stats(&self) -> (u64, u64) {
-        (
-            self.replays.load(Ordering::Relaxed),
-            self.replay_us.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Account one artifact-cache hit that saved `bytes` of outcome data.
-    pub fn record_cache_hit_bytes(&self, bytes: u64) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.cache_bytes_saved.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Account one artifact-store consult that found nothing.
-    pub fn record_cache_miss_count(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(hits, misses, bytes_saved)` of artifact-cache accounting so far.
-    pub fn cache_stats(&self) -> (u64, u64, u64) {
-        (
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-            self.cache_bytes_saved.load(Ordering::Relaxed),
         )
     }
 
@@ -396,20 +276,8 @@ impl Registry {
             p.busy.reset();
             p.comm_wait.reset();
         }
-        self.recoveries.store(0, Ordering::Relaxed);
-        self.recovery_wasted_us.store(0, Ordering::Relaxed);
-        self.rebalances.store(0, Ordering::Relaxed);
-        self.rebalance_moved_rows.store(0, Ordering::Relaxed);
         self.world_spawns.store(0, Ordering::Relaxed);
         self.cmat_builds.store(0, Ordering::Relaxed);
-        self.journal_appends.store(0, Ordering::Relaxed);
-        self.journal_fsyncs.store(0, Ordering::Relaxed);
-        self.journal_fsync_us.store(0, Ordering::Relaxed);
-        self.replays.store(0, Ordering::Relaxed);
-        self.replay_us.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_bytes_saved.store(0, Ordering::Relaxed);
         *self.collision_kernel.lock().unwrap() = None;
     }
 }
@@ -452,32 +320,6 @@ pub fn record_comm_wait(label: &str, us: u64) {
     }
 }
 
-/// Record `us` of busy time against `phase` directly (for callers that
-/// already hold an elapsed measurement, e.g. replayed traces).
-#[inline]
-pub fn record_busy(phase: Phase, us: u64) {
-    if enabled() {
-        Registry::global().record_busy_us(phase, us);
-    }
-}
-
-/// Account one recovery event (see [`Registry::record_recovery_waste_us`]).
-#[inline]
-pub fn record_recovery_waste(us: u64) {
-    if enabled() {
-        Registry::global().record_recovery_waste_us(us);
-    }
-}
-
-/// Account one capacity-aware rebalance (see
-/// [`Registry::record_rebalance_moved_rows`]).
-#[inline]
-pub fn record_rebalance(moved_rows: u64) {
-    if enabled() {
-        Registry::global().record_rebalance_moved_rows(moved_rows);
-    }
-}
-
 /// Account one spawned ensemble world (see
 /// [`Registry::record_world_spawn_count`]). Like the kernel label this is a
 /// once-per-world lifecycle count, not a timing probe, so it bypasses the
@@ -492,46 +334,6 @@ pub fn record_world_spawn() {
 /// [`record_world_spawn`].
 pub fn record_cmat_build() {
     Registry::global().record_cmat_build_count();
-}
-
-/// Account one committed journal append (the serving layer's WAL).
-#[inline]
-pub fn record_journal_append() {
-    if enabled() {
-        Registry::global().record_journal_append_us();
-    }
-}
-
-/// Account one journal fsync that took `us`.
-#[inline]
-pub fn record_journal_fsync(us: u64) {
-    if enabled() {
-        Registry::global().record_journal_fsync_us(us);
-    }
-}
-
-/// Account one startup journal replay that took `us`.
-#[inline]
-pub fn record_journal_replay(us: u64) {
-    if enabled() {
-        Registry::global().record_journal_replay_us(us);
-    }
-}
-
-/// Account one artifact-cache hit that served `bytes` from the store.
-#[inline]
-pub fn record_cache_hit(bytes: u64) {
-    if enabled() {
-        Registry::global().record_cache_hit_bytes(bytes);
-    }
-}
-
-/// Account one artifact-store consult that found nothing.
-#[inline]
-pub fn record_cache_miss() {
-    if enabled() {
-        Registry::global().record_cache_miss_count();
-    }
 }
 
 /// Record the tuned collision-kernel label into the global registry.
@@ -570,13 +372,14 @@ mod tests {
     #[test]
     fn disabled_probe_records_nothing() {
         set_enabled(false);
-        let before = Registry::global().phase(Phase::Recover).busy.snapshot().count;
+        let m = Registry::global().phase(Phase::Diag);
+        let (busy, wait) = (m.busy.snapshot().count, m.comm_wait.snapshot().count);
         {
-            let _s = span(Phase::Recover);
+            let _s = span(Phase::Diag);
         }
-        record_comm_wait("recover", 123);
-        let m = Registry::global().phase(Phase::Recover);
-        assert_eq!(m.busy.snapshot().count, before);
+        record_comm_wait("diag", 123);
+        assert_eq!(m.busy.snapshot().count, busy);
+        assert_eq!(m.comm_wait.snapshot().count, wait);
         set_enabled(true);
     }
 
@@ -600,27 +403,5 @@ mod tests {
             Registry::global().collision_kernel().as_deref(),
             Some("scalar/t8")
         );
-    }
-
-    #[test]
-    fn recovery_counter_accumulates() {
-        set_enabled(true);
-        let (ev0, us0) = Registry::global().recovery_stats();
-        record_recovery_waste(500);
-        record_recovery_waste(250);
-        let (ev, us) = Registry::global().recovery_stats();
-        assert_eq!(ev - ev0, 2);
-        assert_eq!(us - us0, 750);
-    }
-
-    #[test]
-    fn rebalance_counter_accumulates() {
-        set_enabled(true);
-        let (ev0, rows0) = Registry::global().rebalance_stats();
-        record_rebalance(6);
-        record_rebalance(0);
-        let (ev, rows) = Registry::global().rebalance_stats();
-        assert_eq!(ev - ev0, 2);
-        assert_eq!(rows - rows0, 6);
     }
 }

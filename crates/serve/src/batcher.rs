@@ -68,13 +68,6 @@ pub enum FlushReason {
     Linger,
     /// The server drained/shut down with the batch still open.
     Drain,
-    /// The batch was rebuilt from the durability journal after a restart
-    /// (not flushed by the grouper at all).
-    Resume,
-    /// The batch was preempted at a checkpoint boundary by
-    /// higher-priority work and re-queued mid-run (not flushed by the
-    /// grouper at all).
-    Preempt,
 }
 
 impl std::fmt::Display for FlushReason {
@@ -84,8 +77,6 @@ impl std::fmt::Display for FlushReason {
             FlushReason::MemoryBudget => "memory-budget",
             FlushReason::Linger => "linger",
             FlushReason::Drain => "drain",
-            FlushReason::Resume => "resume",
-            FlushReason::Preempt => "preempt",
         })
     }
 }

@@ -594,6 +594,9 @@ pub struct JournalStats {
     pub appends: u64,
     /// fsync(2) calls issued.
     pub fsyncs: u64,
+    /// Wall time spent inside those fsyncs, microseconds (the durability
+    /// tax).
+    pub fsync_us: u64,
     /// Payload + framing bytes written.
     pub bytes_written: u64,
     /// Segment rotations.
@@ -827,8 +830,8 @@ impl Journal {
         let t0 = Instant::now();
         self.file.sync_data()?;
         self.stats.fsyncs += 1;
+        self.stats.fsync_us += t0.elapsed().as_micros() as u64;
         self.since_sync = 0;
-        xg_obs::record_journal_fsync(t0.elapsed().as_micros() as u64);
         Ok(())
     }
 

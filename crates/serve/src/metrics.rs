@@ -82,8 +82,8 @@ pub struct Metrics {
     pub rejected: BTreeMap<&'static str, u64>,
     /// Dispatched-batch occupancy histogram: batch size k → batches.
     pub occupancy: BTreeMap<usize, u64>,
-    /// Flush triggers by [`FlushReason`].
-    pub flushes: BTreeMap<&'static str, u64>,
+    /// Flush triggers by [`FlushReason`] label.
+    pub flushes: BTreeMap<String, u64>,
     /// Total constant-tensor bytes NOT allocated thanks to batching,
     /// summed over dispatched batches.
     pub cmat_saved_bytes: u64,
@@ -105,6 +105,8 @@ pub struct Metrics {
     pub journal_appends: u64,
     /// fsync(2) calls the journal issued.
     pub journal_fsyncs: u64,
+    /// Wall time spent inside those fsyncs, microseconds.
+    pub journal_fsync_us: u64,
     /// Frame bytes the journal wrote.
     pub journal_bytes: u64,
     /// Journal segment rotations.
@@ -172,7 +174,7 @@ impl Metrics {
     /// `dims`, flushed for `reason`.
     pub fn on_dispatch(&mut self, k: usize, dims: SimDims, reason: FlushReason) {
         *self.occupancy.entry(k).or_insert(0) += 1;
-        *self.flushes.entry(reason_key(reason)).or_insert(0) += 1;
+        *self.flushes.entry(reason.to_string()).or_insert(0) += 1;
         self.cmat_saved_bytes += xg_costmodel::cmat_saved_bytes(k, dims);
         self.cmat_unbatched_bytes += k as u64 * xg_costmodel::cmat_total_bytes(dims);
     }
@@ -251,6 +253,7 @@ impl Metrics {
     pub fn set_journal_stats(&mut self, s: crate::journal::JournalStats) {
         self.journal_appends = s.appends;
         self.journal_fsyncs = s.fsyncs;
+        self.journal_fsync_us = s.fsync_us;
         self.journal_bytes = s.bytes_written;
         self.journal_rotations = s.rotations;
         self.journal_compactions = s.compactions;
@@ -321,10 +324,11 @@ impl Metrics {
         self.push_latency(&mut s, "queue_latency_ms", 1000);
         s.push_str(",\n");
         s.push_str(&format!(
-            "  \"journal\": {{\"appends\": {}, \"fsyncs\": {}, \"bytes\": {}, \
-             \"rotations\": {}, \"compactions\": {}, \"dropped\": {}}},\n",
+            "  \"journal\": {{\"appends\": {}, \"fsyncs\": {}, \"fsync_us\": {}, \
+             \"bytes\": {}, \"rotations\": {}, \"compactions\": {}, \"dropped\": {}}},\n",
             self.journal_appends,
             self.journal_fsyncs,
+            self.journal_fsync_us,
             self.journal_bytes,
             self.journal_rotations,
             self.journal_compactions,
@@ -548,12 +552,23 @@ impl Metrics {
         ] {
             s.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"));
         }
-        s.push_str("# HELP xgserve_replay_seconds_total Wall time spent replaying the journal at startup.\n");
-        s.push_str("# TYPE xgserve_replay_seconds_total counter\n");
-        s.push_str(&format!(
-            "xgserve_replay_seconds_total {}\n",
-            self.replay_us as f64 / 1e6
-        ));
+        for (name, help, us) in [
+            (
+                "xgserve_journal_fsync_seconds_total",
+                "Wall time spent inside journal fsyncs.",
+                self.journal_fsync_us,
+            ),
+            (
+                "xgserve_replay_seconds_total",
+                "Wall time spent replaying the journal at startup.",
+                self.replay_us,
+            ),
+        ] {
+            s.push_str(&format!(
+                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {}\n",
+                us as f64 / 1e6
+            ));
+        }
         for (name, help, v) in [
             ("xgserve_worlds_active", "Ensemble worlds executing right now.", self.worlds_active),
             (
@@ -657,17 +672,6 @@ impl Metrics {
             }
         }
         s
-    }
-}
-
-fn reason_key(reason: FlushReason) -> &'static str {
-    match reason {
-        FlushReason::Full => "full",
-        FlushReason::MemoryBudget => "memory-budget",
-        FlushReason::Linger => "linger",
-        FlushReason::Drain => "drain",
-        FlushReason::Resume => "resume",
-        FlushReason::Preempt => "preempt",
     }
 }
 

@@ -33,7 +33,7 @@ use crate::metrics::Metrics;
 use crate::sched::DispatchQueue;
 use crate::table::{BatchCheckpoint, Ignored, Job, JobTable};
 use crate::tenant::TenantDirectory;
-use xg_artifact::{deck_hash, ArtifactStore, DeckHash, GcReport, Manifest, StoreStats};
+use xg_artifact::{deck_hash, ArtifactStore, DeckHash, GcReport, Manifest};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -185,7 +185,8 @@ pub struct RecoveryReport {
     pub warnings: Vec<String>,
 }
 
-/// Resume context for a batch rebuilt from the journal.
+/// Resume context for a batch rebuilt from the journal or preempted at a
+/// checkpoint boundary.
 #[derive(Debug)]
 struct ResumeState {
     /// Decoded, validated ensemble checkpoint (None restarts from step 0).
@@ -196,15 +197,24 @@ struct ResumeState {
     next_seq: u64,
 }
 
-/// A flushed batch waiting for a worker.
+/// How a ready batch came to the dispatch queue.
+#[derive(Debug)]
+enum BatchOrigin {
+    /// Flushed by the grouper: its members are still `Batched`, and its
+    /// dispatch is counted under the flush reason.
+    Flushed(FlushReason),
+    /// Rebuilt by journal replay or preempted at a checkpoint boundary:
+    /// its members are already `Running` and it was counted when first
+    /// dispatched.
+    Resumed(ResumeState),
+}
+
+/// A batch waiting for a worker.
 #[derive(Debug)]
 struct ReadyBatch {
     id: BatchId,
     jobs: Vec<JobId>,
-    reason: FlushReason,
-    /// Set for batches rebuilt by journal replay and for batches
-    /// preempted at a checkpoint boundary.
-    resume: Option<ResumeState>,
+    origin: BatchOrigin,
     /// The tenant every member belongs to (batches are tenant-pure).
     tenant: String,
     /// The tenant's priority lane at enqueue time.
@@ -445,11 +455,6 @@ impl CampaignServer {
         if pinned { store.pin(hash) } else { store.unpin(hash) }.map_err(|e| e.to_string())
     }
 
-    /// Store occupancy counters (`None` when running cache-less).
-    pub fn artifact_stats(&self) -> Option<StoreStats> {
-        self.shared.store.as_ref().and_then(|s| s.stats().ok())
-    }
-
     fn store_or_err(&self) -> Result<&ArtifactStore, String> {
         self.shared
             .store
@@ -555,7 +560,8 @@ impl CampaignServer {
         {
             let st = &mut *guard;
             for f in flushed {
-                enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, f.reason, None);
+                let origin = BatchOrigin::Flushed(f.reason);
+                enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, origin);
             }
         }
         shared.work.notify_all();
@@ -707,8 +713,7 @@ fn enqueue_ready(
     st: &mut State,
     id: BatchId,
     jobs: Vec<JobId>,
-    reason: FlushReason,
-    resume: Option<ResumeState>,
+    origin: BatchOrigin,
 ) {
     if jobs.is_empty() {
         return;
@@ -725,7 +730,7 @@ fn enqueue_ready(
         weight,
         priority,
         cost,
-        ReadyBatch { id, jobs, reason, resume, tenant: tenant.clone(), priority, nodes },
+        ReadyBatch { id, jobs, origin, tenant: tenant.clone(), priority, nodes },
     );
 }
 
@@ -753,9 +758,7 @@ fn tenant_sched_params(cfg: &ServerConfig, tenant: &str) -> (u32, u8) {
 /// still moves, and replay reconstructs what it can from whatever did land.
 fn commit(shared: &Shared, st: &mut State, rec: JournalRecord) {
     if let Some(j) = st.journal.as_mut() {
-        if j.append(&rec).is_ok() {
-            xg_obs::record_journal_append();
-        }
+        let _ = j.append(&rec);
     }
     apply_live(shared, st, rec, None);
 }
@@ -823,7 +826,6 @@ fn admit_job(
         }
         if hit.is_none() {
             st.metrics.on_cache_miss();
-            xg_obs::record_cache_miss();
         }
     }
     let deck = xg_sim::write_deck(&spec.input);
@@ -879,7 +881,6 @@ fn admit_job(
     };
     if let Some(j) = st.journal.as_mut() {
         j.append(&rec).map_err(|e| AdmitError::JournalBackpressure { reason: e.to_string() })?;
-        xg_obs::record_journal_append();
     }
     apply_live(shared, st, rec, Some(input));
     st.metrics.on_submit();
@@ -895,7 +896,6 @@ fn admit_job(
             hit_job.outcome = outcome;
         }
         st.metrics.on_cache_hit(manifest.outcome_bytes);
-        xg_obs::record_cache_hit(manifest.outcome_bytes);
         return Ok(job);
     }
     // Queued → Batched happens inside submit (placement is synchronous), so
@@ -904,7 +904,8 @@ fn admit_job(
     let (batch, flushed) = st.grouper.place(job, &placed.spec, Instant::now());
     commit(shared, st, JournalRecord::Batched { job, batch });
     if let Some(f) = flushed {
-        enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, f.reason, None);
+        let origin = BatchOrigin::Flushed(f.reason);
+        enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, origin);
         shared.work.notify_all();
     }
     // A new batch may have created the earliest linger deadline.
@@ -962,7 +963,6 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
     if ignored > 0 {
         st.recovery.warnings.push(format!("{ignored} record(s) ignored by replay"));
     }
-    xg_obs::record_journal_replay(replay.replay_us);
     let now = Instant::now();
     st.table.evict(shared.cfg.retain_jobs, shared.cfg.retain_age, now);
     // Batches formed from here on never reuse an id a previous life issued.
@@ -982,7 +982,8 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
         commit(shared, st, JournalRecord::Batched { job, batch });
         st.recovery.readmitted_jobs += 1;
         if let Some(f) = flushed {
-            enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, f.reason, None);
+            let origin = BatchOrigin::Flushed(f.reason);
+            enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, origin);
         }
     }
 
@@ -1020,7 +1021,7 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
     for (bid, members, resume) in resumes {
         st.recovery.resumed_batches += 1;
         st.recovery.restored_jobs += members.len() as u64;
-        enqueue_ready(&shared.cfg, st, bid, members, FlushReason::Resume, Some(resume));
+        enqueue_ready(&shared.cfg, st, bid, members, BatchOrigin::Resumed(resume));
     }
 }
 
@@ -1100,7 +1101,8 @@ fn batcher_loop(shared: &Shared) {
         if !expired.is_empty() {
             let st = &mut *guard;
             for f in expired {
-                enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, f.reason, None);
+                let origin = BatchOrigin::Flushed(f.reason);
+                enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, origin);
             }
             shared.work.notify_all();
             continue;
@@ -1174,7 +1176,7 @@ fn worker_loop(shared: &Shared) {
 /// `Done` records re-runs that segment deterministically, which is cheaper
 /// than reasoning about a "finished but unrecorded" limbo state.
 fn execute_batch(shared: &Shared, rb: ReadyBatch) {
-    let ReadyBatch { id: batch_id, jobs, reason, resume, tenant, priority, nodes } = rb;
+    let ReadyBatch { id: batch_id, jobs, origin, tenant, priority, nodes } = rb;
     // Dispatch bookkeeping: transition members to Running, record queue
     // latency and occupancy, arm the chaos fault plan (first batch only).
     // Members of a preempted batch — or of one a restart resumed — are
@@ -1208,8 +1210,8 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
         if jobs.is_empty() {
             return;
         }
-        if fresh {
-            st.metrics.on_dispatch(jobs.len(), inputs[0].dims(), reason);
+        if let (true, BatchOrigin::Flushed(reason)) = (fresh, &origin) {
+            st.metrics.on_dispatch(jobs.len(), inputs[0].dims(), *reason);
             commit(shared, st, JournalRecord::Running { batch: batch_id, jobs: jobs.clone() });
         }
         (inputs, steps_total, st.fault_plan.take())
@@ -1217,9 +1219,9 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
     let batch_k = jobs.len() as u64;
     let exec_start = Instant::now();
 
-    let (checkpoint, mut done, mut next_seq) = match resume {
-        Some(r) => (r.checkpoint, r.done, r.next_seq),
-        None => (None, 0usize, 0u64),
+    let (checkpoint, mut done, mut next_seq) = match origin {
+        BatchOrigin::Resumed(r) => (r.checkpoint, r.done, r.next_seq),
+        BatchOrigin::Flushed(_) => (None, 0usize, 0u64),
     };
     // The same call serves a fresh batch, a preempted one coming back and a
     // batch journal replay rebuilt after kill -9: open from the checkpoint.
@@ -1310,14 +1312,8 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
                 st.table.on_preempt(&tenant);
                 let resume =
                     ResumeState { checkpoint: run.checkpoint().cloned(), done, next_seq };
-                enqueue_ready(
-                    &shared.cfg,
-                    st,
-                    batch_id,
-                    member_ids.clone(),
-                    FlushReason::Preempt,
-                    Some(resume),
-                );
+                let origin = BatchOrigin::Resumed(resume);
+                enqueue_ready(&shared.cfg, st, batch_id, member_ids.clone(), origin);
                 shared.work.notify_all();
             }
             yields

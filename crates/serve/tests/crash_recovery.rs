@@ -14,7 +14,9 @@
 //!   **bitwise identical** to an uninterrupted run;
 //! * a torn tail is truncated with a warning, not a refusal to start;
 //! * a journal that cannot persist sheds the submit with typed
-//!   backpressure instead of accepting unjournaled work.
+//!   backpressure instead of accepting unjournaled work;
+//! * fsync count and time are the journal's own counters, exported by the
+//!   serve metrics with the phase timers off.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -337,6 +339,36 @@ fn journal_write_error_sheds_the_submit_with_typed_backpressure() {
     assert!(server.drain(Duration::from_secs(120)), "drain timed out");
     assert_eq!(server.status(id).unwrap().state, JobState::Done);
     server.shutdown();
+}
+
+#[test]
+fn the_journal_reports_its_own_fsyncs_with_phase_timers_off() {
+    // Fsync count and time are the journal's own counters, exported by the
+    // serve metrics whatever the phase-timer switch says; the phase-timer
+    // registry keeps no second copy of them.
+    xg_obs::set_enabled(false);
+    let dir = tmpdir("fsync-accounting");
+    let server = CampaignServer::start(config(&dir));
+    let deck = CgyroInput::test_small();
+    server
+        .submit(JobSpec { input: deck, steps: STEPS, tag: "synced".into(), tenant: "default".into() })
+        .expect("admitted");
+    let prom = server.metrics_prom();
+    server.shutdown();
+
+    let samples = xg_obs::parse_prometheus(&prom).expect("exposition parses");
+    let value = |name: &str| {
+        samples.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("no {name}")).value
+    };
+    assert!(value("xgserve_journal_fsyncs_total") > 0.0, "fsync_every = 1 fsyncs every append");
+    assert!(value("xgserve_journal_fsync_seconds_total") > 0.0);
+    let copies: Vec<&str> = prom
+        .lines()
+        .filter(|l| ["journal", "cache", "recovery", "rebalance"].iter().any(|c| {
+            l.starts_with(&format!("xgyro_{c}_"))
+        }))
+        .collect();
+    assert!(copies.is_empty(), "the phase-timer registry copies serve counters: {copies:?}");
 }
 
 /// Four rounds of one full k=3 batch each: twelve distinct same-key decks,

@@ -223,16 +223,11 @@ impl DistTopology {
 
 impl Topology for DistTopology {
     fn reduce_moment(&self, buf: &mut [Complex64]) {
-        self.nv_comm
-            .log()
-            .note_unfused_reduction(std::mem::size_of_val::<[Complex64]>(buf) as u64);
         self.nv_comm.all_reduce_sum_complex(buf);
     }
 
-    fn reduce_moment_block(&self, buf: &mut [Complex64], moments: usize) {
+    fn reduce_moment_block(&self, buf: &mut [Complex64], _moments: usize) {
         // One collective per RK stage carrying every moment.
-        let bytes = std::mem::size_of_val::<[Complex64]>(buf) as u64;
-        self.nv_comm.log().note_fused_reduction(moments as u64, bytes);
         self.nv_comm.all_reduce_sum_complex(buf);
     }
 

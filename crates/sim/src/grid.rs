@@ -141,12 +141,6 @@ impl VelocityGrid {
         let (is, ie, ix) = self.unflatten(iv);
         self.xi[ix] * (2.0 * self.energy[ie] / masses[is]).sqrt()
     }
-
-    /// Perpendicular speed `v_⊥ = √(1−ξ²)·√(2ε/m)`.
-    pub fn v_perp(&self, iv: usize, masses: &[f64]) -> f64 {
-        let (is, ie, ix) = self.unflatten(iv);
-        (1.0 - self.xi[ix] * self.xi[ix]).sqrt() * (2.0 * self.energy[ie] / masses[is]).sqrt()
-    }
 }
 
 /// Configuration-space grid: `ic = ir·n_theta + itheta`.

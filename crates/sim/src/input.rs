@@ -116,11 +116,6 @@ impl CgyroInput {
         )
     }
 
-    /// Velocity-space size per species.
-    pub fn nv_per_species(&self) -> usize {
-        self.n_xi * self.n_energy
-    }
-
     /// Validate basic consistency. Returns a human-readable error.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_radial == 0 || self.n_theta < 4 {

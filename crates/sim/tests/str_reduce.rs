@@ -4,7 +4,7 @@
 //! through the [`PerMoment`] wrapper) including ragged decompositions.
 
 use proptest::prelude::*;
-use xg_comm::World;
+use xg_comm::{OpKind, OpRecord, World};
 use xg_linalg::Complex64;
 use xg_sim::{CgyroInput, DistTopology, Simulation, Topology};
 use xg_tensor::{PhaseLayout, ProcGrid, Tensor3};
@@ -90,6 +90,41 @@ fn reassemble(
     global
 }
 
+/// Each rank's str-phase records over one step under `wrap(topology)`.
+fn str_records<T: Topology>(
+    input: &CgyroInput,
+    grid: ProcGrid,
+    wrap: fn(DistTopology) -> T,
+) -> Vec<Vec<OpRecord>> {
+    let world = World::new(grid.size());
+    world
+        .run_with_logs(|comm| {
+            let topo = wrap(DistTopology::cgyro(input, grid, comm));
+            Simulation::new(input.clone(), topo).step();
+        })
+        .into_iter()
+        .map(|((), records)| records.into_iter().filter(|r| r.phase == "str").collect())
+        .collect()
+}
+
+/// Assert the fused schedule issues one `AllReduce` per RK stage, each
+/// carrying `moments` times the bytes of one per-moment record.
+fn assert_fused_packs(input: &CgyroInput, moments: u64) {
+    let grid = ProcGrid::new(2, 1);
+    let fused = str_records(input, grid, |t| t);
+    let per_moment = str_records(input, grid, PerMoment);
+    for (fused, per_moment) in fused.iter().zip(&per_moment) {
+        assert_eq!(fused.len(), 4, "one fused collective per RK stage, got {}", fused.len());
+        assert!(fused.iter().all(|r| r.op == OpKind::AllReduce));
+        let one = per_moment[0].bytes;
+        assert!(one > 0);
+        assert!(
+            fused.iter().all(|r| r.bytes == moments * one),
+            "each stage packs {moments} moments of {one} bytes: {fused:?}"
+        );
+    }
+}
+
 #[test]
 fn fused_electrostatic_runs_one_collective_per_rk_stage() {
     // Acceptance criterion: an electrostatic step issues exactly ONE
@@ -97,80 +132,30 @@ fn fused_electrostatic_runs_one_collective_per_rk_stage() {
     // moments (phi + upwind).
     let input = CgyroInput::test_small();
     assert_eq!(input.beta_e, 0.0, "test_small must be electrostatic");
-    let grid = ProcGrid::new(2, 1);
-    let world = World::new(grid.size());
-    let out = world.run_with_logs(|comm| {
-        let log = comm.log().clone();
-        let topo = DistTopology::cgyro(&input, grid, comm);
-        let mut sim = Simulation::new(input.clone(), topo);
-        sim.step();
-        (
-            log.fused_reduction_stats(),
-            log.unfused_reduction_stats(),
-        )
-    });
-    for (((fused_calls, fused_moments, fused_bytes), (unfused_calls, _)), records) in out {
-        let str_collectives: Vec<_> = records
-            .iter()
-            .filter(|r| r.phase == "str")
-            .collect();
-        assert_eq!(
-            str_collectives.len(),
-            4,
-            "one fused collective per RK stage, got {}",
-            str_collectives.len()
-        );
-        assert!(str_collectives
-            .iter()
-            .all(|r| r.op == xg_comm::OpKind::AllReduce));
-        // The TrafficLog counters agree: 4 fused calls carrying 2 moments
-        // each, and no unfused str reductions at all.
-        assert_eq!(fused_calls, 4);
-        assert_eq!(fused_moments, 8);
-        assert!(fused_bytes > 0);
-        assert_eq!(unfused_calls, 0, "no unfused reductions when fused");
-    }
+    assert_fused_packs(&input, 2);
 }
 
 #[test]
 fn fused_electromagnetic_packs_three_moments_per_stage() {
+    // phi + apar + upwind packed per stage.
     let mut input = CgyroInput::test_small();
     input.beta_e = 0.004;
-    let grid = ProcGrid::new(2, 1);
-    let world = World::new(grid.size());
-    let out = world.run_with_logs(|comm| {
-        let log = comm.log().clone();
-        let topo = DistTopology::cgyro(&input, grid, comm);
-        let mut sim = Simulation::new(input.clone(), topo);
-        sim.step();
-        log.fused_reduction_stats()
-    });
-    for ((calls, moments, _), records) in out {
-        let n = records.iter().filter(|r| r.phase == "str").count();
-        assert_eq!(n, 4, "EM fusion still one collective per stage");
-        assert_eq!(calls, 4);
-        assert_eq!(moments, 12, "phi + apar + upwind packed per stage");
-    }
+    assert_fused_packs(&input, 3);
 }
 
 #[test]
 fn per_moment_schedule_issues_separate_collectives_and_counts_them() {
     let input = CgyroInput::test_small();
     let grid = ProcGrid::new(2, 1);
-    let world = World::new(grid.size());
-    let out = world.run_with_logs(|comm| {
-        let log = comm.log().clone();
-        let topo = PerMoment(DistTopology::cgyro(&input, grid, comm));
-        let mut sim = Simulation::new(input.clone(), topo);
-        sim.step();
-        (log.fused_reduction_stats(), log.unfused_reduction_stats())
-    });
-    for (((fused_calls, _, _), (unfused_calls, unfused_bytes)), records) in out {
-        let n = records.iter().filter(|r| r.phase == "str").count();
-        assert_eq!(n, 8, "2 moments × 4 RK stages when unfused");
-        assert_eq!(fused_calls, 0);
-        assert_eq!(unfused_calls, 8);
-        assert!(unfused_bytes > 0);
+    let fused = str_records(&input, grid, |t| t);
+    let per_moment = str_records(&input, grid, PerMoment);
+    for (fused, per_moment) in fused.iter().zip(&per_moment) {
+        assert_eq!(per_moment.len(), 8, "2 moments × 4 RK stages when unfused");
+        assert!(per_moment.iter().all(|r| r.op == OpKind::AllReduce));
+        // Single-moment records, moving what the fused calls move.
+        assert!(per_moment.iter().all(|r| r.bytes == per_moment[0].bytes));
+        let total = |rs: &[OpRecord]| rs.iter().map(|r| r.bytes).sum::<u64>();
+        assert_eq!(total(per_moment), total(fused));
     }
 }
 

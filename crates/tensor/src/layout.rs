@@ -163,12 +163,6 @@ impl PhaseLayout {
         let (a, b, c) = self.str_shape();
         a * b * c
     }
-
-    /// Complex elements held in the coll phase (CGYRO mode).
-    pub fn coll_len(&self) -> usize {
-        let (a, b, c) = self.coll_shape();
-        a * b * c
-    }
 }
 
 #[cfg(test)]

@@ -200,11 +200,6 @@ impl ArtifactStore {
         Ok(bytes)
     }
 
-    /// Whether a blob with this address exists.
-    pub fn has_object(&self, id: ObjectId) -> bool {
-        self.object_path(id).exists()
-    }
-
     /// Publish a manifest atomically, stamping its access time.
     pub fn publish(&self, manifest: &Manifest) -> Result<(), StoreError> {
         let hash = manifest.deck_hash;
@@ -426,7 +421,7 @@ mod tests {
         let store = ArtifactStore::open(&dir).unwrap();
         let id = store.put_object(b"hello artifacts").unwrap();
         assert_eq!(store.put_object(b"hello artifacts").unwrap(), id);
-        assert!(store.has_object(id));
+        assert!(store.get_object(id).is_ok());
         assert_eq!(store.get_object(id).unwrap(), b"hello artifacts");
         assert_eq!(id.to_string().parse::<ObjectId>().unwrap(), id);
         assert!(matches!(
@@ -517,7 +512,7 @@ mod tests {
         // a is gone, but the deck blob b still references must remain.
         assert!(!store.contains(a.deck_hash));
         assert_eq!(store.get_object(deck).unwrap(), b"shared deck");
-        assert!(!store.has_object(a.outcome_object));
+        assert!(store.get_object(a.outcome_object).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -127,26 +127,6 @@ impl TraceSummary {
         }
         out
     }
-
-    /// Time-weighted per-phase rollup: `(phase, ops, bytes, wait_us)` in
-    /// descending wait order — where the communication time actually went,
-    /// not just where the bytes moved. All zeros in the wait column means
-    /// the trace was captured with timing off.
-    pub fn phase_time_rollup(&self) -> Vec<(String, usize, u64, u64)> {
-        let mut rollup: Vec<(String, usize, u64, u64)> = Vec::new();
-        for r in &self.rows {
-            match rollup.iter_mut().find(|(p, ..)| *p == r.phase) {
-                Some((_, count, bytes, us)) => {
-                    *count += r.count;
-                    *bytes += r.bytes;
-                    *us += r.elapsed_us;
-                }
-                None => rollup.push((r.phase.clone(), r.count, r.bytes, r.elapsed_us)),
-            }
-        }
-        rollup.sort_by(|a, b| b.3.cmp(&a.3).then_with(|| a.0.cmp(&b.0)));
-        rollup
-    }
 }
 
 #[cfg(test)]
@@ -207,9 +187,5 @@ mod tests {
         assert!(table.contains("coll-ens"));
         assert!(table.contains("AllReduce"));
         assert!(table.contains("wait(ms)"));
-        // Time-weighted rollup: coll waited longer than str despite fewer ops.
-        let rollup = s.phase_time_rollup();
-        assert_eq!(rollup[0], ("coll".to_string(), 1, 999, 200));
-        assert_eq!(rollup[1], ("str".to_string(), 2, 200, 80));
     }
 }

@@ -38,11 +38,6 @@ impl PhaseBreakdown {
             .unwrap_or(0.0)
     }
 
-    /// Total seconds in a phase (all categories).
-    pub fn phase_total(&self, phase: &str) -> f64 {
-        self.buckets.iter().filter(|((p, _), _)| p == phase).map(|(_, v)| v).sum()
-    }
-
     /// Total seconds over everything.
     pub fn total(&self) -> f64 {
         self.buckets.values().sum()
@@ -148,7 +143,6 @@ mod tests {
         b.add("str", "comm:AllReduce", 2.0);
         b.add("coll", "comm:AllToAll", 4.0);
         assert_eq!(b.get("str", "comm:AllReduce"), 3.0);
-        assert_eq!(b.phase_total("str"), 3.0);
         assert_eq!(b.total(), 7.0);
         assert_eq!(b.get("nl", "anything"), 0.0);
     }

@@ -60,19 +60,9 @@ impl MachineModel {
         (self.mem_per_rank as f64 * self.usable_mem_fraction) as u64
     }
 
-    /// Usable memory on `nodes` nodes in bytes.
-    pub fn usable_mem_total(&self, nodes: usize) -> u64 {
-        self.usable_mem_per_rank() * (self.ranks_per_node * nodes) as u64
-    }
-
     /// Number of ranks on `nodes` nodes.
     pub fn ranks(&self, nodes: usize) -> usize {
         self.ranks_per_node * nodes
-    }
-
-    /// Nodes needed to host `ranks` ranks (rounded up).
-    pub fn nodes_for_ranks(&self, ranks: usize) -> usize {
-        ranks.div_ceil(self.ranks_per_node)
     }
 
     /// Relative speed of node `node` (1.0 when homogeneous). The speed
@@ -249,11 +239,7 @@ mod tests {
     fn frontier_preset_basics() {
         let m = MachineModel::frontier_like();
         assert_eq!(m.ranks(32), 256);
-        assert_eq!(m.nodes_for_ranks(256), 32);
-        assert_eq!(m.nodes_for_ranks(257), 33);
         assert!(m.usable_mem_per_rank() < m.mem_per_rank);
-        let total = m.usable_mem_total(32);
-        assert_eq!(total, m.usable_mem_per_rank() * 256);
     }
 
     #[test]

@@ -148,18 +148,6 @@ impl RealMatrix {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Sum of entries in row `i` — the density-conservation check for
-    /// collision operators is "every row of `C` acting on a constant gives 0",
-    /// i.e. row sums of the weighted operator vanish.
-    pub fn row_sum(&self, i: usize) -> f64 {
-        self.row(i).iter().sum()
-    }
-
     /// Trace (square only).
     pub fn trace(&self) -> f64 {
         assert!(self.is_square());
@@ -274,9 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_and_row_sum() {
+    fn diagonal_and_trace() {
         let d = RealMatrix::from_diagonal(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.row_sum(1), 2.0);
+        assert_eq!(d.row(1), &[0.0, 2.0, 0.0]);
         assert_eq!(d.trace(), 6.0);
     }
 
@@ -286,12 +274,6 @@ mod tests {
         let b = RealMatrix::from_fn(2, 2, |i, j| (i * j) as f64 + 1.0);
         let c = &(&a + &b) - &b;
         assert_eq!(c, a);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_hand_value() {
-        let m = RealMatrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
-        assert_eq!(m.frobenius_norm(), 5.0);
     }
 
     #[test]

@@ -14,16 +14,6 @@ pub fn max_abs_complex(v: &[Complex64]) -> f64 {
     v.iter().fold(0.0_f64, |m, z| m.max(z.abs()))
 }
 
-/// Euclidean norm of a real slice.
-pub fn l2(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// Euclidean norm of a complex slice.
-pub fn l2_complex(v: &[Complex64]) -> f64 {
-    v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-}
-
 /// Maximum componentwise deviation between two complex slices.
 ///
 /// This is the metric reported by the equivalence experiment (T-correct):
@@ -57,20 +47,13 @@ pub fn pairwise_sum_complex(v: &[Complex64]) -> Complex64 {
     pairwise_sum_complex(&v[..mid]) + pairwise_sum_complex(&v[mid..])
 }
 
-/// Relative difference `|a−b| / max(|a|, |b|, floor)`.
-pub fn rel_diff(a: f64, b: f64) -> f64 {
-    let scale = a.abs().max(b.abs()).max(1e-300);
-    (a - b).abs() / scale
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn max_abs_and_l2() {
+    fn max_abs_of_real_slices() {
         assert_eq!(max_abs(&[1.0, -3.0, 2.0]), 3.0);
-        assert_eq!(l2(&[3.0, 4.0]), 5.0);
         assert_eq!(max_abs(&[]), 0.0);
     }
 
@@ -78,7 +61,6 @@ mod tests {
     fn complex_norms() {
         let v = [Complex64::new(3.0, 4.0), Complex64::new(0.0, 1.0)];
         assert_eq!(max_abs_complex(&v), 5.0);
-        assert!((l2_complex(&v) - 26.0_f64.sqrt()).abs() < 1e-15);
     }
 
     #[test]
@@ -114,12 +96,5 @@ mod tests {
         let im: Vec<f64> = v.iter().map(|z| z.im).collect();
         assert_eq!(s.re, pairwise_sum(&re));
         assert_eq!(s.im, pairwise_sum(&im));
-    }
-
-    #[test]
-    fn rel_diff_basic() {
-        assert_eq!(rel_diff(1.0, 1.0), 0.0);
-        assert!((rel_diff(1.0, 1.1) - 0.1 / 1.1).abs() < 1e-15);
-        assert_eq!(rel_diff(0.0, 0.0), 0.0);
     }
 }

@@ -161,11 +161,6 @@ impl Snapshot {
         Some(self.max)
     }
 
-    /// p50 estimate (see [`Snapshot::quantile_us`]).
-    pub fn p50_us(&self) -> Option<u64> {
-        self.quantile_us(0.50)
-    }
-
     /// p99 estimate (see [`Snapshot::quantile_us`]).
     pub fn p99_us(&self) -> Option<u64> {
         self.quantile_us(0.99)
@@ -227,7 +222,7 @@ mod tests {
         h.record(100_000);
         let s = h.snapshot();
         // p50 lands in the bucket containing 5 (bucket 3, bound 8).
-        assert_eq!(s.p50_us(), Some(7));
+        assert_eq!(s.quantile_us(0.5), Some(7));
         // p99 still lands among the fast observations (rank 99 of 100).
         assert_eq!(s.p99_us(), Some(7));
         // The true tail is visible through max.
@@ -241,7 +236,7 @@ mod tests {
         let h = Histogram::new();
         h.record(33);
         let s = h.snapshot();
-        assert_eq!(s.p50_us(), Some(33));
+        assert_eq!(s.quantile_us(0.5), Some(33));
         assert_eq!(s.p99_us(), Some(33));
     }
 

@@ -42,18 +42,19 @@
 //!
 //! Idempotent requests (everything except `watch`, `drain`, `shutdown`)
 //! ride through daemon restarts: up to `--retries` attempts with jittered
-//! exponential backoff, reconnecting between attempts. Every `submit`
-//! carries an idempotency token (auto-generated from time + pid unless
-//! `--token` supplies one, suppressed by `--no-token`), so a retried submit
-//! whose first response was lost is answered with the original job id and
-//! `dup=1` instead of double-enqueueing. `watch` and `top --watch` are
+//! exponential backoff, reconnecting between attempts. An `ERR` reply is an
+//! answer, printed to stderr with exit status 1, and never retried. Every
+//! `submit` carries an idempotency token (auto-generated from time + pid
+//! unless `--token` supplies one, suppressed by `--no-token`), so a retried
+//! submit whose first response was lost is answered with the original job
+//! id and `dup=1` instead of double-enqueueing. `watch` and `top --watch` are
 //! streams, not requests — on a lost connection they reconnect with the
 //! same backoff and print a `(reconnected)` marker; `watch` resumes from
 //! the server's state snapshot so no terminal transition is missed.
 
 use std::process::exit;
 use std::time::Duration;
-use xg_serve::wire::{Client, RetryPolicy, RetryingClient};
+use xg_serve::wire::{with_deck, Client, Reply, RetryPolicy};
 use xg_sim::{load_deck, write_deck};
 
 fn usage() -> ! {
@@ -75,13 +76,22 @@ fn fail(msg: &str) -> ! {
     exit(1)
 }
 
-/// `OK …` → print and succeed; `ERR …` → print and fail.
-fn finish(resp: &str) -> ! {
-    if resp.starts_with("OK") {
-        println!("{resp}");
-        exit(0)
+/// An `ERR` head fails. Otherwise the body (`list`, `fetch`, `metrics`,
+/// `top`) or else the head goes to `out` or stdout.
+fn finish(reply: Reply, out: Option<String>) -> ! {
+    if !reply.is_ok() {
+        fail(&reply.head)
     }
-    fail(resp)
+    let text = match reply.head.as_str() {
+        "OK" => reply.body_text(),
+        head => format!("{head}\n"),
+    };
+    match out {
+        Some(path) => std::fs::write(&path, text)
+            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}"))),
+        None => print!("{text}"),
+    }
+    exit(0)
 }
 
 /// A process-unique idempotency token: wall-clock µs + pid. Unique enough
@@ -128,94 +138,44 @@ fn main() {
         seed: std::process::id() as u64,
         ..RetryPolicy::client_default(0)
     };
-    let mut retry = RetryingClient::new(&addr, timeout, policy.clone());
-    match cmd.as_str() {
-        "ping" => finish(&retry.roundtrip("PING").unwrap_or_else(|e| fail(&e.to_string()))),
-        "submit" => submit(&mut retry, rest),
-        "status" | "cancel" | "result" => {
-            let job = rest.first().unwrap_or_else(|| usage());
-            let verb = match cmd.as_str() {
-                "status" => "STATUS",
-                "result" => "RESULT",
-                _ => "CANCEL",
-            };
-            finish(
-                &retry
-                    .roundtrip(&format!("{verb} {job}"))
-                    .unwrap_or_else(|e| fail(&e.to_string())),
-            )
+    let arg = |i: usize| rest.get(i).unwrap_or_else(|| usage());
+    let flag = |key: &str| {
+        rest.iter().position(|a| a == key).and_then(|i| rest.get(i + 1).cloned())
+    };
+    // Each command is one request, its verb the command in capitals, on
+    // one of two clients. `drain`, `watch` and `shutdown` go out once with
+    // no timeout: a drain blocks up to its own deadline and a watch for as
+    // long as the job runs, and a retried drain against a restarted daemon
+    // would silently wait on an empty queue and mask the restart.
+    let retrying = Client::new(&addr, Some(timeout), policy.clone());
+    let once = Client::new(&addr, None, RetryPolicy::none());
+    let verb = cmd.to_uppercase();
+    let (request, mut client) = match cmd.as_str() {
+        "ping" | "list" | "metrics" => (verb, retrying),
+        "status" | "result" | "cancel" | "fetch" | "pin" | "unpin" => {
+            (format!("{verb} {}", arg(0)), retrying)
         }
-        "fetch" => {
-            let hash = rest.first().unwrap_or_else(|| usage()).clone();
-            let json = retry
-                .with_retries(|c| c.fetch(&hash))
-                .unwrap_or_else(|e| fail(&e.to_string()));
-            print!("{json}");
-            exit(0)
-        }
-        "diff" => {
-            let a = rest.first().unwrap_or_else(|| usage()).clone();
-            let b = rest.get(1).unwrap_or_else(|| usage()).clone();
-            finish(&retry.with_retries(|c| c.diff(&a, &b)).unwrap_or_else(|e| fail(&e.to_string())))
-        }
+        "diff" => (format!("DIFF {} {}", arg(0), arg(1)), retrying),
         "gc" => {
-            let budget: u64 = kv_flag(rest, "--budget")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
-            finish(&retry.with_retries(|c| c.gc(budget)).unwrap_or_else(|e| fail(&e.to_string())))
+            let budget = flag("--budget").and_then(|v| v.parse::<u64>().ok());
+            (format!("GC budget={}", budget.unwrap_or_else(|| usage())), retrying)
         }
-        "pin" | "unpin" => {
-            let hash = rest.first().unwrap_or_else(|| usage());
-            let verb = if cmd == "pin" { "PIN" } else { "UNPIN" };
-            finish(
-                &retry
-                    .roundtrip(&format!("{verb} {hash}"))
-                    .unwrap_or_else(|e| fail(&e.to_string())),
-            )
-        }
-        "watch" => watch(&addr, &policy, rest),
-        "list" => {
-            let lines =
-                retry.with_retries(|c| c.list()).unwrap_or_else(|e| fail(&e.to_string()));
-            for l in lines {
-                println!("{l}");
-            }
-            exit(0)
-        }
-        "metrics" => {
-            let payload =
-                retry.with_retries(|c| c.metrics()).unwrap_or_else(|e| fail(&e.to_string()));
-            match kv_flag(rest, "--out") {
-                Some(path) => std::fs::write(&path, &payload)
-                    .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}"))),
-                None => print!("{payload}"),
-            }
-            exit(0)
-        }
-        "top" => top(&mut retry, rest),
-        "drain" => {
-            // Draining blocks up to its own deadline — no request timeout,
-            // no retry (a retried drain against a restarted daemon would
-            // silently wait on an empty queue and mask the restart).
-            let ms = kv_flag(rest, "--ms").unwrap_or_else(|| "60000".into());
-            let mut client = Client::connect(&addr)
-                .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
-            finish(
-                &client
-                    .roundtrip(&format!("DRAIN ms={ms}"))
-                    .unwrap_or_else(|e| fail(&e.to_string())),
-            )
-        }
-        "shutdown" => {
-            let mut client = Client::connect(&addr)
-                .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
-            finish(&client.roundtrip("SHUTDOWN").unwrap_or_else(|e| fail(&e.to_string())))
-        }
+        "submit" => (submit_request(rest), retrying),
+        "top" => match flag("--watch") {
+            Some(ms) => top_watch(retrying, ms.parse().unwrap_or_else(|_| usage())),
+            None => (verb, retrying),
+        },
+        "watch" => watch(once, &policy, arg(0)),
+        "drain" => (format!("DRAIN ms={}", flag("--ms").unwrap_or_else(|| "60000".into())), once),
+        "shutdown" => (verb, once),
         _ => usage(),
-    }
+    };
+    let reply = client.call(&request).unwrap_or_else(|e| fail(&format!("{addr}: {e}")));
+    finish(reply, if cmd == "metrics" { flag("--out") } else { None })
 }
 
-fn submit(retry: &mut RetryingClient, rest: &[String]) -> ! {
+/// The `SUBMIT`/`DRYRUN` request, deck included, for `submit`'s flags.
+fn submit_request(rest: &[String]) -> String {
     let mut deck_path = None;
     let mut steps = None;
     let mut tag = String::new();
@@ -267,38 +227,42 @@ fn submit(retry: &mut RetryingClient, rest: &[String]) -> ! {
     } else {
         token.unwrap_or_else(auto_token)
     };
-    let deck = write_deck(&input);
-    let resp = retry
-        .with_retries(|c| c.submit_deck(&deck, steps, &tag, &token, &tenant, &auth, dry_run))
-        .unwrap_or_else(|e| fail(&e.to_string()));
-    finish(&resp)
+    let mut request = format!("{} steps={steps}", if dry_run { "DRYRUN" } else { "SUBMIT" });
+    for (key, value) in [("tag", &tag), ("token", &token), ("tenant", &tenant), ("auth", &auth)] {
+        if !value.is_empty() {
+            request.push_str(&format!(" {key}={value}"));
+        }
+    }
+    with_deck(&request, &write_deck(&input))
 }
 
 /// `watch JOB`: stream lifecycle events, reconnecting (with the same
 /// jittered backoff and a visible `(reconnected)` marker) when the daemon
 /// restarts mid-stream. Subscribing re-delivers the current state first, so
 /// a reconnect can duplicate a line but never skip the terminal one.
-fn watch(addr: &str, policy: &RetryPolicy, rest: &[String]) -> ! {
-    let job = rest.first().unwrap_or_else(|| usage());
+fn watch(mut client: Client, policy: &RetryPolicy, job: &str) -> ! {
+    let request = format!("SUBSCRIBE {job}");
     let mut jitter = policy.seed;
     let mut failures = 0u32;
-    let mut connected_before = false;
+    let mut streamed_before = false;
     loop {
-        let attempt = Client::connect(addr).and_then(|mut c| {
-            if connected_before {
+        let mut lines = 0;
+        let reply = client.call_with(&request, |ev| {
+            if lines == 0 && streamed_before {
                 println!("(reconnected)");
             }
-            connected_before = true;
-            failures = 0;
-            c.subscribe(job, |ev| println!("{ev}"))
+            lines += 1;
+            println!("{ev}");
         });
-        match attempt {
+        if lines > 0 {
+            streamed_before = true;
+            failures = 0;
+        }
+        match reply {
+            // "no such job" is a real answer, not a lost connection.
+            Ok(reply) if !reply.is_ok() => fail(&reply.head),
             Ok(_) => exit(0),
             Err(e) => {
-                // "no such job" is a real answer, not a lost connection.
-                if e.to_string().contains("not-found") {
-                    fail(&e.to_string())
-                }
                 failures += 1;
                 if failures >= policy.attempts.max(1) {
                     fail(&format!("watch {job}: {e} (gave up after {failures} attempts)"))
@@ -309,32 +273,22 @@ fn watch(addr: &str, policy: &RetryPolicy, rest: &[String]) -> ! {
     }
 }
 
-/// `top [--watch MS]`: one shot via the retrying client, or a redraw loop
-/// that survives daemon restarts with a `(reconnected)` marker.
-fn top(retry: &mut RetryingClient, rest: &[String]) -> ! {
-    let watch_ms = kv_flag(rest, "--watch").map(|v| v.parse::<u64>().unwrap_or_else(|_| usage()));
-    let Some(ms) = watch_ms else {
-        let table = retry.with_retries(|c| c.top()).unwrap_or_else(|e| fail(&e.to_string()));
-        print!("{table}");
-        exit(0)
-    };
+/// `top --watch MS`: a redraw loop that survives daemon restarts with a
+/// `(reconnected)` marker.
+fn top_watch(mut client: Client, ms: u64) -> ! {
     let mut was_down = false;
     loop {
-        match retry.with_retries(|c| c.top()) {
-            Ok(table) => {
+        match client.call("TOP") {
+            Ok(reply) => {
                 // Clear + home, like watch(1), so the table redraws in place.
                 let marker = if was_down { "(reconnected)\n" } else { "" };
                 was_down = false;
-                print!("\x1b[2J\x1b[H{marker}{table}");
+                print!("\x1b[2J\x1b[H{marker}{}", reply.body_text());
                 use std::io::Write as _;
                 let _ = std::io::stdout().flush();
             }
             Err(_) => was_down = true, // keep polling; the daemon may return
         }
-        std::thread::sleep(std::time::Duration::from_millis(ms));
+        std::thread::sleep(Duration::from_millis(ms));
     }
-}
-
-fn kv_flag(rest: &[String], key: &str) -> Option<String> {
-    rest.iter().position(|a| a == key).and_then(|i| rest.get(i + 1).cloned())
 }

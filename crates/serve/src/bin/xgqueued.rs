@@ -231,7 +231,7 @@ fn main() {
         if xg_obs::enabled() { "on" } else { "off (XGYRO_OBS=1 to enable)" }
     );
     let server = CampaignServer::start(cfg);
-    let recovery = server.recovery_report();
+    let recovery = server.metrics().recovery;
     if recovery.replayed_records > 0 || !recovery.warnings.is_empty() {
         println!(
             "xgqueued: journal replay: {} records in {} us -> {} jobs restored, \

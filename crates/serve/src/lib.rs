@@ -40,7 +40,7 @@
 //! * **durability** ([`journal`]) — a CRC-framed, fsynced write-ahead log
 //!   of every job lifecycle transition, replayed on startup so a `kill -9`
 //!   loses no acknowledged job; clients ride through the restart with
-//!   idempotency tokens and the jittered [`wire::RetryingClient`];
+//!   idempotency tokens and the jittered retries of [`wire::Client`];
 //! * **result cache** ([`artifacts`]) — completed batch members are
 //!   published into an [`xg_artifact::ArtifactStore`] keyed by canonical
 //!   deck hash, and admission serves a re-submitted byte-identical deck
@@ -74,4 +74,4 @@ pub use sched::{DispatchQueue, DEFAULT_QUANTUM};
 pub use server::{CacheStatus, CampaignServer, DryRun, RecoveryReport, ServerConfig};
 pub use table::replay_check;
 pub use tenant::{TenantDirectory, TenantSpec, TenantUsage, DEFAULT_TENANT};
-pub use wire::{Client, RetryPolicy, RetryingClient};
+pub use wire::{Client, Reply, RetryPolicy};

@@ -164,9 +164,9 @@ pub struct DryRun {
     pub placement: Placement,
 }
 
-/// What startup journal replay reconstructed. Retrieve with
-/// [`CampaignServer::recovery_report`]; the metrics snapshot holds it as
-/// [`Metrics::recovery`] and exports it as the `xgserve_replay_*` families.
+/// What startup journal replay reconstructed (all-zero when running
+/// journal-less or from an empty directory): the metrics snapshot's
+/// [`Metrics::recovery`], exported as the `xgserve_replay_*` families.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
     /// Journal records replayed.
@@ -497,12 +497,6 @@ impl CampaignServer {
     /// assert bitwise-identical results across a `kill -9`.
     pub fn result_summary(&self, id: JobId) -> Option<(u64, u64, [u64; 4])> {
         self.shared.state.lock().table.job(id).and_then(|j| j.summary)
-    }
-
-    /// What startup journal replay reconstructed (all-zero when running
-    /// journal-less or from an empty directory).
-    pub fn recovery_report(&self) -> RecoveryReport {
-        self.shared.state.lock().metrics.recovery.clone()
     }
 
     /// Cancel a job. Pre-dispatch jobs are removed from their (pending or

@@ -1,12 +1,14 @@
 //! Line-oriented TCP wire protocol: `xgqueued` serves it, `xgq` speaks it.
 //!
 //! One request per line (`COMMAND key=value …`); `SUBMIT`/`DRYRUN` are
-//! followed by the deck text and a terminating `END` line. Responses start
-//! with `OK` or `ERR <kind>: <message>`; multi-line payloads (`LIST`,
-//! `METRICS`, `TOP`, `FETCH`) announce their length up front or end with a
-//! lone `.`, and `SUBSCRIBE` streams `EVENT` lines until the job
-//! terminalizes. The format is deliberately trivial — greppable in CI logs,
-//! drivable from a shell with `nc`.
+//! followed by the deck text and a terminating `END` line. The format is
+//! deliberately trivial — greppable in CI logs, drivable from a shell with
+//! `nc`.
+//!
+//! Every reply is framed one way ([`Reply`]): a head line, `OK …` or
+//! `ERR <kind>: <message>`, and a head that is exactly `OK` opens a body of
+//! lines that ends with a lone `.`. An `ERR` head is an answer, not a lost
+//! connection.
 //!
 //! Every line — request, deck body, or response — is capped at
 //! [`MAX_LINE`] bytes. Without the cap a client that streams bytes with no
@@ -23,12 +25,13 @@
 //!                                     deck_hash=xgd1-… cache=hit|miss|off
 //! STATUS job-N                  -> OK job-N state=… batch=… detail=…
 //! RESULT job-N                  -> OK job-N steps=… h_hash=0x… diag=0x…,…
-//! LIST                          -> OK <n>, then n status lines
+//! LIST                          -> OK, one status line per job, .
 //! CANCEL job-N                  -> OK <state>
-//! SUBSCRIBE job-N               -> EVENT job-N <state> <detail>…, OK done
-//! METRICS                       -> OK, Prometheus text, then a lone '.'
-//! TOP                           -> OK, live phase table, then a lone '.'
-//! FETCH xgd1-…                  -> OK, manifest JSON lines, then a lone '.'
+//! SUBSCRIBE job-N               -> OK, EVENT job-N <state> <detail> as each
+//!                                     happens until terminal, .
+//! METRICS                       -> OK, Prometheus text, .
+//! TOP                           -> OK, live phase table, .
+//! FETCH xgd1-…                  -> OK, manifest JSON lines, .
 //! DIFF xgd1-… xgd1-…            -> OK same | OK differs field,field,…
 //! GC budget=N                   -> OK evicted_manifests=… bytes_freed=…
 //! PIN xgd1-… | UNPIN xgd1-…     -> OK pinned | OK unpinned
@@ -48,12 +51,13 @@
 //! configured with a secret must echo it as `auth=SECRET` — the same
 //! pre-shared-string trust model as the idempotency token.
 
+use crate::admission::AdmitError;
 use crate::batcher::Placement;
 use crate::job::{JobId, JobSpec, JobStatus};
 use crate::server::CampaignServer;
 use xg_artifact::DeckHash;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -120,6 +124,51 @@ fn read_line_capped(
     Ok(LineRead::Line)
 }
 
+/// One reply, as the server frames it and the client reads it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Reply {
+    /// The head line: `OK …` or `ERR <kind>: <message>`.
+    pub head: String,
+    /// The body lines, without the closing `.`; only a head that is
+    /// exactly `OK` carries a body.
+    pub body: Vec<String>,
+}
+
+impl Reply {
+    fn line(head: impl Into<String>) -> Self {
+        Self { head: head.into(), body: Vec::new() }
+    }
+
+    fn body<S: Into<String>>(lines: impl IntoIterator<Item = S>) -> Self {
+        Self { head: "OK".into(), body: lines.into_iter().map(Into::into).collect() }
+    }
+
+    fn err(kind: &str, msg: impl std::fmt::Display) -> Self {
+        Self::line(format!("ERR {kind}: {msg}"))
+    }
+
+    /// Whether the head is an `OK` rather than an `ERR`.
+    pub fn is_ok(&self) -> bool {
+        self.head.starts_with("OK")
+    }
+
+    /// The body as text, every line `\n`-terminated.
+    pub fn body_text(&self) -> String {
+        self.body.iter().flat_map(|l| [l.as_str(), "\n"]).collect()
+    }
+}
+
+/// Frame `reply` and send it in one write.
+fn write_reply(out: &mut impl Write, reply: &Reply) -> io::Result<()> {
+    let mut text = format!("{}\n", reply.head);
+    if reply.head == "OK" {
+        text.push_str(&reply.body_text());
+        text.push_str(".\n");
+    }
+    out.write_all(text.as_bytes())?;
+    out.flush()
+}
+
 /// Serve the protocol on `listener` until a client sends `SHUTDOWN`.
 /// Connections are handled concurrently; on exit the campaign server is
 /// shut down gracefully (running batches preempt at their next checkpoint).
@@ -151,6 +200,10 @@ pub fn serve(listener: TcpListener, server: CampaignServer) -> std::io::Result<(
     Ok(())
 }
 
+/// Read requests off one connection and answer each. Every reply goes
+/// through [`write_reply`] except three framed by hand: the streamed
+/// `SUBSCRIBE` body, the `ERR protocol` that closes an unframed
+/// connection, and `SHUTDOWN`.
 fn handle_conn(
     stream: TcpStream,
     server: &CampaignServer,
@@ -177,100 +230,26 @@ fn handle_conn(
         let mut parts = line.split_whitespace();
         let cmd = parts.next().unwrap_or("");
         let args: Vec<&str> = parts.collect();
-        match cmd {
-            "PING" => writeln!(out, "OK pong")?,
-            "SUBMIT" | "DRYRUN" => {
-                let spec = match read_spec(&mut reader, &args) {
-                    Ok(s) => s,
-                    Err(SpecError::Bad(msg)) => {
-                        writeln!(out, "ERR bad-request: {msg}")?;
-                        out.flush()?;
-                        continue;
-                    }
-                    Err(SpecError::Protocol(msg)) => {
-                        // Mid-deck framing is unrecoverable: we no longer
-                        // know where the next request starts. Say why, then
-                        // close.
-                        writeln!(out, "ERR protocol: {msg}")?;
-                        out.flush()?;
-                        return Ok(());
-                    }
-                };
-                if cmd == "SUBMIT" {
-                    match server.submit_authed(spec, kv_arg(&args, "token"), kv_arg(&args, "auth"))
-                    {
-                        Ok((id, dup)) => {
-                            let batch = server
-                                .status(id)
-                                .and_then(|s| s.batch)
-                                .map(|b| b.to_string())
-                                .unwrap_or_else(|| "-".into());
-                            let dup = if dup { " dup=1" } else { "" };
-                            writeln!(out, "OK {id} batch={batch}{dup}")?;
-                        }
-                        Err(e) => writeln!(out, "ERR {}: {e}", e.kind())?,
-                    }
-                } else {
-                    match server.dry_run(&spec) {
-                        Ok(dr) => {
-                            let key = dr.cmat_key;
-                            let tail =
-                                format!("deck_hash={} cache={}", dr.deck_hash, dr.cache);
-                            match dr.placement {
-                                Placement::Joins { batch, occupancy, k_cap } => writeln!(
-                                    out,
-                                    "OK cmat_key={key:#018x} placement=joins batch={batch} \
-                                     occupancy={occupancy} k_cap={k_cap} {tail}"
-                                )?,
-                                Placement::Opens { k_cap } => writeln!(
-                                    out,
-                                    "OK cmat_key={key:#018x} placement=opens k_cap={k_cap} \
-                                     {tail}"
-                                )?,
-                                Placement::Infeasible => writeln!(
-                                    out,
-                                    "OK cmat_key={key:#018x} placement=infeasible k_cap=0 \
-                                     {tail}"
-                                )?,
-                            }
-                        }
-                        Err(e) => writeln!(out, "ERR {}: {e}", e.kind())?,
-                    }
+        let reply = match cmd {
+            "SUBMIT" | "DRYRUN" => match read_spec(&mut reader, &args) {
+                Ok(spec) => deck_answer(server, spec, &args, cmd == "DRYRUN"),
+                Err(SpecError::Bad(msg)) => Err(Reply::err("bad-request", msg)),
+                Err(SpecError::Protocol(msg)) => {
+                    // Mid-deck framing is unrecoverable: we no longer
+                    // know where the next request starts. Say why, then
+                    // close.
+                    writeln!(out, "ERR protocol: {msg}")?;
+                    out.flush()?;
+                    return Ok(());
                 }
-            }
-            "STATUS" => match parse_job_arg(&args).and_then(|id| {
-                server.status(id).ok_or_else(|| format!("no such job: {id}"))
-            }) {
-                Ok(s) => writeln!(out, "OK {}", fmt_status(&s))?,
-                Err(msg) => writeln!(out, "ERR not-found: {msg}")?,
-            },
-            "RESULT" => match parse_job_arg(&args) {
-                Ok(id) => match server.result_summary(id) {
-                    Some((steps, h_hash, d)) => writeln!(
-                        out,
-                        "OK {id} steps={steps} h_hash={h_hash:#018x} \
-                         diag={:#018x},{:#018x},{:#018x},{:#018x}",
-                        d[0], d[1], d[2], d[3]
-                    )?,
-                    None => writeln!(out, "ERR not-found: no completed result for {id}")?,
-                },
-                Err(msg) => writeln!(out, "ERR not-found: {msg}")?,
-            },
-            "LIST" => {
-                let all = server.list();
-                writeln!(out, "OK {}", all.len())?;
-                for s in &all {
-                    writeln!(out, "{}", fmt_status(s))?;
-                }
-            }
-            "CANCEL" => match parse_job_arg(&args).and_then(|id| server.cancel(id)) {
-                Ok(state) => writeln!(out, "OK {state}")?,
-                Err(msg) => writeln!(out, "ERR not-found: {msg}")?,
             },
             "SUBSCRIBE" => match parse_job_arg(&args)
                 .and_then(|id| server.subscribe(id).ok_or_else(|| format!("no such job: {id}")))
             {
                 Ok(rx) => {
+                    // The one streamed body: each event goes out as it
+                    // happens.
+                    writeln!(out, "OK")?;
                     for ev in rx.iter() {
                         writeln!(out, "EVENT {} {} {}", ev.job, ev.state, ev.detail)?;
                         out.flush()?;
@@ -278,88 +257,135 @@ fn handle_conn(
                             break;
                         }
                     }
-                    writeln!(out, "OK done")?;
+                    writeln!(out, ".")?;
+                    out.flush()?;
+                    continue;
                 }
-                Err(msg) => writeln!(out, "ERR not-found: {msg}")?,
+                Err(msg) => Err(Reply::err("not-found", msg)),
             },
-            "FETCH" => match parse_hash_arg(&args, 0) {
-                Ok(hash) => match server.artifact_fetch(hash) {
-                    Ok(Some(json)) => {
-                        writeln!(out, "OK")?;
-                        out.write_all(json.as_bytes())?;
-                        if !json.ends_with('\n') {
-                            writeln!(out)?;
-                        }
-                        writeln!(out, ".")?;
-                    }
-                    Ok(None) => writeln!(out, "ERR not-found: no manifest for {hash}")?,
-                    Err(msg) => writeln!(out, "ERR cache: {msg}")?,
-                },
-                Err(msg) => writeln!(out, "ERR bad-request: {msg}")?,
-            },
-            "DIFF" => match parse_hash_arg(&args, 0)
-                .and_then(|a| parse_hash_arg(&args, 1).map(|b| (a, b)))
-            {
-                Ok((a, b)) => match server.artifact_diff(a, b) {
-                    Ok(fields) if fields.is_empty() => writeln!(out, "OK same")?,
-                    Ok(fields) => writeln!(out, "OK differs {}", fields.join(","))?,
-                    Err(msg) => writeln!(out, "ERR cache: {msg}")?,
-                },
-                Err(msg) => writeln!(out, "ERR bad-request: {msg}")?,
-            },
-            "GC" => {
-                match kv_arg(&args, "budget").and_then(|v| v.parse::<u64>().ok()) {
-                    Some(budget) => match server.artifact_gc(budget) {
-                        Ok(r) => writeln!(
-                            out,
-                            "OK evicted_manifests={} evicted_objects={} bytes_freed={} \
-                             bytes_after={}",
-                            r.evicted_manifests, r.evicted_objects, r.bytes_freed, r.bytes_after
-                        )?,
-                        Err(msg) => writeln!(out, "ERR cache: {msg}")?,
-                    },
-                    None => writeln!(out, "ERR bad-request: missing budget=BYTES")?,
-                }
-            }
-            "PIN" | "UNPIN" => match parse_hash_arg(&args, 0) {
-                Ok(hash) => match server.artifact_pin(hash, cmd == "PIN") {
-                    Ok(()) => {
-                        writeln!(out, "OK {}", if cmd == "PIN" { "pinned" } else { "unpinned" })?
-                    }
-                    Err(msg) => writeln!(out, "ERR cache: {msg}")?,
-                },
-                Err(msg) => writeln!(out, "ERR bad-request: {msg}")?,
-            },
-            "METRICS" => {
-                writeln!(out, "OK")?;
-                out.write_all(server.metrics_text().as_bytes())?;
-                writeln!(out, ".")?;
-            }
-            "TOP" => {
-                writeln!(out, "OK")?;
-                out.write_all(server.top_text().as_bytes())?;
-                writeln!(out, ".")?;
-            }
-            "DRAIN" => {
-                let ms = kv_arg(&args, "ms").and_then(|v| v.parse::<u64>().ok()).unwrap_or(60_000);
-                if server.drain(Duration::from_millis(ms)) {
-                    writeln!(out, "OK drained")?;
-                } else {
-                    writeln!(out, "ERR drain-timeout: jobs still live after {ms}ms")?;
-                }
-            }
             "SHUTDOWN" => {
-                writeln!(out, "OK bye")?;
-                out.flush()?;
+                write_reply(&mut out, &Reply::line("OK bye"))?;
                 stop.store(true, Ordering::SeqCst);
                 // Wake the accept loop so it observes the stop flag.
                 let _ = TcpStream::connect(addr);
                 return Ok(());
             }
-            other => writeln!(out, "ERR bad-request: unknown command '{other}'")?,
-        }
-        out.flush()?;
+            _ => answer(server, cmd, &args),
+        };
+        let (Ok(reply) | Err(reply)) = reply;
+        write_reply(&mut out, &reply)?;
     }
+}
+
+/// The answer to a well-framed `SUBMIT`, or to a `DRYRUN` when `dry_run`;
+/// `Err` holds an `ERR` reply.
+fn deck_answer(
+    server: &CampaignServer,
+    spec: JobSpec,
+    args: &[&str],
+    dry_run: bool,
+) -> Result<Reply, Reply> {
+    let refused = |e: AdmitError| Reply::err(e.kind(), e);
+    if !dry_run {
+        let (id, dup) = server
+            .submit_authed(spec, kv_arg(args, "token"), kv_arg(args, "auth"))
+            .map_err(refused)?;
+        let batch = server
+            .status(id)
+            .and_then(|s| s.batch)
+            .map(|b| b.to_string())
+            .unwrap_or_else(|| "-".into());
+        let dup = if dup { " dup=1" } else { "" };
+        return Ok(Reply::line(format!("OK {id} batch={batch}{dup}")));
+    }
+    let dr = server.dry_run(&spec).map_err(refused)?;
+    let placement = match dr.placement {
+        Placement::Joins { batch, occupancy, k_cap } => {
+            format!("joins batch={batch} occupancy={occupancy} k_cap={k_cap}")
+        }
+        Placement::Opens { k_cap } => format!("opens k_cap={k_cap}"),
+        Placement::Infeasible => "infeasible k_cap=0".into(),
+    };
+    Ok(Reply::line(format!(
+        "OK cmat_key={:#018x} placement={placement} deck_hash={} cache={}",
+        dr.cmat_key, dr.deck_hash, dr.cache
+    )))
+}
+
+/// The answer to every request without a deck or a hand-framed reply;
+/// `Err` holds an `ERR` reply.
+fn answer(server: &CampaignServer, cmd: &str, args: &[&str]) -> Result<Reply, Reply> {
+    let not_found = |msg: String| Reply::err("not-found", msg);
+    let bad = |msg: String| Reply::err("bad-request", msg);
+    let cache = |msg: String| Reply::err("cache", msg);
+    Ok(match cmd {
+        "PING" => Reply::line("OK pong"),
+        "STATUS" => {
+            let s = parse_job_arg(args)
+                .and_then(|id| server.status(id).ok_or_else(|| format!("no such job: {id}")))
+                .map_err(not_found)?;
+            Reply::line(format!("OK {}", fmt_status(&s)))
+        }
+        "RESULT" => {
+            let id = parse_job_arg(args).map_err(not_found)?;
+            let (steps, h_hash, d) = server
+                .result_summary(id)
+                .ok_or_else(|| not_found(format!("no completed result for {id}")))?;
+            Reply::line(format!(
+                "OK {id} steps={steps} h_hash={h_hash:#018x} \
+                 diag={:#018x},{:#018x},{:#018x},{:#018x}",
+                d[0], d[1], d[2], d[3]
+            ))
+        }
+        "LIST" => Reply::body(server.list().iter().map(fmt_status)),
+        "CANCEL" => {
+            let state = parse_job_arg(args).and_then(|id| server.cancel(id)).map_err(not_found)?;
+            Reply::line(format!("OK {state}"))
+        }
+        "FETCH" => {
+            let hash = parse_hash_arg(args, 0).map_err(bad)?;
+            let json = server
+                .artifact_fetch(hash)
+                .map_err(cache)?
+                .ok_or_else(|| not_found(format!("no manifest for {hash}")))?;
+            Reply::body(json.lines())
+        }
+        "DIFF" => {
+            let a = parse_hash_arg(args, 0).map_err(bad)?;
+            let b = parse_hash_arg(args, 1).map_err(bad)?;
+            let fields = server.artifact_diff(a, b).map_err(cache)?;
+            if fields.is_empty() {
+                Reply::line("OK same")
+            } else {
+                Reply::line(format!("OK differs {}", fields.join(",")))
+            }
+        }
+        "GC" => {
+            let budget = kv_arg(args, "budget")
+                .and_then(|v| v.parse::<u64>().ok())
+                .ok_or_else(|| bad("missing budget=BYTES".into()))?;
+            let r = server.artifact_gc(budget).map_err(cache)?;
+            Reply::line(format!(
+                "OK evicted_manifests={} evicted_objects={} bytes_freed={} bytes_after={}",
+                r.evicted_manifests, r.evicted_objects, r.bytes_freed, r.bytes_after
+            ))
+        }
+        "PIN" | "UNPIN" => {
+            let pin = cmd == "PIN";
+            server.artifact_pin(parse_hash_arg(args, 0).map_err(bad)?, pin).map_err(cache)?;
+            Reply::line(if pin { "OK pinned" } else { "OK unpinned" })
+        }
+        "METRICS" => Reply::body(server.metrics_text().lines()),
+        "TOP" => Reply::body(server.top_text().lines()),
+        "DRAIN" => {
+            let ms = kv_arg(args, "ms").and_then(|v| v.parse::<u64>().ok()).unwrap_or(60_000);
+            if !server.drain(Duration::from_millis(ms)) {
+                return Err(Reply::err("drain-timeout", format!("jobs still live after {ms}ms")));
+            }
+            Reply::line("OK drained")
+        }
+        other => return Err(bad(format!("unknown command '{other}'"))),
+    })
 }
 
 /// Why a `SUBMIT`/`DRYRUN` body could not be accepted.
@@ -438,184 +464,122 @@ fn fmt_status(s: &JobStatus) -> String {
     )
 }
 
-/// A thin synchronous client for the protocol (what `xgq` is built on).
+/// A `SUBMIT`/`DRYRUN` request line with its deck and the `END`
+/// terminator appended, ready for [`Client::call`].
+pub fn with_deck(request: &str, deck: &str) -> String {
+    let newline = if deck.ends_with('\n') { "" } else { "\n" };
+    format!("{request}\n{deck}{newline}END")
+}
+
+/// The protocol's client (what `xgq` is built on): one lazily opened
+/// connection and one [`call`](Client::call) per request.
+///
+/// Only I/O failures are retried, under the [`RetryPolicy`], each retry on
+/// a fresh connection so that it lands on a restarted daemon rather than a
+/// dead socket. An `ERR …` head is an answer: it comes back as `Ok` and is
+/// never retried. Retrying is safe only for requests whose repetition
+/// cannot double work: the read-only verbs, and `SUBMIT` when every
+/// submission carries an idempotency token.
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    addr: String,
+    timeout: Option<Duration>,
+    policy: RetryPolicy,
+    jitter: u64,
+    conn: Option<BufReader<TcpStream>>,
 }
 
 impl Client {
-    /// Connect to an `xgqueued` server.
-    pub fn connect(addr: &str) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        // Requests are small and latency-sensitive; never Nagle-delay them.
-        stream.set_nodelay(true)?;
-        Ok(Self { reader: BufReader::new(stream.try_clone()?), writer: stream })
+    /// A client of the daemon at `addr`. A `timeout` bounds the connect
+    /// and every read and write, so a hung daemon surfaces as an error;
+    /// leave it `None` for `SUBSCRIBE` and `DRAIN`, whose legitimate
+    /// silences outlast any sensible request timeout.
+    pub fn new(addr: &str, timeout: Option<Duration>, policy: RetryPolicy) -> Self {
+        Self { addr: addr.to_string(), timeout, jitter: policy.seed, policy, conn: None }
     }
 
-    /// Connect with a deadline on the connect itself *and* on every
-    /// subsequent read/write. Use for quick idempotent requests where a
-    /// hung daemon should surface as a timeout, not a forever-block; NOT
-    /// for `SUBSCRIBE`/`DRAIN`, whose legitimate silences outlast any
-    /// sensible request timeout.
-    pub fn connect_with_timeout(addr: &str, timeout: Duration) -> std::io::Result<Self> {
-        use std::net::ToSocketAddrs;
-        let sa = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::other(format!("cannot resolve {addr}")))?;
-        let stream = TcpStream::connect_timeout(&sa, timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(Self { reader: BufReader::new(stream.try_clone()?), writer: stream })
+    /// Send `request` (one line, or [`with_deck`]'s framing) and read its
+    /// reply.
+    pub fn call(&mut self, request: &str) -> io::Result<Reply> {
+        self.call_with(request, |_| {})
     }
 
-    fn send(&mut self, line: &str) -> std::io::Result<()> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()
-    }
-
-    fn recv_line(&mut self) -> std::io::Result<String> {
-        let mut line = String::new();
-        match read_line_capped(&mut self.reader, &mut line, MAX_LINE)? {
-            LineRead::Eof => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server hung up",
-            )),
-            LineRead::TooLong => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("response line exceeds {MAX_LINE} bytes"),
-            )),
-            LineRead::Line => Ok(line.trim_end().to_string()),
+    /// [`call`](Self::call), handing each body line to `on_line` as it
+    /// arrives: how a `SUBSCRIBE` stream is followed live.
+    pub fn call_with(
+        &mut self,
+        request: &str,
+        mut on_line: impl FnMut(&str),
+    ) -> io::Result<Reply> {
+        let mut failures = 0;
+        loop {
+            match self.attempt(request, &mut on_line) {
+                Ok(reply) => return Ok(reply),
+                Err(e) => {
+                    // The stream may be mid-frame or dead: reconnect fresh.
+                    self.conn = None;
+                    failures += 1;
+                    if failures >= self.policy.attempts {
+                        return Err(e);
+                    }
+                    std::thread::sleep(self.policy.delay(failures - 1, &mut self.jitter));
+                }
+            }
         }
     }
 
-    /// One-line request → one-line response (`PING`, `STATUS`, `CANCEL`,
-    /// `DRAIN`, `SHUTDOWN`).
-    pub fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        self.send(line)?;
-        self.recv_line()
-    }
-
-    /// Submit (or dry-run) a deck; returns the response line. `tag`,
-    /// `token`, `tenant` and `auth` are each `""` for "absent". With a
-    /// token the request is safe to retry: a re-send the server already
-    /// acknowledged answers `dup=1` with the original job id instead of
-    /// double-enqueueing. `tenant` names who the job is attributed to,
-    /// `auth` is that tenant's secret when the roster demands one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_deck(
-        &mut self,
-        deck_text: &str,
-        steps: usize,
-        tag: &str,
-        token: &str,
-        tenant: &str,
-        auth: &str,
-        dry_run: bool,
-    ) -> std::io::Result<String> {
-        let cmd = if dry_run { "DRYRUN" } else { "SUBMIT" };
-        let tag_part = if tag.is_empty() { String::new() } else { format!(" tag={tag}") };
-        let token_part =
-            if token.is_empty() { String::new() } else { format!(" token={token}") };
-        let tenant_part =
-            if tenant.is_empty() { String::new() } else { format!(" tenant={tenant}") };
-        let auth_part = if auth.is_empty() { String::new() } else { format!(" auth={auth}") };
+    fn attempt(&mut self, request: &str, on_line: &mut impl FnMut(&str)) -> io::Result<Reply> {
+        if self.conn.is_none() {
+            let stream = match self.timeout {
+                None => TcpStream::connect(&self.addr)?,
+                Some(t) => {
+                    let sa = self.addr.to_socket_addrs()?.next().ok_or_else(|| {
+                        io::Error::other(format!("cannot resolve {}", self.addr))
+                    })?;
+                    TcpStream::connect_timeout(&sa, t)?
+                }
+            };
+            // Requests are small and latency-sensitive; never Nagle-delay them.
+            stream.set_nodelay(true)?;
+            stream.set_read_timeout(self.timeout)?;
+            stream.set_write_timeout(self.timeout)?;
+            self.conn = Some(BufReader::new(stream));
+        }
+        let conn = self.conn.as_mut().expect("connected above");
         // One write for the whole request: several small writes would
         // trigger Nagle/delayed-ACK stalls that add tens of milliseconds
         // per submission — enough to spread a burst past the linger window.
-        let mut req =
-            format!("{cmd} steps={steps}{tag_part}{token_part}{tenant_part}{auth_part}\n");
-        req.push_str(deck_text);
-        if !deck_text.ends_with('\n') {
-            req.push('\n');
-        }
-        req.push_str("END\n");
-        self.writer.write_all(req.as_bytes())?;
-        self.writer.flush()?;
-        self.recv_line()
+        conn.get_mut().write_all(format!("{request}\n").as_bytes())?;
+        read_reply(conn, on_line)
     }
+}
 
-    /// `LIST`: header plus one line per job.
-    pub fn list(&mut self) -> std::io::Result<Vec<String>> {
-        self.send("LIST")?;
-        let header = self.recv_line()?;
-        let n = header
-            .strip_prefix("OK ")
-            .and_then(|s| s.parse::<usize>().ok())
-            .ok_or_else(|| std::io::Error::other(format!("bad LIST header: {header}")))?;
-        (0..n).map(|_| self.recv_line()).collect()
-    }
-
-    /// Read a dot-framed payload: `OK`, lines, then a lone `.`.
-    fn read_dot_payload(&mut self) -> std::io::Result<String> {
-        let header = self.recv_line()?;
-        if header != "OK" {
-            return Err(std::io::Error::other(header));
-        }
-        let mut payload = String::new();
+/// Read one reply: the head and, after a head of exactly `OK`, the body up
+/// to its lone `.`, handing each body line to `on_line`.
+fn read_reply(reader: &mut impl BufRead, on_line: &mut impl FnMut(&str)) -> io::Result<Reply> {
+    let mut reply = Reply::line(read_reply_line(reader)?);
+    if reply.head == "OK" {
         loop {
-            let line = self.recv_line()?;
+            let line = read_reply_line(reader)?;
             if line == "." {
-                return Ok(payload);
+                break;
             }
-            payload.push_str(&line);
-            payload.push('\n');
+            on_line(&line);
+            reply.body.push(line);
         }
     }
+    Ok(reply)
+}
 
-    /// `METRICS`: the Prometheus text payload (serve counters plus the
-    /// daemon's process-wide `xgyro_*` families).
-    pub fn metrics(&mut self) -> std::io::Result<String> {
-        self.send("METRICS")?;
-        self.read_dot_payload()
-    }
-
-    /// `TOP`: the live phase table rendered by the daemon.
-    pub fn top(&mut self) -> std::io::Result<String> {
-        self.send("TOP")?;
-        self.read_dot_payload()
-    }
-
-    /// `FETCH`: a published manifest's canonical JSON by deck hash.
-    pub fn fetch(&mut self, hash: &str) -> std::io::Result<String> {
-        self.send(&format!("FETCH {hash}"))?;
-        self.read_dot_payload()
-    }
-
-    /// `DIFF`: compare two published manifests; `OK same` or
-    /// `OK differs field,…`.
-    pub fn diff(&mut self, a: &str, b: &str) -> std::io::Result<String> {
-        self.roundtrip(&format!("DIFF {a} {b}"))
-    }
-
-    /// `GC`: collect the artifact store down to `budget` bytes.
-    pub fn gc(&mut self, budget: u64) -> std::io::Result<String> {
-        self.roundtrip(&format!("GC budget={budget}"))
-    }
-
-    /// `SUBSCRIBE`: invoke `on_event` for every `EVENT` line until the
-    /// terminal `OK done`; returns the last event line.
-    pub fn subscribe(
-        &mut self,
-        job: &str,
-        mut on_event: impl FnMut(&str),
-    ) -> std::io::Result<String> {
-        self.send(&format!("SUBSCRIBE {job}"))?;
-        let mut last = String::new();
-        loop {
-            let line = self.recv_line()?;
-            if line.starts_with("ERR") {
-                return Err(std::io::Error::other(line));
-            }
-            if line == "OK done" {
-                return Ok(last);
-            }
-            on_event(&line);
-            last = line;
-        }
+fn read_reply_line(reader: &mut impl BufRead) -> io::Result<String> {
+    let mut line = String::new();
+    match read_line_capped(reader, &mut line, MAX_LINE)? {
+        LineRead::Eof => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server hung up")),
+        LineRead::TooLong => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("response line exceeds {MAX_LINE} bytes"),
+        )),
+        LineRead::Line => Ok(line.trim_end().to_string()),
     }
 }
 
@@ -667,70 +631,6 @@ impl RetryPolicy {
     }
 }
 
-/// A client wrapper that carries requests through connection failures and
-/// daemon restarts: every attempt reconnects if needed (with
-/// [`Client::connect_with_timeout`] deadlines), and delays between attempts
-/// follow the policy's equal-jitter backoff.
-///
-/// Only I/O failures are retried — an `ERR …` response line is a valid
-/// answer and comes back as `Ok`. Safe only for requests whose repetition
-/// cannot double work: the read-only verbs, and `SUBMIT` when every
-/// submission carries an idempotency token.
-#[derive(Debug)]
-pub struct RetryingClient {
-    addr: String,
-    timeout: Duration,
-    policy: RetryPolicy,
-    jitter: u64,
-    conn: Option<Client>,
-}
-
-impl RetryingClient {
-    /// New wrapper around `addr` with per-request `timeout`.
-    pub fn new(addr: &str, timeout: Duration, policy: RetryPolicy) -> Self {
-        let jitter = policy.seed;
-        Self { addr: addr.to_string(), timeout, policy, jitter, conn: None }
-    }
-
-    /// Run one idempotent request, retrying per the policy. The connection
-    /// is dropped and re-established after any I/O failure, so a retry
-    /// lands on the restarted daemon, not a dead socket.
-    pub fn with_retries<T>(
-        &mut self,
-        mut op: impl FnMut(&mut Client) -> std::io::Result<T>,
-    ) -> std::io::Result<T> {
-        let mut last = None;
-        for attempt in 0..self.policy.attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(self.policy.delay(attempt - 1, &mut self.jitter));
-            }
-            if self.conn.is_none() {
-                match Client::connect_with_timeout(&self.addr, self.timeout) {
-                    Ok(c) => self.conn = Some(c),
-                    Err(e) => {
-                        last = Some(e);
-                        continue;
-                    }
-                }
-            }
-            match op(self.conn.as_mut().expect("connected above")) {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    // The stream may be mid-frame or dead: reconnect fresh.
-                    self.conn = None;
-                    last = Some(e);
-                }
-            }
-        }
-        Err(last.unwrap_or_else(|| std::io::Error::other("retry policy made no attempts")))
-    }
-
-    /// One-line request → one-line response, with retries.
-    pub fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        self.with_retries(|c| c.roundtrip(line))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -752,49 +652,145 @@ mod tests {
         (addr, h)
     }
 
+    /// A non-retrying client whose generous timeout turns a framing bug
+    /// into a failure instead of a hang.
+    fn client(addr: impl ToString) -> Client {
+        Client::new(&addr.to_string(), Some(Duration::from_secs(120)), RetryPolicy::none())
+    }
+
+    /// The head line of `request`'s reply.
+    fn head(c: &mut Client, request: &str) -> String {
+        c.call(request).expect("reply").head
+    }
+
+    /// A fake daemon: on its connection `n` (0-based) it reads one request
+    /// and sends `reply(n)`, or hangs up without answering when that is
+    /// `None`. Pass it to [`connections`] when done.
+    fn fake_daemon(
+        reply: fn(usize) -> Option<&'static str>,
+    ) -> (String, std::thread::JoinHandle<usize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap().to_string();
+        let daemon = std::thread::spawn(move || {
+            for (n, stream) in listener.incoming().enumerate() {
+                let mut stream = stream.expect("accept");
+                let mut request = String::new();
+                BufReader::new(stream.try_clone().unwrap()).read_line(&mut request).unwrap();
+                if request == "STOP\n" {
+                    return n;
+                }
+                if let Some(head) = reply(n) {
+                    writeln!(stream, "{head}").unwrap();
+                }
+            }
+            unreachable!("a listener accepts forever")
+        });
+        (addr, daemon)
+    }
+
+    /// Stop a [`fake_daemon`] and count the connections it served.
+    fn connections(addr: &str, daemon: std::thread::JoinHandle<usize>) -> usize {
+        TcpStream::connect(addr).unwrap().write_all(b"STOP\n").unwrap();
+        daemon.join().expect("fake daemon")
+    }
+
+    fn quick_retries() -> RetryPolicy {
+        RetryPolicy {
+            attempts: 5,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(10),
+            seed: 7,
+        }
+    }
+
+    #[test]
+    fn an_err_head_is_an_answer_and_never_retried() {
+        let (addr, daemon) = fake_daemon(|_| Some("ERR not-found: no manifest for xgd1-0123"));
+        let mut c = Client::new(&addr, Some(Duration::from_secs(10)), quick_retries());
+        let reply = c.call("FETCH xgd1-0123456789abcdef").expect("an ERR head is Ok");
+        assert_eq!(reply.head, "ERR not-found: no manifest for xgd1-0123");
+        assert!(reply.body.is_empty() && !reply.is_ok());
+        assert_eq!(connections(&addr, daemon), 1);
+    }
+
+    #[test]
+    fn a_lost_connection_is_retried_on_a_fresh_one() {
+        let (addr, daemon) = fake_daemon(|n| (n > 0).then_some("OK pong"));
+        let mut c = Client::new(&addr, Some(Duration::from_secs(10)), quick_retries());
+        assert_eq!(head(&mut c, "PING"), "OK pong");
+        assert_eq!(connections(&addr, daemon), 2);
+    }
+
+    #[test]
+    fn retry_delays_are_equal_jitter_windows() {
+        let p = RetryPolicy::client_default(42);
+        let delays = |seed: u64| {
+            let mut jitter = seed;
+            (0..20).map(|n| p.delay(n, &mut jitter)).collect::<Vec<_>>()
+        };
+        let first = delays(p.seed);
+        for (n, d) in first.iter().enumerate() {
+            let w = p.base.saturating_mul(1 << n).min(p.cap);
+            assert!(*d >= w / 2 && *d <= w, "retry {n}: {d:?} outside [{:?}, {w:?}]", w / 2);
+        }
+        assert_eq!(first, delays(p.seed), "the same seed replays the same schedule");
+        let none = RetryPolicy::none();
+        let mut jitter = none.seed;
+        assert!((0..20).all(|n| none.delay(n, &mut jitter).is_zero()));
+    }
+
     #[test]
     fn a_full_wire_session() {
         let (addr, h) = start();
-        let mut c = Client::connect(&addr.to_string()).expect("connect");
-        assert_eq!(c.roundtrip("PING").unwrap(), "OK pong");
+        let mut c = client(addr);
+        assert_eq!(head(&mut c, "PING"), "OK pong");
 
         let base = CgyroInput::test_small();
         // Dry-run first: reports the key and that a new batch would open.
-        let probe = c.submit_deck(&write_deck(&base), 20, "probe", "", "", "", true).unwrap();
+        let probe = head(&mut c, &with_deck("DRYRUN steps=20 tag=probe", &write_deck(&base)));
         assert!(probe.starts_with("OK cmat_key=0x"), "{probe}");
         assert!(probe.contains("placement=opens k_cap=3"), "{probe}");
 
         // Three compatible submissions fill one k=3 batch.
         for i in 0..3 {
             let deck = write_deck(&base.with_gradients(1.0 + i as f64, 2.0));
-            let resp = c.submit_deck(&deck, 20, &format!("s{i}"), "", "", "", false).unwrap();
+            let resp = head(&mut c, &with_deck(&format!("SUBMIT steps=20 tag=s{i}"), &deck));
             assert!(resp.starts_with(&format!("OK job-{i} batch=batch-")), "{resp}");
         }
-        assert_eq!(c.roundtrip("DRAIN ms=60000").unwrap(), "OK drained");
+        assert_eq!(head(&mut c, "DRAIN ms=60000"), "OK drained");
 
-        let status = c.roundtrip("STATUS job-0").unwrap();
+        let status = head(&mut c, "STATUS job-0");
         assert!(status.contains("state=Done"), "{status}");
-        let listing = c.list().unwrap();
-        assert_eq!(listing.len(), 3);
-        assert!(listing.iter().all(|l| l.contains("state=Done")), "{listing:?}");
+        // LIST: a bare `OK`, one status line per job, then the lone `.`.
+        let listing = c.call("LIST").unwrap();
+        assert_eq!(listing.head, "OK");
+        assert_eq!(listing.body.len(), 3);
+        assert!(listing.body.iter().all(|l| l.contains("state=Done")), "{listing:?}");
 
-        // Subscribing to a finished job still yields its terminal snapshot.
-        let last = c.subscribe("job-1", |_| {}).unwrap();
-        assert!(last.contains("Done"), "{last}");
+        // SUBSCRIBE: a bare `OK`, the events, then the lone `.`; a finished
+        // job still yields its terminal snapshot.
+        let mut streamed = Vec::new();
+        let events = c.call_with("SUBSCRIBE job-1", |l| streamed.push(l.to_string())).unwrap();
+        assert_eq!(events.head, "OK");
+        assert_eq!(events.body, streamed);
+        assert!(events.body.iter().all(|l| l.starts_with("EVENT job-1 ")), "{events:?}");
+        assert!(events.body.last().is_some_and(|l| l.contains("Done")), "{events:?}");
 
-        let prom = c.metrics().unwrap();
+        let prom = c.call("METRICS").unwrap().body_text();
         assert!(prom.contains("xgserve_batches_total{k=\"3\"} 1\n"), "{prom}");
         assert!(prom.contains("xgserve_cmat_saved_bytes_total "), "{prom}");
         xg_obs::expo::lint_prometheus(&prom).expect("exposition must lint");
 
         // TOP always answers, with a table or an explanatory placeholder.
-        let top = c.top().unwrap();
+        let top = c.call("TOP").unwrap().body_text();
         assert!(top.contains("jobs:"), "{top}");
 
-        let err = c.roundtrip("STATUS job-99").unwrap();
+        let err = head(&mut c, "STATUS job-99");
+        assert!(err.starts_with("ERR not-found"), "{err}");
+        let err = head(&mut c, "SUBSCRIBE job-99");
         assert!(err.starts_with("ERR not-found"), "{err}");
 
-        assert_eq!(c.roundtrip("SHUTDOWN").unwrap(), "OK bye");
+        assert_eq!(head(&mut c, "SHUTDOWN"), "OK bye");
         h.join().unwrap();
     }
 
@@ -809,12 +805,13 @@ mod tests {
         cfg.artifacts = Some(crate::artifacts::ArtifactConfig::at(&dir));
         let server = CampaignServer::start(cfg);
         let h = std::thread::spawn(move || serve(listener, server).expect("serve"));
-        let mut c = Client::connect(&addr.to_string()).expect("connect");
+        let mut c = client(addr);
 
         let base = CgyroInput::test_small();
         let deck = write_deck(&base);
+        let dry_run = with_deck("DRYRUN steps=20", &deck);
         // Cold cache: dry run reports the deck hash and a miss.
-        let probe = c.submit_deck(&deck, 20, "", "", "", "", true).unwrap();
+        let probe = head(&mut c, &dry_run);
         assert!(probe.contains("deck_hash=xgd1-"), "{probe}");
         assert!(probe.contains("cache=miss"), "{probe}");
         let hash = probe
@@ -822,37 +819,39 @@ mod tests {
             .find_map(|t| t.strip_prefix("deck_hash="))
             .unwrap()
             .to_string();
-        assert!(c.fetch(&hash).is_err(), "nothing published yet");
+        let fetch = format!("FETCH {hash}");
+        let missing = head(&mut c, &fetch);
+        assert!(missing.starts_with("ERR not-found"), "nothing published yet: {missing}");
 
         // Run it, then everything about the artifact is reachable by hash.
-        let resp = c.submit_deck(&deck, 20, "t", "", "", "", false).unwrap();
+        let resp = head(&mut c, &with_deck("SUBMIT steps=20 tag=t", &deck));
         assert!(resp.starts_with("OK job-0"), "{resp}");
         // Wait for completion WITHOUT draining (a drained server admits no
         // resubmissions — the thing the rest of this test exercises).
-        let last = c.subscribe("job-0", |_| {}).unwrap();
-        assert!(last.contains("Done"), "{last}");
-        let probe = c.submit_deck(&deck, 20, "", "", "", "", true).unwrap();
+        let events = c.call("SUBSCRIBE job-0").unwrap();
+        assert!(events.body.last().is_some_and(|l| l.contains("Done")), "{events:?}");
+        let probe = head(&mut c, &dry_run);
         assert!(probe.contains("cache=hit"), "{probe}");
-        let manifest = c.fetch(&hash).unwrap();
+        let manifest = c.call(&fetch).unwrap().body_text();
         assert!(manifest.contains("\"schema\": \"xg-artifact-manifest-v1\""), "{manifest}");
         assert!(manifest.contains(&hash), "{manifest}");
-        assert_eq!(c.diff(&hash, &hash).unwrap(), "OK same");
-        assert_eq!(c.roundtrip(&format!("PIN {hash}")).unwrap(), "OK pinned");
+        assert_eq!(head(&mut c, &format!("DIFF {hash} {hash}")), "OK same");
+        assert_eq!(head(&mut c, &format!("PIN {hash}")), "OK pinned");
         // A pinned manifest survives even a zero-byte budget.
-        let gc = c.gc(0).unwrap();
+        let gc = head(&mut c, "GC budget=0");
         assert!(gc.starts_with("OK evicted_manifests=0"), "{gc}");
-        assert!(c.fetch(&hash).is_ok(), "pinned manifest survived gc");
-        assert_eq!(c.roundtrip(&format!("UNPIN {hash}")).unwrap(), "OK unpinned");
-        let gc = c.gc(0).unwrap();
+        assert!(c.call(&fetch).unwrap().is_ok(), "pinned manifest survived gc");
+        assert_eq!(head(&mut c, &format!("UNPIN {hash}")), "OK unpinned");
+        let gc = head(&mut c, "GC budget=0");
         assert!(gc.starts_with("OK evicted_manifests=1"), "{gc}");
-        assert!(c.fetch(&hash).is_err(), "evicted after unpin");
+        assert!(!c.call(&fetch).unwrap().is_ok(), "evicted after unpin");
         // A cached submission served straight to Done over the wire.
-        let resp = c.roundtrip("STATUS job-1").unwrap_or_default();
+        let resp = head(&mut c, "STATUS job-1");
         assert!(resp.starts_with("ERR"), "only one real job exists: {resp}");
-        let bad = c.roundtrip("FETCH nope").unwrap();
+        let bad = head(&mut c, "FETCH nope");
         assert!(bad.starts_with("ERR bad-request"), "{bad}");
 
-        assert_eq!(c.roundtrip("SHUTDOWN").unwrap(), "OK bye");
+        assert_eq!(head(&mut c, "SHUTDOWN"), "OK bye");
         h.join().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -868,51 +867,54 @@ mod tests {
                 .unwrap();
         let server = CampaignServer::start(cfg);
         let h = std::thread::spawn(move || serve(listener, server).expect("serve"));
-        let mut c = Client::connect(&addr.to_string()).expect("connect");
+        let mut c = client(addr);
 
         let base = CgyroInput::test_small();
         let deck = write_deck(&base);
+        let submit = |c: &mut Client, args: &str, deck: &str| {
+            head(c, &with_deck(&format!("SUBMIT steps=20{args}"), deck))
+        };
         // Configured roster: an unlisted tenant (and the implicit default)
         // is refused with a typed error.
-        let resp = c.submit_deck(&deck, 20, "", "", "mallory", "", false).unwrap();
+        let resp = submit(&mut c, " tenant=mallory", &deck);
         assert!(resp.starts_with("ERR tenant-denied"), "{resp}");
-        let resp = c.submit_deck(&deck, 20, "", "", "", "", false).unwrap();
+        let resp = submit(&mut c, "", &deck);
         assert!(resp.starts_with("ERR tenant-denied"), "{resp}");
         // A secret-bearing tenant must echo auth=.
-        let resp = c.submit_deck(&deck, 20, "", "", "beta", "", false).unwrap();
+        let resp = submit(&mut c, " tenant=beta", &deck);
         assert!(resp.starts_with("ERR tenant-denied"), "{resp}");
-        let resp = c.submit_deck(&deck, 20, "", "", "beta", "s3cr3t", false).unwrap();
+        let resp = submit(&mut c, " tenant=beta auth=s3cr3t", &deck);
         assert!(resp.starts_with("OK job-0"), "{resp}");
         // acme's jobs=1 quota: the first live job admits, the second is
         // shed with the typed quota error naming the resource.
-        let resp = c.submit_deck(&deck, 20, "a1", "", "acme", "", false).unwrap();
+        let resp = submit(&mut c, " tag=a1 tenant=acme", &deck);
         assert!(resp.starts_with("OK job-1"), "{resp}");
         let deck2 = write_deck(&base.with_gradients(1.5, 2.0));
-        let resp = c.submit_deck(&deck2, 20, "a2", "", "acme", "", false).unwrap();
+        let resp = submit(&mut c, " tag=a2 tenant=acme", &deck2);
         assert!(resp.starts_with("ERR quota-exceeded"), "{resp}");
         assert!(resp.contains("live jobs"), "{resp}");
         // STATUS and LIST carry the tenant column.
-        let status = c.roundtrip("STATUS job-1").unwrap();
+        let status = head(&mut c, "STATUS job-1");
         assert!(status.contains("tenant=acme"), "{status}");
         // A terminal job releases its quota: cancel the queued one and the
         // rejected submission now admits.
-        assert_eq!(c.roundtrip("CANCEL job-1").unwrap(), "OK Cancelled");
-        let resp = c.submit_deck(&deck2, 20, "a2", "", "acme", "", false).unwrap();
+        assert_eq!(head(&mut c, "CANCEL job-1"), "OK Cancelled");
+        let resp = submit(&mut c, " tag=a2 tenant=acme", &deck2);
         assert!(resp.starts_with("OK"), "{resp}");
         // Per-tenant metric families are exported.
-        let prom = c.metrics().unwrap();
+        let prom = c.call("METRICS").unwrap().body_text();
         assert!(prom.contains("xgserve_tenant_submitted_total{tenant=\"acme\"} 2\n"), "{prom}");
         assert!(prom.contains("xgserve_tenant_submitted_total{tenant=\"beta\"} 1\n"), "{prom}");
         xg_obs::expo::lint_prometheus(&prom).expect("exposition must lint");
-        assert_eq!(c.roundtrip("SHUTDOWN").unwrap(), "OK bye");
+        assert_eq!(head(&mut c, "SHUTDOWN"), "OK bye");
         h.join().unwrap();
     }
 
     #[test]
     fn metrics_is_one_prometheus_exposition() {
         let (addr, h) = start();
-        let mut c = Client::connect(&addr.to_string()).expect("connect");
-        let text = c.metrics().unwrap();
+        let mut c = client(addr);
+        let text = c.call("METRICS").unwrap().body_text();
         xg_obs::expo::lint_prometheus(&text).expect("exposition must lint");
         let mut names: Vec<&str> = text
             .lines()
@@ -926,23 +928,23 @@ mod tests {
         assert!(names.contains(&"xgyro_cmat_builds_total"), "{text}");
         assert!(!names.contains(&"xgserve_cmat_builds_total"), "{text}");
         assert!(!names.contains(&"xgserve_world_spawns_total"), "{text}");
-        assert_eq!(c.roundtrip("SHUTDOWN").unwrap(), "OK bye");
+        assert_eq!(head(&mut c, "SHUTDOWN"), "OK bye");
         h.join().unwrap();
     }
 
     #[test]
     fn bad_requests_get_typed_errors() {
         let (addr, h) = start();
-        let mut c = Client::connect(&addr.to_string()).expect("connect");
-        let resp = c.roundtrip("FROB").unwrap();
+        let mut c = client(addr);
+        let resp = head(&mut c, "FROB");
         assert!(resp.starts_with("ERR bad-request"), "{resp}");
-        let resp = c.submit_deck("NOT_A_KEY=1\n", 10, "", "", "", "", false).unwrap();
+        let resp = head(&mut c, &with_deck("SUBMIT steps=10", "NOT_A_KEY=1\n"));
         assert!(resp.starts_with("ERR bad-request"), "{resp}");
         // Steps misaligned with the deck cadence: typed admission error.
         let deck = write_deck(&CgyroInput::test_small());
-        let resp = c.submit_deck(&deck, 7, "", "", "", "", false).unwrap();
+        let resp = head(&mut c, &with_deck("SUBMIT steps=7", &deck));
         assert!(resp.starts_with("ERR bad-steps"), "{resp}");
-        assert_eq!(c.roundtrip("SHUTDOWN").unwrap(), "OK bye");
+        assert_eq!(head(&mut c, "SHUTDOWN"), "OK bye");
         h.join().unwrap();
     }
 
@@ -952,29 +954,25 @@ mod tests {
         // without bound (OOM under a hostile or broken peer). A capped
         // server answers with a typed protocol error instead and closes.
         let (addr, h) = start();
-        let mut c = Client::connect(&addr.to_string()).expect("connect");
-        let mut big = vec![b'A'; 2 * MAX_LINE];
-        big.push(b'\n');
-        c.writer.write_all(&big).unwrap();
-        c.writer.flush().unwrap();
-        let resp = c.recv_line().unwrap();
+        let mut c = client(addr);
+        let resp = head(&mut c, &"A".repeat(2 * MAX_LINE));
         assert!(resp.starts_with("ERR protocol: line-too-long"), "{resp}");
         // The connection is unframed and was closed; a fresh one still works.
-        let mut c2 = Client::connect(&addr.to_string()).expect("reconnect");
-        assert_eq!(c2.roundtrip("PING").unwrap(), "OK pong");
-        assert_eq!(c2.roundtrip("SHUTDOWN").unwrap(), "OK bye");
+        let mut c2 = client(addr);
+        assert_eq!(head(&mut c2, "PING"), "OK pong");
+        assert_eq!(head(&mut c2, "SHUTDOWN"), "OK bye");
         h.join().unwrap();
     }
 
     #[test]
     fn oversized_deck_line_aborts_the_submit() {
         let (addr, h) = start();
-        let mut c = Client::connect(&addr.to_string()).expect("connect");
+        let mut c = client(addr);
         let deck = format!("GRAD={}\n", "9".repeat(2 * MAX_LINE));
-        let resp = c.submit_deck(&deck, 20, "", "", "", "", false).unwrap();
+        let resp = head(&mut c, &with_deck("SUBMIT steps=20", &deck));
         assert!(resp.starts_with("ERR protocol: line-too-long"), "{resp}");
-        let mut c2 = Client::connect(&addr.to_string()).expect("reconnect");
-        assert_eq!(c2.roundtrip("SHUTDOWN").unwrap(), "OK bye");
+        let mut c2 = client(addr);
+        assert_eq!(head(&mut c2, "SHUTDOWN"), "OK bye");
         h.join().unwrap();
     }
 
@@ -1008,14 +1006,13 @@ mod tests {
             if trailing_newline && !payload.is_empty() {
                 payload.push('\n');
             }
-            // Frame exactly as Client::submit_deck does.
-            let mut framed = payload.clone();
-            if !framed.ends_with('\n') {
-                framed.push('\n');
-            }
-            framed.push_str("END\n");
-            framed.push_str("PING\n"); // next request must survive the deck read
+            // Frame with the client's own function, newline-terminated as
+            // Client::call sends it.
+            let framed = format!("{}\nPING\n", with_deck("SUBMIT steps=1", &payload));
             let mut reader = BufReader::new(Cursor::new(framed.into_bytes()));
+            let mut request = String::new();
+            read_line_capped(&mut reader, &mut request, MAX_LINE).unwrap();
+            prop_assert_eq!(request.as_str(), "SUBMIT steps=1\n");
             let deck = read_deck_body(&mut reader, MAX_LINE)
                 .map_err(|e| match e {
                     SpecError::Protocol(m) | SpecError::Bad(m) => m,

@@ -82,7 +82,7 @@ fn restart_restores_done_jobs_and_keeps_tokens_deduplicating() {
     // bitwise result summary — and no re-execution happened (the restored
     // summary answers, there is nothing live to run).
     let server = CampaignServer::start(config(&dir));
-    let rec = server.recovery_report();
+    let rec = server.metrics().recovery;
     assert!(rec.replayed_records > 0, "nothing replayed: {rec:?}");
     assert_eq!(rec.restored_jobs, 3, "{rec:?}");
     assert_eq!(rec.readmitted_jobs, 0, "{rec:?}");
@@ -136,7 +136,7 @@ fn waiting_jobs_are_readmitted_and_age_from_the_original_submit() {
     drop(j);
 
     let server = CampaignServer::start(config(&dir));
-    let rec = server.recovery_report();
+    let rec = server.metrics().recovery;
     assert_eq!(rec.readmitted_jobs, 2, "{rec:?}");
     assert!(server.drain(Duration::from_secs(120)), "drain timed out");
 
@@ -183,7 +183,7 @@ fn journal_written_before_the_reduction_knob_was_removed_still_replays() {
     drop(j);
 
     let server = CampaignServer::start(config(&dir));
-    let rec = server.recovery_report();
+    let rec = server.metrics().recovery;
     assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
     assert_eq!(rec.readmitted_jobs, 1, "{rec:?}");
     assert!(server.drain(Duration::from_secs(120)), "drain timed out");
@@ -245,7 +245,7 @@ fn running_batch_resumes_from_its_checkpoint_bitwise_identically() {
     drop(j);
 
     let server = CampaignServer::start(config(&dir));
-    let rec = server.recovery_report();
+    let rec = server.metrics().recovery;
     assert_eq!(rec.resumed_batches, 1, "{rec:?}");
     assert_eq!(rec.restored_jobs, 2, "{rec:?}");
     // New submissions keep working alongside a resume (batch ids were
@@ -299,7 +299,7 @@ fn torn_tail_is_truncated_with_a_warning_not_a_refusal() {
     drop(f);
 
     let server = CampaignServer::start(config(&dir));
-    let rec = server.recovery_report();
+    let rec = server.metrics().recovery;
     assert_eq!(rec.torn_bytes, 7, "{rec:?}");
     assert!(
         rec.warnings.iter().any(|w| w.contains("torn")),
@@ -455,7 +455,7 @@ fn restart_never_reissues_a_job_or_batch_id() {
     server.shutdown();
 
     let server = CampaignServer::start(mk());
-    let rec = server.recovery_report();
+    let rec = server.metrics().recovery;
     assert!(
         !rec.warnings.iter().any(|w| w.contains("ignored")),
         "compaction left records replay cannot place: {:?}",

@@ -284,7 +284,7 @@ fn kill_minus_nine_preserves_tenant_attribution_and_loses_nothing() {
     cfg.journal = Some(JournalConfig::durable(&dir));
     cfg.tenants = TenantDirectory::parse("acme:weight=2,beta:weight=1,gamma").expect("roster");
     let server = CampaignServer::start(cfg);
-    let rec = server.recovery_report();
+    let rec = server.metrics().recovery;
     assert_eq!(rec.readmitted_jobs, 4, "zero lost jobs: {rec:?}");
     assert!(server.drain(Duration::from_secs(300)), "drain timed out");
     for (i, owner) in owners.iter().enumerate() {

@@ -30,7 +30,6 @@ pub mod grid;
 pub mod input;
 pub mod moments;
 pub mod nonlinear;
-pub mod restart;
 pub mod serial;
 pub mod stepper;
 pub mod streaming;
@@ -38,7 +37,6 @@ pub mod streaming;
 pub use cmat::{cmat_total_bytes, CollisionConstants};
 pub use deck::{load_deck, parse_deck, save_deck, write_deck, DeckError};
 pub use diagnostics::{ComplexTrace, History};
-pub use restart::{RestartError, RestartImage};
 pub use collision::CollisionOperator;
 pub use dist::DistTopology;
 pub use input::{CgyroInput, Species};

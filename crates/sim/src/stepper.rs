@@ -218,7 +218,8 @@ impl<T: Topology> Simulation<T> {
     }
 
     /// Overwrite the evolving state (checkpoint restore). The caller is
-    /// responsible for deck/layout compatibility — see `xg_sim::restart`.
+    /// responsible for deck/layout compatibility — see
+    /// `xgyro_core::EnsembleCheckpoint`.
     pub fn restore_state(&mut self, h: &[Complex64], time: f64, steps_taken: u64) {
         assert_eq!(h.len(), self.h.len(), "restored state has the wrong local size");
         self.h.as_mut_slice().copy_from_slice(h);

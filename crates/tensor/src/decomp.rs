@@ -48,12 +48,6 @@ impl Decomp1D {
         self.parts
     }
 
-    /// True when every part has the same size.
-    #[inline]
-    pub fn is_even(&self) -> bool {
-        self.total.is_multiple_of(self.parts)
-    }
-
     /// Number of indices owned by `part`.
     #[inline]
     pub fn count(&self, part: usize) -> usize {
@@ -93,11 +87,6 @@ impl Decomp1D {
         } else {
             extra + (idx - fat) / base
         }
-    }
-
-    /// Local offset of global index `idx` within its owner's block.
-    pub fn local_index(&self, idx: usize) -> usize {
-        idx - self.start(self.owner(idx))
     }
 
     /// Largest block size over all parts.
@@ -383,20 +372,17 @@ mod tests {
     #[test]
     fn even_split() {
         let d = Decomp1D::new(12, 4);
-        assert!(d.is_even());
         for p in 0..4 {
             assert_eq!(d.count(p), 3);
             assert_eq!(d.range(p), p * 3..p * 3 + 3);
         }
         assert_eq!(d.owner(0), 0);
         assert_eq!(d.owner(11), 3);
-        assert_eq!(d.local_index(7), 1);
     }
 
     #[test]
     fn uneven_split_front_loaded() {
         let d = Decomp1D::new(10, 4); // 3,3,2,2
-        assert!(!d.is_even());
         assert_eq!(d.count(0), 3);
         assert_eq!(d.count(1), 3);
         assert_eq!(d.count(2), 2);
@@ -416,7 +402,6 @@ mod tests {
                         assert_eq!(d.owner(g), p, "total={total} parts={parts} g={g}");
                         assert!(!seen[g], "index {g} covered twice");
                         seen[g] = true;
-                        assert_eq!(d.start(p) + d.local_index(g), g);
                     }
                 }
                 assert!(seen.iter().all(|&s| s), "total={total} parts={parts}: gap");

@@ -146,13 +146,6 @@ impl PhaseLayout {
         (self.dims.nc, self.nv_range().len(), self.nt_range().len())
     }
 
-    /// Local nl-phase shape `(nc_loc2, nv_loc, nt)`: the nl transpose
-    /// redistributes `nc` over the `n2` communicator to complete `nt`.
-    pub fn nl_shape(&self) -> (usize, usize, usize) {
-        let nc2 = Decomp1D::new(self.dims.nc, self.grid.n2);
-        (nc2.count(self.i2), self.nv_range().len(), self.dims.nt)
-    }
-
     /// Complex elements held in the str phase.
     pub fn str_len(&self) -> usize {
         let (a, b, c) = self.str_shape();
@@ -187,17 +180,6 @@ mod tests {
             str_total += a * b * c;
         }
         assert_eq!(str_total, dims.state_len());
-    }
-
-    #[test]
-    fn nl_shape_completes_nt() {
-        let dims = SimDims::new(24, 16, 8);
-        let g = ProcGrid::new(4, 2);
-        let l = PhaseLayout::new(dims, g, 5);
-        let (nc2, nvl, nt) = l.nl_shape();
-        assert_eq!(nt, 8);
-        assert_eq!(nvl, 4);
-        assert_eq!(nc2, 12);
     }
 
     #[test]

@@ -181,23 +181,6 @@ impl<T: Copy> Tensor3<T> {
     pub fn fill(&mut self, v: T) {
         self.data.iter_mut().for_each(|x| *x = v);
     }
-
-    /// Gather the `d1`-profile at fixed `(i0, i2)` into `out` —
-    /// e.g. the velocity profile of `h_coll` at one `(ic, itor)` pair.
-    pub fn gather_mid(&self, i0_is_fixed: bool, fixed0: usize, fixed2: usize, out: &mut [T]) {
-        // Gathers along dim 1 when i0_is_fixed is true; along dim 0 otherwise.
-        if i0_is_fixed {
-            debug_assert_eq!(out.len(), self.d1);
-            for (i1, o) in out.iter_mut().enumerate() {
-                *o = self[(fixed0, i1, fixed2)];
-            }
-        } else {
-            debug_assert_eq!(out.len(), self.d0);
-            for (i0, o) in out.iter_mut().enumerate() {
-                *o = self[(i0, fixed0, fixed2)];
-            }
-        }
-    }
 }
 
 impl<T: Copy> Index<(usize, usize, usize)> for Tensor3<T> {
@@ -333,17 +316,6 @@ mod tests {
         assert_eq!(t.line(1, 0), &[100, 101, 102]);
         assert_eq!(t[(1, 1, 2)], 112);
         assert_eq!(t.offset(1, 1, 2), 11);
-    }
-
-    #[test]
-    fn tensor3_gather_mid() {
-        let t = Tensor3::from_fn(3, 4, 2, |a, b, c| (a * 100 + b * 10 + c) as f64);
-        let mut out = vec![0.0; 4];
-        t.gather_mid(true, 2, 1, &mut out);
-        assert_eq!(out, vec![201.0, 211.0, 221.0, 231.0]);
-        let mut out0 = vec![0.0; 3];
-        t.gather_mid(false, 3, 1, &mut out0);
-        assert_eq!(out0, vec![31.0, 131.0, 231.0]);
     }
 
     #[test]

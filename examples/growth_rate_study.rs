@@ -4,8 +4,8 @@
 //! 1. write CGYRO-style `input.cgyro` decks for a temperature-gradient
 //!    scan into per-simulation directories;
 //! 2. load them back as an XGYRO ensemble (admission-checked);
-//! 3. run the ensemble, recording per-report diagnostics with
-//!    checkpoint/restart in the middle;
+//! 3. run the ensemble, with a checkpoint/restart in the middle, beside
+//!    per-member serial references that record per-report diagnostics;
 //! 4. fit linear growth rates from the field-energy traces and print the
 //!    scan result (γ vs a/L_T — the critical-gradient picture).
 //!
@@ -13,9 +13,9 @@
 //! cargo run --release --example growth_rate_study
 //! ```
 
-use xgyro_repro::sim::{save_deck, serial_simulation, CgyroInput, History, RestartImage};
+use xgyro_repro::sim::{save_deck, serial_simulation, CgyroInput, History};
 use xgyro_repro::tensor::ProcGrid;
-use xgyro_repro::xgyro::{run_xgyro, EnsembleConfig};
+use xgyro_repro::xgyro::{run_xgyro, run_xgyro_checkpointed, EnsembleCheckpoint, EnsembleConfig};
 
 fn main() {
     // 1. Write the scan decks to disk.
@@ -49,33 +49,36 @@ fn main() {
         cfg.cmat_key()
     );
 
-    // 3. Run: serial per-member reference with checkpoint/restart halfway
-    //    (the ensemble path is validated against it at the end).
+    // 3. Run: serial per-member reference histories, then the ensemble
+    //    with a checkpoint/restart halfway (validated against the
+    //    uninterrupted ensemble and the serial reference).
     let reports = 20usize;
-    let mut histories: Vec<History> = Vec::new();
-    for member in cfg.members() {
-        let mut sim = serial_simulation(member);
-        let mut hist = History::new();
-        for r in 0..reports {
-            hist.push(sim.run_report_step());
-            if r == reports / 2 {
-                // Checkpoint round-trip mid-run; resume must be bitwise.
-                let image = RestartImage::capture(&sim);
-                let bytes = image.to_bytes();
-                let mut resumed = serial_simulation(member);
-                RestartImage::from_bytes(&bytes)
-                    .expect("restart image intact")
-                    .restore(&mut resumed)
-                    .expect("same deck");
-                assert_eq!(resumed.h().as_slice(), sim.h().as_slice());
+    let histories: Vec<History> = cfg
+        .members()
+        .iter()
+        .map(|member| {
+            let mut sim = serial_simulation(member);
+            let mut hist = History::new();
+            for _ in 0..reports {
+                hist.push(sim.run_report_step());
             }
-        }
-        histories.push(hist);
-    }
+            hist
+        })
+        .collect();
 
-    // Cross-check one member against the XGYRO ensemble run.
     let steps_total = reports * cfg.members()[0].steps_per_report;
     let xg = run_xgyro(&cfg, steps_total);
+    // Checkpoint round-trip mid-run; resume must be bitwise.
+    let half = steps_total / 2;
+    let (_, cp) = run_xgyro_checkpointed(&cfg, half, None).expect("fresh run");
+    let cp = EnsembleCheckpoint::from_bytes(&cp.to_bytes()).expect("checkpoint intact");
+    let (resumed, _) =
+        run_xgyro_checkpointed(&cfg, steps_total - half, Some(&cp)).expect("same ensemble");
+    for (a, b) in resumed.sims.iter().zip(&xg.sims) {
+        assert_eq!(a.h.as_slice(), b.h.as_slice(), "sim {} must resume bitwise", a.sim);
+    }
+
+    // Cross-check one member against the serial reference.
     let mut check = serial_simulation(&cfg.members()[1]);
     check.run_steps(steps_total);
     let dev = xgyro_repro::linalg::norms::max_deviation(

@@ -11,10 +11,16 @@
 //! Every kernel here applies, to each matrix element, the same
 //! multiply-then-subtract operations in the same order as the textbook
 //! scalar loops (no reassociation, no fused multiply-add), so `cmat` does
-//! not depend on how the loops are blocked; `docs/performance.md` §7 has
-//! the argument and the measurements.
+//! not depend on how the loops are blocked or on the lanes they run on.
+//! The factorization and the multi-RHS substitution are written once, as
+//! `#[inline(always)]` bodies; `crate::simd` compiles each body once per
+//! [`SimdLevel`](crate::simd::SimdLevel) and both run at
+//! [`selected_level`], while the one-column [`LuFactors::solve`] stays the
+//! scalar reference. `docs/performance.md` §7 has the argument and the
+//! measurements.
 
 use crate::matrix::RealMatrix;
+use crate::simd::selected_level;
 
 /// Error type for singular or near-singular factorizations.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,9 +44,9 @@ impl std::fmt::Display for SingularMatrix {
 impl std::error::Error for SingularMatrix {}
 
 /// Right-hand-side columns substituted together by
-/// [`LuFactors::solve_matrix_into`]: 16 `f64` accumulators are 8 SSE2 (4
-/// AVX2) registers, and an `n × 16` panel of `X` stays in L1 (18 KB at
-/// `n = 144`) while `L` and `U` stream past it.
+/// [`LuFactors::solve_matrix_into`]: 16 `f64` accumulators are 8 SSE2, 4
+/// AVX2 or 2 AVX-512 registers, and an `n × 16` panel of `X` stays in L1
+/// (18 KB at `n = 144`) while `L` and `U` stream past it.
 const PANEL: usize = 16;
 
 /// LU factorization `P·A = L·U` of a square matrix, stored compactly
@@ -50,17 +56,26 @@ pub struct LuFactors {
     lu: RealMatrix,
     /// Row permutation: row `i` of `U`/`L` came from row `perm[i]` of `A`.
     perm: Vec<usize>,
-    /// Number of row swaps (determinant sign).
-    swaps: usize,
 }
 
 impl LuFactors {
-    /// Factorize `a` (consumed) with partial pivoting.
-    pub fn factorize(mut a: RealMatrix) -> Result<Self, SingularMatrix> {
+    /// Factorize `a` (consumed) with partial pivoting, on the lanes of
+    /// [`selected_level`].
+    pub fn factorize(a: RealMatrix) -> Result<Self, SingularMatrix> {
+        crate::simd::factorize_with(selected_level(), a)
+    }
+
+    /// The body of [`Self::factorize`], compiled once per [`SimdLevel`]
+    /// by [`crate::simd::factorize_with`]. The elimination's inner loop runs
+    /// along a row, so the lanes cover trailing elements of one row, each
+    /// receiving its own multiply then subtract.
+    ///
+    /// [`SimdLevel`]: crate::simd::SimdLevel
+    #[inline(always)]
+    pub(crate) fn factorize_body(mut a: RealMatrix) -> Result<Self, SingularMatrix> {
         assert!(a.is_square(), "LU factorization needs a square matrix");
         let n = a.rows();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut swaps = 0;
         let data = a.as_mut_slice();
         for k in 0..n {
             // Pivot search in column k, rows k..n.
@@ -79,7 +94,6 @@ impl LuFactors {
             let row_k = &mut upper[k * n..];
             if p != k {
                 perm.swap(k, p);
-                swaps += 1;
                 row_k.swap_with_slice(&mut lower[(p - k - 1) * n..][..n]);
             }
             // Eliminate column k from every row below: store the multiplier
@@ -96,7 +110,7 @@ impl LuFactors {
                 }
             }
         }
-        Ok(Self { lu: a, perm, swaps })
+        Ok(Self { lu: a, perm })
     }
 
     /// Matrix dimension.
@@ -147,7 +161,8 @@ impl LuFactors {
     }
 
     /// [`Self::solve_matrix`] into a caller-owned row-major `n × b.cols()`
-    /// buffer (the `cmat` build solves straight into its tensor panel).
+    /// buffer (the `cmat` build solves straight into its tensor panel), on
+    /// the lanes of [`selected_level`].
     ///
     /// Row-oriented and blocked over `PANEL` (16) columns of `B`: each column
     /// sees exactly the operations of [`Self::solve`] on it, in the same
@@ -155,6 +170,15 @@ impl LuFactors {
     /// the inner loop runs along a contiguous row of `X`, independent
     /// across columns, instead of down one strided column.
     pub fn solve_matrix_into(&self, b: &RealMatrix, x: &mut [f64]) {
+        crate::simd::solve_matrix_into_with(selected_level(), self, b, x)
+    }
+
+    /// The body of [`Self::solve_matrix_into`], compiled once per
+    /// [`SimdLevel`] by [`crate::simd::solve_matrix_into_with`].
+    ///
+    /// [`SimdLevel`]: crate::simd::SimdLevel
+    #[inline(always)]
+    pub(crate) fn solve_matrix_into_body(&self, b: &RealMatrix, x: &mut [f64]) {
         let n = self.dim();
         let ncols = b.cols();
         assert_eq!(b.rows(), n, "rhs row count mismatch");
@@ -212,24 +236,13 @@ impl LuFactors {
             }
         }
     }
-
-    /// Explicit inverse `A⁻¹`: one multi-right-hand-side solve against the
-    /// identity (tests and diagnostics; the `cmat` build never forms it).
-    pub fn inverse(&self) -> RealMatrix {
-        self.solve_matrix(&RealMatrix::identity(self.dim()))
-    }
-
-    /// Determinant, as `sign · Π diag(U)`.
-    pub fn determinant(&self) -> f64 {
-        let sign = if self.swaps.is_multiple_of(2) { 1.0 } else { -1.0 };
-        (0..self.dim()).map(|i| self.lu[(i, i)]).product::<f64>() * sign
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::{matmul, matvec};
+    use crate::simd::{available_levels, factorize_with, solve_matrix_into_with, SimdLevel};
 
     fn residual(a: &RealMatrix, x: &[f64], b: &[f64]) -> f64 {
         let mut ax = vec![0.0; b.len()];
@@ -254,7 +267,6 @@ mod tests {
         let f = LuFactors::factorize(a.clone()).unwrap();
         let x = f.solve(&[7.0, 9.0]);
         assert!(residual(&a, &x, &[7.0, 9.0]) < 1e-14);
-        assert_eq!(f.determinant(), -1.0);
     }
 
     #[test]
@@ -298,7 +310,7 @@ mod tests {
             }
         });
         let f = LuFactors::factorize(a.clone()).unwrap();
-        let inv = f.inverse();
+        let inv = f.solve_matrix(&RealMatrix::identity(n));
         let prod = matmul(&a, &inv);
         for i in 0..n {
             for j in 0..n {
@@ -330,10 +342,101 @@ mod tests {
         }
     }
 
+    /// Deterministic noise in `(-1, 1)` (splitmix64 of `seed` and `i`).
+    fn noise(seed: u64, i: usize) -> f64 {
+        let mut z = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    /// Dense, and column 0's largest entry in the last row: partial
+    /// pivoting swaps rows from the first column on.
+    fn swapping_matrix(n: usize, seed: u64) -> RealMatrix {
+        let mut a = RealMatrix::from_fn(n, n, |i, j| noise(seed, i * n + j));
+        a[(n - 1, 0)] = 2.0;
+        a
+    }
+
+    /// A diagonally dominant tridiagonal matrix with its rows rotated by
+    /// one: every pivot needs a swap and almost every multiplier is an
+    /// exact zero.
+    fn shifted_tridiagonal(n: usize, seed: u64) -> RealMatrix {
+        RealMatrix::from_fn(n, n, |i, j| {
+            let r = (i + 1) % n;
+            match r.abs_diff(j) {
+                0 => 3.0 + noise(seed ^ 0x7, r),
+                1 => noise(seed ^ 0x3, r * n + j),
+                _ => 0.0,
+            }
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn determinant_of_triangular() {
-        let a = RealMatrix::from_vec(3, 3, vec![2.0, 1.0, 0.0, 0.0, 3.0, 1.0, 0.0, 0.0, 4.0]);
-        let f = LuFactors::factorize(a).unwrap();
-        assert!((f.determinant() - 24.0).abs() < 1e-12);
+    fn every_level_builds_the_same_bits() {
+        // Each level's instance of the factorization and of the multi-RHS
+        // substitution against the scalar one, by `to_bits`: full panels,
+        // the remainder alone and both, on factorizations that swap rows
+        // and on ones whose multipliers are mostly exact zeros — once with
+        // `-0.0` off the band, where dropping the `m ≠ 0` skip flips signs.
+        for n in (1..=40).chain([48, 144]) {
+            let mut signed_zeros = shifted_tridiagonal(n, 5);
+            for v in signed_zeros.as_mut_slice().iter_mut().filter(|v| **v == 0.0) {
+                *v = -0.0;
+            }
+            for a in [swapping_matrix(n, 5), shifted_tridiagonal(n, 5), signed_zeros] {
+                let want = factorize_with(SimdLevel::Scalar, a.clone()).unwrap();
+                let solves: Vec<_> = [1, 7, 15, 16, 17, 33, n]
+                    .into_iter()
+                    .map(|ncols| {
+                        let b = RealMatrix::from_fn(n, ncols, |i, j| noise(0xb, i * ncols + j));
+                        let mut x = vec![0.0; n * ncols];
+                        solve_matrix_into_with(SimdLevel::Scalar, &want, &b, &mut x);
+                        (b, x)
+                    })
+                    .collect();
+                for level in available_levels() {
+                    let got = factorize_with(level, a.clone()).unwrap();
+                    assert_eq!(got.perm, want.perm, "level {level} n {n}");
+                    let (got_lu, want_lu) = (got.lu.as_slice(), want.lu.as_slice());
+                    assert_eq!(bits(got_lu), bits(want_lu), "level {level} n {n}");
+                    for (b, x_want) in &solves {
+                        let mut x = vec![f64::NAN; x_want.len()];
+                        solve_matrix_into_with(level, &got, b, &mut x);
+                        let ncols = b.cols();
+                        assert_eq!(bits(&x), bits(x_want), "level {level} n {n} ncols {ncols}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_level_reports_the_same_breakdown() {
+        // A zero column breaks down on an exact-zero pivot; a last column
+        // scaled to ~1e-306 breaks down on a tiny nonzero pivot whose bits
+        // are the product of the whole elimination before it.
+        let mut zero_column = swapping_matrix(20, 9);
+        let mut tiny_column = swapping_matrix(33, 9);
+        for i in 0..20 {
+            zero_column[(i, 11)] = 0.0;
+        }
+        for i in 0..33 {
+            tiny_column[(i, 32)] *= 1e-306;
+        }
+        for a in [zero_column, tiny_column] {
+            let want = factorize_with(SimdLevel::Scalar, a.clone()).unwrap_err();
+            assert!(want.at_column > 0, "the breakdown comes after elimination steps");
+            for level in available_levels() {
+                let got = factorize_with(level, a.clone()).unwrap_err();
+                assert_eq!(got.at_column, want.at_column, "level {level}");
+                let (got_pivot, want_pivot) = (got.pivot_magnitude, want.pivot_magnitude);
+                assert_eq!(got_pivot.to_bits(), want_pivot.to_bits(), "level {level}");
+            }
+        }
     }
 }

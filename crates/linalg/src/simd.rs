@@ -26,8 +26,22 @@
 //! correctly-rounded IEEE 754 fused multiply-adds, all kernels produce
 //! bitwise-identical results, so the tuner changes wall time only. The
 //! test suite and the CI `kernel-matrix` job enforce this.
+//!
+//! # The `cmat` build's contract
+//!
+//! [`LuFactors::factorize`] and [`LuFactors::solve_matrix_into`] run one
+//! safe source, compiled once per level by `#[target_feature]` and picked
+//! at [`selected_level`]. It is multiply-then-subtract, not FMA: each
+//! element receives `x ← x − (m·u)` as a separately rounded multiply and
+//! subtract, for the pivot steps (factorization) or `j` (substitution) in
+//! ascending order, with the `m ≠ 0` skip and one divide by `u_ii`. Lanes
+//! cover only independent columns of `X` or trailing elements of one row,
+//! and Rust never contracts `a − b·c` into an FMA, so every level builds
+//! the scalar level's factors and solutions bit for bit.
 
 use crate::complex::Complex64;
+use crate::lu::{LuFactors, SingularMatrix};
+use crate::matrix::RealMatrix;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -289,7 +303,7 @@ unsafe fn panel_scalar(a: &[f64], n: usize, x: &[Complex64], y: *mut Complex64, 
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::Complex64;
+    use super::{Complex64, LuFactors, RealMatrix, SingularMatrix};
     use std::arch::x86_64::*;
 
     /// Store one ymm of 2 complex accumulators to `y[(r..r+2)·n + i]`.
@@ -498,6 +512,42 @@ mod x86 {
             *y.add((r + m) * n + i) = Complex64::new(t[2 * m], t[2 * m + 1]);
         }
     }
+
+    /// [`LuFactors::factorize_body`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn factorize_avx2(a: RealMatrix) -> Result<LuFactors, SingularMatrix> {
+        LuFactors::factorize_body(a)
+    }
+
+    /// [`LuFactors::factorize_body`] compiled for AVX-512F.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F+AVX2+FMA.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn factorize_avx512(a: RealMatrix) -> Result<LuFactors, SingularMatrix> {
+        LuFactors::factorize_body(a)
+    }
+
+    /// [`LuFactors::solve_matrix_into_body`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn solve_into_avx2(f: &LuFactors, b: &RealMatrix, x: &mut [f64]) {
+        f.solve_matrix_into_body(b, x)
+    }
+
+    /// [`LuFactors::solve_matrix_into_body`] compiled for AVX-512F.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F+AVX2+FMA.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn solve_into_avx512(f: &LuFactors, b: &RealMatrix, x: &mut [f64]) {
+        f.solve_matrix_into_body(b, x)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -549,6 +599,44 @@ pub fn apply_panel_multi_with(
                 }
             }
         }),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("effective() clamps to Scalar off x86_64"),
+    }
+}
+
+/// [`LuFactors::factorize`] with an explicit level: the same source
+/// compiled for that level's lanes, bitwise identical at every level.
+pub(crate) fn factorize_with(level: SimdLevel, a: RealMatrix) -> Result<LuFactors, SingularMatrix> {
+    match effective(level) {
+        SimdLevel::Scalar => LuFactors::factorize_body(a),
+        // SAFETY: effective() ≤ detected_level() guarantees AVX2+FMA.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { x86::factorize_avx2(a) },
+        // SAFETY: effective() ≤ detected_level() guarantees AVX-512F+AVX2+FMA.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { x86::factorize_avx512(a) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("effective() clamps to Scalar off x86_64"),
+    }
+}
+
+/// [`LuFactors::solve_matrix_into`] with an explicit level: the same
+/// source compiled for that level's lanes, bitwise identical at every
+/// level.
+pub(crate) fn solve_matrix_into_with(
+    level: SimdLevel,
+    f: &LuFactors,
+    b: &RealMatrix,
+    x: &mut [f64],
+) {
+    match effective(level) {
+        SimdLevel::Scalar => f.solve_matrix_into_body(b, x),
+        // SAFETY: effective() ≤ detected_level() guarantees AVX2+FMA.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { x86::solve_into_avx2(f, b, x) },
+        // SAFETY: effective() ≤ detected_level() guarantees AVX-512F+AVX2+FMA.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { x86::solve_into_avx512(f, b, x) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("effective() clamps to Scalar off x86_64"),
     }

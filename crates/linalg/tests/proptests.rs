@@ -87,7 +87,7 @@ proptest! {
     #[test]
     fn lu_inverse_roundtrip(a in dominant_matrix(6)) {
         let f = LuFactors::factorize(a.clone()).unwrap();
-        let inv = f.inverse();
+        let inv = f.solve_matrix(&RealMatrix::identity(6));
         let prod = matmul(&a, &inv);
         for i in 0..6 {
             for j in 0..6 {
@@ -258,13 +258,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn determinant_multiplicative(a in dominant_matrix(4), b in dominant_matrix(4)) {
-        let da = LuFactors::factorize(a.clone()).unwrap().determinant();
-        let db = LuFactors::factorize(b.clone()).unwrap().determinant();
-        let dab = LuFactors::factorize(matmul(&a, &b)).unwrap().determinant();
-        prop_assert!((dab - da * db).abs() < 1e-6 * (1.0 + (da * db).abs()));
     }
 }

@@ -153,6 +153,20 @@ fn nonlinear_ensemble_matches_baseline() {
 }
 
 #[test]
+fn nl_in_place_ensemble_matches_transposed_bitwise() {
+    // 2×1 evaluates nl in place on each member's str layout; 2×2 transposes
+    // through the nl layout. Every member's trajectory must agree bitwise.
+    let mut base = CgyroInput::test_small();
+    base.nonlinear_coupling = 0.15;
+    let steps = 3;
+    let in_place = run_xgyro(&gradient_sweep(&base, 2, ProcGrid::new(2, 1)), steps);
+    let transposed = run_xgyro(&gradient_sweep(&base, 2, ProcGrid::new(2, 2)), steps);
+    for (a, b) in in_place.sims.iter().zip(&transposed.sims) {
+        assert_eq!(a.h.as_slice(), b.h.as_slice(), "member {}: 2x1 vs 2x2", a.sim);
+    }
+}
+
+#[test]
 fn nl_phase_never_transitions_to_coll_directly() {
     // Paper §2: "there is never a direct transition from [nl] to the coll
     // phase" — data always returns to the str layout before the coll

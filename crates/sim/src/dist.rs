@@ -18,6 +18,12 @@
 //! transpose — matching the paper's description of XGYRO as "a thin MPI
 //! initialization and partitioning layer around the CGYRO codebase, with
 //! minor changes to the latter".
+//!
+//! The nl phase needs the complete toroidal dimension. With `n2 > 1` it
+//! transposes str → nl over the toroidal communicator, gathers `φ`,
+//! evaluates and transposes back. With `n2 = 1` the str layout already holds
+//! every toroidal mode, so [`Topology::nl_term`] evaluates in place, as the
+//! serial topology does, and the toroidal communicator carries no traffic.
 
 use crate::cmat::CollisionConstants;
 use crate::collision::CollisionOperator;
@@ -61,6 +67,7 @@ pub struct DistTopology {
     fwd_send: Vec<Vec<Complex64>>,
     /// nl-layout staging: `(nc_blk, nv_loc, nt)`, this rank's `nc` block
     /// over the toroidal communicator with the complete toroidal dimension.
+    /// This and the next three fields are empty when `n2 = 1`.
     h_nl: Tensor3<Complex64>,
     nl_out: Tensor3<Complex64>,
     /// The potential completed in the toroidal dimension (`nc × nt`).
@@ -166,8 +173,14 @@ impl DistTopology {
         let ntl = layout.nt_range().len();
         let lanes = sims_in_coll * dims.nv;
         let p = coll_comm.size();
-        let nc_blk = Decomp1D::new(dims.nc, grid.n2).count(i2);
-        let nvl = layout.nv_range().len();
+        // With one toroidal rank the str layout already is the nl layout:
+        // `nl_term` evaluates in place and no nl staging is allocated.
+        let (nl_peers, nc_blk, nvl, nt_nl) = if grid.n2 > 1 {
+            let nc_blk = Decomp1D::new(dims.nc, grid.n2).count(i2);
+            (grid.n2, nc_blk, layout.nv_range().len(), dims.nt)
+        } else {
+            (0, 0, 0, 0)
+        };
 
         Self {
             layout,
@@ -182,10 +195,10 @@ impl DistTopology {
             coll_in: Tensor3::new(my_nc, ntl, lanes),
             coll_out: Tensor3::new(my_nc, ntl, lanes),
             fwd_send: (0..p).map(|_| Vec::new()).collect(),
-            h_nl: Tensor3::new(nc_blk, nvl, dims.nt),
-            nl_out: Tensor3::new(nc_blk, nvl, dims.nt),
-            phi_full: vec![Complex64::ZERO; dims.nc * dims.nt],
-            nl_fwd_send: (0..grid.n2).map(|_| Vec::new()).collect(),
+            h_nl: Tensor3::new(nc_blk, nvl, nt_nl),
+            nl_out: Tensor3::new(nc_blk, nvl, nt_nl),
+            phi_full: vec![Complex64::ZERO; dims.nc * nt_nl],
+            nl_fwd_send: (0..nl_peers).map(|_| Vec::new()).collect(),
             kernel,
         }
     }
@@ -311,8 +324,15 @@ impl Topology for DistTopology {
             out.fill(Complex64::ZERO);
             return;
         }
-        let dims = self.layout.dims();
         let n2 = self.nt_comm.size();
+        if n2 == 1 {
+            // This rank holds the complete toroidal dimension: `h` is the
+            // nl layout `(nc, nv_loc, nt)` and `phi` is `nc × nt`, exactly
+            // what the transposes below would build. Evaluate in place.
+            self.nl.eval(h, phi, 0, out);
+            return;
+        }
+        let dims = self.layout.dims();
         let nc2_decomp = Decomp1D::new(dims.nc, n2);
         let nt_decomp = self.layout.nt_decomp();
         let my_i2 = self.nt_comm.rank();

@@ -5,7 +5,9 @@
 //! partial (each rank owns an `nv` slice) and completed with an AllReduce
 //! over the `nv`-splitting communicator: one of the two str-phase
 //! AllReduce call sites of Figure 1 (the other is the upwind moment in
-//! [`crate::streaming`]).
+//! [`crate::streaming`]). [`FieldSolver::partial_moments`] accumulates one
+//! RK stage's charge, current and upwind partials in a single sweep, straight
+//! into the buffer that one fused collective completes.
 
 use crate::geometry::Geometry;
 use crate::grid::{ky_modes, ConfigGrid, VelocityGrid};
@@ -165,6 +167,58 @@ impl FieldSolver {
         }
     }
 
+    /// Moment sections of one RK stage's fused reduction: charge and upwind,
+    /// plus the parallel current in electromagnetic runs.
+    pub fn moment_sections(&self) -> usize {
+        if self.em {
+            3
+        } else {
+            2
+        }
+    }
+
+    /// Accumulate every partial velocity moment of one RK stage `h` (str
+    /// layout) in one sweep, straight into the fused reduction buffer
+    /// `[charge | current (electromagnetic only) | upwind]`. Each section is
+    /// `nc × nt_loc` row-major; `upw_w` is the upwind weight per local iv
+    /// ([`crate::streaming::StrKernel::upwind_weights`]). Every section sums
+    /// over the local iv in ascending order, so each equals the moment a
+    /// pass of its own would give, bit for bit.
+    pub fn partial_moments(&self, h: &Tensor3<Complex64>, upw_w: &[f64], fused: &mut [Complex64]) {
+        let (nc, nvl, ntl) = h.shape();
+        assert_eq!(nc, self.nc);
+        assert_eq!(nvl, self.nv_range.len());
+        assert_eq!(ntl, self.nt_range.len());
+        assert_eq!(upw_w.len(), nvl);
+        let n = nc * ntl;
+        assert_eq!(fused.len(), self.moment_sections() * n);
+        fused.fill(Complex64::ZERO);
+        let (charge, rest) = fused.split_at_mut(n);
+        let (current, upwind) = rest.split_at_mut(rest.len() - n);
+        for ic in 0..nc {
+            let f = ic * ntl..(ic + 1) * ntl;
+            let (q, u) = (&mut charge[f.clone()], &mut upwind[f.clone()]);
+            for (ivl, &w) in upw_w.iter().enumerate() {
+                let line = h.line(ic, ivl);
+                let pol = self.pol.line(ic, ivl);
+                if self.em {
+                    let a = &mut current[f.clone()];
+                    let pa = self.pol_apar.line(ic, ivl);
+                    for itl in 0..ntl {
+                        q[itl] += line[itl] * pol[itl];
+                        a[itl] += line[itl] * pa[itl];
+                        u[itl] += line[itl] * w;
+                    }
+                } else {
+                    for itl in 0..ntl {
+                        q[itl] += line[itl] * pol[itl];
+                        u[itl] += line[itl] * w;
+                    }
+                }
+            }
+        }
+    }
+
     /// Divide the completed moment by the field denominator, yielding `φ`.
     pub fn finalize(&self, moment: &mut [Complex64]) {
         let ntl = self.nt_range.len();
@@ -173,25 +227,6 @@ impl FieldSolver {
             for itl in 0..ntl {
                 let d = self.denom[(ic, itl)];
                 moment[ic * ntl + itl] = moment[ic * ntl + itl] / d;
-            }
-        }
-    }
-
-    /// Accumulate this rank's partial parallel-current moment of `h` into
-    /// `partial` (`nc × nt_loc`). Electromagnetic runs only — this is the
-    /// additional str-phase AllReduce family the A∥ solve contributes.
-    pub fn partial_current(&self, h: &Tensor3<Complex64>, partial: &mut [Complex64]) {
-        assert!(self.em, "partial_current requires beta_e > 0");
-        let (nc, nvl, ntl) = h.shape();
-        assert_eq!(partial.len(), nc * ntl);
-        partial.iter_mut().for_each(|z| *z = Complex64::ZERO);
-        for ic in 0..nc {
-            for ivl in 0..nvl {
-                let line = h.line(ic, ivl);
-                for itl in 0..ntl {
-                    let w = self.pol_apar[(ic, ivl, itl)];
-                    partial[ic * ntl + itl] += line[itl] * w;
-                }
             }
         }
     }

@@ -14,7 +14,7 @@ use crate::grid::{ConfigGrid, VelocityGrid};
 use crate::input::CgyroInput;
 use crate::streaming::StrKernel;
 use xg_linalg::Complex64;
-use xg_tensor::{pack_moments, unpack_moments, PhaseLayout, Tensor3};
+use xg_tensor::{PhaseLayout, Tensor3};
 
 /// The parallel-topology seam. See module docs.
 pub trait Topology {
@@ -41,9 +41,10 @@ pub trait Topology {
     /// back. `h` is in the str layout and is updated in place.
     fn collision_step(&mut self, h: &mut Tensor3<Complex64>);
 
-    /// Evaluate the nonlinear term (transposing through the nl layout as
-    /// needed); `phi` is the completed potential (`nc × nt_loc`), `out`
-    /// receives the str-layout contribution.
+    /// Evaluate the nonlinear term into `out` (str layout); `phi` is the
+    /// completed potential (`nc × nt_loc`). A rank that holds the complete
+    /// toroidal dimension evaluates in place; otherwise the term is
+    /// transposed through the nl layout and back.
     fn nl_term(
         &mut self,
         h: &Tensor3<Complex64>,
@@ -99,16 +100,17 @@ pub struct Simulation<T: Topology> {
     h: Tensor3<Complex64>,
     // RK4 work buffers (persistent: steady-state stepping is
     // allocation-free apart from transient transpose blocks).
-    h0: Tensor3<Complex64>,
     stage: Tensor3<Complex64>,
     k_acc: Tensor3<Complex64>,
+    /// The last stage's full explicit RHS (str + nl).
     rhs: Tensor3<Complex64>,
     nl_buf: Tensor3<Complex64>,
-    phi: Vec<Complex64>,
-    apar: Vec<Complex64>,
-    upw: Vec<Complex64>,
-    /// Staging buffer for the fused str-phase reduction (packed moments).
+    /// The fused str-phase reduction's buffer: `[φ | A∥ (electromagnetic
+    /// only) | upwind]`, each `nc × nt_loc`. The moments are accumulated
+    /// into it, reduced and finalized in place.
     fused: Vec<Complex64>,
+    /// All-zero `A∥` for electrostatic runs (empty when electromagnetic).
+    zero_apar: Vec<Complex64>,
     time: f64,
     steps_taken: u64,
 }
@@ -168,13 +170,10 @@ impl<T: Topology> Simulation<T> {
         }
 
         let zeros3 = Tensor3::new(nc, nvl, ntl);
-        let phi = vec![Complex64::ZERO; nc * ntl];
+        let n = nc * ntl;
         Self {
-            upw: phi.clone(),
-            apar: phi.clone(),
-            fused: Vec::new(),
-            phi,
-            h0: zeros3.clone(),
+            fused: vec![Complex64::ZERO; field.moment_sections() * n],
+            zero_apar: vec![Complex64::ZERO; if field.em_enabled() { 0 } else { n }],
             stage: zeros3.clone(),
             k_acc: zeros3.clone(),
             rhs: zeros3.clone(),
@@ -214,7 +213,13 @@ impl<T: Topology> Simulation<T> {
     /// Refreshed by [`Self::diagnostics`], [`Self::mode_energies`] and every
     /// RK stage; use right after a diagnostics call for a consistent probe.
     pub fn phi(&self) -> &[Complex64] {
-        &self.phi
+        &self.fused[..self.field_len()]
+    }
+
+    /// Length of one field or moment: `nc × nt_loc`.
+    fn field_len(&self) -> usize {
+        let (nc, _, ntl) = self.h.shape();
+        nc * ntl
     }
 
     /// Overwrite the evolving state (checkpoint restore). The caller is
@@ -236,47 +241,38 @@ impl<T: Topology> Simulation<T> {
         &self.topo
     }
 
-    /// Evaluate the full explicit RHS at state `y` into `self.rhs`
-    /// (str + drive + upwind correction + nl).
+    /// Evaluate the explicit RHS at `stage`: the str part (stencil, drive,
+    /// upwind correction) into `self.rhs` and the nl term into
+    /// `self.nl_buf`; [`Self::step`] adds them.
     fn eval_rhs(&mut self, stage: &Tensor3<Complex64>) {
         self.topo.set_phase("str");
         let span = xg_obs::span(xg_obs::Phase::Str);
-        // Fused str-phase reduction: compute all velocity-moment partials
-        // first (none depends on a completed reduction), pack them into one
-        // contiguous staging buffer, and complete them with a single
-        // collective per RK stage instead of Figure 1's three (two
-        // electrostatic — the A∥ slot is elided). Elementwise rank-order
+        // Fused str-phase reduction: one sweep accumulates every
+        // velocity-moment partial (none depends on a completed reduction)
+        // straight into the staging buffer, and a single collective per RK
+        // stage completes them all instead of Figure 1's three (two
+        // electrostatic — the A∥ section is elided). Elementwise rank-order
         // summation makes this bitwise identical to the sequential form.
-        self.field.partial_moment(stage, &mut self.phi);
-        if self.field.em_enabled() {
-            self.field.partial_current(stage, &mut self.apar);
-            self.strk.partial_upwind(stage, &mut self.upw);
-            pack_moments(&[&self.phi, &self.apar, &self.upw], &mut self.fused);
-            self.topo.reduce_moment_block(&mut self.fused, 3);
-            unpack_moments(
-                &self.fused,
-                &mut [&mut self.phi, &mut self.apar, &mut self.upw],
-            );
+        let sections = self.field.moment_sections();
+        self.field.partial_moments(stage, self.strk.upwind_weights(), &mut self.fused);
+        self.topo.reduce_moment_block(&mut self.fused, sections);
+        let n = self.fused.len() / sections;
+        let (phi, rest) = self.fused.split_at_mut(n);
+        let (apar, upw) = rest.split_at_mut(rest.len() - n);
+        self.field.finalize(phi);
+        let apar: &[Complex64] = if self.field.em_enabled() {
+            self.field.finalize_apar(apar);
+            apar
         } else {
-            self.strk.partial_upwind(stage, &mut self.upw);
-            pack_moments(&[&self.phi, &self.upw], &mut self.fused);
-            self.topo.reduce_moment_block(&mut self.fused, 2);
-            unpack_moments(&self.fused, &mut [&mut self.phi, &mut self.upw]);
-        }
-        self.field.finalize(&mut self.phi);
-        if self.field.em_enabled() {
-            self.field.finalize_apar(&mut self.apar);
-        }
+            &self.zero_apar
+        };
         // Streaming/drift/drive stencil work.
-        self.strk.rhs(stage, &self.phi, &self.apar, &self.upw, &mut self.rhs);
+        self.strk.rhs(stage, phi, apar, upw, &mut self.rhs);
         span.finish();
-        // Nonlinear phase (its own transposes; never feeds coll directly).
+        // Nonlinear phase (never feeds coll directly).
         self.topo.set_phase("nl");
         let span = xg_obs::span(xg_obs::Phase::Nl);
-        self.topo.nl_term(stage, &self.phi, &mut self.nl_buf);
-        for (r, n) in self.rhs.as_mut_slice().iter_mut().zip(self.nl_buf.as_slice()) {
-            *r += *n;
-        }
+        self.topo.nl_term(stage, phi, &mut self.nl_buf);
         span.finish();
     }
 
@@ -284,45 +280,62 @@ impl<T: Topology> Simulation<T> {
     /// collision step through the constant tensor.
     pub fn step(&mut self) {
         let dt = self.input.delta_t;
-        self.h0.as_mut_slice().copy_from_slice(self.h.as_slice());
 
-        // Each stage: stage = h0 + c·dt·rhs_prev, then rhs = RHS(stage).
-        // The stage buffer is swapped out during eval to satisfy borrows.
-        let stage_coeffs = [0.0, 0.5 * dt, 0.5 * dt, dt];
+        // Stage 0 evaluates at h. It is built as h + 0·rhs, not copied,
+        // because the two differ in the bits: the sum turns h = −0 into +0
+        // where 0·rhs is +0, and a non-finite rhs into NaN.
+        for ((s, h), r) in self
+            .stage
+            .as_mut_slice()
+            .iter_mut()
+            .zip(self.h.as_slice())
+            .zip(self.rhs.as_slice())
+        {
+            *s = *h + r.scale(0.0);
+        }
+
+        // Each stage: evaluate, then one sweep adds the nl term into rhs,
+        // accumulates k_acc and builds the next stage h + c·dt·rhs (after
+        // the last stage: combines h += dt/6·k_acc). h is not written before
+        // the combine, so it serves as the step's start state uncopied. The
+        // stage buffer is swapped out during eval to satisfy borrows.
+        let next_stage_coeffs = [0.5 * dt, 0.5 * dt, dt];
         let acc_coeffs = [1.0, 2.0, 2.0, 1.0];
-        for (si, (&sc, &ac)) in stage_coeffs.iter().zip(&acc_coeffs).enumerate() {
-            for ((s, h0), r) in self
-                .stage
-                .as_mut_slice()
-                .iter_mut()
-                .zip(self.h0.as_slice())
-                .zip(self.rhs.as_slice())
-            {
-                *s = *h0 + r.scale(sc);
-            }
+        for (si, &ac) in acc_coeffs.iter().enumerate() {
             let stage = std::mem::replace(&mut self.stage, Tensor3::new(0, 0, 0));
             self.eval_rhs(&stage);
             self.stage = stage;
-            if si == 0 {
-                for (a, r) in self.k_acc.as_mut_slice().iter_mut().zip(self.rhs.as_slice()) {
-                    *a = *r;
+            let sweep = self
+                .rhs
+                .as_mut_slice()
+                .iter_mut()
+                .zip(self.nl_buf.as_slice())
+                .zip(self.k_acc.as_mut_slice());
+            match next_stage_coeffs.get(si) {
+                Some(&sc) => {
+                    let next = self.stage.as_mut_slice().iter_mut().zip(self.h.as_slice());
+                    if si == 0 {
+                        for (((r, n), a), (s, h)) in sweep.zip(next) {
+                            *r += *n;
+                            *a = *r;
+                            *s = *h + r.scale(sc);
+                        }
+                    } else {
+                        for (((r, n), a), (s, h)) in sweep.zip(next) {
+                            *r += *n;
+                            *a += r.scale(ac);
+                            *s = *h + r.scale(sc);
+                        }
+                    }
                 }
-            } else {
-                for (a, r) in self.k_acc.as_mut_slice().iter_mut().zip(self.rhs.as_slice()) {
-                    *a += r.scale(ac);
+                None => {
+                    for (((r, n), a), h) in sweep.zip(self.h.as_mut_slice()) {
+                        *r += *n;
+                        *a += r.scale(ac);
+                        *h += a.scale(dt / 6.0);
+                    }
                 }
             }
-        }
-
-        // Combine.
-        for ((h, h0), k) in self
-            .h
-            .as_mut_slice()
-            .iter_mut()
-            .zip(self.h0.as_slice())
-            .zip(self.k_acc.as_slice())
-        {
-            *h = *h0 + k.scale(dt / 6.0);
         }
 
         // Implicit collision step (Figure 1: transpose → apply cmat →
@@ -368,22 +381,31 @@ impl<T: Topology> Simulation<T> {
         buf[0]
     }
 
+    /// Solve `φ` at the current state into the fused buffer's first
+    /// section, where [`Self::phi`] reads it.
+    fn solve_phi(&mut self) {
+        let n = self.field_len();
+        let phi = &mut self.fused[..n];
+        self.field.partial_moment(&self.h, phi);
+        self.topo.reduce_moment(phi);
+        self.field.finalize(phi);
+    }
+
     /// Per-toroidal-mode field energy `E_n = Σ_ic |φ(ic, n)|²` over the
     /// full simulation (length `nt`, globally reduced). The spectrum view
     /// of [`Self::diagnostics`]' `field_energy` (they sum to it).
     pub fn mode_energies(&mut self) -> Vec<f64> {
         self.topo.set_phase("field");
         let _span = xg_obs::span(xg_obs::Phase::Field);
-        self.field.partial_moment(&self.h, &mut self.phi);
-        self.topo.reduce_moment(&mut self.phi);
-        self.field.finalize(&mut self.phi);
+        self.solve_phi();
+        let phi = self.phi();
         let layout = self.topo.layout();
         let (nc, _, ntl) = self.h.shape();
         let nt = layout.dims().nt;
         let mut vals = vec![0.0f64; nt];
         for ic in 0..nc {
             for (itl, itor) in layout.nt_range().enumerate() {
-                vals[itor] += self.phi[ic * ntl + itl].norm_sqr();
+                vals[itor] += phi[ic * ntl + itl].norm_sqr();
             }
         }
         if !self.topo.nv_root() {
@@ -398,9 +420,7 @@ impl<T: Topology> Simulation<T> {
         self.topo.set_phase("field");
         let span = xg_obs::span(xg_obs::Phase::Field);
         // Fresh field solve at current h.
-        self.field.partial_moment(&self.h, &mut self.phi);
-        self.topo.reduce_moment(&mut self.phi);
-        self.field.finalize(&mut self.phi);
+        self.solve_phi();
         // Heat moment.
         let layout = self.topo.layout();
         let (nc, nvl, ntl) = self.h.shape();
@@ -429,8 +449,8 @@ impl<T: Topology> Simulation<T> {
         for ic in 0..nc {
             for (itl, itor) in nt_range.clone().enumerate() {
                 let f = ic * ntl + itl;
-                vals[0] += self.phi[f].norm_sqr();
-                vals[1] += ky[itor] * (self.phi[f].conj() * heat[f]).im;
+                vals[0] += self.phi()[f].norm_sqr();
+                vals[1] += ky[itor] * (self.phi()[f].conj() * heat[f]).im;
             }
         }
         // Energy/flux are replicated across the nv group (post-AllReduce

@@ -5,7 +5,8 @@
 //! streaming term couples poloidal neighbours along the field line (paper
 //! §2). Besides the stencil work this phase owns the two velocity-moment
 //! AllReduce call sites of Figure 1: the field solve
-//! ([`crate::field::FieldSolver`]) and the upwind moment computed here.
+//! ([`crate::field::FieldSolver`]) and the upwind moment whose weights live
+//! here.
 
 use crate::geometry::Geometry;
 use crate::grid::{ky_modes, ConfigGrid, VelocityGrid};
@@ -132,23 +133,12 @@ impl StrKernel {
         self.nt_range.clone()
     }
 
-    /// Accumulate this rank's partial upwind moment
-    /// `U(ic, n) = Σ_iv |v_∥|·w·h` into `partial` (`nc × nt_loc`).
-    /// Completed with the same `nv`-communicator AllReduce as the field
-    /// solve (Figure 1's second AllReduce family).
-    pub fn partial_upwind(&self, h: &Tensor3<Complex64>, partial: &mut [Complex64]) {
-        let (nc, nvl, ntl) = h.shape();
-        assert_eq!(partial.len(), nc * ntl);
-        partial.iter_mut().for_each(|z| *z = Complex64::ZERO);
-        for ic in 0..nc {
-            for ivl in 0..nvl {
-                let w = self.upw_w[ivl];
-                let line = h.line(ic, ivl);
-                for itl in 0..ntl {
-                    partial[ic * ntl + itl] += line[itl] * w;
-                }
-            }
-        }
+    /// Upwind moment weight `|v_∥|·w` per local iv: the moment
+    /// `U(ic, n) = Σ_iv |v_∥|·w·h` is accumulated with the field moments
+    /// ([`crate::field::FieldSolver::partial_moments`]) and completed by the
+    /// same `nv`-communicator AllReduce (Figure 1's second AllReduce family).
+    pub fn upwind_weights(&self) -> &[f64] {
+        &self.upw_w
     }
 
     /// Evaluate the streaming-phase RHS into `rhs` (same str layout as
@@ -335,30 +325,31 @@ mod tests {
     }
 
     #[test]
-    fn partial_upwind_sums_like_field_moment() {
+    fn upwind_section_sums_over_nv_splits() {
+        // The upwind section of the stage sweep, split over two nv ranges,
+        // must sum to the full-range moment (what the AllReduce relies on).
         let input = CgyroInput::test_small();
-        let (k, v, cfg) = full_kernel(&input);
+        let (v, cfg, geo) = setup(&input);
         let ntl = input.n_toroidal;
+        let n = cfg.nc() * ntl;
         let h = Tensor3::from_fn(cfg.nc(), v.nv(), ntl, |ic, iv, it| {
             Complex64::new((ic + iv + it) as f64, (iv * 2) as f64)
         });
-        let mut full = vec![Complex64::ZERO; cfg.nc() * ntl];
-        k.partial_upwind(&h, &mut full);
-
-        // Split in two nv ranges; partials must sum to the full moment.
-        let (vg, cfgg, geo) = setup(&input);
-        let half = v.nv() / 2;
-        let mut acc = vec![Complex64::ZERO; cfg.nc() * ntl];
-        for r in [0..half, half..v.nv()] {
-            let kk = StrKernel::new(&input, &vg, &cfgg, &geo, r.clone(), 0..ntl);
+        let upwind = |r: Range<usize>| {
+            let k = StrKernel::new(&input, &v, &cfg, &geo, r.clone(), 0..ntl);
+            let fs = crate::field::FieldSolver::new(&input, &v, &cfg, &geo, r.clone(), 0..ntl);
             let hp = Tensor3::from_fn(cfg.nc(), r.len(), ntl, |ic, ivl, it| {
                 h[(ic, r.start + ivl, it)]
             });
-            let mut p = vec![Complex64::ZERO; cfg.nc() * ntl];
-            kk.partial_upwind(&hp, &mut p);
-            for (a, b) in acc.iter_mut().zip(&p) {
-                *a += *b;
-            }
+            let mut fused = vec![Complex64::ZERO; 2 * n];
+            fs.partial_moments(&hp, k.upwind_weights(), &mut fused);
+            fused.split_off(n)
+        };
+        let full = upwind(0..v.nv());
+        let half = v.nv() / 2;
+        let mut acc = upwind(0..half);
+        for (a, b) in acc.iter_mut().zip(&upwind(half..v.nv())) {
+            *a += *b;
         }
         for (a, b) in acc.iter().zip(&full) {
             assert!((*a - *b).abs() < 1e-12);

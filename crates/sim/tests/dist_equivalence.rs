@@ -129,6 +129,32 @@ fn nt8_nl_run_matches_serial() {
     assert!(dev < 1e-12, "deviation {dev}");
 }
 
+// With `n2 = 1` the nl term is evaluated in place on the str layout; with
+// `n2 = 2` it is transposed through the nl layout and back. A grid's `n2`
+// split is bitwise-neutral, so the two paths must agree bit for bit.
+fn assert_nl_in_place_matches_transposed(input: &CgyroInput, steps: usize) {
+    for n1 in [1usize, 2, 3] {
+        let (in_place, _) = run_dist(input, ProcGrid::new(n1, 1), steps);
+        let (transposed, _) = run_dist(input, ProcGrid::new(n1, 2), steps);
+        assert_eq!(in_place.as_slice(), transposed.as_slice(), "n1={n1}: {n1}x1 vs {n1}x2");
+    }
+}
+
+#[test]
+fn nl_in_place_matches_transposed_bitwise() {
+    let mut input = CgyroInput::test_small();
+    input.nonlinear_coupling = 0.2;
+    assert_nl_in_place_matches_transposed(&input, 4);
+}
+
+#[test]
+fn nl_in_place_matches_transposed_bitwise_nt8() {
+    let mut input = CgyroInput::test_small();
+    input.n_toroidal = 8;
+    input.nonlinear_coupling = 0.15;
+    assert_nl_in_place_matches_transposed(&input, 3);
+}
+
 #[test]
 fn comm_pattern_shows_nv_comm_reuse() {
     // Figure 1: in CGYRO mode the SAME communicator (label "nv") performs

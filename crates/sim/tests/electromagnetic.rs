@@ -114,9 +114,11 @@ fn current_moment_is_odd_parity_for_even_h() {
         let (is, ie, _) = v.unflatten(iv);
         Complex64::new((is + ie) as f64 + 1.0, 0.5)
     });
-    let mut cur = vec![Complex64::ZERO; cfg.nc() * input.n_toroidal];
-    fs.partial_current(&h, &mut cur);
-    for z in &cur {
+    // The stage sweep's middle section is the current moment.
+    let n = cfg.nc() * input.n_toroidal;
+    let mut fused = vec![Complex64::ZERO; fs.moment_sections() * n];
+    fs.partial_moments(&h, &vec![1.0; v.nv()], &mut fused);
+    for z in &fused[n..2 * n] {
         assert!(z.abs() < 1e-10, "even-parity h must carry no current: {z}");
     }
 }

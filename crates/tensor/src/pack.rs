@@ -221,46 +221,6 @@ pub fn pack_coll_profiles_block<T: Copy>(
     }
 }
 
-/// Pack several equally-sized moment buffers into one contiguous staging
-/// buffer for a fused reduction: `buf = sections[0] ++ sections[1] ++ …`.
-///
-/// This defines the packed-moment wire layout of the fused str-phase
-/// AllReduce: moment `m` occupies `buf[m·n .. (m+1)·n]` where `n` is the
-/// common section length. Because an elementwise rank-order sum over the
-/// concatenation is exactly the per-section sums side by side, the fused
-/// reduce is bitwise identical to reducing each section separately.
-pub fn pack_moments<T: Copy>(sections: &[&[T]], buf: &mut Vec<T>) {
-    let n = sections.first().map_or(0, |s| s.len());
-    for s in sections {
-        assert_eq!(s.len(), n, "all fused moment sections must have equal length");
-    }
-    buf.clear();
-    buf.reserve(n * sections.len());
-    for s in sections {
-        buf.extend_from_slice(s);
-    }
-}
-
-/// Inverse of [`pack_moments`]: scatter the fused buffer back into the
-/// individual moment buffers in place.
-pub fn unpack_moments<T: Copy>(buf: &[T], sections: &mut [&mut [T]]) {
-    let n = sections.first().map_or(0, |s| s.len());
-    for s in sections.iter() {
-        assert_eq!(s.len(), n, "all fused moment sections must have equal length");
-    }
-    assert_eq!(
-        buf.len(),
-        n * sections.len(),
-        "fused buffer length {} does not tile {} sections of {}",
-        buf.len(),
-        sections.len(),
-        n
-    );
-    for (m, s) in sections.iter_mut().enumerate() {
-        s.copy_from_slice(&buf[m * n..(m + 1) * n]);
-    }
-}
-
 /// Pack the nl-layout block destined for the str-side peer owning
 /// `nt_range`: shape `(nc_blk, nv_loc, nt)` restricted to those toroidal
 /// modes, ordered `[ic_loc][iv_loc][it ∈ nt_range]`.
@@ -449,36 +409,6 @@ mod tests {
     fn profile_unpack_lane_overflow_panics() {
         let mut h: Tensor3<u64> = Tensor3::new(2, 2, 4);
         unpack_into_coll_profiles(&[0u64; 8], 0..2, 3, &mut h);
-    }
-
-    #[test]
-    fn pack_moments_concatenates_and_roundtrips() {
-        let a: Vec<u64> = (0..6).collect();
-        let b: Vec<u64> = (100..106).collect();
-        let c: Vec<u64> = (200..206).collect();
-        let mut fused = vec![99u64; 3]; // pack must clear stale contents
-        pack_moments(&[&a, &b, &c], &mut fused);
-        assert_eq!(fused.len(), 18);
-        assert_eq!(&fused[..6], a.as_slice());
-        assert_eq!(&fused[6..12], b.as_slice());
-        assert_eq!(&fused[12..], c.as_slice());
-        let (mut a2, mut b2, mut c2) = (vec![0u64; 6], vec![0u64; 6], vec![0u64; 6]);
-        unpack_moments(&fused, &mut [&mut a2, &mut b2, &mut c2]);
-        assert_eq!((a2, b2, c2), (a, b, c));
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn pack_moments_rejects_ragged_sections() {
-        let mut buf = Vec::new();
-        pack_moments(&[&[1u64, 2][..], &[3u64][..]], &mut buf);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not tile")]
-    fn unpack_moments_rejects_wrong_length() {
-        let (mut a, mut b) = (vec![0u64; 3], vec![0u64; 3]);
-        unpack_moments(&[1u64; 5], &mut [&mut a, &mut b]);
     }
 
     #[test]

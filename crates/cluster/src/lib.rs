@@ -25,8 +25,7 @@ pub use decomp_plan::{
 pub use memory::{cmat_ratio, rank_inventory, total_bytes, BufferCategory, BufferSpec};
 pub use planner::{
     diagnose, max_feasible_k, max_feasible_k_unbalanced, min_nodes, min_nodes_unbalanced,
-    pack_worlds, plan, plan_unbalanced, valid_grids, valid_grids_unbalanced, Infeasibility,
-    JobPlan,
+    plan, plan_unbalanced, valid_grids, valid_grids_unbalanced, Infeasibility, JobPlan,
 };
 pub use replay::{replay, ReplayError, ReplayOutcome};
 pub use report::{cgyro_timing_log, figure2_table, parse_timing_totals};

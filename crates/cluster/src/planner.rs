@@ -333,10 +333,9 @@ pub fn min_nodes(
     })
 }
 
-/// [`min_nodes`] with unbalanced-mode grid admission — the node *cost* of
-/// one ensemble world in a multi-world schedule. The serving layer prices
-/// every flushed batch with this before bin-packing worlds into the
-/// machine budget.
+/// [`min_nodes`] with unbalanced-mode grid admission: the smallest
+/// allocation that holds one `k`-member ensemble world. A planning answer;
+/// serving bounds concurrent worlds by its worker pool, not by nodes.
 pub fn min_nodes_unbalanced(
     input: &CgyroInput,
     k: usize,
@@ -346,28 +345,6 @@ pub fn min_nodes_unbalanced(
     (1..=max_nodes).find_map(|nodes| {
         plan_unbalanced(input, k, nodes, machine).filter(|p| p.feasible())
     })
-}
-
-/// Greedy first-fit packing of concurrent ensemble worlds into a shared
-/// node budget: each world `(input, k)` is priced at its minimum feasible
-/// allocation ([`min_nodes_unbalanced`]) and admitted while the budget
-/// holds. Returns the per-world node grant (`None` = did not fit — either
-/// infeasible outright or the budget was exhausted). Worlds are packed in
-/// the given order, so callers control priority by ordering.
-pub fn pack_worlds(
-    worlds: &[(CgyroInput, usize)],
-    budget_nodes: usize,
-    machine: &MachineModel,
-) -> Vec<Option<usize>> {
-    let mut free = budget_nodes;
-    worlds
-        .iter()
-        .map(|(input, k)| {
-            let nodes = min_nodes_unbalanced(input, *k, machine, free)?.nodes;
-            free -= nodes;
-            Some(nodes)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -528,25 +505,15 @@ mod tests {
     }
 
     #[test]
-    fn pack_worlds_grants_minimum_allocations_until_the_budget_runs_out() {
+    fn unbalanced_minimum_allocation_is_the_smallest_that_fits() {
         let input = CgyroInput::nl03c_like();
         let m = frontier();
         // Unbalanced admission relaxes the divisibility constraints that
-        // force the balanced 32-node minimum, so price a world at its own
-        // unbalanced minimum rather than hard-coding the balanced figure.
+        // force the balanced 32-node minimum.
         let min = min_nodes_unbalanced(&input, 1, &m, 128).expect("nl03c fits").nodes;
         assert!((2..=32).contains(&min), "unbalanced min {min} out of range");
-        // A budget one node short of three worlds fits exactly two
-        // concurrent k=1 worlds; the third is refused on budget.
-        let worlds = vec![(input.clone(), 1), (input.clone(), 1), (input.clone(), 1)];
-        let grants = pack_worlds(&worlds, 3 * min - 1, &m);
-        assert_eq!(grants, vec![Some(min), Some(min), None]);
-        // Order controls priority: the first world always gets first pick.
-        let grants = pack_worlds(&worlds[..1], 200, &m);
-        assert_eq!(grants, vec![Some(min)], "grant is the minimum, not the budget");
-        // A world the budget can never hold is None without consuming any
-        // budget for later worlds.
-        let mut tiny_budget = pack_worlds(&worlds, min - 1, &m);
-        assert_eq!(tiny_budget.pop(), Some(None));
+        // The answer is the minimum, not the search bound; below it, none.
+        assert_eq!(min_nodes_unbalanced(&input, 1, &m, 200).map(|p| p.nodes), Some(min));
+        assert!(min_nodes_unbalanced(&input, 1, &m, min - 1).is_none());
     }
 }

@@ -170,13 +170,12 @@ pub fn run_xgyro_resilient_with_capacities(
 ) -> Result<RecoveryOutcome, RecoveryError> {
     assert!(ckpt_every > 0, "checkpoint cadence must be positive");
     let mut run = ResilientRun::new(config, resume_from, plan, deadline, capacities)?;
-    let mut done = 0;
-    while done < total_steps {
-        let seg = ckpt_every.min(total_steps - done);
-        run.advance(seg)?;
-        done += seg;
+    let mut left = total_steps;
+    while left > ckpt_every {
+        run.advance(ckpt_every)?;
+        left -= ckpt_every;
     }
-    run.finish()
+    run.finish_segment(left)
 }
 
 /// A resilient run in progress: one [`EnsembleSession`] kept alive across
@@ -284,9 +283,21 @@ impl ResilientRun {
         }
     }
 
-    /// Gather the survivors' results and end the run.
-    pub fn finish(mut self) -> Result<RecoveryOutcome, RecoveryError> {
-        let (mut outcome, checkpoint) = self.retry(0, EnsembleSession::finish)?;
+    /// Gather the survivors' results and end the run:
+    /// [`Self::finish_segment`] with no steps left.
+    pub fn finish(self) -> Result<RecoveryOutcome, RecoveryError> {
+        self.finish_segment(0)
+    }
+
+    /// Step the survivors a last `steps` and end the run. The segment's
+    /// final state is gathered once, as the results — not first as a
+    /// checkpoint too. A rank fault evicts its member, reopens from the
+    /// last checkpoint at k−1 and runs the segment again.
+    pub fn finish_segment(mut self, steps: usize) -> Result<RecoveryOutcome, RecoveryError> {
+        let (mut outcome, checkpoint) = self.retry(steps as u64, |mut session| {
+            session.step(steps)?;
+            session.finish()
+        })?;
         // Report survivors under their original sweep indices, and carry
         // the trace set of every world the run went through.
         for (s, &orig) in outcome.sims.iter_mut().zip(&self.original) {

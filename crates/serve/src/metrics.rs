@@ -53,7 +53,7 @@ pub struct TenantCounters {
     pub work_done: u64,
     /// Submissions served straight from the artifact cache.
     pub cache_hits: u64,
-    /// Times one of this tenant's running worlds yielded its nodes to a
+    /// Times one of this tenant's running worlds yielded its worker to a
     /// higher-priority lane at a checkpoint boundary.
     pub preemptions: u64,
     /// Live (non-terminal) jobs right now.
@@ -121,10 +121,8 @@ pub struct Metrics {
     /// Ensemble worlds executing right now.
     pub worlds_active: u64,
     /// High-water mark of concurrently executing worlds — ≥ 2 is the
-    /// observable signature of elastic (non-serial) execution.
+    /// observable signature of concurrent (non-serial) execution.
     pub worlds_peak: u64,
-    /// Modeled nodes occupied by executing worlds (refreshed at export).
-    pub nodes_in_use: u64,
     /// Checkpoint-boundary preemptions across all tenants.
     pub preemptions: u64,
     /// Terminal jobs evicted by the bounded retention window.
@@ -180,7 +178,7 @@ impl Metrics {
         self.preemptions += 1;
     }
 
-    /// A world started executing (worker reserved its nodes).
+    /// A world started executing (a worker popped its batch).
     pub fn on_world_start(&mut self) {
         self.worlds_active += 1;
         self.worlds_peak = self.worlds_peak.max(self.worlds_active);
@@ -367,11 +365,6 @@ impl Metrics {
                 "xgserve_worlds_peak",
                 "High-water mark of concurrently executing worlds.",
                 self.worlds_peak,
-            ),
-            (
-                "xgserve_nodes_in_use",
-                "Modeled nodes occupied by executing worlds.",
-                self.nodes_in_use,
             ),
         ] {
             head(&mut s, name, "gauge", help);

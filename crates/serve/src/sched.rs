@@ -16,9 +16,13 @@
 //!   tenant starves, because deficits grow monotonically while a tenant
 //!   waits (the starvation proptest below pins the bound).
 //! * **Priority lanes** sit above fairness: a higher lane always
-//!   dispatches first, and the server preempts lower-lane batches at
-//!   checkpoint boundaries when a higher lane is waiting (see
-//!   `docs/serving.md`). DRR applies *within* each lane.
+//!   dispatches first, and a running lower-lane batch yields its worker
+//!   at its next checkpoint boundary when a higher lane is waiting and no
+//!   worker is idle (see `docs/serving.md`). DRR applies *within* each
+//!   lane.
+//!
+//! Every queued batch is dispatchable: the worker pool is the only limit
+//! on concurrently executing worlds.
 //!
 //! The queue is generic over the queued item so the scheduling policy is
 //! testable without constructing server state; the server instantiates it
@@ -79,32 +83,20 @@ impl<T> Lane<T> {
         q.items.push_back(Entry { cost, item });
     }
 
-    fn pop<F: Fn(&T) -> bool>(&mut self, quantum: u64, fits: &F) -> Option<T> {
-        // Termination guard: unless some tenant's head batch passes
-        // `fits`, rotating can never serve anyone — return without
-        // touching any deficit.
-        if !self
-            .queues
-            .values()
-            .any(|q| q.items.front().is_some_and(|e| fits(&e.item)))
-        {
-            return None;
-        }
+    fn pop(&mut self, quantum: u64) -> Option<T> {
         loop {
-            let name = self.rr.front().expect("fitting head implies backlog").clone();
+            let name = self.rr.front()?.clone();
             let q = self.queues.get_mut(&name).expect("rr tracks queues");
-            let credit = quantum.saturating_mul(u64::from(q.weight));
             if !q.charged {
                 // First touch of this visit: credit the deficit counter.
                 // The tenant then serves in a burst — later `pop` calls
                 // find `charged` still set and spend the same credit —
                 // until the deficit no longer covers its head.
-                q.deficit = q.deficit.saturating_add(credit);
+                q.deficit = q.deficit.saturating_add(quantum.saturating_mul(u64::from(q.weight)));
                 q.charged = true;
             }
-            let head = q.items.front().expect("empty queues leave rr");
-            let head_cost = head.cost;
-            if q.deficit >= head_cost && fits(&head.item) {
+            let head_cost = q.items.front().expect("empty queues leave rr").cost;
+            if q.deficit >= head_cost {
                 let e = q.items.pop_front().expect("head exists");
                 q.deficit -= e.cost;
                 if q.items.is_empty() {
@@ -115,13 +107,9 @@ impl<T> Lane<T> {
                 }
                 return Some(e.item);
             }
-            // Visit over (still saving up, or its head does not fit the
-            // free capacity). Cap the banked credit so a capacity-blocked
-            // tenant cannot hoard an unbounded burst, while keeping the
-            // cap ≥ head cost so it always eventually affords its head.
-            // Then move on.
-            let cap = head_cost.max(credit).saturating_mul(2);
-            q.deficit = q.deficit.min(cap);
+            // Visit over: the tenant is still saving up for its head. The
+            // banked deficit stays below that head's cost, so it cannot
+            // hoard a burst. Move on.
             q.charged = false;
             self.rr.rotate_left(1);
         }
@@ -165,23 +153,14 @@ impl<T> DispatchQueue<T> {
     }
 
     /// Dispatch the next item: highest priority lane first, DRR
-    /// fair-share within the lane. `fits` filters on external capacity
-    /// (the server passes "does this batch's node ask fit the free
-    /// budget"); an item whose tenant has banked enough deficit but whose
-    /// head does not fit blocks only its own tenant's queue, not the
-    /// round. Returns `None` when nothing queued passes `fits`.
-    pub fn pop<F: Fn(&T) -> bool>(&mut self, fits: F) -> Option<T> {
-        let prios: Vec<u8> = self.lanes.keys().rev().copied().collect();
-        for p in prios {
-            let lane = self.lanes.get_mut(&p).expect("key just listed");
-            if let Some(item) = lane.pop(self.quantum, &fits) {
-                if lane.is_empty() {
-                    self.lanes.remove(&p);
-                }
-                return Some(item);
-            }
+    /// fair-share within the lane. Returns `None` when nothing is queued.
+    pub fn pop(&mut self) -> Option<T> {
+        let (&p, lane) = self.lanes.iter_mut().next_back()?;
+        let item = lane.pop(self.quantum);
+        if lane.is_empty() {
+            self.lanes.remove(&p);
         }
-        None
+        item
     }
 
     /// Queued item count across all lanes.
@@ -201,24 +180,6 @@ impl<T> DispatchQueue<T> {
         self.lanes.keys().next_back().copied()
     }
 
-    /// Minimum of `f` over the head items of every tenant queue in lanes
-    /// strictly above `priority` — `None` when no higher lane has backlog.
-    /// The server's preemption check uses this as "the smallest node ask
-    /// that could dispatch from a higher lane": a running batch yields its
-    /// nodes only when that ask is blocked now and provably fits once the
-    /// batch's own allocation is released, so a yield always unblocks the
-    /// higher lane instead of spinning.
-    pub fn min_over_higher_lanes<F: Fn(&T) -> u64>(&self, priority: u8, f: F) -> Option<u64> {
-        self.lanes
-            .range((std::ops::Bound::Excluded(priority), std::ops::Bound::Unbounded))
-            .flat_map(|(_, lane)| {
-                lane.queues
-                    .values()
-                    .filter_map(|q| q.items.front().map(|e| f(&e.item)))
-            })
-            .min()
-    }
-
     /// Filter (and possibly mutate) every queued item; items for which
     /// `f` returns false are dropped. The server's cancel path uses this
     /// to evict a member from a flushed-but-undispatched batch.
@@ -232,7 +193,7 @@ impl<T> DispatchQueue<T> {
     /// Drain everything in dispatch order (priority, then fair-share).
     pub fn drain_all(&mut self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len());
-        while let Some(item) = self.pop(|_| true) {
+        while let Some(item) = self.pop() {
             out.push(item);
         }
         out
@@ -278,7 +239,7 @@ mod tests {
         // After the first 16 dispatches, heavy should hold ~3/4 of them.
         let mut heavy = 0;
         for _ in 0..16 {
-            if q.pop(|_| true).unwrap() < 100 {
+            if q.pop().unwrap() < 100 {
                 heavy += 1;
             }
         }
@@ -292,33 +253,9 @@ mod tests {
         q.push("interactive", 1, 2, 8, 1);
         q.push("batch", 1, 0, 8, 2);
         assert_eq!(q.highest_waiting_priority(), Some(2));
-        assert_eq!(q.pop(|_| true), Some(1));
+        assert_eq!(q.pop(), Some(1));
         assert_eq!(q.highest_waiting_priority(), Some(0));
         assert_eq!(q.drain_all(), vec![0, 2]);
-    }
-
-    #[test]
-    fn min_over_higher_lanes_sees_only_strictly_higher_heads() {
-        let mut q = DispatchQueue::new(8);
-        q.push("batch", 1, 0, 8, 40u32);
-        q.push("interactive", 1, 2, 8, 12);
-        q.push("urgent", 1, 3, 8, 7);
-        // Non-head items never participate: only each tenant's head counts.
-        q.push("urgent", 1, 3, 8, 1);
-        assert_eq!(q.min_over_higher_lanes(0, |x| u64::from(*x)), Some(7));
-        assert_eq!(q.min_over_higher_lanes(2, |x| u64::from(*x)), Some(7));
-        assert_eq!(q.min_over_higher_lanes(3, |x| u64::from(*x)), None);
-    }
-
-    #[test]
-    fn fits_filter_blocks_only_the_blocked_tenant() {
-        let mut q = DispatchQueue::new(8);
-        q.push("big", 1, 0, 8, 100u32); // pretend it needs too many nodes
-        q.push("small", 1, 0, 8, 1);
-        assert_eq!(q.pop(|x| *x < 100), Some(1));
-        assert_eq!(q.pop(|x| *x < 100), None, "only the unfitting item left");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(|_| true), Some(100), "capacity freed, now dispatchable");
     }
 
     #[test]
@@ -369,7 +306,7 @@ mod tests {
             let mut total_work = 0u64;
             let total_items = arrivals.len();
             for _ in 0..total_items {
-                let (t, seq, cost) = q.pop(|_| true).expect("conservation: queue drained early");
+                let (t, seq, cost) = q.pop().expect("conservation: queue drained early");
                 served[t].push((seq, cost));
                 served_work[t] += cost;
                 total_work += cost;

@@ -219,10 +219,6 @@ struct ReadyBatch {
     tenant: String,
     /// The tenant's priority lane at enqueue time.
     priority: u8,
-    /// Modeled node allocation this batch occupies while executing — the
-    /// smallest feasible world for its deck and size, so several worlds
-    /// run concurrently inside the server's node budget.
-    nodes: usize,
 }
 
 #[derive(Debug)]
@@ -237,8 +233,6 @@ struct State {
     shutdown: bool,
     fault_plan: Option<FaultPlan>,
     journal: Option<Journal>,
-    /// Modeled nodes occupied by currently executing worlds.
-    nodes_in_use: usize,
     /// Workers parked waiting for a dispatchable batch.
     idle_workers: usize,
 }
@@ -305,7 +299,6 @@ impl CampaignServer {
             shutdown: false,
             fault_plan,
             journal,
-            nodes_in_use: 0,
             idle_workers: 0,
         };
         // Same contract as the journal: a daemon configured to cache results
@@ -537,9 +530,8 @@ impl CampaignServer {
     }
 
     /// Stop admitting, flush every pending batch, and block until all
-    /// admitted jobs reach a terminal state and every worker has returned
-    /// its nodes to the ledger (or `timeout` elapses). Returns true when
-    /// the server went quiet in time.
+    /// admitted jobs reach a terminal state and every world has ended (or
+    /// `timeout` elapses). Returns true when the server went quiet in time.
     pub fn drain(&self, timeout: Duration) -> bool {
         let shared = &self.shared;
         let deadline = Instant::now() + timeout;
@@ -555,8 +547,8 @@ impl CampaignServer {
         }
         shared.work.notify_all();
         // The last job turns terminal inside `execute_batch`, a moment
-        // before its worker releases the batch's nodes; quiet means both.
-        let quiet = |st: &State| st.table.live() == 0 && st.nodes_in_use == 0;
+        // before its worker ends the world; quiet means both.
+        let quiet = |st: &State| st.table.live() == 0 && st.metrics.worlds_active == 0;
         while !quiet(&guard) {
             if shared.quiet.wait_until(&mut guard, deadline).timed_out() {
                 return quiet(&guard);
@@ -653,15 +645,12 @@ fn metrics_snapshot(st: &State) -> (Metrics, Vec<(JobState, usize)>) {
     }
     m.tenants = st.table.tenants().clone();
     m.set_tenant_usage(st.table.tenant_usage());
-    m.nodes_in_use = st.nodes_in_use as u64;
     let count = |s: &JobState| st.table.jobs().filter(|j| j.state == *s).count();
     (m, JobState::ALL.iter().map(|s| (*s, count(s))).collect())
 }
 
-/// Price and enqueue a flushed batch into the fair-share dispatch queue.
-/// The batch's node ask is the smallest feasible world for its deck and
-/// size ([`xg_cluster::min_nodes_unbalanced`]); its fair-share cost is its
-/// member-steps of simulation work.
+/// Enqueue a flushed batch into the fair-share dispatch queue; its
+/// fair-share cost is its member-steps of simulation work.
 fn enqueue_ready(
     cfg: &ServerConfig,
     st: &mut State,
@@ -672,10 +661,9 @@ fn enqueue_ready(
     if jobs.is_empty() {
         return;
     }
-    let (tenant, steps, nodes) = {
+    let (tenant, steps) = {
         let head = st.table.job(jobs[0]).expect("a flushed batch names held jobs");
-        let nodes = batch_nodes(cfg, &head.spec.input, jobs.len());
-        (head.spec.tenant.clone(), head.spec.steps, nodes)
+        (head.spec.tenant.clone(), head.spec.steps)
     };
     let (weight, priority) = tenant_sched_params(cfg, &tenant);
     let cost = jobs.len() as u64 * steps as u64;
@@ -684,17 +672,8 @@ fn enqueue_ready(
         weight,
         priority,
         cost,
-        ReadyBatch { id, jobs, origin, tenant: tenant.clone(), priority, nodes },
+        ReadyBatch { id, jobs, origin, tenant: tenant.clone(), priority },
     );
-}
-
-/// Modeled node allocation for one executing world: the smallest node
-/// count whose memory budget fits a `k`-member ensemble of this deck,
-/// clamped to the server's whole allocation (admission guarantees at
-/// least `k = 1` fits it).
-fn batch_nodes(cfg: &ServerConfig, input: &CgyroInput, k: usize) -> usize {
-    xg_cluster::min_nodes_unbalanced(input, k, &cfg.machine, cfg.nodes)
-        .map_or(cfg.nodes, |p| p.nodes)
 }
 
 /// The roster's scheduling parameters for a tenant; unlisted tenants (open
@@ -1077,14 +1056,12 @@ fn batcher_loop(shared: &Shared) {
     }
 }
 
-/// A worker thread: pop ready batches whose node ask fits the remaining
-/// machine budget and execute them. The worker is the single owner of the
-/// node ledger — it reserves `rb.nodes` at pop and releases them when
-/// `execute_batch` returns, whether the batch completed, failed, or was
-/// preempted back into the queue.
+/// A worker thread: pop ready batches and execute them, one world at a
+/// time. The pool's size is the only bound on concurrently executing
+/// worlds; modeled nodes price admission's memory budget and nothing else.
 fn worker_loop(shared: &Shared) {
     loop {
-        let (rb, nodes) = {
+        let rb = {
             let mut guard = shared.state.lock();
             guard.idle_workers += 1;
             let rb = loop {
@@ -1092,29 +1069,19 @@ fn worker_loop(shared: &Shared) {
                     guard.idle_workers -= 1;
                     return;
                 }
-                let st = &mut *guard;
-                let avail = shared.cfg.nodes.saturating_sub(st.nodes_in_use);
-                if let Some(rb) = st.ready.pop(|cand| cand.nodes <= avail) {
+                if let Some(rb) = guard.ready.pop() {
                     break rb;
                 }
                 shared.work.wait(&mut guard);
             };
             guard.idle_workers -= 1;
-            guard.nodes_in_use += rb.nodes;
             guard.metrics.on_world_start();
-            let nodes = rb.nodes;
-            (rb, nodes)
+            rb
         };
         execute_batch(shared, rb);
-        {
-            let mut guard = shared.state.lock();
-            guard.nodes_in_use = guard.nodes_in_use.saturating_sub(nodes);
-            guard.metrics.on_world_end();
-            // Freed nodes may unblock a queued world on another worker,
-            // and an empty ledger is the second half of drain's condition.
-            shared.work.notify_all();
-            shared.quiet.notify_all();
-        }
+        shared.state.lock().metrics.on_world_end();
+        // An ended world is the second half of drain's condition.
+        shared.quiet.notify_all();
     }
 }
 
@@ -1130,7 +1097,7 @@ fn worker_loop(shared: &Shared) {
 /// `Done` records re-runs that segment deterministically, which is cheaper
 /// than reasoning about a "finished but unrecorded" limbo state.
 fn execute_batch(shared: &Shared, rb: ReadyBatch) {
-    let ReadyBatch { id: batch_id, jobs, origin, tenant, priority, nodes } = rb;
+    let ReadyBatch { id: batch_id, jobs, origin, tenant, priority } = rb;
     // Dispatch bookkeeping: transition members to Running, record queue
     // latency and occupancy, arm the chaos fault plan (first batch only).
     // Members of a preempted batch — or of one a restart resumed — are
@@ -1211,7 +1178,7 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
             commit(shared, &mut shared.state.lock(), rec);
         }
     };
-    while done < steps_total {
+    let last_seg = loop {
         // Checkpoint boundary: apply cancellations (shutdown cancels all).
         let cancelled: Vec<usize> = {
             let guard = shared.state.lock();
@@ -1244,23 +1211,16 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
             account(&run.close());
             return;
         }
-        // Elastic preemption: yield this world's nodes when a
-        // higher-priority batch is blocked and provably dispatchable once
-        // they are released. The fit test is deliberately strict —
-        // releasing nodes that still would not admit the waiting batch
-        // would spin through pop/requeue without making progress. Members
-        // stay Running; the batch re-enters the queue with its checkpoint,
-        // and the worker that released the nodes pops the higher lane
-        // first. The world goes with the nodes: the resumed batch opens a
-        // new one from the checkpoint.
+        // Priority preemption: yield this worker when a higher lane is
+        // waiting and no worker is idle to take it. Members stay Running;
+        // the batch re-enters the queue with its checkpoint, and this
+        // worker pops the higher lane first. The world goes with the
+        // worker: the resumed batch opens a new one from the checkpoint.
         let preempted = {
             let mut guard = shared.state.lock();
             let st = &mut *guard;
-            let need = st.ready.min_over_higher_lanes(priority, |c| c.nodes as u64);
-            let avail_now = shared.cfg.nodes.saturating_sub(st.nodes_in_use) as u64;
-            let yields = need.is_some_and(|need| {
-                (st.idle_workers == 0 || need > avail_now) && need <= avail_now + nodes as u64
-            });
+            let yields = st.idle_workers == 0
+                && st.ready.highest_waiting_priority().is_some_and(|p| p > priority);
             if yields {
                 st.metrics.on_preempt();
                 st.table.on_preempt(&tenant);
@@ -1277,10 +1237,14 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
             return;
         }
         let seg = shared.cfg.ckpt_every.min(steps_total - done);
-        // Journal this boundary so a crash resumes here. The final segment
-        // is intentionally skipped (see above).
-        let journaled = match run.advance(seg) {
-            Ok(checkpoint) => (done + seg < steps_total).then(|| checkpoint.to_bytes()),
+        if done + seg == steps_total {
+            // The final segment ends in `finish_segment`'s one gather,
+            // unjournaled (see above).
+            break seg;
+        }
+        // Journal this boundary so a crash resumes here.
+        let state = match run.advance(seg) {
+            Ok(checkpoint) => checkpoint.to_bytes(),
             Err(e) => {
                 fail_all(shared, &member_ids, &format!("batch failed: {e}"));
                 account(&run.close());
@@ -1291,24 +1255,22 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
         events_seen = run.events().len();
         member_ids = run.survivors().iter().map(|&i| jobs[i]).collect();
         done += seg;
-        if let Some(state) = journaled {
-            let crec = JournalRecord::Checkpoint {
-                batch: batch_id,
-                jobs: member_ids.clone(),
-                seq: next_seq,
-                done_steps: done as u64,
-                state,
-            };
-            next_seq += 1;
-            commit(shared, &mut shared.state.lock(), crec);
-        }
-    }
+        let crec = JournalRecord::Checkpoint {
+            batch: batch_id,
+            jobs: member_ids.clone(),
+            seq: next_seq,
+            done_steps: done as u64,
+            state,
+        };
+        next_seq += 1;
+        commit(shared, &mut shared.state.lock(), crec);
+    };
     // Outcomes are built once, from the one final gather. The gather, the
     // traffic logs and the checkpoint are all dropped before the Done
     // transitions below: `drain` returns the moment the last job is
-    // terminal, and this worker should be back at the node ledger by then.
+    // terminal, and this worker should be back in the pool by then.
     let (member_ids, mut results) = {
-        let rec = match run.finish() {
+        let rec = match run.finish_segment(last_seg) {
             Ok(rec) => rec,
             Err(e) => {
                 fail_all(shared, &member_ids, &format!("batch failed: {e}"));

@@ -550,7 +550,7 @@ fn a_crash_at_any_append_loses_and_duplicates_nothing() {
         );
         // Every ledger is back at zero.
         let m = server.metrics();
-        assert_eq!(m.nodes_in_use, 0, "crash@{crash_at}");
+        assert_eq!(m.worlds_active, 0, "crash@{crash_at}");
         assert!(m.tenants.values().all(|t| t.live_jobs == 0 && t.live_bytes == 0), "crash@{crash_at}");
         assert!(listed.iter().all(|s| s.state.is_terminal()), "crash@{crash_at}: live jobs remain");
         server.shutdown();

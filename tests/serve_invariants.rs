@@ -126,7 +126,7 @@ fn a_crash_at_any_append_loses_no_acknowledged_job() {
             assert_eq!(server.result_summary(*id).as_ref(), Some(want), "crash@{crash_at}: {id}");
         }
         let m = server.metrics();
-        assert_eq!(m.nodes_in_use, 0, "crash@{crash_at}");
+        assert_eq!(m.worlds_active, 0, "crash@{crash_at}");
         assert!(m.tenants.values().all(|t| t.live_jobs == 0), "crash@{crash_at}");
         server.shutdown();
     }

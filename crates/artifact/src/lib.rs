@@ -37,7 +37,8 @@ pub use manifest::{Manifest, MANIFEST_SCHEMA};
 pub use store::{ArtifactStore, GcReport, ObjectId, StoreError, StoreStats};
 
 /// 64-bit FNV-1a over a byte slice — the workspace's standard content hash
-/// (same constants as `xg_serve::journal::fnv1a` and `CgyroInput::cmat_key`).
+/// (re-exported as `xg_serve::journal::fnv1a`; same constants as
+/// `CgyroInput::cmat_key`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

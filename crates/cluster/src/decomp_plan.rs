@@ -103,20 +103,10 @@ pub fn plan_decomposition(
     })
 }
 
-/// Capacity-weighted coll cuts for a set of surviving coll positions — the
-/// post-eviction rebalance rule. `capacities[p]` is the relative speed of
-/// surviving position `p`; returns one row count per position summing to
-/// `nc`. With uniform capacities this is exactly the balanced (uniform
-/// shrink) split.
-pub fn rebalanced_cuts(nc: usize, capacities: &[f64]) -> Vec<usize> {
-    RaggedDecomp::weighted(nc, capacities).counts()
-}
-
 /// Rows that `cuts` place differently from the balanced split of the same
-/// shape: `nc − Σ_p |range_cuts(p) ∩ range_balanced(p)|`. Each
-/// post-eviction rebalance reports this on `RecoveryEvent::moved_rows` —
-/// the data-movement cost of rebalancing, against which the wall-time
-/// payoff is judged.
+/// shape: `nc − Σ_p |range_cuts(p) ∩ range_balanced(p)|` — the
+/// data-movement cost of a ragged layout, against which its wall-time
+/// payoff is judged (`xgreplay` and `bench-decomp` report it).
 pub fn moved_rows_vs_balanced(cuts: &[usize]) -> usize {
     let d = RaggedDecomp::from_counts(cuts);
     let b = RaggedDecomp::balanced(d.total(), d.parts());
@@ -202,14 +192,14 @@ mod tests {
     }
 
     #[test]
-    fn rebalanced_cuts_and_moved_rows() {
-        // Uniform capacities = uniform shrink = nothing moved.
-        let cuts = rebalanced_cuts(64, &[1.0; 8]);
+    fn moved_rows_of_weighted_cuts() {
+        // Uniform weights = the balanced split = nothing moved.
+        let cuts = RaggedDecomp::weighted(64, &[1.0; 8]).counts();
         assert_eq!(cuts, vec![8; 8]);
         assert_eq!(moved_rows_vs_balanced(&cuts), 0);
         // A half-speed straggler sheds rows; some rows move.
         let caps = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5];
-        let cuts = rebalanced_cuts(64, &caps);
+        let cuts = RaggedDecomp::weighted(64, &caps).counts();
         assert_eq!(cuts.iter().sum::<usize>(), 64);
         assert!(cuts[7] < cuts[0]);
         assert!(moved_rows_vs_balanced(&cuts) > 0);

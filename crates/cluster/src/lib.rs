@@ -19,9 +19,7 @@ pub mod resilience;
 pub mod simtime;
 
 pub use campaign::{optimize_campaign, CampaignOption, CampaignPlan};
-pub use decomp_plan::{
-    moved_rows_vs_balanced, plan_decomposition, rebalanced_cuts, DecompPlan,
-};
+pub use decomp_plan::{moved_rows_vs_balanced, plan_decomposition, DecompPlan};
 pub use memory::{cmat_ratio, rank_inventory, total_bytes, BufferCategory, BufferSpec};
 pub use planner::{
     diagnose, max_feasible_k, max_feasible_k_unbalanced, min_nodes, min_nodes_unbalanced,

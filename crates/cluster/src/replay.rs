@@ -369,8 +369,9 @@ mod tests {
         // marker survives the round trip into the cost breakdown.
         let base = xg_sim::CgyroInput::test_small();
         let cfg = xgyro_core::gradient_sweep(&base, 3, xg_tensor::ProcGrid::new(1, 1));
-        let out = xgyro_core::run_xgyro_resilient(
+        let out = xgyro_core::run_xgyro_resilient_from(
             &cfg,
+            None,
             2,
             2,
             xg_comm::FaultPlan::crash(1, 5),

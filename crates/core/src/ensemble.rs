@@ -234,8 +234,8 @@ impl EnsembleConfig {
     /// decks — all admission invariants (shared `cmat` key, cadence, grid)
     /// are preserved by removal. Errors with [`EnsembleError::Empty`] when
     /// evicting the last member. Planned coll cuts are dropped (their
-    /// length no longer matches the shrunken coll communicator); the
-    /// capacity-aware recovery path re-plans them for the survivors.
+    /// length no longer matches the shrunken coll communicator), so the
+    /// survivors run on the balanced split.
     pub fn evict_member(&self, index: usize) -> Result<Self, EnsembleError> {
         assert!(index < self.members.len(), "evict_member: no member {index}");
         if self.members.len() == 1 {

@@ -17,10 +17,11 @@
 //!   drivers over a session;
 //! * [`report`] — the memory-sharing law and communication-trace
 //!   summaries;
-//! * [`recovery`] — degraded-mode execution: a session checkpointed in
-//!   segments over the fallible comm substrate, with failed members evicted
-//!   and the survivors reopened bitwise-identically from the last coherent
-//!   checkpoint.
+//! * [`recovery`] — degraded-mode execution, one driver
+//!   ([`run_xgyro_resilient_from`] over a [`ResilientRun`]): a session
+//!   checkpointed in segments over the fallible comm substrate, with failed
+//!   members evicted and the survivors reopened on the balanced split,
+//!   bitwise-identically, from the last coherent checkpoint.
 
 #![warn(missing_docs)]
 
@@ -34,8 +35,7 @@ pub mod topology;
 
 pub use checkpoint::{run_xgyro_checkpointed, CheckpointError, EnsembleCheckpoint};
 pub use recovery::{
-    run_xgyro_resilient, run_xgyro_resilient_from, run_xgyro_resilient_with_capacities,
-    RecoveryError, RecoveryEvent, RecoveryOutcome, ResilientRun,
+    run_xgyro_resilient_from, RecoveryError, RecoveryEvent, RecoveryOutcome, ResilientRun,
 };
 pub use ensemble::{gradient_sweep, EnsembleConfig, EnsembleError};
 pub use report::{cmat_memory_law, summarize_trace, CmatMemoryLaw, TraceSummary};

@@ -16,8 +16,12 @@
 //!    [`EnsembleCheckpoint`];
 //! 3. a new session opens from that checkpoint as a (k−1)-member ensemble —
 //!    the only time the world, the Figure-3 topology and the shared `cmat`
-//!    are rebuilt — and the rows are re-distributed over the survivors
-//!    automatically by [`crate::topology::build_xgyro_topology`].
+//!    are rebuilt — and the rows are re-distributed over the survivors on
+//!    the balanced split by [`crate::topology::build_xgyro_topology`] (a
+//!    planned ragged layout does not outlive an eviction).
+//!
+//! [`run_xgyro_resilient_from`] is the one-call driver: a [`ResilientRun`]
+//! advanced in checkpointed segments.
 //!
 //! Because every reduction combines contributions in communicator-rank
 //! order and member trajectories only couple through the *shared, constant*
@@ -32,7 +36,6 @@ use crate::session::{EnsembleSession, SegmentFault};
 use crate::topology::assignment;
 use std::time::Duration;
 use xg_comm::{CommError, FaultPlan, OpKind, OpRecord};
-use xg_tensor::RaggedDecomp;
 
 /// Why a resilient run could not complete.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,10 +80,6 @@ pub struct RecoveryEvent {
     pub steps_replayed: u64,
     /// Original member indices still running after the eviction.
     pub survivors: Vec<usize>,
-    /// Coll `nc` rows placed differently from a uniform shrink by the
-    /// capacity-aware rebalance (0 when capacities are uniform or the run
-    /// uses the default uniform-shrink recovery).
-    pub moved_rows: u64,
 }
 
 /// The outcome of a resilient run.
@@ -108,28 +107,18 @@ pub struct RecoveryOutcome {
 
 /// Run the ensemble to `total_steps` over the fallible substrate,
 /// checkpointing every `ckpt_every` steps and recovering from failures in
-/// degraded (k−1) mode. `plan` seeds the faults to inject (empty plan:
-/// plain checkpointed execution); a spec's `at_op` counts the operations a
-/// rank issued since the run's world started — the world outlives the
-/// segments, so a fault can land in any of them, including after
-/// checkpoints exist. `deadline` bounds every blocking wait — it is what
-/// converts a dead peer into a typed error instead of a hang.
-pub fn run_xgyro_resilient(
-    config: &EnsembleConfig,
-    total_steps: usize,
-    ckpt_every: usize,
-    plan: FaultPlan,
-    deadline: Duration,
-) -> Result<RecoveryOutcome, RecoveryError> {
-    run_xgyro_resilient_from(config, None, total_steps, ckpt_every, plan, deadline)
-}
-
-/// [`run_xgyro_resilient`], seeded from a prior [`EnsembleCheckpoint`]
-/// (rejected with [`RecoveryError::Checkpoint`] unless it matches the
-/// config's cmat key, k and dims). `total_steps` counts steps *beyond* the
-/// checkpoint, whose absolute step counter keeps advancing. Each call opens
-/// its own world: a caller that wants one world across many calls holds a
-/// [`ResilientRun`] instead.
+/// degraded (k−1) mode. `resume_from` seeds the run from a prior
+/// [`EnsembleCheckpoint`] (rejected with [`RecoveryError::Checkpoint`]
+/// unless it matches the config's cmat key, k and dims); `total_steps` then
+/// counts steps *beyond* it, whose absolute step counter keeps advancing.
+/// `plan` seeds the faults to inject (empty plan: plain checkpointed
+/// execution); a spec's `at_op` counts the operations a rank issued since
+/// the run's world started — the world outlives the segments, so a fault
+/// can land in any of them, including after checkpoints exist. `deadline`
+/// bounds every blocking wait — it is what converts a dead peer into a
+/// typed error instead of a hang. Each call opens its own world: a caller
+/// that wants one world across many calls holds a [`ResilientRun`]
+/// instead.
 pub fn run_xgyro_resilient_from(
     config: &EnsembleConfig,
     resume_from: Option<EnsembleCheckpoint>,
@@ -138,38 +127,8 @@ pub fn run_xgyro_resilient_from(
     plan: FaultPlan,
     deadline: Duration,
 ) -> Result<RecoveryOutcome, RecoveryError> {
-    run_xgyro_resilient_with_capacities(
-        config,
-        resume_from,
-        total_steps,
-        ckpt_every,
-        plan,
-        deadline,
-        None,
-    )
-}
-
-/// [`run_xgyro_resilient_from`] with **capacity-aware rebalancing**.
-///
-/// `capacities[r]` is the relative speed of *original* world rank `r` (1.0 =
-/// full speed). After each eviction the rebuild derives one capacity per
-/// surviving coll position `(s, i1)` — the minimum over its `i2` slice,
-/// which shares the cut — and re-apportions the coll `nc` rows with
-/// [`RaggedDecomp::weighted`] instead of shrinking uniformly. Rows moved
-/// relative to the uniform shrink are counted on
-/// [`RecoveryEvent::moved_rows`].
-/// With `None` or uniform capacities this is [`run_xgyro_resilient_from`].
-pub fn run_xgyro_resilient_with_capacities(
-    config: &EnsembleConfig,
-    resume_from: Option<EnsembleCheckpoint>,
-    total_steps: usize,
-    ckpt_every: usize,
-    plan: FaultPlan,
-    deadline: Duration,
-    capacities: Option<&[f64]>,
-) -> Result<RecoveryOutcome, RecoveryError> {
     assert!(ckpt_every > 0, "checkpoint cadence must be positive");
-    let mut run = ResilientRun::new(config, resume_from, plan, deadline, capacities)?;
+    let mut run = ResilientRun::new(config, resume_from, plan, deadline)?;
     let mut left = total_steps;
     while left > ckpt_every {
         run.advance(ckpt_every)?;
@@ -191,7 +150,6 @@ pub struct ResilientRun {
     /// Taken by the first world: an injected fault fires once.
     plan: FaultPlan,
     deadline: Duration,
-    capacities: Option<Vec<f64>>,
     events: Vec<RecoveryEvent>,
     faulty_segments: Vec<Vec<Vec<OpRecord>>>,
     /// Traffic logs of every world this run has already left.
@@ -199,27 +157,14 @@ pub struct ResilientRun {
 }
 
 impl ResilientRun {
-    /// Prepare a run; arguments as for
-    /// [`run_xgyro_resilient_with_capacities`]. The world is spawned by the
-    /// first command.
+    /// Prepare a run; arguments as for [`run_xgyro_resilient_from`]. The
+    /// world is spawned by the first command.
     pub fn new(
         config: &EnsembleConfig,
         resume_from: Option<EnsembleCheckpoint>,
         plan: FaultPlan,
         deadline: Duration,
-        capacities: Option<&[f64]>,
     ) -> Result<Self, RecoveryError> {
-        if let Some(caps) = capacities {
-            assert_eq!(
-                caps.len(),
-                config.total_ranks(),
-                "capacities must cover every original world rank"
-            );
-            assert!(
-                caps.iter().all(|c| c.is_finite() && *c > 0.0),
-                "capacities must be positive and finite"
-            );
-        }
         if let Some(cp) = &resume_from {
             cp.check_matches(config).map_err(RecoveryError::Checkpoint)?;
         }
@@ -230,7 +175,6 @@ impl ResilientRun {
             checkpoint: resume_from,
             plan,
             deadline,
-            capacities: capacities.map(<[f64]>::to_vec),
             events: Vec::new(),
             faulty_segments: Vec::new(),
             traces: Vec::new(),
@@ -253,7 +197,7 @@ impl ResilientRun {
     /// next command reopens at k−1 from the last checkpoint.
     pub fn evict(&mut self, pos: usize) -> Result<(), RecoveryError> {
         self.leave();
-        self.shrink(pos).map(|_| ())
+        self.shrink(pos)
     }
 
     /// Original member indices still running, by current position.
@@ -281,12 +225,6 @@ impl ResilientRun {
         if let Some(session) = self.session.take() {
             self.traces.extend(session.close());
         }
-    }
-
-    /// Gather the survivors' results and end the run:
-    /// [`Self::finish_segment`] with no steps left.
-    pub fn finish(self) -> Result<RecoveryOutcome, RecoveryError> {
-        self.finish_segment(0)
     }
 
     /// Step the survivors a last `steps` and end the run. The segment's
@@ -354,7 +292,7 @@ impl ResilientRun {
         };
         let a = assignment(&self.cfg, rank);
         let failed_member = self.original[a.sim];
-        let moved_rows = self.shrink(a.sim)?;
+        self.shrink(a.sim)?;
         // Stamp every survivor's partial trace with a Recover record:
         // members = the degraded world's ranks, bytes = wasted microseconds.
         // These records are the one account of wasted time: the daemon
@@ -382,69 +320,19 @@ impl ResilientRun {
             resumed_from_step: self.checkpoint.as_ref().map_or(0, |c| c.steps_taken()),
             steps_replayed: lost_steps,
             survivors: self.original.clone(),
-            moved_rows,
         });
         Ok(())
     }
 
     /// Remove the member at `pos` from the config, the index map and the
-    /// checkpoint; returns the coll rows a capacity-aware rebalance moved.
-    fn shrink(&mut self, pos: usize) -> Result<u64, RecoveryError> {
-        let mut cfg = self.cfg.evict_member(pos).map_err(RecoveryError::Ensemble)?;
+    /// checkpoint. The survivors reopen on the balanced split
+    /// [`EnsembleConfig::evict_member`] builds.
+    fn shrink(&mut self, pos: usize) -> Result<(), RecoveryError> {
+        self.cfg = self.cfg.evict_member(pos).map_err(RecoveryError::Ensemble)?;
         self.original.remove(pos);
-        // Capacity-aware rebalance: apportion the coll rows to the
-        // survivors' actual speeds instead of shrinking uniformly.
-        // (`evict_member` already dropped any previous cuts.)
-        let mut moved_rows = 0;
-        if let Some(caps) = &self.capacities {
-            if let (Some(cuts), moved) = capacity_cuts(&cfg, &self.original, caps) {
-                moved_rows = moved;
-                cfg = cfg.with_coll_cuts(Some(cuts)).map_err(RecoveryError::Ensemble)?;
-            }
-        }
-        self.cfg = cfg;
         if let Some(cp) = self.checkpoint.take() {
             self.checkpoint = Some(cp.evict_member(pos).map_err(RecoveryError::Checkpoint)?);
         }
-        Ok(moved_rows)
+        Ok(())
     }
-}
-
-/// Capacity-weighted coll cuts for the surviving ensemble, plus the rows
-/// they move relative to the uniform shrink. `original` maps each surviving
-/// config position to its original member index; `caps` is indexed by
-/// original world rank. Returns `(None, 0)` when the surviving positions'
-/// capacities are uniform (the balanced split is already optimal — leave
-/// `coll_cuts` unset so the run stays on the canonical path).
-fn capacity_cuts(
-    cfg: &EnsembleConfig,
-    original: &[usize],
-    caps: &[f64],
-) -> (Option<Vec<usize>>, u64) {
-    let grid = cfg.grid();
-    let per_sim = cfg.ranks_per_sim();
-    let nc = cfg.members()[0].dims().nc;
-    // One weight per surviving coll position (s, i1): a position's cut is
-    // shared across every i2 slice, so it runs at its slowest rank's pace.
-    let mut weights = Vec::with_capacity(cfg.k() * grid.n1);
-    for &orig in original {
-        for i1 in 0..grid.n1 {
-            let w = (0..grid.n2)
-                .map(|i2| caps[orig * per_sim + grid.rank(i1, i2)])
-                .fold(f64::INFINITY, f64::min);
-            weights.push(w);
-        }
-    }
-    if weights.iter().all(|&w| w == weights[0]) {
-        return (None, 0);
-    }
-    let cuts = RaggedDecomp::weighted(nc, &weights).counts();
-    let ragged = RaggedDecomp::from_counts(&cuts);
-    let uniform = RaggedDecomp::balanced(nc, cuts.len());
-    let mut overlap = 0usize;
-    for p in 0..ragged.parts() {
-        let (r, s) = (ragged.range(p), uniform.range(p));
-        overlap += r.end.min(s.end).saturating_sub(r.start.max(s.start));
-    }
-    (Some(cuts), (nc - overlap) as u64)
 }

@@ -11,9 +11,9 @@
 use std::time::Duration;
 use xg_comm::{FaultKind, FaultPlan, FaultSpec, OpKind};
 use xg_sim::CgyroInput;
-use xg_tensor::ProcGrid;
+use xg_tensor::{ProcGrid, RaggedDecomp};
 use xgyro_core::{
-    gradient_sweep, run_xgyro, run_xgyro_resilient, EnsembleConfig, EnsembleError,
+    gradient_sweep, run_xgyro, run_xgyro_resilient_from, EnsembleConfig, EnsembleError,
 };
 
 const DEADLINE: Duration = Duration::from_secs(60);
@@ -47,7 +47,7 @@ fn crash_before_first_checkpoint_restarts_degraded() {
     // Rank 1 == member 1 (one rank per sim). Crash early: no checkpoint
     // exists yet, so the survivors restart from scratch as k=2.
     let plan = FaultPlan::crash(1, 5);
-    let out = run_xgyro_resilient(&cfg, 6, 3, plan, DEADLINE).expect("recoverable");
+    let out = run_xgyro_resilient_from(&cfg, None, 6, 3, plan, DEADLINE).expect("recoverable");
 
     assert_eq!(out.events.len(), 1);
     let ev = &out.events[0];
@@ -77,8 +77,8 @@ fn crash_after_checkpoint_resumes_from_rollback_bitwise() {
     // Calibrate: how many ops does a rank issue in one 4-step segment?
     // Target the crash a few ops *past* that, so it lands in segment 2 —
     // after the step-4 checkpoint exists.
-    let probe =
-        run_xgyro_resilient(&cfg, 4, 4, FaultPlan::new(), DEADLINE).expect("probe run");
+    let probe = run_xgyro_resilient_from(&cfg, None, 4, 4, FaultPlan::new(), DEADLINE)
+        .expect("probe run");
     let seg_ops = ops_of_rank(&probe.outcome.traces, 5);
     assert!(seg_ops > 0);
 
@@ -87,7 +87,7 @@ fn crash_after_checkpoint_resumes_from_rollback_bitwise() {
         at_op: seg_ops + 3,
         kind: FaultKind::Crash,
     });
-    let out = run_xgyro_resilient(&cfg, 8, 4, plan, DEADLINE).expect("recoverable");
+    let out = run_xgyro_resilient_from(&cfg, None, 8, 4, plan, DEADLINE).expect("recoverable");
 
     assert_eq!(out.events.len(), 1);
     let ev = &out.events[0];
@@ -120,6 +120,32 @@ fn crash_after_checkpoint_resumes_from_rollback_bitwise() {
 }
 
 #[test]
+fn crash_in_a_ragged_layout_recovers_on_the_balanced_split() {
+    // A planned ragged coll layout does not outlive an eviction: the
+    // survivors reopen on the balanced split, and since coll cuts are
+    // bitwise-neutral they still equal an unfaulted run of themselves.
+    let base = CgyroInput::test_small();
+    let cfg = gradient_sweep(&base, 3, ProcGrid::new(2, 2));
+    let nc = base.dims().nc;
+    let cuts = RaggedDecomp::weighted(nc, &[1.0, 1.0, 1.0, 1.0, 1.0, 0.5]).counts();
+    assert_eq!(cuts, vec![6, 6, 6, 6, 5, 3]);
+    let cfg = cfg.with_coll_cuts(Some(cuts)).expect("valid ragged layout");
+
+    // Rank 5 belongs to member 1 (world ranks 4..8 under a 4-rank grid).
+    let plan = FaultPlan::crash(5, 4);
+    let out = run_xgyro_resilient_from(&cfg, None, 6, 3, plan, DEADLINE).expect("recoverable");
+
+    assert_eq!(out.events.len(), 1);
+    assert_eq!(out.events[0].failed_member, 1);
+    assert_eq!(out.surviving_members, vec![0, 2]);
+    let clean = run_xgyro(&survivors_config(&cfg, 1), 6);
+    assert_eq!(out.outcome.sims.len(), 2);
+    for (got, want) in out.outcome.sims.iter().zip(clean.sims.iter()) {
+        assert_eq!(got.h, want.h, "survivor (original member {}) diverged", got.sim);
+    }
+}
+
+#[test]
 fn delay_fault_is_traced_but_harmless() {
     let base = CgyroInput::test_small();
     let cfg = gradient_sweep(&base, 2, ProcGrid::new(1, 1));
@@ -128,7 +154,8 @@ fn delay_fault_is_traced_but_harmless() {
         at_op: 3,
         kind: FaultKind::Delay(20), // well under the deadline
     });
-    let out = run_xgyro_resilient(&cfg, 4, 2, plan, DEADLINE).expect("no recovery needed");
+    let out =
+        run_xgyro_resilient_from(&cfg, None, 4, 2, plan, DEADLINE).expect("no recovery needed");
     assert!(out.events.is_empty());
     assert_eq!(out.surviving_members, vec![0, 1]);
     let fault_recs: Vec<_> = out
@@ -153,8 +180,9 @@ fn seeded_recovery_is_deterministic() {
     let base = CgyroInput::test_small();
     let cfg = gradient_sweep(&base, 3, ProcGrid::new(1, 1));
     let plan = FaultPlan::seeded_crash(42, cfg.total_ranks(), 12);
-    let a = run_xgyro_resilient(&cfg, 6, 3, plan.clone(), DEADLINE).expect("recoverable");
-    let b = run_xgyro_resilient(&cfg, 6, 3, plan, DEADLINE).expect("recoverable");
+    let a = run_xgyro_resilient_from(&cfg, None, 6, 3, plan.clone(), DEADLINE)
+        .expect("recoverable");
+    let b = run_xgyro_resilient_from(&cfg, None, 6, 3, plan, DEADLINE).expect("recoverable");
     assert_eq!(a.checkpoint, b.checkpoint);
     assert_eq!(a.surviving_members, b.surviving_members);
     assert_eq!(a.events.len(), b.events.len());
@@ -167,7 +195,8 @@ fn evicting_the_last_member_is_an_error() {
     assert_eq!(cfg.evict_member(0).unwrap_err(), EnsembleError::Empty);
 
     // And a crash in a k=1 "ensemble" is unrecoverable end-to-end.
-    let err = run_xgyro_resilient(&cfg, 4, 2, FaultPlan::crash(0, 3), DEADLINE).unwrap_err();
+    let err = run_xgyro_resilient_from(&cfg, None, 4, 2, FaultPlan::crash(0, 3), DEADLINE)
+        .unwrap_err();
     assert!(matches!(err, xgyro_core::RecoveryError::Ensemble(EnsembleError::Empty)));
 }
 

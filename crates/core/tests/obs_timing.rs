@@ -12,7 +12,7 @@ use xg_comm::{FaultPlan, OpKind};
 use xg_obs::{Phase, Registry};
 use xg_sim::{serial_simulation, CgyroInput};
 use xg_tensor::ProcGrid;
-use xgyro_core::{gradient_sweep, run_xgyro, run_xgyro_resilient};
+use xgyro_core::{gradient_sweep, run_xgyro, run_xgyro_resilient_from};
 
 static OBS_FLAG: Mutex<()> = Mutex::new(());
 
@@ -77,7 +77,7 @@ fn timers_survive_member_eviction() {
     let rec = with_obs(true, || {
         // Crash a rank of member 1 early: the run recovers in degraded
         // (k-1) mode and must keep timing the surviving members.
-        run_xgyro_resilient(&cfg, 8, 4, FaultPlan::crash(2, 4), Duration::from_secs(10))
+        run_xgyro_resilient_from(&cfg, None, 8, 4, FaultPlan::crash(2, 4), Duration::from_secs(10))
             .expect("resilient run completes")
     });
     assert_eq!(rec.surviving_members.len(), 2, "one member evicted");

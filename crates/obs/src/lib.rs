@@ -24,8 +24,8 @@
 //! counts and the collision-kernel label. Every other counted event has
 //! one counter, owned by the layer where it happens — journal, replay and
 //! cache counters by `xg-serve`'s `Metrics` and `JournalStats`, recovery
-//! and rebalance by `xgyro-core`'s `RecoveryEvent` and its `Recover` trace
-//! records, reductions by the `OpRecord` log.
+//! by `xgyro-core`'s `RecoveryEvent` and its `Recover` trace records,
+//! reductions by the `OpRecord` log.
 //!
 //! ## Cost model
 //!

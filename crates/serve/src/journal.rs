@@ -52,15 +52,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// FNV-1a 64-bit hash — the journal's content fingerprint (deck hashes,
-/// result summaries). Stable across platforms, no dependencies.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// result summaries): the workspace's one implementation, re-exported here.
+pub use xg_artifact::fnv1a;
 
 /// SplitMix64: the workspace's standard seed-expansion step (same recurrence
 /// `xg_comm::FaultPlan::seeded_crash` uses), reused here for seeded fault

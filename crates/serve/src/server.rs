@@ -1139,6 +1139,11 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
     };
     let batch_k = jobs.len() as u64;
     let exec_start = Instant::now();
+    // Whether one world runs this batch from step 0 to its end. A resumed
+    // batch began in an earlier world, and a fault or an eviction opens
+    // another; a trace set spanning several worlds replays as none of
+    // them, so it is not published.
+    let mut one_world = matches!(origin, BatchOrigin::Flushed(_));
 
     let (checkpoint, mut done, mut next_seq) = match origin {
         BatchOrigin::Resumed(r) => (r.checkpoint, r.done, r.next_seq),
@@ -1150,7 +1155,7 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
     let run = EnsembleConfig::new(inputs, shared.cfg.grid)
         .map_err(|e| e.to_string())
         .and_then(|cfg| {
-            ResilientRun::new(&cfg, checkpoint, plan, shared.cfg.deadline, None)
+            ResilientRun::new(&cfg, checkpoint, plan, shared.cfg.deadline)
                 .map_err(|e| e.to_string())
         });
     let mut run = match run {
@@ -1191,6 +1196,7 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
                 .map(|(pos, _)| pos)
                 .collect()
         };
+        one_world &= cancelled.is_empty();
         for &pos in cancelled.iter().rev() {
             let job = member_ids.remove(pos);
             let rec = JournalRecord::Cancelled { job, detail: "preempted at checkpoint".into() };
@@ -1279,6 +1285,7 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
         };
         fail_evicted(&rec.events[events_seen..]);
         account(&rec.outcome.traces);
+        let trace = (one_world && rec.events.is_empty()).then_some(&rec.outcome.traces[..]);
         let member_ids: Vec<JobId> = rec.surviving_members.iter().map(|&i| jobs[i]).collect();
         let results: BTreeMap<JobId, JobOutcome> = rec
             .outcome
@@ -1299,7 +1306,7 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
             batch_k,
             &member_ids,
             &results,
-            &rec.outcome.traces,
+            trace,
             exec_start,
         );
         (member_ids, results)
@@ -1314,17 +1321,18 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
 }
 
 /// Publish every completed member of a batch into the artifact store: the
-/// batch's communication trace once, then deck + outcome blobs and a
-/// manifest per member. Publish failures are logged and skipped — a full
-/// disk degrades the cache, never the campaign — and when an automatic GC
-/// budget is configured the store is collected afterwards.
+/// batch's communication trace once (`trace` is `None` unless one world ran
+/// the whole batch), then deck + outcome blobs and a manifest per member.
+/// Publish failures are logged and skipped — a full disk degrades the
+/// cache, never the campaign — and when an automatic GC budget is
+/// configured the store is collected afterwards.
 fn publish_batch(
     shared: &Shared,
     batch_id: BatchId,
     batch_k: u64,
     member_ids: &[JobId],
     results: &BTreeMap<JobId, JobOutcome>,
-    all_traces: &[Vec<xg_comm::OpRecord>],
+    trace: Option<&[Vec<xg_comm::OpRecord>]>,
     exec_start: Instant,
 ) {
     let Some(store) = shared.store.as_ref() else { return };
@@ -1332,15 +1340,13 @@ fn publish_batch(
     if member_ids.is_empty() {
         return;
     }
-    let trace_object = if all_traces.iter().any(|t| !t.is_empty()) {
+    let trace_object = trace.filter(|t| t.iter().any(|r| !r.is_empty())).and_then(|t| {
         let csv = xg_comm::traces_to_csv_with_meta(
-            all_traces,
+            t,
             &[("batch", &batch_id.to_string()), ("k", &batch_k.to_string())],
         );
         store.put_object(csv.as_bytes()).ok()
-    } else {
-        None
-    };
+    });
     let specs: Vec<(JobId, JobSpec)> = {
         let guard = shared.state.lock();
         member_ids
@@ -1626,6 +1632,71 @@ mod tests {
         server.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&jdir).unwrap();
+    }
+
+    /// Run three same-key decks (20 steps, two segments) as one k=3 batch
+    /// with artifacts on; return the decks, their final states and the
+    /// store directory.
+    fn publish_one_batch(
+        name: &str,
+        fault_plan: Option<FaultPlan>,
+    ) -> (Vec<JobSpec>, Vec<JobState>, std::path::PathBuf) {
+        let dir = scratch_store(name);
+        let mut cfg = ServerConfig::local_test();
+        cfg.artifacts = Some(ArtifactConfig::at(&dir));
+        cfg.fault_plan = fault_plan;
+        cfg.workers = 1;
+        let server = CampaignServer::start(cfg);
+        let base = CgyroInput::test_small();
+        let specs: Vec<JobSpec> = (0..3)
+            .map(|i| spec(base.with_gradients(1.0 + i as f64, 2.0), 20, name))
+            .collect();
+        let ids: Vec<JobId> = specs.iter().map(|s| server.submit(s.clone()).unwrap()).collect();
+        assert!(server.drain(Duration::from_secs(60)));
+        let states = ids.iter().map(|id| server.status(*id).unwrap().state).collect();
+        server.shutdown();
+        (specs, states, dir)
+    }
+
+    #[test]
+    fn a_batch_that_changed_worlds_publishes_no_trace() {
+        // Member 1 faults, so the survivors finish in a second world: the
+        // concatenated logs of two worlds replay as neither.
+        let (specs, states, dir) = publish_one_batch("two-worlds", Some(FaultPlan::crash(2, 4)));
+        let store = ArtifactStore::open(&dir).unwrap();
+        let mut published = 0;
+        for (s, state) in specs.iter().zip(&states) {
+            if *state == JobState::Done {
+                let m = store.lookup(deck_hash(&s.input, s.steps)).unwrap().expect("published");
+                assert_eq!(m.trace_object, None, "a two-world batch publishes no trace");
+                published += 1;
+            }
+        }
+        assert_eq!(published, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_one_world_batch_publishes_the_run_xgyro_trace() {
+        let (specs, states, dir) = publish_one_batch("one-world", None);
+        assert!(states.iter().all(|s| *s == JobState::Done));
+        let store = ArtifactStore::open(&dir).unwrap();
+        let m = store.lookup(deck_hash(&specs[0].input, 20)).unwrap().expect("published");
+        let csv = store.get_object(m.trace_object.expect("a one-world trace")).unwrap();
+        let got = xg_comm::traces_from_csv(std::str::from_utf8(&csv).unwrap()).unwrap();
+        let inputs = specs.iter().map(|s| s.input.clone()).collect();
+        let cfg = EnsembleConfig::new(inputs, ServerConfig::local_test().grid).unwrap();
+        let want = xgyro_core::run_xgyro(&cfg, 20).traces;
+        assert_eq!(got.len(), 6, "one log per rank of the k=3 world on 2x1");
+        // Op for op, up to timing.
+        let ops = |logs: &[Vec<xg_comm::OpRecord>]| -> Vec<Vec<_>> {
+            let key = |r: &xg_comm::OpRecord| {
+                (r.op, r.comm_label.clone(), r.phase.clone(), r.bytes, r.members.clone())
+            };
+            logs.iter().map(|log| log.iter().map(key).collect()).collect()
+        };
+        assert_eq!(ops(&got), ops(&want));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -33,12 +33,7 @@ pub const DEFAULT_WEIGHT: u32 = 1;
 /// [`crate::BatchKey`]. (Batch membership additionally compares the exact
 /// name, so even a colliding pair of names could never co-batch.)
 pub fn tenant_key(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    xg_artifact::fnv1a(name.as_bytes())
 }
 
 /// Whether `name` is a well-formed tenant name: 1–64 chars from

@@ -25,7 +25,7 @@ use xg_serve::{
     AdmitError, BatchId, CampaignServer, JobId, JobSpec, JobState, JournalRecord, ServerConfig,
 };
 use xg_sim::{write_deck, CgyroInput};
-use xgyro_core::{run_xgyro, run_xgyro_resilient, EnsembleConfig};
+use xgyro_core::{run_xgyro, run_xgyro_resilient_from, EnsembleConfig};
 
 const STEPS: usize = 20;
 
@@ -205,8 +205,9 @@ fn running_batch_resumes_from_its_checkpoint_bitwise_identically() {
 
     // The checkpoint a killed daemon would have journaled: the real
     // ensemble state after the first 10-step segment.
-    let half = run_xgyro_resilient(
+    let half = run_xgyro_resilient_from(
         &config_k2,
+        None,
         STEPS / 2,
         STEPS / 2,
         xg_comm::FaultPlan::new(),

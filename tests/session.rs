@@ -7,7 +7,7 @@ use xgyro_repro::comm::{FaultPlan, OpKind, OpRecord};
 use xgyro_repro::sim::CgyroInput;
 use xgyro_repro::tensor::ProcGrid;
 use xgyro_repro::xgyro::{
-    gradient_sweep, run_xgyro, run_xgyro_checkpointed, run_xgyro_resilient, EnsembleConfig,
+    gradient_sweep, run_xgyro, run_xgyro_checkpointed, run_xgyro_resilient_from, EnsembleConfig,
     EnsembleSession, ResilientRun,
 };
 
@@ -71,12 +71,12 @@ fn open_from_a_checkpoint_continues_bitwise() {
 #[test]
 fn evicting_mid_run_is_the_smaller_ensemble() {
     let cfg = gradient_sweep(&CgyroInput::test_small(), 3, ProcGrid::new(2, 1));
-    let mut run = ResilientRun::new(&cfg, None, FaultPlan::new(), DEADLINE, None).unwrap();
+    let mut run = ResilientRun::new(&cfg, None, FaultPlan::new(), DEADLINE).unwrap();
     run.advance(10).unwrap();
     run.evict(1).unwrap();
     assert_eq!(run.survivors(), [0, 2]);
     assert_eq!(run.advance(10).unwrap().k(), 2);
-    let out = run.finish().unwrap();
+    let out = run.finish_segment(0).unwrap();
     assert!(out.events.is_empty(), "an eviction is not a fault");
     // One per-rank log per world: the k=3 world, then the one rebuild at k=2.
     assert_eq!(out.outcome.traces.len(), 3 * 2 + 2 * 2);
@@ -96,13 +96,15 @@ fn a_fault_in_the_third_segment_fires_at_its_global_op() {
     // rebase. Aim a crash a few ops into the third 10-step segment.
     let cfg = gradient_sweep(&CgyroInput::test_small(), 3, ProcGrid::new(2, 1));
     let rank = 3; // member 1
-    let two_segments = ops(&run_xgyro_resilient(&cfg, 20, 10, FaultPlan::new(), DEADLINE)
-        .unwrap()
-        .outcome
-        .traces[rank]);
+    let two_segments =
+        ops(&run_xgyro_resilient_from(&cfg, None, 20, 10, FaultPlan::new(), DEADLINE)
+            .unwrap()
+            .outcome
+            .traces[rank]);
     let at_op = two_segments + 5;
 
-    let out = run_xgyro_resilient(&cfg, 40, 10, FaultPlan::crash(rank, at_op), DEADLINE).unwrap();
+    let plan = FaultPlan::crash(rank, at_op);
+    let out = run_xgyro_resilient_from(&cfg, None, 40, 10, plan, DEADLINE).unwrap();
     assert_eq!(out.events.len(), 1);
     let ev = &out.events[0];
     assert_eq!((ev.failed_rank, ev.failed_member), (rank, 1));
@@ -132,7 +134,8 @@ fn every_runner_reports_the_real_cmat_bytes() {
     assert!(want.iter().all(|b| b.len() == 4 && b.iter().all(|&x| x > 0)));
 
     let (checkpointed, _) = run_xgyro_checkpointed(&cfg, 2, None).unwrap();
-    let resilient = run_xgyro_resilient(&cfg, 2, 1, FaultPlan::new(), DEADLINE).unwrap().outcome;
+    let resilient =
+        run_xgyro_resilient_from(&cfg, None, 2, 1, FaultPlan::new(), DEADLINE).unwrap().outcome;
     for outcome in [checkpointed, resilient] {
         let got: Vec<Vec<u64>> =
             outcome.sims.into_iter().map(|s| s.cmat_bytes_per_rank).collect();

@@ -22,8 +22,7 @@
 //! `beta_e`, `upwind_diss`, `seed`, `steps_per_report`): they don't change
 //! the collision tensor, but they absolutely change the answer.
 
-use crate::fnv1a;
-use xg_sim::CgyroInput;
+use xg_sim::{CgyroInput, Fnv1a};
 
 /// Version tag baked into every hash (and its rendering): bump it if the
 /// field list or encoding ever changes, so a new binary can never serve a
@@ -61,24 +60,19 @@ impl std::str::FromStr for DeckHash {
 /// future field reordering cannot alias two different inputs) followed by
 /// its value bits.
 struct Tagged {
-    h: u64,
+    h: Fnv1a,
 }
 
 impl Tagged {
     fn new() -> Self {
-        Self { h: fnv1a(VERSION_TAG.as_bytes()) }
-    }
-
-    fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.h ^= b as u64;
-            self.h = self.h.wrapping_mul(0x100_0000_01b3);
-        }
+        let mut h = Fnv1a::new();
+        h.bytes(VERSION_TAG.as_bytes());
+        Self { h }
     }
 
     fn u64(&mut self, tag: &str, v: u64) {
-        self.mix(tag.as_bytes());
-        self.mix(&v.to_le_bytes());
+        self.h.bytes(tag.as_bytes());
+        self.h.u64(v);
     }
 
     fn f64(&mut self, tag: &str, v: f64) {
@@ -124,7 +118,7 @@ pub fn deck_hash(input: &CgyroInput, steps: usize) -> DeckHash {
     t.u64("steps_per_report", input.steps_per_report as u64);
     // The request itself.
     t.u64("steps", steps as u64);
-    DeckHash(t.h)
+    DeckHash(t.h.finish())
 }
 
 #[cfg(test)]

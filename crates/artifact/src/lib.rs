@@ -37,13 +37,6 @@ pub use manifest::{Manifest, MANIFEST_SCHEMA};
 pub use store::{ArtifactStore, GcReport, ObjectId, StoreError, StoreStats};
 
 /// 64-bit FNV-1a over a byte slice — the workspace's standard content hash
-/// (re-exported as `xg_serve::journal::fnv1a`; same constants as
-/// `CgyroInput::cmat_key`).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// (re-exported as `xg_serve::journal::fnv1a`; the one implementation is
+/// xg-sim's, which also keys `cmat`).
+pub use xg_sim::fnv1a;

@@ -27,7 +27,7 @@
 //! order and member trajectories only couple through the *shared, constant*
 //! `cmat` (identical for any k), the degraded continuation is **bitwise
 //! identical** to an unfaulted run of the surviving members alone — the
-//! property `tests/degraded_mode.rs` asserts.
+//! property the `fault_*` rows of the root `tests/contract.rs` assert.
 
 use crate::checkpoint::{CheckpointError, EnsembleCheckpoint};
 use crate::ensemble::{EnsembleConfig, EnsembleError};

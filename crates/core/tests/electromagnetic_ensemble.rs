@@ -1,9 +1,10 @@
 //! Electromagnetic ensembles: beta scans are admissible (beta is not a
-//! cmat input) and the shared-cmat exchange stays exact with A∥ on.
+//! cmat input). That the shared-cmat exchange stays exact with A∥ on is the
+//! contract's `em_*` rows (`tests/contract.rs`).
 
 use xg_sim::CgyroInput;
 use xg_tensor::ProcGrid;
-use xgyro_core::{gradient_sweep, run_cgyro_baseline, run_xgyro, EnsembleConfig};
+use xgyro_core::EnsembleConfig;
 
 fn em_deck(beta: f64) -> CgyroInput {
     let mut input = CgyroInput::test_small();
@@ -19,27 +20,4 @@ fn beta_scan_is_admissible() {
     )
     .expect("beta scan must share cmat");
     assert_eq!(cfg.k(), 3);
-}
-
-#[test]
-fn em_ensemble_matches_baseline_bitwise() {
-    let base = em_deck(0.01);
-    let grid = ProcGrid::new(2, 1);
-    let cfg = gradient_sweep(&base, 2, grid);
-    let xg = run_xgyro(&cfg, 3);
-    let cg = run_cgyro_baseline(&cfg, 3);
-    for (x, c) in xg.sims.iter().zip(&cg.sims) {
-        assert_eq!(x.h.as_slice(), c.h.as_slice());
-    }
-}
-
-#[test]
-fn mixed_beta_ensemble_members_evolve_differently() {
-    let cfg = EnsembleConfig::new(
-        vec![em_deck(0.0), em_deck(0.02)],
-        ProcGrid::new(2, 1),
-    )
-    .unwrap();
-    let xg = run_xgyro(&cfg, 4);
-    assert_ne!(xg.sims[0].h.as_slice(), xg.sims[1].h.as_slice());
 }

@@ -1,63 +1,15 @@
-//! The reproduction's headline correctness experiment (T-correct):
-//! an XGYRO ensemble produces **bitwise identical** trajectories to the
-//! same simulations run independently with CGYRO on the same per-simulation
-//! grids — while each rank holds only 1/k of the constant tensor — and its
-//! communication pattern matches Figure 3.
+//! The shape of sharing: each rank of an XGYRO ensemble holds 1/k of the
+//! constant tensor, and its communication pattern matches Figure 3. That
+//! the members compute bitwise what independent CGYRO runs compute
+//! (T-correct) is the contract (`tests/contract.rs`).
 
 use xg_comm::OpKind;
-use xg_linalg::norms::max_deviation;
-use xg_sim::{serial_simulation, CgyroInput};
+use xg_sim::CgyroInput;
 use xg_tensor::ProcGrid;
 use xgyro_core::{
     cmat_memory_law, gradient_sweep, run_cgyro_baseline, run_xgyro, summarize_trace,
     EnsembleConfig,
 };
-
-#[test]
-fn xgyro_matches_independent_cgyro_bitwise() {
-    let base = CgyroInput::test_small();
-    let grid = ProcGrid::new(2, 2);
-    let cfg = gradient_sweep(&base, 3, grid);
-    let steps = 4;
-
-    let xg = run_xgyro(&cfg, steps);
-    let cg = run_cgyro_baseline(&cfg, steps);
-
-    assert_eq!(xg.sims.len(), 3);
-    for (x, c) in xg.sims.iter().zip(&cg.sims) {
-        assert_eq!(
-            x.h.as_slice(),
-            c.h.as_slice(),
-            "sim {} trajectories must be bitwise identical",
-            x.sim
-        );
-        assert_eq!(x.diagnostics, c.diagnostics);
-    }
-}
-
-#[test]
-fn xgyro_matches_serial_reference() {
-    let base = CgyroInput::test_small();
-    let cfg = gradient_sweep(&base, 2, ProcGrid::new(3, 1));
-    let steps = 3;
-    let xg = run_xgyro(&cfg, steps);
-    for (i, member) in cfg.members().iter().enumerate() {
-        let mut s = serial_simulation(member);
-        s.run_steps(steps);
-        let dev = max_deviation(s.h().as_slice(), xg.sims[i].h.as_slice());
-        assert!(dev < 1e-12, "sim {i}: deviation from serial {dev}");
-    }
-}
-
-#[test]
-fn ensemble_members_evolve_differently() {
-    // Different gradients must actually produce different trajectories —
-    // otherwise the sweep test is vacuous.
-    let cfg = gradient_sweep(&CgyroInput::test_small(), 3, ProcGrid::new(1, 1));
-    let xg = run_xgyro(&cfg, 4);
-    assert_ne!(xg.sims[0].h.as_slice(), xg.sims[1].h.as_slice());
-    assert_ne!(xg.sims[1].h.as_slice(), xg.sims[2].h.as_slice());
-}
 
 #[test]
 fn cmat_per_rank_drops_by_k() {
@@ -122,47 +74,6 @@ fn k_equals_one_xgyro_degenerates_to_cgyro_volumes() {
         let ac = sc.coll_alltoall().unwrap();
         assert_eq!(ax.bytes, ac.bytes);
         assert_eq!(ax.participants, ac.participants);
-    }
-}
-
-#[test]
-fn uneven_ensemble_decomposition_still_exact() {
-    // nc = 32 over k·n1 = 6 coll ranks (doesn't divide): the balanced
-    // decomposition handles it; results must still match the baseline.
-    let base = CgyroInput::test_small();
-    let grid = ProcGrid::new(3, 1);
-    let cfg = gradient_sweep(&base, 2, grid);
-    let xg = run_xgyro(&cfg, 3);
-    let cg = run_cgyro_baseline(&cfg, 3);
-    for (x, c) in xg.sims.iter().zip(&cg.sims) {
-        assert_eq!(x.h.as_slice(), c.h.as_slice());
-    }
-}
-
-#[test]
-fn nonlinear_ensemble_matches_baseline() {
-    let mut base = CgyroInput::test_small();
-    base.nonlinear_coupling = 0.15;
-    let grid = ProcGrid::new(2, 2);
-    let cfg = gradient_sweep(&base, 2, grid);
-    let xg = run_xgyro(&cfg, 3);
-    let cg = run_cgyro_baseline(&cfg, 3);
-    for (x, c) in xg.sims.iter().zip(&cg.sims) {
-        assert_eq!(x.h.as_slice(), c.h.as_slice());
-    }
-}
-
-#[test]
-fn nl_in_place_ensemble_matches_transposed_bitwise() {
-    // 2×1 evaluates nl in place on each member's str layout; 2×2 transposes
-    // through the nl layout. Every member's trajectory must agree bitwise.
-    let mut base = CgyroInput::test_small();
-    base.nonlinear_coupling = 0.15;
-    let steps = 3;
-    let in_place = run_xgyro(&gradient_sweep(&base, 2, ProcGrid::new(2, 1)), steps);
-    let transposed = run_xgyro(&gradient_sweep(&base, 2, ProcGrid::new(2, 2)), steps);
-    for (a, b) in in_place.sims.iter().zip(&transposed.sims) {
-        assert_eq!(a.h.as_slice(), b.h.as_slice(), "member {}: 2x1 vs 2x2", a.sim);
     }
 }
 

@@ -1061,7 +1061,7 @@ fn batcher_loop(shared: &Shared) {
 /// worlds; modeled nodes price admission's memory budget and nothing else.
 fn worker_loop(shared: &Shared) {
     loop {
-        let rb = {
+        let batch = {
             let mut guard = shared.state.lock();
             guard.idle_workers += 1;
             let rb = loop {
@@ -1076,13 +1076,66 @@ fn worker_loop(shared: &Shared) {
             };
             guard.idle_workers -= 1;
             guard.metrics.on_world_start();
-            rb
+            // Dispatch under the lock that popped the batch: a cancel finds
+            // each member either still queued or Running, never popped and
+            // still Batched (it would terminalize a job this worker runs).
+            dispatch(shared, &mut guard, rb)
         };
-        execute_batch(shared, rb);
+        if let Some(batch) = batch {
+            execute_batch(shared, batch);
+        }
         shared.state.lock().metrics.on_world_end();
         // An ended world is the second half of drain's condition.
         shared.quiet.notify_all();
     }
+}
+
+/// A popped batch whose members are Running: what [`execute_batch`] runs.
+struct Dispatched {
+    batch: ReadyBatch,
+    inputs: Vec<CgyroInput>,
+    steps_total: usize,
+    /// The chaos fault plan, armed for the first batch only.
+    plan: Option<FaultPlan>,
+}
+
+/// Dispatch bookkeeping for a batch just popped, under the same lock:
+/// transition members to Running, record queue latency and occupancy, arm
+/// the chaos fault plan. Members of a preempted batch — or of one a restart
+/// resumed — are *already* Running: they re-enter here without a second
+/// transition, dispatch count, or Running record, so a preempt/resume cycle
+/// is invisible to occupancy accounting.
+fn dispatch(shared: &Shared, st: &mut State, batch: ReadyBatch) -> Option<Dispatched> {
+    if batch.jobs.is_empty() {
+        return None;
+    }
+    let now = Instant::now();
+    let mut inputs: Vec<CgyroInput> = Vec::new();
+    let mut steps_total = 0;
+    let mut fresh = false;
+    for id in &batch.jobs {
+        let job = st.table.job_mut(*id).expect("batched job exists");
+        steps_total = job.spec.steps;
+        inputs.push(job.spec.input.clone());
+        // A batch resumed after a restart was dispatched by a previous
+        // life: its latency spans the crash.
+        job.dispatched_at.get_or_insert(now);
+        if job.state != JobState::Batched {
+            continue;
+        }
+        fresh = true;
+        // Microsecond resolution: under test configs dispatch latency is
+        // routinely sub-millisecond, and ms-granular recording rounded it
+        // all to zero (count > 0 with sum = 0).
+        let lat_us = now.duration_since(job.submitted_at).as_micros() as u64;
+        st.metrics.on_queue_latency_us(lat_us);
+    }
+    if let (true, BatchOrigin::Flushed(reason)) = (fresh, &batch.origin) {
+        st.metrics.on_dispatch(batch.jobs.len(), inputs[0].dims(), *reason);
+        let rec = JournalRecord::Running { batch: batch.id, jobs: batch.jobs.clone() };
+        commit(shared, st, rec);
+    }
+    Some(Dispatched { batch, inputs, steps_total, plan: st.fault_plan.take() })
 }
 
 /// Run one batch as an XGYRO ensemble: **one** [`ResilientRun`] — one
@@ -1096,47 +1149,9 @@ fn worker_loop(shared: &Shared) {
 /// segment is deliberately *not* journaled — a crash between it and the
 /// `Done` records re-runs that segment deterministically, which is cheaper
 /// than reasoning about a "finished but unrecorded" limbo state.
-fn execute_batch(shared: &Shared, rb: ReadyBatch) {
-    let ReadyBatch { id: batch_id, jobs, origin, tenant, priority } = rb;
-    // Dispatch bookkeeping: transition members to Running, record queue
-    // latency and occupancy, arm the chaos fault plan (first batch only).
-    // Members of a preempted batch — or of one a restart resumed — are
-    // *already* Running: they re-enter here without a second transition,
-    // dispatch count, or Running record, so a preempt/resume cycle is
-    // invisible to occupancy accounting.
-    let (inputs, steps_total, plan) = {
-        let mut guard = shared.state.lock();
-        let st = &mut *guard;
-        let now = Instant::now();
-        let mut inputs: Vec<CgyroInput> = Vec::new();
-        let mut steps_total = 0;
-        let mut fresh = false;
-        for id in &jobs {
-            let job = st.table.job_mut(*id).expect("batched job exists");
-            steps_total = job.spec.steps;
-            inputs.push(job.spec.input.clone());
-            // A batch resumed after a restart was dispatched by a previous
-            // life: its latency spans the crash.
-            job.dispatched_at.get_or_insert(now);
-            if job.state != JobState::Batched {
-                continue;
-            }
-            fresh = true;
-            // Microsecond resolution: under test configs dispatch latency
-            // is routinely sub-millisecond, and ms-granular recording
-            // rounded it all to zero (count > 0 with sum = 0).
-            let lat_us = now.duration_since(job.submitted_at).as_micros() as u64;
-            st.metrics.on_queue_latency_us(lat_us);
-        }
-        if jobs.is_empty() {
-            return;
-        }
-        if let (true, BatchOrigin::Flushed(reason)) = (fresh, &origin) {
-            st.metrics.on_dispatch(jobs.len(), inputs[0].dims(), *reason);
-            commit(shared, st, JournalRecord::Running { batch: batch_id, jobs: jobs.clone() });
-        }
-        (inputs, steps_total, st.fault_plan.take())
-    };
+fn execute_batch(shared: &Shared, dispatched: Dispatched) {
+    let Dispatched { batch, inputs, steps_total, plan } = dispatched;
+    let ReadyBatch { id: batch_id, jobs, origin, tenant, priority } = batch;
     let batch_k = jobs.len() as u64;
     let exec_start = Instant::now();
     // Whether one world runs this batch from step 0 to its end. A resumed

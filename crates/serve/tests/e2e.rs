@@ -168,3 +168,39 @@ fn every_lifecycle_path_terminates() {
     }
     server.shutdown();
 }
+
+#[test]
+fn a_cancel_racing_dispatch_never_kills_the_worker() {
+    // Submit-then-cancel, back to back: with one worker and k_max = 1 each
+    // job flushes at once, and a spin of varying length sweeps the cancel
+    // across the moment the worker pops its batch. Wherever it lands, the
+    // job must end Cancelled or Done and the worker must survive to run the
+    // next batch. Were the pop and the Running transition two lock
+    // acquisitions, a cancel could commit Cancelled in between; the worker
+    // would run the job anyway, die on the illegal Cancelled → Done edge,
+    // and drain would never go quiet.
+    const JOBS: usize = 15_000;
+    let mut cfg = ServerConfig::local_test();
+    cfg.workers = 1;
+    cfg.k_max = 1;
+    cfg.retain_jobs = JOBS;
+    let server = CampaignServer::start(cfg);
+    let spec = JobSpec::new(CgyroInput::test_small(), STEPS);
+    let ids: Vec<JobId> = (0..JOBS)
+        .map(|i| {
+            let id = server.submit(spec.clone()).expect("admitted");
+            for _ in 0..(i % 200) * 10 {
+                std::hint::spin_loop();
+            }
+            server.cancel(id).expect("a known job");
+            id
+        })
+        .collect();
+    assert!(server.drain(Duration::from_secs(10)), "drain timed out: the worker died");
+    for id in ids {
+        let state = server.status(id).expect("retained").state;
+        assert!(matches!(state, JobState::Cancelled | JobState::Done), "{id}: {state:?}");
+    }
+    assert_eq!(server.metrics().worlds_active, 0);
+    server.shutdown();
+}

@@ -16,6 +16,7 @@
 //! paper's "minor changes to the CGYRO codebase".
 
 use crate::collision::CollisionOperator;
+use crate::fnv::Fnv1a;
 use crate::geometry::Geometry;
 use crate::grid::VelocityGrid;
 use crate::input::CgyroInput;
@@ -142,21 +143,15 @@ impl CollisionConstants {
     /// independently built slices agree, and that sharing reproduces the
     /// per-simulation build bit for bit).
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(self.nc_range.start as u64);
-        mix(self.nc_range.end as u64);
-        mix(self.nt_range.start as u64);
-        mix(self.nt_range.end as u64);
-        for x in self.tensor.as_slice() {
-            mix(x.to_bits());
+        let mut h = Fnv1a::new();
+        h.u64(self.nc_range.start as u64);
+        h.u64(self.nc_range.end as u64);
+        h.u64(self.nt_range.start as u64);
+        h.u64(self.nt_range.end as u64);
+        for &x in self.tensor.as_slice() {
+            h.f64(x);
         }
-        h
+        h.finish()
     }
 }
 

@@ -8,6 +8,7 @@
 //! excludes the gradient drives that parameter-sweep ensembles vary. XGYRO
 //! accepts an ensemble if and only if all members share one `cmat` key.
 
+use crate::fnv::Fnv1a;
 use serde::{Deserialize, Serialize};
 use xg_tensor::SimDims;
 
@@ -353,31 +354,6 @@ impl CgyroInput {
         let mut v = self.clone();
         v.seed = seed;
         v
-    }
-}
-
-/// Minimal FNV-1a hasher for the stable cmat key (independent of std's
-/// unspecified `Hasher` implementations).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf29ce484222325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100000001b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

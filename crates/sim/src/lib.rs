@@ -25,6 +25,7 @@ pub mod deck;
 pub mod diagnostics;
 pub mod dist;
 pub mod field;
+mod fnv;
 pub mod geometry;
 pub mod grid;
 pub mod input;
@@ -39,6 +40,7 @@ pub use deck::{load_deck, parse_deck, save_deck, write_deck, DeckError};
 pub use diagnostics::{ComplexTrace, History};
 pub use collision::CollisionOperator;
 pub use dist::DistTopology;
+pub use fnv::{fnv1a, Fnv1a};
 pub use input::{CgyroInput, Species};
 pub use moments::{moments_table, species_moments, SpeciesMoments};
 pub use serial::{serial_simulation, SerialTopology};

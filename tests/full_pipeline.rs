@@ -27,9 +27,6 @@ fn campaign_pipeline_hangs_together() {
     let cfg = gradient_sweep(&input, 2, grid);
     let xg = run_xgyro(&cfg, 2);
     let cg = run_cgyro_baseline(&cfg, 2);
-    for (x, c) in xg.sims.iter().zip(&cg.sims) {
-        assert_eq!(x.h.as_slice(), c.h.as_slice());
-    }
 
     // 3. Account the functional traces with the cost model: XGYRO's
     //    str-phase AllReduce must be priced at most as high as CGYRO's

@@ -1,32 +1,9 @@
-//! Larger-scale functional runs, ignored by default (run with
-//! `cargo test --release -- --ignored`). These exercise the substrate at
-//! thread counts closer to real node widths.
+//! Long-horizon stability: a strongly driven nonlinear deck stays bounded
+//! over 1000 steps.
 
 use xg_sim::CgyroInput;
-use xg_tensor::ProcGrid;
-use xgyro_repro::xgyro::{gradient_sweep, run_cgyro_baseline, run_xgyro};
 
 #[test]
-#[ignore = "64-thread functional run; use cargo test --release -- --ignored"]
-fn ensemble_of_four_on_64_ranks_matches_baseline() {
-    let base = CgyroInput::test_medium(); // nc=96, nv=72, nt=4
-    let grid = ProcGrid::new(4, 4); // 16 ranks per sim
-    let cfg = gradient_sweep(&base, 4, grid); // 64 ranks total
-    let steps = 3;
-    let xg = run_xgyro(&cfg, steps);
-    let cg = run_cgyro_baseline(&cfg, steps);
-    for (x, c) in xg.sims.iter().zip(&cg.sims) {
-        assert_eq!(x.h.as_slice(), c.h.as_slice(), "sim {}", x.sim);
-    }
-    // Memory law at scale: 64-way shared cmat.
-    let per_rank: Vec<u64> =
-        xg.sims.iter().flat_map(|s| s.cmat_bytes_per_rank.clone()).collect();
-    let total: u64 = per_rank.iter().sum();
-    assert_eq!(total, xg_sim::cmat_total_bytes(&base));
-}
-
-#[test]
-#[ignore = "long-horizon stability soak; use cargo test --release -- --ignored"]
 fn thousand_step_nonlinear_soak_stays_bounded() {
     let mut input = CgyroInput::test_small();
     input.nonlinear_coupling = 0.3;

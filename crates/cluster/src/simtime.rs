@@ -7,8 +7,9 @@
 //! * **str**, per RK stage: streaming stencil compute + a set of
 //!   velocity-moment AllReduce operations on the `nv` communicator
 //!   (3 field components + 3 species upwind moments in production);
-//! * **nl**: round-trip AllToAll transposes on the `nt` communicator +
-//!   the convolution compute;
+//! * **nl**: round-trip AllToAll exchanges on the `nt` communicator (the
+//!   forward one also carries the potential's rows) + the convolution
+//!   compute;
 //! * **coll**, once per step: round-trip AllToAll on the coll communicator
 //!   (per-simulation in CGYRO mode, ensemble-wide in XGYRO mode) + the
 //!   constant-tensor matvec stack (memory-bound: streams the local `cmat`
@@ -236,12 +237,12 @@ pub fn simulate_ensemble_member_decomp(
 
     // --- nl phase ---
     if input.nonlinear_coupling != 0.0 {
-        let t_a2a = alltoall_time(machine, nt_shape, state_bytes);
-        b.add(
-            "nl",
-            "comm",
-            (2 * policy.nl_roundtrips_per_step) as f64 * t_a2a,
-        );
+        // Forward: `h` and the potential's `nc × nt_loc` rows; reverse: the
+        // term, the size of `h`.
+        let phi_bytes = (d.nc * nt_loc) as u64 * 16;
+        let t_roundtrip = alltoall_time(machine, nt_shape, state_bytes + phi_bytes)
+            + alltoall_time(machine, nt_shape, state_bytes);
+        b.add("nl", "comm", policy.nl_roundtrips_per_step as f64 * t_roundtrip);
         let nl_kernel = KernelCost {
             flops: state_elems * d.nt as u64 * policy.nl_flops_per_point_per_mode,
             bytes: state_elems * d.nt as u64 * policy.nl_bytes_per_point_per_mode,

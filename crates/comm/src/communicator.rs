@@ -7,9 +7,9 @@
 //! against each other).
 //!
 //! The surface is what the paper's mechanism needs and nothing else:
-//! [`Communicator::split`] plus five collectives — barrier, AllGather,
-//! AllReduce (f64 sum, complex sum, f64 max) and the move-out AllToAllv —
-//! each in exactly one form.
+//! [`Communicator::split`] plus three collectives — barrier, AllReduce (f64
+//! sum, complex sum, f64 max) and the move-out AllToAllv — each in exactly
+//! one form.
 //!
 //! Reductions are **deterministic**: contributions are combined in
 //! communicator-rank order, so repeated runs and re-partitioned ensembles
@@ -240,14 +240,6 @@ impl Communicator {
     /// Synchronize all ranks.
     pub fn barrier(&self) {
         self.run_collective(OpKind::Barrier, 0, (), |_| ());
-    }
-
-    /// Gather every rank's slice; returns the per-rank vectors in rank
-    /// order.
-    pub fn all_gather<T: Clone + Send + Sync + 'static>(&self, local: &[T]) -> Vec<Vec<T>> {
-        let bytes = std::mem::size_of_val(local) as u64;
-        let res = self.run_collective(OpKind::AllGather, bytes, local.to_vec(), |items| items);
-        (*res).clone()
     }
 
     /// Element-wise reduction of `buf` across all ranks, folding the

@@ -1,9 +1,9 @@
 //! # xg-comm
 //!
 //! A thread-backed stand-in for the slice of MPI the paper's mechanism
-//! uses: a [`World`] of ranks, [`Communicator`]s with `split`, five
-//! blocking collectives in one form each (barrier, AllGather, AllReduce,
-//! AllToAllv — see [`communicator`]), and per-rank [`stats::TrafficLog`]
+//! uses: a [`World`] of ranks, [`Communicator`]s with `split`, three
+//! blocking collectives in one form each (barrier, AllReduce, AllToAllv —
+//! see [`communicator`]), and per-rank [`stats::TrafficLog`]
 //! accounting that feeds both the communication-pattern traces (paper
 //! Figures 1/3) and the analytic cost model. There is no point-to-point
 //! layer and there are no rooted collectives: the step never calls them.

@@ -23,7 +23,8 @@ pub enum OpKind {
     AllReduce,
     /// Personalized all-to-all exchange.
     AllToAll,
-    /// Gather to all ranks.
+    /// Gather to all ranks. `xg-comm` emits none; kept because a stored
+    /// trace may contain it.
     AllGather,
     /// One-to-all broadcast. `xg-comm` emits none; kept because a stored
     /// trace may contain it.

@@ -4,20 +4,6 @@ use xg_comm::{OpKind, World};
 use xg_linalg::Complex64;
 
 #[test]
-fn all_gather_returns_rank_ordered_blocks() {
-    let out = World::new(5).run(|c| {
-        let local = vec![c.rank() as u32 * 10, c.rank() as u32 * 10 + 1];
-        c.all_gather(&local)
-    });
-    for blocks in out {
-        assert_eq!(blocks.len(), 5);
-        for (r, b) in blocks.iter().enumerate() {
-            assert_eq!(b, &vec![r as u32 * 10, r as u32 * 10 + 1]);
-        }
-    }
-}
-
-#[test]
 fn all_reduce_sum_matches_serial_sum() {
     let n = 37;
     let p = 6;

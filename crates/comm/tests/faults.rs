@@ -67,13 +67,6 @@ fn crash_surfaces_in_barrier() {
 }
 
 #[test]
-fn crash_surfaces_in_all_gather() {
-    assert_crash_surfaces_in(|c| {
-        c.all_gather(&[c.rank()]);
-    });
-}
-
-#[test]
 fn crash_surfaces_in_all_to_all_v() {
     assert_crash_surfaces_in(|c| {
         let parts: Vec<Vec<u64>> = (0..c.size()).map(|d| vec![(c.rank() * d) as u64]).collect();
@@ -129,7 +122,7 @@ fn delay_under_deadline_is_harmless_and_traced() {
         )
         .run_fallible(|c| {
             c.barrier();
-            Ok(c.all_gather(&[c.rank()]).concat())
+            Ok(c.all_to_all_v_take(vec![vec![c.rank()]; c.size()]).concat())
         });
     for (r, (o, trace)) in results.into_iter().enumerate() {
         assert_eq!(o.ok().expect("delay must not fail the run"), vec![0, 1]);
@@ -175,7 +168,7 @@ proptest! {
                 c.barrier();
                 let mut acc = [c.rank() as f64];
                 c.all_reduce_sum_f64(&mut acc);
-                let g = c.all_gather(&[c.rank() as u64]);
+                let g = c.all_to_all_v_take(vec![vec![c.rank() as u64]; c.size()]);
                 let parts: Vec<Vec<u64>> =
                     (0..c.size()).map(|d| vec![(c.rank() + d) as u64]).collect();
                 let a2a = c.all_to_all_v_take(parts);

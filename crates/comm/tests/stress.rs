@@ -52,8 +52,9 @@ fn many_simultaneous_communicators() {
 
 #[test]
 fn mixed_op_kinds_interleaved() {
-    // Alternate AllReduce / AllToAll / AllGather (f64, then u8 payloads) on
-    // one communicator: heterogeneous rounds must not confuse the slot.
+    // Alternate AllReduce / AllToAll / one-element AllToAll (f64, then u8
+    // payloads) on one communicator: heterogeneous rounds must not confuse
+    // the slot.
     let p = 3;
     let mixed = |c: Communicator| {
         let mut checksum = 0.0f64;
@@ -71,11 +72,11 @@ fn mixed_op_kinds_interleaved() {
                     checksum += recv.iter().map(|b| b[0] as f64).sum::<f64>();
                 }
                 2 => {
-                    let g = c.all_gather(&[round as f64 + c.rank() as f64]);
+                    let g = c.all_to_all_v_take(vec![vec![round as f64 + c.rank() as f64]; p]);
                     checksum += g[(round as usize) % p][0];
                 }
                 _ => {
-                    let g = c.all_gather(&[c.rank() as u8]);
+                    let g = c.all_to_all_v_take(vec![vec![c.rank() as u8]; p]);
                     checksum += g.len() as f64;
                 }
             }

@@ -19,11 +19,13 @@
 //! initialization and partitioning layer around the CGYRO codebase, with
 //! minor changes to the latter".
 //!
-//! The nl phase needs the complete toroidal dimension. With `n2 > 1` it
-//! transposes str → nl over the toroidal communicator, gathers `φ`,
-//! evaluates and transposes back. With `n2 = 1` the str layout already holds
-//! every toroidal mode, so [`Topology::nl_term`] evaluates in place, as the
-//! serial topology does, and the toroidal communicator carries no traffic.
+//! The nl phase needs the complete toroidal dimension. With `n2 > 1` it runs
+//! one AllToAll pair over the toroidal communicator per stage: each forward
+//! block carries a peer's `nc` rows of `h` and of `φ`, the bracket reads them
+//! in place and writes each target mode straight into its owner's reverse
+//! block. With `n2 = 1` the str layout already holds every toroidal mode, so
+//! [`Topology::nl_term`] evaluates in place, as the serial topology does, and
+//! the toroidal communicator carries no traffic.
 
 use crate::cmat::CollisionConstants;
 use crate::collision::CollisionOperator;
@@ -35,9 +37,8 @@ use crate::stepper::Topology;
 use xg_comm::Communicator;
 use xg_linalg::{Complex64, SimdLevel};
 use xg_tensor::{
-    pack_coll_profiles_block, pack_nl_block, pack_str_block, unpack_into_coll_profiles,
-    unpack_into_nl, unpack_into_str, unpack_into_str_from_nl, Decomp1D, PhaseLayout, ProcGrid,
-    RaggedDecomp, Tensor3,
+    pack_coll_profiles_block, pack_str_block, unpack_into_coll_profiles, unpack_into_str,
+    Decomp1D, PhaseLayout, ProcGrid, RaggedDecomp, Tensor3,
 };
 
 /// Distributed topology for one rank of one simulation.
@@ -65,16 +66,12 @@ pub struct DistTopology {
     /// previous step's reverse-transpose receive blocks (per-peer sizes
     /// match exactly between the two directions).
     fwd_send: Vec<Vec<Complex64>>,
-    /// nl-layout staging: `(nc_blk, nv_loc, nt)`, this rank's `nc` block
-    /// over the toroidal communicator with the complete toroidal dimension.
-    /// This and the next three fields are empty when `n2 = 1`.
-    h_nl: Tensor3<Complex64>,
-    nl_out: Tensor3<Complex64>,
-    /// The potential completed in the toroidal dimension (`nc × nt`).
-    phi_full: Vec<Complex64>,
-    /// The nl transposes' forward send buffers, recycled from the previous
-    /// stage's reverse receive blocks, as `fwd_send` is for coll.
+    /// The nl exchange's send buffers, one per toroidal peer (none when
+    /// `n2 = 1`). Each direction's receive blocks are the next stage's send
+    /// buffers of the other direction, so a block returns to the peer whose
+    /// capacity it carries and no exchange buffer is reallocated.
     nl_fwd_send: Vec<Vec<Complex64>>,
+    nl_back_send: Vec<Vec<Complex64>>,
     /// Collision kernel SIMD level, tuned at build time for this rank's
     /// (nv, k) shape; bitwise-neutral.
     pub(crate) kernel: SimdLevel,
@@ -174,13 +171,8 @@ impl DistTopology {
         let lanes = sims_in_coll * dims.nv;
         let p = coll_comm.size();
         // With one toroidal rank the str layout already is the nl layout:
-        // `nl_term` evaluates in place and no nl staging is allocated.
-        let (nl_peers, nc_blk, nvl, nt_nl) = if grid.n2 > 1 {
-            let nc_blk = Decomp1D::new(dims.nc, grid.n2).count(i2);
-            (grid.n2, nc_blk, layout.nv_range().len(), dims.nt)
-        } else {
-            (0, 0, 0, 0)
-        };
+        // `nl_term` evaluates in place and exchanges nothing.
+        let nl_peers = if grid.n2 > 1 { grid.n2 } else { 0 };
 
         Self {
             layout,
@@ -195,10 +187,8 @@ impl DistTopology {
             coll_in: Tensor3::new(my_nc, ntl, lanes),
             coll_out: Tensor3::new(my_nc, ntl, lanes),
             fwd_send: (0..p).map(|_| Vec::new()).collect(),
-            h_nl: Tensor3::new(nc_blk, nvl, nt_nl),
-            nl_out: Tensor3::new(nc_blk, nvl, nt_nl),
-            phi_full: vec![Complex64::ZERO; dims.nc * nt_nl],
             nl_fwd_send: (0..nl_peers).map(|_| Vec::new()).collect(),
+            nl_back_send: (0..nl_peers).map(|_| Vec::new()).collect(),
             kernel,
         }
     }
@@ -332,57 +322,39 @@ impl Topology for DistTopology {
             self.nl.eval(h, phi, 0, out);
             return;
         }
-        let dims = self.layout.dims();
-        let nc2_decomp = Decomp1D::new(dims.nc, n2);
-        let nt_decomp = self.layout.nt_decomp();
-        let my_i2 = self.nt_comm.rank();
+        let nc2_decomp = Decomp1D::new(self.layout.dims().nc, n2);
+        let (_, nvl, ntl) = self.layout.str_shape();
+        let row = nvl * ntl;
         let elem = std::mem::size_of::<Complex64>() as u64;
 
-        // Transpose str -> nl over the toroidal communicator. The send
-        // buffers are the previous stage's reverse-receive blocks (per-peer
-        // sizes match exactly between directions, as in `collision_step`).
+        // Forward: toroidal peer `j` gets my `h` rows and my `φ` rows over
+        // its `nc` block, both contiguous in the str layout.
         let mut send = std::mem::take(&mut self.nl_fwd_send);
         let mut drained: u64 = 0;
         for (j, buf) in send.iter_mut().enumerate() {
             drained += buf.capacity() as u64 * elem;
             buf.clear();
-            pack_str_block(h, nc2_decomp.range(j), buf);
+            let r = nc2_decomp.range(j);
+            buf.extend_from_slice(&h.as_slice()[r.start * row..r.end * row]);
+            buf.extend_from_slice(&phi[r.start * ntl..r.end * ntl]);
         }
         let recv = self.nt_comm.all_to_all_v_take(send);
-        for (j, block) in recv.iter().enumerate() {
-            unpack_into_nl(block, nt_decomp.range(j), &mut self.h_nl);
-        }
 
-        // Complete phi in the toroidal dimension (small gather).
-        let phi_blocks = self.nt_comm.all_gather(phi);
-        for (j, block) in phi_blocks.iter().enumerate() {
-            let r = nt_decomp.range(j);
-            let ntl_j = r.len();
-            for ic in 0..dims.nc {
-                for (itl, itor) in r.clone().enumerate() {
-                    self.phi_full[ic * dims.nt + itor] = block[ic * ntl_j + itl];
-                }
-            }
-        }
-
-        // Evaluate and transpose back, recycling the forward receive blocks.
-        self.nl.eval(
-            &self.h_nl,
-            &self.phi_full,
-            nc2_decomp.start(my_i2),
-            &mut self.nl_out,
-        );
-        let mut send_back = recv;
-        for (j, buf) in send_back.iter_mut().enumerate() {
-            drained += buf.capacity() as u64 * elem;
-            buf.clear();
-            pack_nl_block(&self.nl_out, nt_decomp.range(j), buf);
-        }
+        // Evaluate on the received blocks, writing each target mode into
+        // its owner's reverse block.
+        let mut send_back = std::mem::take(&mut self.nl_back_send);
+        drained += send_back.iter().map(|b| b.capacity() as u64 * elem).sum::<u64>();
+        let nc_blk = nc2_decomp.count(self.nt_comm.rank());
+        self.nl.eval_blocks(&recv, self.layout.nt_decomp(), nc_blk, nvl, &mut send_back);
         let recv_back = self.nt_comm.all_to_all_v_take(send_back);
+
+        // Reverse: peer `j` returns my term's rows over its `nc` block.
         for (j, block) in recv_back.iter().enumerate() {
-            unpack_into_str_from_nl(block, nc2_decomp.range(j), out);
+            let r = nc2_decomp.range(j);
+            out.as_mut_slice()[r.start * row..r.end * row].copy_from_slice(block);
         }
         self.nl_fwd_send = recv_back;
+        self.nl_back_send = recv;
         self.nt_comm.log().note_drained_capacity(drained);
     }
 

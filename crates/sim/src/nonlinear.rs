@@ -17,7 +17,7 @@
 
 use crate::input::CgyroInput;
 use xg_linalg::Complex64;
-use xg_tensor::Tensor3;
+use xg_tensor::{Decomp1D, Tensor3};
 
 /// Lines evaluated side by side. Each lane holds one line's own
 /// accumulator, so a term is `LANES` independent multiply–add chains the
@@ -52,6 +52,25 @@ fn mac(acc: &mut (Plane, Plane), x: (&Plane, &Plane), y: (&Plane, &Plane), k: f6
     }
 }
 
+impl ModeLanes {
+    /// Put one line's mode (`h`, `φ`) into lane `l`.
+    #[inline(always)]
+    fn load(&mut self, l: usize, h: &Complex64, phi: &Complex64) {
+        self.h_re[l] = h.re;
+        self.h_im[l] = h.im;
+        self.h_im_neg[l] = -h.im;
+        self.phi_re[l] = phi.re;
+        self.phi_im[l] = phi.im;
+        self.phi_im_neg[l] = -phi.im;
+    }
+}
+
+/// Lane `l`'s output: `(i·c/2)·acc`.
+#[inline(always)]
+fn lane_out(half_c: f64, acc: &(Plane, Plane), l: usize) -> Complex64 {
+    Complex64::new(0.0, half_c) * Complex64::new(acc.0[l], acc.1[l])
+}
+
 /// Nonlinear convolution kernel (toroidal-only truncated bracket).
 #[derive(Clone, Debug)]
 pub struct NlKernel {
@@ -81,14 +100,14 @@ impl NlKernel {
     /// Evaluate the nonlinear term on nl-layout data.
     ///
     /// * `h_nl`: `(nc_blk, nv_loc, nt)` — full toroidal dimension.
-    /// * `phi_full`: `nc × nt` row-major (`ic·nt + n`), the potential with
-    ///   the complete toroidal dimension.
+    /// * `phi`: `nc × nt` row-major (`ic·nt + n`), the potential with the
+    ///   complete toroidal dimension.
     /// * `nc_offset`: global `ic` of `h_nl`'s first configuration row.
     /// * `out`: same shape as `h_nl`, overwritten.
     pub fn eval(
         &self,
         h_nl: &Tensor3<Complex64>,
-        phi_full: &[Complex64],
+        phi: &[Complex64],
         nc_offset: usize,
         out: &mut Tensor3<Complex64>,
     ) {
@@ -99,7 +118,6 @@ impl NlKernel {
             out.fill(Complex64::ZERO);
             return;
         }
-        let ky = &self.ky;
         let half_c = 0.5 * self.coupling;
         let lines = nc_blk * nvl;
         let mut modes = vec![ModeLanes::default(); nt];
@@ -111,47 +129,113 @@ impl NlKernel {
                 let line = first + l.min(live - 1);
                 let ic = nc_offset + line / nvl;
                 let h = &h_nl.as_slice()[line * nt..(line + 1) * nt];
-                let phi = &phi_full[ic * nt..(ic + 1) * nt];
+                let phi = &phi[ic * nt..(ic + 1) * nt];
                 for (m, (hz, pz)) in modes.iter_mut().zip(h.iter().zip(phi)) {
-                    m.h_re[l] = hz.re;
-                    m.h_im[l] = hz.im;
-                    m.h_im_neg[l] = -hz.im;
-                    m.phi_re[l] = pz.re;
-                    m.phi_im[l] = pz.im;
-                    m.phi_im_neg[l] = -pz.im;
+                    m.load(l, hz, pz);
                 }
             }
-            // Target mode p = n + 1; zero-based indices a = p1 − 1 and
-            // b = |p2| − 1 (or |p1| − 1), ascending as the sum is defined.
+            let o = out.as_mut_slice();
             for n in 0..nt {
-                let mut acc = ([0.0; LANES], [0.0; LANES]);
-                // Family 1: p1 + p2 = p, both positive.
-                for a in 0..n {
-                    let (x, y) = (&modes[a], &modes[n - 1 - a]);
-                    let k = ky[a] - ky[n - 1 - a];
-                    mac(&mut acc, (&x.phi_re, &x.phi_im), (&y.h_re, &y.h_im), k);
-                }
-                // Family 2: p1 − |p2| = p: φ_{p1}·conj(h_{|p2|}),
-                // K = ky_{p1} + ky_{|p2|}.
-                for b in 0..nt - 1 - n {
-                    let (x, y) = (&modes[n + 1 + b], &modes[b]);
-                    let k = ky[n + 1 + b] + ky[b];
-                    mac(&mut acc, (&x.phi_re, &x.phi_im), (&y.h_re, &y.h_im_neg), k);
-                }
-                // Family 3: −|p1| + p2 = p: conj(φ_{|p1|})·h_{p2},
-                // K = −ky_{|p1|} − ky_{p2}.
-                for b in 0..nt - 1 - n {
-                    let (x, y) = (&modes[b], &modes[n + 1 + b]);
-                    let k = -(ky[b] + ky[n + 1 + b]);
-                    mac(&mut acc, (&x.phi_re, &x.phi_im_neg), (&y.h_re, &y.h_im), k);
-                }
-                let o = out.as_mut_slice();
+                let acc = self.target(&modes, n);
                 for l in 0..live {
-                    o[(first + l) * nt + n] =
-                        Complex64::new(0.0, half_c) * Complex64::new(acc.0[l], acc.1[l]);
+                    o[(first + l) * nt + n] = lane_out(half_c, &acc, l);
                 }
             }
         }
+    }
+
+    /// Evaluate the nonlinear term straight out of the toroidal exchange's
+    /// blocks, with no nl-layout staging: [`NlKernel::eval`]'s arithmetic,
+    /// bit for bit, on the same `nc_blk × nvl` lines.
+    ///
+    /// * `recv[j]`: the block from toroidal rank `j`, owner of modes
+    ///   `nt_decomp.range(j)`: its `h` rows `[ic_loc][iv_loc][it]`, then its
+    ///   `φ` rows `[ic_loc][it]`, both over this rank's `nc_blk` rows.
+    /// * `send[j]`: overwritten with the outputs of rank `j`'s modes,
+    ///   ordered `[ic_loc][iv_loc][it]` — the rows of rank `j`'s str-layout
+    ///   term that this rank computes.
+    pub(crate) fn eval_blocks(
+        &self,
+        recv: &[Vec<Complex64>],
+        nt_decomp: Decomp1D,
+        nc_blk: usize,
+        nvl: usize,
+        send: &mut [Vec<Complex64>],
+    ) {
+        let nt = self.nt;
+        assert_eq!(nt_decomp.total(), nt);
+        assert_eq!(recv.len(), nt_decomp.parts(), "one block per toroidal rank");
+        assert_eq!(send.len(), nt_decomp.parts(), "one block per toroidal rank");
+        let lines = nc_blk * nvl;
+        for (j, (blk, dst)) in recv.iter().zip(send.iter_mut()).enumerate() {
+            let ntl = nt_decomp.count(j);
+            assert_eq!(blk.len(), (lines + nc_blk) * ntl, "block size mismatch");
+            dst.clear();
+            dst.resize(lines * ntl, Complex64::ZERO);
+        }
+        if self.is_disabled() {
+            return;
+        }
+        let half_c = 0.5 * self.coupling;
+        let mut modes = vec![ModeLanes::default(); nt];
+        for first in (0..lines).step_by(LANES) {
+            let live = LANES.min(lines - first);
+            for l in 0..LANES {
+                let line = first + l.min(live - 1);
+                let icl = line / nvl;
+                for (j, blk) in recv.iter().enumerate() {
+                    let r = nt_decomp.range(j);
+                    let ntl = r.len();
+                    let (h, phi) = blk.split_at(lines * ntl);
+                    let h = &h[line * ntl..(line + 1) * ntl];
+                    let phi = &phi[icl * ntl..(icl + 1) * ntl];
+                    for (m, (hz, pz)) in modes[r].iter_mut().zip(h.iter().zip(phi)) {
+                        m.load(l, hz, pz);
+                    }
+                }
+            }
+            for (j, dst) in send.iter_mut().enumerate() {
+                let r = nt_decomp.range(j);
+                let ntl = r.len();
+                for (itl, n) in r.enumerate() {
+                    let acc = self.target(&modes, n);
+                    for l in 0..live {
+                        dst[(first + l) * ntl + itl] = lane_out(half_c, &acc, l);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bracket at target mode `p = n + 1` on `LANES` gathered lines:
+    /// the one arithmetic body of both layouts. Zero-based indices
+    /// `a = p1 − 1` and `b = |p2| − 1` (or `|p1| − 1`) run ascending, as
+    /// the sum is defined.
+    #[inline(always)]
+    fn target(&self, modes: &[ModeLanes], n: usize) -> (Plane, Plane) {
+        let (ky, nt) = (&self.ky, modes.len());
+        let mut acc = ([0.0; LANES], [0.0; LANES]);
+        // Family 1: p1 + p2 = p, both positive.
+        for a in 0..n {
+            let (x, y) = (&modes[a], &modes[n - 1 - a]);
+            let k = ky[a] - ky[n - 1 - a];
+            mac(&mut acc, (&x.phi_re, &x.phi_im), (&y.h_re, &y.h_im), k);
+        }
+        // Family 2: p1 − |p2| = p: φ_{p1}·conj(h_{|p2|}),
+        // K = ky_{p1} + ky_{|p2|}.
+        for b in 0..nt - 1 - n {
+            let (x, y) = (&modes[n + 1 + b], &modes[b]);
+            let k = ky[n + 1 + b] + ky[b];
+            mac(&mut acc, (&x.phi_re, &x.phi_im), (&y.h_re, &y.h_im_neg), k);
+        }
+        // Family 3: −|p1| + p2 = p: conj(φ_{|p1|})·h_{p2},
+        // K = −ky_{|p1|} − ky_{p2}.
+        for b in 0..nt - 1 - n {
+            let (x, y) = (&modes[b], &modes[n + 1 + b]);
+            let k = -(ky[b] + ky[n + 1 + b]);
+            mac(&mut acc, (&x.phi_re, &x.phi_im_neg), (&y.h_re, &y.h_im), k);
+        }
+        acc
     }
 
     /// The direct sum one line at a time: the oracle [`NlKernel::eval`]'s
@@ -160,7 +244,7 @@ impl NlKernel {
     fn eval_direct(
         &self,
         h_nl: &Tensor3<Complex64>,
-        phi_full: &[Complex64],
+        phi: &[Complex64],
         nc_offset: usize,
         out: &mut Tensor3<Complex64>,
     ) {
@@ -168,7 +252,7 @@ impl NlKernel {
         let half_c = 0.5 * self.coupling;
         for icl in 0..nc_blk {
             let ic = nc_offset + icl;
-            let phi = &phi_full[ic * nt..(ic + 1) * nt];
+            let phi = &phi[ic * nt..(ic + 1) * nt];
             for ivl in 0..nvl {
                 let hline = h_nl.line(icl, ivl);
                 let oline = out.line_mut(icl, ivl);
@@ -315,10 +399,13 @@ mod tests {
             nc_offset in 0usize..3,
             coupling in prop_oneof![Just(0.0), -1.0f64..1.0],
             seed in 0u64..u64::MAX,
+            n2 in 1usize..5,
         ) {
             // Line counts 1..=33 (mostly not a multiple of the lane count),
             // a nonzero `nc` offset, and the linear run's zero coupling,
-            // where `eval` writes zeros without evaluating.
+            // where `eval` writes zeros without evaluating. The block path
+            // gets the same lines split over `n2` toroidal ranks, ragged
+            // (or empty) where `n2` does not divide `nt`.
             let k = kernel(nt, coupling);
             let mut s = seed;
             let mut z = || Complex64::new(uniform(&mut s), uniform(&mut s));
@@ -336,6 +423,35 @@ mod tests {
                     (w.re.to_bits(), w.im.to_bits()),
                     "nt {} lines {}×{} offset {} element {}", nt, nc_blk, nvl, nc_offset, i
                 );
+            }
+
+            let nt_d = Decomp1D::new(nt, n2);
+            let lines = nc_blk * nvl;
+            let recv: Vec<Vec<Complex64>> = (0..n2)
+                .map(|j| {
+                    let r = nt_d.range(j);
+                    let h_rows = (0..lines).flat_map(|line| &h.as_slice()[line * nt..][r.clone()]);
+                    let phi_rows =
+                        (nc_offset..nc_offset + nc_blk).flat_map(|ic| &phi[ic * nt..][r.clone()]);
+                    h_rows.chain(phi_rows).copied().collect()
+                })
+                .collect();
+            let mut send: Vec<Vec<Complex64>> =
+                (0..n2).map(|_| vec![Complex64::new(9.0, 9.0); 3]).collect();
+            k.eval_blocks(&recv, nt_d, nc_blk, nvl, &mut send);
+            for (j, blk) in send.iter().enumerate() {
+                let r = nt_d.range(j);
+                prop_assert_eq!(blk.len(), lines * r.len());
+                for line in 0..lines {
+                    for (itl, n) in r.clone().enumerate() {
+                        let (g, w) = (blk[line * r.len() + itl], want.as_slice()[line * nt + n]);
+                        prop_assert_eq!(
+                            (g.re.to_bits(), g.im.to_bits()),
+                            (w.re.to_bits(), w.im.to_bits()),
+                            "n2 {} block {} line {} mode {}", n2, j, line, n
+                        );
+                    }
+                }
             }
         }
     }

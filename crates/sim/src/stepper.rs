@@ -43,8 +43,8 @@ pub trait Topology {
 
     /// Evaluate the nonlinear term into `out` (str layout); `phi` is the
     /// completed potential (`nc × nt_loc`). A rank that holds the complete
-    /// toroidal dimension evaluates in place; otherwise the term is
-    /// transposed through the nl layout and back.
+    /// toroidal dimension evaluates in place; otherwise `h` and `phi` go
+    /// out over the toroidal communicator and the term comes back.
     fn nl_term(
         &mut self,
         h: &Tensor3<Complex64>,

@@ -95,58 +95,6 @@ pub fn unpack_into_str<T: Copy>(block: &[T], nc_range: Range<usize>, h_str: &mut
     }
 }
 
-/// Unpack a block received from the str-side peer owning `nt_range` into
-/// the nl-layout tensor `h_nl` of shape `(nc_blk, nv_loc, nt)`.
-///
-/// The block is ordered `[ic_loc][iv_loc][it ∈ nt_range]` (the sender's str
-/// rows restricted to this rank's `nc` slice, carrying the sender's local
-/// toroidal slice).
-pub fn unpack_into_nl<T: Copy>(block: &[T], nt_range: Range<usize>, h_nl: &mut Tensor3<T>) {
-    let (nc_blk, nv_loc, nt) = h_nl.shape();
-    assert!(nt_range.end <= nt, "nt_range {nt_range:?} outside nt={nt}");
-    let ntl = nt_range.len();
-    assert_eq!(
-        block.len(),
-        nc_blk * nv_loc * ntl,
-        "block size mismatch: got {}, expected {}",
-        block.len(),
-        nc_blk * nv_loc * ntl
-    );
-    let mut src = 0;
-    for ic in 0..nc_blk {
-        for ivl in 0..nv_loc {
-            let dst = (ic * nv_loc + ivl) * nt + nt_range.start;
-            h_nl.as_mut_slice()[dst..dst + ntl].copy_from_slice(&block[src..src + ntl]);
-            src += ntl;
-        }
-    }
-}
-
-/// Inverse of [`pack_str_block`]: write a block ordered
-/// `[ic ∈ nc_range][iv_loc][it_loc]` back into the str-layout tensor's rows.
-pub fn unpack_into_str_from_nl<T: Copy>(
-    block: &[T],
-    nc_range: Range<usize>,
-    h_str: &mut Tensor3<T>,
-) {
-    let (nc, nv_loc, nt_loc) = h_str.shape();
-    assert!(nc_range.end <= nc, "nc_range {nc_range:?} outside nc={nc}");
-    let row_len = nv_loc * nt_loc;
-    assert_eq!(
-        block.len(),
-        nc_range.len() * row_len,
-        "block size mismatch: got {}, expected {}",
-        block.len(),
-        nc_range.len() * row_len
-    );
-    let mut src = 0;
-    for ic in nc_range {
-        let dst = ic * row_len;
-        h_str.as_mut_slice()[dst..dst + row_len].copy_from_slice(&block[src..src + row_len]);
-        src += row_len;
-    }
-}
-
 /// Unpack a block received from the str-side peer owning `nv_range` into a
 /// *profile-contiguous* coll tensor `h_cp` of shape
 /// `(nc_loc, nt_loc, lanes)`, writing velocity index `iv` into lane
@@ -217,20 +165,6 @@ pub fn pack_coll_profiles_block<T: Copy>(
             for it in 0..nt_loc {
                 buf.push(src[base + it * lanes]);
             }
-        }
-    }
-}
-
-/// Pack the nl-layout block destined for the str-side peer owning
-/// `nt_range`: shape `(nc_blk, nv_loc, nt)` restricted to those toroidal
-/// modes, ordered `[ic_loc][iv_loc][it ∈ nt_range]`.
-pub fn pack_nl_block<T: Copy>(h_nl: &Tensor3<T>, nt_range: Range<usize>, buf: &mut Vec<T>) {
-    let (nc_blk, nv_loc, nt) = h_nl.shape();
-    assert!(nt_range.end <= nt, "nt_range {nt_range:?} outside nt={nt}");
-    for ic in 0..nc_blk {
-        for ivl in 0..nv_loc {
-            let start = (ic * nv_loc + ivl) * nt + nt_range.start;
-            buf.extend_from_slice(&h_nl.as_slice()[start..start + nt_range.len()]);
         }
     }
 }
@@ -409,59 +343,5 @@ mod tests {
     fn profile_unpack_lane_overflow_panics() {
         let mut h: Tensor3<u64> = Tensor3::new(2, 2, 4);
         unpack_into_coll_profiles(&[0u64; 8], 0..2, 3, &mut h);
-    }
-
-    #[test]
-    fn nl_transpose_roundtrip() {
-        // str (nc, nvl, ntl) shards over the nt communicator -> nl layout
-        // (nc2_loc, nvl, nt) and back.
-        let (nc, nvl, nt, n2) = (6usize, 3usize, 5usize, 2usize);
-        let nt_d = Decomp1D::new(nt, n2);
-        let nc2_d = Decomp1D::new(nc, n2);
-        let global = Tensor3::from_fn(nc, nvl, nt, |a, b, c| (a * 100 + b * 10 + c) as u64);
-        // Build the per-rank str shards (full nc, local nt).
-        let str_shards: Vec<Tensor3<u64>> = (0..n2)
-            .map(|p| {
-                let r = nt_d.range(p);
-                Tensor3::from_fn(nc, nvl, r.len(), |ic, ivl, itl| {
-                    global[(ic, ivl, r.start + itl)]
-                })
-            })
-            .collect();
-        // Forward: every rank packs nc2 blocks, receivers complete nt.
-        let mut nl_shards: Vec<Tensor3<u64>> = (0..n2)
-            .map(|q| Tensor3::new(nc2_d.count(q), nvl, nt))
-            .collect();
-        for (p, s) in str_shards.iter().enumerate() {
-            for (q, d) in nl_shards.iter_mut().enumerate() {
-                let mut blk = Vec::new();
-                pack_str_block(s, nc2_d.range(q), &mut blk);
-                unpack_into_nl(&blk, nt_d.range(p), d);
-            }
-        }
-        for (q, d) in nl_shards.iter().enumerate() {
-            let r = nc2_d.range(q);
-            for (icl, ic) in r.clone().enumerate() {
-                for ivl in 0..nvl {
-                    for it in 0..nt {
-                        assert_eq!(d[(icl, ivl, it)], global[(ic, ivl, it)]);
-                    }
-                }
-            }
-        }
-        // Reverse: back to str shards.
-        let mut back: Vec<Tensor3<u64>> = (0..n2)
-            .map(|p| Tensor3::new(nc, nvl, nt_d.count(p)))
-            .collect();
-        for (q, d) in nl_shards.iter().enumerate() {
-            for (p, s) in back.iter_mut().enumerate() {
-                let mut blk = Vec::new();
-                pack_nl_block(d, nt_d.range(p), &mut blk);
-                unpack_into_str_from_nl(&blk, nc2_d.range(q), s);
-            }
-        }
-        for (orig, b) in str_shards.iter().zip(&back) {
-            assert_eq!(orig, b);
-        }
     }
 }

@@ -96,63 +96,6 @@ proptest! {
     }
 
     #[test]
-    fn nl_transpose_roundtrip_bijection(
-        nc in 1usize..10,
-        nvl in 1usize..5,
-        nt in 1usize..8,
-        n2 in 1usize..5,
-    ) {
-        use xg_tensor::{pack_nl_block, unpack_into_nl, unpack_into_str_from_nl};
-        let nt_d = Decomp1D::new(nt, n2);
-        let nc2_d = Decomp1D::new(nc, n2);
-        // Tagged str shards (full nc, local nt).
-        let shards: Vec<Tensor3<u32>> = (0..n2)
-            .map(|p| {
-                let r = nt_d.range(p);
-                Tensor3::from_fn(nc, nvl, r.len(), |ic, ivl, itl| {
-                    (ic * 10_000 + ivl * 100 + (r.start + itl)) as u32
-                })
-            })
-            .collect();
-        // Forward to nl layout.
-        let mut nl: Vec<Tensor3<u32>> =
-            (0..n2).map(|q| Tensor3::new(nc2_d.count(q), nvl, nt)).collect();
-        for (p, s) in shards.iter().enumerate() {
-            for (q, d) in nl.iter_mut().enumerate() {
-                let mut blk = Vec::new();
-                pack_str_block(s, nc2_d.range(q), &mut blk);
-                unpack_into_nl(&blk, nt_d.range(p), d);
-            }
-        }
-        for (q, d) in nl.iter().enumerate() {
-            let r = nc2_d.range(q);
-            for (icl, ic) in r.clone().enumerate() {
-                for ivl in 0..nvl {
-                    for it in 0..nt {
-                        prop_assert_eq!(
-                            d[(icl, ivl, it)],
-                            (ic * 10_000 + ivl * 100 + it) as u32
-                        );
-                    }
-                }
-            }
-        }
-        // And back.
-        let mut back: Vec<Tensor3<u32>> =
-            (0..n2).map(|p| Tensor3::new(nc, nvl, nt_d.count(p))).collect();
-        for (q, d) in nl.iter().enumerate() {
-            for (p, s) in back.iter_mut().enumerate() {
-                let mut blk = Vec::new();
-                pack_nl_block(d, nt_d.range(p), &mut blk);
-                unpack_into_str_from_nl(&blk, nc2_d.range(q), s);
-            }
-        }
-        for (orig, b) in shards.iter().zip(&back) {
-            prop_assert_eq!(orig, b);
-        }
-    }
-
-    #[test]
     fn profile_layout_matches_legacy_coll_permutation(
         nc in 1usize..12,
         nv in 1usize..12,

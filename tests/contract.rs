@@ -343,6 +343,19 @@ fn nl_in_place_2x1_equals_transposed_2x2() {
 }
 
 #[test]
+fn nl_ragged_2x3_equals_in_place_2x1() {
+    // n2 = 3 splits nt = 5 into 2 + 2 + 1 modes and nc = 32 into 11 + 11 +
+    // 10 rows, so every toroidal exchange block is uneven. Same h as the
+    // in-place 2×1 run, bit for bit.
+    let nl_case = |grid| Case::sweep(&CgyroInput { n_toroidal: 5, ..nl(0.15) }, 2, grid, 3);
+    let in_place = assert_members_equal_standalone(&nl_case(g(2, 1)));
+    let ragged = assert_members_equal_standalone(&nl_case(g(2, 3)));
+    for (a, b) in in_place.outcome.sims.iter().zip(&ragged.outcome.sims) {
+        assert!(a.h.as_slice() == b.h.as_slice(), "member {}: 2×1 against 2×3", a.sim);
+    }
+}
+
+#[test]
 fn pinned_k2_3x1_linear() {
     // nc = 32 over k·n1 = 6 coll ranks does not divide; members still
     // equal their standalone runs, and those stay within roundoff of serial.

@@ -61,29 +61,19 @@ fn assert_trace_matches_mini_schedule(grid: ProcGrid) {
             assert!(nl.is_none(), "rank {rank} logged nl traffic at n2 = 1: {nl:?}");
         }
     } else {
-        // nl AllToAll: 2 per round-trip × round-trips/step × steps, each the
-        // full local state.
-        let nl_a2a: Vec<_> = trace
-            .iter()
-            .filter(|r| r.op == OpKind::AllToAll && r.phase == "nl")
-            .collect();
-        assert_eq!(
-            nl_a2a.len(),
-            2 * policy.nl_roundtrips_per_step * steps,
-            "nl AllToAll count"
-        );
-        for r in &nl_a2a {
-            assert_eq!(r.bytes, state_bytes, "nl transpose volume");
+        // nl: one AllToAll pair per round-trip and nothing else. The forward
+        // exchange carries the local state plus the potential's nc·nt_loc
+        // rows, the reverse one the local state.
+        let nl: Vec<_> = trace.iter().filter(|r| r.phase == "nl").collect();
+        assert!(nl.iter().all(|r| r.op == OpKind::AllToAll), "nl issues only AllToAll");
+        assert_eq!(nl.len(), 2 * policy.nl_roundtrips_per_step * steps, "nl AllToAll count");
+        let phi_bytes = (dims.nc * nt_loc * 16) as u64;
+        for (i, r) in nl.iter().enumerate() {
+            let want = if i % 2 == 0 { state_bytes + phi_bytes } else { state_bytes };
+            assert_eq!(r.bytes, want, "nl exchange {i} volume");
             assert_eq!(r.participants, grid.n2);
+            assert_eq!(r.comm_label, "nt");
         }
-        // nl AllGather: the potential completed in the toroidal dimension,
-        // once per round-trip (every stage).
-        let nl_ag: Vec<_> = trace
-            .iter()
-            .filter(|r| r.op == OpKind::AllGather && r.phase == "nl")
-            .collect();
-        assert_eq!(nl_ag.len(), policy.nl_roundtrips_per_step * steps, "nl AllGather count");
-        assert!(nl_ag.iter().all(|r| r.participants == grid.n2));
     }
 
     // coll AllToAll: 2 per round-trip × steps on the ensemble communicator.
@@ -97,12 +87,12 @@ fn assert_trace_matches_mini_schedule(grid: ProcGrid) {
         assert_eq!(r.participants, k * grid.n1);
     }
 
-    // The step's whole traffic is three kinds of collective; a new one on
+    // The step's whole traffic is two kinds of collective; a new one on
     // the step path has to show up here.
     for (rank, trace) in outcome.traces.iter().enumerate() {
         for r in trace {
             assert!(
-                matches!(r.op, OpKind::AllReduce | OpKind::AllToAll | OpKind::AllGather),
+                matches!(r.op, OpKind::AllReduce | OpKind::AllToAll),
                 "rank {rank} logged {} on {}/{}",
                 r.op,
                 r.comm_label,

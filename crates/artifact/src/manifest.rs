@@ -42,6 +42,9 @@ pub struct Manifest {
     pub kernel: String,
     /// Machine model the server was configured with.
     pub machine: String,
+    /// Process grid the batch's world ran on (`"1x1"`); provenance only,
+    /// like `batch_k`. Empty in manifests written before it was recorded.
+    pub proc_grid: String,
     /// Per-phase elapsed time, microseconds, in execution order.
     pub phase_us: Vec<(String, u64)>,
     /// Steps actually executed (== `steps` for a completed run).
@@ -97,10 +100,11 @@ impl Manifest {
             self.grid[0], self.grid[1], self.grid[2], self.grid[3], self.grid[4], self.n_species
         ));
         s.push_str(&format!(
-            "  \"topology\": {{\"batch_k\": {}, \"coll_cuts\": \"{}\", \"machine\": \"{}\"}},\n",
+            "  \"topology\": {{\"batch_k\": {}, \"coll_cuts\": \"{}\", \"machine\": \"{}\", \"proc_grid\": \"{}\"}},\n",
             self.batch_k,
             escape(&self.coll_cuts),
-            escape(&self.machine)
+            escape(&self.machine),
+            escape(&self.proc_grid)
         ));
         s.push_str(&format!("  \"algo\": {{\"kernel\": \"{}\"}},\n", escape(&self.kernel)));
         s.push_str("  \"phase_us\": {");
@@ -194,6 +198,10 @@ impl Manifest {
             coll_cuts: parse_str_field(topo.get("coll_cuts"), "topology.coll_cuts")?,
             kernel: parse_str_field(algo.get("kernel"), "algo.kernel")?,
             machine: parse_str_field(topo.get("machine"), "topology.machine")?,
+            proc_grid: match topo.get("proc_grid") {
+                None => String::new(),
+                field => parse_str_field(field, "topology.proc_grid")?,
+            },
             phase_us,
             steps_done: parse_u64(summary.get("steps_done"), "summary.steps_done")?,
             h_hash: parse_hex(summary.get("h_hash"), "summary.h_hash")?,
@@ -230,6 +238,7 @@ impl Manifest {
         chk("coll_cuts", self.coll_cuts != other.coll_cuts);
         chk("kernel", self.kernel != other.kernel);
         chk("machine", self.machine != other.machine);
+        chk("proc_grid", self.proc_grid != other.proc_grid);
         chk("steps_done", self.steps_done != other.steps_done);
         chk("h_hash", self.h_hash != other.h_hash);
         chk("diag_bits", self.diag_bits != other.diag_bits);
@@ -255,6 +264,7 @@ pub(crate) fn test_manifest() -> Manifest {
         coll_cuts: "even".into(),
         kernel: "simd-tiled".into(),
         machine: "small_cluster".into(),
+        proc_grid: "2x1".into(),
         phase_us: vec![("collide".into(), 1200), ("reduce".into(), 340)],
         steps_done: 40,
         h_hash: 0xaaaa_bbbb_cccc_dddd,
@@ -292,6 +302,17 @@ mod tests {
         );
         assert!(legacy.contains("reduce_algo"));
         assert_eq!(Manifest::from_json(&legacy).unwrap(), m);
+    }
+
+    #[test]
+    fn manifest_without_a_proc_grid_loads() {
+        // Stores written before the world grid was recorded lack the key.
+        let m = test_manifest();
+        let legacy = m.to_json().replace(", \"proc_grid\": \"2x1\"", "");
+        assert!(!legacy.contains("proc_grid"));
+        let back = Manifest::from_json(&legacy).unwrap();
+        assert_eq!(back.proc_grid, "");
+        assert_eq!(back.diff(&m), vec!["proc_grid"]);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! sum, complex sum, f64 max) and the move-out AllToAllv — each in exactly
 //! one form.
 //!
-//! Reductions are **deterministic**: contributions are combined in
-//! communicator-rank order, so repeated runs and re-partitioned ensembles
-//! with identical sub-grids produce bitwise-identical results — the
-//! property the equivalence experiment (T-correct) relies on.
+//! Reductions are **deterministic**: contributions are combined by
+//! recursive pairs of communicator ranks, a fixed tree, so repeated runs
+//! and re-partitioned ensembles produce bitwise-identical results — the
+//! property the equivalence experiment (T-correct) relies on. The tree is
+//! the one every velocity moment is summed over (`xg_tensor::tree`), which
+//! makes a moment's bits independent of a power-of-two `nv` split.
 //!
 //! Failure handling: when the world was built with a deadline
 //! ([`crate::World::with_deadline`]), a dead or stalled peer surfaces as a
@@ -242,42 +244,39 @@ impl Communicator {
         self.run_collective(OpKind::Barrier, 0, (), |_| ());
     }
 
-    /// Element-wise reduction of `buf` across all ranks, folding the
-    /// contributions into `identity` in communicator-rank order.
-    fn all_reduce<T, C>(&self, buf: &mut [T], identity: T, combine: C)
+    /// Element-wise reduction of `buf` across all ranks, combining the
+    /// contributions by recursive pairs (see [`fold_pairs`]).
+    fn all_reduce<T, C>(&self, buf: &mut [T], combine: C)
     where
         T: Copy + Send + Sync + 'static,
         C: Fn(T, T) -> T,
     {
         let bytes = std::mem::size_of_val(buf) as u64;
         let n = buf.len();
-        let res = self.run_collective(OpKind::AllReduce, bytes, buf.to_vec(), move |items| {
-            let mut acc = vec![identity; n];
-            for item in items {
+        let res = self.run_collective(OpKind::AllReduce, bytes, buf.to_vec(), move |mut items| {
+            for item in &items {
                 assert_eq!(item.len(), n, "AllReduce length mismatch across ranks");
-                for (a, v) in acc.iter_mut().zip(&item) {
-                    *a = combine(*a, *v);
-                }
             }
-            acc
+            fold_pairs(&mut items, &combine);
+            items.swap_remove(0)
         });
         buf.copy_from_slice(&res);
     }
 
     /// Element-wise sum-reduction of `buf` across all ranks, result
-    /// replacing `buf` on every rank. Deterministic (rank-order) summation.
+    /// replacing `buf` on every rank. Deterministic pairwise summation.
     pub fn all_reduce_sum_f64(&self, buf: &mut [f64]) {
-        self.all_reduce(buf, 0.0, |a, v| a + v);
+        self.all_reduce(buf, |a, v| a + v);
     }
 
-    /// Element-wise complex sum-reduction (deterministic rank order).
+    /// Element-wise complex sum-reduction (deterministic pairwise order).
     pub fn all_reduce_sum_complex(&self, buf: &mut [Complex64]) {
-        self.all_reduce(buf, Complex64::ZERO, |a, v| a + v);
+        self.all_reduce(buf, |a, v| a + v);
     }
 
     /// Element-wise max-reduction (used for CFL/diagnostic scalars).
     pub fn all_reduce_max_f64(&self, buf: &mut [f64]) {
-        self.all_reduce(buf, f64::NEG_INFINITY, f64::max);
+        self.all_reduce(buf, f64::max);
     }
 
     /// Personalized all-to-all: `send[j]` goes to communicator rank `j`;
@@ -389,5 +388,23 @@ impl Communicator {
             log: self.log.clone(),
             label: Arc::from(label),
         }
+    }
+}
+
+/// Combine the ranks' contributions into `items[0]` by recursive pairs:
+/// ranks `0..p` split after the first ⌈p/2⌉, each half folds itself, then
+/// the halves combine. This is the summation tree of `xg_tensor::tree`
+/// over ranks, so at a power-of-two `nv` split the AllReduce completes each
+/// velocity moment's tree exactly. No identity element is folded in: one
+/// rank's contribution comes back unchanged, a `-0.0` included.
+fn fold_pairs<T: Copy>(items: &mut [Vec<T>], combine: &impl Fn(T, T) -> T) {
+    if items.len() < 2 {
+        return;
+    }
+    let (left, right) = items.split_at_mut(items.len().div_ceil(2));
+    fold_pairs(left, combine);
+    fold_pairs(right, combine);
+    for (a, b) in left[0].iter_mut().zip(&right[0]) {
+        *a = combine(*a, *b);
     }
 }

@@ -13,9 +13,9 @@
 //! * Collectives on one communicator are totally ordered (epoch-numbered
 //!   rendezvous slots); disjoint communicators never serialize against each
 //!   other — matching MPI semantics for blocking collectives.
-//! * Reductions combine contributions in **communicator-rank order**, so
-//!   results are deterministic and re-partitioned ensembles with identical
-//!   per-simulation grids reproduce bitwise-identical trajectories.
+//! * Reductions combine contributions by **recursive pairs** of
+//!   communicator ranks, so results are deterministic, and a sum over a
+//!   power-of-two group continues each rank's own pairwise tree.
 //! * A panic on any rank poisons every slot, so the run aborts promptly
 //!   with the offending rank identified instead of deadlocking.
 //! * Fault tolerance is opt-in: [`World::with_deadline`] bounds every

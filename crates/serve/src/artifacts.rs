@@ -121,13 +121,27 @@ pub struct PublishContext {
 
 /// Publish one completed member: deck + outcome blobs, then the manifest
 /// (atomically, last — a half-published artifact is never visible). Returns
-/// the manifest and the outcome blob size.
+/// the manifest. The manifest records no process grid; see
+/// [`publish_member_on`].
 pub fn publish_member(
     store: &ArtifactStore,
     spec: &JobSpec,
     outcome: &JobOutcome,
     summary: (u64, u64, [u64; 4]),
     ctx: &PublishContext,
+) -> Result<Manifest, StoreError> {
+    publish_member_on(store, spec, outcome, summary, ctx, "")
+}
+
+/// [`publish_member`] for a member whose batch ran on `proc_grid`
+/// (`"1x1"`), which the manifest records.
+pub fn publish_member_on(
+    store: &ArtifactStore,
+    spec: &JobSpec,
+    outcome: &JobOutcome,
+    summary: (u64, u64, [u64; 4]),
+    ctx: &PublishContext,
+    proc_grid: &str,
 ) -> Result<Manifest, StoreError> {
     let deck_text = xg_sim::write_deck(&spec.input);
     let deck_object = store.put_object(deck_text.as_bytes())?;
@@ -154,6 +168,7 @@ pub fn publish_member(
         coll_cuts: ctx.coll_cuts.clone(),
         kernel: ctx.kernel.clone(),
         machine: ctx.machine.clone(),
+        proc_grid: proc_grid.to_string(),
         phase_us: ctx.phase_us.clone(),
         steps_done,
         h_hash,

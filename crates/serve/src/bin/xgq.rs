@@ -32,7 +32,8 @@
 //! code path used for real submissions) for the deck's cmat key and the
 //! batch the job would join, without admitting anything; when the daemon
 //! runs with `--artifacts` the reply also carries the canonical
-//! `deck_hash=xgd1-…` and whether the submission would be a `cache=hit`.
+//! `deck_hash=xgd1-…` and whether the submission would be a `cache=hit`,
+//! and always the process grid its batch would run on (`grid=1x1`).
 //!
 //! The artifact verbs (`fetch`, `diff`, `gc`, `pin`, `unpin`) talk to that
 //! store: `fetch` prints the manifest JSON for a deck hash, `diff` reports

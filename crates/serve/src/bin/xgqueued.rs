@@ -13,8 +13,13 @@
 //! ```
 //!
 //! Binds the wire protocol (see `xg_serve::wire`) and serves until a client
-//! sends `SHUTDOWN`. `--fault` injects one crash into the first dispatched
-//! batch — the chaos hook the CI fault-injection checks use.
+//! sends `SHUTDOWN`. `--grid` is the largest per-member grid a world may
+//! use: the daemon runs every world on the largest power-of-two grid within
+//! it whose rank threads fit the host's cores with every worker busy
+//! (`xg_serve::server::world_grid`), and prints it at startup. Results do
+//! not depend on it. `--fault` injects one crash into the first dispatched
+//! batch — the chaos hook the CI fault-injection checks use; its rank counts
+//! in the world grid.
 //!
 //! `--journal DIR` makes the daemon crash-safe: every job lifecycle
 //! transition is persisted to a write-ahead log in DIR and replayed on the
@@ -230,7 +235,9 @@ fn main() {
             .unwrap_or_else(|| "off".into()),
         if xg_obs::enabled() { "on" } else { "off (XGYRO_OBS=1 to enable)" }
     );
+    let max_grid = cfg.grid;
     let server = CampaignServer::start(cfg);
+    println!("xgqueued: worlds run on {} (--grid {max_grid} at most)", server.world_grid());
     let recovery = server.metrics().recovery;
     if recovery.replayed_records > 0 || !recovery.warnings.is_empty() {
         println!(

@@ -188,6 +188,9 @@ pub struct JobStatus {
     pub detail: String,
     /// Milliseconds from admission to dispatch (None until dispatched).
     pub queue_latency_ms: Option<u64>,
+    /// The process grid its batch ran on (None until dispatched in this
+    /// life, and for cache hits).
+    pub proc_grid: Option<xg_tensor::ProcGrid>,
 }
 
 /// Final per-job output, retained for `Done` jobs.

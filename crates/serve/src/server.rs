@@ -49,8 +49,10 @@ use xgyro_core::{EnsembleCheckpoint, EnsembleConfig, EnsembleError, ResilientRun
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Per-simulation process grid batches execute on (the thread-backed
-    /// substrate's analogue of the per-sim MPI decomposition).
+    /// The largest per-simulation process grid a batch's world may use
+    /// (the thread-backed substrate's analogue of the per-sim MPI
+    /// decomposition). Worlds run on [`world_grid`]'s fit of it to the
+    /// host; every deck admitted must fit this grid itself.
     pub grid: ProcGrid,
     /// Operator cap on batch size; the effective cap may be lower where the
     /// memory budget binds ([`xg_cluster::max_feasible_k`]).
@@ -127,6 +129,23 @@ impl ServerConfig {
     }
 }
 
+/// The grid every world of a daemon runs on: the largest power-of-two grid
+/// `n1 × n2` within `max` (componentwise) whose rank threads, with every
+/// worker running a world of `k_max` members, fit `cores` —
+/// `workers·k_max·n1·n2 ≤ cores` — and at least 1×1. Ties go to the larger
+/// `n1`. Every velocity moment sums over one fixed tree, so the results
+/// have the same bits on every power-of-two grid, and equal direct runs at
+/// `max` when `max` is one; a non-power-of-two `max` is never used itself.
+pub fn world_grid(max: ProcGrid, cores: usize, workers: usize, k_max: usize) -> ProcGrid {
+    let pow2_upto = |n: usize| (0..).map(|j| 1usize << j).take_while(move |&p| p <= n);
+    let ranks = |g: &ProcGrid| workers.saturating_mul(k_max).saturating_mul(g.size());
+    pow2_upto(max.n1)
+        .flat_map(|n1| pow2_upto(max.n2).map(move |n2| ProcGrid::new(n1, n2)))
+        .filter(|g| ranks(g) <= cores)
+        .max_by_key(|g| (g.size(), g.n1))
+        .unwrap_or(ProcGrid::new(1, 1))
+}
+
 /// What a cache consult at admission would do for a deck, as reported by
 /// [`CampaignServer::dry_run`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,6 +181,8 @@ pub struct DryRun {
     pub cache: CacheStatus,
     /// Where the grouper would place the job right now.
     pub placement: Placement,
+    /// The grid its batch would run on ([`world_grid`]).
+    pub proc_grid: ProcGrid,
 }
 
 /// What startup journal replay reconstructed (all-zero when running
@@ -239,6 +260,8 @@ struct State {
 
 struct Shared {
     cfg: ServerConfig,
+    /// The grid every world runs on, fixed at start ([`world_grid`]).
+    world_grid: ProcGrid,
     /// The artifact store, when configured. Its methods take `&self` and
     /// commit atomically, so it lives outside the state mutex.
     store: Option<ArtifactStore>,
@@ -307,7 +330,9 @@ impl CampaignServer {
             ArtifactStore::open(&a.dir)
                 .unwrap_or_else(|e| panic!("cannot open artifact store in {:?}: {e}", a.dir))
         });
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let shared = Arc::new(Shared {
+            world_grid: world_grid(cfg.grid, cores, cfg.workers, cfg.k_max),
             cfg,
             store,
             state: Mutex::new(st),
@@ -328,6 +353,11 @@ impl CampaignServer {
             threads.push(std::thread::spawn(move || worker_loop(&s)));
         }
         Self { shared, threads }
+    }
+
+    /// The grid every world of this daemon runs on ([`world_grid`]).
+    pub fn world_grid(&self) -> ProcGrid {
+        self.shared.world_grid
     }
 
     /// Submit a job. On success the job is already placed in a batch
@@ -399,6 +429,7 @@ impl CampaignServer {
             deck_hash: dh,
             cache,
             placement: guard.grouper.would_join(&probe),
+            proc_grid: self.shared.world_grid,
         })
     }
 
@@ -1120,6 +1151,7 @@ fn dispatch(shared: &Shared, st: &mut State, batch: ReadyBatch) -> Option<Dispat
         // A batch resumed after a restart was dispatched by a previous
         // life: its latency spans the crash.
         job.dispatched_at.get_or_insert(now);
+        job.proc_grid = Some(shared.world_grid);
         if job.state != JobState::Batched {
             continue;
         }
@@ -1167,7 +1199,7 @@ fn execute_batch(shared: &Shared, dispatched: Dispatched) {
     // The same call serves a fresh batch, a preempted one coming back and a
     // batch journal replay rebuilt after kill -9: open from the checkpoint.
     let plan = plan.unwrap_or_default();
-    let run = EnsembleConfig::new(inputs, shared.cfg.grid)
+    let run = EnsembleConfig::new(inputs, shared.world_grid)
         .map_err(|e| e.to_string())
         .and_then(|cfg| {
             ResilientRun::new(&cfg, checkpoint, plan, shared.cfg.deadline)
@@ -1379,10 +1411,11 @@ fn publish_batch(
         trace_object,
         created_unix_us: unix_us(),
     };
+    let grid = shared.world_grid.to_string();
     for (id, spec) in specs {
         let outcome = &results[&id];
         let summary = outcome_summary(outcome);
-        if let Err(e) = artifacts::publish_member(store, &spec, outcome, summary, &ctx) {
+        if let Err(e) = artifacts::publish_member_on(store, &spec, outcome, summary, &ctx, &grid) {
             eprintln!("xg-serve: artifact publish for {id} failed: {e}");
         }
     }
@@ -1699,10 +1732,16 @@ mod tests {
         let m = store.lookup(deck_hash(&specs[0].input, 20)).unwrap().expect("published");
         let csv = store.get_object(m.trace_object.expect("a one-world trace")).unwrap();
         let got = xg_comm::traces_from_csv(std::str::from_utf8(&csv).unwrap()).unwrap();
+        // The world ran on the grid the manifest records.
+        let (n1, n2) = m.proc_grid.split_once('x').expect("a recorded n1xn2 grid");
+        let grid = ProcGrid::new(n1.parse().unwrap(), n2.parse().unwrap());
+        let max = ServerConfig::local_test();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(grid, world_grid(max.grid, cores, 1, max.k_max));
         let inputs = specs.iter().map(|s| s.input.clone()).collect();
-        let cfg = EnsembleConfig::new(inputs, ServerConfig::local_test().grid).unwrap();
+        let cfg = EnsembleConfig::new(inputs, grid).unwrap();
         let want = xgyro_core::run_xgyro(&cfg, 20).traces;
-        assert_eq!(got.len(), 6, "one log per rank of the k=3 world on 2x1");
+        assert_eq!(got.len(), 3 * grid.size(), "one log per rank of the k=3 world");
         // Op for op, up to timing.
         let ops = |logs: &[Vec<xg_comm::OpRecord>]| -> Vec<Vec<_>> {
             let key = |r: &xg_comm::OpRecord| {
@@ -1717,8 +1756,10 @@ mod tests {
     #[test]
     fn faulted_member_fails_without_killing_batch_mates() {
         let mut cfg = ServerConfig::local_test();
-        // One injected crash on rank 2 (a rank of member 1 on the 2x1
-        // grid) early in the first segment of the first batch.
+        // One injected crash on rank 2 (member 2's one rank: a 1×1 max grid
+        // runs every world on 1×1) early in the first segment of the first
+        // batch.
+        cfg.grid = ProcGrid::new(1, 1);
         cfg.fault_plan = Some(FaultPlan::crash(2, 4));
         cfg.workers = 1;
         let server = CampaignServer::start(cfg);
@@ -1735,8 +1776,64 @@ mod tests {
             ids.iter().map(|id| server.status(*id).unwrap().state).collect();
         assert_eq!(states.iter().filter(|s| **s == JobState::Failed).count(), 1);
         assert_eq!(states.iter().filter(|s| **s == JobState::Done).count(), 2);
-        let failed = ids[states.iter().position(|s| *s == JobState::Failed).unwrap()];
-        assert!(server.status(failed).unwrap().detail.contains("evicted"));
+        assert_eq!(states[2], JobState::Failed, "the crashed rank is member 2's");
+        assert!(server.status(ids[2]).unwrap().detail.contains("evicted"));
         server.shutdown();
+    }
+
+    #[test]
+    fn the_world_grid_is_the_largest_power_of_two_grid_the_cores_hold() {
+        let g = ProcGrid::new;
+        // (cores, workers, k_max, max grid) -> world grid.
+        let rows = [
+            (2, 2, 3, g(2, 1), g(1, 1)),  // 12 rank threads would want 2 cores
+            (1, 1, 1, g(4, 2), g(1, 1)),  // never below 1×1
+            (2, 1, 1, g(2, 1), g(2, 1)),  // fits exactly
+            (12, 2, 3, g(2, 1), g(2, 1)), // 2·3·2 = 12
+            (11, 2, 3, g(2, 1), g(1, 1)),
+            (64, 1, 2, g(4, 4), g(4, 4)), // the whole max grid fits
+            (8, 1, 2, g(4, 4), g(4, 1)),  // 4 ranks a world: 4×1 over 2×2
+            (16, 2, 2, g(2, 4), g(2, 2)), // n1 capped at 2
+            (4, 1, 1, g(3, 1), g(2, 1)),  // a 3×1 max runs on 2×1…
+            (2, 1, 2, g(3, 1), g(1, 1)),  // …or 1×1, never 3×1
+            (96, 1, 1, g(3, 3), g(2, 2)),
+        ];
+        for (cores, workers, k_max, max, want) in rows {
+            let got = world_grid(max, cores, workers, k_max);
+            assert_eq!(got, want, "{cores} cores, {workers} workers, k_max {k_max}, max {max}");
+            assert!(got.n1.is_power_of_two() && got.n2.is_power_of_two());
+        }
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_max_grid() {
+        // One deck served by daemons whose max grids are 1×1 and 2×1. With
+        // one worker and k_max = 1 a world of 2×1 needs two cores: where
+        // the host has them the second daemon runs the deck on 2×1. Either
+        // way both publish the bits of the direct run at 2×1.
+        let deck = CgyroInput { nonlinear_coupling: 0.15, ..CgyroInput::test_small() };
+        let served: Vec<_> = [ProcGrid::new(1, 1), ProcGrid::new(2, 1)]
+            .into_iter()
+            .map(|grid| {
+                let mut cfg = ServerConfig::local_test();
+                (cfg.grid, cfg.workers, cfg.k_max) = (grid, 1, 1);
+                let server = CampaignServer::start(cfg);
+                let dr = server.dry_run(&spec(deck.clone(), 20, "max")).unwrap();
+                assert_eq!(dr.proc_grid, server.world_grid());
+                let id = server.submit(spec(deck.clone(), 20, "max")).unwrap();
+                assert!(server.drain(Duration::from_secs(60)));
+                let status = server.status(id).unwrap();
+                assert_eq!(status.state, JobState::Done, "{}", status.detail);
+                assert_eq!(status.proc_grid, Some(server.world_grid()));
+                let summary = server.result_summary(id).expect("done");
+                server.shutdown();
+                summary
+            })
+            .collect();
+        assert_eq!(served[0], served[1], "max 1×1 against max 2×1");
+        let cfg = EnsembleConfig::new(vec![deck], ProcGrid::new(2, 1)).unwrap();
+        let direct = xgyro_core::run_xgyro(&cfg, 20).sims.remove(0);
+        let want = JobOutcome { h: direct.h, diagnostics: direct.diagnostics, steps: 20 };
+        assert_eq!(served[0], outcome_summary(&want), "served against direct at 2×1");
     }
 }

@@ -42,6 +42,9 @@ pub(crate) struct Job {
     /// restarting at replay time.
     pub submitted_at: Instant,
     pub dispatched_at: Option<Instant>,
+    /// The process grid its batch's world runs on, once dispatched in this
+    /// life.
+    pub proc_grid: Option<xg_tensor::ProcGrid>,
     /// The final tensor, for jobs that finished (or were served from the
     /// artifact store) in this life.
     pub outcome: Option<JobOutcome>,
@@ -71,6 +74,7 @@ impl Job {
             queue_latency_ms: self
                 .dispatched_at
                 .map(|d| d.duration_since(self.submitted_at).as_millis() as u64),
+            proc_grid: self.proc_grid,
         }
     }
 
@@ -244,6 +248,7 @@ impl JobTable {
                         cancel_requested: false,
                         submitted_at: now.checked_sub(age).unwrap_or(now),
                         dispatched_at: None,
+                        proc_grid: None,
                         outcome: None,
                         token: (!token.is_empty()).then_some(token),
                         deck_bytes,

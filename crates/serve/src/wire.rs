@@ -23,7 +23,8 @@
 //! DRYRUN steps=N [tenant=NAME]  + deck
 //!                               -> OK cmat_key=0x… placement=… k_cap=…
 //!                                     deck_hash=xgd1-… cache=hit|miss|off
-//! STATUS job-N                  -> OK job-N state=… batch=… detail=…
+//!                                     grid=N1xN2
+//! STATUS job-N                  -> OK job-N state=… batch=… grid=… detail=…
 //! RESULT job-N                  -> OK job-N steps=… h_hash=0x… diag=0x…,…
 //! LIST                          -> OK, one status line per job, .
 //! CANCEL job-N                  -> OK <state>
@@ -307,8 +308,8 @@ fn deck_answer(
         Placement::Infeasible => "infeasible k_cap=0".into(),
     };
     Ok(Reply::line(format!(
-        "OK cmat_key={:#018x} placement={placement} deck_hash={} cache={}",
-        dr.cmat_key, dr.deck_hash, dr.cache
+        "OK cmat_key={:#018x} placement={placement} deck_hash={} cache={} grid={}",
+        dr.cmat_key, dr.deck_hash, dr.cache, dr.proc_grid
     )))
 }
 
@@ -453,10 +454,11 @@ fn parse_hash_arg(args: &[&str], pos: usize) -> Result<DeckHash, String> {
 
 fn fmt_status(s: &JobStatus) -> String {
     format!(
-        "{} state={} batch={} tenant={} tag={} latency_ms={} detail={}",
+        "{} state={} batch={} grid={} tenant={} tag={} latency_ms={} detail={}",
         s.id,
         s.state,
         s.batch.map(|b| b.to_string()).unwrap_or_else(|| "-".into()),
+        s.proc_grid.map(|g| g.to_string()).unwrap_or_else(|| "-".into()),
         s.tenant,
         if s.tag.is_empty() { "-" } else { &s.tag },
         s.queue_latency_ms.map(|l| l.to_string()).unwrap_or_else(|| "-".into()),

@@ -5,15 +5,19 @@
 //! partial (each rank owns an `nv` slice) and completed with an AllReduce
 //! over the `nv`-splitting communicator: one of the two str-phase
 //! AllReduce call sites of Figure 1 (the other is the upwind moment in
-//! [`crate::streaming`]). [`FieldSolver::partial_moments`] accumulates one
-//! RK stage's charge, current and upwind partials in a single sweep, straight
-//! into the buffer that one fused collective completes.
+//! [`crate::streaming`]). [`FieldSolver::partial_moments`] sums one RK
+//! stage's charge, current and upwind partials in one pass, straight into
+//! the buffer that one fused collective completes. The tree
+//! ([`xg_tensor::tree`]) fixes the order of every `iv` sum from `nv` alone,
+//! so at a power-of-two `n1` the completed moments do not depend on the
+//! grid.
 
 use crate::geometry::Geometry;
 use crate::grid::{ky_modes, ConfigGrid, VelocityGrid};
 use crate::input::CgyroInput;
 use std::ops::Range;
 use xg_linalg::Complex64;
+use xg_tensor::tree::{leaf_sum, tree_sum, LEAF_ROWS};
 use xg_tensor::{Tensor2, Tensor3};
 
 /// Precomputed field-solve coefficients for one rank's local slice.
@@ -35,6 +39,56 @@ pub struct FieldSolver {
     nc: usize,
     nv_range: Range<usize>,
     nt_range: Range<usize>,
+    /// The tree sums' right-child rows, kept between calls.
+    scratch: Vec<Complex64>,
+}
+
+/// Elements of the row one tree sum in [`FieldSolver::partial_moments`]
+/// carries: enough `ic` that a leaf's work outweighs its call.
+const BLOCK_ROW: usize = 64;
+
+/// Rows `rows` of `t` at `ic`, contiguous in its `(ic, iv, it)` layout.
+#[inline(always)]
+fn rows_of<'a, T: Copy>(t: &'a Tensor3<T>, ic: usize, rows: &Range<usize>) -> &'a [T] {
+    let (_, _, ntl) = t.shape();
+    let at = t.offset(ic, rows.start, 0);
+    &t.as_slice()[at..at + rows.len() * ntl]
+}
+
+/// One tree leaf of a stage's moments over `N` rows of `z`: `out` is one
+/// `ic`'s `[charge | current | upwind]`, and each of its elements gets the
+/// [`leaf_sum`] of its row terms, written or, when `ADD`, added. `p` and
+/// `pa` hold the rows' charge and current weights (`pa` empty in
+/// electrostatic runs), `w` the rows' upwind weights.
+#[inline(always)]
+fn stage_leaf<const N: usize, const ADD: bool>(
+    out: &mut [Complex64],
+    z: &[Complex64],
+    p: &[f64],
+    pa: &[f64],
+    w: &[f64],
+) {
+    let n = z.len() / N;
+    let (q, rest) = out.split_at_mut(n);
+    let (a, u) = rest.split_at_mut(rest.len() - n);
+    let z: [&[Complex64]; N] = std::array::from_fn(|r| &z[r * n..][..n]);
+    let p: [&[f64]; N] = std::array::from_fn(|r| &p[r * n..][..n]);
+    let w: [f64; N] = std::array::from_fn(|r| w[r]);
+    let put = |o: &mut Complex64, sum: Complex64| *o = if ADD { *o + sum } else { sum };
+    let u = &mut u[..n];
+    if a.is_empty() {
+        for (k, (q, u)) in q.iter_mut().zip(u).enumerate() {
+            put(q, leaf_sum(N, |r| z[r][k] * p[r][k]));
+            put(u, leaf_sum(N, |r| z[r][k] * w[r]));
+        }
+    } else {
+        let pa: [&[f64]; N] = std::array::from_fn(|r| &pa[r * n..][..n]);
+        for (k, ((q, a), u)) in q.iter_mut().zip(&mut a[..n]).zip(u).enumerate() {
+            put(q, leaf_sum(N, |r| z[r][k] * p[r][k]));
+            put(a, leaf_sum(N, |r| z[r][k] * pa[r][k]));
+            put(u, leaf_sum(N, |r| z[r][k] * w[r]));
+        }
+    }
 }
 
 /// The gyroaverage factor `J₀ ≈ 1 / (1 + k⊥²ρ_s²(ε)/4)` (Padé).
@@ -128,7 +182,17 @@ impl FieldSolver {
             (Tensor3::new(0, 0, 0), Tensor2::new(0, 0))
         };
 
-        Self { pol, denom, pol_apar, denom_apar, em, nc, nv_range, nt_range }
+        Self {
+            pol,
+            denom,
+            pol_apar,
+            denom_apar,
+            em,
+            nc,
+            nv_range,
+            nt_range,
+            scratch: Vec::new(),
+        }
     }
 
     /// True when the A∥ field is evolved (`beta_e > 0`).
@@ -146,27 +210,6 @@ impl FieldSolver {
         self.nt_range.clone()
     }
 
-    /// Accumulate this rank's partial charge moment of `h` (str layout,
-    /// shape `(nc, nv_loc, nt_loc)`) into `partial` (shape `nc × nt_loc`,
-    /// row-major `ic·nt_loc + it_loc`).
-    pub fn partial_moment(&self, h: &Tensor3<Complex64>, partial: &mut [Complex64]) {
-        let (nc, nvl, ntl) = h.shape();
-        assert_eq!(nc, self.nc);
-        assert_eq!(nvl, self.nv_range.len());
-        assert_eq!(ntl, self.nt_range.len());
-        assert_eq!(partial.len(), nc * ntl);
-        partial.iter_mut().for_each(|z| *z = Complex64::ZERO);
-        for ic in 0..nc {
-            for ivl in 0..nvl {
-                let line = h.line(ic, ivl);
-                for itl in 0..ntl {
-                    let w = self.pol[(ic, ivl, itl)];
-                    partial[ic * ntl + itl] += line[itl] * w;
-                }
-            }
-        }
-    }
-
     /// Moment sections of one RK stage's fused reduction: charge and upwind,
     /// plus the parallel current in electromagnetic runs.
     pub fn moment_sections(&self) -> usize {
@@ -177,43 +220,59 @@ impl FieldSolver {
         }
     }
 
-    /// Accumulate every partial velocity moment of one RK stage `h` (str
-    /// layout) in one sweep, straight into the fused reduction buffer
-    /// `[charge | current (electromagnetic only) | upwind]`. Each section is
-    /// `nc × nt_loc` row-major; `upw_w` is the upwind weight per local iv
-    /// ([`crate::streaming::StrKernel::upwind_weights`]). Every section sums
-    /// over the local iv in ascending order, so each equals the moment a
-    /// pass of its own would give, bit for bit.
-    pub fn partial_moments(&self, h: &Tensor3<Complex64>, upw_w: &[f64], fused: &mut [Complex64]) {
+    /// Every partial velocity moment of one RK stage `h` (str layout),
+    /// straight into the fused reduction buffer `[charge | current
+    /// (electromagnetic only) | upwind]`. Each section is `nc × nt_loc`
+    /// row-major; `upw_w` is the upwind weight per local iv
+    /// ([`crate::streaming::StrKernel::upwind_weights`]). Per `ic`, one tree
+    /// sum over the local `iv` rows carries every section; each element
+    /// sums separately, so each section equals the moment a pass of its own
+    /// would give, bit for bit.
+    pub fn partial_moments(
+        &mut self,
+        h: &Tensor3<Complex64>,
+        upw_w: &[f64],
+        fused: &mut [Complex64],
+    ) {
         let (nc, nvl, ntl) = h.shape();
         assert_eq!(nc, self.nc);
         assert_eq!(nvl, self.nv_range.len());
         assert_eq!(ntl, self.nt_range.len());
         assert_eq!(upw_w.len(), nvl);
         let n = nc * ntl;
-        assert_eq!(fused.len(), self.moment_sections() * n);
-        fused.fill(Complex64::ZERO);
-        let (charge, rest) = fused.split_at_mut(n);
-        let (current, upwind) = rest.split_at_mut(rest.len() - n);
-        for ic in 0..nc {
-            let f = ic * ntl..(ic + 1) * ntl;
-            let (q, u) = (&mut charge[f.clone()], &mut upwind[f.clone()]);
-            for (ivl, &w) in upw_w.iter().enumerate() {
-                let line = h.line(ic, ivl);
-                let pol = self.pol.line(ic, ivl);
-                if self.em {
-                    let a = &mut current[f.clone()];
-                    let pa = self.pol_apar.line(ic, ivl);
-                    for itl in 0..ntl {
-                        q[itl] += line[itl] * pol[itl];
-                        a[itl] += line[itl] * pa[itl];
-                        u[itl] += line[itl] * w;
+        let sections = self.moment_sections();
+        assert_eq!(fused.len(), sections * n);
+        // One tree sum runs a block of `ic`, its row `[ic][charge | current
+        // | upwind][it]` about `BLOCK_ROW` elements long.
+        let per_ic = sections * ntl;
+        let block = (BLOCK_ROW / per_ic).clamp(1, nc);
+        let mut row = vec![Complex64::ZERO; block * per_ic];
+        let (pol, pol_apar) = (&self.pol, &self.pol_apar);
+        for ic0 in (0..nc).step_by(block) {
+            let ics = ic0..(ic0 + block).min(nc);
+            let row = &mut row[..ics.len() * per_ic];
+            tree_sum(nvl, row, &mut self.scratch, |rows, out, add| {
+                let w = &upw_w[rows.clone()];
+                for (ic, out) in ics.clone().zip(out.chunks_exact_mut(per_ic)) {
+                    let (z, p) = (rows_of(h, ic, &rows), rows_of(pol, ic, &rows));
+                    let pa = if sections == 3 { rows_of(pol_apar, ic, &rows) } else { &[] };
+                    // One kernel per leaf size, so each sum unrolls.
+                    macro_rules! by_size {
+                        ($($n:literal)*) => {
+                            match (rows.len(), add) {
+                                $(($n, false) => stage_leaf::<$n, false>(out, z, p, pa, w),
+                                  ($n, true) => stage_leaf::<$n, true>(out, z, p, pa, w),)*
+                                _ => unreachable!("a tree leaf holds at most {LEAF_ROWS} rows"),
+                            }
+                        };
                     }
-                } else {
-                    for itl in 0..ntl {
-                        q[itl] += line[itl] * pol[itl];
-                        u[itl] += line[itl] * w;
-                    }
+                    by_size!(1 2 3 4 5 6 7 8);
+                }
+            });
+            for (ic, sums) in ics.zip(row.chunks_exact(per_ic)) {
+                for (sec, sum) in sums.chunks_exact(ntl).enumerate() {
+                    let at = sec * n + ic * ntl;
+                    fused[at..at + ntl].copy_from_slice(sum);
                 }
             }
         }
@@ -282,9 +341,10 @@ mod tests {
     }
 
     #[test]
-    fn partial_moments_sum_to_full_moment() {
-        // Splitting nv into ranges and summing partials must equal the
-        // full-range moment — the invariant the AllReduce relies on.
+    fn tree_split_partials_pair_to_the_full_moment_bitwise() {
+        // The nv halves of the tree split, each summed by its subtree and
+        // then added as one pair, give the full-range moment bit for bit —
+        // the invariant the AllReduce relies on.
         let input = CgyroInput::test_small();
         let (v, cfg, geo) = setup(&input);
         let nv = v.nv();
@@ -295,25 +355,22 @@ mod tests {
                 ((ic + iv * 2 + it * 5) as f64 * 0.2).cos(),
             )
         });
-        let fs_full = FieldSolver::new(&input, &v, &cfg, &geo, 0..nv, 0..ntl);
-        let mut want = vec![Complex64::ZERO; cfg.nc() * ntl];
-        fs_full.partial_moment(&h_full, &mut want);
-
-        let mut acc = vec![Complex64::ZERO; cfg.nc() * ntl];
-        let split = nv / 2;
-        for range in [0..split, split..nv] {
-            let fs = FieldSolver::new(&input, &v, &cfg, &geo, range.clone(), 0..ntl);
+        // The charge section of the stage moments (upwind weights unused).
+        let charge = |range: std::ops::Range<usize>| {
+            let mut fs = FieldSolver::new(&input, &v, &cfg, &geo, range.clone(), 0..ntl);
             let h_part = Tensor3::from_fn(cfg.nc(), range.len(), ntl, |ic, ivl, it| {
                 h_full[(ic, range.start + ivl, it)]
             });
-            let mut p = vec![Complex64::ZERO; cfg.nc() * ntl];
-            fs.partial_moment(&h_part, &mut p);
-            for (a, b) in acc.iter_mut().zip(&p) {
-                *a += *b;
-            }
-        }
-        for (a, b) in acc.iter().zip(&want) {
-            assert!((*a - *b).abs() < 1e-12);
+            let mut fused = vec![Complex64::ZERO; 2 * cfg.nc() * ntl];
+            fs.partial_moments(&h_part, &vec![1.0; range.len()], &mut fused);
+            fused.truncate(cfg.nc() * ntl);
+            fused
+        };
+        let want = charge(0..nv);
+        let split = xg_tensor::RaggedDecomp::tree(nv, 2);
+        let (left, right) = (charge(split.range(0)), charge(split.range(1)));
+        for ((a, b), w) in left.iter().zip(&right).zip(&want) {
+            assert_eq!(*a + *b, *w);
         }
     }
 
@@ -344,11 +401,11 @@ mod tests {
         input.species[1].z = -1.0;
         input.species[1].dens = 1.0;
         let (v, cfg, geo) = setup(&input);
-        let fs = FieldSolver::new(&input, &v, &cfg, &geo, 0..v.nv(), 0..1);
+        let mut fs = FieldSolver::new(&input, &v, &cfg, &geo, 0..v.nv(), 0..1);
         let h = Tensor3::from_fn(cfg.nc(), v.nv(), 1, |_, _, _| Complex64::ONE);
-        let mut m = vec![Complex64::ZERO; cfg.nc()];
-        fs.partial_moment(&h, &mut m);
-        for z in &m {
+        let mut m = vec![Complex64::ZERO; 2 * cfg.nc()];
+        fs.partial_moments(&h, &vec![0.0; v.nv()], &mut m);
+        for z in &m[..cfg.nc()] {
             assert!(z.abs() < 1e-9, "charge moment should vanish: {z}");
         }
     }

@@ -14,6 +14,7 @@ use crate::grid::{ConfigGrid, VelocityGrid};
 use crate::input::CgyroInput;
 use crate::streaming::StrKernel;
 use xg_linalg::Complex64;
+use xg_tensor::tree::{leaf_sum, tree_sum, LEAF_ROWS};
 use xg_tensor::{PhaseLayout, Tensor3};
 
 /// The parallel-topology seam. See module docs.
@@ -26,7 +27,7 @@ pub trait Topology {
     /// Complete `moments` equally-sized velocity-moment partial sums packed
     /// contiguously in `buf` (the fused str-phase reduction). The default
     /// reduces each section separately — bitwise identical to the fused
-    /// form because the rank-order elementwise sum of a concatenation is the
+    /// form because the elementwise pairwise sum of a concatenation is the
     /// concatenation of the per-section sums. Distributed topologies
     /// override this to issue one collective for the whole packed buffer.
     fn reduce_moment_block(&self, buf: &mut [Complex64], moments: usize) {
@@ -247,12 +248,12 @@ impl<T: Topology> Simulation<T> {
     fn eval_rhs(&mut self, stage: &Tensor3<Complex64>) {
         self.topo.set_phase("str");
         let span = xg_obs::span(xg_obs::Phase::Str);
-        // Fused str-phase reduction: one sweep accumulates every
+        // Fused str-phase reduction: one tree sum accumulates every
         // velocity-moment partial (none depends on a completed reduction)
         // straight into the staging buffer, and a single collective per RK
         // stage completes them all instead of Figure 1's three (two
-        // electrostatic — the A∥ section is elided). Elementwise rank-order
-        // summation makes this bitwise identical to the sequential form.
+        // electrostatic — the A∥ section is elided). Elementwise pairwise
+        // summation makes this bitwise identical to the per-moment form.
         let sections = self.field.moment_sections();
         self.field.partial_moments(stage, self.strk.upwind_weights(), &mut self.fused);
         self.topo.reduce_moment_block(&mut self.fused, sections);
@@ -382,18 +383,20 @@ impl<T: Topology> Simulation<T> {
     }
 
     /// Solve `φ` at the current state into the fused buffer's first
-    /// section, where [`Self::phi`] reads it.
+    /// section, where [`Self::phi`] reads it: the stage moments' charge
+    /// section, so `φ` sums exactly as in a stage.
     fn solve_phi(&mut self) {
         let n = self.field_len();
+        self.field.partial_moments(&self.h, self.strk.upwind_weights(), &mut self.fused);
         let phi = &mut self.fused[..n];
-        self.field.partial_moment(&self.h, phi);
         self.topo.reduce_moment(phi);
         self.field.finalize(phi);
     }
 
     /// Per-toroidal-mode field energy `E_n = Σ_ic |φ(ic, n)|²` over the
     /// full simulation (length `nt`, globally reduced). The spectrum view
-    /// of [`Self::diagnostics`]' `field_energy` (they sum to it).
+    /// of [`Self::diagnostics`]' `field_energy` (its modes folded in
+    /// ascending order give it, bit for bit).
     pub fn mode_energies(&mut self) -> Vec<f64> {
         self.topo.set_phase("field");
         let _span = xg_obs::span(xg_obs::Phase::Field);
@@ -401,39 +404,57 @@ impl<T: Topology> Simulation<T> {
         let phi = self.phi();
         let layout = self.topo.layout();
         let (nc, _, ntl) = self.h.shape();
-        let nt = layout.dims().nt;
-        let mut vals = vec![0.0f64; nt];
-        for ic in 0..nc {
+        let mut vals = vec![-0.0f64; layout.dims().nt];
+        if self.topo.nv_root() {
             for (itl, itor) in layout.nt_range().enumerate() {
-                vals[itor] += phi[ic * ntl + itl].norm_sqr();
+                vals[itor] = sum((0..nc).map(|ic| phi[ic * ntl + itl].norm_sqr()));
             }
-        }
-        if !self.topo.nv_root() {
-            vals.iter_mut().for_each(|v| *v = 0.0);
         }
         self.topo.reduce_sim_scalars(&mut vals);
         vals
     }
 
     /// Compute diagnostics at the current state.
+    ///
+    /// Each diagnostic is a sum over modes of per-mode values whose bits do
+    /// not depend on the grid: a mode's `φ` and heat moment are completed
+    /// `nv` tree sums, its `|h|²` is one too, and its sum over `ic` runs on
+    /// the one rank group that holds the mode. Every rank then folds the
+    /// modes in ascending order.
     pub fn diagnostics(&mut self) -> Diagnostics {
         self.topo.set_phase("field");
         let span = xg_obs::span(xg_obs::Phase::Field);
         // Fresh field solve at current h.
         self.solve_phi();
-        // Heat moment.
+        // Heat moment `[nc × nt_loc]`, then `|h|²` per local mode (in the
+        // real parts of `nt_loc` more slots): one tree sum, one reduction.
         let layout = self.topo.layout();
         let (nc, nvl, ntl) = self.h.shape();
-        let mut heat = vec![Complex64::ZERO; nc * ntl];
-        for ic in 0..nc {
-            for ivl in 0..nvl {
-                let w = self.heat_w[ivl];
-                let line = self.h.line(ic, ivl);
-                for itl in 0..ntl {
-                    heat[ic * ntl + itl] += line[itl] * w;
+        let n = nc * ntl;
+        let mut heat = vec![Complex64::ZERO; n + ntl];
+        let mut norms = [Complex64::ZERO; LEAF_ROWS].repeat(ntl);
+        let (h, heat_w) = (&self.h, &self.heat_w);
+        tree_sum(nvl, &mut heat, &mut Vec::new(), |rows, out, add| {
+            let (len, w) = (rows.len(), &heat_w[rows.clone()]);
+            // Row `r`'s |h|² of mode `it` at `norms[it·LEAF_ROWS + r]`.
+            for (r, ivl) in rows.clone().enumerate() {
+                for it in 0..ntl {
+                    norms[it * LEAF_ROWS + r] =
+                        Complex64::real(sum((0..nc).map(|ic| h.line(ic, ivl)[it].norm_sqr())));
                 }
             }
-        }
+            let (moment, norm) = out.split_at_mut(n);
+            for (ic, q) in moment.chunks_exact_mut(ntl).enumerate() {
+                for (it, o) in q.iter_mut().enumerate() {
+                    let sum = leaf_sum(len, |r| h.line(ic, rows.start + r)[it] * w[r]);
+                    *o = if add { *o + sum } else { sum };
+                }
+            }
+            for (it, o) in norm.iter_mut().enumerate() {
+                let sum = leaf_sum(len, |r| norms[it * LEAF_ROWS + r]);
+                *o = if add { *o + sum } else { sum };
+            }
+        });
         // The heat moment is a diagnostics-only reduction, not part of the
         // field solve — tag it separately so traces can distinguish
         // reporting-cadence traffic from per-stage field traffic.
@@ -442,38 +463,40 @@ impl<T: Topology> Simulation<T> {
         let _span = xg_obs::span(xg_obs::Phase::Diag);
         self.topo.reduce_moment(&mut heat);
 
-        // Local (per-(ic,it)-unique) sums.
+        // Per mode: energy, flux and |h|², each `nt` long. Every mode has
+        // one owning nv group, whose root writes it; every other slot holds
+        // −0.0, the additive identity, so the sum over the simulation
+        // gathers each mode's bits unchanged.
         let ky = crate::grid::ky_modes(&self.input);
-        let nt_range = layout.nt_range();
-        let mut vals = [0.0f64; 3]; // energy, flux, hnorm
-        for ic in 0..nc {
-            for (itl, itor) in nt_range.clone().enumerate() {
-                let f = ic * ntl + itl;
-                vals[0] += self.phi()[f].norm_sqr();
-                vals[1] += ky[itor] * (self.phi()[f].conj() * heat[f]).im;
+        let nt = layout.dims().nt;
+        let mut vals = vec![-0.0f64; 3 * nt];
+        if self.topo.nv_root() {
+            let phi = self.phi();
+            for (itl, itor) in layout.nt_range().enumerate() {
+                let field = |ic: usize| phi[ic * ntl + itl];
+                vals[itor] = sum((0..nc).map(|ic| field(ic).norm_sqr()));
+                vals[nt + itor] = sum(
+                    (0..nc).map(|ic| ky[itor] * (field(ic).conj() * heat[ic * ntl + itl]).im),
+                );
+                vals[2 * nt + itor] = heat[n + itl].re;
             }
         }
-        // Energy/flux are replicated across the nv group (post-AllReduce
-        // fields): count them once per group. |h|² is owned per rank and
-        // sums over everyone.
-        if !self.topo.nv_root() {
-            vals[0] = 0.0;
-            vals[1] = 0.0;
-        }
-        let mut hn = 0.0;
-        for z in self.h.as_slice() {
-            hn += z.norm_sqr();
-        }
-        vals[2] = hn;
         self.topo.reduce_sim_scalars(&mut vals);
-
+        let (energy, rest) = vals.split_at(nt);
+        let (flux, hnorm) = rest.split_at(nt);
         Diagnostics {
             time: self.time,
-            field_energy: vals[0],
-            heat_flux: vals[1],
-            h_norm2: vals[2],
+            field_energy: sum(energy.iter().copied()),
+            heat_flux: sum(flux.iter().copied()),
+            h_norm2: sum(hnorm.iter().copied()),
         }
     }
+}
+
+/// A sequential sum in iteration order, starting from −0.0, the additive
+/// identity: a sum of one term is that term, a `-0.0` included.
+fn sum(terms: impl Iterator<Item = f64>) -> f64 {
+    terms.fold(-0.0, |a, b| a + b)
 }
 
 #[cfg(test)]

@@ -326,18 +326,19 @@ mod tests {
 
     #[test]
     fn upwind_section_sums_over_nv_splits() {
-        // The upwind section of the stage sweep, split over two nv ranges,
-        // must sum to the full-range moment (what the AllReduce relies on).
+        // The upwind section of the stage sweep, split over the tree's two
+        // nv halves, pairs to the full-range moment bit for bit (what the
+        // AllReduce relies on).
         let input = CgyroInput::test_small();
         let (v, cfg, geo) = setup(&input);
         let ntl = input.n_toroidal;
         let n = cfg.nc() * ntl;
         let h = Tensor3::from_fn(cfg.nc(), v.nv(), ntl, |ic, iv, it| {
-            Complex64::new((ic + iv + it) as f64, (iv * 2) as f64)
+            Complex64::new((ic + iv + it) as f64 * 0.37, (iv * 2) as f64 * 0.11)
         });
         let upwind = |r: Range<usize>| {
             let k = StrKernel::new(&input, &v, &cfg, &geo, r.clone(), 0..ntl);
-            let fs = crate::field::FieldSolver::new(&input, &v, &cfg, &geo, r.clone(), 0..ntl);
+            let mut fs = crate::field::FieldSolver::new(&input, &v, &cfg, &geo, r.clone(), 0..ntl);
             let hp = Tensor3::from_fn(cfg.nc(), r.len(), ntl, |ic, ivl, it| {
                 h[(ic, r.start + ivl, it)]
             });
@@ -346,13 +347,10 @@ mod tests {
             fused.split_off(n)
         };
         let full = upwind(0..v.nv());
-        let half = v.nv() / 2;
-        let mut acc = upwind(0..half);
-        for (a, b) in acc.iter_mut().zip(&upwind(half..v.nv())) {
-            *a += *b;
-        }
-        for (a, b) in acc.iter().zip(&full) {
-            assert!((*a - *b).abs() < 1e-12);
+        let half = xg_tensor::tree::tree_left(v.nv());
+        let (left, right) = (upwind(0..half), upwind(half..v.nv()));
+        for ((a, b), w) in left.iter().zip(&right).zip(&full) {
+            assert_eq!(*a + *b, *w);
         }
     }
 }

@@ -107,7 +107,7 @@ fn current_moment_is_odd_parity_for_even_h() {
     let v = VelocityGrid::new(&input);
     let cfg = ConfigGrid::new(&input);
     let geo = Geometry::new(&input, &cfg);
-    let fs = FieldSolver::new(&input, &v, &cfg, &geo, 0..v.nv(), 0..input.n_toroidal);
+    let mut fs = FieldSolver::new(&input, &v, &cfg, &geo, 0..v.nv(), 0..input.n_toroidal);
     assert!(fs.em_enabled());
     // h depends only on (species, energy) — even in pitch.
     let h = xg_tensor::Tensor3::from_fn(cfg.nc(), v.nv(), input.n_toroidal, |_, iv, _| {

@@ -146,6 +146,29 @@ impl RaggedDecomp {
         Self::from_counts(&counts)
     }
 
+    /// The split that follows the fixed summation tree ([`crate::tree`]):
+    /// recursive halving, each half's left part taking the extra index, so
+    /// part `p` of `parts = 2^j` owns the tree's `p`-th node at depth `j`.
+    /// The block sizes are [`Self::balanced`]'s, in a different order:
+    /// 18 over 4 is 5, 4, 5, 4.
+    ///
+    /// ```
+    /// use xg_tensor::RaggedDecomp;
+    ///
+    /// assert_eq!(RaggedDecomp::tree(18, 4).counts(), vec![5, 4, 5, 4]);
+    /// ```
+    pub fn tree(total: usize, parts: usize) -> Self {
+        assert!(parts.is_power_of_two(), "the tree split needs a power-of-two part count");
+        let mut counts = vec![total];
+        while counts.len() < parts {
+            counts = counts
+                .iter()
+                .flat_map(|&c| [crate::tree::tree_left(c), c / 2])
+                .collect();
+        }
+        Self::from_counts(&counts)
+    }
+
     /// Apportion `total` indices over parts proportionally to `weights`
     /// (largest-remainder method, deterministic: ties broken by lower part
     /// index). Weights must be positive and finite. With equal weights this
@@ -238,9 +261,9 @@ impl RaggedDecomp {
 /// positions; `None` means the canonical balanced split. Only coll-phase
 /// `nc` cuts are planned because they are **bitwise-neutral**: each
 /// `(ic, it)` collision matvec is independent, so moving cut points moves
-/// work without reassociating any floating-point sum. (Ragged `nv` cuts
-/// would reorder the rank-order partial sums of the str-phase moment
-/// reductions and break bitwise reproducibility.)
+/// work without reassociating any floating-point sum. (The `nv` split is
+/// not planned: it must follow the summation tree of the str-phase moment
+/// reductions, see [`RaggedDecomp::tree`].)
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Decomposition {
     /// Per-simulation process grid.

@@ -5,7 +5,9 @@
 //! splits `nv` in the *str* phase and `nc` in the *coll* phase (paper §2,
 //! Figure 1). Each phase keeps exactly one dimension complete:
 //!
-//! * **str**  — full `nc`, local shape `(nc, nv/n1, nt/n2)`
+//! * **str**  — full `nc`, local shape `(nc, nv/n1, nt/n2)`; at a
+//!   power-of-two `n1` the `nv` blocks follow the summation tree
+//!   ([`crate::tree`])
 //! * **coll** — full `nv`, local shape `(nv, nc/n1, nt/n2)` (CGYRO) or
 //!   `(nv, nc/(k·n1), nt/n2)` (XGYRO ensemble of `k` simulations)
 //! * **nl**   — full `nt`, local shape `(nc/n2', nv/n1, nt)`
@@ -13,7 +15,7 @@
 //! This module owns the index bookkeeping: rank ↔ grid coordinates and the
 //! per-rank local shapes/ranges for each phase.
 
-use crate::decomp::Decomp1D;
+use crate::decomp::{Decomp1D, RaggedDecomp};
 use std::ops::Range;
 
 /// Global per-simulation tensor dimensions (configuration, velocity,
@@ -80,6 +82,13 @@ impl ProcGrid {
     }
 }
 
+/// `n1xn2`, the form `--grid` takes.
+impl std::fmt::Display for ProcGrid {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}x{}", self.n1, self.n2)
+    }
+}
+
 /// Per-rank view of one simulation's decompositions in every phase.
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseLayout {
@@ -111,9 +120,16 @@ impl PhaseLayout {
         (self.i1, self.i2)
     }
 
-    /// Decomposition of `nv` over the `n1` ranks (str phase).
-    pub fn nv_decomp(&self) -> Decomp1D {
-        Decomp1D::new(self.dims.nv, self.grid.n1)
+    /// Decomposition of `nv` over the `n1` ranks (str phase). At a
+    /// power-of-two `n1` it follows the summation tree, so each rank owns
+    /// one subtree of every velocity moment and the moments' bits do not
+    /// depend on the grid; otherwise it is the balanced split.
+    pub fn nv_decomp(&self) -> RaggedDecomp {
+        if self.grid.n1.is_power_of_two() {
+            RaggedDecomp::tree(self.dims.nv, self.grid.n1)
+        } else {
+            RaggedDecomp::balanced(self.dims.nv, self.grid.n1)
+        }
     }
 
     /// Decomposition of `nc` over the `n1` ranks (coll phase, CGYRO mode).

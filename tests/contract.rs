@@ -11,17 +11,25 @@
 //! the reduction order, the collision apply, the `cmat` build — so pinned
 //! rows also check a recorded FNV-1a of every member's `h` and diagnostics
 //! bits. A pin changes only with a deliberate numerics change, recorded in
-//! CHANGES.md. The `pinned_*` rows sit at `n1 ≥ 3`, where a reduction has
-//! three operands and its order shows; the `nt = 8` row is pinned because
-//! only at `nt ≥ 3` does an nl output accumulate more than one product.
-//! Every SIMD level must read the same pins, because every level is bitwise
-//! the naive kernel.
+//! CHANGES.md. Every velocity moment sums over one fixed tree, so at a
+//! power-of-two `n1` the bits do not depend on the grid at all: the
+//! five-grid row reads one pin on every grid, and a resume may change the
+//! grid. The `pinned_*` rows also sit at `n1 = 3`, which splits `nv` off
+//! the tree, and at `n1 = 4`; the `nt = 8` row is pinned because only at
+//! `nt ≥ 3` does an nl output accumulate more than one product. Every SIMD
+//! level must read the same pins, because every level is bitwise the naive
+//! kernel.
 
 use proptest::prelude::*;
 use std::time::Duration;
 use xg_comm::{FaultKind, FaultPlan, FaultSpec, OpKind, OpRecord};
 use xg_linalg::norms::max_deviation;
-use xg_sim::{cmat_total_bytes, serial_simulation, CgyroInput, Diagnostics, Fnv1a, Species};
+use xg_comm::World;
+use xg_linalg::Complex64;
+use xg_sim::{
+    cmat_total_bytes, serial_simulation, CgyroInput, Diagnostics, DistTopology, Fnv1a, Simulation,
+    Species, Topology,
+};
 use xg_tensor::{ProcGrid, RaggedDecomp};
 use xgyro_core::{
     gradient_sweep, run_single_cgyro, run_xgyro, run_xgyro_resilient_from, EnsembleCheckpoint,
@@ -88,8 +96,8 @@ impl Case {
 ///   the same deck run alone by `run_single_cgyro` on the same grid;
 /// * at every cut the checkpoint round-trips through bytes, and the decoded
 ///   image reopened in a fresh world (on `resume_grid`, if set) ends on the
-///   same answer — to 1e-12 when the resume grid changes `n1`, which
-///   reassociates the str reduction;
+///   same answer — bit for bit when both grids split `nv` along the
+///   summation tree (see [`same_bits`]), to 1e-12 otherwise;
 /// * a run that stays in one world issues, rank by rank, exactly the
 ///   operations of the uncut run: slicing adds no communication;
 /// * every `h` is finite and nonzero, distinct decks give distinct `h`, and
@@ -181,7 +189,7 @@ fn assert_resumes(
         .expect("a clean resume");
     for (got, &member) in out.outcome.sims.iter().zip(survivors) {
         let want = &alone[member];
-        if grid.n1 == case.grid.n1 {
+        if same_bits(grid, case.grid) {
             assert!(got.h.as_slice() == want.h.as_slice(), "member {member}: resumed at {cut}");
             assert_eq!(diag_bits(&got.diagnostics), diag_bits(&want.diagnostics));
         } else {
@@ -190,6 +198,12 @@ fn assert_resumes(
             assert_eq!(got.diagnostics.time.to_bits(), want.diagnostics.time.to_bits());
         }
     }
+}
+
+/// Whether two grids give the same bits: each splits `nv` along the
+/// summation tree (a power-of-two `n1`), or both split it alike.
+fn same_bits(a: ProcGrid, b: ProcGrid) -> bool {
+    a.n1 == b.n1 || (a.n1.is_power_of_two() && b.n1.is_power_of_two())
 }
 
 /// Deadline for every blocking wait: long enough that descheduled rank
@@ -256,15 +270,16 @@ fn g(n1: usize, n2: usize) -> ProcGrid {
 /// ranks at full weight and one at half.
 const RAGGED: [usize; 6] = [6, 6, 6, 6, 5, 3];
 
-const PIN_NL_2X1: u64 = 0x17a6_547a_0714_6f1f;
-const PIN_NL_2X2: u64 = 0x0aeb_cb2a_9bd9_c084;
-const PIN_K2_3X1_LINEAR: u64 = 0xbcdc_6463_db24_3677;
-const PIN_K2_3X1_NL: u64 = 0xdd45_0ea8_3378_7af7;
-const PIN_K3_4X1_LINEAR: u64 = 0x1489_c120_a3a3_3200;
-const PIN_K3_4X1_NL: u64 = 0xbf4e_e786_d3d2_2a63;
-const PIN_EM_BETA_SCAN: u64 = 0x2875_dd67_65a2_e583;
-const PIN_MEDIUM_64_RANKS: u64 = 0xb377_77ce_c825_eb44;
-const PIN_NT8: u64 = 0x979c_c874_cbb9_e2c6;
+/// The nl sweep's pin, the same on 2×1 and 2×2.
+const PIN_NL: u64 = 0x2c44_3e3a_f496_c48f;
+const PIN_NL_EM_FIVE_GRIDS: u64 = 0x3ef5_8a66_de39_9de4;
+const PIN_K2_3X1_LINEAR: u64 = 0x4106_1314_57a0_7ca3;
+const PIN_K2_3X1_NL: u64 = 0x9ded_64a9_8210_fa35;
+const PIN_K3_4X1_LINEAR: u64 = 0xd899_ec27_eac1_478f;
+const PIN_K3_4X1_NL: u64 = 0xcce7_495d_86b8_0046;
+const PIN_EM_BETA_SCAN: u64 = 0xc83e_45b0_1ac5_5900;
+const PIN_MEDIUM_64_RANKS: u64 = 0x2b01_57e2_e6fb_b3e0;
+const PIN_NT8: u64 = 0x2a2d_4884_5d86_e6a0;
 
 /// One `#[test]` per row that needs nothing beyond the oracle.
 macro_rules! rows {
@@ -332,13 +347,100 @@ rows! {
 #[test]
 fn nl_in_place_2x1_equals_transposed_2x2() {
     // 2×1 evaluates nl in place on each member's str layout; 2×2 transposes
-    // through the nl layout. Same h, bit for bit; the diagnostics' sums
-    // associate differently over the nt split, so each grid has its own pin.
-    let nl_case = |grid, pin| Case { pin: Some(pin), ..Case::sweep(&nl(0.15), 2, grid, 3) };
-    let in_place = assert_members_equal_standalone(&nl_case(g(2, 1), PIN_NL_2X1));
-    let transposed = assert_members_equal_standalone(&nl_case(g(2, 2), PIN_NL_2X2));
+    // through the nl layout. Same h and diagnostics, bit for bit: one pin.
+    let nl_case = |grid| Case { pin: Some(PIN_NL), ..Case::sweep(&nl(0.15), 2, grid, 3) };
+    let in_place = assert_members_equal_standalone(&nl_case(g(2, 1)));
+    let transposed = assert_members_equal_standalone(&nl_case(g(2, 2)));
     for (a, b) in in_place.outcome.sims.iter().zip(&transposed.outcome.sims) {
         assert!(a.h.as_slice() == b.h.as_slice(), "member {}: 2×1 against 2×2", a.sim);
+    }
+}
+
+#[test]
+fn nl_em_five_grids_agree_bitwise() {
+    // One nonlinear electromagnetic sweep on every grid shape the tree
+    // covers: each member's h and diagnostics have the same bits on all
+    // five, and the same as the member run serially.
+    let deck = CgyroInput { beta_e: 0.01, ..nl(0.15) };
+    let steps = 3;
+    let runs: Vec<RecoveryOutcome> = [g(1, 1), g(2, 1), g(4, 1), g(2, 2), g(4, 2)]
+        .into_iter()
+        .map(|grid| {
+            let pin = Some(PIN_NL_EM_FIVE_GRIDS);
+            assert_members_equal_standalone(&Case { pin, ..Case::sweep(&deck, 2, grid, steps) })
+        })
+        .collect();
+    for (i, deck) in gradient_sweep(&deck, 2, g(1, 1)).members().iter().enumerate() {
+        let mut serial = serial_simulation(deck);
+        serial.run_steps(steps);
+        let want = diag_bits(&serial.diagnostics());
+        for run in &runs {
+            let got = &run.outcome.sims[i];
+            assert!(got.h.as_slice() == serial.h().as_slice(), "member {i}: h against serial");
+            assert_eq!(diag_bits(&got.diagnostics), want, "member {i}: diagnostics against serial");
+        }
+    }
+}
+
+#[test]
+fn signed_zeros_do_not_depend_on_the_grid() {
+    // Mutate the state: every velocity row of toroidal mode 0 becomes
+    // −0.0. With one positive species every charge weight is positive, so
+    // each term of mode 0's charge moment is −0.0, and so is their sum —
+    // on every grid, only if no sum or reduction starts from +0.0. Then
+    // one step: the whole state has the same bits on every grid.
+    let deck = CgyroInput { species: vec![Species::deuterium()], ..small() };
+    let dims = deck.dims();
+    let grids = [g(1, 1), g(2, 1), g(4, 1), g(2, 2), g(4, 2)];
+    let runs: Vec<(Vec<Complex64>, Vec<Complex64>, [u64; 4])> = grids
+        .iter()
+        .map(|&grid| {
+            let deck = deck.clone();
+            let parts = World::new(grid.size()).run(move |comm| {
+                let topo = DistTopology::cgyro(&deck, grid, comm);
+                let layout = topo.layout();
+                let mut sim = Simulation::new(deck.clone(), topo);
+                let mut state = sim.h().clone();
+                if layout.nt_range().start == 0 {
+                    let (nc, nvl, _) = state.shape();
+                    for (ic, ivl) in (0..nc).flat_map(|ic| (0..nvl).map(move |ivl| (ic, ivl))) {
+                        state[(ic, ivl, 0)] = Complex64::new(-0.0, -0.0);
+                    }
+                }
+                sim.restore_state(state.as_slice(), 0.0, 0);
+                let d = sim.diagnostics();
+                let phi = sim.phi().to_vec();
+                sim.step();
+                (layout, phi, sim.h().clone(), diag_bits(&d))
+            });
+            let mut phi = vec![Complex64::ZERO; dims.nc * dims.nt];
+            let mut h = vec![Complex64::ZERO; dims.state_len()];
+            for (layout, p, local, _) in &parts {
+                let (nvr, ntr) = (layout.nv_range(), layout.nt_range());
+                for ic in 0..dims.nc {
+                    for (itl, it) in ntr.clone().enumerate() {
+                        phi[ic * dims.nt + it] = p[ic * ntr.len() + itl];
+                        for (ivl, iv) in nvr.clone().enumerate() {
+                            h[(ic * dims.nv + iv) * dims.nt + it] = local[(ic, ivl, itl)];
+                        }
+                    }
+                }
+            }
+            (phi, h, parts[0].3)
+        })
+        .collect();
+    let bits = |v: &[Complex64]| -> Vec<u64> {
+        v.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+    };
+    let (phi0, h0, d0) = &runs[0];
+    assert!(
+        (0..dims.nc).all(|ic| bits(&[phi0[ic * dims.nt]]) == [(-0.0f64).to_bits(); 2]),
+        "mode 0's potential keeps the sign of its −0.0 terms"
+    );
+    for (grid, (phi, h, d)) in grids.iter().zip(&runs).skip(1) {
+        assert_eq!(bits(phi), bits(phi0), "{grid:?}: φ against 1×1");
+        assert_eq!(bits(h), bits(h0), "{grid:?}: h after one step against 1×1");
+        assert_eq!(d, d0, "{grid:?}: diagnostics against 1×1");
     }
 }
 

@@ -241,9 +241,10 @@ fn main() {
     let recovery = server.metrics().recovery;
     if recovery.replayed_records > 0 || !recovery.warnings.is_empty() {
         println!(
-            "xgqueued: journal replay: {} records in {} us -> {} jobs restored, \
+            "xgqueued: journal replay: {} records ({} bytes) in {} us -> {} jobs restored, \
              {} batches resumed, {} jobs re-admitted ({} torn bytes dropped)",
             recovery.replayed_records,
+            recovery.replay_bytes,
             recovery.replay_us,
             recovery.restored_jobs,
             recovery.resumed_batches,

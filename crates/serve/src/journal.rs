@@ -66,30 +66,68 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-// CRC-32 (IEEE 802.3, reflected), table-driven. Hand-rolled: the container
-// has no crc crate and the polynomial fits in twenty lines.
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, e) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
+/// CRC-32 lookup tables for slice-by-16, built at compile time. `T[0]` is
+/// the classic bytewise table (IEEE 802.3 polynomial, reflected); `T[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so one step folds
+/// sixteen input bytes with sixteen independent lookups.
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        table
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-/// CRC-32 of `bytes` (IEEE, the checksum zlib and Ethernet use).
+/// CRC-32 of `bytes` (IEEE, the checksum zlib and Ethernet use). The
+/// journal's one checksum: append, replay and compaction all call it.
+/// Hand-rolled, as the workspace has no crc crate: slice-by-16 over the
+/// tables above, sixteen bytes per step, then a bytewise tail. Replay
+/// verifies every byte of the log, so this loop sets restart time.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
+    let t = &CRC32_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(lo & 0xff) as usize]
+            ^ t[14][((lo >> 8) & 0xff) as usize]
+            ^ t[13][((lo >> 16) & 0xff) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -611,6 +649,9 @@ pub struct Replay {
     pub torn_bytes: u64,
     /// Segment files read.
     pub segments: usize,
+    /// Segment bytes read (and checksummed) — what the replay cost scales
+    /// with.
+    pub bytes: u64,
     /// Wall time spent reading and decoding, microseconds.
     pub replay_us: u64,
     /// Human-readable warnings (torn-tail truncation, ignored segments).
@@ -653,44 +694,64 @@ fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Read one segment file: decodable records plus the byte offset of the
-/// first bad frame (None when the whole file framed cleanly).
-fn read_segment(path: &Path) -> std::io::Result<(Vec<JournalRecord>, Option<u64>, Vec<String>)> {
+/// One segment file as read back.
+struct Segment {
+    /// Decodable records, in append order.
+    records: Vec<JournalRecord>,
+    /// Byte offset of the first bad frame (None when the whole file framed
+    /// cleanly).
+    bad_at: Option<u64>,
+    /// Why the frame at `bad_at` is bad.
+    warnings: Vec<String>,
+    /// File length.
+    bytes: u64,
+}
+
+impl Segment {
+    /// The log ends at the frame at `off`, for reason `why`.
+    fn end_at(mut self, off: usize, why: String) -> std::io::Result<Segment> {
+        self.warnings.push(why);
+        self.bad_at = Some(off as u64);
+        Ok(self)
+    }
+}
+
+/// Read one segment file: its decodable records, up to the first bad frame.
+fn read_segment(path: &Path) -> std::io::Result<Segment> {
     let mut buf = Vec::new();
     File::open(path)?.read_to_end(&mut buf)?;
-    let mut records = Vec::new();
-    let mut warnings = Vec::new();
+    let mut seg = Segment {
+        records: Vec::new(),
+        bad_at: None,
+        warnings: Vec::new(),
+        bytes: buf.len() as u64,
+    };
     let mut off = 0usize;
     while off < buf.len() {
         if off + 8 > buf.len() {
-            warnings.push(format!("torn frame header at byte {off}"));
-            return Ok((records, Some(off as u64), warnings));
+            return seg.end_at(off, format!("torn frame header at byte {off}"));
         }
         let len =
             u32::from_le_bytes(buf[off..off + 4].try_into().expect("bounds checked")) as usize;
         let crc = u32::from_le_bytes(buf[off + 4..off + 8].try_into().expect("bounds checked"));
         if off + 8 + len > buf.len() {
-            warnings.push(format!(
+            let why = format!(
                 "torn frame at byte {off}: header promises {len} bytes, {} remain",
                 buf.len() - off - 8
-            ));
-            return Ok((records, Some(off as u64), warnings));
+            );
+            return seg.end_at(off, why);
         }
         let payload = &buf[off + 8..off + 8 + len];
         if crc32(payload) != crc {
-            warnings.push(format!("CRC mismatch at byte {off}"));
-            return Ok((records, Some(off as u64), warnings));
+            return seg.end_at(off, format!("CRC mismatch at byte {off}"));
         }
         match JournalRecord::decode(payload) {
-            Ok(r) => records.push(r),
-            Err(e) => {
-                warnings.push(format!("undecodable record at byte {off}: {e}"));
-                return Ok((records, Some(off as u64), warnings));
-            }
+            Ok(r) => seg.records.push(r),
+            Err(e) => return seg.end_at(off, format!("undecodable record at byte {off}: {e}")),
         }
         off += 8 + len;
     }
-    Ok((records, None, warnings))
+    Ok(seg)
 }
 
 impl Journal {
@@ -715,12 +776,12 @@ impl Journal {
                     .push(format!("segment seg-{index:06}.xgj ignored (follows a torn frame)"));
                 continue;
             }
-            let (records, bad_at, mut warnings) = read_segment(path)?;
-            replay.records.extend(records);
-            replay.warnings.append(&mut warnings);
-            if let Some(at) = bad_at {
-                let total = std::fs::metadata(path)?.len();
-                replay.torn_bytes += total - at;
+            let mut seg = read_segment(path)?;
+            replay.bytes += seg.bytes;
+            replay.records.append(&mut seg.records);
+            replay.warnings.append(&mut seg.warnings);
+            if let Some(at) = seg.bad_at {
+                replay.torn_bytes += seg.bytes - at;
                 // Truncate back to the last good frame so the next append
                 // starts cleanly framed.
                 OpenOptions::new().write(true).open(path)?.set_len(at)?;
@@ -868,9 +929,9 @@ impl Journal {
         }
         let mut records = Vec::new();
         for (_, path) in &closed {
-            let (recs, bad, _) = read_segment(path)?;
-            records.extend(recs);
-            if bad.is_some() {
+            let mut seg = read_segment(path)?;
+            records.append(&mut seg.records);
+            if seg.bad_at.is_some() {
                 // Should be unreachable (closed segments were written whole
                 // by this process); leave the log alone rather than compact
                 // around corruption.

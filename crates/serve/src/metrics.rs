@@ -326,6 +326,11 @@ impl Metrics {
                 r.torn_bytes,
             ),
             (
+                "xgserve_replay_bytes_total",
+                "Journal segment bytes read and checksummed by startup replay.",
+                r.replay_bytes,
+            ),
+            (
                 "xgserve_cache_hits_total",
                 "Submissions served from the artifact store.",
                 self.cache_hits,

@@ -200,6 +200,8 @@ pub struct RecoveryReport {
     pub readmitted_jobs: u64,
     /// Torn-tail bytes truncated during replay.
     pub torn_bytes: u64,
+    /// Journal segment bytes read and checksummed by the replay.
+    pub replay_bytes: u64,
     /// Wall time the replay took, microseconds.
     pub replay_us: u64,
     /// Human-readable warnings (torn tails, dropped checkpoints, …).
@@ -912,6 +914,7 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
     st.metrics.recovery = RecoveryReport {
         replayed_records: replay.records.len() as u64,
         torn_bytes: replay.torn_bytes,
+        replay_bytes: replay.bytes,
         replay_us: replay.replay_us,
         warnings: replay.warnings,
         ..RecoveryReport::default()

@@ -34,5 +34,5 @@ pub use lu::{LuFactors, SingularMatrix};
 pub use matrix::RealMatrix;
 pub use simd::{
     apply_panel_multi_with, available_levels, detected_level, select_level_with, selected_level,
-    tuned_level, SimdLevel, SIMD_ENV, WIDER_LEVEL_MARGIN,
+    tuned_level, with_level, LevelBody, SimdLevel, SIMD_ENV, WIDER_LEVEL_MARGIN,
 };

@@ -231,8 +231,12 @@ impl LuFactors {
                     *a -= u * v;
                 }
             }
+            // `u_ii` read once: behind `with_level`'s body the compiler no
+            // longer sees that `x` and the factors are disjoint, and would
+            // reload it after each store, one lane at a time.
+            let pivot = row[i];
             for (x, &a) in xi.iter_mut().zip(acc.iter()) {
-                *x = a / row[i];
+                *x = a / pivot;
             }
         }
     }

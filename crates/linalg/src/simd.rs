@@ -30,14 +30,22 @@
 //! # The `cmat` build's contract
 //!
 //! [`LuFactors::factorize`] and [`LuFactors::solve_matrix_into`] run one
-//! safe source, compiled once per level by `#[target_feature]` and picked
-//! at [`selected_level`]. It is multiply-then-subtract, not FMA: each
+//! safe source, compiled once per level by [`with_level`] and picked at
+//! [`selected_level`]. It is multiply-then-subtract, not FMA: each
 //! element receives `x ← x − (m·u)` as a separately rounded multiply and
 //! subtract, for the pivot steps (factorization) or `j` (substitution) in
 //! ascending order, with the `m ≠ 0` skip and one divide by `u_ii`. Lanes
 //! cover only independent columns of `X` or trailing elements of one row,
 //! and Rust never contracts `a − b·c` into an FMA, so every level builds
 //! the scalar level's factors and solutions bit for bit.
+//!
+//! # The explicit half's contract
+//!
+//! The str stencil (`xg_sim::streaming`) and the nl bracket
+//! (`xg_sim::nonlinear`) run through the same [`with_level`] at
+//! [`selected_level`]. Their lanes are independent output points, each
+//! computed with separately rounded multiplies and adds in the scalar
+//! loop's order, so every level gives the scalar build's bits.
 
 use crate::complex::Complex64;
 use crate::lu::{LuFactors, SingularMatrix};
@@ -303,7 +311,7 @@ unsafe fn panel_scalar(a: &[f64], n: usize, x: &[Complex64], y: *mut Complex64, 
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Complex64, LuFactors, RealMatrix, SingularMatrix};
+    use super::{Complex64, LevelBody};
     use std::arch::x86_64::*;
 
     /// Store one ymm of 2 complex accumulators to `y[(r..r+2)·n + i]`.
@@ -513,40 +521,22 @@ mod x86 {
         }
     }
 
-    /// [`LuFactors::factorize_body`] compiled for AVX2.
+    /// `body` compiled for AVX2+FMA: inlined here, it runs on ymm lanes.
     ///
     /// # Safety
     /// The CPU must support AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn factorize_avx2(a: RealMatrix) -> Result<LuFactors, SingularMatrix> {
-        LuFactors::factorize_body(a)
+    pub(super) unsafe fn run_avx2<B: LevelBody>(body: B) -> B::Output {
+        body.run()
     }
 
-    /// [`LuFactors::factorize_body`] compiled for AVX-512F.
+    /// `body` compiled for AVX-512F: inlined here, it runs on zmm lanes.
     ///
     /// # Safety
     /// The CPU must support AVX-512F+AVX2+FMA.
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) unsafe fn factorize_avx512(a: RealMatrix) -> Result<LuFactors, SingularMatrix> {
-        LuFactors::factorize_body(a)
-    }
-
-    /// [`LuFactors::solve_matrix_into_body`] compiled for AVX2.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn solve_into_avx2(f: &LuFactors, b: &RealMatrix, x: &mut [f64]) {
-        f.solve_matrix_into_body(b, x)
-    }
-
-    /// [`LuFactors::solve_matrix_into_body`] compiled for AVX-512F.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F+AVX2+FMA.
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) unsafe fn solve_into_avx512(f: &LuFactors, b: &RealMatrix, x: &mut [f64]) {
-        f.solve_matrix_into_body(b, x)
+    pub(super) unsafe fn run_avx512<B: LevelBody>(body: B) -> B::Output {
+        body.run()
     }
 }
 
@@ -604,20 +594,68 @@ pub fn apply_panel_multi_with(
     }
 }
 
-/// [`LuFactors::factorize`] with an explicit level: the same source
-/// compiled for that level's lanes, bitwise identical at every level.
-pub(crate) fn factorize_with(level: SimdLevel, a: RealMatrix) -> Result<LuFactors, SingularMatrix> {
+/// A kernel body that [`with_level`] compiles once per [`SimdLevel`].
+///
+/// Implement [`LevelBody::run`] with `#[inline(always)]`, and reach the
+/// loops from it through `#[inline(always)]` calls only: that is what
+/// places them inside the level's `#[target_feature]` frame. The helper
+/// takes this trait and not a closure because stable Rust cannot mark a
+/// closure `#[inline(always)]`, and LLVM calls a large closure out of line,
+/// compiled for the baseline target.
+pub trait LevelBody {
+    /// What the body returns.
+    type Output;
+    /// Run the body.
+    fn run(self) -> Self::Output;
+}
+
+/// Run `body` compiled for `level`'s lanes (clamped to the hardware
+/// probe): the one safe way a kernel outside this module reaches the wider
+/// instruction sets. It changes which instructions run, never which
+/// operations: Rust does not contract `a·b + c` into an FMA, so a body of
+/// independent per-lane arithmetic gives the scalar build's bits at every
+/// level.
+#[inline]
+pub fn with_level<B: LevelBody>(level: SimdLevel, body: B) -> B::Output {
     match effective(level) {
-        SimdLevel::Scalar => LuFactors::factorize_body(a),
+        SimdLevel::Scalar => body.run(),
         // SAFETY: effective() ≤ detected_level() guarantees AVX2+FMA.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::factorize_avx2(a) },
+        SimdLevel::Avx2 => unsafe { x86::run_avx2(body) },
         // SAFETY: effective() ≤ detected_level() guarantees AVX-512F+AVX2+FMA.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { x86::factorize_avx512(a) },
+        SimdLevel::Avx512 => unsafe { x86::run_avx512(body) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("effective() clamps to Scalar off x86_64"),
     }
+}
+
+/// [`LuFactors::factorize_body`] as a [`LevelBody`].
+struct Factorize(RealMatrix);
+
+impl LevelBody for Factorize {
+    type Output = Result<LuFactors, SingularMatrix>;
+    #[inline(always)]
+    fn run(self) -> Self::Output {
+        LuFactors::factorize_body(self.0)
+    }
+}
+
+/// [`LuFactors::solve_matrix_into_body`] as a [`LevelBody`].
+struct SolveInto<'a>(&'a LuFactors, &'a RealMatrix, &'a mut [f64]);
+
+impl LevelBody for SolveInto<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        self.0.solve_matrix_into_body(self.1, self.2)
+    }
+}
+
+/// [`LuFactors::factorize`] with an explicit level: the same source
+/// compiled for that level's lanes, bitwise identical at every level.
+pub(crate) fn factorize_with(level: SimdLevel, a: RealMatrix) -> Result<LuFactors, SingularMatrix> {
+    with_level(level, Factorize(a))
 }
 
 /// [`LuFactors::solve_matrix_into`] with an explicit level: the same
@@ -629,17 +667,7 @@ pub(crate) fn solve_matrix_into_with(
     b: &RealMatrix,
     x: &mut [f64],
 ) {
-    match effective(level) {
-        SimdLevel::Scalar => f.solve_matrix_into_body(b, x),
-        // SAFETY: effective() ≤ detected_level() guarantees AVX2+FMA.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::solve_into_avx2(f, b, x) },
-        // SAFETY: effective() ≤ detected_level() guarantees AVX-512F+AVX2+FMA.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { x86::solve_into_avx512(f, b, x) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("effective() clamps to Scalar off x86_64"),
-    }
+    with_level(level, SolveInto(f, b, x))
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 //! `φ` row of its `ic`, the structure `cmat` has across right-hand sides.
 
 use crate::input::CgyroInput;
+use xg_linalg::simd::{selected_level, with_level, LevelBody, SimdLevel};
 use xg_linalg::Complex64;
 use xg_tensor::{Decomp1D, Tensor3};
 
@@ -97,7 +98,8 @@ impl NlKernel {
         self.coupling == 0.0
     }
 
-    /// Evaluate the nonlinear term on nl-layout data.
+    /// Evaluate the nonlinear term on nl-layout data, on the lanes of
+    /// [`selected_level`].
     ///
     /// * `h_nl`: `(nc_blk, nv_loc, nt)` — full toroidal dimension.
     /// * `phi`: `nc × nt` row-major (`ic·nt + n`), the potential with the
@@ -111,6 +113,18 @@ impl NlKernel {
         nc_offset: usize,
         out: &mut Tensor3<Complex64>,
     ) {
+        self.eval_with(selected_level(), h_nl, phi, nc_offset, out)
+    }
+
+    /// [`Self::eval`] compiled for `level`.
+    fn eval_with(
+        &self,
+        level: SimdLevel,
+        h_nl: &Tensor3<Complex64>,
+        phi: &[Complex64],
+        nc_offset: usize,
+        out: &mut Tensor3<Complex64>,
+    ) {
         let (nc_blk, nvl, nt) = h_nl.shape();
         assert_eq!(out.shape(), h_nl.shape());
         assert_eq!(nt, self.nt);
@@ -118,35 +132,13 @@ impl NlKernel {
             out.fill(Complex64::ZERO);
             return;
         }
-        let half_c = 0.5 * self.coupling;
-        let lines = nc_blk * nvl;
-        let mut modes = vec![ModeLanes::default(); nt];
-        for first in (0..lines).step_by(LANES) {
-            let live = LANES.min(lines - first);
-            // Gather: lanes past the last line repeat it, and their
-            // outputs are dropped.
-            for l in 0..LANES {
-                let line = first + l.min(live - 1);
-                let ic = nc_offset + line / nvl;
-                let h = &h_nl.as_slice()[line * nt..(line + 1) * nt];
-                let phi = &phi[ic * nt..(ic + 1) * nt];
-                for (m, (hz, pz)) in modes.iter_mut().zip(h.iter().zip(phi)) {
-                    m.load(l, hz, pz);
-                }
-            }
-            let o = out.as_mut_slice();
-            for n in 0..nt {
-                let acc = self.target(&modes, n);
-                for l in 0..live {
-                    o[(first + l) * nt + n] = lane_out(half_c, &acc, l);
-                }
-            }
-        }
+        let (h, out) = (h_nl.as_slice(), out.as_mut_slice());
+        with_level(level, Lines { k: self, h, phi, nc_offset, lines: nc_blk * nvl, nvl, out });
     }
 
     /// Evaluate the nonlinear term straight out of the toroidal exchange's
     /// blocks, with no nl-layout staging: [`NlKernel::eval`]'s arithmetic,
-    /// bit for bit, on the same `nc_blk × nvl` lines.
+    /// bit for bit, on the same `nc_blk × nvl` lines and the same lanes.
     ///
     /// * `recv[j]`: the block from toroidal rank `j`, owner of modes
     ///   `nt_decomp.range(j)`: its `h` rows `[ic_loc][iv_loc][it]`, then its
@@ -156,6 +148,19 @@ impl NlKernel {
     ///   term that this rank computes.
     pub(crate) fn eval_blocks(
         &self,
+        recv: &[Vec<Complex64>],
+        nt_decomp: Decomp1D,
+        nc_blk: usize,
+        nvl: usize,
+        send: &mut [Vec<Complex64>],
+    ) {
+        self.eval_blocks_with(selected_level(), recv, nt_decomp, nc_blk, nvl, send)
+    }
+
+    /// [`Self::eval_blocks`] compiled for `level`.
+    fn eval_blocks_with(
+        &self,
+        level: SimdLevel,
         recv: &[Vec<Complex64>],
         nt_decomp: Decomp1D,
         nc_blk: usize,
@@ -176,35 +181,7 @@ impl NlKernel {
         if self.is_disabled() {
             return;
         }
-        let half_c = 0.5 * self.coupling;
-        let mut modes = vec![ModeLanes::default(); nt];
-        for first in (0..lines).step_by(LANES) {
-            let live = LANES.min(lines - first);
-            for l in 0..LANES {
-                let line = first + l.min(live - 1);
-                let icl = line / nvl;
-                for (j, blk) in recv.iter().enumerate() {
-                    let r = nt_decomp.range(j);
-                    let ntl = r.len();
-                    let (h, phi) = blk.split_at(lines * ntl);
-                    let h = &h[line * ntl..(line + 1) * ntl];
-                    let phi = &phi[icl * ntl..(icl + 1) * ntl];
-                    for (m, (hz, pz)) in modes[r].iter_mut().zip(h.iter().zip(phi)) {
-                        m.load(l, hz, pz);
-                    }
-                }
-            }
-            for (j, dst) in send.iter_mut().enumerate() {
-                let r = nt_decomp.range(j);
-                let ntl = r.len();
-                for (itl, n) in r.enumerate() {
-                    let acc = self.target(&modes, n);
-                    for l in 0..live {
-                        dst[(first + l) * ntl + itl] = lane_out(half_c, &acc, l);
-                    }
-                }
-            }
-        }
+        with_level(level, Blocks { k: self, recv, nt_decomp, lines, nvl, send });
     }
 
     /// The bracket at target mode `p = n + 1` on `LANES` gathered lines:
@@ -294,10 +271,109 @@ impl NlKernel {
     }
 }
 
+/// One [`NlKernel::eval`] call, compiled per level by [`with_level`].
+struct Lines<'a> {
+    k: &'a NlKernel,
+    h: &'a [Complex64],
+    phi: &'a [Complex64],
+    nc_offset: usize,
+    lines: usize,
+    nvl: usize,
+    out: &'a mut [Complex64],
+}
+
+impl LevelBody for Lines<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Lines { k, h, phi, nc_offset, lines, nvl, out } = self;
+        let (nt, half_c) = (k.nt, 0.5 * k.coupling);
+        let mut modes = vec![ModeLanes::default(); nt];
+        for first in (0..lines).step_by(LANES) {
+            let live = LANES.min(lines - first);
+            // Gather: lanes past the last line repeat it, and their
+            // outputs are dropped.
+            for l in 0..LANES {
+                let line = first + l.min(live - 1);
+                let ic = nc_offset + line / nvl;
+                let h = &h[line * nt..(line + 1) * nt];
+                let phi = &phi[ic * nt..(ic + 1) * nt];
+                for (m, (hz, pz)) in modes.iter_mut().zip(h.iter().zip(phi)) {
+                    m.load(l, hz, pz);
+                }
+            }
+            for n in 0..nt {
+                let acc = k.target(&modes, n);
+                for l in 0..live {
+                    out[(first + l) * nt + n] = lane_out(half_c, &acc, l);
+                }
+            }
+        }
+    }
+}
+
+/// One [`NlKernel::eval_blocks`] call, compiled per level by
+/// [`with_level`].
+struct Blocks<'a> {
+    k: &'a NlKernel,
+    recv: &'a [Vec<Complex64>],
+    nt_decomp: Decomp1D,
+    lines: usize,
+    nvl: usize,
+    send: &'a mut [Vec<Complex64>],
+}
+
+impl LevelBody for Blocks<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Blocks { k, recv, nt_decomp, lines, nvl, send } = self;
+        let half_c = 0.5 * k.coupling;
+        // Per block, once: its modes, and its `h` and `φ` sections.
+        let blocks: Vec<_> = recv
+            .iter()
+            .enumerate()
+            .map(|(j, blk)| {
+                let r = nt_decomp.range(j);
+                let (h, phi) = blk.split_at(lines * r.len());
+                (r, h, phi)
+            })
+            .collect();
+        let mut modes = vec![ModeLanes::default(); k.nt];
+        for first in (0..lines).step_by(LANES) {
+            let live = LANES.min(lines - first);
+            for l in 0..LANES {
+                let line = first + l.min(live - 1);
+                let icl = line / nvl;
+                for (r, h, phi) in &blocks {
+                    let ntl = r.len();
+                    let h = &h[line * ntl..(line + 1) * ntl];
+                    let phi = &phi[icl * ntl..(icl + 1) * ntl];
+                    for (m, (hz, pz)) in modes[r.clone()].iter_mut().zip(h.iter().zip(phi)) {
+                        m.load(l, hz, pz);
+                    }
+                }
+            }
+            for ((r, _, _), dst) in blocks.iter().zip(send.iter_mut()) {
+                let ntl = r.len();
+                for (itl, n) in r.clone().enumerate() {
+                    let acc = k.target(&modes, n);
+                    for l in 0..live {
+                        dst[(first + l) * ntl + itl] = lane_out(half_c, &acc, l);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use xg_linalg::simd::available_levels;
 
     fn kernel(nt: usize, coupling: f64) -> NlKernel {
         let mut input = CgyroInput::test_small();
@@ -405,26 +481,17 @@ mod tests {
             // a nonzero `nc` offset, and the linear run's zero coupling,
             // where `eval` writes zeros without evaluating. The block path
             // gets the same lines split over `n2` toroidal ranks, ragged
-            // (or empty) where `n2` does not divide `nt`.
+            // (or empty) where `n2` does not divide `nt`. Both run at every
+            // available SIMD level.
             let k = kernel(nt, coupling);
             let mut s = seed;
             let mut z = || Complex64::new(uniform(&mut s), uniform(&mut s));
             let h = Tensor3::from_fn(nc_blk, nvl, nt, |_, _, _| z());
             let phi: Vec<Complex64> = (0..(nc_offset + nc_blk) * nt).map(|_| z()).collect();
-            let mut got = tensor(nc_blk, nvl, nt, |_, _, _| Complex64::new(9.0, 9.0));
-            k.eval(&h, &phi, nc_offset, &mut got);
             let mut want = tensor(nc_blk, nvl, nt, |_, _, _| Complex64::ZERO);
             if !k.is_disabled() {
                 k.eval_direct(&h, &phi, nc_offset, &mut want);
             }
-            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                prop_assert_eq!(
-                    (g.re.to_bits(), g.im.to_bits()),
-                    (w.re.to_bits(), w.im.to_bits()),
-                    "nt {} lines {}×{} offset {} element {}", nt, nc_blk, nvl, nc_offset, i
-                );
-            }
-
             let nt_d = Decomp1D::new(nt, n2);
             let lines = nc_blk * nvl;
             let recv: Vec<Vec<Complex64>> = (0..n2)
@@ -436,20 +503,35 @@ mod tests {
                     h_rows.chain(phi_rows).copied().collect()
                 })
                 .collect();
-            let mut send: Vec<Vec<Complex64>> =
-                (0..n2).map(|_| vec![Complex64::new(9.0, 9.0); 3]).collect();
-            k.eval_blocks(&recv, nt_d, nc_blk, nvl, &mut send);
-            for (j, blk) in send.iter().enumerate() {
-                let r = nt_d.range(j);
-                prop_assert_eq!(blk.len(), lines * r.len());
-                for line in 0..lines {
-                    for (itl, n) in r.clone().enumerate() {
-                        let (g, w) = (blk[line * r.len() + itl], want.as_slice()[line * nt + n]);
-                        prop_assert_eq!(
-                            (g.re.to_bits(), g.im.to_bits()),
-                            (w.re.to_bits(), w.im.to_bits()),
-                            "n2 {} block {} line {} mode {}", n2, j, line, n
-                        );
+            // Every level's lanes, in both layouts.
+            for level in available_levels() {
+                let mut got = tensor(nc_blk, nvl, nt, |_, _, _| Complex64::new(9.0, 9.0));
+                k.eval_with(level, &h, &phi, nc_offset, &mut got);
+                for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    prop_assert_eq!(
+                        (g.re.to_bits(), g.im.to_bits()),
+                        (w.re.to_bits(), w.im.to_bits()),
+                        "level {} nt {} lines {}×{} offset {} element {}",
+                        level, nt, nc_blk, nvl, nc_offset, i
+                    );
+                }
+
+                let mut send: Vec<Vec<Complex64>> =
+                    (0..n2).map(|_| vec![Complex64::new(9.0, 9.0); 3]).collect();
+                k.eval_blocks_with(level, &recv, nt_d, nc_blk, nvl, &mut send);
+                for (j, blk) in send.iter().enumerate() {
+                    let r = nt_d.range(j);
+                    prop_assert_eq!(blk.len(), lines * r.len());
+                    for line in 0..lines {
+                        for (itl, n) in r.clone().enumerate() {
+                            let (g, w) =
+                                (blk[line * r.len() + itl], want.as_slice()[line * nt + n]);
+                            prop_assert_eq!(
+                                (g.re.to_bits(), g.im.to_bits()),
+                                (w.re.to_bits(), w.im.to_bits()),
+                                "level {} n2 {} block {} line {} mode {}", level, n2, j, line, n
+                            );
+                        }
                     }
                 }
             }

@@ -12,6 +12,7 @@ use crate::geometry::Geometry;
 use crate::grid::{ky_modes, ConfigGrid, VelocityGrid};
 use crate::input::CgyroInput;
 use std::ops::Range;
+use xg_linalg::simd::{selected_level, with_level, LevelBody, SimdLevel};
 use xg_linalg::Complex64;
 use xg_tensor::{Tensor2, Tensor3};
 
@@ -143,7 +144,8 @@ impl StrKernel {
 
     /// Evaluate the streaming-phase RHS into `rhs` (same str layout as
     /// `h`): parallel streaming (4th-order centered + upwind biasing),
-    /// curvature drift, gradient drive, and the upwind-moment correction.
+    /// curvature drift, gradient drive, and the upwind-moment correction,
+    /// on the lanes of [`selected_level`].
     ///
     /// `phi`, `apar` and `upwind` are the completed (post-AllReduce)
     /// fields, `nc × nt_loc` row-major. The drive acts on the generalized
@@ -157,15 +159,44 @@ impl StrKernel {
         upwind: &[Complex64],
         rhs: &mut Tensor3<Complex64>,
     ) {
-        let (nc, nvl, ntl) = h.shape();
+        self.rhs_with(selected_level(), h, phi, apar, upwind, rhs)
+    }
+
+    /// [`Self::rhs`] compiled for `level`. Every element is one point's
+    /// expression, evaluated in the indexed loop's order, so every level
+    /// writes the same bits.
+    fn rhs_with(
+        &self,
+        level: SimdLevel,
+        h: &Tensor3<Complex64>,
+        phi: &[Complex64],
+        apar: &[Complex64],
+        upwind: &[Complex64],
+        rhs: &mut Tensor3<Complex64>,
+    ) {
+        let (nc, _, ntl) = h.shape();
         assert_eq!(rhs.shape(), h.shape());
         assert_eq!(phi.len(), nc * ntl);
         assert_eq!(apar.len(), nc * ntl);
         assert_eq!(upwind.len(), nc * ntl);
+        debug_assert_eq!(nc % self.n_theta, 0);
+        with_level(level, Rows { k: self, h, phi, apar, upwind, rhs });
+    }
+
+    /// The stencil indexed element by element: the oracle
+    /// [`Self::rhs`]'s rows must reproduce bit for bit at every level.
+    #[cfg(test)]
+    fn rhs_indexed(
+        &self,
+        h: &Tensor3<Complex64>,
+        phi: &[Complex64],
+        apar: &[Complex64],
+        upwind: &[Complex64],
+        rhs: &mut Tensor3<Complex64>,
+    ) {
+        let (nc, nvl, ntl) = h.shape();
         let nth = self.n_theta;
         let nr = nc / nth;
-        debug_assert_eq!(nr * nth, nc);
-
         for ir in 0..nr {
             let base = ir * nth;
             for jt in 0..nth {
@@ -208,9 +239,91 @@ impl StrKernel {
     }
 }
 
+/// One [`StrKernel::rhs`] call, compiled per level by [`with_level`].
+struct Rows<'a> {
+    k: &'a StrKernel,
+    h: &'a Tensor3<Complex64>,
+    phi: &'a [Complex64],
+    apar: &'a [Complex64],
+    upwind: &'a [Complex64],
+    rhs: &'a mut Tensor3<Complex64>,
+}
+
+impl LevelBody for Rows<'_> {
+    type Output = ();
+
+    /// The stencil over contiguous rows: per `ic`, the five poloidal
+    /// neighbours' planes and the field rows are sliced once; per
+    /// `(ic, iv)`, the `iv` coefficients are computed once and the
+    /// `nt_loc` points of the row run side by side.
+    #[inline(always)]
+    fn run(self) {
+        let Rows { k, h, phi, apar, upwind, rhs } = self;
+        let (_, nvl, ntl) = h.shape();
+        let plane = nvl * ntl;
+        if plane == 0 {
+            return;
+        }
+        let nth = k.n_theta;
+        let h = h.as_slice();
+        let h_plane = |ic: usize| &h[ic * plane..(ic + 1) * plane];
+        let ky = &k.ky_loc[..ntl];
+        let drive_all = k.drive.as_slice();
+        // Periodic poloidal neighbours along the field line, per `jt`.
+        let neighbours: Vec<[usize; 4]> = (0..nth)
+            .map(|jt| [(jt + nth - 2) % nth, (jt + nth - 1) % nth, (jt + 1) % nth, (jt + 2) % nth])
+            .collect();
+        for (ir, line) in rhs.as_mut_slice().chunks_exact_mut(nth * plane).enumerate() {
+            let base = ir * nth;
+            for (jt, (out, &[jm2, jm1, jp1, jp2])) in
+                line.chunks_exact_mut(plane).zip(&neighbours).enumerate()
+            {
+                let ic = base + jt;
+                let (hm2, hm1, h0) = (h_plane(base + jm2), h_plane(base + jm1), h_plane(ic));
+                let (hp1, hp2) = (h_plane(base + jp1), h_plane(base + jp2));
+                let drive = &drive_all[ic * plane..(ic + 1) * plane];
+                let fields = ic * ntl..(ic + 1) * ntl;
+                let (phi, apar, upwind) =
+                    (&phi[fields.clone()], &apar[fields.clone()], &upwind[fields]);
+                let omega_d = &k.omega_d.row(ic)[..ntl];
+                let metric = k.metric[ic];
+                for ivl in 0..nvl {
+                    let vpar = k.vpar[ivl];
+                    let vs = vpar * metric;
+                    let c1 = vs * k.dtheta_inv / 12.0;
+                    let cd = vpar.abs() * metric * k.dtheta_inv / 16.0 * k.upwind_diss;
+                    let (eps_d, upw_u) = (k.eps_d[ivl], k.upw_u[ivl]);
+                    let row = ivl * ntl..(ivl + 1) * ntl;
+                    let (hm2, hm1, h0) = (&hm2[row.clone()], &hm1[row.clone()], &h0[row.clone()]);
+                    let (hp1, hp2, drive) =
+                        (&hp1[row.clone()], &hp2[row.clone()], &drive[row.clone()]);
+                    let out = &mut out[row];
+                    for itl in 0..ntl {
+                        let (hm2, hm1, h0, hp1, hp2) =
+                            (hm2[itl], hm1[itl], h0[itl], hp1[itl], hp2[itl]);
+                        // 4th-order centered derivative.
+                        let dh = (hp1 - hm1) * 8.0 - (hp2 - hm2);
+                        // Upwind (hyper-)dissipation.
+                        let diss = hp2 - hp1 * 4.0 + h0 * 6.0 - hm1 * 4.0 + hm2;
+                        let wd = omega_d[itl] * eps_d;
+                        let drive = drive[itl] * ky[itl];
+                        let upw = k.upwind_diss * ky[itl] * upw_u * 0.05;
+                        let psi = phi[itl] - apar[itl].scale(vpar);
+                        out[itl] = -dh * c1 - diss * cd - Complex64::new(0.0, wd) * h0
+                            + Complex64::new(0.0, drive) * psi
+                            - upwind[itl] * upw;
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use xg_linalg::simd::available_levels;
 
     fn setup(input: &CgyroInput) -> (VelocityGrid, ConfigGrid, Geometry) {
         let v = VelocityGrid::new(input);
@@ -351,6 +464,87 @@ mod tests {
         let (left, right) = (upwind(0..half), upwind(half..v.nv()));
         for ((a, b), w) in left.iter().zip(&right).zip(&full) {
             assert_eq!(*a + *b, *w);
+        }
+    }
+
+    /// Uniform in [−1, 1) from a 64-bit LCG state.
+    fn uniform(s: &mut u64) -> f64 {
+        *s = s
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (*s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    }
+
+    /// Values that must keep their sign or their non-finiteness through
+    /// every level's lanes.
+    const PLANTED: [f64; 4] = [-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+    /// A point's bits, with every NaN read as the one quiet NaN: Rust
+    /// leaves the sign and payload of a NaN result unspecified (the
+    /// backend may commute an add's operands, and x86 returns the first
+    /// operand's NaN), so a NaN must stay a NaN at every level, and every
+    /// other value, `-0.0` and the infinities included, must keep its bits.
+    fn bits(z: Complex64) -> (u64, u64) {
+        let b = |x: f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() };
+        (b(z.re), b(z.im))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn rows_equal_the_indexed_loop_at_every_level_bitwise(
+            n_theta in 4usize..13,
+            nvl in 1usize..10,
+            ntl in 1usize..5,
+            (iv0, it0) in (0usize..16, 0usize..3),
+            em in prop_oneof![Just(false), Just(true)],
+            seed in 0u64..u64::MAX,
+            plants in proptest::collection::vec((0usize..4, 0usize..1 << 16, 0usize..4), 0..8),
+        ) {
+            // A sub-range of test_small's 24 velocity points and of 6
+            // toroidal modes, two radial field lines, an electrostatic
+            // (all-zero A∥) or electromagnetic run, and −0, ±∞ and NaN
+            // planted in h, φ, A∥ and upwind.
+            let mut input = CgyroInput::test_small();
+            input.n_radial = 2;
+            input.n_theta = n_theta;
+            input.n_toroidal = 6;
+            let (v, cfg, geo) = setup(&input);
+            let (nv_range, nt_range) = (iv0..iv0 + nvl, it0..it0 + ntl);
+            let k = StrKernel::new(&input, &v, &cfg, &geo, nv_range, nt_range);
+            let nc = cfg.nc();
+            let mut s = seed;
+            let mut z = || Complex64::new(uniform(&mut s), uniform(&mut s));
+            let mut h = Tensor3::from_fn(nc, nvl, ntl, |_, _, _| z());
+            let mut phi: Vec<Complex64> = (0..nc * ntl).map(|_| z()).collect();
+            let mut apar: Vec<Complex64> =
+                (0..nc * ntl).map(|_| if em { z() } else { Complex64::ZERO }).collect();
+            let mut upwind: Vec<Complex64> = (0..nc * ntl).map(|_| z()).collect();
+            for (target, at, value) in plants {
+                let v = PLANTED[value];
+                let slot = match target {
+                    0 => &mut h.as_mut_slice()[at % (nc * nvl * ntl)],
+                    1 => &mut phi[at % (nc * ntl)],
+                    2 => &mut apar[at % (nc * ntl)],
+                    _ => &mut upwind[at % (nc * ntl)],
+                };
+                if at % 2 == 0 { slot.re = v } else { slot.im = v }
+            }
+            let mut want = Tensor3::new(nc, nvl, ntl);
+            k.rhs_indexed(&h, &phi, &apar, &upwind, &mut want);
+            for level in available_levels() {
+                let mut got = Tensor3::from_fn(nc, nvl, ntl, |_, _, _| Complex64::new(9.0, 9.0));
+                k.rhs_with(level, &h, &phi, &apar, &upwind, &mut got);
+                for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    prop_assert_eq!(
+                        bits(*g),
+                        bits(*w),
+                        "level {} n_theta {} nvl {} ntl {} em {} element {}",
+                        level, n_theta, nvl, ntl, em, i
+                    );
+                }
+            }
         }
     }
 }

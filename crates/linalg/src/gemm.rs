@@ -120,7 +120,7 @@ pub fn matvec_complex_flat(
 /// RHS-major (`x[r*n..(r+1)*n]` is right-hand side `r`).
 ///
 /// This is the ensemble collision kernel: k members share one `cmat`
-/// panel, so each panel row is loaded once and reused across all
+/// panel, so every level loads each panel element once per group of
 /// right-hand sides. Dispatches to the level the collision step runs at
 /// this shape ([`crate::simd::tuned_level`], capped by `XGYRO_SIMD`). Per
 /// (row, rhs) the accumulation is one FMA accumulator pair over ascending
@@ -128,12 +128,10 @@ pub fn matvec_complex_flat(
 /// results are bitwise identical to applying the naive kernel per column,
 /// independent of `nrhs` and the kernel level.
 ///
-/// Slice-length preconditions are debug-asserted with messages naming this
+/// Slice-length preconditions are asserted in every build by
+/// [`crate::simd::apply_panel_multi_with`], with messages naming this
 /// function, so mis-sized blocks fail loudly at the call boundary.
 pub fn apply_panel_multi(a: &[f64], n: usize, x: &[Complex64], y: &mut [Complex64], nrhs: usize) {
-    debug_assert_eq!(a.len(), n * n, "apply_panel_multi: a.len() must be n*n");
-    debug_assert_eq!(x.len(), n * nrhs, "apply_panel_multi: x.len() must be n*nrhs");
-    debug_assert_eq!(y.len(), n * nrhs, "apply_panel_multi: y.len() must be n*nrhs");
     crate::simd::apply_panel_multi_with(crate::simd::tuned_level(n, nrhs), a, n, x, y, nrhs);
 }
 
@@ -272,7 +270,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "apply_panel_multi: y.len() must be n*nrhs")]
     fn multi_rhs_short_output_panics_with_named_precondition() {
         let a = vec![0.0; 9];
@@ -282,7 +279,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "apply_panel_multi: a.len() must be n*n")]
     fn multi_rhs_short_panel_panics_with_named_precondition() {
         let a = vec![0.0; 8];

@@ -27,6 +27,27 @@
 //! bitwise-identical results, so the tuner changes wall time only. The
 //! test suite and the CI `kernel-matrix` job enforce this.
 //!
+//! Every kernel walks a block of rows per pass, so each `x` load feeds at
+//! least 8 independent accumulators instead of one FMA chain per row
+//! waiting on its own latency: scalar, 4 rows × `(re, im)` for a single
+//! RHS, 4 rows × 2 RHS or 2 rows × 4 RHS; AVX2, up to 2 RHS in one ymm × 8
+//! rows, or 3–4 RHS in two ymm × 4 rows; AVX-512, up to 4 RHS in one zmm
+//! × 8 rows, or 5–8 RHS in two zmm × 4 rows. The vector kernels pack each
+//! RHS group once into a zero-padded block one group wide; the padded
+//! lanes are computed and never stored. Blocking chooses which
+//! accumulators advance side by side, never the sequence within one.
+//!
+//! # NaN bits
+//!
+//! "Every level gives the same bits" holds for finite and infinite values
+//! (−0.0 and ±∞ included), here and in the contracts below. A NaN's sign
+//! and payload may differ by level: Rust leaves them unspecified, and x86
+//! passes through whichever NaN operand comes first, an order LLVM may
+//! pick differently per level (the str stencil's AVX2 build returned the
+//! negative default NaN where the scalar loop passed a planted positive
+//! NaN through). So a run that blows up to NaN fingerprints differently
+//! under `XGYRO_SIMD=scalar` and `auto`.
+//!
 //! # The `cmat` build's contract
 //!
 //! [`LuFactors::factorize`] and [`LuFactors::solve_matrix_into`] run one
@@ -185,340 +206,334 @@ pub fn available_levels() -> Vec<SimdLevel> {
     SimdLevel::ALL.iter().copied().filter(|l| *l <= top).collect()
 }
 
+#[cfg(target_arch = "x86_64")]
 thread_local! {
-    /// Per-thread packing scratch for the interleaved RHS block.
+    /// Per-thread packing scratch for one RHS group's zero-padded block.
     static PACK_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Pack the RHS-major complex block into the j-major interleaved layout the
-/// SIMD kernels stream: `xp[j·2k + 2r] = x[r·n + j].re`,
-/// `xp[j·2k + 2r + 1] = x[r·n + j].im`. One panel column index `j` maps to
-/// `2·nrhs` contiguous f64 lanes, so the inner kernel loop is one broadcast
-/// plus contiguous FMAs.
-fn pack_rhs(x: &[Complex64], n: usize, nrhs: usize, xp: &mut Vec<f64>) {
-    let w = 2 * nrhs;
+/// Pack right-hand sides `r..r + cnt` of the RHS-major block `x` into a
+/// j-major block `w` f64 lanes wide: `xp[j·w + 2m] = x[(r+m)·n + j].re`,
+/// `xp[j·w + 2m + 1] = x[(r+m)·n + j].im`, and lanes `2·cnt..w` zero. One
+/// panel column `j` is then `w / 4` or `w / 8` whole vector loads.
+#[cfg(target_arch = "x86_64")]
+fn pack_group(x: &[Complex64], n: usize, r: usize, cnt: usize, w: usize, xp: &mut Vec<f64>) {
     xp.clear();
     xp.resize(n * w, 0.0);
-    for r in 0..nrhs {
-        let col = &x[r * n..(r + 1) * n];
-        for (j, z) in col.iter().enumerate() {
-            xp[j * w + 2 * r] = z.re;
-            xp[j * w + 2 * r + 1] = z.im;
+    for m in 0..cnt {
+        let col = &x[(r + m) * n..(r + m + 1) * n];
+        for (lanes, z) in xp.chunks_exact_mut(w).zip(col) {
+            lanes[2 * m] = z.re;
+            lanes[2 * m + 1] = z.im;
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Scalar kernel (register-blocked 4/2/1 over RHS, FMA contraction).
+// Scalar kernel (rows × RHS a pass: 2 × 4, 4 × 2 or 4 × 1).
 // ---------------------------------------------------------------------------
 
 /// Shared scalar body: instantiated twice, plain and under
 /// `#[target_feature(enable = "fma")]`, so `mul_add` compiles to `vfmadd`
 /// on FMA hardware (the default x86-64 target is SSE2-only) while staying
-/// bit-identical to the software fallback.
-///
-/// # Safety
-/// `y` must be valid for `n·nrhs` elements.
-#[allow(clippy::missing_safety_doc)]
+/// bit-identical to the software fallback. Groups of 4 RHS walk 2 rows a
+/// pass, a pair 4 rows and a last single RHS 4 rows, so every pass keeps
+/// 8 or 16 independent FMA chains (LLVM may pair a chain's `re` and `im`
+/// in one register, which keeps each lane's sequence) and the panel is
+/// read once per group.
 #[inline(always)]
-unsafe fn scalar_body(a: &[f64], n: usize, x: &[Complex64], y: *mut Complex64, nrhs: usize) {
+fn scalar_body(a: &[f64], n: usize, x: &[Complex64], y: &mut [Complex64], nrhs: usize) {
     let mut r = 0usize;
-    while r + 4 <= nrhs {
-        let (x0, x1, x2, x3) = (
-            &x[r * n..(r + 1) * n],
-            &x[(r + 1) * n..(r + 2) * n],
-            &x[(r + 2) * n..(r + 3) * n],
-            &x[(r + 3) * n..(r + 4) * n],
-        );
-        for i in 0..n {
-            let row = &a[i * n..(i + 1) * n];
-            let (mut re0, mut im0) = (0.0f64, 0.0f64);
-            let (mut re1, mut im1) = (0.0f64, 0.0f64);
-            let (mut re2, mut im2) = (0.0f64, 0.0f64);
-            let (mut re3, mut im3) = (0.0f64, 0.0f64);
-            for j in 0..n {
-                let aij = row[j];
-                re0 = aij.mul_add(x0[j].re, re0);
-                im0 = aij.mul_add(x0[j].im, im0);
-                re1 = aij.mul_add(x1[j].re, re1);
-                im1 = aij.mul_add(x1[j].im, im1);
-                re2 = aij.mul_add(x2[j].re, re2);
-                im2 = aij.mul_add(x2[j].im, im2);
-                re3 = aij.mul_add(x3[j].re, re3);
-                im3 = aij.mul_add(x3[j].im, im3);
-            }
-            *y.add(r * n + i) = Complex64::new(re0, im0);
-            *y.add((r + 1) * n + i) = Complex64::new(re1, im1);
-            *y.add((r + 2) * n + i) = Complex64::new(re2, im2);
-            *y.add((r + 3) * n + i) = Complex64::new(re3, im3);
-        }
+    while nrhs - r >= 4 {
+        scalar_group::<2, 4>(a, n, x, y, r);
         r += 4;
     }
-    if r + 2 <= nrhs {
-        let (x0, x1) = (&x[r * n..(r + 1) * n], &x[(r + 1) * n..(r + 2) * n]);
-        for i in 0..n {
-            let row = &a[i * n..(i + 1) * n];
-            let (mut re0, mut im0) = (0.0f64, 0.0f64);
-            let (mut re1, mut im1) = (0.0f64, 0.0f64);
-            for j in 0..n {
-                let aij = row[j];
-                re0 = aij.mul_add(x0[j].re, re0);
-                im0 = aij.mul_add(x0[j].im, im0);
-                re1 = aij.mul_add(x1[j].re, re1);
-                im1 = aij.mul_add(x1[j].im, im1);
-            }
-            *y.add(r * n + i) = Complex64::new(re0, im0);
-            *y.add((r + 1) * n + i) = Complex64::new(re1, im1);
-        }
+    if nrhs - r >= 2 {
+        scalar_group::<4, 2>(a, n, x, y, r);
         r += 2;
     }
     if r < nrhs {
-        let x0 = &x[r * n..(r + 1) * n];
-        for i in 0..n {
-            let row = &a[i * n..(i + 1) * n];
-            let (mut re, mut im) = (0.0f64, 0.0f64);
-            for j in 0..n {
-                let aij = row[j];
-                re = aij.mul_add(x0[j].re, re);
-                im = aij.mul_add(x0[j].im, im);
+        scalar_group::<4, 1>(a, n, x, y, r);
+    }
+}
+
+/// RHS `r..r + K` over every panel row, `R` rows a pass and the last
+/// `n mod R` rows one a pass.
+#[inline(always)]
+fn scalar_group<const R: usize, const K: usize>(
+    a: &[f64],
+    n: usize,
+    x: &[Complex64],
+    y: &mut [Complex64],
+    r: usize,
+) {
+    let xs: [&[Complex64]; K] = std::array::from_fn(|m| &x[(r + m) * n..(r + m + 1) * n]);
+    let full = n - n % R;
+    for i in (0..full).step_by(R) {
+        scalar_pass::<R, K>(a, n, &xs, y, r, i);
+    }
+    for i in full..n {
+        scalar_pass::<1, K>(a, n, &xs, y, r, i);
+    }
+}
+
+/// Rows `i..i + R` against the `K` RHS `xs`: one `(re, im)` accumulator
+/// pair per (row, RHS) over ascending `j`.
+#[inline(always)]
+fn scalar_pass<const R: usize, const K: usize>(
+    a: &[f64],
+    n: usize,
+    xs: &[&[Complex64]; K],
+    y: &mut [Complex64],
+    r: usize,
+    i: usize,
+) {
+    let rows: [&[f64]; R] = std::array::from_fn(|p| &a[(i + p) * n..(i + p + 1) * n]);
+    let mut acc = [[[0.0f64; 2]; K]; R];
+    for j in 0..n {
+        for (row, row_acc) in rows.iter().zip(&mut acc) {
+            let aij = row[j];
+            for (xm, [re, im]) in xs.iter().zip(row_acc) {
+                *re = aij.mul_add(xm[j].re, *re);
+                *im = aij.mul_add(xm[j].im, *im);
             }
-            *y.add(r * n + i) = Complex64::new(re, im);
+        }
+    }
+    for (p, row_acc) in acc.iter().enumerate() {
+        for (m, &[re, im]) in row_acc.iter().enumerate() {
+            y[(r + m) * n + i + p] = Complex64::new(re, im);
         }
     }
 }
 
 /// # Safety
-/// The CPU must support FMA; `y` must be valid for `n·nrhs` elements.
+/// The CPU must support FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-unsafe fn scalar_fma(a: &[f64], n: usize, x: &[Complex64], y: *mut Complex64, nrhs: usize) {
+unsafe fn scalar_fma(a: &[f64], n: usize, x: &[Complex64], y: &mut [Complex64], nrhs: usize) {
     scalar_body(a, n, x, y, nrhs)
 }
 
-/// # Safety
-/// `y` must be valid for `n·nrhs` elements.
-unsafe fn panel_scalar(a: &[f64], n: usize, x: &[Complex64], y: *mut Complex64, nrhs: usize) {
+fn panel_scalar(a: &[f64], n: usize, x: &[Complex64], y: &mut [Complex64], nrhs: usize) {
     #[cfg(target_arch = "x86_64")]
     if hw_fma() {
-        return scalar_fma(a, n, x, y, nrhs);
+        // SAFETY: hw_fma() checked the CPU supports the enabled feature.
+        return unsafe { scalar_fma(a, n, x, y, nrhs) };
     }
     scalar_body(a, n, x, y, nrhs)
 }
 
 // ---------------------------------------------------------------------------
-// x86 vector kernels over the packed interleaved RHS block.
+// x86 vector kernels over packed, zero-padded RHS groups.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Complex64, LevelBody};
+    use super::{pack_group, Complex64, LevelBody};
     use std::arch::x86_64::*;
 
-    /// Store one ymm of 2 complex accumulators to `y[(r..r+2)·n + i]`.
-    #[inline(always)]
-    unsafe fn store2(y: *mut Complex64, n: usize, r: usize, i: usize, v: __m256d) {
-        let mut t = [0.0f64; 4];
-        _mm256_storeu_pd(t.as_mut_ptr(), v);
-        *y.add(r * n + i) = Complex64::new(t[0], t[1]);
-        *y.add((r + 1) * n + i) = Complex64::new(t[2], t[3]);
-    }
-
-    /// 2-RHS remainder (one ymm accumulator per row) at lane column `c = 2r`.
+    /// One vector register of f64 lanes, as the panel kernels use it. The
+    /// methods are `#[inline(always)]` so they land in the calling
+    /// `#[target_feature]` kernel.
     ///
     /// # Safety
-    /// Called from a `target_feature` kernel with AVX2+FMA; `xp` has width
-    /// `w ≥ 2r + 4`; `y` valid for `n·nrhs`.
-    #[inline(always)]
-    unsafe fn tail2(a: &[f64], n: usize, xp: &[f64], w: usize, y: *mut Complex64, r: usize) {
-        let c = 2 * r;
-        for i in 0..n {
-            let row = a.as_ptr().add(i * n);
-            let mut acc = _mm256_setzero_pd();
-            for j in 0..n {
-                let xv = _mm256_loadu_pd(xp.as_ptr().add(j * w + c));
-                acc = _mm256_fmadd_pd(_mm256_set1_pd(*row.add(j)), xv, acc);
-            }
-            store2(y, n, r, i, acc);
+    /// Every method needs a CPU with the register's instruction set;
+    /// `load` and `store` need `p` valid for `W` f64s, `splat` for one.
+    trait Lanes: Copy {
+        /// f64 lanes per register (two per complex RHS).
+        const W: usize;
+        unsafe fn zero() -> Self;
+        unsafe fn load(p: *const f64) -> Self;
+        unsafe fn splat(p: *const f64) -> Self;
+        /// `a·x + acc`, one correctly rounded FMA per lane.
+        unsafe fn fma(a: Self, x: Self, acc: Self) -> Self;
+        unsafe fn store(self, p: *mut f64);
+    }
+
+    impl Lanes for __m256d {
+        const W: usize = 4;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm256_loadu_pd(p)
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const f64) -> Self {
+            _mm256_set1_pd(*p)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: Self, x: Self, acc: Self) -> Self {
+            _mm256_fmadd_pd(a, x, acc)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm256_storeu_pd(p, self)
         }
     }
 
-    /// 1-RHS remainder (one xmm accumulator per row) at lane column `c = 2r`.
-    ///
-    /// # Safety
-    /// Called from a `target_feature` kernel with FMA; `xp` has width
-    /// `w ≥ 2r + 2`; `y` valid for `n·nrhs`.
-    #[inline(always)]
-    unsafe fn tail1(a: &[f64], n: usize, xp: &[f64], w: usize, y: *mut Complex64, r: usize) {
-        let c = 2 * r;
-        for i in 0..n {
-            let row = a.as_ptr().add(i * n);
-            let mut acc = _mm_setzero_pd();
-            for j in 0..n {
-                let xv = _mm_loadu_pd(xp.as_ptr().add(j * w + c));
-                acc = _mm_fmadd_pd(_mm_set1_pd(*row.add(j)), xv, acc);
-            }
-            let mut t = [0.0f64; 2];
-            _mm_storeu_pd(t.as_mut_ptr(), acc);
-            *y.add(r * n + i) = Complex64::new(t[0], t[1]);
+    impl Lanes for __m512d {
+        const W: usize = 8;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm512_loadu_pd(p)
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const f64) -> Self {
+            _mm512_set1_pd(*p)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: Self, x: Self, acc: Self) -> Self {
+            _mm512_fmadd_pd(a, x, acc)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm512_storeu_pd(p, self)
         }
     }
 
-    /// AVX2/FMA kernel: 4 RHS (8 f64 lanes = 2 ymm) per group, rows in
-    /// pairs so each packed x load feeds two broadcast·fma streams.
+    /// The panel apply on `V` registers. While more RHS remain than one
+    /// register holds (`V::W / 2`), a group of up to `V::W` RHS is packed
+    /// two registers wide and walks 4 rows a pass; the last ≤ `V::W / 2`
+    /// RHS are packed one register wide and walk 8 rows a pass. Either way
+    /// each packed `x` load feeds 8 independent accumulators.
     ///
     /// # Safety
-    /// Caller must ensure AVX2+FMA; `xp` is the packed block of width
-    /// `w = 2·nrhs`; `y` valid for `n·nrhs`.
+    /// The CPU must support `V`'s instructions; `a.len() = n·n`,
+    /// `x.len() = y.len() = n·nrhs`.
+    #[inline(always)]
+    unsafe fn panel<V: Lanes>(
+        a: &[f64],
+        n: usize,
+        x: &[Complex64],
+        y: &mut [Complex64],
+        nrhs: usize,
+        xp: &mut Vec<f64>,
+    ) {
+        let one = V::W / 2;
+        let mut r = 0usize;
+        while nrhs - r > one {
+            let cnt = (nrhs - r).min(2 * one);
+            pack_group(x, n, r, cnt, 2 * V::W, xp);
+            rows::<V, 4, 2>(a, n, xp, y, r, cnt);
+            r += cnt;
+        }
+        if r < nrhs {
+            pack_group(x, n, r, nrhs - r, V::W, xp);
+            rows::<V, 8, 1>(a, n, xp, y, r, nrhs - r);
+        }
+    }
+
+    /// Every row of the panel for one packed group (`cnt` RHS from `r`):
+    /// `R` rows a pass, then the last `n mod R` rows one a pass.
+    ///
+    /// # Safety
+    /// As [`panel`], with `xp` the group packed `C·V::W` lanes wide and
+    /// `r + cnt ≤ nrhs`.
+    #[inline(always)]
+    unsafe fn rows<V: Lanes, const R: usize, const C: usize>(
+        a: &[f64],
+        n: usize,
+        xp: &[f64],
+        y: &mut [Complex64],
+        r: usize,
+        cnt: usize,
+    ) {
+        let mut i = 0usize;
+        while i + R <= n {
+            pass::<V, R, C>(a, n, xp, y, r, cnt, i);
+            i += R;
+        }
+        while i < n {
+            pass::<V, 1, C>(a, n, xp, y, r, cnt, i);
+            i += 1;
+        }
+    }
+
+    /// Rows `i..i + R` × `C` registers: `R·C` accumulators over ascending
+    /// `j`, each `x` load shared by the `R` rows. Only the group's `cnt`
+    /// live RHS are stored; the padded lanes are dropped.
+    ///
+    /// # Safety
+    /// As [`rows`], with `i + R ≤ n`.
+    #[inline(always)]
+    unsafe fn pass<V: Lanes, const R: usize, const C: usize>(
+        a: &[f64],
+        n: usize,
+        xp: &[f64],
+        y: &mut [Complex64],
+        r: usize,
+        cnt: usize,
+        i: usize,
+    ) {
+        let w = C * V::W;
+        let ap = a.as_ptr().add(i * n);
+        let xq = xp.as_ptr();
+        let mut acc = [[V::zero(); C]; R];
+        for j in 0..n {
+            let mut xv = [V::zero(); C];
+            for (c, v) in xv.iter_mut().enumerate() {
+                *v = V::load(xq.add(j * w + c * V::W));
+            }
+            for (p, row) in acc.iter_mut().enumerate() {
+                let av = V::splat(ap.add(p * n + j));
+                for (s, &xc) in row.iter_mut().zip(&xv) {
+                    *s = V::fma(av, xc, *s);
+                }
+            }
+        }
+        let yp = y.as_mut_ptr();
+        let mut t = [0.0f64; 16];
+        for (p, row) in acc.iter().enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                v.store(t.as_mut_ptr().add(c * V::W));
+            }
+            for m in 0..cnt {
+                *yp.add((r + m) * n + i + p) = Complex64::new(t[2 * m], t[2 * m + 1]);
+            }
+        }
+    }
+
+    /// AVX2/FMA panel kernel: groups of 3–4 RHS as 2 ymm × 4 rows, the last
+    /// 1–2 RHS as 1 ymm × 8 rows.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2+FMA; `a.len() = n·n`,
+    /// `x.len() = y.len() = n·nrhs`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn panel_avx2(
         a: &[f64],
         n: usize,
-        xp: &[f64],
-        y: *mut Complex64,
+        x: &[Complex64],
+        y: &mut [Complex64],
         nrhs: usize,
+        xp: &mut Vec<f64>,
     ) {
-        let w = 2 * nrhs;
-        let mut r = 0usize;
-        while r + 4 <= nrhs {
-            let c = 2 * r;
-            let mut i = 0usize;
-            while i + 2 <= n {
-                let row0 = a.as_ptr().add(i * n);
-                let row1 = a.as_ptr().add((i + 1) * n);
-                let mut acc00 = _mm256_setzero_pd();
-                let mut acc01 = _mm256_setzero_pd();
-                let mut acc10 = _mm256_setzero_pd();
-                let mut acc11 = _mm256_setzero_pd();
-                for j in 0..n {
-                    let xlo = _mm256_loadu_pd(xp.as_ptr().add(j * w + c));
-                    let xhi = _mm256_loadu_pd(xp.as_ptr().add(j * w + c + 4));
-                    let a0 = _mm256_set1_pd(*row0.add(j));
-                    let a1 = _mm256_set1_pd(*row1.add(j));
-                    acc00 = _mm256_fmadd_pd(a0, xlo, acc00);
-                    acc01 = _mm256_fmadd_pd(a0, xhi, acc01);
-                    acc10 = _mm256_fmadd_pd(a1, xlo, acc10);
-                    acc11 = _mm256_fmadd_pd(a1, xhi, acc11);
-                }
-                store2(y, n, r, i, acc00);
-                store2(y, n, r + 2, i, acc01);
-                store2(y, n, r, i + 1, acc10);
-                store2(y, n, r + 2, i + 1, acc11);
-                i += 2;
-            }
-            if i < n {
-                let row0 = a.as_ptr().add(i * n);
-                let mut acc0 = _mm256_setzero_pd();
-                let mut acc1 = _mm256_setzero_pd();
-                for j in 0..n {
-                    let a0 = _mm256_set1_pd(*row0.add(j));
-                    acc0 = _mm256_fmadd_pd(a0, _mm256_loadu_pd(xp.as_ptr().add(j * w + c)), acc0);
-                    acc1 =
-                        _mm256_fmadd_pd(a0, _mm256_loadu_pd(xp.as_ptr().add(j * w + c + 4)), acc1);
-                }
-                store2(y, n, r, i, acc0);
-                store2(y, n, r + 2, i, acc1);
-            }
-            r += 4;
-        }
-        if r + 2 <= nrhs {
-            tail2(a, n, xp, w, y, r);
-            r += 2;
-        }
-        if r < nrhs {
-            tail1(a, n, xp, w, y, r);
-        }
+        panel::<__m256d>(a, n, x, y, nrhs, xp)
     }
 
-    /// AVX-512F kernel: 8 RHS (16 f64 lanes = 2 zmm) per group, rows in
-    /// pairs; remainders fall through to one zmm, then the ymm/xmm tails.
+    /// AVX-512F panel kernel: groups of 5–8 RHS as 2 zmm × 4 rows, the last
+    /// 1–4 RHS as 1 zmm × 8 rows.
     ///
     /// # Safety
-    /// Caller must ensure AVX-512F (+AVX2/FMA for the tails); same
-    /// contracts as [`panel_avx2`].
+    /// The CPU must support AVX-512F+AVX2+FMA; same slice contracts as
+    /// [`panel_avx2`].
     #[target_feature(enable = "avx512f,avx2,fma")]
     pub(super) unsafe fn panel_avx512(
         a: &[f64],
         n: usize,
-        xp: &[f64],
-        y: *mut Complex64,
+        x: &[Complex64],
+        y: &mut [Complex64],
         nrhs: usize,
+        xp: &mut Vec<f64>,
     ) {
-        let w = 2 * nrhs;
-        let mut r = 0usize;
-        while r + 8 <= nrhs {
-            let c = 2 * r;
-            let mut i = 0usize;
-            while i + 2 <= n {
-                let row0 = a.as_ptr().add(i * n);
-                let row1 = a.as_ptr().add((i + 1) * n);
-                let mut acc00 = _mm512_setzero_pd();
-                let mut acc01 = _mm512_setzero_pd();
-                let mut acc10 = _mm512_setzero_pd();
-                let mut acc11 = _mm512_setzero_pd();
-                for j in 0..n {
-                    let xlo = _mm512_loadu_pd(xp.as_ptr().add(j * w + c));
-                    let xhi = _mm512_loadu_pd(xp.as_ptr().add(j * w + c + 8));
-                    let a0 = _mm512_set1_pd(*row0.add(j));
-                    let a1 = _mm512_set1_pd(*row1.add(j));
-                    acc00 = _mm512_fmadd_pd(a0, xlo, acc00);
-                    acc01 = _mm512_fmadd_pd(a0, xhi, acc01);
-                    acc10 = _mm512_fmadd_pd(a1, xlo, acc10);
-                    acc11 = _mm512_fmadd_pd(a1, xhi, acc11);
-                }
-                store8(y, n, r, i, acc00, acc01);
-                store8(y, n, r, i + 1, acc10, acc11);
-                i += 2;
-            }
-            if i < n {
-                let row0 = a.as_ptr().add(i * n);
-                let mut acc0 = _mm512_setzero_pd();
-                let mut acc1 = _mm512_setzero_pd();
-                for j in 0..n {
-                    let a0 = _mm512_set1_pd(*row0.add(j));
-                    acc0 = _mm512_fmadd_pd(a0, _mm512_loadu_pd(xp.as_ptr().add(j * w + c)), acc0);
-                    acc1 =
-                        _mm512_fmadd_pd(a0, _mm512_loadu_pd(xp.as_ptr().add(j * w + c + 8)), acc1);
-                }
-                store8(y, n, r, i, acc0, acc1);
-            }
-            r += 8;
-        }
-        if r + 4 <= nrhs {
-            let c = 2 * r;
-            for i in 0..n {
-                let row = a.as_ptr().add(i * n);
-                let mut acc = _mm512_setzero_pd();
-                for j in 0..n {
-                    let xv = _mm512_loadu_pd(xp.as_ptr().add(j * w + c));
-                    acc = _mm512_fmadd_pd(_mm512_set1_pd(*row.add(j)), xv, acc);
-                }
-                let mut t = [0.0f64; 8];
-                _mm512_storeu_pd(t.as_mut_ptr(), acc);
-                for m in 0..4 {
-                    *y.add((r + m) * n + i) = Complex64::new(t[2 * m], t[2 * m + 1]);
-                }
-            }
-            r += 4;
-        }
-        if r + 2 <= nrhs {
-            tail2(a, n, xp, w, y, r);
-            r += 2;
-        }
-        if r < nrhs {
-            tail1(a, n, xp, w, y, r);
-        }
-    }
-
-    /// Store two zmm of 4 complex accumulators each to
-    /// `y[(r..r+8)·n + i]`.
-    #[inline(always)]
-    unsafe fn store8(y: *mut Complex64, n: usize, r: usize, i: usize, lo: __m512d, hi: __m512d) {
-        let mut t = [0.0f64; 16];
-        _mm512_storeu_pd(t.as_mut_ptr(), lo);
-        _mm512_storeu_pd(t.as_mut_ptr().add(8), hi);
-        for m in 0..8 {
-            *y.add((r + m) * n + i) = Complex64::new(t[2 * m], t[2 * m + 1]);
-        }
+        panel::<__m512d>(a, n, x, y, nrhs, xp)
     }
 
     /// `body` compiled for AVX2+FMA: inlined here, it runs on ymm lanes.
@@ -552,11 +567,15 @@ fn effective(level: SimdLevel) -> SimdLevel {
 }
 
 /// Full panel apply with an explicit kernel level: `Y = A·X` over the
-/// whole panel in one call, the RHS block packed once.
+/// whole panel in one call, each RHS group packed once.
 ///
 /// Bitwise identical to [`crate::gemm::apply_panel_multi`] (and to the
 /// per-column naive kernel) at every level — the tuner may pick any level
 /// without perturbing trajectories.
+///
+/// # Panics
+/// If `a.len() ≠ n·n` or `x.len()`, `y.len() ≠ n·nrhs`, in every build:
+/// the vector kernels index the slices through raw pointers.
 pub fn apply_panel_multi_with(
     level: SimdLevel,
     a: &[f64],
@@ -565,27 +584,31 @@ pub fn apply_panel_multi_with(
     y: &mut [Complex64],
     nrhs: usize,
 ) {
-    debug_assert_eq!(a.len(), n * n, "apply_panel_multi: a.len() must be n*n");
-    debug_assert_eq!(x.len(), n * nrhs, "apply_panel_multi: x.len() must be n*nrhs");
-    debug_assert_eq!(y.len(), n * nrhs, "apply_panel_multi: y.len() must be n*nrhs");
+    assert_eq!(a.len(), n * n, "apply_panel_multi: a.len() must be n*n");
+    assert_eq!(
+        x.len(),
+        n * nrhs,
+        "apply_panel_multi: x.len() must be n*nrhs"
+    );
+    assert_eq!(
+        y.len(),
+        n * nrhs,
+        "apply_panel_multi: y.len() must be n*nrhs"
+    );
     if nrhs == 0 || n == 0 {
         return;
     }
-    let yp = y.as_mut_ptr();
-    let level = effective(level);
-    match level {
-        // SAFETY: y is a live &mut of n·nrhs elements.
-        SimdLevel::Scalar => unsafe { panel_scalar(a, n, x, yp, nrhs) },
+    match effective(level) {
+        SimdLevel::Scalar => panel_scalar(a, n, x, y, nrhs),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Avx512 => PACK_SCRATCH.with(|s| {
+        level => PACK_SCRATCH.with(|s| {
             let xp = &mut *s.borrow_mut();
-            pack_rhs(x, n, nrhs, xp);
-            // SAFETY: level ≤ detected_level() guarantees the ISA; y is a
-            // live &mut of n·nrhs elements.
+            // SAFETY: level ≤ detected_level() guarantees the ISA; the
+            // slice lengths are asserted above.
             unsafe {
                 match level {
-                    SimdLevel::Avx2 => x86::panel_avx2(a, n, xp, yp, nrhs),
-                    _ => x86::panel_avx512(a, n, xp, yp, nrhs),
+                    SimdLevel::Avx2 => x86::panel_avx2(a, n, x, y, nrhs, xp),
+                    _ => x86::panel_avx512(a, n, x, y, nrhs, xp),
                 }
             }
         }),
@@ -723,9 +746,9 @@ static SWEPT: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
 
 /// The measured kernel level for the collision apply of shape
 /// `(n, nrhs)`: every [`available_levels`] candidate gets one warm-up,
-/// then the best of a few timed [`apply_panel_multi_with`] calls on a
+/// then the best of a few timed samples of [`apply_panel_multi_with`] on a
 /// synthetic panel, and [`select_level_with`] picks among them. The timed
-/// calls go round-robin over the candidates, so a slow stretch of the host
+/// samples go round-robin over the candidates, so a slow stretch of the host
 /// lands on every level instead of on whichever was being timed. Cached
 /// per process by shape and [`selected_level`]. Called at topology build
 /// by every rank thread of a world at once, so the cache guard is held
@@ -740,6 +763,11 @@ pub fn tuned_level(n: usize, nrhs: usize) -> SimdLevel {
         // production panels stay a one-shot (~flops-bounded) measurement.
         let work = 4u64 * (n as u64) * (n as u64) * (nrhs.max(1) as u64);
         let reps = (2_000_000 / work.max(1)).clamp(1, 16);
+        // A sample of one call at a tiny panel (8 × 2 runs in ~50 ns) is
+        // mostly the clock's own cost, which reads alike at every level; a
+        // sample of back-to-back calls sized to ~16 kflop lets the kernels'
+        // difference show.
+        let calls = (16_384 / work.max(1)).clamp(1, 64);
         let (a, x) = synthetic_problem(n, nrhs);
         let mut y = vec![Complex64::ZERO; n * nrhs];
         let levels = available_levels();
@@ -750,7 +778,9 @@ pub fn tuned_level(n: usize, nrhs: usize) -> SimdLevel {
         for _ in 0..reps {
             for (&level, best) in levels.iter().zip(&mut best_ns) {
                 let t0 = Instant::now();
-                apply_panel_multi_with(level, &a, n, &x, &mut y, nrhs);
+                for _ in 0..calls {
+                    apply_panel_multi_with(level, &a, n, &x, &mut y, nrhs);
+                }
                 *best = best.min(t0.elapsed().as_nanos() as f64);
             }
         }
@@ -847,39 +877,71 @@ mod tests {
         assert!(choices.iter().all(|c| *c == choices[0]), "ranks disagree: {choices:?}");
     }
 
+    /// Plant ±∞, −0.0 and exact zeros in the panel and in the last RHS, so
+    /// some outputs are ±∞ or NaN and every padded lane that meets an ∞ in
+    /// the panel computes `0·∞ = NaN`, which must never reach `y`.
+    fn plant(a: &mut [f64], x: &mut [Complex64], n: usize, nrhs: usize) {
+        let nn = n * n;
+        a[nn / 3] = f64::INFINITY;
+        a[(2 * nn) / 3] = f64::NEG_INFINITY;
+        a[nn / 2] = -0.0;
+        a[nn - 1] = 0.0;
+        let last = (nrhs - 1) * n;
+        x[last].re = f64::INFINITY;
+        x[last + n / 2].im = -0.0;
+        x[last + n - 1] = Complex64::new(0.0, f64::NEG_INFINITY);
+        x[0].im = -0.0;
+    }
+
     #[test]
     fn every_available_level_is_bitwise_equal_to_naive() {
         // Shapes straddling every lane-width remainder (1..9 RHS covers the
-        // 8/4/2/1 AVX-512 tails and the 4/2/1 AVX2 tails), odd n, and the
-        // benchmark decks' nv (8, 48, 144).
+        // 8-RHS group, its padded 5–7 form and the 1–4 one-register group
+        // at AVX-512, and the 4/3 and 2/1 groups at AVX2), row counts on
+        // either side of the 4- and 8-row blocks (7, 9, 15, 17), odd n, and
+        // the benchmark decks' nv (8, 48, 144). Each shape runs once on
+        // finite values and once with ±∞, −0.0 and zeros planted.
         for &nrhs in &[1usize, 2, 3, 4, 5, 6, 7, 8, 9, 11] {
-            for &n in &[1usize, 2, 5, 8, 16, 33, 48, 144] {
-                let a = panel(n);
-                let x = rhs(n, nrhs);
-                let mut want = vec![Complex64::ZERO; n * nrhs];
-                for r in 0..nrhs {
-                    matvec_complex_flat(
-                        &a,
-                        n,
-                        n,
-                        &x[r * n..(r + 1) * n],
-                        &mut want[r * n..(r + 1) * n],
-                    );
-                }
-                for level in available_levels() {
-                    let mut y = vec![Complex64::ZERO; n * nrhs];
-                    apply_panel_multi_with(level, &a, n, &x, &mut y, nrhs);
-                    for (got, exp) in y.iter().zip(&want) {
-                        assert_eq!(
-                            got.re.to_bits(),
-                            exp.re.to_bits(),
-                            "level {level} n {n} nrhs {nrhs}"
+            for &n in &[1usize, 2, 5, 7, 8, 9, 15, 16, 17, 33, 48, 144] {
+                for planted in [false, true] {
+                    let mut a = panel(n);
+                    let mut x = rhs(n, nrhs);
+                    if planted {
+                        plant(&mut a, &mut x, n, nrhs);
+                    }
+                    let mut want = vec![Complex64::ZERO; n * nrhs];
+                    for r in 0..nrhs {
+                        matvec_complex_flat(
+                            &a,
+                            n,
+                            n,
+                            &x[r * n..(r + 1) * n],
+                            &mut want[r * n..(r + 1) * n],
                         );
-                        assert_eq!(got.im.to_bits(), exp.im.to_bits());
+                    }
+                    for level in available_levels() {
+                        let mut y = vec![Complex64::ZERO; n * nrhs];
+                        apply_panel_multi_with(level, &a, n, &x, &mut y, nrhs);
+                        for (i, (got, exp)) in y.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                (got.re.to_bits(), got.im.to_bits()),
+                                (exp.re.to_bits(), exp.im.to_bits()),
+                                "level {level} n {n} nrhs {nrhs} planted {planted} at {i}"
+                            );
+                        }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "apply_panel_multi: y.len() must be n*nrhs")]
+    fn a_short_output_panics_at_every_build_and_level() {
+        let a = panel(4);
+        let x = rhs(4, 3);
+        let mut y = vec![Complex64::ZERO; 4 * 3 - 1];
+        apply_panel_multi_with(selected_level(), &a, 4, &x, &mut y, 3);
     }
 
     #[test]

@@ -65,6 +65,16 @@ fn vector(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-10.0f64..10.0, n)
 }
 
+/// The values a padded lane or a blown-up run can meet: ±∞, −0.0 and 0.
+fn special() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(-0.0),
+        Just(0.0)
+    ]
+}
+
 fn cvector(n: usize) -> impl Strategy<Value = Vec<Complex64>> {
     prop::collection::vec((-10.0f64..10.0, -10.0f64..10.0), n)
         .prop_map(|v| v.into_iter().map(|(re, im)| Complex64::new(re, im)).collect())
@@ -207,14 +217,28 @@ proptest! {
     #[test]
     fn every_candidate_kernel_is_bitwise_equal_on_random_shapes(
         // Deliberately *not* lane-width multiples: nv and nrhs sweep odd
-        // sizes so the 8/4/2/1-wide remainder paths all run.
-        nv in 1usize..40,
+        // sizes so every RHS group (padded or full) and every row-block
+        // remainder runs; 7, 9, 15 and 17 sit on either side of the 4- and
+        // 8-row blocks.
+        nv in prop_oneof![prop_oneof![Just(7usize), Just(9), Just(15), Just(17)], 1usize..40],
         nrhs in 1usize..11,
         seed_panel in prop::collection::vec(-2.0f64..2.0, 1600),
         x_raw in cvector(440),
+        // ±∞, −0.0 and zeros planted at random places in the panel and the
+        // RHS: padded lanes meeting an ∞ compute 0·∞ = NaN, which must never
+        // reach y.
+        a_special in prop::collection::vec((0usize..1600, special()), 0..4),
+        x_special in prop::collection::vec((0usize..880, special()), 0..4),
     ) {
-        let a: Vec<f64> = seed_panel.iter().copied().cycle().take(nv * nv).collect();
-        let x: Vec<Complex64> = x_raw.iter().copied().cycle().take(nv * nrhs).collect();
+        let mut a: Vec<f64> = seed_panel.iter().copied().cycle().take(nv * nv).collect();
+        let mut x: Vec<Complex64> = x_raw.iter().copied().cycle().take(nv * nrhs).collect();
+        for (at, v) in a_special {
+            a[at % (nv * nv)] = v;
+        }
+        for (at, v) in x_special {
+            let z = &mut x[(at / 2) % (nv * nrhs)];
+            if at % 2 == 0 { z.re = v } else { z.im = v }
+        }
 
         let mut want = vec![Complex64::ZERO; nv * nrhs];
         apply_panel_multi_with(SimdLevel::Scalar, &a, nv, &x, &mut want, nrhs);

@@ -18,7 +18,9 @@
 //! the tree, and at `n1 = 4`; the `nt = 8` row is pinned because only at
 //! `nt ≥ 3` does an nl output accumulate more than one product. Every SIMD
 //! level must read the same pins, because every level is bitwise the naive
-//! kernel.
+//! kernel. That holds for finite and infinite values; a NaN's sign and
+//! payload may differ by level (see `xg_linalg::simd`), so a run that blows
+//! up to NaN fingerprints differently under `XGYRO_SIMD=scalar` and `auto`.
 
 use proptest::prelude::*;
 use std::time::Duration;

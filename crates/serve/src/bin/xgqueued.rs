@@ -242,14 +242,17 @@ fn main() {
     if recovery.replayed_records > 0 || !recovery.warnings.is_empty() {
         println!(
             "xgqueued: journal replay: {} records ({} bytes) in {} us -> {} jobs restored, \
-             {} batches resumed, {} jobs re-admitted ({} torn bytes dropped)",
+             {} batches resumed ({} from checkpoint files), {} jobs re-admitted ({} torn \
+             bytes dropped, {} orphan files removed)",
             recovery.replayed_records,
             recovery.replay_bytes,
             recovery.replay_us,
             recovery.restored_jobs,
             recovery.resumed_batches,
+            recovery.checkpoint_files_loaded,
             recovery.readmitted_jobs,
-            recovery.torn_bytes
+            recovery.torn_bytes,
+            recovery.checkpoint_orphans_removed
         );
         for w in &recovery.warnings {
             eprintln!("xgqueued: journal warning: {w}");

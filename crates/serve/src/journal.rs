@@ -36,7 +36,20 @@
 //! means: the server passes its job table's answer, so a finished job's
 //! records go exactly when the retention window (`retain_jobs` /
 //! `retain_age`) evicts the job — never before — while superseded
-//! checkpoints, the bulk of the bytes, go at once.
+//! checkpoint records go at once.
+//!
+//! ## Checkpoint files
+//!
+//! A batch's restart image is not journaled inline. At each checkpoint
+//! boundary the server writes it to `ckpt-<batch>-<seq>.xgc` beside the
+//! segments ([`write_checkpoint`]: temp file, fsync, rename, directory
+//! fsync) and only then appends a small [`JournalRecord::CheckpointRef`]
+//! carrying its length and [`crc32`] — the state is durable before the
+//! record that names it. A file lives exactly as long as the owner's table
+//! retains its record: [`Journal::retire_checkpoints`] deletes the rest,
+//! each once the record that superseded it is synced. [`Journal::open`]
+//! deletes `*.tmp` files a crash left; the owner's first
+//! `retire_checkpoints` after replay deletes files no record retains.
 //!
 //! ## Fault injection
 //!
@@ -46,6 +59,7 @@
 //! already are.
 
 use crate::job::{BatchId, JobId};
+use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -135,9 +149,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// One journaled lifecycle transition.
 ///
 /// Records are keyed by job id plus the deck's content hash, so a replayed
-/// table can verify it is resuming the same work it admitted. `Checkpoint`
-/// records carry the serialized [`xgyro_core::EnsembleCheckpoint`] bytes —
-/// the restart image a resumed batch continues from bitwise-identically.
+/// table can verify it is resuming the same work it admitted. A
+/// `CheckpointRef` names the checkpoint file holding the serialized
+/// [`xgyro_core::EnsembleCheckpoint`] — the restart image a resumed batch
+/// continues from bitwise-identically; older journals carry that image
+/// inline, in `Checkpoint` records.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalRecord {
     /// A job passed admission. Written (and fsynced) *before* the client
@@ -180,7 +196,9 @@ pub enum JournalRecord {
         jobs: Vec<JobId>,
     },
     /// A coherent ensemble checkpoint was captured after a completed
-    /// segment.
+    /// segment, its restart image inline. Written by older builds (the live
+    /// path writes [`JournalRecord::CheckpointRef`]); still decoded and
+    /// encoded, because shipped journals hold it.
     Checkpoint {
         /// The batch.
         batch: BatchId,
@@ -193,6 +211,24 @@ pub enum JournalRecord {
         done_steps: u64,
         /// `EnsembleCheckpoint::to_bytes()` of the restart image.
         state: Vec<u8>,
+    },
+    /// A coherent ensemble checkpoint was captured after a completed
+    /// segment and made durable in `ckpt-<batch>-<seq>.xgc`
+    /// ([`checkpoint_path`]) before this record was appended.
+    CheckpointRef {
+        /// The batch.
+        batch: BatchId,
+        /// Surviving members at this checkpoint, in member order (matches
+        /// the checkpoint's member images).
+        jobs: Vec<JobId>,
+        /// Monotonic per-batch checkpoint sequence number.
+        seq: u64,
+        /// Steps completed at this checkpoint.
+        done_steps: u64,
+        /// Length of the file's `EnsembleCheckpoint::to_bytes()` image.
+        state_len: u64,
+        /// [`crc32`] of those bytes.
+        state_crc: u32,
     },
     /// The job finished successfully. Carries a result summary (content
     /// hash of the final distribution plus the exact diagnostics bits) so
@@ -296,6 +332,15 @@ impl JournalRecord {
                 put_u64(&mut out, *seq);
                 put_u64(&mut out, *done_steps);
                 put_bytes(&mut out, state);
+            }
+            JournalRecord::CheckpointRef { batch, jobs, seq, done_steps, state_len, state_crc } => {
+                out.push(11);
+                put_u64(&mut out, batch.0);
+                put_jobs(&mut out, jobs);
+                put_u64(&mut out, *seq);
+                put_u64(&mut out, *done_steps);
+                put_u64(&mut out, *state_len);
+                out.extend_from_slice(&state_crc.to_le_bytes());
             }
             JournalRecord::Done { job, steps, h_hash, diag_bits } => {
                 out.push(5);
@@ -406,6 +451,14 @@ impl JournalRecord {
                 } else {
                     crate::tenant::DEFAULT_TENANT.to_string()
                 },
+            },
+            11 => JournalRecord::CheckpointRef {
+                batch: BatchId(c.u64()?),
+                jobs: c.jobs()?,
+                seq: c.u64()?,
+                done_steps: c.u64()?,
+                state_len: c.u64()?,
+                state_crc: c.u32()?,
             },
             other => return Err(format!("unknown record tag {other}")),
         };
@@ -656,6 +709,9 @@ pub struct Replay {
     pub replay_us: u64,
     /// Human-readable warnings (torn-tail truncation, ignored segments).
     pub warnings: Vec<String>,
+    /// `*.tmp` files a crash left mid-write (a checkpoint file or a merged
+    /// segment never renamed into place), deleted by the open.
+    pub tmp_removed: u64,
 }
 
 /// The append-only journal writer. Obtain one (plus the replay of whatever
@@ -671,10 +727,74 @@ pub struct Journal {
     poisoned: bool,
     compaction_due: bool,
     stats: JournalStats,
+    /// Whether the latest append failed: the record meant to supersede a
+    /// checkpoint never landed, so the files it would retire stay.
+    last_append_failed: bool,
+    /// Committed appends the latest fsync covers.
+    synced_appends: u64,
+    /// Checkpoint files on disk this life accounts for: found at open, or
+    /// named by a `CheckpointRef` it appended.
+    ckpt_files: BTreeSet<(BatchId, u64)>,
+    /// Files no longer retained, each with the committed-append count the
+    /// record that superseded it needs synced before the file may go.
+    retired: Vec<(BatchId, u64, u64)>,
 }
 
 fn seg_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:06}.xgj"))
+}
+
+/// Where batch `batch`'s checkpoint `seq` lives: `ckpt-<batch>-<seq>.xgc`
+/// in the journal directory.
+pub fn checkpoint_path(dir: &Path, batch: BatchId, seq: u64) -> PathBuf {
+    dir.join(format!("ckpt-{}-{seq}.xgc", batch.0))
+}
+
+/// The `(batch, seq)` a checkpoint file name encodes.
+fn parse_checkpoint_name(name: &str) -> Option<(BatchId, u64)> {
+    let (batch, seq) = name.strip_prefix("ckpt-")?.strip_suffix(".xgc")?.split_once('-')?;
+    Some((BatchId(batch.parse().ok()?), seq.parse().ok()?))
+}
+
+/// Make `state` durable as batch `batch`'s checkpoint `seq`: write a temp
+/// file, fsync it, rename it to [`checkpoint_path`] and fsync the
+/// directory. Only then may a `CheckpointRef` naming it be appended. On
+/// failure the temp file is removed and nothing is named.
+pub fn write_checkpoint(dir: &Path, batch: BatchId, seq: u64, state: &[u8]) -> std::io::Result<()> {
+    let path = checkpoint_path(dir, batch, seq);
+    let tmp = path.with_extension("xgc.tmp");
+    let durable = || -> std::io::Result<()> {
+        let mut f = File::create(&tmp)?;
+        f.write_all(state)?;
+        f.sync_data()?;
+        std::fs::rename(&tmp, &path)?;
+        File::open(dir)?.sync_all()
+    };
+    durable().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// Read batch `batch`'s checkpoint `seq` back and hold it to the length and
+/// CRC its record carries. `Err` says why it cannot be resumed from: the
+/// file is missing, short (or long), or fails its CRC.
+pub fn read_checkpoint(
+    dir: &Path,
+    batch: BatchId,
+    seq: u64,
+    len: u64,
+    crc: u32,
+) -> Result<Vec<u8>, String> {
+    let path = checkpoint_path(dir, batch, seq);
+    let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+    let bytes = std::fs::read(&path).map_err(|e| format!("checkpoint file {name} unreadable ({e})"))?;
+    if bytes.len() as u64 != len {
+        return Err(format!("checkpoint file {name} holds {} bytes, its record {len}", bytes.len()));
+    }
+    if crc32(&bytes) != crc {
+        return Err(format!("checkpoint file {name} fails its CRC"));
+    }
+    Ok(bytes)
 }
 
 /// Segment files in `dir`, sorted by index.
@@ -791,6 +911,21 @@ impl Journal {
                 }
             }
         }
+        // What a crash left beside the segments: temp files are deleted
+        // here; checkpoint files are kept for the owner's first
+        // `retire_checkpoints`, which knows which ones replay retains.
+        let mut ckpt_files = BTreeSet::new();
+        for entry in std::fs::read_dir(&cfg.dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.ends_with(".tmp") {
+                std::fs::remove_file(entry.path())?;
+                replay.tmp_removed += 1;
+            } else if let Some(key) = parse_checkpoint_name(&name) {
+                ckpt_files.insert(key);
+            }
+        }
         let next_index = segments.last().map(|(i, _)| i + 1).unwrap_or(0);
         let path = seg_path(&cfg.dir, next_index);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -805,8 +940,17 @@ impl Journal {
             poisoned: false,
             compaction_due: false,
             stats: JournalStats::default(),
+            last_append_failed: false,
+            synced_appends: 0,
+            ckpt_files,
+            retired: Vec::new(),
         };
         Ok((journal, replay))
+    }
+
+    /// The directory holding the segments and checkpoint files.
+    pub fn dir(&self) -> &Path {
+        &self.cfg.dir
     }
 
     /// Counters so far.
@@ -824,6 +968,16 @@ impl Journal {
     /// write failure (callers shed load), [`JournalError::Poisoned`] after
     /// a torn write/crash point, [`JournalError::Io`] on real I/O errors.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<(), JournalError> {
+        if let JournalRecord::CheckpointRef { batch, seq, .. } = rec {
+            // The file is on disk whether or not its record lands.
+            self.ckpt_files.insert((*batch, *seq));
+        }
+        let appended = self.append_frame(rec);
+        self.last_append_failed = appended.is_err();
+        appended
+    }
+
+    fn append_frame(&mut self, rec: &JournalRecord) -> Result<(), JournalError> {
         if self.poisoned {
             self.stats.dropped += 1;
             return Err(JournalError::Poisoned);
@@ -886,7 +1040,55 @@ impl Journal {
         self.stats.fsyncs += 1;
         self.stats.fsync_us += t0.elapsed().as_micros() as u64;
         self.since_sync = 0;
+        self.synced_appends = self.stats.appends;
+        self.delete_retired();
         Ok(())
+    }
+
+    /// fsync if an append is not yet covered by one (a no-op on a
+    /// poisoned journal: the process it stands for is dead).
+    pub fn sync_pending(&mut self) -> std::io::Result<()> {
+        if self.poisoned || self.since_sync == 0 {
+            return Ok(());
+        }
+        self.sync()
+    }
+
+    /// Retire every checkpoint file `retains` no longer accepts (the
+    /// owner's table, asked by `(batch, seq)`): each is deleted once the
+    /// record that superseded it — the latest append — is synced, at once
+    /// when it already is or the journal never fsyncs. A file whose
+    /// superseding append failed stays until the next open's sweep: the
+    /// log on disk may still name it. A poisoned journal retires nothing,
+    /// as a dead process would not. Returns the files deleted by this call.
+    pub fn retire_checkpoints(&mut self, mut retains: impl FnMut(BatchId, u64) -> bool) -> u64 {
+        if self.poisoned {
+            return 0;
+        }
+        let needs = if self.last_append_failed { u64::MAX } else { self.stats.appends };
+        let gone: Vec<(BatchId, u64)> =
+            self.ckpt_files.iter().copied().filter(|&(b, s)| !retains(b, s)).collect();
+        for (batch, seq) in gone {
+            self.ckpt_files.remove(&(batch, seq));
+            self.retired.push((batch, seq, needs));
+        }
+        self.delete_retired()
+    }
+
+    /// Delete the retired files whose superseding record is synced.
+    fn delete_retired(&mut self) -> u64 {
+        let synced = if self.cfg.fsync_every == 0 { self.stats.appends } else { self.synced_appends };
+        let dir = &self.cfg.dir;
+        let mut deleted = 0;
+        // A failed delete leaves an orphan for the next open's sweep.
+        self.retired.retain(|&(batch, seq, needs)| {
+            if needs > synced {
+                return true;
+            }
+            deleted += u64::from(std::fs::remove_file(checkpoint_path(dir, batch, seq)).is_ok());
+            false
+        });
+        deleted
     }
 
     /// Close the current segment and open the next; the closed ones are
@@ -903,9 +1105,9 @@ impl Journal {
     }
 
     /// If a rotation has closed a segment since the last call, merge every
-    /// closed segment into one, keeping the records `keep` accepts and
-    /// writing `head` first (otherwise do nothing — it is cheap to call
-    /// after every append). `head` is how the owner carries
+    /// closed segment — a lone one too — into one, keeping the records
+    /// `keep` accepts and writing `head` first (otherwise do nothing — it
+    /// is cheap to call after every append). `head` is how the owner carries
     /// state across the records it lets go (the server's id watermark); a
     /// log opens with an admission, so a leading `Batched` in the input is
     /// the head an earlier pass wrote and is superseded by this one.
@@ -924,8 +1126,8 @@ impl Journal {
             .into_iter()
             .filter(|(i, _)| *i < self.seg_index)
             .collect();
-        if closed.len() < 2 {
-            return Ok(()); // nothing to merge
+        if closed.is_empty() {
+            return Ok(());
         }
         let mut records = Vec::new();
         for (_, path) in &closed {
@@ -1221,6 +1423,104 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_lone_closed_segment_is_compacted_too() {
+        let dir = tmpdir("compact-lone");
+        let mut cfg = JournalConfig::durable(&dir);
+        // The last sample record fills the first segment: exactly one
+        // rotation, so one closed segment and nothing to merge it with.
+        let recs = sample_records();
+        let frames: u64 = recs.iter().map(|r| 8 + r.encode().len() as u64).sum();
+        cfg.segment_max_bytes = frames;
+        let (mut j, _) = Journal::open(cfg.clone()).unwrap();
+        let mut live = JobTable::default();
+        for r in recs {
+            // Jobs 0 and 1 end Done and Failed and leave a window of 0.
+            commit(&mut j, &mut live, r, 0);
+        }
+        assert_eq!((j.stats().rotations, j.stats().compactions), (1, 1));
+        assert!(j.stats().compacted_records > 0);
+        drop(j);
+        let closed = std::fs::metadata(seg_path(&dir, 0)).unwrap().len();
+        assert!(closed < frames, "closed segment kept {closed} of {frames} bytes");
+        let (_, replay) = Journal::open(cfg).unwrap();
+        let table = replayed(replay.records);
+        assert_eq!(table.jobs().count(), live.jobs().count());
+        assert_eq!((table.next_job_id(), table.next_batch()), (live.next_job_id(), live.next_batch()));
+        assert!(table.running().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_file_reads_back_only_whole_and_unchanged() {
+        let dir = tmpdir("ckpt-file");
+        std::fs::create_dir_all(&dir).unwrap();
+        let state: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+        let (len, crc) = (state.len() as u64, crc32(&state));
+        write_checkpoint(&dir, BatchId(3), 5, &state).unwrap();
+        let path = checkpoint_path(&dir, BatchId(3), 5);
+        assert_eq!(path.file_name().unwrap(), "ckpt-3-5.xgc");
+        assert_eq!(parse_checkpoint_name("ckpt-3-5.xgc"), Some((BatchId(3), 5)));
+        assert_eq!(parse_checkpoint_name("ckpt-3-5.xgc.tmp"), None);
+        assert_eq!(read_checkpoint(&dir, BatchId(3), 5, len, crc), Ok(state.clone()));
+        let err = read_checkpoint(&dir, BatchId(3), 5, len + 1, crc).unwrap_err();
+        assert!(err.contains("holds 1000 bytes"), "{err}");
+        let err = read_checkpoint(&dir, BatchId(3), 5, len, crc ^ 1).unwrap_err();
+        assert!(err.contains("CRC"), "{err}");
+        let err = read_checkpoint(&dir, BatchId(3), 6, len, crc).unwrap_err();
+        assert!(err.contains("unreadable"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `CheckpointRef` for `(batch 0, seq)` with its file written first,
+    /// the order the server commits them in.
+    fn checkpoint_ref(dir: &Path, seq: u64) -> JournalRecord {
+        let state = vec![seq as u8; 16];
+        write_checkpoint(dir, BatchId(0), seq, &state).unwrap();
+        JournalRecord::CheckpointRef {
+            batch: BatchId(0),
+            jobs: vec![JobId(0)],
+            seq,
+            done_steps: 10 * (seq + 1),
+            state_len: 16,
+            state_crc: crc32(&state),
+        }
+    }
+
+    #[test]
+    fn a_retired_checkpoint_file_waits_for_its_successor_to_be_synced() {
+        let dir = tmpdir("ckpt-retire");
+        let mut cfg = JournalConfig::durable(&dir);
+        cfg.fsync_every = 3;
+        // Append 3 (seq 2's record) fails cleanly.
+        cfg.fault_plan = Some(ServeFaultPlan::write_error(3));
+        let (mut j, _) = Journal::open(cfg.clone()).unwrap();
+        let on_disk = |seq| checkpoint_path(&dir, BatchId(0), seq).exists();
+        j.append(&checkpoint_ref(&dir, 0)).unwrap();
+        j.append(&checkpoint_ref(&dir, 1)).unwrap();
+        // Seq 1 supersedes seq 0, but its record is not synced yet.
+        assert_eq!(j.retire_checkpoints(|_, seq| seq == 1), 0);
+        assert!(on_disk(0) && on_disk(1));
+        j.append(&sample_records()[0]).unwrap(); // third append: fsync
+        assert!(!on_disk(0), "deleted by the sync covering its successor");
+        // Seq 2's record never lands: seq 1 stays, even across a sync.
+        assert!(j.append(&checkpoint_ref(&dir, 2)).is_err());
+        assert_eq!(j.retire_checkpoints(|_, seq| seq == 2), 0);
+        j.sync().unwrap();
+        assert!(on_disk(1) && on_disk(2));
+        drop(j);
+        // Next life: a crash's temp file goes at open; a table retaining
+        // seq 1 (the last record that landed) sweeps seq 2.
+        std::fs::write(dir.join("ckpt-0-3.xgc.tmp"), b"torn").unwrap();
+        cfg.fault_plan = None;
+        let (mut j, replay) = Journal::open(cfg).unwrap();
+        assert_eq!(replay.tmp_removed, 1);
+        assert!(!dir.join("ckpt-0-3.xgc.tmp").exists());
+        assert_eq!(j.retire_checkpoints(|_, seq| seq == 1), 1);
+        assert!(on_disk(1) && !on_disk(2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn injected_write_error_is_backpressure_not_poison() {
         let dir = tmpdir("write-error");
         let mut cfg = JournalConfig::durable(&dir);
@@ -1315,6 +1615,16 @@ pub(crate) mod tests {
                     seq,
                     done_steps: done,
                     state,
+                }
+            ),
+            (0..batches, members(), 0u64.., 0u64.., 0u64.., 0u32..).prop_map(
+                |(b, js, seq, done, state_len, state_crc)| JournalRecord::CheckpointRef {
+                    batch: BatchId(b),
+                    jobs: js.into_iter().map(JobId).collect(),
+                    seq,
+                    done_steps: done,
+                    state_len,
+                    state_crc,
                 }
             ),
             (0..jobs, 0u64.., 0u64.., (0u64.., 0u64.., 0u64.., 0u64..)).prop_map(

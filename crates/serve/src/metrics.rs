@@ -331,6 +331,16 @@ impl Metrics {
                 r.replay_bytes,
             ),
             (
+                "xgserve_replay_checkpoint_files_loaded_total",
+                "Checkpoint files verified and resumed from by startup replay.",
+                r.checkpoint_files_loaded,
+            ),
+            (
+                "xgserve_replay_checkpoint_orphans_removed_total",
+                "Unretained checkpoint files and crash temp files deleted at startup.",
+                r.checkpoint_orphans_removed,
+            ),
+            (
                 "xgserve_cache_hits_total",
                 "Submissions served from the artifact store.",
                 self.cache_hits,

@@ -31,10 +31,11 @@ use crate::job::{unix_us, BatchId, JobEvent, JobId, JobOutcome, JobSpec, JobStat
 use crate::journal::{self, Journal, JournalConfig, JournalRecord};
 use crate::metrics::Metrics;
 use crate::sched::DispatchQueue;
-use crate::table::{BatchCheckpoint, Ignored, Job, JobTable};
+use crate::table::{BatchCheckpoint, CheckpointState, Ignored, Job, JobTable};
 use crate::tenant::TenantDirectory;
 use xg_artifact::{deck_hash, ArtifactStore, DeckHash, GcReport, Manifest};
 use parking_lot::{Condvar, Mutex};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -204,6 +205,12 @@ pub struct RecoveryReport {
     pub replay_bytes: u64,
     /// Wall time the replay took, microseconds.
     pub replay_us: u64,
+    /// Checkpoint files read, verified against their record and resumed
+    /// from.
+    pub checkpoint_files_loaded: u64,
+    /// Checkpoint files no replayed record retains, and `*.tmp` files a
+    /// crash left mid-write, deleted at startup.
+    pub checkpoint_orphans_removed: u64,
     /// Human-readable warnings (torn tails, dropped checkpoints, …).
     pub warnings: Vec<String>,
 }
@@ -665,6 +672,12 @@ impl CampaignServer {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        // An orderly stop syncs the appends a relaxed fsync cadence left
+        // pending, so the checkpoint files they retire go too.
+        let synced = shared.state.lock().journal.as_mut().map_or(Ok(()), Journal::sync_pending);
+        if let Err(e) = synced {
+            eprintln!("xg-serve: final journal sync failed: {e}");
+        }
     }
 }
 
@@ -731,10 +744,10 @@ fn commit(shared: &Shared, st: &mut State, rec: JournalRecord) {
 
 /// Apply a record this process built (and has journaled) to the table, then
 /// let what follows from the new state follow: the retention window, the
-/// journal's compaction — which asks the table what to keep, so it must run
-/// *after* the record that closed the segment is applied — and drain
-/// waiters. A refusal is a bug: the checks that built the record hold the
-/// same lock.
+/// journal's compaction and checkpoint-file retirement — which ask the
+/// table what to keep, so they must run *after* the record is applied —
+/// and drain waiters. A refusal is a bug: the checks that built the record
+/// hold the same lock.
 fn apply_live(shared: &Shared, st: &mut State, rec: JournalRecord, input: Option<CgyroInput>) {
     if let Err(why) = st.table.apply(rec, input) {
         panic!("the live path built a record the job table refuses: {why:?}");
@@ -747,6 +760,7 @@ fn apply_live(shared: &Shared, st: &mut State, rec: JournalRecord, input: Option
         if let Err(e) = j.compact(|r| st.table.retains(r), st.table.watermark()) {
             eprintln!("xg-serve: journal compaction failed: {e}");
         }
+        j.retire_checkpoints(|batch, seq| st.table.retains_checkpoint_file(batch, seq));
     }
     if st.table.live() == 0 {
         shared.quiet.notify_all();
@@ -916,6 +930,7 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
         torn_bytes: replay.torn_bytes,
         replay_bytes: replay.bytes,
         replay_us: replay.replay_us,
+        checkpoint_orphans_removed: replay.tmp_removed,
         warnings: replay.warnings,
         ..RecoveryReport::default()
     };
@@ -932,6 +947,13 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
     }
     let now = Instant::now();
     st.table.evict(shared.cfg.retain_jobs, shared.cfg.retain_age, now);
+    // Checkpoint files no replayed record retains: superseded or finished
+    // ones whose delete a crash forestalled, and files committed whose
+    // record never landed.
+    let journal = st.journal.as_mut().expect("recovery replays a journal");
+    let table = &st.table;
+    st.metrics.recovery.checkpoint_orphans_removed +=
+        journal.retire_checkpoints(|batch, seq| table.retains_checkpoint_file(batch, seq));
     // Batches formed from here on never reuse an id a previous life issued.
     st.grouper.seed_next_batch(st.table.next_batch());
 
@@ -955,9 +977,11 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
     }
 
     // Each interrupted batch resumes from its last journaled checkpoint —
-    // or from step 0 when none landed or the restored one fails validation
-    // (correctness over speed, with a warning).
-    let mut resumes = Vec::new();
+    // or from step 0 when none landed, or its file is missing, short or
+    // fails its CRC, or the restored image fails validation (correctness
+    // over speed, with a warning). Only these batches' files are read.
+    let dir = st.journal.as_ref().expect("recovery replays a journal").dir();
+    let (mut resumes, mut loaded) = (Vec::new(), 0);
     for (bid, rb) in st.table.running() {
         let running = |j: &JobId| {
             st.table.job(*j).is_some_and(|job| job.state == JobState::Running && job.batch == Some(*bid))
@@ -970,10 +994,17 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
         let mut resume = ResumeState { checkpoint: None, done: 0, next_seq: 0 };
         if let Some(cp) = &rb.checkpoint {
             resume.next_seq = cp.seq.saturating_add(1);
-            match restored_checkpoint(cp, &members, head) {
+            let bytes = match &cp.state {
+                CheckpointState::Inline(state) => Ok(Cow::Borrowed(state)),
+                CheckpointState::File { len, crc } => {
+                    journal::read_checkpoint(dir, *bid, cp.seq, *len, *crc).map(Cow::Owned)
+                }
+            };
+            match bytes.and_then(|b| restored_checkpoint(&b, cp, &members, head)) {
                 Ok(image) => {
                     resume.checkpoint = Some(image);
                     resume.done = cp.done_steps as usize;
+                    loaded += u64::from(matches!(cp.state, CheckpointState::File { .. }));
                 }
                 Err(why) => {
                     let w = format!("{bid}: {why}; restarting batch from step 0");
@@ -983,6 +1014,7 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
         }
         resumes.push((*bid, members, resume));
     }
+    st.metrics.recovery.checkpoint_files_loaded = loaded;
     let terminal = st.table.jobs().filter(|j| j.state.is_terminal()).count();
     st.metrics.recovery.restored_jobs = terminal as u64;
     for (bid, members, resume) in resumes {
@@ -992,16 +1024,17 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
     }
 }
 
-/// Decode a journaled checkpoint and fit it to the members that resume
-/// from it: members that terminalized after it was taken are evicted from
-/// the image (highest position first — eviction shifts later positions
-/// down), and what is left must be exactly `members`' ensemble.
+/// Decode a journaled checkpoint's image `bytes` and fit it to the members
+/// that resume from it: members that terminalized after it was taken are
+/// evicted from the image (highest position first — eviction shifts later
+/// positions down), and what is left must be exactly `members`' ensemble.
 fn restored_checkpoint(
+    bytes: &[u8],
     cp: &BatchCheckpoint,
     members: &[JobId],
     head: &Job,
 ) -> Result<EnsembleCheckpoint, String> {
-    let mut image = EnsembleCheckpoint::from_bytes(&cp.state)
+    let mut image = EnsembleCheckpoint::from_bytes(bytes)
         .map_err(|e| format!("undecodable checkpoint ({e:?})"))?;
     for (pos, j) in cp.jobs.iter().enumerate().rev() {
         if !members.contains(j) {
@@ -1179,11 +1212,12 @@ fn dispatch(shared: &Shared, st: &mut State, batch: ReadyBatch) -> Option<Dispat
 /// world. Cancellations (and shutdown) apply at those boundaries by evicting
 /// the member; a faulted member is evicted without killing its batch-mates;
 /// only then is the world rebuilt, at k−1, from the last checkpoint. Each
-/// completed segment (except the last) journals its checkpoint, so a crash
-/// mid-batch resumes from the last boundary instead of step 0; the final
-/// segment is deliberately *not* journaled — a crash between it and the
-/// `Done` records re-runs that segment deterministically, which is cheaper
-/// than reasoning about a "finished but unrecorded" limbo state.
+/// completed segment (except the last) writes its checkpoint to a synced
+/// file and journals a record naming it — while the next segment runs — so
+/// a crash mid-batch resumes from a recent boundary instead of step 0; the
+/// final segment is deliberately *not* journaled — a crash between it and
+/// the `Done` records re-runs that segment deterministically, which is
+/// cheaper than reasoning about a "finished but unrecorded" limbo state.
 fn execute_batch(shared: &Shared, dispatched: Dispatched) {
     let Dispatched { batch, inputs, steps_total, plan } = dispatched;
     let ReadyBatch { id: batch_id, jobs, origin, tenant, priority } = batch;
@@ -1219,6 +1253,8 @@ fn execute_batch(shared: &Shared, dispatched: Dispatched) {
     // run currently holds at position `pos`.
     let mut member_ids = jobs.clone();
     let mut events_seen = 0;
+    // The last boundary's checkpoint, captured and not yet committed.
+    let mut unwritten: Option<Unwritten> = None;
     // A run's drained traffic logs are folded into the metrics once, when
     // the batch lets go of it.
     let account = |traces: &[Vec<xg_comm::OpRecord>]| {
@@ -1247,6 +1283,11 @@ fn execute_batch(shared: &Shared, dispatched: Dispatched) {
                 .collect()
         };
         one_world &= cancelled.is_empty();
+        if !cancelled.is_empty() {
+            // The checkpoint names the members it holds: it lands before
+            // any of them leaves (the last one leaving ends the batch).
+            commit_checkpoint(shared, batch_id, unwritten.take());
+        }
         for &pos in cancelled.iter().rev() {
             let job = member_ids.remove(pos);
             let rec = JournalRecord::Cancelled { job, detail: "preempted at checkpoint".into() };
@@ -1272,23 +1313,24 @@ fn execute_batch(shared: &Shared, dispatched: Dispatched) {
         // the batch re-enters the queue with its checkpoint, and this
         // worker pops the higher lane first. The world goes with the
         // worker: the resumed batch opens a new one from the checkpoint.
-        let preempted = {
+        let yields = {
+            let st = shared.state.lock();
+            st.idle_workers == 0
+                && st.ready.highest_waiting_priority().is_some_and(|p| p > priority)
+        };
+        if yields {
+            // The batch's next worker continues the checkpoint sequence
+            // after this one's last checkpoint has landed.
+            commit_checkpoint(shared, batch_id, unwritten.take());
             let mut guard = shared.state.lock();
             let st = &mut *guard;
-            let yields = st.idle_workers == 0
-                && st.ready.highest_waiting_priority().is_some_and(|p| p > priority);
-            if yields {
-                st.metrics.on_preempt();
-                st.table.on_preempt(&tenant);
-                let resume =
-                    ResumeState { checkpoint: run.checkpoint().cloned(), done, next_seq };
-                let origin = BatchOrigin::Resumed(resume);
-                enqueue_ready(&shared.cfg, st, batch_id, member_ids.clone(), origin);
-                shared.work.notify_all();
-            }
-            yields
-        };
-        if preempted {
+            st.metrics.on_preempt();
+            st.table.on_preempt(&tenant);
+            let resume = ResumeState { checkpoint: run.checkpoint().cloned(), done, next_seq };
+            let origin = BatchOrigin::Resumed(resume);
+            enqueue_ready(&shared.cfg, st, batch_id, member_ids.clone(), origin);
+            shared.work.notify_all();
+            drop(guard);
             account(&run.close());
             return;
         }
@@ -1298,8 +1340,8 @@ fn execute_batch(shared: &Shared, dispatched: Dispatched) {
             // unjournaled (see above).
             break seg;
         }
-        // Journal this boundary so a crash resumes here.
-        let state = match run.advance(seg) {
+        let advanced = beside(shared, batch_id, unwritten.take(), || run.advance(seg));
+        let state = match advanced {
             Ok(checkpoint) => checkpoint.to_bytes(),
             Err(e) => {
                 fail_all(shared, &member_ids, &format!("batch failed: {e}"));
@@ -1311,22 +1353,22 @@ fn execute_batch(shared: &Shared, dispatched: Dispatched) {
         events_seen = run.events().len();
         member_ids = run.survivors().iter().map(|&i| jobs[i]).collect();
         done += seg;
-        let crec = JournalRecord::Checkpoint {
-            batch: batch_id,
-            jobs: member_ids.clone(),
+        // Made durable, and journaled, while the next segment runs.
+        unwritten = Some(Unwritten {
             seq: next_seq,
+            jobs: member_ids.clone(),
             done_steps: done as u64,
             state,
-        };
+        });
         next_seq += 1;
-        commit(shared, &mut shared.state.lock(), crec);
     };
     // Outcomes are built once, from the one final gather. The gather, the
     // traffic logs and the checkpoint are all dropped before the Done
     // transitions below: `drain` returns the moment the last job is
     // terminal, and this worker should be back in the pool by then.
     let (member_ids, mut results) = {
-        let rec = match run.finish_segment(last_seg) {
+        let finished = beside(shared, batch_id, unwritten.take(), || run.finish_segment(last_seg));
+        let rec = match finished {
             Ok(rec) => rec,
             Err(e) => {
                 fail_all(shared, &member_ids, &format!("batch failed: {e}"));
@@ -1368,6 +1410,50 @@ fn execute_batch(shared: &Shared, dispatched: Dispatched) {
         guard.table.job_mut(job).expect("running job exists").outcome = Some(outcome);
         commit(shared, &mut guard, JournalRecord::Done { job, steps, h_hash, diag_bits });
     }
+}
+
+/// A checkpoint captured at a batch's boundary and not yet committed.
+struct Unwritten {
+    seq: u64,
+    /// Members at the boundary, in member-image order.
+    jobs: Vec<JobId>,
+    done_steps: u64,
+    /// `EnsembleCheckpoint::to_bytes()` of the restart image.
+    state: Vec<u8>,
+}
+
+/// Make a captured checkpoint durable and journal it: the state goes to its
+/// own synced file, outside the state lock, and only then is the
+/// `CheckpointRef` naming it committed. A state that cannot be made durable
+/// is named by nothing, and the previous checkpoint stands.
+fn commit_checkpoint(shared: &Shared, batch: BatchId, ck: Option<Unwritten>) {
+    let Some(Unwritten { seq, jobs, done_steps, state }) = ck else { return };
+    let dir = shared.cfg.journal.as_ref().map(|j| j.dir.as_path());
+    if let Err(e) = dir.map_or(Ok(()), |d| journal::write_checkpoint(d, batch, seq, &state)) {
+        eprintln!("xg-serve: {batch}: checkpoint {seq} not written: {e}");
+        return;
+    }
+    let (state_len, state_crc) = (state.len() as u64, journal::crc32(&state));
+    let rec = JournalRecord::CheckpointRef { batch, jobs, seq, done_steps, state_len, state_crc };
+    commit(shared, &mut shared.state.lock(), rec);
+}
+
+/// Run `segment` while the previous boundary's checkpoint is committed
+/// beside it on its own thread: the batch does not wait for the fsyncs.
+/// Both have finished when this returns, so every later record of the
+/// batch follows the checkpoint's.
+fn beside<R>(
+    shared: &Shared,
+    batch: BatchId,
+    ck: Option<Unwritten>,
+    segment: impl FnOnce() -> R,
+) -> R {
+    std::thread::scope(|s| {
+        if ck.is_some() {
+            s.spawn(|| commit_checkpoint(shared, batch, ck));
+        }
+        segment()
+    })
 }
 
 /// Publish every completed member of a batch into the artifact store: the

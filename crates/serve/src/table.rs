@@ -14,6 +14,7 @@
 //!   live:     admission checks ──► journal.append(&rec) ──► table.apply(rec)
 //!   restart:  for rec in journal.replay() { table.apply(rec) }  then recovery policy
 //!   compact:  closed.retain(|rec| table.retains(rec)),  head = table.watermark()
+//!   files:    journal.retire_checkpoints(|batch, seq| table.retains_checkpoint_file(batch, seq))
 //! ```
 //!
 //! The table is plain data behind the server's one mutex: no threads, no
@@ -102,8 +103,24 @@ pub(crate) struct BatchCheckpoint {
     pub done_steps: u64,
     /// Surviving members at the checkpoint, in member-image order.
     pub jobs: Vec<JobId>,
-    /// `EnsembleCheckpoint::to_bytes()` of the restart image.
-    pub state: Vec<u8>,
+    /// Where the restart image is.
+    pub state: CheckpointState,
+}
+
+/// Where a checkpoint's `EnsembleCheckpoint::to_bytes()` image is.
+#[derive(Debug, PartialEq)]
+pub(crate) enum CheckpointState {
+    /// In its record: an inline `Checkpoint` an older build journaled.
+    Inline(Vec<u8>),
+    /// In the checkpoint file a `CheckpointRef` names
+    /// (`journal::checkpoint_path`), which must hold `len` bytes with this
+    /// CRC-32.
+    File {
+        /// Image length in bytes.
+        len: u64,
+        /// `journal::crc32` of the image.
+        crc: u32,
+    },
 }
 
 /// A dispatched batch that still has a non-terminal member.
@@ -296,10 +313,12 @@ impl JobTable {
                 Ok(())
             }
             JournalRecord::Checkpoint { batch, jobs, seq, done_steps, state } => {
-                self.next_batch = self.next_batch.max(batch.0.saturating_add(1));
-                let rb = self.running.get_mut(&batch).ok_or(Ignored::Illegal)?;
-                rb.checkpoint = Some(BatchCheckpoint { seq, done_steps, jobs, state });
-                Ok(())
+                let state = CheckpointState::Inline(state);
+                self.checkpoint(batch, BatchCheckpoint { seq, done_steps, jobs, state })
+            }
+            JournalRecord::CheckpointRef { batch, jobs, seq, done_steps, state_len, state_crc } => {
+                let state = CheckpointState::File { len: state_len, crc: state_crc };
+                self.checkpoint(batch, BatchCheckpoint { seq, done_steps, jobs, state })
             }
             JournalRecord::Done { job, steps, h_hash, diag_bits } => {
                 let summary = Some((steps, h_hash, diag_bits));
@@ -312,6 +331,14 @@ impl JobTable {
                 self.terminate(job, JobState::Cancelled, detail, None)
             }
         }
+    }
+
+    /// A checkpoint record: `cp` becomes what a restart resumes `batch` from.
+    fn checkpoint(&mut self, batch: BatchId, cp: BatchCheckpoint) -> Result<(), Ignored> {
+        self.next_batch = self.next_batch.max(batch.0.saturating_add(1));
+        let rb = self.running.get_mut(&batch).ok_or(Ignored::Illegal)?;
+        rb.checkpoint = Some(cp);
+        Ok(())
     }
 
     /// A terminal record: the job leaves the live count, returns its quota
@@ -379,7 +406,9 @@ impl JobTable {
 
     /// Whether compaction must keep `rec`: a job-scoped record while the
     /// table holds its job, a `Running` record while it holds any member,
-    /// a `Checkpoint` only while it is the one a restart would resume from.
+    /// a checkpoint record only while it is the one a restart would resume
+    /// from. A checkpoint file lives exactly as long as its `CheckpointRef`
+    /// is retained ([`JobTable::retains_checkpoint_file`]).
     pub(crate) fn retains(&self, rec: &JournalRecord) -> bool {
         match rec {
             JournalRecord::Submitted { job, .. }
@@ -390,11 +419,24 @@ impl JobTable {
             | JournalRecord::Cancelled { job, .. } => self.jobs.contains_key(job),
             JournalRecord::Running { jobs, .. } => jobs.iter().any(|j| self.jobs.contains_key(j)),
             JournalRecord::Checkpoint { batch, seq, .. } => self
-                .running
-                .get(batch)
-                .and_then(|rb| rb.checkpoint.as_ref())
-                .is_some_and(|cp| cp.seq == *seq),
+                .resumes_from(*batch)
+                .is_some_and(|cp| cp.seq == *seq && matches!(cp.state, CheckpointState::Inline(_))),
+            JournalRecord::CheckpointRef { batch, seq, .. } => {
+                self.retains_checkpoint_file(*batch, *seq)
+            }
         }
+    }
+
+    /// Whether checkpoint file `seq` of `batch` is the one a restart would
+    /// resume that batch from — the only condition under which it is kept.
+    pub(crate) fn retains_checkpoint_file(&self, batch: BatchId, seq: u64) -> bool {
+        self.resumes_from(batch)
+            .is_some_and(|cp| cp.seq == seq && matches!(cp.state, CheckpointState::File { .. }))
+    }
+
+    /// The checkpoint a restart would resume running batch `batch` from.
+    fn resumes_from(&self, batch: BatchId) -> Option<&BatchCheckpoint> {
+        self.running.get(&batch).and_then(|rb| rb.checkpoint.as_ref())
     }
 
     /// The record compaction writes at the head of a merged segment so the
@@ -521,7 +563,9 @@ pub fn replay_check(
 mod tests {
     use super::*;
     use crate::journal::tests::{replayed, sample_cache_hit, sample_records};
+    use crate::journal::{write_checkpoint, Journal, JournalConfig};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn apply_builds_the_expected_table() {
@@ -551,7 +595,7 @@ mod tests {
         let cp = rb.checkpoint.as_ref().unwrap();
         assert_eq!((cp.seq, cp.done_steps), (0, 10));
         assert_eq!(cp.jobs, vec![JobId(0), JobId(1)]);
-        assert_eq!(cp.state, vec![1, 2, 3, 4]);
+        assert_eq!(cp.state, CheckpointState::Inline(vec![1, 2, 3, 4]));
     }
 
     #[test]
@@ -593,6 +637,11 @@ mod tests {
         let jobs: Vec<_> = t.jobs().map(|j| (j.status(), j.summary)).collect();
         let ids = (t.next_job_id(), t.next_batch().max(1));
         format!("{jobs:?}\n{:?}\n{:?}\n{ids:?}", t.tokens, t.running)
+    }
+
+    /// The restart image a test checkpoint carries, inline or in its file.
+    fn checkpoint_image(pick: u64) -> Vec<u8> {
+        vec![pick as u8; 8]
     }
 
     /// The record the live server would build for move `op` (with `pick`
@@ -637,15 +686,24 @@ mod tests {
                 let members = t.jobs().filter(|j| j.batch == Some(batch));
                 JournalRecord::Running { batch, jobs: members.map(|j| j.id).collect() }
             }
+            // A checkpoint: named by a `CheckpointRef`, as the live path
+            // writes, or inline, as a journal an older build left holds.
             6 => {
                 let (batch, rb) = t.running().iter().nth(pick as usize % t.running().len().max(1))?;
                 let alive = |j: &&JobId| t.job(**j).is_some_and(|j| !j.state.is_terminal());
-                JournalRecord::Checkpoint {
-                    batch: *batch,
-                    jobs: rb.jobs.iter().filter(alive).copied().collect(),
-                    seq: rb.checkpoint.as_ref().map_or(0, |cp| cp.seq + 1),
-                    done_steps: 10,
-                    state: vec![pick as u8; 8],
+                let (batch, jobs) = (*batch, rb.jobs.iter().filter(alive).copied().collect());
+                let seq = rb.checkpoint.as_ref().map_or(0, |cp| cp.seq + 1);
+                let state = checkpoint_image(pick);
+                match pick % 2 {
+                    0 => JournalRecord::Checkpoint { batch, jobs, seq, done_steps: 10, state },
+                    _ => JournalRecord::CheckpointRef {
+                        batch,
+                        jobs,
+                        seq,
+                        done_steps: 10,
+                        state_len: state.len() as u64,
+                        state_crc: crate::journal::crc32(&state),
+                    },
                 }
             }
             7 | 8 => JournalRecord::Done {
@@ -693,6 +751,93 @@ mod tests {
             let mut restarted = replayed(log);
             restarted.evict(retain, Duration::MAX, Instant::now());
             prop_assert_eq!(answers(&restarted), answers(&live));
+        }
+    }
+
+    /// The checkpoint files the table retains: a running batch's current
+    /// checkpoint when a `CheckpointRef` named it.
+    fn retained_files(t: &JobTable) -> BTreeSet<(BatchId, u64)> {
+        t.running()
+            .iter()
+            .filter_map(|(b, rb)| rb.checkpoint.as_ref().map(|cp| (*b, cp)))
+            .filter(|(_, cp)| matches!(cp.state, CheckpointState::File { .. }))
+            .map(|(b, cp)| (b, cp.seq))
+            .collect()
+    }
+
+    /// The `ckpt-*` files in `dir`, and whether anything else than those
+    /// and segments is there (a `*.tmp` left behind).
+    fn files_on_disk(dir: &std::path::Path) -> (BTreeSet<(BatchId, u64)>, bool) {
+        let mut files = BTreeSet::new();
+        let mut stray = false;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let key = name.strip_prefix("ckpt-").and_then(|n| n.strip_suffix(".xgc"));
+            match key.and_then(|k| k.split_once('-')) {
+                Some((b, s)) => {
+                    files.insert((BatchId(b.parse().unwrap()), s.parse().unwrap()));
+                }
+                None => stray |= !name.starts_with("seg-") || name.ends_with(".tmp"),
+            }
+        }
+        (files, stray)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A checkpoint file lives exactly as long as the table retains its
+        /// record. Drive the table the way the live server does — each
+        /// `CheckpointRef`'s file written before its record, then append,
+        /// apply, sweep the window, compact, retire — and after every
+        /// record the `ckpt-*` files on disk are exactly the `(batch, seq)`
+        /// pairs the table retains (with a relaxed fsync cadence, a
+        /// superset until the next sync). A restart over the directory
+        /// sweeps it back to what the restarted table retains — the same.
+        #[test]
+        fn checkpoint_files_on_disk_are_the_ones_the_table_retains(
+            moves in prop::collection::vec((0u8..11, 0u64..), 0..80),
+            retain in 0usize..6,
+            fsync_every in 0u32..3,
+        ) {
+            let dir = std::env::temp_dir().join(format!(
+                "xg-table-ckpt-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut cfg = JournalConfig::durable(&dir);
+            (cfg.fsync_every, cfg.segment_max_bytes) = (fsync_every, 512);
+            let (mut j, _) = Journal::open(cfg.clone()).unwrap();
+            let mut live = JobTable::default();
+            for (op, pick) in moves {
+                let Some(rec) = live_move(&live, op, pick) else { continue };
+                if let JournalRecord::CheckpointRef { batch, seq, .. } = &rec {
+                    write_checkpoint(&dir, *batch, *seq, &checkpoint_image(pick)).unwrap();
+                }
+                j.append(&rec).unwrap();
+                prop_assert_eq!(live.apply(rec, Some(CgyroInput::test_small())), Ok(()));
+                live.evict(retain, Duration::MAX, Instant::now());
+                j.compact(|r| live.retains(r), live.watermark()).unwrap();
+                j.retire_checkpoints(|b, s| live.retains_checkpoint_file(b, s));
+                let (on_disk, stray) = files_on_disk(&dir);
+                prop_assert!(!stray);
+                let want = retained_files(&live);
+                if fsync_every == 2 {
+                    prop_assert!(on_disk.is_superset(&want), "{:?} ⊉ {:?}", on_disk, want);
+                } else {
+                    prop_assert_eq!(&on_disk, &want);
+                }
+            }
+            j.sync_pending().unwrap();
+            prop_assert_eq!(files_on_disk(&dir).0, retained_files(&live));
+            drop(j);
+            let (mut j, replay) = Journal::open(cfg).unwrap();
+            let restarted = replayed(replay.records);
+            j.retire_checkpoints(|b, s| restarted.retains_checkpoint_file(b, s));
+            prop_assert_eq!(retained_files(&restarted), retained_files(&live));
+            prop_assert_eq!(files_on_disk(&dir).0, retained_files(&live));
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }

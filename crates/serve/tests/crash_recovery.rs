@@ -11,7 +11,9 @@
 //! * waiting jobs are re-admitted and complete, with queue latency counted
 //!   from the original journaled submit time, not replay time;
 //! * a running batch resumes from its journaled checkpoint and finishes
-//!   **bitwise identical** to an uninterrupted run;
+//!   **bitwise identical** to an uninterrupted run — and one whose
+//!   checkpoint file is missing, short or corrupt restarts from step 0
+//!   with a warning, to the same bits;
 //! * a torn tail is truncated with a warning, not a refusal to start;
 //! * a journal that cannot persist sheds the submit with typed
 //!   backpressure instead of accepting unjournaled work;
@@ -20,7 +22,9 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-use xg_serve::journal::{fnv1a, Journal, JournalConfig, ServeFaultPlan};
+use xg_serve::journal::{
+    checkpoint_path, crc32, fnv1a, write_checkpoint, Journal, JournalConfig, ServeFaultPlan,
+};
 use xg_serve::{
     AdmitError, BatchId, CampaignServer, JobId, JobSpec, JobState, JournalRecord, ServerConfig,
 };
@@ -516,6 +520,9 @@ fn a_crash_at_any_append_loses_and_duplicates_nothing() {
     assert!(appends >= 20, "a whole campaign journals every transition, got {appends}");
     server.shutdown();
 
+    assert!(leftovers(&dir).is_empty(), "{:?} outlived the drained campaign", leftovers(&dir));
+
+    let mut orphan_rounds = 0;
     for crash_at in 0..appends {
         // First life: the journal dies at append `crash_at` — that record
         // and every later one never reach the disk, whatever the process
@@ -528,6 +535,7 @@ fn a_crash_at_any_append_loses_and_duplicates_nothing() {
 
         // Second life, same directory, healthy journal.
         let server = CampaignServer::start(mk(None));
+        orphan_rounds += u64::from(server.metrics().recovery.checkpoint_orphans_removed > 0);
         assert!(server.drain(Duration::from_secs(120)), "crash@{crash_at}: drain timed out");
         let listed = server.list();
         for (n, id) in acked.iter().enumerate() {
@@ -555,6 +563,11 @@ fn a_crash_at_any_append_loses_and_duplicates_nothing() {
         assert!(m.tenants.values().all(|t| t.live_jobs == 0 && t.live_bytes == 0), "crash@{crash_at}");
         assert!(listed.iter().all(|s| s.state.is_terminal()), "crash@{crash_at}: live jobs remain");
         server.shutdown();
+        // No checkpoint file, and no temp file, outlives the drained
+        // second life — including one the first life committed whose
+        // record the crash lost.
+        let left = leftovers(&dir);
+        assert!(left.is_empty(), "crash@{crash_at}: {left:?} outlived the second life");
 
         // Ground truth on disk: every job's story ends exactly once.
         let (_j, replay) = Journal::open(JournalConfig::durable(&dir)).expect("reopen");
@@ -570,5 +583,125 @@ fn a_crash_at_any_append_loses_and_duplicates_nothing() {
                 .count();
             assert_eq!(ends, 1, "crash@{crash_at}: {} journaled terminal {ends} times", s.id);
         }
+    }
+    // A crash at a checkpoint's append is "file committed, record lost":
+    // some round's second life found such a file and deleted it.
+    assert!(orphan_rounds > 0, "no crash point left a checkpoint file without its record");
+}
+
+/// The `ckpt-*` and `*.tmp` files in a journal directory.
+fn leftovers(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .expect("journal dir")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("ckpt-") || n.ends_with(".tmp"))
+        .collect()
+}
+
+/// How a test damages the checkpoint file a journal names.
+#[derive(Clone, Copy, Debug)]
+enum Damage {
+    Intact,
+    Missing,
+    Truncated,
+    Corrupted,
+}
+
+#[test]
+fn a_missing_short_or_corrupt_checkpoint_file_restarts_its_batch_from_step_0() {
+    let decks: Vec<CgyroInput> = sweep().into_iter().take(2).collect();
+    let grid = ServerConfig::local_test().grid;
+    let config_k2 = EnsembleConfig::new(decks.clone(), grid).expect("shared key");
+    // The uncrashed run, and the restart image a killed daemon's first
+    // segment left: the real ensemble state after 10 steps.
+    let reference = run_xgyro(&config_k2, STEPS);
+    let half = run_xgyro_resilient_from(
+        &config_k2,
+        None,
+        STEPS / 2,
+        STEPS / 2,
+        xg_comm::FaultPlan::new(),
+        Duration::from_secs(10),
+    )
+    .expect("clean half run");
+    let state = half.checkpoint.to_bytes();
+
+    for damage in [Damage::Intact, Damage::Missing, Damage::Truncated, Damage::Corrupted] {
+        let dir = tmpdir(&format!("bad-ckpt-{damage:?}"));
+        let (mut j, _) = Journal::open(JournalConfig::durable(&dir)).expect("open");
+        let members = vec![JobId(0), JobId(1)];
+        for (i, d) in decks.iter().enumerate() {
+            let deck = write_deck(d);
+            j.append(&JournalRecord::Submitted {
+                job: JobId(i as u64),
+                token: String::new(),
+                deck_hash: fnv1a(deck.as_bytes()),
+                deck,
+                steps: STEPS as u64,
+                tag: format!("mid{i}"),
+                tenant: "default".into(),
+                submitted_unix_us: unix_us(),
+            })
+            .expect("append");
+            j.append(&JournalRecord::Batched { job: JobId(i as u64), batch: BatchId(0) })
+                .expect("append");
+        }
+        j.append(&JournalRecord::Running { batch: BatchId(0), jobs: members.clone() })
+            .expect("append");
+        write_checkpoint(&dir, BatchId(0), 0, &state).expect("checkpoint file");
+        j.append(&JournalRecord::CheckpointRef {
+            batch: BatchId(0),
+            jobs: members,
+            seq: 0,
+            done_steps: (STEPS / 2) as u64,
+            state_len: state.len() as u64,
+            state_crc: crc32(&state),
+        })
+        .expect("append");
+        drop(j);
+        let file = checkpoint_path(&dir, BatchId(0), 0);
+        match damage {
+            Damage::Intact => {}
+            Damage::Missing => std::fs::remove_file(&file).expect("remove"),
+            Damage::Truncated => std::fs::write(&file, &state[..state.len() / 2]).expect("cut"),
+            Damage::Corrupted => {
+                let mut bytes = state.clone();
+                bytes[state.len() / 3] ^= 0x01;
+                std::fs::write(&file, bytes).expect("flip");
+            }
+        }
+
+        let server = CampaignServer::start(config(&dir));
+        let rec = server.metrics().recovery;
+        assert_eq!(rec.resumed_batches, 1, "{damage:?}: {rec:?}");
+        let step0 = rec.warnings.iter().any(|w| w.contains("restarting batch from step 0"));
+        match damage {
+            Damage::Intact => {
+                assert_eq!(rec.checkpoint_files_loaded, 1, "{rec:?}");
+                assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
+            }
+            _ => {
+                assert_eq!(rec.checkpoint_files_loaded, 0, "{damage:?}: {rec:?}");
+                assert!(step0, "{damage:?}: no step-0 warning in {:?}", rec.warnings);
+            }
+        }
+        assert!(server.drain(Duration::from_secs(120)), "{damage:?}: drain timed out");
+        // Whether it resumed or restarted, every job ends with the
+        // uncrashed run's answer, bit for bit.
+        for i in 0..2u64 {
+            let st = server.status(JobId(i)).expect("resumed");
+            assert_eq!(st.state, JobState::Done, "{damage:?} job-{i}: {}", st.detail);
+            let got = server.result(JobId(i)).expect("outcome");
+            let want = &reference.sims[i as usize];
+            assert_eq!(got.h, want.h, "{damage:?} job-{i} diverged");
+            let bits = |d: &xg_sim::Diagnostics| {
+                [d.time, d.field_energy, d.heat_flux, d.h_norm2].map(f64::to_bits)
+            };
+            assert_eq!(bits(&got.diagnostics), bits(&want.diagnostics), "{damage:?} job-{i}");
+            assert_eq!(got.steps, STEPS);
+        }
+        server.shutdown();
+        assert!(leftovers(&dir).is_empty(), "{damage:?}: {:?}", leftovers(&dir));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -9,8 +9,12 @@
 //! change that makes it stop replaying, or makes today's writer produce
 //! other bytes, changed the format.
 //!
-//! Beside it, the CRC-32 is checked against the bytewise loop it replaced,
-//! kept here as the oracle.
+//! `golden/journal-format-checkpoint-ref.xgj` pins the `CheckpointRef`
+//! record the same way: written once by the build that introduced it, and
+//! never regenerated.
+//!
+//! Beside them, the CRC-32 is checked against the bytewise loop it
+//! replaced, kept here as the oracle.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -19,8 +23,12 @@ use xg_serve::{BatchId, JobId, JournalRecord};
 
 const FIXTURE: &str = "journal-format.xgj";
 
+fn fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
 fn fixture_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(FIXTURE)
+    fixture_dir().join(FIXTURE)
 }
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -140,6 +148,86 @@ fn todays_writer_produces_the_fixture_bytes() {
     }
     let written = std::fs::read(dir.join("seg-000000.xgj")).unwrap();
     assert!(written == std::fs::read(fixture_path()).unwrap(), "the frame bytes changed");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `golden/journal-format-checkpoint-ref.xgj`: one segment holding a frame
+/// for every record of [`checkpoint_ref_records`], appended by
+/// `Journal::append` of the first build that wrote `CheckpointRef`
+/// (tag 11). Never regenerated, like the fixture above.
+const CHECKPOINT_REF_FIXTURE: &str = "journal-format-checkpoint-ref.xgj";
+
+/// A batch's life as the live path journals it since checkpoint state
+/// moved to files: dispatch, two `CheckpointRef`s (the second after a
+/// member left), the end; plus one at every field's extreme.
+fn checkpoint_ref_records() -> Vec<JournalRecord> {
+    let image = filler(147_456, 4);
+    vec![
+        JournalRecord::Running { batch: BatchId(7), jobs: vec![JobId(4), JobId(5), JobId(6)] },
+        JournalRecord::CheckpointRef {
+            batch: BatchId(7),
+            jobs: vec![JobId(4), JobId(5), JobId(6)],
+            seq: 0,
+            done_steps: 10,
+            state_len: image.len() as u64,
+            state_crc: crc32(&image),
+        },
+        JournalRecord::Cancelled { job: JobId(5), detail: "preempted at checkpoint".into() },
+        JournalRecord::CheckpointRef {
+            batch: BatchId(7),
+            jobs: vec![JobId(4), JobId(6)],
+            seq: 1,
+            done_steps: 20,
+            state_len: 0,
+            state_crc: crc32(b""),
+        },
+        JournalRecord::CheckpointRef {
+            batch: BatchId(u64::MAX),
+            jobs: vec![],
+            seq: u64::MAX,
+            done_steps: u64::MAX,
+            state_len: u64::MAX,
+            state_crc: u32::MAX,
+        },
+        JournalRecord::Done {
+            job: JobId(4),
+            steps: 40,
+            h_hash: 0x0123_4567_89ab_cdef,
+            diag_bits: [1, 2, 3, 4],
+        },
+    ]
+}
+
+#[test]
+fn a_checkpoint_ref_segment_replays_record_for_record() {
+    let golden = std::fs::read(fixture_dir().join(CHECKPOINT_REF_FIXTURE)).expect("fixture present");
+    let dir = tmpdir("replay-ref");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("seg-000000.xgj"), &golden).unwrap();
+    let (_, replay) = Journal::open(JournalConfig::durable(&dir)).unwrap();
+    let want = checkpoint_ref_records();
+    assert_eq!(replay.records.len(), want.len());
+    for (i, (got, want)) in replay.records.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "record {i}");
+    }
+    assert_eq!(replay.torn_bytes, 0);
+    assert!(replay.warnings.is_empty(), "{:?}", replay.warnings);
+    assert_eq!(replay.bytes, golden.len() as u64);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn todays_writer_produces_the_checkpoint_ref_fixture_bytes() {
+    let dir = tmpdir("write-ref");
+    {
+        let (mut j, _) = Journal::open(JournalConfig::durable(&dir)).unwrap();
+        for r in &checkpoint_ref_records() {
+            j.append(r).unwrap();
+        }
+    }
+    let written = std::fs::read(dir.join("seg-000000.xgj")).unwrap();
+    let golden = std::fs::read(fixture_dir().join(CHECKPOINT_REF_FIXTURE)).unwrap();
+    assert!(written == golden, "the frame bytes changed");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -44,17 +44,24 @@ fn a_batch_spawns_its_world_and_builds_cmat_once() {
     assert_eq!(server.metrics().occupancy, [(3, 1)].into(), "one k=3 batch");
     server.shutdown();
 
-    // Durability is what it was: every boundary but the last is journaled.
+    // Durability is what it was: every boundary but the last is journaled,
+    // each naming its checkpoint file, and the finished batch left none.
     let (_, replay) = Journal::open(JournalConfig::durable(&dir)).expect("reopen the journal");
     let boundaries: Vec<u64> = replay
         .records
         .iter()
         .filter_map(|r| match r {
-            JournalRecord::Checkpoint { done_steps, .. } => Some(*done_steps),
+            JournalRecord::CheckpointRef { done_steps, .. } => Some(*done_steps),
             _ => None,
         })
         .collect();
     assert_eq!(boundaries, [10, 20, 30]);
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("journal dir")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("ckpt-"))
+        .collect();
+    assert!(files.is_empty(), "checkpoint files outlived their batch: {files:?}");
     let _ = std::fs::remove_dir_all(&dir);
 
     // The same count over a multi-batch campaign: 12 variants over 2 cmat

@@ -59,6 +59,14 @@ fn arb_record() -> impl Strategy<Value = JournalRecord> {
             done_steps: 10,
             state: vec![seq as u8; 16],
         }),
+        (0u64..3, members(), 0u64..4).prop_map(|(b, js, seq)| JournalRecord::CheckpointRef {
+            batch: BatchId(b),
+            jobs: js.into_iter().map(JobId).collect(),
+            seq,
+            done_steps: 10,
+            state_len: 16,
+            state_crc: seq as u32,
+        }),
         (0u64..5, 0u64..).prop_map(|(j, h)| JournalRecord::Done {
             job: JobId(j),
             steps: STEPS as u64,

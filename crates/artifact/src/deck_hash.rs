@@ -11,11 +11,11 @@
 //! provably cannot change the result bits must not fragment the cache.
 //!
 //! * Species display names — labels for reports, never used in physics.
-//! * Decomposition / coll cuts — *runtime placement*, not submission
-//!   identity: the decomp-matrix CI proves ragged coll splits are
-//!   bitwise-neutral, and the batch size a job lands in is unknowable at
-//!   admission time. The layout a run actually used is recorded in its
-//!   [`crate::Manifest`] as provenance instead.
+//! * Process grid and batch size — *runtime placement*, not submission
+//!   identity: the contract rows (`tests/contract.rs`) prove every member
+//!   equals its standalone run bit for bit, and the batch size a job lands
+//!   in is unknowable at admission time. The layout a run actually used is
+//!   recorded in its [`crate::Manifest`] as provenance instead.
 //!
 //! Everything else is included — in particular the fields `cmat_key`
 //! deliberately leaves out (gradient drives, `nonlinear_coupling`,

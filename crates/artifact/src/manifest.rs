@@ -36,7 +36,8 @@ pub struct Manifest {
     /// Ensemble width of the batch this member executed in. Provenance
     /// only — deliberately *not* part of the deck hash (bitwise-neutral).
     pub batch_k: u64,
-    /// Collision-dimension cut layout label (e.g. `"even"`, `"ragged"`).
+    /// Collision-dimension cut layout label (`"balanced"`, the one layout;
+    /// older manifests may carry other labels).
     pub coll_cuts: String,
     /// Collision kernel variant the run selected (empty if unrecorded).
     pub kernel: String,

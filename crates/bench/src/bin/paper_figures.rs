@@ -2,45 +2,9 @@
 //!
 //! Usage: `paper_figures [<experiment-id>|all]` or `paper_figures --write-dir DIR`
 //! (defaults to `all`). See DESIGN.md §5 for the experiment index.
-//!
-//! `paper_figures bench-decomp [--quick] [--out PATH]` prices the searched
-//! unbalanced coll decomposition against the balanced split across machine
-//! models and writes the JSON artifact (default `BENCH_decomp.json`).
-
-fn out_path_arg(args: &[String], default: &str) -> String {
-    match args.iter().position(|a| a == "--out") {
-        Some(pos) => match args.get(pos + 1) {
-            Some(p) => p.clone(),
-            None => {
-                eprintln!("--out needs a path");
-                std::process::exit(2);
-            }
-        },
-        None => default.to_string(),
-    }
-}
-
-fn bench_decomp(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = out_path_arg(args, "BENCH_decomp.json");
-    let cfg = if quick {
-        xg_bench::DecompBenchConfig::quick()
-    } else {
-        xg_bench::DecompBenchConfig::full()
-    };
-    let results = xg_bench::run_decomp_bench(&cfg);
-    print!("{}", xg_bench::decomp_bench_report(&results));
-    std::fs::write(&out_path, xg_bench::decomp_bench_json(&results))
-        .expect("write bench json");
-    println!("wrote {out_path}");
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench-decomp") {
-        bench_decomp(&args[1..]);
-        return;
-    }
     // Optional: --write-dir DIR saves each experiment to DIR/<id>.txt.
     if let Some(pos) = args.iter().position(|a| a == "--write-dir") {
         let Some(dir) = args.get(pos + 1) else {

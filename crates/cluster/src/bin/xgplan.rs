@@ -37,9 +37,6 @@ fn usage() -> ! {
         "usage: xgplan --deck input.cgyro [--machine FILE|PRESET] [--variants N]\n\
          \u{20}                [--nodes N] [--reports R] [--mtbf-hours H] [--restart-s S]\n\
          \u{20}                [--journal-fsync-ms MS] [--submit-rate-hz HZ] [--profile FILE]\n\
-         \u{20}                [--decomp FILE]\n\
-         \u{20}  --decomp:     write the searched decomposition (grid + coll cuts)\n\
-         \u{20}                to FILE, loadable by `xgyro --decomp`\n\
          \u{20}  --profile:    Prometheus scrape of a measured run (XGYRO_OBS=1);\n\
          \u{20}                printed as measured-vs-predicted phase time\n\
          \u{20}  --mtbf-hours: single-node MTBF in hours (default ~52000, a\n\
@@ -67,7 +64,6 @@ fn main() {
     let mut journal_fsync_ms = 5.0f64;
     let mut submit_rate_hz = 10.0f64;
     let mut profile: Option<String> = None;
-    let mut decomp_out: Option<String> = None;
     let mut hit_rate = 0.0f64;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -117,7 +113,6 @@ fn main() {
             "--hit-rate" => {
                 hit_rate = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
             }
-            "--decomp" => decomp_out = Some(it.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
     }
@@ -213,11 +208,10 @@ fn main() {
     );
     println!("\nensemble forecast on {nodes} nodes ({reports} reporting steps):");
     println!(
-        "  k     feasible   s/report   speedup    ETTS(h)   ETTS-speedup   unbal-ETTS   cmat-saved(TB)"
+        "  k     feasible   s/report   speedup    ETTS(h)   ETTS-speedup   cmat-saved(TB)"
     );
     let mut sweep_k = None;
     let mut last_etts: Option<(usize, f64)> = None;
-    let mut chosen_dp: Option<xg_cluster::DecompPlan> = None;
     for k in [1usize, 2, 4, 8, 16, 32] {
         if k > variants.max(1) * 4 {
             break;
@@ -250,40 +244,18 @@ fn main() {
                         &fm,
                     )
                     .etts_s;
-                // Balanced-vs-unbalanced ETTS delta: what the searched
-                // coll-cut layout buys at this k (negative = faster; "="
-                // when the search kept the balanced split).
-                let dp = xg_cluster::plan_decomposition(&input, k, nodes, &machine, &policy).ok();
-                let unbal = match &dp {
-                    Some(dp) if dp.is_unbalanced() => {
-                        let u = xg_cluster::expected_time_to_solution(
-                            &input,
-                            k,
-                            nodes,
-                            reports as f64 * dp.step_chosen_s,
-                            &machine,
-                            &fm,
-                        );
-                        format!("{:+.1}%", 100.0 * (u.etts_s / xg_etts.etts_s - 1.0))
-                    }
-                    _ => "=".to_string(),
-                };
                 println!(
-                    "  {:<5} {:>8}   {:>8.1}   {:>7.2}x   {:>8.2}   {:>11.2}x   {:>10}   {:>14.3}",
+                    "  {:<5} {:>8}   {:>8.1}   {:>7.2}x   {:>8.2}   {:>11.2}x   {:>14.3}",
                     k,
                     "yes",
                     xg.total(),
                     cg.total() / xg.total(),
                     xg_etts.etts_s / 3600.0,
                     cg_etts_s / xg_etts.etts_s,
-                    unbal,
                     xg_costmodel::memory::cmat_saved_bytes(k, d) as f64 / 1e12
                 );
                 sweep_k = Some((k, reports as f64 * xg.total()));
                 last_etts = Some((k, xg_etts.etts_s));
-                if let Some(dp) = dp {
-                    chosen_dp = Some(dp);
-                }
             }
             Err(e) => println!("  {:<5} no ({}): {}", k, e.kind(), e),
         }
@@ -303,42 +275,6 @@ fn main() {
                 100.0 * (1.0 - hit_rate)
             );
         }
-    }
-
-    if let Some(dp) = &chosen_dp {
-        let k = dp.decomposition.k;
-        let bal_etts = xg_cluster::expected_time_to_solution(
-            &input, k, nodes, reports as f64 * dp.step_balanced_s, &machine, &fm,
-        );
-        let cho_etts = xg_cluster::expected_time_to_solution(
-            &input, k, nodes, reports as f64 * dp.step_chosen_s, &machine, &fm,
-        );
-        println!(
-            "\ndecomposition search (k={k}, grid {}x{}, machine {}):",
-            dp.decomposition.grid.n1, dp.decomposition.grid.n2, machine.name
-        );
-        println!(
-            "  balanced: {:>8.1} s/report, ETTS {:>7.2} h",
-            dp.step_balanced_s,
-            bal_etts.etts_s / 3600.0
-        );
-        println!(
-            "  chosen:   {:>8.1} s/report, ETTS {:>7.2} h   layout {}  ({:.2}x)",
-            dp.step_chosen_s,
-            cho_etts.etts_s / 3600.0,
-            dp.decomposition.label(d.nc),
-            dp.speedup()
-        );
-        if let Some(path) = &decomp_out {
-            if let Err(e) = std::fs::write(path, dp.decomposition.to_file_string()) {
-                eprintln!("xgplan: cannot write decomposition {path}: {e}");
-                exit(1);
-            }
-            println!("  decomposition written to {path} (run with `xgyro --decomp {path}`)");
-        }
-    } else if decomp_out.is_some() {
-        eprintln!("xgplan: no feasible ensemble — nothing to write to --decomp");
-        exit(1);
     }
 
     if let Some((k, work_s)) = sweep_k {

@@ -112,7 +112,6 @@ fn main() {
     if let Some(line) = kernel_report(&text) {
         println!("{line}");
     }
-    report_decomp_meta(&text, &machine);
 
     // Deterministic per-(rank, op) jitter in [0, jitter_us].
     let jitter = jitter_us * 1e-6;
@@ -217,67 +216,6 @@ fn kernel_report(text: &str) -> Option<String> {
         "collision kernel: {kernel} (measured on the capture host{})",
         get("simd_level").map(|l| format!(", probe {l}")).unwrap_or_default()
     ))
-}
-
-/// Report the decomposition the run actually used, from the trace's
-/// `#decomp*=` metadata (written by `xgyro --trace`), next to the layout
-/// this machine model's capacity-weighted search would predict — and, when
-/// the recorded layout is unbalanced, its rebalance payoff: rows moved
-/// versus the balanced split and the modeled coll-phase gate speedup
-/// (slowest position's rows/speed, balanced over chosen).
-fn report_decomp_meta(text: &str, machine: &MachineModel) {
-    let meta = xg_comm::trace_meta(text);
-    let get = |key: &str| meta.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
-    let Some(label) = get("decomp") else { return };
-    let shape = (|| {
-        Some((
-            get("decomp_nc")?.parse::<usize>().ok()?,
-            get("decomp_k")?.parse::<usize>().ok()?,
-            get("decomp_n1")?.parse::<usize>().ok()?,
-            get("decomp_n2")?.parse::<usize>().ok()?,
-        ))
-    })();
-    let Some((nc, k, n1, n2)) = shape else {
-        println!("decomposition: recorded layout {label} (trace has no shape metadata)");
-        return;
-    };
-    let grid = xg_tensor::ProcGrid::new(n1, n2);
-    let speeds = xg_cluster::coll_position_speeds(grid, k, machine);
-    let uniform = speeds.iter().all(|&s| s == speeds[0]);
-    let predicted = if uniform {
-        "balanced".to_string()
-    } else {
-        let cuts = xg_tensor::RaggedDecomp::weighted(nc, &speeds).counts();
-        xg_tensor::Decomposition { grid, k, coll_cuts: Some(cuts) }.label(nc)
-    };
-    println!(
-        "decomposition (nc={nc}, k={k}, grid {n1}x{n2}): recorded {label}, predicted \
-         {predicted} on {}{}",
-        machine.name,
-        if predicted == label { " — agree" } else { "" }
-    );
-    // Rebalance payoff of the recorded layout, judged on this machine model.
-    if let Some(cuts_text) = label.strip_prefix("coll:") {
-        let cuts: Vec<usize> =
-            cuts_text.split(',').filter_map(|t| t.parse().ok()).collect();
-        if cuts.len() == k * n1 && cuts.iter().sum::<usize>() == nc {
-            let moved = xg_cluster::moved_rows_vs_balanced(&cuts);
-            let balanced = xg_tensor::RaggedDecomp::balanced(nc, k * n1);
-            let gate = |rows: &dyn Fn(usize) -> usize| {
-                (0..k * n1)
-                    .map(|p| rows(p) as f64 / speeds[p])
-                    .fold(0.0f64, f64::max)
-            };
-            let bal_gate = gate(&|p| balanced.count(p));
-            let cho_gate = gate(&|p| cuts[p]);
-            println!(
-                "rebalance payoff: {moved} of {nc} coll rows moved vs balanced; modeled \
-                 coll-gate speedup {:.2}x on {}",
-                if cho_gate > 0.0 { bal_gate / cho_gate } else { 1.0 },
-                machine.name
-            );
-        }
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod decomp_plan;
 pub mod memory;
 pub mod planner;
 pub mod replay;
@@ -19,7 +18,6 @@ pub mod resilience;
 pub mod simtime;
 
 pub use campaign::{optimize_campaign, CampaignOption, CampaignPlan};
-pub use decomp_plan::{moved_rows_vs_balanced, plan_decomposition, DecompPlan};
 pub use memory::{cmat_ratio, rank_inventory, total_bytes, BufferCategory, BufferSpec};
 pub use planner::{
     diagnose, max_feasible_k, max_feasible_k_unbalanced, min_nodes, min_nodes_unbalanced,
@@ -33,6 +31,6 @@ pub use resilience::{
     FailureModel, JournalSyncReport, SweepRow,
 };
 pub use simtime::{
-    coll_position_speeds, simulate_cgyro_sequential, simulate_ensemble_member,
-    simulate_ensemble_member_decomp, simulate_xgyro, ScenarioReport, SchedulePolicy,
+    simulate_cgyro_sequential, simulate_ensemble_member, simulate_xgyro, ScenarioReport,
+    SchedulePolicy,
 };

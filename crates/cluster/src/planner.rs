@@ -230,7 +230,7 @@ pub fn diagnose(
 }
 
 /// [`plan`] with unbalanced-mode grid admission: exact `nv`/`nc`
-/// divisibility is not required (the planner assigns ragged cuts instead).
+/// divisibility is not required (the blocks come out uneven instead).
 pub fn plan_unbalanced(
     input: &CgyroInput,
     k: usize,
@@ -307,7 +307,7 @@ pub fn max_feasible_k(
 
 /// [`max_feasible_k`] with unbalanced-mode grid admission: ensemble sizes
 /// whose per-simulation rank count has no exactly-dividing grid are no
-/// longer skipped — the ragged decomposition makes them runnable, so the
+/// longer skipped — uneven blocks make them runnable, so the
 /// serving layer can batch them.
 pub fn max_feasible_k_unbalanced(
     input: &CgyroInput,

@@ -23,7 +23,7 @@ use xg_costmodel::{
     Placement,
 };
 use xg_sim::CgyroInput;
-use xg_tensor::{Decomp1D, ProcGrid, RaggedDecomp};
+use xg_tensor::{Decomp1D, ProcGrid};
 
 /// Tunable op-count structure of one time step.
 #[derive(Clone, Copy, Debug)]
@@ -160,49 +160,6 @@ pub fn simulate_ensemble_member(
     policy: &SchedulePolicy,
     label: &str,
 ) -> ScenarioReport {
-    simulate_ensemble_member_decomp(input, grid, k, nodes, machine, policy, label, None)
-}
-
-/// Relative speed of coll position `p = s·n1 + i1`: its cut is shared by
-/// every toroidal slice `i2`, so the position runs at the pace of its
-/// slowest hosting rank (block placement, `speed_of_rank`).
-pub fn coll_position_speeds(grid: ProcGrid, k: usize, machine: &MachineModel) -> Vec<f64> {
-    let per_sim = grid.size();
-    let mut speeds = Vec::with_capacity(k * grid.n1);
-    for s in 0..k {
-        for i1 in 0..grid.n1 {
-            let speed = (0..grid.n2)
-                .map(|i2| machine.speed_of_rank(s * per_sim + grid.rank(i1, i2)))
-                .fold(f64::INFINITY, f64::min);
-            speeds.push(speed);
-        }
-    }
-    speeds
-}
-
-/// Decomposition-aware variant of [`simulate_ensemble_member`]: prices the
-/// schedule under heterogeneous node speeds and (optionally) planned
-/// unbalanced coll-phase `nc` cuts. On a homogeneous machine with balanced
-/// (or absent) cuts this reproduces [`simulate_ensemble_member`] exactly.
-///
-/// Heterogeneity model: a rank on a node of speed `s` delivers `s` times
-/// the machine's `flops_per_rank`/`mem_bw_per_rank`. The str and nl phases
-/// split `nv`/`nt` uniformly (those cuts are pinned for bitwise
-/// reproducibility), so their compute is gated by the slowest rank in the
-/// job. The coll phase is where cuts can move: its compute is the max over
-/// coll positions of `work(rows_p) / speed_p` — a capacity-weighted cut
-/// equalizes exactly this.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_ensemble_member_decomp(
-    input: &CgyroInput,
-    grid: ProcGrid,
-    k: usize,
-    nodes: usize,
-    machine: &MachineModel,
-    policy: &SchedulePolicy,
-    label: &str,
-    coll_cuts: Option<&[usize]>,
-) -> ScenarioReport {
     let d = input.dims();
     let placement = Placement { ranks_per_node: machine.ranks_per_node };
     let comms = ensemble_comms(grid, k);
@@ -223,17 +180,11 @@ pub fn simulate_ensemble_member_decomp(
         (policy.rk_stages * policy.moment_reductions_per_stage) as f64;
     let t_ar = allreduce_time(machine, nv_shape, moment_bytes);
     b.add("str", "comm", ar_per_step * t_ar);
-    // Slowest rank actually used by the job: str/nl cuts are uniform, so
-    // every rank does the same local work and the slowest one gates.
-    let used_ranks = k * grid.size();
-    let min_speed = (0..used_ranks)
-        .map(|r| machine.speed_of_rank(r))
-        .fold(1.0f64, f64::min);
     let str_kernel = KernelCost {
         flops: state_elems * policy.str_flops_per_point,
         bytes: state_elems * policy.str_bytes_per_point,
     };
-    b.add("str", "compute", policy.rk_stages as f64 * str_kernel.time(machine) / min_speed);
+    b.add("str", "compute", policy.rk_stages as f64 * str_kernel.time(machine));
 
     // --- nl phase ---
     if input.nonlinear_coupling != 0.0 {
@@ -250,7 +201,7 @@ pub fn simulate_ensemble_member_decomp(
         b.add(
             "nl",
             "compute",
-            policy.nl_roundtrips_per_step as f64 * nl_kernel.time(machine) / min_speed,
+            policy.nl_roundtrips_per_step as f64 * nl_kernel.time(machine),
         );
     }
 
@@ -261,32 +212,17 @@ pub fn simulate_ensemble_member_decomp(
         "comm",
         (2 * policy.coll_roundtrips_per_step) as f64 * t_coll_a2a,
     );
-    // cmat application: the local slice covers a planned share of the nc
+    // cmat application: the local slice covers 1/(k·n1) of the nc
     // configuration points; it is applied once per member simulation (k
     // times), so the per-rank matvec volume equals CGYRO's regardless of
-    // k. The phase finishes when the slowest coll position finishes: max
-    // over positions of work(rows_p) / speed_p. With balanced cuts on a
-    // homogeneous machine this is exactly the worst-rank (max_count) cost.
-    let positions = k * grid.n1;
-    let coll_decomp = match coll_cuts {
-        None => RaggedDecomp::balanced(d.nc, positions),
-        Some(cuts) => {
-            assert_eq!(cuts.len(), positions, "coll cuts must have k*n1 entries");
-            RaggedDecomp::from_counts(cuts)
-        }
+    // k. The phase finishes when the rank with the most rows finishes.
+    let rows = Decomp1D::new(d.nc, k * grid.n1).max_count();
+    let pairs = (rows * nt_loc * k) as u64;
+    let coll_kernel = KernelCost {
+        flops: 4 * (d.nv as u64) * (d.nv as u64) * pairs,
+        bytes: 8 * (d.nv as u64) * (d.nv as u64) * pairs + pairs * 2 * 16 * d.nv as u64,
     };
-    let speeds = coll_position_speeds(grid, k, machine);
-    let coll_time = |rows: usize| -> f64 {
-        let pairs = (rows * nt_loc * k) as u64;
-        let kernel = KernelCost {
-            flops: 4 * (d.nv as u64) * (d.nv as u64) * pairs,
-            bytes: 8 * (d.nv as u64) * (d.nv as u64) * pairs + pairs * 2 * 16 * d.nv as u64,
-        };
-        kernel.time(machine)
-    };
-    let coll_compute = (0..positions)
-        .map(|p| coll_time(coll_decomp.count(p)) / speeds[p])
-        .fold(0.0f64, f64::max);
+    let coll_compute = coll_kernel.time(machine);
     b.add(
         "coll",
         "compute",

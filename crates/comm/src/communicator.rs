@@ -245,7 +245,7 @@ impl Communicator {
     }
 
     /// Element-wise reduction of `buf` across all ranks, combining the
-    /// contributions by recursive pairs (see [`fold_pairs`]).
+    /// contributions by recursive pairs (see [`combine_pairs`]).
     fn all_reduce<T, C>(&self, buf: &mut [T], combine: C)
     where
         T: Copy + Send + Sync + 'static,
@@ -257,7 +257,7 @@ impl Communicator {
             for item in &items {
                 assert_eq!(item.len(), n, "AllReduce length mismatch across ranks");
             }
-            fold_pairs(&mut items, &combine);
+            combine_pairs(&mut items, &combine);
             items.swap_remove(0)
         });
         buf.copy_from_slice(&res);
@@ -397,13 +397,13 @@ impl Communicator {
 /// over ranks, so at a power-of-two `nv` split the AllReduce completes each
 /// velocity moment's tree exactly. No identity element is folded in: one
 /// rank's contribution comes back unchanged, a `-0.0` included.
-fn fold_pairs<T: Copy>(items: &mut [Vec<T>], combine: &impl Fn(T, T) -> T) {
+fn combine_pairs<T: Copy>(items: &mut [Vec<T>], combine: &impl Fn(T, T) -> T) {
     if items.len() < 2 {
         return;
     }
     let (left, right) = items.split_at_mut(items.len().div_ceil(2));
-    fold_pairs(left, combine);
-    fold_pairs(right, combine);
+    combine_pairs(left, combine);
+    combine_pairs(right, combine);
     for (a, b) in left[0].iter_mut().zip(&right[0]) {
         *a = combine(*a, *b);
     }

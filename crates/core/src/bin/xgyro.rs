@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 use std::process::exit;
-use xg_tensor::{Decomposition, ProcGrid};
+use xg_tensor::ProcGrid;
 use xgyro_core::{run_xgyro_with_history, summarize_trace, EnsembleConfig};
 
 struct Args {
@@ -20,7 +20,6 @@ struct Args {
     reports: usize,
     out: Option<PathBuf>,
     trace: Option<PathBuf>,
-    coll_cuts: Option<Vec<usize>>,
     selftest: bool,
     dirs: Vec<PathBuf>,
 }
@@ -28,16 +27,11 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: xgyro --grid N1xN2 [--reports R] [--out DIR] [--trace FILE]\n\
-         \x20            [--coll-cuts A,B,...] [--decomp FILE] [--selftest] SIM_DIR [SIM_DIR ...]\n\
+         \x20            [--selftest] SIM_DIR [SIM_DIR ...]\n\
          \n\
          Runs the simulations found in SIM_DIR/input.cgyro as a single XGYRO\n\
          ensemble (k = number of dirs) sharing one collisional constant tensor.\n\
-         Spawns k * N1 * N2 worker threads (one per MPI-equivalent rank).\n\
-         \n\
-         --coll-cuts gives an unbalanced coll-phase nc split (one row count per\n\
-         coll position, k*N1 entries summing to NC) — e.g. the layout searched\n\
-         by `xgplan --decomp`. --decomp loads grid and cuts from such a file.\n\
-         Output is bitwise-identical to the balanced run either way."
+         Spawns k * N1 * N2 worker threads (one per MPI-equivalent rank)."
     );
     exit(2)
 }
@@ -47,7 +41,6 @@ fn parse_args() -> Args {
     let mut reports = 1usize;
     let mut out = None;
     let mut trace = None;
-    let mut coll_cuts: Option<Vec<usize>> = None;
     let mut selftest = false;
     let mut dirs = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -68,31 +61,6 @@ fn parse_args() -> Args {
             "--trace" => {
                 trace = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())));
             }
-            "--coll-cuts" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let parsed: Result<Vec<usize>, _> =
-                    v.split(',').map(|t| t.trim().parse()).collect();
-                match parsed {
-                    Ok(c) if !c.is_empty() => coll_cuts = Some(c),
-                    _ => {
-                        eprintln!("xgyro: --coll-cuts wants comma-separated row counts");
-                        usage()
-                    }
-                }
-            }
-            "--decomp" => {
-                let path = PathBuf::from(it.next().unwrap_or_else(|| usage()));
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprintln!("xgyro: cannot read {}: {e}", path.display());
-                    exit(1);
-                });
-                let d = Decomposition::parse(&text).unwrap_or_else(|e| {
-                    eprintln!("xgyro: bad decomposition file {}: {e}", path.display());
-                    exit(1);
-                });
-                grid = Some(d.grid);
-                coll_cuts = d.coll_cuts;
-            }
             "--selftest" => selftest = true,
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => {
@@ -105,33 +73,24 @@ fn parse_args() -> Args {
     if dirs.is_empty() {
         usage()
     }
-    Args { grid: grid.unwrap_or_else(|| usage()), reports, out, trace, coll_cuts, selftest, dirs }
+    Args { grid: grid.unwrap_or_else(|| usage()), reports, out, trace, selftest, dirs }
 }
 
 fn main() {
     let args = parse_args();
-    let cfg = match EnsembleConfig::from_deck_dirs(&args.dirs, args.grid)
-        .and_then(|c| c.with_coll_cuts(args.coll_cuts.clone()))
-    {
+    let cfg = match EnsembleConfig::from_deck_dirs(&args.dirs, args.grid) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("xgyro: ensemble rejected: {e}");
             exit(1);
         }
     };
-    let nc = cfg.members()[0].dims().nc;
-    let decomp = Decomposition {
-        grid: cfg.grid(),
-        k: cfg.k(),
-        coll_cuts: cfg.coll_cuts().map(|c| c.to_vec()),
-    };
     eprintln!(
-        "xgyro: k={} simulations, {}x{} grid each, {} ranks total, layout {}, cmat key {:#018x}",
+        "xgyro: k={} simulations, {}x{} grid each, {} ranks total, cmat key {:#018x}",
         cfg.k(),
         cfg.grid().n1,
         cfg.grid().n2,
         cfg.total_ranks(),
-        decomp.label(nc),
         cfg.cmat_key()
     );
     let start = std::time::Instant::now();
@@ -172,11 +131,6 @@ fn main() {
         let meta_owned = [
             ("kernel", kernel.to_string()),
             ("simd_level", xg_linalg::selected_level().to_string()),
-            ("decomp", decomp.label(dims.nc)),
-            ("decomp_nc", dims.nc.to_string()),
-            ("decomp_k", cfg.k().to_string()),
-            ("decomp_n1", cfg.grid().n1.to_string()),
-            ("decomp_n2", cfg.grid().n2.to_string()),
         ];
         let meta: Vec<(&str, &str)> =
             meta_owned.iter().map(|(k, v)| (*k, v.as_str())).collect();

@@ -93,11 +93,6 @@ impl std::error::Error for EnsembleError {}
 pub struct EnsembleConfig {
     members: Vec<CgyroInput>,
     grid: ProcGrid,
-    /// Planned coll-phase `nc` cuts (one row count per coll position,
-    /// `k·n1` entries summing to `nc`), or `None` for the balanced split.
-    /// Bitwise-neutral: cuts move whole `(ic, it)` matvecs between ranks
-    /// without reassociating any sum.
-    coll_cuts: Option<Vec<usize>>,
 }
 
 impl EnsembleConfig {
@@ -160,42 +155,7 @@ impl EnsembleConfig {
                 reason: format!("n2={} exceeds nt={}", grid.n2, dims.nt),
             });
         }
-        Ok(Self { members, grid, coll_cuts: None })
-    }
-
-    /// Replace the coll-phase `nc` cuts with a planned (possibly
-    /// unbalanced) layout. `None` restores the balanced split. The cut
-    /// list must have one entry per coll position (`k·n1`) and sum to
-    /// `nc`; zero counts are allowed (a position can own no rows).
-    pub fn with_coll_cuts(
-        mut self,
-        coll_cuts: Option<Vec<usize>>,
-    ) -> Result<Self, EnsembleError> {
-        if let Some(cuts) = &coll_cuts {
-            let want = self.k() * self.grid.n1;
-            if cuts.len() != want {
-                return Err(EnsembleError::BadGrid {
-                    reason: format!(
-                        "coll cuts have {} entries, need one per coll position (k*n1 = {want})",
-                        cuts.len()
-                    ),
-                });
-            }
-            let nc = self.members[0].dims().nc;
-            let sum: usize = cuts.iter().sum();
-            if sum != nc {
-                return Err(EnsembleError::BadGrid {
-                    reason: format!("coll cuts sum to {sum}, need nc = {nc}"),
-                });
-            }
-        }
-        self.coll_cuts = coll_cuts;
-        Ok(self)
-    }
-
-    /// Planned coll-phase `nc` cuts (`None` = balanced).
-    pub fn coll_cuts(&self) -> Option<&[usize]> {
-        self.coll_cuts.as_deref()
+        Ok(Self { members, grid })
     }
 
     /// Number of member simulations (k).
@@ -233,9 +193,7 @@ impl EnsembleConfig {
     /// exactly what [`EnsembleConfig::new`] would build from the surviving
     /// decks — all admission invariants (shared `cmat` key, cadence, grid)
     /// are preserved by removal. Errors with [`EnsembleError::Empty`] when
-    /// evicting the last member. Planned coll cuts are dropped (their
-    /// length no longer matches the shrunken coll communicator), so the
-    /// survivors run on the balanced split.
+    /// evicting the last member.
     pub fn evict_member(&self, index: usize) -> Result<Self, EnsembleError> {
         assert!(index < self.members.len(), "evict_member: no member {index}");
         if self.members.len() == 1 {
@@ -243,7 +201,7 @@ impl EnsembleConfig {
         }
         let mut members = self.members.clone();
         members.remove(index);
-        Ok(Self { members, grid: self.grid, coll_cuts: None })
+        Ok(Self { members, grid: self.grid })
     }
 }
 
@@ -355,30 +313,6 @@ mod tests {
         assert!(msg.contains(&format!("{rogue:#018x}")), "{msg}");
         assert!(msg.contains(&format!("{key0:#018x}")), "{msg}");
         assert!(msg.contains("q (2 vs 9)"), "{msg}");
-    }
-
-    #[test]
-    fn coll_cuts_validate_shape_and_sum() {
-        let base = CgyroInput::test_small(); // nc = nr * nn
-        let nc = base.dims().nc;
-        let cfg = gradient_sweep(&base, 2, ProcGrid::new(2, 1)); // 4 coll positions
-        // Balanced-by-construction cuts are accepted.
-        let mut cuts = vec![nc / 4; 4];
-        cuts[0] += nc % 4;
-        let with = cfg.clone().with_coll_cuts(Some(cuts.clone())).unwrap();
-        assert_eq!(with.coll_cuts(), Some(cuts.as_slice()));
-        // Eviction drops the planned cuts (k·n1 shrank).
-        let evicted = with.evict_member(0).unwrap();
-        assert_eq!(evicted.coll_cuts(), None);
-        // Wrong length.
-        let err = cfg.clone().with_coll_cuts(Some(vec![nc])).unwrap_err();
-        assert!(matches!(err, EnsembleError::BadGrid { .. }));
-        // Wrong sum.
-        let err = cfg.clone().with_coll_cuts(Some(vec![1, 1, 1, 1])).unwrap_err();
-        assert!(matches!(err, EnsembleError::BadGrid { .. }));
-        // None restores balanced.
-        let back = with.with_coll_cuts(None).unwrap();
-        assert_eq!(back.coll_cuts(), None);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! 3. a new session opens from that checkpoint as a (k−1)-member ensemble —
 //!    the only time the world, the Figure-3 topology and the shared `cmat`
 //!    are rebuilt — and the rows are re-distributed over the survivors on
-//!    the balanced split by [`crate::topology::build_xgyro_topology`] (a
-//!    planned ragged layout does not outlive an eviction).
+//!    the balanced split by [`crate::topology::build_xgyro_topology`].
 //!
 //! [`run_xgyro_resilient_from`] is the one-call driver: a [`ResilientRun`]
 //! advanced in checkpointed segments.

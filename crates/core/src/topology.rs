@@ -72,16 +72,7 @@ pub fn build_xgyro_topology(
     );
 
     let input = &config.members()[a.sim];
-    let topo = DistTopology::with_shared_coll_cuts(
-        input,
-        grid,
-        sim_comm,
-        nv_comm,
-        nt_comm,
-        coll_comm,
-        config.k(),
-        config.coll_cuts(),
-    );
+    let topo = DistTopology::xgyro(input, grid, sim_comm, nv_comm, nt_comm, coll_comm, config.k());
     (a, topo)
 }
 

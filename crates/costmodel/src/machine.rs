@@ -46,12 +46,6 @@ pub struct MachineModel {
     pub flops_per_rank: f64,
     /// Achieved memory (HBM) bandwidth per rank (bytes/second).
     pub mem_bw_per_rank: f64,
-    /// Relative per-node speed factors, cycled over the node index
-    /// (`node_speeds[node % len]`). Empty means homogeneous (all 1.0).
-    /// A factor of 0.5 means that node's ranks deliver half the model's
-    /// `flops_per_rank`/`mem_bw_per_rank` — thermally throttled, an older
-    /// hardware generation in a mixed machine, or a straggler node.
-    pub node_speeds: Vec<f64>,
 }
 
 impl MachineModel {
@@ -63,32 +57,6 @@ impl MachineModel {
     /// Number of ranks on `nodes` nodes.
     pub fn ranks(&self, nodes: usize) -> usize {
         self.ranks_per_node * nodes
-    }
-
-    /// Relative speed of node `node` (1.0 when homogeneous). The speed
-    /// pattern cycles, so a model describes machines of any size.
-    pub fn speed_of_node(&self, node: usize) -> f64 {
-        if self.node_speeds.is_empty() {
-            1.0
-        } else {
-            self.node_speeds[node % self.node_speeds.len()]
-        }
-    }
-
-    /// Relative speed of the node hosting global `rank` under block
-    /// placement (`ranks_per_node` consecutive ranks per node).
-    pub fn speed_of_rank(&self, rank: usize) -> f64 {
-        self.speed_of_node(rank / self.ranks_per_node)
-    }
-
-    /// Slowest node speed in the cycle (1.0 when homogeneous).
-    pub fn min_speed(&self) -> f64 {
-        self.node_speeds.iter().copied().fold(1.0f64, f64::min)
-    }
-
-    /// True when any node runs at a non-unit speed.
-    pub fn is_heterogeneous(&self) -> bool {
-        self.node_speeds.iter().any(|&s| s != 1.0)
     }
 
     /// A Frontier-like system: 8 GCDs/node with 64 GB HBM each.
@@ -112,7 +80,6 @@ impl MachineModel {
             sync_overhead: 60e-6,
             flops_per_rank: 6.0e12,
             mem_bw_per_rank: 1.3e12,
-            node_speeds: Vec::new(),
         }
     }
 
@@ -134,7 +101,6 @@ impl MachineModel {
             sync_overhead: 55e-6,
             flops_per_rank: 4.5e12,
             mem_bw_per_rank: 1.5e12,
-            node_speeds: Vec::new(),
         }
     }
 
@@ -155,7 +121,6 @@ impl MachineModel {
             sync_overhead: 100e-6,
             flops_per_rank: 6.0e12,
             mem_bw_per_rank: 1.3e12,
-            node_speeds: Vec::new(),
         }
     }
 
@@ -175,31 +140,6 @@ impl MachineModel {
             sync_overhead: 20e-6,
             flops_per_rank: 5.0e10,
             mem_bw_per_rank: 2.0e10,
-            node_speeds: Vec::new(),
-        }
-    }
-
-    /// The Frontier-like system with one straggler node per 8: every 8th
-    /// node delivers half throughput (throttled or degraded hardware). The
-    /// canonical heterogeneous target for the unbalanced-decomposition
-    /// planner — a balanced split runs at the straggler's pace, a
-    /// capacity-weighted split recovers most of the loss.
-    pub fn slow_node_like() -> Self {
-        Self {
-            name: "slow-node".to_string(),
-            node_speeds: vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5],
-            ..Self::frontier_like()
-        }
-    }
-
-    /// A mixed machine: alternating *pairs* of full-speed and
-    /// older-generation nodes at 0.7× throughput (clusters upgraded an
-    /// enclosure at a time keep whole node pairs on the old generation).
-    pub fn mixed_machine_like() -> Self {
-        Self {
-            name: "mixed-machine".to_string(),
-            node_speeds: vec![1.0, 1.0, 0.7, 0.7],
-            ..Self::frontier_like()
         }
     }
 }
@@ -266,47 +206,5 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.clone(), a);
         assert!(a.flops_per_rank > b.flops_per_rank);
-    }
-
-    #[test]
-    fn homogeneous_speeds_are_unit() {
-        let m = MachineModel::frontier_like();
-        assert!(!m.is_heterogeneous());
-        assert_eq!(m.speed_of_node(0), 1.0);
-        assert_eq!(m.speed_of_node(123), 1.0);
-        assert_eq!(m.speed_of_rank(999), 1.0);
-        assert_eq!(m.min_speed(), 1.0);
-    }
-
-    #[test]
-    fn slow_node_cycle_and_rank_mapping() {
-        let m = MachineModel::slow_node_like();
-        assert!(m.is_heterogeneous());
-        assert_eq!(m.min_speed(), 0.5);
-        // Nodes 0..6 full speed, node 7 (and 15, 23, ...) at half.
-        assert_eq!(m.speed_of_node(6), 1.0);
-        assert_eq!(m.speed_of_node(7), 0.5);
-        assert_eq!(m.speed_of_node(15), 0.5);
-        // 8 ranks/node: ranks 56..64 live on node 7.
-        assert_eq!(m.speed_of_rank(55), 1.0);
-        assert_eq!(m.speed_of_rank(56), 0.5);
-        assert_eq!(m.speed_of_rank(63), 0.5);
-        assert_eq!(m.speed_of_rank(64), 1.0);
-    }
-
-    #[test]
-    fn mixed_machine_alternates() {
-        let m = MachineModel::mixed_machine_like();
-        assert!(m.is_heterogeneous());
-        assert_eq!(m.speed_of_node(0), 1.0);
-        assert_eq!(m.speed_of_node(1), 1.0);
-        assert_eq!(m.speed_of_node(2), 0.7);
-        assert_eq!(m.speed_of_node(3), 0.7);
-        assert_eq!(m.speed_of_node(4), 1.0);
-        assert_eq!(m.min_speed(), 0.7);
-        // Heterogeneous presets share the Frontier fabric constants.
-        let f = MachineModel::frontier_like();
-        assert_eq!(m.alpha_inter, f.alpha_inter);
-        assert_eq!(m.flops_per_rank, f.flops_per_rank);
     }
 }

@@ -172,7 +172,7 @@ impl Grouper {
     /// largest ensemble the modeled allocation can hold
     /// ([`xg_cluster::max_feasible_k_unbalanced`] — grid admission in
     /// unbalanced mode, so a deck whose dims don't divide evenly is still
-    /// batched as long as a ragged coll split fits). Returns 0 when not
+    /// batched as long as its uneven blocks fit). Returns 0 when not
     /// even one member fits — such decks must be rejected at admission.
     pub fn k_cap_for(&self, input: &CgyroInput) -> usize {
         xg_cluster::max_feasible_k_unbalanced(

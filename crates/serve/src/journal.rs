@@ -877,38 +877,63 @@ fn read_segment(path: &Path) -> std::io::Result<Segment> {
 impl Journal {
     /// Open (or create) the journal in `cfg.dir`, replaying whatever is
     /// there. A torn tail is truncated back to the last good frame —
-    /// reported in [`Replay::warnings`], never an error. Appends continue
-    /// into a fresh segment after the highest existing index.
+    /// reported in [`Replay::warnings`], never an error. Segments after a
+    /// torn one are renamed `*.xgj.ignored`, out of every later replay.
+    /// Appends continue into the highest segment when it is empty, else
+    /// into a fresh one after the highest index; other empty segments are
+    /// deleted.
     pub fn open(cfg: JournalConfig) -> std::io::Result<(Journal, Replay)> {
         let t0 = Instant::now();
         std::fs::create_dir_all(&cfg.dir)?;
         let segments = list_segments(&cfg.dir)?;
         let mut replay = Replay { segments: segments.len(), ..Replay::default() };
+        // Replayed segments with their length after any truncation.
+        let mut live: Vec<(u64, &Path, u64)> = Vec::new();
         let mut truncated = false;
-        for (si, (index, path)) in segments.iter().enumerate() {
+        for (index, path) in &segments {
             if truncated {
                 // A torn frame in a non-final segment ends the decodable
                 // log: later segments were written after the corruption and
                 // cannot be ordered against it. (In practice tearing only
-                // happens at the true tail.)
-                replay
-                    .warnings
-                    .push(format!("segment seg-{index:06}.xgj ignored (follows a torn frame)"));
+                // happens at the true tail.) They are set aside for good:
+                // the truncated segment reads clean next time, and replaying
+                // them then would put them after this life's appends.
+                let aside = path.with_extension("xgj.ignored");
+                std::fs::rename(path, &aside)?;
+                replay.warnings.push(format!(
+                    "segment seg-{index:06}.xgj ignored (follows a torn frame), kept as {}",
+                    aside.file_name().unwrap_or_default().to_string_lossy()
+                ));
                 continue;
             }
             let mut seg = read_segment(path)?;
             replay.bytes += seg.bytes;
             replay.records.append(&mut seg.records);
             replay.warnings.append(&mut seg.warnings);
+            let mut len = seg.bytes;
             if let Some(at) = seg.bad_at {
                 replay.torn_bytes += seg.bytes - at;
                 // Truncate back to the last good frame so the next append
                 // starts cleanly framed.
                 OpenOptions::new().write(true).open(path)?.set_len(at)?;
+                len = at;
                 truncated = true;
-                if si + 1 < segments.len() {
-                    continue; // warn about the rest, handled above
-                }
+            }
+            live.push((*index, path, len));
+        }
+        if live.len() < segments.len() {
+            File::open(&cfg.dir)?.sync_all()?;
+        }
+        // Append into the highest segment if it is empty (and nothing was
+        // set aside above it), else into a fresh one past every index used.
+        let next_index = match (live.last(), segments.last()) {
+            (Some(&(i, _, 0)), Some(&(top, _))) if i == top => i,
+            (_, Some(&(top, _))) => top + 1,
+            _ => 0,
+        };
+        for &(index, path, len) in &live {
+            if len == 0 && index != next_index {
+                std::fs::remove_file(path)?;
             }
         }
         // What a crash left beside the segments: temp files are deleted
@@ -926,7 +951,6 @@ impl Journal {
                 ckpt_files.insert(key);
             }
         }
-        let next_index = segments.last().map(|(i, _)| i + 1).unwrap_or(0);
         let path = seg_path(&cfg.dir, next_index);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         replay.replay_us = t0.elapsed().as_micros() as u64;
@@ -1362,6 +1386,69 @@ pub(crate) mod tests {
         let (_, replay) = Journal::open(JournalConfig::durable(&dir)).unwrap();
         assert_eq!(replay.records.len(), 1, "only the frame before the corruption");
         assert!(replay.torn_bytes > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Segment files in `dir` holding no bytes.
+    fn empty_segments(dir: &Path) -> usize {
+        let segments = list_segments(dir).unwrap();
+        segments.iter().filter(|(_, p)| std::fs::metadata(p).unwrap().len() == 0).count()
+    }
+
+    #[test]
+    fn reopening_does_not_pile_up_empty_segments() {
+        let dir = tmpdir("reopen");
+        let recs = sample_records();
+        for life in 0..10 {
+            let (mut j, replay) = Journal::open(JournalConfig::durable(&dir)).unwrap();
+            assert_eq!(replay.records, recs[..life.min(3)], "life {life}");
+            assert!(empty_segments(&dir) <= 1, "life {life}: {:?}", list_segments(&dir));
+            // Three lives append a record, the rest only open and close.
+            if life < 3 {
+                j.append(&recs[life]).unwrap();
+            }
+        }
+        assert!(list_segments(&dir).unwrap().len() <= 4);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segments_after_a_torn_middle_segment_stay_out_of_every_later_replay() {
+        let dir = tmpdir("torn-middle");
+        let mut cfg = JournalConfig::durable(&dir);
+        cfg.segment_max_bytes = 1; // one record a segment
+        let recs = sample_records();
+        {
+            let (mut j, _) = Journal::open(cfg.clone()).unwrap();
+            for r in &recs[..5] {
+                j.append(r).unwrap();
+            }
+        }
+        // Flip a payload byte of the second of five full segments.
+        let (_, path) = list_segments(&dir).unwrap().swap_remove(1);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[10] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let (mut j, first) = Journal::open(cfg.clone()).unwrap();
+        assert_eq!(first.records, recs[..1]);
+        assert!(first.warnings.iter().any(|w| w.contains("ignored")), "{:?}", first.warnings);
+        for r in &recs[5..] {
+            j.append(r).unwrap();
+        }
+        drop(j);
+
+        let want: Vec<JournalRecord> = recs[..1].iter().chain(&recs[5..]).cloned().collect();
+        for open in 2..=3 {
+            let (_, replay) = Journal::open(cfg.clone()).unwrap();
+            assert_eq!(replay.records, want, "open {open}: life 2's appends and nothing else");
+            assert!(replay.warnings.is_empty(), "open {open}: {:?}", replay.warnings);
+        }
+        let aside = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".xgj.ignored"))
+            .count();
+        assert_eq!(aside, 4, "three full segments and the empty tail are set aside");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

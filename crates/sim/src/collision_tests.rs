@@ -66,9 +66,7 @@ fn shared_coll_topology(
     let nv_comm = sim_comm.split(i2 as u64, i1 as u64, "nv");
     let nt_comm = sim_comm.split(i1 as u64, i2 as u64, "nt");
     let coll_comm = comm.split(i2 as u64, (sim * grid.n1 + i1) as u64, "coll-ens");
-    let topo = DistTopology::with_shared_coll_cuts(
-        input, grid, sim_comm, nv_comm, nt_comm, coll_comm, k, None,
-    );
+    let topo = DistTopology::xgyro(input, grid, sim_comm, nv_comm, nt_comm, coll_comm, k);
     (sim, topo)
 }
 

@@ -7,7 +7,7 @@
 //!   (Figure 1) — `coll_comm` is literally a clone of `nv_comm`, and the
 //!   `cmat` slice follows the per-simulation `nc` decomposition over the
 //!   `n1` ranks.
-//! * **Shared-coll (XGYRO) mode** ([`DistTopology::with_shared_coll_cuts`]): the
+//! * **Shared-coll (XGYRO) mode** ([`DistTopology::xgyro`]): the
 //!   coll communicator is a separate, wider group spanning the same
 //!   toroidal slice of **all k simulations** (Figure 3); `cmat` follows the
 //!   ensemble-wide `nc` decomposition over `k·n1` ranks, so each rank holds
@@ -38,7 +38,7 @@ use xg_comm::Communicator;
 use xg_linalg::{Complex64, SimdLevel};
 use xg_tensor::{
     pack_coll_profiles_block, pack_str_block, unpack_into_coll_profiles, unpack_into_str,
-    Decomp1D, PhaseLayout, ProcGrid, RaggedDecomp, Tensor3,
+    Decomp1D, PhaseLayout, ProcGrid, Tensor3,
 };
 
 /// Distributed topology for one rank of one simulation.
@@ -48,11 +48,9 @@ pub struct DistTopology {
     nv_comm: Communicator,
     nt_comm: Communicator,
     coll_comm: Communicator,
-    /// `nc` decomposition over the coll communicator (per-sim in CGYRO
-    /// mode, ensemble-wide in XGYRO mode). Possibly ragged: a planner can
-    /// assign uneven row counts to the coll positions (bitwise-neutral —
-    /// each `(ic, it)` matvec is independent, only cut points move).
-    coll_nc_decomp: RaggedDecomp,
+    /// Balanced `nc` decomposition over the coll communicator (per-sim in
+    /// CGYRO mode, ensemble-wide in XGYRO mode).
+    coll_nc_decomp: Decomp1D,
     /// Number of simulations sharing the coll communicator (k).
     sims_in_coll: usize,
     cmat: CollisionConstants,
@@ -92,19 +90,16 @@ impl DistTopology {
         // Figure 1: the same communicator serves the str AllReduce and the
         // str↔coll transpose.
         let coll_comm = nv_comm.clone();
-        Self::with_shared_coll_cuts(input, grid, sim_comm, nv_comm, nt_comm, coll_comm, 1, None)
+        Self::xgyro(input, grid, sim_comm, nv_comm, nt_comm, coll_comm, 1)
     }
 
     /// XGYRO wiring: the caller supplies the per-simulation communicators
     /// and a separate coll communicator spanning `k` simulations' rows
     /// (constructed by `xgyro-core::topology`). The coll communicator's
     /// rank order must be `(sim, i1)` lexicographic: `r = sim·n1 + i1`.
-    ///
-    /// `coll_cuts[p]` rows of the shared constant tensor go to coll
-    /// position `p`; the (possibly unbalanced) cut list must have one entry
-    /// per coll rank and sum to `nc`. `None` is the balanced split.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_shared_coll_cuts(
+    /// The shared constant tensor's `nc` rows split evenly over the coll
+    /// ranks, the first `nc % (k·n1)` ranks taking one extra row.
+    pub fn xgyro(
         input: &CgyroInput,
         grid: ProcGrid,
         sim_comm: Communicator,
@@ -112,7 +107,6 @@ impl DistTopology {
         nt_comm: Communicator,
         coll_comm: Communicator,
         sims_in_coll: usize,
-        coll_cuts: Option<&[usize]>,
     ) -> Self {
         let dims = input.dims();
         let layout = PhaseLayout::new(dims, grid, sim_comm.rank());
@@ -132,19 +126,7 @@ impl DistTopology {
             "coll communicator rank order must be (sim, i1) lexicographic"
         );
 
-        let coll_nc_decomp = match coll_cuts {
-            None => RaggedDecomp::balanced(dims.nc, coll_comm.size()),
-            Some(cuts) => {
-                assert_eq!(
-                    cuts.len(),
-                    coll_comm.size(),
-                    "coll cuts must have one entry per coll rank"
-                );
-                let d = RaggedDecomp::from_counts(cuts);
-                assert_eq!(d.total(), dims.nc, "coll cuts must sum to nc");
-                d
-            }
-        };
+        let coll_nc_decomp = Decomp1D::new(dims.nc, coll_comm.size());
         // Collision-kernel level tune for this rank's (nv, k) shape. Cached per process: one rank of the world measures, the
         // others wait for and read its answer — so tune here, where the
         // communicator splits have just lined the ranks up, and not after

@@ -12,7 +12,7 @@
 //! ([`serial::SerialTopology`]), distributed CGYRO-style
 //! ([`dist::DistTopology::cgyro`], reusing the `nv` communicator for coll
 //! as in the paper's Figure 1), or as an XGYRO ensemble member
-//! ([`dist::DistTopology::with_shared_coll_cuts`], Figure 3).
+//! ([`dist::DistTopology::xgyro`], Figure 3).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

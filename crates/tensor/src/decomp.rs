@@ -99,14 +99,13 @@ impl Decomp1D {
     }
 }
 
-/// A possibly-ragged 1-D block decomposition: explicit per-part counts.
+/// A 1-D block decomposition with explicit per-part counts.
 ///
-/// `Decomp1D` fixes block sizes to `total/parts` (±1, front-loaded);
-/// `RaggedDecomp` lets a planner assign *arbitrary* contiguous block sizes
-/// — the shape the unbalanced-decomposition literature (arxiv 1205.2509)
-/// calls for when per-part costs differ (heterogeneous ranks, asymmetric
-/// phase costs). Parts are still contiguous, ordered and gap-free, so the
-/// wire format of every transpose is unchanged; only the cut points move.
+/// The `nv` split over the str communicator uses it: at a power-of-two
+/// part count the blocks follow the fixed summation tree
+/// ([`RaggedDecomp::tree`]), whose block sizes are [`Decomp1D`]'s in a
+/// different order; otherwise the split is [`RaggedDecomp::balanced`].
+/// Parts are contiguous, ordered and gap-free.
 ///
 /// ```
 /// use xg_tensor::RaggedDecomp;
@@ -169,34 +168,6 @@ impl RaggedDecomp {
         Self::from_counts(&counts)
     }
 
-    /// Apportion `total` indices over parts proportionally to `weights`
-    /// (largest-remainder method, deterministic: ties broken by lower part
-    /// index). Weights must be positive and finite. With equal weights this
-    /// reproduces `balanced`.
-    pub fn weighted(total: usize, weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "decomposition needs at least one part");
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "weights must be positive and finite"
-        );
-        let sum: f64 = weights.iter().sum();
-        // Floor of the ideal share, then hand the remainder to the largest
-        // fractional parts (stable: equal remainders go to lower indices).
-        let ideal: Vec<f64> = weights.iter().map(|w| total as f64 * w / sum).collect();
-        let mut counts: Vec<usize> = ideal.iter().map(|x| x.floor() as usize).collect();
-        let assigned: usize = counts.iter().sum();
-        let mut order: Vec<usize> = (0..weights.len()).collect();
-        order.sort_by(|&a, &b| {
-            let ra = ideal[a] - ideal[a].floor();
-            let rb = ideal[b] - ideal[b].floor();
-            rb.partial_cmp(&ra).unwrap().then(a.cmp(&b))
-        });
-        for &p in order.iter().take(total.saturating_sub(assigned)) {
-            counts[p] += 1;
-        }
-        Self::from_counts(&counts)
-    }
-
     /// Global index count.
     #[inline]
     pub fn total(&self) -> usize {
@@ -246,146 +217,6 @@ impl RaggedDecomp {
         (0..self.parts()).map(|p| self.count(p)).collect()
     }
 
-    /// True when this equals the balanced decomposition of the same shape.
-    pub fn is_balanced(&self) -> bool {
-        *self == Self::balanced(self.total(), self.parts())
-    }
-}
-
-/// A planned ensemble decomposition: the 2-D process grid, ensemble size
-/// and (optionally) unbalanced coll-phase `nc` cuts.
-///
-/// This is the first-class object the xg-cluster planner searches for and
-/// the sim/core layers consume. The coll cuts partition the `nc` rows of
-/// the shared collisional constant tensor over the `k·n1` coll-communicator
-/// positions; `None` means the canonical balanced split. Only coll-phase
-/// `nc` cuts are planned because they are **bitwise-neutral**: each
-/// `(ic, it)` collision matvec is independent, so moving cut points moves
-/// work without reassociating any floating-point sum. (The `nv` split is
-/// not planned: it must follow the summation tree of the str-phase moment
-/// reductions, see [`RaggedDecomp::tree`].)
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Decomposition {
-    /// Per-simulation process grid.
-    pub grid: crate::layout::ProcGrid,
-    /// Ensemble size (number of member simulations).
-    pub k: usize,
-    /// Per-coll-position `nc` row counts (length `k·n1`, summing to `nc`),
-    /// or `None` for the balanced split.
-    pub coll_cuts: Option<Vec<usize>>,
-}
-
-impl Decomposition {
-    /// The balanced decomposition for a grid/ensemble shape.
-    pub fn balanced(grid: crate::layout::ProcGrid, k: usize) -> Self {
-        Self { grid, k, coll_cuts: None }
-    }
-
-    /// Validate against a deck's `nc`: cut list (when present) must have
-    /// one entry per coll position and sum to `nc`.
-    pub fn validate(&self, nc: usize) -> Result<(), String> {
-        if self.k == 0 {
-            return Err("decomposition needs k >= 1".into());
-        }
-        if let Some(cuts) = &self.coll_cuts {
-            let want = self.k * self.grid.n1;
-            if cuts.len() != want {
-                return Err(format!(
-                    "coll cuts have {} entries, need k*n1 = {want}",
-                    cuts.len()
-                ));
-            }
-            let sum: usize = cuts.iter().sum();
-            if sum != nc {
-                return Err(format!("coll cuts sum to {sum}, need nc = {nc}"));
-            }
-        }
-        Ok(())
-    }
-
-    /// True when this is the canonical balanced layout for deck size `nc`.
-    pub fn is_balanced(&self, nc: usize) -> bool {
-        match &self.coll_cuts {
-            None => true,
-            Some(cuts) => {
-                RaggedDecomp::from_counts(cuts)
-                    == RaggedDecomp::balanced(nc, self.k * self.grid.n1)
-            }
-        }
-    }
-
-    /// Short human label: `balanced` or `coll:5,5,3,3`.
-    pub fn label(&self, nc: usize) -> String {
-        if self.is_balanced(nc) {
-            "balanced".to_string()
-        } else {
-            let cuts = self.coll_cuts.as_ref().unwrap();
-            format!(
-                "coll:{}",
-                cuts.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",")
-            )
-        }
-    }
-
-    /// Serialize to the `KEY=VALUE` file format consumed by
-    /// `xgyro --decomp` and emitted by `xgplan --decomp`.
-    pub fn to_file_string(&self) -> String {
-        let mut s = String::new();
-        s.push_str("# XGYRO decomposition (xgplan --decomp)\n");
-        s.push_str(&format!("K={}\n", self.k));
-        s.push_str(&format!("N1={}\n", self.grid.n1));
-        s.push_str(&format!("N2={}\n", self.grid.n2));
-        if let Some(cuts) = &self.coll_cuts {
-            s.push_str(&format!(
-                "COLL_CUTS={}\n",
-                cuts.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",")
-            ));
-        }
-        s
-    }
-
-    /// Parse the `KEY=VALUE` format written by [`to_file_string`].
-    ///
-    /// [`to_file_string`]: Decomposition::to_file_string
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut k = None;
-        let mut n1 = None;
-        let mut n2 = None;
-        let mut coll_cuts = None;
-        for (ln, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some((key, val)) = line.split_once('=') else {
-                return Err(format!("decomp line {}: expected KEY=VALUE", ln + 1));
-            };
-            let (key, val) = (key.trim(), val.trim());
-            let parse_usize = |v: &str, key: &str| -> Result<usize, String> {
-                v.parse::<usize>().map_err(|_| format!("decomp {key}: bad value '{v}'"))
-            };
-            match key {
-                "K" => k = Some(parse_usize(val, key)?),
-                "N1" => n1 = Some(parse_usize(val, key)?),
-                "N2" => n2 = Some(parse_usize(val, key)?),
-                "COLL_CUTS" => {
-                    let cuts = val
-                        .split(',')
-                        .map(|c| parse_usize(c.trim(), key))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    coll_cuts = Some(cuts);
-                }
-                other => return Err(format!("decomp: unknown key '{other}'")),
-            }
-        }
-        let k = k.ok_or("decomp: missing K=")?;
-        let n1 = n1.ok_or("decomp: missing N1=")?;
-        let n2 = n2.ok_or("decomp: missing N2=")?;
-        if n1 == 0 || n2 == 0 || k == 0 {
-            return Err("decomp: K, N1, N2 must be >= 1".into());
-        }
-        Ok(Self { grid: crate::layout::ProcGrid::new(n1, n2), k, coll_cuts })
-    }
 }
 
 #[cfg(test)]
@@ -471,7 +302,6 @@ mod tests {
                     assert_eq!(r.range(p), d.range(p), "total={total} parts={parts} p={p}");
                 }
                 assert_eq!(r.max_count(), d.max_count());
-                assert!(r.is_balanced());
             }
         }
     }
@@ -486,7 +316,6 @@ mod tests {
         assert_eq!(d.range(2), 5..8);
         assert_eq!(d.range(3), 8..10);
         assert_eq!(d.max_count(), 5);
-        assert!(!d.is_balanced());
         let mut seen = [false; 10];
         for p in 0..4 {
             for g in d.range(p) {
@@ -505,78 +334,5 @@ mod tests {
         assert_eq!(d.owner(3), 1);
         assert_eq!(d.owner(4), 3);
         assert_eq!(d.owner(5), 3);
-    }
-
-    #[test]
-    fn weighted_equal_weights_reproduce_balanced() {
-        for total in [1usize, 7, 10, 64, 99] {
-            for parts in 1..=6usize {
-                let w = vec![1.0; parts];
-                assert_eq!(
-                    RaggedDecomp::weighted(total, &w),
-                    RaggedDecomp::balanced(total, parts),
-                    "total={total} parts={parts}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_apportionment_tracks_speeds() {
-        // One part at half speed gets roughly half the rows.
-        let d = RaggedDecomp::weighted(32, &[1.0, 1.0, 1.0, 0.5]);
-        assert_eq!(d.total(), 32);
-        assert_eq!(d.counts(), vec![9, 9, 9, 5]);
-        // Heavier weight never receives fewer rows.
-        let d = RaggedDecomp::weighted(100, &[3.0, 2.0, 1.0]);
-        let c = d.counts();
-        assert!(c[0] >= c[1] && c[1] >= c[2]);
-        assert_eq!(c.iter().sum::<usize>(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive and finite")]
-    fn weighted_rejects_nonpositive() {
-        let _ = RaggedDecomp::weighted(8, &[1.0, 0.0]);
-    }
-
-    #[test]
-    fn decomposition_roundtrip_and_validate() {
-        use crate::layout::ProcGrid;
-        let d = Decomposition {
-            grid: ProcGrid::new(2, 3),
-            k: 2,
-            coll_cuts: Some(vec![5, 5, 3, 3]),
-        };
-        assert!(d.validate(16).is_ok());
-        assert!(d.validate(15).is_err()); // bad sum
-        let parsed = Decomposition::parse(&d.to_file_string()).unwrap();
-        assert_eq!(parsed, d);
-        assert_eq!(d.label(16), "coll:5,5,3,3");
-        assert!(!d.is_balanced(16));
-
-        let b = Decomposition::balanced(ProcGrid::new(2, 3), 2);
-        assert!(b.validate(16).is_ok());
-        assert_eq!(b.label(16), "balanced");
-        let parsed = Decomposition::parse(&b.to_file_string()).unwrap();
-        assert_eq!(parsed, b);
-
-        // Cuts spelling out the balanced split are recognised as balanced.
-        let explicit = Decomposition {
-            grid: ProcGrid::new(2, 3),
-            k: 2,
-            coll_cuts: Some(vec![4, 4, 4, 4]),
-        };
-        assert!(explicit.is_balanced(16));
-        assert_eq!(explicit.label(16), "balanced");
-    }
-
-    #[test]
-    fn decomposition_parse_rejects_garbage() {
-        assert!(Decomposition::parse("K=2\nN1=2\n").is_err()); // missing N2
-        assert!(Decomposition::parse("K=2\nN1=2\nN2=0\n").is_err());
-        assert!(Decomposition::parse("K=2\nN1=2\nN2=2\nBOGUS=1\n").is_err());
-        assert!(Decomposition::parse("K=2\nN1=2\nN2=2\nCOLL_CUTS=1,x\n").is_err());
-        assert!(Decomposition::parse("no equals sign").is_err());
     }
 }

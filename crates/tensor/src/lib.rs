@@ -16,7 +16,7 @@ pub mod pack;
 pub mod tensor;
 pub mod tree;
 
-pub use decomp::{Decomp1D, Decomposition, RaggedDecomp};
+pub use decomp::{Decomp1D, RaggedDecomp};
 pub use layout::{PhaseLayout, ProcGrid, SimDims};
 pub use pack::{
     pack_coll_block, pack_coll_profiles_block, pack_str_block, unpack_into_coll,

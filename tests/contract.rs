@@ -32,7 +32,7 @@ use xg_sim::{
     cmat_total_bytes, serial_simulation, CgyroInput, Diagnostics, DistTopology, Fnv1a, Simulation,
     Species, Topology,
 };
-use xg_tensor::{ProcGrid, RaggedDecomp};
+use xg_tensor::ProcGrid;
 use xgyro_core::{
     gradient_sweep, run_single_cgyro, run_xgyro, run_xgyro_resilient_from, EnsembleCheckpoint,
     EnsembleConfig, RecoveryOutcome, ResilientRun, SimResult,
@@ -43,7 +43,6 @@ struct Case {
     /// The members, in order; k is their count.
     decks: Vec<CgyroInput>,
     grid: ProcGrid,
-    coll_cuts: Option<Vec<usize>>,
     steps: usize,
     /// Steps at which the run checkpoints without leaving its world. Each
     /// cut's image also reopens, decoded from bytes, in a fresh world.
@@ -71,7 +70,6 @@ impl Case {
         Case {
             decks,
             grid,
-            coll_cuts: None,
             steps,
             cuts: Vec::new(),
             resume_grid: None,
@@ -86,9 +84,7 @@ impl Case {
     }
 
     fn config(&self) -> EnsembleConfig {
-        EnsembleConfig::new(self.decks.clone(), self.grid)
-            .and_then(|cfg| cfg.with_coll_cuts(self.coll_cuts.clone()))
-            .expect("an admissible case")
+        EnsembleConfig::new(self.decks.clone(), self.grid).expect("an admissible case")
     }
 }
 
@@ -181,10 +177,7 @@ fn assert_resumes(
 ) {
     let decks = survivors.iter().map(|&m| case.decks[m].clone()).collect();
     let grid = case.resume_grid.unwrap_or(case.grid);
-    let mut cfg = EnsembleConfig::new(decks, grid).expect("survivors share cmat");
-    if grid == case.grid && survivors.len() == case.decks.len() {
-        cfg = cfg.with_coll_cuts(case.coll_cuts.clone()).expect("the case's layout");
-    }
+    let cfg = EnsembleConfig::new(decks, grid).expect("survivors share cmat");
     let cut = image.steps_taken();
     let out = ResilientRun::new(&cfg, Some(image), FaultPlan::new(), deadline)
         .and_then(|run| run.finish_segment(case.steps - cut as usize))
@@ -268,10 +261,6 @@ fn g(n1: usize, n2: usize) -> ProcGrid {
     ProcGrid::new(n1, n2)
 }
 
-/// A ragged coll layout over `k·n1 = 6` coll ranks (k = 3 at 2×2): five
-/// ranks at full weight and one at half.
-const RAGGED: [usize; 6] = [6, 6, 6, 6, 5, 3];
-
 /// The nl sweep's pin, the same on 2×1 and 2×2.
 const PIN_NL: u64 = 0x2c44_3e3a_f496_c48f;
 const PIN_NL_EM_FIVE_GRIDS: u64 = 0x3ef5_8a66_de39_9de4;
@@ -313,10 +302,6 @@ rows! {
     medium_k4_4x4_64_ranks => Case {
         pin: Some(PIN_MEDIUM_64_RANKS),
         ..Case::sweep(&CgyroInput::test_medium(), 4, g(4, 4), 3)
-    };
-    ragged_coll_cuts => Case {
-        coll_cuts: Some(RAGGED.to_vec()),
-        ..Case::sweep(&small(), 3, g(2, 2), 4)
     };
     cuts_3_k2_1x1 => Case { cuts: vec![3], ..Case::sweep(&small(), 2, g(1, 1), 6) };
     cuts_3_k2_2x2 => Case { cuts: vec![3], ..Case::sweep(&small(), 2, g(2, 2), 6) };
@@ -529,14 +514,11 @@ fn fault_crash_after_checkpoint() {
 }
 
 #[test]
-fn fault_crash_in_a_ragged_layout() {
-    // A ragged layout does not outlive an eviction: the survivors reopen on
-    // the balanced split, and cuts are bitwise-neutral.
-    let weights = [1.0, 1.0, 1.0, 1.0, 1.0, 0.5];
-    assert_eq!(RaggedDecomp::weighted(small().dims().nc, &weights).counts(), RAGGED);
-    // Rank 5 is member 1 (world ranks 4..8 under 2×2).
+fn fault_crash_in_a_k3_2x2_layout() {
+    // Six coll ranks over nc = 32: the AllToAllv blocks are unequal, and
+    // the two survivors reopen on four. Rank 5 is member 1 (world ranks
+    // 4..8 under 2×2).
     let out = assert_members_equal_standalone(&Case {
-        coll_cuts: Some(RAGGED.to_vec()),
         cuts: vec![3],
         disruption: Disruption::Fault(FaultPlan::crash(5, 4)),
         ..Case::sweep(&small(), 3, g(2, 2), 6)

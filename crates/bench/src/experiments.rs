@@ -462,34 +462,6 @@ pub fn ablations() -> String {
     }
     let _ = writeln!(out, "  => the paper's savings hinge on AllReduce cost growing with participants\n");
 
-    // (b') AllReduce algorithm regime: how the participant scaling — and
-    // with it the XGYRO advantage — depends on which algorithm the MPI
-    // library picks.
-    let _ = writeln!(out, "A-abl(b'): AllReduce participant scaling by algorithm (2 MB buffer)");
-    let _ = writeln!(out, "  algorithm              t(p=2)      t(p=16)     ratio");
-    let bytes = (131072 * 16) as u64;
-    for algo in xg_costmodel::ALL_ALGOS {
-        let shape = |p: usize| {
-            let members: Vec<usize> = (0..p).map(|i| i * 16).collect();
-            xg_costmodel::CollectiveShape::from_members(
-                &members,
-                xg_costmodel::Placement { ranks_per_node: machine.ranks_per_node },
-            )
-        };
-        let t2 = xg_costmodel::allreduce_time_with(&machine, shape(2), bytes, algo);
-        let t16 = xg_costmodel::allreduce_time_with(&machine, shape(16), bytes, algo);
-        let _ = writeln!(
-            out,
-            "  {:<22} {:>8.1}us  {:>8.1}us  {:>6.2}x",
-            format!("{algo:?}"),
-            t2 * 1e6,
-            t16 * 1e6,
-            t16 / t2
-        );
-    }
-    let _ = writeln!(out, "  => under every algorithm regime the 8x smaller communicator wins;");
-    let _ = writeln!(out, "     the congested regime (what Frontier-scale runs see) wins hardest\n");
-
     // (d) blocking-collective wait amplification (discrete-event replay):
     // the mechanism we credit for the paper's XGYRO str-comm exceeding the
     // closed-form model — jittered per-rank compute is absorbed as wait

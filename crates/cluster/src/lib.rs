@@ -14,22 +14,16 @@ pub mod memory;
 pub mod planner;
 pub mod replay;
 pub mod report;
-pub mod resilience;
 pub mod simtime;
 
 pub use campaign::{optimize_campaign, CampaignOption, CampaignPlan};
 pub use memory::{cmat_ratio, rank_inventory, total_bytes, BufferCategory, BufferSpec};
 pub use planner::{
-    diagnose, max_feasible_k, max_feasible_k_unbalanced, min_nodes, min_nodes_unbalanced,
-    plan, plan_unbalanced, valid_grids, valid_grids_unbalanced, Infeasibility, JobPlan,
+    diagnose, max_feasible_k_unbalanced, min_nodes, min_nodes_unbalanced, plan, valid_grids,
+    Infeasibility, JobPlan,
 };
 pub use replay::{replay, ReplayError, ReplayOutcome};
 pub use report::{cgyro_timing_log, figure2_table, parse_timing_totals};
-pub use resilience::{
-    checkpoint_write_s, ensemble_checkpoint_bytes, expected_runtime,
-    expected_time_to_solution, journal_sync_plan, mtbf_sweep, young_interval, EttsReport,
-    FailureModel, JournalSyncReport, SweepRow,
-};
 pub use simtime::{
     simulate_cgyro_sequential, simulate_ensemble_member, simulate_xgyro, ScenarioReport,
     SchedulePolicy,

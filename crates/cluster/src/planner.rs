@@ -101,32 +101,20 @@ impl Infeasibility {
 }
 
 /// Explain why `valid_grids` came back empty for this rank count: which
-/// divisibility constraint killed every factorization.
+/// divisibility constraint killed every factorization. `n2 = 1` divides
+/// any positive rank count and `nt`, so only `n1` can block one.
 fn grid_infeasibility_detail(input: &CgyroInput, ranks: usize) -> String {
     let d = input.dims();
-    let mut had_n2 = false;
-    let mut blocked_nv = Vec::new();
-    for n2 in 1..=ranks {
-        if !ranks.is_multiple_of(n2) || !d.nt.is_multiple_of(n2) {
-            continue;
-        }
-        had_n2 = true;
-        let n1 = ranks / n2;
-        if n1 > d.nv {
-            continue;
-        }
-        if !d.nv.is_multiple_of(n1) || !d.nc.is_multiple_of(n1) {
-            blocked_nv.push(n1);
-        }
-    }
-    if !had_n2 {
+    if ranks == 0 {
         return format!("no divisor of {ranks} divides nt={}", d.nt);
     }
+    // The ragged grids are exactly the candidates that divisibility blocked.
+    let mut blocked_nv: Vec<usize> =
+        valid_grids(input, ranks, true).iter().map(|g| g.n1).collect();
     if blocked_nv.is_empty() {
         return format!("every candidate n1 exceeds nv={}", d.nv);
     }
     blocked_nv.sort_unstable();
-    blocked_nv.dedup();
     format!(
         "candidate n1 {} do(es) not divide nv={} and nc={} (balanced mode requires exact \
          divisibility; unbalanced mode lifts this)",
@@ -136,54 +124,62 @@ fn grid_infeasibility_detail(input: &CgyroInput, ranks: usize) -> String {
     )
 }
 
-/// All CGYRO-valid per-simulation grids for a given rank count.
-pub fn valid_grids(input: &CgyroInput, ranks: usize) -> Vec<ProcGrid> {
+/// Every per-simulation grid for a rank count, best first. The toroidal
+/// split must divide `nt` exactly (the nt transpose wire format). In
+/// balanced mode `n1` must also divide `nv` and `nc`; `unbalanced` admits
+/// any `n1 ≤ nv`, the ragged `Decomp1D`/`RaggedDecomp` splits handling the
+/// remainder rows. Exactly-dividing grids sort first, then the largest
+/// toroidal split (CGYRO's convention), then `n1`, so unbalanced mode never
+/// picks a ragged grid when an exactly-dividing one exists.
+pub fn valid_grids(input: &CgyroInput, ranks: usize, unbalanced: bool) -> Vec<ProcGrid> {
     let d = input.dims();
+    let divides = |n1: usize| d.nv.is_multiple_of(n1) && d.nc.is_multiple_of(n1);
     let mut out = Vec::new();
     for n2 in 1..=ranks {
         if !ranks.is_multiple_of(n2) || !d.nt.is_multiple_of(n2) {
             continue;
         }
         let n1 = ranks / n2;
-        if n1 > d.nv || !d.nv.is_multiple_of(n1) || !d.nc.is_multiple_of(n1) {
+        if n1 > d.nv || !(unbalanced || divides(n1)) {
             continue;
         }
         out.push(ProcGrid::new(n1, n2));
     }
-    // Prefer the largest toroidal split (CGYRO's convention), then n1.
-    out.sort_by_key(|g| std::cmp::Reverse((g.n2, g.n1)));
+    out.sort_by_key(|g| std::cmp::Reverse((divides(g.n1), g.n2, g.n1)));
     out
 }
 
-/// All grids admissible in **unbalanced** mode: the toroidal split must
-/// still divide `nt` exactly (the nt transpose wire format), but `n1` no
-/// longer has to divide `nv`/`nc` — the ragged `Decomp1D`/`RaggedDecomp`
-/// splits handle the remainder rows. Grids that are also balanced-valid
-/// sort first (at equal `(n2, n1)` preference), so unbalanced mode never
-/// picks a ragged grid when an exactly-dividing one exists.
-pub fn valid_grids_unbalanced(input: &CgyroInput, ranks: usize) -> Vec<ProcGrid> {
-    let d = input.dims();
-    let mut out = Vec::new();
-    for n2 in 1..=ranks {
-        if !ranks.is_multiple_of(n2) || !d.nt.is_multiple_of(n2) {
-            continue;
-        }
-        let n1 = ranks / n2;
-        if n1 > d.nv {
-            continue;
-        }
-        out.push(ProcGrid::new(n1, n2));
+/// The one pricing body: the best grid for `k` simulations on `nodes`
+/// nodes, with its worst-case per-rank bytes. `None` when divisibility
+/// blocks every grid; a `Some` plan may still exceed the memory budget.
+fn price(
+    input: &CgyroInput,
+    k: usize,
+    nodes: usize,
+    machine: &MachineModel,
+    unbalanced: bool,
+) -> Option<JobPlan> {
+    let total_ranks = machine.ranks(nodes);
+    if !total_ranks.is_multiple_of(k) {
+        return None;
     }
-    let balanced_ok =
-        |g: &ProcGrid| d.nv.is_multiple_of(g.n1) && d.nc.is_multiple_of(g.n1);
-    out.sort_by_key(|g| (std::cmp::Reverse(balanced_ok(g)), std::cmp::Reverse((g.n2, g.n1))));
-    out
+    let grid = valid_grids(input, total_ranks / k, unbalanced).into_iter().next()?;
+    let inv = rank_inventory(input, grid, k * grid.n1);
+    Some(JobPlan {
+        nodes,
+        ranks: total_ranks,
+        k,
+        grid,
+        per_rank_bytes: total_bytes(&inv, None),
+        cmat_bytes: total_bytes(&inv, Some(BufferCategory::Constant)),
+        budget_bytes: machine.usable_mem_per_rank(),
+    })
 }
 
 /// Price the best candidate grid for one `(k, nodes)` request, reporting
 /// **why** when nothing feasible exists. `unbalanced` admits ragged
-/// (non-dividing) grids via [`valid_grids_unbalanced`]. `Ok` plans are
-/// always memory-feasible.
+/// (non-dividing) grids (see [`valid_grids`]). `Ok` plans are always
+/// memory-feasible.
 pub fn diagnose(
     input: &CgyroInput,
     k: usize,
@@ -191,70 +187,26 @@ pub fn diagnose(
     machine: &MachineModel,
     unbalanced: bool,
 ) -> Result<JobPlan, Infeasibility> {
-    let total_ranks = machine.ranks(nodes);
-    if !total_ranks.is_multiple_of(k) {
-        return Err(Infeasibility::RanksNotDivisibleByK { ranks: total_ranks, k });
-    }
-    let per_sim = total_ranks / k;
-    let grids = if unbalanced {
-        valid_grids_unbalanced(input, per_sim)
-    } else {
-        valid_grids(input, per_sim)
-    };
-    let Some(grid) = grids.into_iter().next() else {
-        return Err(Infeasibility::NoValidGrid {
-            per_sim,
-            detail: grid_infeasibility_detail(input, per_sim),
-        });
-    };
-    let inv = rank_inventory(input, grid, k * grid.n1);
-    let per_rank = total_bytes(&inv, None);
-    let cmat = total_bytes(&inv, Some(BufferCategory::Constant));
-    let p = JobPlan {
-        nodes,
-        ranks: total_ranks,
-        k,
-        grid,
-        per_rank_bytes: per_rank,
-        cmat_bytes: cmat,
-        budget_bytes: machine.usable_mem_per_rank(),
-    };
+    let p = price(input, k, nodes, machine, unbalanced).ok_or_else(|| {
+        let ranks = machine.ranks(nodes);
+        if !ranks.is_multiple_of(k) {
+            Infeasibility::RanksNotDivisibleByK { ranks, k }
+        } else {
+            let per_sim = ranks / k;
+            Infeasibility::NoValidGrid {
+                per_sim,
+                detail: grid_infeasibility_detail(input, per_sim),
+            }
+        }
+    })?;
     if !p.feasible() {
         return Err(Infeasibility::Memory {
             per_rank_bytes: p.per_rank_bytes,
             budget_bytes: p.budget_bytes,
-            grid,
+            grid: p.grid,
         });
     }
     Ok(p)
-}
-
-/// [`plan`] with unbalanced-mode grid admission: exact `nv`/`nc`
-/// divisibility is not required (the blocks come out uneven instead).
-pub fn plan_unbalanced(
-    input: &CgyroInput,
-    k: usize,
-    nodes: usize,
-    machine: &MachineModel,
-) -> Option<JobPlan> {
-    let total_ranks = machine.ranks(nodes);
-    if !total_ranks.is_multiple_of(k) {
-        return None;
-    }
-    let per_sim = total_ranks / k;
-    let grid = valid_grids_unbalanced(input, per_sim).into_iter().next()?;
-    let inv = rank_inventory(input, grid, k * grid.n1);
-    let per_rank = total_bytes(&inv, None);
-    let cmat = total_bytes(&inv, Some(BufferCategory::Constant));
-    Some(JobPlan {
-        nodes,
-        ranks: total_ranks,
-        k,
-        grid,
-        per_rank_bytes: per_rank,
-        cmat_bytes: cmat,
-        budget_bytes: machine.usable_mem_per_rank(),
-    })
 }
 
 /// Plan an ensemble of `k` simulations on `nodes` nodes. Returns `None`
@@ -265,50 +217,18 @@ pub fn plan(
     nodes: usize,
     machine: &MachineModel,
 ) -> Option<JobPlan> {
-    let total_ranks = machine.ranks(nodes);
-    if !total_ranks.is_multiple_of(k) {
-        return None;
-    }
-    let per_sim = total_ranks / k;
-    let grid = valid_grids(input, per_sim).into_iter().next()?;
-    let inv = rank_inventory(input, grid, k * grid.n1);
-    let per_rank = total_bytes(&inv, None);
-    let cmat = total_bytes(&inv, Some(BufferCategory::Constant));
-    Some(JobPlan {
-        nodes,
-        ranks: total_ranks,
-        k,
-        grid,
-        per_rank_bytes: per_rank,
-        cmat_bytes: cmat,
-        budget_bytes: machine.usable_mem_per_rank(),
-    })
+    price(input, k, nodes, machine, false)
 }
 
 /// Largest ensemble size `k ≤ k_cap` that fits a **fixed** `nodes`
-/// allocation of `machine` — the serving-side batch-size budget. On a fixed
-/// allocation, growing the batch shrinks each member's share of the rank
-/// pool, so the per-rank state footprint grows with `k` and eventually
-/// blows the memory budget (for the `nl03c`-like deck on 32 Frontier-like
-/// nodes the sweep saturates at `k = 8`, the paper's setup). Intermediate
-/// ensemble sizes with no CGYRO-valid decomposition are skipped rather
-/// than treated as a ceiling. Returns `0` when not even one simulation
-/// fits — such a job must be rejected at admission, not queued.
-pub fn max_feasible_k(
-    input: &CgyroInput,
-    nodes: usize,
-    machine: &MachineModel,
-    k_cap: usize,
-) -> usize {
-    (1..=k_cap)
-        .rfind(|&k| plan(input, k, nodes, machine).is_some_and(|p| p.feasible()))
-        .unwrap_or(0)
-}
-
-/// [`max_feasible_k`] with unbalanced-mode grid admission: ensemble sizes
-/// whose per-simulation rank count has no exactly-dividing grid are no
-/// longer skipped — uneven blocks make them runnable, so the
-/// serving layer can batch them.
+/// allocation of `machine` — the serving-side batch-size budget, with
+/// unbalanced-mode grid admission so a deck whose dims do not divide
+/// evenly is still batched. On a fixed allocation, growing the batch
+/// shrinks each member's share of the rank pool, so the per-rank state
+/// footprint grows with `k` and eventually blows the memory budget.
+/// Intermediate sizes with no grid are skipped rather than treated as a
+/// ceiling. Returns `0` when not even one simulation fits — such a job
+/// must be rejected at admission, not queued.
 pub fn max_feasible_k_unbalanced(
     input: &CgyroInput,
     nodes: usize,
@@ -316,7 +236,7 @@ pub fn max_feasible_k_unbalanced(
     k_cap: usize,
 ) -> usize {
     (1..=k_cap)
-        .rfind(|&k| plan_unbalanced(input, k, nodes, machine).is_some_and(|p| p.feasible()))
+        .rfind(|&k| price(input, k, nodes, machine, true).is_some_and(|p| p.feasible()))
         .unwrap_or(0)
 }
 
@@ -328,9 +248,7 @@ pub fn min_nodes(
     machine: &MachineModel,
     max_nodes: usize,
 ) -> Option<JobPlan> {
-    (1..=max_nodes).find_map(|nodes| {
-        plan(input, k, nodes, machine).filter(|p| p.feasible())
-    })
+    (1..=max_nodes).find_map(|nodes| plan(input, k, nodes, machine).filter(|p| p.feasible()))
 }
 
 /// [`min_nodes`] with unbalanced-mode grid admission: the smallest
@@ -342,9 +260,8 @@ pub fn min_nodes_unbalanced(
     machine: &MachineModel,
     max_nodes: usize,
 ) -> Option<JobPlan> {
-    (1..=max_nodes).find_map(|nodes| {
-        plan_unbalanced(input, k, nodes, machine).filter(|p| p.feasible())
-    })
+    (1..=max_nodes)
+        .find_map(|nodes| price(input, k, nodes, machine, true).filter(|p| p.feasible()))
 }
 
 #[cfg(test)]
@@ -405,9 +322,9 @@ mod tests {
         // 192 ranks has no valid grid: n1 would need to divide both 576
         // and 2^17 (gcd 64), but 192 = n2*n1 with n2 | 16 forces n1 ∈
         // {12, 24, 48, 96, 192} — none divide 2^17.
-        assert!(valid_grids(&input, 192).is_empty());
+        assert!(valid_grids(&input, 192, false).is_empty());
         // 256 = 16 × 16 works.
-        let grids = valid_grids(&input, 256);
+        let grids = valid_grids(&input, 256, false);
         assert!(grids.iter().any(|g| g.n1 == 16 && g.n2 == 16));
         // Every returned grid multiplies out and divides the dims.
         for g in &grids {
@@ -430,18 +347,27 @@ mod tests {
         assert!(xg.per_rank_bytes > cg.per_rank_bytes);
     }
 
+    /// Largest `k ≤ k_cap` whose balanced plan fits `nodes`, through the
+    /// one pricing body.
+    fn balanced_k_cap(input: &CgyroInput, nodes: usize, m: &MachineModel, k_cap: usize) -> usize {
+        (1..=k_cap).rfind(|&k| diagnose(input, k, nodes, m, false).is_ok()).unwrap_or(0)
+    }
+
     #[test]
     fn max_feasible_k_saturates_at_the_paper_ensemble_size() {
         // nl03c on the 32-node minimum allocation: 8 members fit, 16 do
         // not — the batch-size budget a campaign service must respect.
         let input = CgyroInput::nl03c_like();
-        assert_eq!(max_feasible_k(&input, 32, &frontier(), 32), 8);
+        assert_eq!(balanced_k_cap(&input, 32, &frontier(), 32), 8);
+        assert_eq!(max_feasible_k_unbalanced(&input, 32, &frontier(), 32), 8);
         // A deck that fits nowhere on the allocation yields 0 (reject).
-        assert_eq!(max_feasible_k(&input, 1, &frontier(), 8), 0);
+        assert_eq!(balanced_k_cap(&input, 1, &frontier(), 8), 0);
+        assert_eq!(max_feasible_k_unbalanced(&input, 1, &frontier(), 8), 0);
         // Tiny decks are never memory-bound at small k.
         let small = CgyroInput::test_small();
         let m = MachineModel::small_cluster();
-        assert!(max_feasible_k(&small, 1, &m, 2) >= 1);
+        assert!(balanced_k_cap(&small, 1, &m, 2) >= 1);
+        assert!(max_feasible_k_unbalanced(&small, 1, &m, 2) >= 1);
     }
 
     #[test]
@@ -481,16 +407,16 @@ mod tests {
         let input = CgyroInput::nl03c_like();
         // 192 ranks: balanced mode rejects, unbalanced mode finds a grid
         // (n2 | 16, n1 = ranks/n2 ragged over nv/nc).
-        assert!(valid_grids(&input, 192).is_empty());
-        let grids = valid_grids_unbalanced(&input, 192);
+        assert!(valid_grids(&input, 192, false).is_empty());
+        let grids = valid_grids(&input, 192, true);
         assert!(!grids.is_empty());
         for g in &grids {
             assert_eq!(g.size(), 192);
             assert_eq!(input.dims().nt % g.n2, 0, "nt split stays exact");
         }
         // Where a balanced grid exists, unbalanced mode picks it first.
-        let b = valid_grids(&input, 256);
-        let u = valid_grids_unbalanced(&input, 256);
+        let b = valid_grids(&input, 256, false);
+        let u = valid_grids(&input, 256, true);
         assert_eq!(u.first(), b.first());
     }
 
@@ -498,7 +424,7 @@ mod tests {
     fn unbalanced_k_cap_is_at_least_the_balanced_one() {
         let input = CgyroInput::nl03c_like();
         let m = frontier();
-        let balanced = max_feasible_k(&input, 32, &m, 32);
+        let balanced = balanced_k_cap(&input, 32, &m, 32);
         let unbalanced = max_feasible_k_unbalanced(&input, 32, &m, 32);
         assert!(unbalanced >= balanced, "{unbalanced} < {balanced}");
         assert_eq!(balanced, 8, "paper setup unchanged");

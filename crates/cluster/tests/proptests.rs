@@ -26,7 +26,7 @@ proptest! {
     ) {
         let input = deck(nr, nth, nxi, nen, nt);
         let dims = input.dims();
-        for g in valid_grids(&input, ranks) {
+        for g in valid_grids(&input, ranks, false) {
             prop_assert_eq!(g.size(), ranks);
             prop_assert_eq!(dims.nt % g.n2, 0);
             prop_assert_eq!(dims.nv % g.n1, 0);
@@ -41,7 +41,7 @@ proptest! {
                 }
             })
             .count();
-        prop_assert_eq!(valid_grids(&input, ranks).len(), brute);
+        prop_assert_eq!(valid_grids(&input, ranks, false).len(), brute);
     }
 
     #[test]

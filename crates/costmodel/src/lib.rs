@@ -14,8 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod account;
-pub mod algorithms;
-pub mod cache;
 pub mod collective;
 pub mod compute;
 pub mod machine;
@@ -23,12 +21,10 @@ pub mod machinefile;
 pub mod memory;
 
 pub use account::{critical_path, op_time, trace_breakdown, PhaseBreakdown};
-pub use cache::cache_adjusted_etts;
-pub use algorithms::{allreduce_time_with, AllReduceAlgo, ALL_ALGOS};
 pub use collective::{
     allgather_time, allreduce_time, alltoall_time, barrier_time, broadcast_time, CollectiveShape,
 };
-pub use compute::{matvec_stack, real_complex_matvec, streaming_update, KernelCost};
+pub use compute::KernelCost;
 pub use machine::{MachineModel, Placement};
 pub use machinefile::{parse_machine, preset, MachineFileError, PRESET_NAMES};
 pub use memory::{cmat_saved_bytes, cmat_total_bytes};

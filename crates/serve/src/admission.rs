@@ -25,7 +25,7 @@ pub enum AdmitError {
     },
     /// The deck is valid but no ensemble of any size — not even `k = 1` —
     /// fits the server's modeled allocation
-    /// ([`xg_cluster::max_feasible_k`] returned 0).
+    /// ([`xg_cluster::max_feasible_k_unbalanced`] returned 0).
     OversizedGrid {
         /// Explanation with the modeled allocation.
         reason: String,

@@ -11,9 +11,9 @@
 //! reaches its size cap, its linger deadline expires, or the server
 //! drains.
 //!
-//! The size cap is `min(k_max, planner budget)`: [`xg_cluster::max_feasible_k`]
-//! bounds the batch to the largest ensemble the configured node allocation
-//! can actually hold in memory (for the `nl03c`-like deck on 32
+//! The size cap is `min(k_max, planner budget)`:
+//! [`xg_cluster::max_feasible_k_unbalanced`] bounds the batch to the largest
+//! ensemble the configured node allocation can actually hold in memory (for the `nl03c`-like deck on 32
 //! Frontier-like nodes that is the paper's `k = 8` saturation point), and
 //! the flush reason records *which* limit fired.
 //!

@@ -24,8 +24,8 @@
 //! `--journal DIR` makes the daemon crash-safe: every job lifecycle
 //! transition is persisted to a write-ahead log in DIR and replayed on the
 //! next start, so a `kill -9` loses no acknowledged job. `--journal-sync N`
-//! fsyncs every N appends (1 = every append, the durable default; see
-//! `xgplan --journal-fsync-ms` for the MTBF-aware choice).
+//! fsyncs every N appends (1 = every append, the durable default and the
+//! only setting that loses no acknowledged append).
 //! `--journal-fault` injects a seeded journal fault (`write-error:AT`,
 //! `torn:AT:KEEP`, `crash:AT` — AT counts appends) for recovery drills.
 //!

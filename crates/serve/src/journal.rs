@@ -622,8 +622,8 @@ pub struct JournalConfig {
     /// Directory holding the segment files (created if missing).
     pub dir: PathBuf,
     /// Fsync cadence in appends: 1 = fsync on every commit (the durable
-    /// default), N = batch N appends per fsync (bounded loss window — see
-    /// `xg_cluster::journal_sync_plan` for the MTBF-aware choice), 0 =
+    /// default, and the only setting that loses no acknowledged append),
+    /// N = batch N appends per fsync (a crash can lose up to N − 1), 0 =
     /// never fsync (OS page cache only).
     pub fsync_every: u32,
     /// Rotate to a fresh segment once the current one exceeds this size.

@@ -14,8 +14,8 @@
 //! * **batching** ([`Grouper`]) — jobs group by [`BatchKey`] (the
 //!   `cmat_key` plus the lockstep execution parameters) into maximal
 //!   batches, capped by the operator's `k_max` *and* the planner's memory
-//!   budget ([`xg_cluster::max_feasible_k`]), flushed when full, when the
-//!   linger deadline expires, or on drain;
+//!   budget ([`xg_cluster::max_feasible_k_unbalanced`]), flushed when full,
+//!   when the linger deadline expires, or on drain;
 //! * **execution** ([`CampaignServer`]) — a bounded worker pool runs each
 //!   batch as one XGYRO ensemble in one persistent, checkpointed session
 //!   ([`xgyro_core::ResilientRun`]): a faulted member is

@@ -56,7 +56,7 @@ pub struct ServerConfig {
     /// host; every deck admitted must fit this grid itself.
     pub grid: ProcGrid,
     /// Operator cap on batch size; the effective cap may be lower where the
-    /// memory budget binds ([`xg_cluster::max_feasible_k`]).
+    /// memory budget binds ([`xg_cluster::max_feasible_k_unbalanced`]).
     pub k_max: usize,
     /// How long an underfull batch waits for key-mates before flushing.
     pub linger: Duration,

@@ -49,7 +49,8 @@ impl CampaignPlan {
 }
 
 /// Evaluate all ensemble sizes that divide the rank pool and fit in
-/// memory; returns `None` when not even `k = 1` fits on `nodes`.
+/// memory; returns `None` when not even `k = 1` fits on `nodes`, and when
+/// `n_variants` or `reports` is zero (there is no campaign to price).
 ///
 /// ```
 /// use xg_cluster::{optimize_campaign, SchedulePolicy};
@@ -72,7 +73,9 @@ pub fn optimize_campaign(
     machine: &MachineModel,
     policy: &SchedulePolicy,
 ) -> Option<CampaignPlan> {
-    assert!(n_variants > 0 && reports > 0);
+    if n_variants == 0 || reports == 0 {
+        return None;
+    }
     let mut options = Vec::new();
     for k in 1..=n_variants {
         let Some(plan) = planner::plan(input, k, nodes, machine) else {
@@ -138,6 +141,15 @@ mod tests {
         let policy = SchedulePolicy::production();
         // 4 nodes cannot host even one nl03c.
         assert!(optimize_campaign(&input, 4, 4, 1, &machine, &policy).is_none());
+    }
+
+    #[test]
+    fn zero_variants_or_reports_return_none() {
+        let input = CgyroInput::test_medium();
+        let machine = MachineModel::small_cluster();
+        let policy = SchedulePolicy::mini();
+        assert!(optimize_campaign(&input, 0, 1, 2, &machine, &policy).is_none(), "no variants");
+        assert!(optimize_campaign(&input, 3, 1, 0, &machine, &policy).is_none(), "no reports");
     }
 
     #[test]

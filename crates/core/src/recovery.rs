@@ -209,12 +209,8 @@ impl ResilientRun {
         &self.events
     }
 
-    /// The last coherent checkpoint — what a preempted run resumes from.
-    pub fn checkpoint(&self) -> Option<&EnsembleCheckpoint> {
-        self.checkpoint.as_ref()
-    }
-
-    /// End without finishing (a preemption); the traffic logs so far.
+    /// End without finishing (every member cancelled, or a failure); the
+    /// traffic logs so far.
     pub fn close(mut self) -> Vec<Vec<OpRecord>> {
         self.leave();
         self.traces

@@ -19,6 +19,11 @@
 //!
 //! The same code path answers `xgq submit --dry-run`: [`Grouper::would_join`]
 //! computes the placement without mutating anything.
+//!
+//! The grouper has no thread of its own. The server's submitters and
+//! workers call [`Grouper::expired`] under the state lock before every
+//! placement and every dispatch, and an idle worker sleeps until
+//! [`Grouper::next_deadline`].
 
 use crate::job::{BatchId, JobId, JobSpec};
 use std::time::{Duration, Instant};
@@ -286,8 +291,8 @@ impl Grouper {
             .collect()
     }
 
-    /// The earliest linger deadline among open batches, if any — what the
-    /// batcher thread sleeps until.
+    /// The earliest linger deadline among open batches, if any — what an
+    /// idle worker sleeps until.
     pub fn next_deadline(&self) -> Option<Instant> {
         self.pending.iter().map(|b| b.opened_at + self.cfg.linger).min()
     }

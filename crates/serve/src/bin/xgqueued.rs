@@ -38,7 +38,7 @@
 //!
 //! `--tenants ROSTER` switches the daemon from open multi-tenancy (any
 //! well-formed `tenant=` claim accepted, no quotas) to a configured
-//! roster: `name[:weight=W][:jobs=N][:bytes=N][:secret=S][:prio=P]`
+//! roster: `name[:weight=W][:jobs=N][:bytes=N][:secret=S]`
 //! entries separated by commas. Unknown tenants are rejected at SUBMIT,
 //! `secret=` entries require a matching `auth=`, and `jobs=`/`bytes=`
 //! bound each tenant's *live* (unfinished) footprint. `--quantum N` sets
@@ -70,6 +70,7 @@ fn usage() -> ! {
          \u{20}                [--artifacts DIR] [--artifact-budget-bytes N]\n\
          \u{20}                [--tenants ROSTER] [--quantum N]\n\
          \u{20}                [--retain-jobs N] [--retain-age-ms MS]\n\
+         ROSTER: name[:weight=W][:jobs=N][:bytes=N][:secret=S],...\n\
          presets: {}",
         PRESET_NAMES.join(", ")
     );

@@ -750,6 +750,12 @@ pub fn checkpoint_path(dir: &Path, batch: BatchId, seq: u64) -> PathBuf {
     dir.join(format!("ckpt-{}-{seq}.xgc", batch.0))
 }
 
+/// Make the directory entries created, renamed or removed in `dir` so far
+/// durable: a file's own fsync does not cover its name.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
 /// The `(batch, seq)` a checkpoint file name encodes.
 fn parse_checkpoint_name(name: &str) -> Option<(BatchId, u64)> {
     let (batch, seq) = name.strip_prefix("ckpt-")?.strip_suffix(".xgc")?.split_once('-')?;
@@ -768,7 +774,7 @@ pub fn write_checkpoint(dir: &Path, batch: BatchId, seq: u64, state: &[u8]) -> s
         f.write_all(state)?;
         f.sync_data()?;
         std::fs::rename(&tmp, &path)?;
-        File::open(dir)?.sync_all()
+        sync_dir(dir)
     };
     durable().inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
@@ -922,7 +928,7 @@ impl Journal {
             live.push((*index, path, len));
         }
         if live.len() < segments.len() {
-            File::open(&cfg.dir)?.sync_all()?;
+            sync_dir(&cfg.dir)?;
         }
         // Append into the highest segment if it is empty (and nothing was
         // set aside above it), else into a fresh one past every index used.
@@ -1125,7 +1131,8 @@ impl Journal {
         self.seg_bytes = 0;
         self.stats.rotations += 1;
         self.compaction_due = true;
-        Ok(())
+        // The new segment's name is durable before a record lands in it.
+        sync_dir(&self.cfg.dir)
     }
 
     /// If a rotation has closed a segment since the last call, merge every
@@ -1186,6 +1193,10 @@ impl Journal {
             tmp.sync_data()?;
         }
         std::fs::rename(&tmp_path, &merged_path)?;
+        // The rename is durable before any delete: otherwise a crash could
+        // keep the deletes and lose the rename, and the next open removes
+        // the `.tmp` holding the merged-away records.
+        sync_dir(&self.cfg.dir)?;
         for (_, path) in closed.iter().skip(1) {
             std::fs::remove_file(path)?;
         }

@@ -20,17 +20,16 @@
 //!   batch as one XGYRO ensemble in one persistent, checkpointed session
 //!   ([`xgyro_core::ResilientRun`]): a faulted member is
 //!   evicted and marked `Failed` without killing its batch-mates, and
-//!   cancellations preempt at checkpoint boundaries. The worker pool is
+//!   cancellations apply at checkpoint boundaries. The worker pool is
 //!   the only bound on concurrently executing worlds: each worker runs one
 //!   world at a time, and modeled nodes only price admission's memory
 //!   budget;
 //! * **multi-tenancy** ([`tenant`], [`sched`]) — submissions carry a
 //!   tenant identity (optionally authenticated against a `--tenants`
 //!   roster), admission enforces per-tenant live-job/byte quotas, and the
-//!   dispatch queue divides machine time between tenants by weighted
-//!   deficit round-robin with priority lanes; a running lower-lane world
-//!   yields its worker at a checkpoint boundary when a higher lane waits
-//!   and no worker is idle;
+//!   one dispatch queue divides machine time between tenants by weighted
+//!   deficit round-robin; a dispatched batch keeps its worker, its world
+//!   and its `cmat` to the end;
 //! * **observability** ([`JobState`] lifecycle events via poll or
 //!   subscription, a typed [`Metrics`] snapshot in process and Prometheus
 //!   text on the wire — including the batch-occupancy histogram and `cmat`

@@ -53,9 +53,6 @@ pub struct TenantCounters {
     pub work_done: u64,
     /// Submissions served straight from the artifact cache.
     pub cache_hits: u64,
-    /// Times one of this tenant's running worlds yielded its worker to a
-    /// higher-priority lane at a checkpoint boundary.
-    pub preemptions: u64,
     /// Live (non-terminal) jobs right now.
     pub live_jobs: u64,
     /// Live journaled deck bytes right now.
@@ -123,8 +120,6 @@ pub struct Metrics {
     /// High-water mark of concurrently executing worlds — ≥ 2 is the
     /// observable signature of concurrent (non-serial) execution.
     pub worlds_peak: u64,
-    /// Checkpoint-boundary preemptions across all tenants.
-    pub preemptions: u64,
     /// Terminal jobs evicted by the bounded retention window.
     pub terminal_evicted: u64,
 }
@@ -172,19 +167,13 @@ impl Metrics {
         self.cache_misses += 1;
     }
 
-    /// Record a checkpoint-boundary preemption (the per-tenant count lives
-    /// with the tenant's other counters, in the job table).
-    pub fn on_preempt(&mut self) {
-        self.preemptions += 1;
-    }
-
     /// A world started executing (a worker popped its batch).
     pub fn on_world_start(&mut self) {
         self.worlds_active += 1;
         self.worlds_peak = self.worlds_peak.max(self.worlds_active);
     }
 
-    /// A world stopped executing (completed, failed, or preempted).
+    /// A world stopped executing (completed, failed, or cancelled).
     pub fn on_world_end(&mut self) {
         self.worlds_active = self.worlds_active.saturating_sub(1);
     }
@@ -385,21 +374,10 @@ impl Metrics {
             head(&mut s, name, "gauge", help);
             s.push_str(&format!("{name} {v}\n"));
         }
-        for (name, help, v) in [
-            (
-                "xgserve_preemptions_total",
-                "Checkpoint-boundary world preemptions.",
-                self.preemptions,
-            ),
-            (
-                "xgserve_terminal_evicted_total",
-                "Terminal jobs evicted by the bounded retention window.",
-                self.terminal_evicted,
-            ),
-        ] {
-            head(&mut s, name, "counter", help);
-            s.push_str(&format!("{name} {v}\n"));
-        }
+        let name = "xgserve_terminal_evicted_total";
+        let help = "Terminal jobs evicted by the bounded retention window.";
+        head(&mut s, name, "counter", help);
+        s.push_str(&format!("{name} {}\n", self.terminal_evicted));
         if self.tenants.is_empty() {
             return s;
         }
@@ -428,12 +406,6 @@ impl Metrics {
                 "xgserve_tenant_cache_hits_total",
                 "Cache-served submissions per tenant.",
                 |t| t.cache_hits,
-                "counter",
-            ),
-            (
-                "xgserve_tenant_preemptions_total",
-                "World preemptions per tenant.",
-                |t| t.preemptions,
                 "counter",
             ),
             (
@@ -536,12 +508,11 @@ mod tests {
     fn tenant_families_export_as_prometheus() {
         let mut m = Metrics::default();
         let acme = m.tenants.entry("acme".into()).or_default();
-        (acme.submitted, acme.cache_hits, acme.preemptions) = (2, 1, 1);
+        (acme.submitted, acme.cache_hits) = (2, 1);
         acme.on_terminal(JobState::Done, 200);
         let beta = m.tenants.entry("beta".into()).or_default();
         beta.submitted = 1;
         beta.on_terminal(JobState::Failed, 0);
-        m.on_preempt();
         m.on_world_start();
         m.on_world_start();
         m.on_world_end();
@@ -554,7 +525,6 @@ mod tests {
             done: 1,
             work_done: 200,
             cache_hits: 1,
-            preemptions: 1,
             live_jobs: 1,
             live_bytes: 512,
             ..TenantCounters::default()
@@ -568,7 +538,6 @@ mod tests {
         assert!(text.contains("xgserve_tenant_work_done_total{tenant=\"acme\"} 200"), "{text}");
         assert!(text.contains("xgserve_tenant_live_jobs{tenant=\"beta\"} 0"), "{text}");
         assert!(text.contains("xgserve_worlds_peak 2"), "{text}");
-        assert!(text.contains("xgserve_preemptions_total 1"), "{text}");
         assert!(text.contains("xgserve_terminal_evicted_total 3"), "{text}");
         xg_obs::expo::lint_prometheus(&text).expect("must lint clean");
     }

@@ -1,5 +1,4 @@
-//! Deficit-round-robin (DRR) fair-share dispatch across tenants, with
-//! priority lanes.
+//! Deficit-round-robin (DRR) fair-share dispatch across tenants.
 //!
 //! The server's ready queue used to be a plain FIFO: one aggressive
 //! tenant could occupy every worker indefinitely. [`DispatchQueue`]
@@ -15,14 +14,10 @@
 //!   to its configured weight, regardless of arrival pattern — and no
 //!   tenant starves, because deficits grow monotonically while a tenant
 //!   waits (the starvation proptest below pins the bound).
-//! * **Priority lanes** sit above fairness: a higher lane always
-//!   dispatches first, and a running lower-lane batch yields its worker
-//!   at its next checkpoint boundary when a higher lane is waiting and no
-//!   worker is idle (see `docs/serving.md`). DRR applies *within* each
-//!   lane.
 //!
-//! Every queued batch is dispatchable: the worker pool is the only limit
-//! on concurrently executing worlds.
+//! Every queued batch is dispatchable, and a dispatched batch keeps its
+//! worker to the end: the worker pool is the only limit on concurrently
+//! executing worlds.
 //!
 //! The queue is generic over the queued item so the scheduling policy is
 //! testable without constructing server state; the server instantiates it
@@ -53,27 +48,30 @@ struct TenantQueue<T> {
     items: VecDeque<Entry<T>>,
 }
 
+/// Weighted DRR dispatch queue. See the module docs.
 #[derive(Debug)]
-struct Lane<T> {
+pub struct DispatchQueue<T> {
+    quantum: u64,
     queues: BTreeMap<String, TenantQueue<T>>,
-    /// Round-robin order over tenants with backlog in this lane.
+    /// Round-robin order over tenants with backlog.
     rr: VecDeque<String>,
 }
 
-impl<T> Lane<T> {
-    fn new() -> Self {
-        Self { queues: BTreeMap::new(), rr: VecDeque::new() }
+impl<T> Default for DispatchQueue<T> {
+    fn default() -> Self {
+        Self::new(DEFAULT_QUANTUM)
+    }
+}
+
+impl<T> DispatchQueue<T> {
+    /// A queue crediting `quantum` work units per visit per unit weight.
+    pub fn new(quantum: u64) -> Self {
+        Self { quantum: quantum.max(1), queues: BTreeMap::new(), rr: VecDeque::new() }
     }
 
-    fn is_empty(&self) -> bool {
-        self.queues.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.queues.values().map(|q| q.items.len()).sum()
-    }
-
-    fn push(&mut self, tenant: &str, weight: u32, cost: u64, item: T) {
+    /// Enqueue `item` for `tenant`, costing `cost` work units of the
+    /// tenant's fair share when dispatched.
+    pub fn push(&mut self, tenant: &str, weight: u32, cost: u64, item: T) {
         let q = self.queues.entry(tenant.to_string()).or_insert_with(|| {
             self.rr.push_back(tenant.to_string());
             TenantQueue { weight, deficit: 0, charged: false, items: VecDeque::new() }
@@ -83,7 +81,9 @@ impl<T> Lane<T> {
         q.items.push_back(Entry { cost, item });
     }
 
-    fn pop(&mut self, quantum: u64) -> Option<T> {
+    /// Dispatch the next item by DRR fair share. Returns `None` when
+    /// nothing is queued.
+    pub fn pop(&mut self) -> Option<T> {
         loop {
             let name = self.rr.front()?.clone();
             let q = self.queues.get_mut(&name).expect("rr tracks queues");
@@ -92,7 +92,8 @@ impl<T> Lane<T> {
                 // The tenant then serves in a burst — later `pop` calls
                 // find `charged` still set and spend the same credit —
                 // until the deficit no longer covers its head.
-                q.deficit = q.deficit.saturating_add(quantum.saturating_mul(u64::from(q.weight)));
+                q.deficit =
+                    q.deficit.saturating_add(self.quantum.saturating_mul(u64::from(q.weight)));
                 q.charged = true;
             }
             let head_cost = q.items.front().expect("empty queues leave rr").cost;
@@ -115,82 +116,28 @@ impl<T> Lane<T> {
         }
     }
 
-    fn retain<F: FnMut(&mut T) -> bool>(&mut self, f: &mut F) {
-        for q in self.queues.values_mut() {
-            q.items.retain_mut(|e| f(&mut e.item));
-        }
-        self.queues.retain(|_, q| !q.items.is_empty());
-        self.rr.retain(|n| self.queues.contains_key(n));
-    }
-}
-
-/// Priority-laned DRR dispatch queue. See the module docs.
-#[derive(Debug)]
-pub struct DispatchQueue<T> {
-    quantum: u64,
-    lanes: BTreeMap<u8, Lane<T>>,
-}
-
-impl<T> Default for DispatchQueue<T> {
-    fn default() -> Self {
-        Self::new(DEFAULT_QUANTUM)
-    }
-}
-
-impl<T> DispatchQueue<T> {
-    /// A queue crediting `quantum` work units per visit per unit weight.
-    pub fn new(quantum: u64) -> Self {
-        Self { quantum: quantum.max(1), lanes: BTreeMap::new() }
-    }
-
-    /// Enqueue `item` for `tenant` at `priority`, costing `cost` work
-    /// units of the tenant's fair share when dispatched.
-    pub fn push(&mut self, tenant: &str, weight: u32, priority: u8, cost: u64, item: T) {
-        self.lanes
-            .entry(priority)
-            .or_insert_with(Lane::new)
-            .push(tenant, weight, cost, item);
-    }
-
-    /// Dispatch the next item: highest priority lane first, DRR
-    /// fair-share within the lane. Returns `None` when nothing is queued.
-    pub fn pop(&mut self) -> Option<T> {
-        let (&p, lane) = self.lanes.iter_mut().next_back()?;
-        let item = lane.pop(self.quantum);
-        if lane.is_empty() {
-            self.lanes.remove(&p);
-        }
-        item
-    }
-
-    /// Queued item count across all lanes.
+    /// Queued item count.
     pub fn len(&self) -> usize {
-        self.lanes.values().map(Lane::len).sum()
+        self.queues.values().map(|q| q.items.len()).sum()
     }
 
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// The highest priority among queued items, if any — what a running
-    /// batch compares its own lane against at checkpoint boundaries to
-    /// decide whether to yield.
-    pub fn highest_waiting_priority(&self) -> Option<u8> {
-        self.lanes.keys().next_back().copied()
+        self.queues.is_empty()
     }
 
     /// Filter (and possibly mutate) every queued item; items for which
     /// `f` returns false are dropped. The server's cancel path uses this
     /// to evict a member from a flushed-but-undispatched batch.
     pub fn retain<F: FnMut(&mut T) -> bool>(&mut self, mut f: F) {
-        for lane in self.lanes.values_mut() {
-            lane.retain(&mut f);
+        for q in self.queues.values_mut() {
+            q.items.retain_mut(|e| f(&mut e.item));
         }
-        self.lanes.retain(|_, l| !l.is_empty());
+        self.queues.retain(|_, q| !q.items.is_empty());
+        self.rr.retain(|n| self.queues.contains_key(n));
     }
 
-    /// Drain everything in dispatch order (priority, then fair-share).
+    /// Drain everything in dispatch order.
     pub fn drain_all(&mut self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len());
         while let Some(item) = self.pop() {
@@ -209,7 +156,7 @@ mod tests {
     fn fifo_within_a_tenant() {
         let mut q = DispatchQueue::new(8);
         for i in 0..5u32 {
-            q.push("a", 1, 0, 10, i);
+            q.push("a", 1, 10, i);
         }
         let got: Vec<u32> = q.drain_all();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
@@ -219,10 +166,10 @@ mod tests {
     fn equal_weights_interleave_equal_cost_items() {
         let mut q = DispatchQueue::new(8);
         for i in 0..4u32 {
-            q.push("a", 1, 0, 8, i);
+            q.push("a", 1, 8, i);
         }
         for i in 10..14u32 {
-            q.push("b", 1, 0, 8, i);
+            q.push("b", 1, 8, i);
         }
         let got: Vec<u32> = q.drain_all();
         // Perfect alternation: every item costs exactly one visit's credit.
@@ -233,8 +180,8 @@ mod tests {
     fn weights_skew_service_proportionally() {
         let mut q = DispatchQueue::new(8);
         for i in 0..30u32 {
-            q.push("heavy", 3, 0, 8, i);
-            q.push("light", 1, 0, 8, 100 + i);
+            q.push("heavy", 3, 8, i);
+            q.push("light", 1, 8, 100 + i);
         }
         // After the first 16 dispatches, heavy should hold ~3/4 of them.
         let mut heavy = 0;
@@ -247,26 +194,14 @@ mod tests {
     }
 
     #[test]
-    fn higher_priority_lanes_dispatch_first() {
-        let mut q = DispatchQueue::new(8);
-        q.push("batch", 1, 0, 8, 0u32);
-        q.push("interactive", 1, 2, 8, 1);
-        q.push("batch", 1, 0, 8, 2);
-        assert_eq!(q.highest_waiting_priority(), Some(2));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.highest_waiting_priority(), Some(0));
-        assert_eq!(q.drain_all(), vec![0, 2]);
-    }
-
-    #[test]
     fn retain_evicts_and_drops_empty_tenants() {
         let mut q = DispatchQueue::new(8);
-        q.push("a", 1, 0, 8, 1u32);
-        q.push("a", 1, 0, 8, 2);
-        q.push("b", 1, 1, 8, 3);
+        q.push("a", 1, 8, 1u32);
+        q.push("a", 1, 8, 2);
+        q.push("b", 1, 8, 3);
         q.retain(|x| *x != 3 && *x != 1);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.highest_waiting_priority(), Some(0), "emptied lane dropped");
+        assert_eq!(q.rr, ["a"], "emptied tenant dropped from the round");
         assert_eq!(q.drain_all(), vec![2]);
     }
 
@@ -292,7 +227,7 @@ mod tests {
             let mut q = DispatchQueue::new(quantum);
             let mut pushed: Vec<Vec<(usize, u64)>> = vec![Vec::new(); 4];
             for (seq, &(t, cost)) in arrivals.iter().enumerate() {
-                q.push(tenants[t], weights[t], 0, cost, (t, seq, cost));
+                q.push(tenants[t], weights[t], cost, (t, seq, cost));
                 pushed[t].push((seq, cost));
             }
             let max_cost = arrivals.iter().map(|&(_, c)| c).max().unwrap_or(1);

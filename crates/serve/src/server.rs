@@ -5,14 +5,16 @@
 //! * **submitters** (callers of [`CampaignServer::submit`]) run admission
 //!   and grouper placement synchronously under the state lock — a client
 //!   holds a job id only for work the server has really accepted;
-//! * one **batcher** thread sleeps until the earliest linger deadline and
-//!   flushes expired underfull batches to the ready queue;
-//! * `workers` **worker** threads pop ready batches and execute each as one
-//!   XGYRO ensemble through one [`xgyro_core::ResilientRun`] — one world
-//!   and one `cmat` factorization for the life of the batch — checkpointed
-//!   every `ckpt_every` steps, so cancellations are applied at checkpoint
+//! * `workers` **worker** threads, the server's only long-lived threads,
+//!   move linger-expired batches to the ready queue, pop the next one by
+//!   fair share and execute it as one XGYRO ensemble through one
+//!   [`xgyro_core::ResilientRun`] — one world and one `cmat`
+//!   factorization for the life of the batch — checkpointed every
+//!   `ckpt_every` steps, so cancellations are applied at checkpoint
 //!   boundaries and a faulted member is evicted without killing its
-//!   batch-mates.
+//!   batch-mates. An idle worker sleeps until the earliest linger
+//!   deadline. Submitters flush expired batches too, before placing, so a
+//!   batch past its deadline never takes another job.
 //!
 //! All state lives behind one mutex; nothing blocks while holding it except
 //! condition-variable waits. Simulation segments run outside the lock.
@@ -26,7 +28,7 @@
 
 use crate::admission::{check_spec, AdmitError};
 use crate::artifacts::{self, ArtifactConfig, PublishContext};
-use crate::batcher::{FlushReason, Grouper, GrouperConfig, Placement};
+use crate::batcher::{FlushReason, FlushedBatch, Grouper, GrouperConfig, Placement};
 use crate::job::{unix_us, BatchId, JobEvent, JobId, JobOutcome, JobSpec, JobState, JobStatus};
 use crate::journal::{self, Journal, JournalConfig, JournalRecord};
 use crate::metrics::Metrics;
@@ -85,7 +87,7 @@ pub struct ServerConfig {
     /// cache-less; `Some` publishes every completed batch member and serves
     /// re-submitted byte-identical decks straight to `Done`.
     pub artifacts: Option<ArtifactConfig>,
-    /// Tenant roster: per-tenant weights, priorities, quotas, and secrets.
+    /// Tenant roster: per-tenant weights, quotas, and secrets.
     /// The default open directory accepts any well-formed tenant name,
     /// unquota'd at weight 1 (see [`TenantDirectory`]).
     pub tenants: TenantDirectory,
@@ -215,8 +217,7 @@ pub struct RecoveryReport {
     pub warnings: Vec<String>,
 }
 
-/// Resume context for a batch rebuilt from the journal or preempted at a
-/// checkpoint boundary.
+/// Resume context for a batch rebuilt from the journal.
 #[derive(Debug)]
 struct ResumeState {
     /// Decoded, validated ensemble checkpoint (None restarts from step 0).
@@ -233,9 +234,8 @@ enum BatchOrigin {
     /// Flushed by the grouper: its members are still `Batched`, and its
     /// dispatch is counted under the flush reason.
     Flushed(FlushReason),
-    /// Rebuilt by journal replay or preempted at a checkpoint boundary:
-    /// its members are already `Running` and it was counted when first
-    /// dispatched.
+    /// Rebuilt by journal replay: its members are already `Running` and it
+    /// was counted when first dispatched.
     Resumed(ResumeState),
 }
 
@@ -245,10 +245,6 @@ struct ReadyBatch {
     id: BatchId,
     jobs: Vec<JobId>,
     origin: BatchOrigin,
-    /// The tenant every member belongs to (batches are tenant-pure).
-    tenant: String,
-    /// The tenant's priority lane at enqueue time.
-    priority: u8,
 }
 
 #[derive(Debug)]
@@ -263,8 +259,6 @@ struct State {
     shutdown: bool,
     fault_plan: Option<FaultPlan>,
     journal: Option<Journal>,
-    /// Workers parked waiting for a dispatchable batch.
-    idle_workers: usize,
 }
 
 struct Shared {
@@ -275,25 +269,25 @@ struct Shared {
     /// commit atomically, so it lives outside the state mutex.
     store: Option<ArtifactStore>,
     state: Mutex<State>,
-    /// Workers wait here for ready batches.
+    /// Idle workers wait here for ready batches or the next linger
+    /// deadline.
     work: Condvar,
-    /// The batcher thread waits here for its next linger deadline.
-    timer: Condvar,
     /// Drain/join waits here for the live-job count to hit zero.
     quiet: Condvar,
 }
 
 /// The campaign service. Call [`CampaignServer::drain`] then
 /// [`CampaignServer::shutdown`] for an orderly stop; a bare `shutdown`
-/// cancels never-dispatched jobs and preempts running batches at their next
-/// checkpoint boundary.
+/// cancels never-dispatched jobs and cancels the members of running batches
+/// at their next checkpoint boundary.
 pub struct CampaignServer {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl CampaignServer {
-    /// Start the service: one batcher thread plus `cfg.workers` workers.
+    /// Start the service: `cfg.workers` worker threads, the server's only
+    /// long-lived threads.
     ///
     /// When a journal is configured, whatever a previous life left in the
     /// journal directory is replayed first (see [`recover`]): terminal jobs
@@ -331,7 +325,6 @@ impl CampaignServer {
             shutdown: false,
             fault_plan,
             journal,
-            idle_workers: 0,
         };
         // Same contract as the journal: a daemon configured to cache results
         // must not come up unable to keep that promise.
@@ -346,21 +339,17 @@ impl CampaignServer {
             store,
             state: Mutex::new(st),
             work: Condvar::new(),
-            timer: Condvar::new(),
             quiet: Condvar::new(),
         });
         if let Some(replay) = replay {
             recover(&shared, &mut shared.state.lock(), replay);
         }
-        let mut threads = Vec::new();
-        {
-            let s = shared.clone();
-            threads.push(std::thread::spawn(move || batcher_loop(&s)));
-        }
-        for _ in 0..shared.cfg.workers {
-            let s = shared.clone();
-            threads.push(std::thread::spawn(move || worker_loop(&s)));
-        }
+        let threads = (0..shared.cfg.workers)
+            .map(|_| {
+                let s = shared.clone();
+                std::thread::spawn(move || worker_loop(&s))
+            })
+            .collect();
         Self { shared, threads }
     }
 
@@ -419,8 +408,11 @@ impl CampaignServer {
     /// [`CampaignServer::submit`], without admitting anything (the cache
     /// probe does not even refresh the entry's LRU access time).
     pub fn dry_run(&self, spec: &JobSpec) -> Result<DryRun, AdmitError> {
-        let guard = self.shared.state.lock();
+        let mut guard = self.shared.state.lock();
         admit(&self.shared, &guard, spec)?;
+        // A real submit flushes expired batches before placing; so does
+        // its prediction.
+        flush_expired(&self.shared, &mut guard, Instant::now());
         let dh = deck_hash(&spec.input, spec.steps);
         let cache = match self.shared.store.as_ref() {
             None => CacheStatus::Off,
@@ -577,13 +569,11 @@ impl CampaignServer {
         let deadline = Instant::now() + timeout;
         let mut guard = shared.state.lock();
         guard.draining = true;
-        let flushed = guard.grouper.flush_all();
-        {
-            let st = &mut *guard;
-            for f in flushed {
-                let origin = BatchOrigin::Flushed(f.reason);
-                enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, origin);
-            }
+        // Batches already past their linger deadline flush as `linger`;
+        // the rest go as `drain`.
+        flush_expired(shared, &mut guard, Instant::now());
+        for f in guard.grouper.flush_all() {
+            enqueue_flushed(&shared.cfg, &mut guard, f);
         }
         shared.work.notify_all();
         // The last job turns terminal inside `execute_batch`, a moment
@@ -629,9 +619,8 @@ impl CampaignServer {
         ));
         for (name, t) in &m.tenants {
             s.push_str(&format!(
-                "tenant {name}: submitted={} done={} work_done={} live_jobs={} \
-                 live_bytes={} preemptions={}\n",
-                t.submitted, t.done, t.work_done, t.live_jobs, t.live_bytes, t.preemptions,
+                "tenant {name}: submitted={} done={} work_done={} live_jobs={} live_bytes={}\n",
+                t.submitted, t.done, t.work_done, t.live_jobs, t.live_bytes,
             ));
         }
         match xg_obs::expo::render_table(xg_obs::Registry::global()) {
@@ -646,9 +635,9 @@ impl CampaignServer {
         s
     }
 
-    /// Stop the service: never-dispatched jobs are cancelled, running
-    /// batches are preempted at their next checkpoint boundary, and all
-    /// threads are joined.
+    /// Stop the service: never-dispatched jobs are cancelled, the members
+    /// of running batches are cancelled at their next checkpoint boundary,
+    /// and all threads are joined.
     pub fn shutdown(mut self) {
         let shared = self.shared.clone();
         {
@@ -667,7 +656,6 @@ impl CampaignServer {
                 commit(&shared, st, JournalRecord::Cancelled { job, detail: "server shutdown".into() });
             }
             shared.work.notify_all();
-            shared.timer.notify_all();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -707,27 +695,37 @@ fn enqueue_ready(
     if jobs.is_empty() {
         return;
     }
-    let (tenant, steps) = {
-        let head = st.table.job(jobs[0]).expect("a flushed batch names held jobs");
-        (head.spec.tenant.clone(), head.spec.steps)
-    };
-    let (weight, priority) = tenant_sched_params(cfg, &tenant);
-    let cost = jobs.len() as u64 * steps as u64;
-    st.ready.push(
-        &tenant,
-        weight,
-        priority,
-        cost,
-        ReadyBatch { id, jobs, origin, tenant: tenant.clone(), priority },
-    );
+    let head = &st.table.job(jobs[0]).expect("a flushed batch names held jobs").spec;
+    let weight = tenant_weight(cfg, &head.tenant);
+    let cost = jobs.len() as u64 * head.steps as u64;
+    st.ready.push(&head.tenant, weight, cost, ReadyBatch { id, jobs, origin });
 }
 
-/// The roster's scheduling parameters for a tenant; unlisted tenants (open
-/// mode) run at weight 1 in the base priority lane.
-fn tenant_sched_params(cfg: &ServerConfig, tenant: &str) -> (u32, u8) {
-    cfg.tenants
-        .get(tenant)
-        .map_or((crate::tenant::DEFAULT_WEIGHT, 0), |t| (t.weight, t.priority))
+/// Enqueue a batch the grouper flushed, counted under its flush reason at
+/// dispatch.
+fn enqueue_flushed(cfg: &ServerConfig, st: &mut State, f: FlushedBatch) {
+    enqueue_ready(cfg, st, f.batch.id, f.batch.jobs, BatchOrigin::Flushed(f.reason));
+}
+
+/// The roster's DRR weight for a tenant; unlisted tenants (open mode) run
+/// at weight 1.
+fn tenant_weight(cfg: &ServerConfig, tenant: &str) -> u32 {
+    cfg.tenants.get(tenant).map_or(crate::tenant::DEFAULT_WEIGHT, |t| t.weight)
+}
+
+/// Move every linger-expired batch to the ready queue, oldest first, and
+/// wake the workers to take them. Runs before every placement and every
+/// `pop`, so a batch past its deadline never takes another job and enters
+/// the queue ahead of any batch a later submit flushes.
+fn flush_expired(shared: &Shared, st: &mut State, now: Instant) {
+    let expired = st.grouper.expired(now);
+    if expired.is_empty() {
+        return;
+    }
+    for f in expired {
+        enqueue_flushed(&shared.cfg, st, f);
+    }
+    shared.work.notify_all();
 }
 
 /// The live path's only way to change a job: journal the record, then
@@ -791,6 +789,7 @@ fn admit_job(
         .map_err(|e| AdmitError::TenantDenied { reason: e.to_string() })?;
     spec.tenant = tenant.name.clone();
     admit(shared, st, &spec)?;
+    flush_expired(shared, st, Instant::now());
     if st.table.live() >= shared.cfg.queue_capacity {
         return Err(AdmitError::QueueFull { capacity: shared.cfg.queue_capacity });
     }
@@ -884,12 +883,13 @@ fn admit_job(
     let (batch, flushed) = st.grouper.place(job, &placed.spec, Instant::now());
     commit(shared, st, JournalRecord::Batched { job, batch });
     if let Some(f) = flushed {
-        let origin = BatchOrigin::Flushed(f.reason);
-        enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, origin);
+        enqueue_flushed(&shared.cfg, st, f);
         shared.work.notify_all();
+    } else if st.grouper.pending().last().is_some_and(|b| b.id == batch && b.jobs.len() == 1) {
+        // This placement opened a batch (new batches open last): wake an
+        // idle worker to arm its wait for the new linger deadline.
+        shared.work.notify_one();
     }
-    // A new batch may have created the earliest linger deadline.
-    shared.timer.notify_one();
     Ok(job)
 }
 
@@ -922,8 +922,8 @@ fn outcome_summary(o: &JobOutcome) -> (u64, u64, [u64; 4]) {
 /// the id watermarks sit past everything any life issued. What remains is
 /// recovery *policy*: sweep the retention window the previous life kept,
 /// regroup jobs that were still waiting, and queue each interrupted batch to
-/// resume — its members stay `Running`, exactly like a batch preempted at a
-/// checkpoint boundary. Runs before any worker thread exists.
+/// resume — its members stay `Running`. Runs before any worker thread
+/// exists.
 fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
     st.metrics.recovery = RecoveryReport {
         replayed_records: replay.records.len() as u64,
@@ -971,8 +971,7 @@ fn recover(shared: &Shared, st: &mut State, replay: journal::Replay) {
         commit(shared, st, JournalRecord::Batched { job, batch });
         st.metrics.recovery.readmitted_jobs += 1;
         if let Some(f) = flushed {
-            let origin = BatchOrigin::Flushed(f.reason);
-            enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, origin);
+            enqueue_flushed(&shared.cfg, st, f);
         }
     }
 
@@ -1089,59 +1088,31 @@ fn admit(shared: &Shared, st: &State, spec: &JobSpec) -> Result<(), AdmitError> 
     Ok(())
 }
 
-/// The batcher thread: flush linger-expired batches to the ready queue.
-fn batcher_loop(shared: &Shared) {
-    let mut guard = shared.state.lock();
-    loop {
-        if guard.shutdown {
-            return;
-        }
-        let now = Instant::now();
-        let expired = guard.grouper.expired(now);
-        if !expired.is_empty() {
-            let st = &mut *guard;
-            for f in expired {
-                let origin = BatchOrigin::Flushed(f.reason);
-                enqueue_ready(&shared.cfg, st, f.batch.id, f.batch.jobs, origin);
-            }
-            shared.work.notify_all();
-            continue;
-        }
-        // The batcher doubles as the retention sweeper: the age bound must
-        // fire even when no submission or flush has run in a while.
-        let evicted = guard.table.evict(shared.cfg.retain_jobs, shared.cfg.retain_age, now);
-        guard.metrics.on_terminal_evicted(evicted);
-        match guard.grouper.next_deadline() {
-            Some(d) => {
-                shared.timer.wait_until(&mut guard, d);
-            }
-            None => {
-                // Nothing pending: sleep until a submit creates a batch.
-                shared.timer.wait_for(&mut guard, Duration::from_secs(1));
-            }
-        }
-    }
-}
-
-/// A worker thread: pop ready batches and execute them, one world at a
-/// time. The pool's size is the only bound on concurrently executing
-/// worlds; modeled nodes price admission's memory budget and nothing else.
+/// A worker thread: flush expired batches, pop the next ready one and
+/// execute it, one world at a time. The pool's size is the only bound on
+/// concurrently executing worlds; modeled nodes price admission's memory
+/// budget and nothing else. An idle worker sleeps until the earliest
+/// linger deadline (at most a second when no batch is open) and on each
+/// wake sweeps the retention window's age bound, which must fire even
+/// when no submission or flush has run in a while.
 fn worker_loop(shared: &Shared) {
     loop {
         let batch = {
             let mut guard = shared.state.lock();
-            guard.idle_workers += 1;
             let rb = loop {
                 if guard.shutdown {
-                    guard.idle_workers -= 1;
                     return;
                 }
+                let now = Instant::now();
+                flush_expired(shared, &mut guard, now);
                 if let Some(rb) = guard.ready.pop() {
                     break rb;
                 }
-                shared.work.wait(&mut guard);
+                let evicted = guard.table.evict(shared.cfg.retain_jobs, shared.cfg.retain_age, now);
+                guard.metrics.on_terminal_evicted(evicted);
+                let wake = guard.grouper.next_deadline().unwrap_or(now + Duration::from_secs(1));
+                shared.work.wait_until(&mut guard, wake);
             };
-            guard.idle_workers -= 1;
             guard.metrics.on_world_start();
             // Dispatch under the lock that popped the batch: a cancel finds
             // each member either still queued or Running, never popped and
@@ -1168,10 +1139,9 @@ struct Dispatched {
 
 /// Dispatch bookkeeping for a batch just popped, under the same lock:
 /// transition members to Running, record queue latency and occupancy, arm
-/// the chaos fault plan. Members of a preempted batch — or of one a restart
-/// resumed — are *already* Running: they re-enter here without a second
-/// transition, dispatch count, or Running record, so a preempt/resume cycle
-/// is invisible to occupancy accounting.
+/// the chaos fault plan. Members of a batch a restart resumed are *already*
+/// Running: they re-enter here without a second transition, dispatch count,
+/// or Running record, so a resume is invisible to occupancy accounting.
 fn dispatch(shared: &Shared, st: &mut State, batch: ReadyBatch) -> Option<Dispatched> {
     if batch.jobs.is_empty() {
         return None;
@@ -1220,7 +1190,7 @@ fn dispatch(shared: &Shared, st: &mut State, batch: ReadyBatch) -> Option<Dispat
 /// cheaper than reasoning about a "finished but unrecorded" limbo state.
 fn execute_batch(shared: &Shared, dispatched: Dispatched) {
     let Dispatched { batch, inputs, steps_total, plan } = dispatched;
-    let ReadyBatch { id: batch_id, jobs, origin, tenant, priority } = batch;
+    let ReadyBatch { id: batch_id, jobs, origin } = batch;
     let batch_k = jobs.len() as u64;
     let exec_start = Instant::now();
     // Whether one world runs this batch from step 0 to its end. A resumed
@@ -1233,8 +1203,8 @@ fn execute_batch(shared: &Shared, dispatched: Dispatched) {
         BatchOrigin::Resumed(r) => (r.checkpoint, r.done, r.next_seq),
         BatchOrigin::Flushed(_) => (None, 0usize, 0u64),
     };
-    // The same call serves a fresh batch, a preempted one coming back and a
-    // batch journal replay rebuilt after kill -9: open from the checkpoint.
+    // The same call serves a fresh batch and a batch journal replay rebuilt
+    // after kill -9: open from the checkpoint.
     let plan = plan.unwrap_or_default();
     let run = EnsembleConfig::new(inputs, shared.world_grid)
         .map_err(|e| e.to_string())
@@ -1305,32 +1275,6 @@ fn execute_batch(shared: &Shared, dispatched: Dispatched) {
             fail_all(shared, &member_ids, &format!("batch failed: {e}"));
         }
         if member_ids.is_empty() || shed.is_err() {
-            account(&run.close());
-            return;
-        }
-        // Priority preemption: yield this worker when a higher lane is
-        // waiting and no worker is idle to take it. Members stay Running;
-        // the batch re-enters the queue with its checkpoint, and this
-        // worker pops the higher lane first. The world goes with the
-        // worker: the resumed batch opens a new one from the checkpoint.
-        let yields = {
-            let st = shared.state.lock();
-            st.idle_workers == 0
-                && st.ready.highest_waiting_priority().is_some_and(|p| p > priority)
-        };
-        if yields {
-            // The batch's next worker continues the checkpoint sequence
-            // after this one's last checkpoint has landed.
-            commit_checkpoint(shared, batch_id, unwritten.take());
-            let mut guard = shared.state.lock();
-            let st = &mut *guard;
-            st.metrics.on_preempt();
-            st.table.on_preempt(&tenant);
-            let resume = ResumeState { checkpoint: run.checkpoint().cloned(), done, next_seq };
-            let origin = BatchOrigin::Resumed(resume);
-            enqueue_ready(&shared.cfg, st, batch_id, member_ids.clone(), origin);
-            shared.work.notify_all();
-            drop(guard);
             account(&run.close());
             return;
         }
@@ -1676,6 +1620,55 @@ mod tests {
         );
         assert_eq!(server.list().len(), 1, "dry runs admit nothing");
         server.shutdown();
+    }
+
+    #[test]
+    fn an_expired_batch_takes_no_job_and_dispatches_first() {
+        // The only worker is pinned by a long job, so nothing dispatches
+        // batch A while its linger deadline passes. A same-key job B must
+        // then open a batch of its own (its dry run saying so first), and
+        // A must dispatch ahead of B.
+        let jdir = scratch_store("expired-batch-journal");
+        let mut cfg = ServerConfig::local_test();
+        cfg.workers = 1;
+        cfg.linger = Duration::from_millis(20);
+        cfg.journal = Some(JournalConfig::durable(&jdir));
+        let linger = cfg.linger;
+        let server = CampaignServer::start(cfg);
+        let base = CgyroInput::test_small();
+        let long = server.submit(spec(base.with_gradients(3.0, 3.0), 4000, "long")).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.status(long).unwrap().state != JobState::Running {
+            assert!(Instant::now() < deadline, "the long job never dispatched");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let a = server.submit(spec(base.with_gradients(1.0, 2.0), 20, "a")).unwrap();
+        std::thread::sleep(linger * 5);
+        let b_spec = spec(base.with_gradients(2.0, 2.0), 20, "b");
+        let dr = server.dry_run(&b_spec).expect("valid");
+        assert!(matches!(dr.placement, Placement::Opens { .. }), "{:?}", dr.placement);
+        let b = server.submit(b_spec).unwrap();
+        let batch = |id| server.status(id).unwrap().batch.expect("placed");
+        let (long_batch, batch_a, batch_b) = (batch(long), batch(a), batch(b));
+        assert_ne!(batch_a, batch_b, "a batch past its deadline took another job");
+        assert_eq!(
+            server.status(long).unwrap().state,
+            JobState::Running,
+            "precondition: the worker stayed busy through A's linger"
+        );
+        assert!(server.drain(Duration::from_secs(120)), "drain timed out");
+        server.shutdown();
+        let (_, replay) = Journal::open(JournalConfig::durable(&jdir)).unwrap();
+        let order: Vec<BatchId> = replay
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                JournalRecord::Running { batch, .. } => Some(*batch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, vec![long_batch, batch_a, batch_b], "dispatch order");
+        std::fs::remove_dir_all(&jdir).unwrap();
     }
 
     /// Scratch artifact-store directory, wiped before use.

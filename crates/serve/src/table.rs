@@ -498,12 +498,6 @@ impl JobTable {
         &self.tenants
     }
 
-    /// One of `tenant`'s running worlds yielded its nodes (not journaled:
-    /// a process-life count kept beside the tenant's replayed ones).
-    pub(crate) fn on_preempt(&mut self, tenant: &str) {
-        self.tenants.entry(tenant.to_string()).or_default().preemptions += 1;
-    }
-
     /// Dispatched batches with a non-terminal member.
     pub(crate) fn running(&self) -> &BTreeMap<BatchId, RunningBatch> {
         &self.running

@@ -1,8 +1,7 @@
 //! Multi-tenant serving acceptance tests: a saturated `CampaignServer`
 //! divides machine time between tenants by weighted fair share, runs as
-//! many concurrent worlds as it has workers, lets a higher priority lane
-//! preempt a running world, and keeps tenant attribution across a
-//! `kill -9`.
+//! many concurrent worlds as it has workers, and keeps tenant attribution
+//! across a `kill -9`.
 //!
 //! The drills here mirror the CI `multi-tenant` job but in-process:
 //!
@@ -15,10 +14,6 @@
 //!   memory model prices at the whole modeled allocation still run two at
 //!   a time, one per worker (`worlds_peak >= 2`), and `worlds_active`
 //!   returns to zero when the queue drains;
-//! * **preemption** — with one worker, a higher-lane job submitted while
-//!   a multi-segment lower-lane batch runs takes the worker at the next
-//!   checkpoint boundary, exactly once, and both results stay bitwise
-//!   those of a direct run;
 //! * **crash** — a journal holding another life's acknowledged jobs
 //!   replays with the original tenant attribution: zero lost jobs, and
 //!   the per-tenant metrics account the recovered work to the tenants
@@ -35,7 +30,6 @@ use xg_serve::{
     TenantDirectory,
 };
 use xg_sim::{write_deck, CgyroInput};
-use xgyro_core::{run_xgyro, EnsembleConfig, SimResult};
 
 const STEPS: usize = 20;
 
@@ -210,56 +204,6 @@ fn workers_not_modeled_nodes_bound_concurrent_worlds() {
     assert_eq!(m.occupancy.get(&3), Some(&4), "four full k=3 batches: {m:?}");
     assert!(m.worlds_peak >= 2, "two worlds never ran concurrently: {m:?}");
     assert_eq!(m.worlds_active, 0, "{m:?}");
-    server.shutdown();
-}
-
-/// `result_summary`'s fingerprint of a directly run member: FNV-1a of the
-/// final distribution's little-endian bytes plus the diagnostics' bits.
-fn summary(sim: &SimResult, steps: usize) -> (u64, u64, [u64; 4]) {
-    let bytes: Vec<u8> = sim
-        .h
-        .as_slice()
-        .iter()
-        .flat_map(|z| z.re.to_le_bytes().into_iter().chain(z.im.to_le_bytes()))
-        .collect();
-    let d = &sim.diagnostics;
-    let bits = [d.time, d.field_energy, d.heat_flux, d.h_norm2].map(f64::to_bits);
-    (steps as u64, fnv1a(&bytes), bits)
-}
-
-#[test]
-fn a_higher_lane_preempts_a_running_batch_once_and_both_stay_exact() {
-    let mut cfg = ServerConfig::local_test();
-    // One worker, so the higher lane can only run if the lower one
-    // yields; k_max = 1 flushes each job at submit.
-    cfg.k_max = 1;
-    cfg.workers = 1;
-    cfg.tenants = TenantDirectory::parse("low,ops:prio=1").expect("roster");
-    let grid = cfg.grid;
-    let server = CampaignServer::start(cfg);
-    // Twenty checkpoint segments: the boundary after `ops` arrives is
-    // never the end of the batch.
-    let (low_deck, low_steps) = (variant(0), 10 * STEPS);
-    let (low, _) = server
-        .submit_authed(spec_for("low", &low_deck, low_steps, "low"), None, None)
-        .expect("low admitted");
-    wait_running(&server, low);
-    let (ops_deck, ops_steps) = (variant(1), STEPS);
-    let (ops, _) = server
-        .submit_authed(spec_for("ops", &ops_deck, ops_steps, "ops"), None, None)
-        .expect("ops admitted");
-    assert!(server.drain(Duration::from_secs(300)), "drain timed out");
-
-    let m = server.metrics();
-    assert_eq!(m.preemptions, 1, "{m:?}");
-    assert_eq!(m.tenants["low"].preemptions, 1, "{m:?}");
-    assert_eq!(m.tenants["ops"].preemptions, 0, "{m:?}");
-    for (id, deck, steps) in [(low, low_deck, low_steps), (ops, ops_deck, ops_steps)] {
-        let st = server.status(id).expect("tracked");
-        assert_eq!(st.state, JobState::Done, "{id}: {}", st.detail);
-        let direct = run_xgyro(&EnsembleConfig::new(vec![deck], grid).expect("k=1"), steps);
-        assert_eq!(server.result_summary(id), Some(summary(&direct.sims[0], steps)), "{id}");
-    }
     server.shutdown();
 }
 
